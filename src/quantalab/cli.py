@@ -12,7 +12,6 @@ the text output exactly.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -53,9 +52,6 @@ def _fraction_arg(value: str, name: str) -> Fraction:
 @click.group()
 def main():
     """Exact checks for quantale-valued filter structures and their monads."""
-    # worker-count env var is accepted for forward compatibility; runs are
-    # currently sequential and deterministic regardless
-    os.environ.get("QUANTALAB_WORKERS")
 
 
 @main.command("quantale")
@@ -174,6 +170,12 @@ def cmd_laws(path, seed, budget, out, fmt):
         scenario = load_scenario(path)
         if not isinstance(scenario.carrier, FiniteQuantale):
             raise PreconditionError("law suites need a finite carrier")
+        violations = check_quantale_axioms(scenario.carrier)
+        if violations:
+            first = violations[0]
+            witness = ", ".join(format_fraction(w) for w in first.witness)
+            raise PreconditionError(
+                f"carrier is not a quantale: {first.law} fails at ({witness})")
         seed = scenario.seed if seed is None else seed
         budget = scenario.budget if budget is None else budget
 
@@ -288,9 +290,6 @@ def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
         expected = (rep.verdict == NO_VIOLATION_EXPECTED) if rep.condition_s \
             else (rep.verdict == VIOLATION and rep.all_claims_ok)
         sys.exit(EXIT_OK if expected else EXIT_MATH_FAILURE)
-    except PreconditionError as e:
-        click.echo(f"input error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
     except QuantalabError as e:
         click.echo(f"input error: {e}", err=True)
         sys.exit(EXIT_INPUT_ERROR)

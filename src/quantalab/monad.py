@@ -12,6 +12,7 @@ carrier is a finite exact computation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -443,7 +444,7 @@ def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
                        f"unit mismatch at {x!r} size {n}")
 
         Y = _labels("y", max(1, n - 1))
-        for values in _all_maps(X, Y):
+        for values in itertools.product(Y.elements, repeat=len(X)):
             f = SetMap(X, Y, values)
             fd = {x: f(x) for x in X}
             for t in tables:
@@ -454,7 +455,7 @@ def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
 
         family = SemifilterFamily.of(tables)
         for combo_size in (1, 2):
-            for base in _combos(tables, combo_size):
+            for base in itertools.combinations(tables, combo_size):
                 wanted = indicator(family.labels, q,
                                    [family.labels.elements[tables.index(t)]
                                     for t in base])
@@ -473,13 +474,3 @@ def _principal_base(sets: frozenset) -> frozenset:
     for s in sets:
         out = s if out is None else out & s
     return out
-
-
-def _all_maps(src: FiniteSet, dst: FiniteSet):
-    import itertools
-    return itertools.product(dst.elements, repeat=len(src))
-
-
-def _combos(items, r):
-    import itertools
-    return itertools.combinations(items, r)

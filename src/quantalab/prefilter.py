@@ -83,11 +83,23 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
             if m.values not in seen:
                 seen[m.values] = m
                 work.append(m)
-    closed = list(seen.values())
-    minimal = [f for f in closed
-               if not any(g is not f and g.leq(f) for g in closed)]
+    minimal = minimal_members(seen.values())
     minimal.sort(key=lambda f: f.values)
     return PrefilterBasis(domain, carrier, tuple(minimal))
+
+
+def minimal_members(fns: Iterable[QFunction]) -> list[QFunction]:
+    """The pointwise-minimal members of a finite family, duplicates dropped.
+
+    Every member dominates one of them.  A function antitone in its
+    argument, such as graded inclusion ``sub(-, lam)``, therefore has the
+    same join over the family as over these members.  The result is an
+    antichain and may have several elements; it is not the meet of the
+    family, which need not belong to it.
+    """
+    distinct = list({f.values: f for f in fns}.values())
+    return [f for f in distinct
+            if not any(g is not f and g.leq(f) for g in distinct)]
 
 
 def smallest_prefilter(domain: FiniteSet, carrier: Carrier) -> PrefilterBasis:

@@ -411,11 +411,20 @@ class FiniteQuantale:
         return self._tensor[(x, y)]
 
     def residuum(self, x: Fraction, y: Fraction) -> Fraction:
-        """Largest z with x (x) z <= y, folded with the carrier join."""
-        self._check(x), self._check(y)
+        """Largest z with x (x) z <= y, folded with the carrier join.
+
+        The memo is read before membership is checked.  It only ever holds
+        pairs that passed ``_check``, so a hit already proves both arguments
+        are carrier elements; a miss checks them and raises ``UsageError``
+        on a non-member.  Callers that join over minimal members only (see
+        ``semifilter.semifilter_of``) rely on the residuum being antitone in
+        its first argument, which holds on a genuine quantale; see
+        ``check_quantale_axioms``.
+        """
         key = (x, y)
         cached = self._residuum.get(key)
         if cached is None:
+            self._check(x), self._check(y)
             zs = [z for z in self.elements if self.leq(self._tensor[(x, z)], y)]
             cached = self.bottom
             for z in zs:
@@ -455,6 +464,8 @@ class FiniteQuantale:
         return True
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FiniteQuantale)
                 and self.elements == other.elements
                 and self.unit == other.unit
@@ -474,14 +485,38 @@ class FiniteQuantale:
 def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
     """Exhaustively check the quantale laws, witnessing each failure.
 
-    Covers commutativity, associativity, the unit law, distributivity of the
-    tensor over binary joins and over the empty join (bottom absorption), and
-    the presence of bottom 0 and top 1 in the carrier.  An empty report means
-    the table is a genuine commutative unital quantale.
+    First the lattice laws of the join and meet (explicit tables or the
+    chain order): idempotence (for the join, this is reflexivity of the
+    order ``leq`` derived from it), commutativity, associativity, absorption,
+    and agreement of the join order with the meet order.  Then the tensor:
+    commutativity, associativity, the unit law, distributivity over binary
+    joins and over the empty join (bottom absorption), and the presence of
+    bottom 0 and top 1 in the carrier.  Lattice violations come first.  An
+    empty report means the table is a genuine commutative unital quantale.
     """
     out: list[Violation] = []
     es = q.elements
     t = q._tensor
+    join, meet = q.join, q.meet
+    for op, name in ((join, "join"), (meet, "meet")):
+        for x in es:
+            if op(x, x) != x:
+                out.append(Violation(f"{name}-idempotence", (x,)))
+        for x in es:
+            for y in es:
+                if op(x, y) != op(y, x):
+                    out.append(Violation(f"{name}-commutativity", (x, y)))
+        for x in es:
+            for y in es:
+                for z in es:
+                    if op(op(x, y), z) != op(x, op(y, z)):
+                        out.append(Violation(f"{name}-associativity", (x, y, z)))
+    for x in es:
+        for y in es:
+            if join(x, meet(x, y)) != x or meet(x, join(x, y)) != x:
+                out.append(Violation("absorption", (x, y)))
+            if (join(x, y) == y) != (meet(x, y) == x):
+                out.append(Violation("join-meet-agreement", (x, y)))
     if q.bottom != ZERO or q.top != ONE:
         out.append(Violation("bounds", (q.bottom, q.top)))
     for x in es:

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
-from .prefilter import PrefilterBasis, eval_degree, is_bounded_function
+from .prefilter import (PrefilterBasis, eval_degree, is_bounded_function,
+                        minimal_members)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
                    precompose, sub, unit_constant)
 from .quantale import FiniteQuantale
@@ -161,9 +162,12 @@ def semifilter_of(source) -> SemifilterTable:
     """The table induced by a prefilter: the join of graded inclusions.
 
     Accepts a PrefilterBasis (the join over the generated prefilter is then
-    attained on the basis) or any explicit iterable of functions (the join is
-    computed over the set exactly as given).  Tables produced this way are
-    conical by construction.
+    attained on the basis) or any explicit iterable of functions.  For an
+    explicit set the join is taken over its pointwise-minimal members only.
+    This is exact for every finite set on a genuine quantale: there ``sub``
+    is antitone in its first argument, and every member dominates a minimal
+    member.  The set is not meet-closed first, since members below it would
+    change the join.  Tables produced this way are conical by construction.
     """
     if isinstance(source, PrefilterBasis):
         domain, carrier = source.domain, source.carrier
@@ -178,9 +182,11 @@ def semifilter_of(source) -> SemifilterTable:
     if not isinstance(carrier, FiniteQuantale):
         raise UsageError("tables need a finite carrier")
 
+    minimal = minimal_members(members)
+
     def degree(lam: QFunction) -> Fraction:
         out = carrier.bottom
-        for mu in members:
+        for mu in minimal:
             out = carrier.join(out, sub(mu, lam))
         return out
 
@@ -191,7 +197,9 @@ def conical_coreflection(table: SemifilterTable) -> SemifilterTable:
     """The largest conical table below the given one.
 
     Deflationary, monotone, idempotent; fixes exactly the conical tables and
-    preserves the level set of functions held at degree >= unit.
+    preserves the level set of functions held at degree >= unit.  The table
+    is induced from the minimal members of the level set (see
+    ``semifilter_of``); on a chain carrier there is exactly one.
     """
     members = level_prefilter(table)
     if not members:
@@ -419,7 +427,10 @@ def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:
     """The largest conical bounded table below the given one.
 
     Computed by restricting the level prefilter to its bounded members and
-    inducing a table from that set.
+    inducing a table from that set, which joins over its minimal members
+    (see ``semifilter_of``).  The bounded members need not be meet-closed:
+    on a lattice carrier they can have several minimal members, and all of
+    them are kept.
     """
     q = table.carrier
     if not q.is_integral:

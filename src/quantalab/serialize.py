@@ -148,6 +148,18 @@ def expr_from_json(obj: dict) -> FnExpr:
     raise StructuralError(f"unknown expression kind {kind!r}")
 
 
+def _integer(value, name: str) -> int:
+    """An integer field: a JSON integer or a string holding one."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise StructuralError(f"{name} must be an integer, got {value!r}")
+
+
 class ScenarioSpec:
     """A parsed law-suite scenario file.
 
@@ -169,10 +181,11 @@ class ScenarioSpec:
         self.x_set = FiniteSet(tuple(sets.get("X", ("x0", "x1"))))
         self.y_set = FiniteSet(tuple(sets.get("Y", ("y0", "y1"))))
         self.z_set = FiniteSet(tuple(sets.get("Z", ("z0", "z1"))))
-        self.seed = int(obj.get("seed", 0))
+        self.seed = _integer(obj.get("seed", 0), "seed")
         budgets = obj.get("budgets", {})
-        self.scenarios = int(budgets.get("scenarios", 200))
-        self.budget = budgets.get("budget")
+        self.scenarios = _integer(budgets.get("scenarios", 200), "budgets.scenarios")
+        budget = budgets.get("budget")
+        self.budget = None if budget is None else _integer(budget, "budgets.budget")
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
         self.witness_catalog = [expr_from_json(e) for e in wc] if wc else None

@@ -122,6 +122,45 @@ def test_laws_nonconical_map_value_is_input_error(runner, tmp_path):
     assert "not a plain semifilter" in r.output
 
 
+BROKEN_TENSOR = {"type": "finite", "carrier": ["0/1", "1/2", "1/1"],
+                 "tensor": [["0/1", "0/1", "0/1"],
+                            ["0/1", "1/1", "1/2"],
+                            ["0/1", "1/2", "1/1"]],
+                 "unit": "1/1"}
+NON_IDEMPOTENT_JOIN = {"type": "finite", "carrier": ["0/1", "1/1"],
+                       "tensor": [["0/1", "0/1"], ["0/1", "1/1"]],
+                       "join": [["1/1", "1/1"], ["1/1", "1/1"]],
+                       "meet": [["0/1", "0/1"], ["0/1", "1/1"]],
+                       "unit": "1/1"}
+
+
+@pytest.mark.parametrize("quantale,first", [
+    (BROKEN_TENSOR, "join-distributivity fails at (1/2, 1/2, 1/1)"),
+    (NON_IDEMPOTENT_JOIN, "join-idempotence fails at (0/1)"),
+])
+def test_laws_rejects_carrier_that_is_not_a_quantale(runner, tmp_path, quantale, first):
+    path = write(tmp_path, "sc5.json", {
+        "quantale": quantale,
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == f"input error: carrier is not a quantale: {first}\n"
+
+
+@pytest.mark.parametrize("budget,code", [("2", 3), (2, 3), ("two", 2), (2.5, 2)])
+def test_laws_scenario_budget_must_be_an_integer(runner, tmp_path, budget, code):
+    path = write(tmp_path, "sc6.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 9, "budget": budget}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == code, r.output
+    if code == 2:
+        assert "budgets.budget must be an integer" in r.stderr
+
+
 def test_counterexample_violation(runner, block_path):
     r = runner.invoke(main, ["counterexample", "--quantale", block_path,
                              "--t", "3/8", "--s", "3/8", "--truncation", "200"])

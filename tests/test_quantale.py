@@ -14,7 +14,7 @@ from quantalab.quantale import (Block, BlockKind, FiniteQuantale, QValue,
                                 positive_residuum_zero_sup, product_tnorm,
                                 residuum, residuum_continuity_probe,
                                 residuum_grid_oracle, tensor, two_chain,
-                                way_below)
+                                Violation, way_below)
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()
@@ -233,6 +233,39 @@ def test_broken_table_reports_distributivity():
         [[0, 0, 0], [0, 1, F(1, 2)], [0, F(1, 2), 1]], 1)
     laws = {v.law for v in check_quantale_axioms(bad)}
     assert "join-distributivity" in laws
+
+
+def test_lattice_law_violations_are_reported_first():
+    # a join that is not idempotent: leq(0, 0) fails
+    q = FiniteQuantale([0, 1], [[0, 0], [0, 1]], 1,
+                       join=[[1, 1], [1, 1]], meet=[[0, 0], [0, 1]])
+    violations = check_quantale_axioms(q)
+    assert violations[0] == Violation("join-idempotence", (F(0),))
+    assert not q.leq(F(0), F(0))
+    laws = {v.law for v in violations}
+    assert {"absorption", "join-meet-agreement"} <= laws
+
+
+def test_explicit_meet_table_is_checked():
+    q = square_lattice()
+    o, a, b, i = q.elements
+    meet = {(x, y): q.meet(x, y) for x in q.elements for y in q.elements}
+    meet[(a, b)] = a                      # no longer commutative or a glb
+    bad = FiniteQuantale(q.elements, q._tensor, i, join=q._join, meet=meet)
+    laws = {v.law for v in check_quantale_axioms(bad)}
+    assert {"meet-commutativity", "join-meet-agreement"} <= laws
+
+
+def test_residuum_memo_hit_does_not_admit_non_members():
+    q = five_chain()
+    for x in q.elements:
+        for y in q.elements:
+            q.residuum(x, y)
+    with pytest.raises(UsageError):
+        q.residuum(F(1, 3), F(1))
+    with pytest.raises(UsageError):
+        q.residuum(F(1), F(1, 3))
+    assert q.residuum(F(1), F(3, 8)) == F(3, 8)
 
 
 def test_malformed_table_raises_structural():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from quantalab.errors import BudgetError, StructuralError
-from quantalab.prefilter import (is_top_filter, member, normalize_basis,
+from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
+                                 minimal_members, normalize_basis,
                                  smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
@@ -18,6 +19,8 @@ from quantalab.semifilter import (AxiomViolation, ConicalTest,
                                   is_semifilter, kowalsky_sum, level_prefilter,
                                   meet, residuate,
                                   satisfies_way_below_criterion, semifilter_of)
+
+from test_quantale import square_lattice
 
 G3 = godel3()
 M3 = mv3()
@@ -158,6 +161,76 @@ def test_coreflection_is_largest_conical_below(g3_pairs_all, g3_pairs_conical):
         best = conical_coreflection(t)
         assert best in below
         assert all(c.leq(best) for c in below)
+
+
+def _coreflection_oracle(table, bounded=False):
+    """The join of graded inclusions over every (bounded) level member."""
+    q = table.carrier
+    members = [f for f in table.functions() if q.leq(q.unit, table(f))
+               and (not bounded or is_bounded_function(f))]
+
+    def degree(lam):
+        out = q.bottom
+        for mu in members:
+            out = q.join(out, sub(mu, lam))
+        return out
+
+    return SemifilterTable.from_function(table.domain, q, degree)
+
+
+@pytest.mark.parametrize("carrier,domain", [
+    (two_chain(), S), (two_chain(), X),
+    (G3, S), (G3, X), (M3, S), (M3, X),
+    (five_chain(), S),
+])
+def test_coreflections_match_join_over_all_members(carrier, domain):
+    for t in enumerate_semifilters(domain, carrier):
+        assert conical_coreflection(t) == _coreflection_oracle(t)
+        assert conical_bounded_coreflection(t) == \
+            _coreflection_oracle(t, bounded=True)
+
+
+def test_bounded_coreflection_keeps_every_minimal_member():
+    q = square_lattice()
+    a, b = F(1, 3), F(2, 3)
+    top = SemifilterTable.from_function(S, q, lambda lam: q.top)
+    bounded = [f for f in level_prefilter(top) if is_bounded_function(f)]
+    assert sorted(f.values for f in bounded) == [(a,), (b,), (F(1),)]
+    assert sorted(f.values for f in minimal_members(bounded)) == [(a,), (b,)]
+    out = conical_bounded_coreflection(top)
+    assert out == _coreflection_oracle(top, bounded=True)
+    # a single minimal member would miss the other: 1/3 -> 0 is only 2/3
+    assert out(QFunction(S, (F(0),), q)) == 1
+    assert sub(QFunction(S, (a,), q), QFunction(S, (F(0),), q)) == b
+
+
+def test_semifilter_of_explicit_antichain_is_not_its_meet():
+    # the two minimal members of an explicit set that is not meet-closed;
+    # the meet (1/3, 1/3) generates a strictly larger table
+    q = square_lattice()
+    a = F(1, 3)
+    members = [QFunction(X, (a, F(1)), q), QFunction(X, (F(1), a), q)]
+    t = semifilter_of(members)
+    assert t == SemifilterTable.from_function(
+        X, q, lambda lam: q.join(sub(members[0], lam), sub(members[1], lam)))
+    zero = QFunction(X, (F(0), F(0)), q)
+    assert t(zero) == 0
+    assert sub(members[0].meet(members[1]), zero) == F(2, 3)
+
+
+def test_coreflection_sub_calls_one_per_entry(monkeypatch):
+    q = five_chain()
+    e = evaluation_unit(X, q, "a")
+    assert len(minimal_members(level_prefilter(e))) == 1
+    calls = []
+
+    def counting_sub(lam, mu):
+        calls.append(None)
+        return sub(lam, mu)
+
+    monkeypatch.setattr("quantalab.semifilter.sub", counting_sub)
+    assert conical_coreflection(e) == e
+    assert len(calls) == 25
 
 
 # -- the three conicality tests ---------------------------------------------------
