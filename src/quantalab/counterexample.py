@@ -11,7 +11,9 @@ this module evaluates it through two finite, fully exact devices:
   (the decreasing ramp, tail indicators, constants, and joins/meets/
   residuations of those) whose tails are eventually monotone, so both the
   liminf and the infimum come out of exact left-limit algebra rather than
-  sampling.
+  sampling.  The samples are computed column by column: each distinct node
+  of the expression trees is evaluated once, at all the points 1/m
+  together, and ``eval_at`` remains the point-by-point evaluator.
 * certified inequality chains -- lower bounds for suprema come from explicit
   witnesses in a catalog (the ramp itself realizes the value 1), and upper
   bounds come from the residuum collapse across an idempotent: whenever a
@@ -83,6 +85,8 @@ FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
 
 
 def eval_at(expr: FnExpr, x: Fraction, t: TNorm) -> Fraction:
+    """The value of expr at one point x, walking the whole tree; the
+    reference that the column evaluation of ``describe`` is tested against."""
     if isinstance(expr, Ramp):
         return expr.scale * (1 - x)
     if isinstance(expr, TailIndicator):
@@ -206,6 +210,9 @@ class FunctionDescriptor:
             raise UsageError("tail liminf below the global infimum")
 
     def sample(self, m: int) -> Fraction:
+        """The value at 1/m, for m in 1..depth."""
+        if not 1 <= m <= len(self.samples):
+            raise UsageError(f"sample point m={m} outside 1..{len(self.samples)}")
         return self.samples[m - 1]
 
     @property
@@ -216,29 +223,69 @@ class FunctionDescriptor:
         return (self.samples, self.tail_liminf, self.global_inf)
 
 
+def _column(expr: FnExpr, t: TNorm, n: int, memo: dict) -> tuple[Fraction, ...]:
+    """The values of expr at 1/m for m = 1, 2, ..., at least n of them.
+
+    Each node is computed once per memo, keyed by identity, as a whole
+    column: leaves are filled directly, joins and meets zip their children's
+    columns and a residuation residuates its child's column by the
+    constant.  A memo entry shorter than n is recomputed and replaced.
+    """
+    hit = memo.get(id(expr))
+    if hit is not None and len(hit[1]) >= n:
+        return hit[1]
+    if isinstance(expr, Ramp):
+        col = tuple(expr.scale * Fraction(m - 1, m) for m in range(1, n + 1))
+    elif isinstance(expr, TailIndicator):
+        col = tuple(ONE if m >= expr.start else ZERO for m in range(1, n + 1))
+    elif isinstance(expr, Const):
+        col = (expr.value,) * n
+    elif isinstance(expr, Join):
+        col = tuple(map(max, _column(expr.left, t, n, memo),
+                        _column(expr.right, t, n, memo)))
+    elif isinstance(expr, Meet):
+        col = tuple(map(min, _column(expr.left, t, n, memo),
+                        _column(expr.right, t, n, memo)))
+    elif isinstance(expr, Res):
+        res, c = t.residuum, expr.const
+        col = tuple(res(c, v) for v in _column(expr.child, t, n, memo))
+    else:
+        raise UsageError(f"unknown expression {expr!r}")
+    # the node is stored with its column, so its id stays its own while
+    # the memo lives
+    memo[id(expr)] = (expr, col)
+    return col
+
+
 def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
-             label: str = "") -> FunctionDescriptor:
+             label: str = "", columns: dict | None = None) -> FunctionDescriptor:
     """Build the exact descriptor of an expression.
+
+    The samples come from ``_column``, which computes every node of the
+    tree once as a column of its values at the points 1/m, not once per
+    point; ``columns`` is the memo of those node columns, which
+    ``build_catalog`` shares across its calls so that a subtree shared by
+    many expressions is computed once.  ``eval_at`` evaluates only the
+    endpoint x = 0.
 
     The global infimum has three exact contributions: the co-countable part
     of the interval (where the indicators vanish and the ramp value sweeps
     down to 0, evaluated by inf-preservation at the limit), the endpoint
     x = 0, and the sample sequence, whose tail beyond all indicator starts is
     monotone nondecreasing so one extra sample closes it off.  ``pin_one``
-    overrides the value at x = 1 with the top, for the filter variant.
+    overrides the value at x = 1 with the top, for the filter variant; it
+    applies to the top-level value only, never to a subtree's column.
     """
-    def value(m: int) -> Fraction:
-        if pin_one and m == 1:
-            return ONE
-        return eval_at(expr, Fraction(1, m), t)
-
     horizon = max(depth, _max_indicator_start(expr) + 1) + 1
-    all_samples = [value(m) for m in range(1, horizon + 1)]
+    all_samples = _column(expr, t, horizon,
+                          {} if columns is None else columns)[:horizon]
+    if pin_one:
+        all_samples = (ONE,) + all_samples[1:]
     co_countable = _eval_leaves(expr, ZERO, ZERO, t)
     at_zero = eval_at(expr, ZERO, t)
     ginf = min(min(all_samples), co_countable, at_zero)
     liminf, _ = tail_limit(expr, t)
-    return FunctionDescriptor(label or repr(expr), tuple(all_samples[:depth]),
+    return FunctionDescriptor(label or repr(expr), all_samples[:depth],
                               liminf, ginf)
 
 
@@ -393,13 +440,17 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
     A shallow first pass (a dozen samples plus the exact tail and infimum)
     screens out the heavy redundancy the closure produces, so full-depth
     descriptors are only computed for survivors.  The first expression is
-    the target function and always survives in first position.
+    the target function and always survives in first position.  Both
+    passes share one memo of node columns, so each distinct node of the
+    closure is evaluated once per pass, as one column, however many
+    expressions contain it.
     """
+    columns: dict = {}
     light_depth = min(depth, 12)
     light_seen = set()
     chosen: list[FnExpr] = []
     for e in exprs:
-        d = describe(e, t, light_depth, pin_one)
+        d = describe(e, t, light_depth, pin_one, columns=columns)
         if d.key() not in light_seen:
             light_seen.add(d.key())
             chosen.append(e)
@@ -408,7 +459,7 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
     out: list[FunctionDescriptor] = []
     full_seen = set()
     for i, e in enumerate(chosen):
-        d = describe(e, t, depth, pin_one, label=f"w{i}")
+        d = describe(e, t, depth, pin_one, label=f"w{i}", columns=columns)
         if d.key() not in full_seen:
             full_seen.add(d.key())
             out.append(d)
@@ -557,16 +608,17 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
         # to the ramp's value, at most p; so p bounds the right side
         collapse_ok = True
         for d in candidates:
-            ms = [m for m in range(1, depth + 1)
-                  if d.sample(m) >= p > gamma.sample(m)]
+            ms = [(m, a, g)
+                  for m, (a, g) in enumerate(zip(d.samples, gamma.samples), 1)
+                  if a >= p > g]
             cert = p
-            for m in ms:
-                collapsed = tnorm.residuum(d.sample(m), gamma.sample(m))
-                if collapsed != gamma.sample(m):
+            for m, a, g in ms:
+                collapsed = tnorm.residuum(a, g)
+                if collapsed != g:
                     collapse_ok = False
                     claims.append(ClaimRecord(
                         "step2-residuum-collapse", False,
-                        f"{d.label} at m={m}: {collapsed} != {gamma.sample(m)}"))
+                        f"{d.label} at m={m}: {collapsed} != {g}"))
                 cert = min(cert, collapsed)
             details.append((d.label, cert, len(ms)))
         if collapse_ok:

@@ -19,6 +19,7 @@ with ``x (x) z <= y``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -76,6 +77,7 @@ class TNorm:
                 raise ConstructionError(
                     f"blocks overlap or are unsorted near {b.lo}")
             prev_hi = b.hi
+        object.__setattr__(self, "_his", tuple(b.hi for b in self.blocks))
 
     # -- carrier surface -------------------------------------------------
 
@@ -96,7 +98,9 @@ class TNorm:
         return False
 
     def contains(self, x: Fraction) -> bool:
-        return isinstance(x, Fraction) and ZERO <= x <= ONE
+        # 0 <= x <= 1, read off the normalized pair: the denominator of a
+        # Fraction is always positive
+        return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
 
     def _check(self, x: Fraction) -> Fraction:
         if not self.contains(x):
@@ -112,54 +116,59 @@ class TNorm:
     def meet(self, x: Fraction, y: Fraction) -> Fraction:
         return x if x <= y else y
 
-    def _common_block(self, x: Fraction, y: Fraction) -> Block | None:
-        for b in self.blocks:
-            if b.lo <= x <= b.hi and b.lo <= y <= b.hi:
-                return b
-            if b.lo > x and b.lo > y:
-                break
+    def _common_block(self, low: Fraction, high: Fraction) -> Block | None:
+        """The lowest block holding both low <= high, or None.
+
+        Only blocks whose upper end reaches ``high`` can hold it, and the
+        first of those is the only one that can also hold ``low``, so one
+        bisection over the upper ends finds it.  At an endpoint e shared by
+        two blocks, the pair (e, e) belongs to the lower block, and a pair
+        with its other value inside a block belongs to that block.
+        """
+        i = bisect_left(self._his, high)
+        if i < len(self.blocks) and self.blocks[i].lo <= low:
+            return self.blocks[i]
         return None
 
     def tensor(self, x: Fraction, y: Fraction) -> Fraction:
-        """Ordinal-sum multiplication: rescaled base t-norm inside a common
-        block, minimum everywhere else."""
+        """Ordinal-sum multiplication: minimum outside a common block, and
+        inside a common block [lo, hi] the rescaled base t-norm in closed
+        form, max(lo, x + y - hi) for Lukasiewicz and
+        lo + (x - lo)(y - lo)/(hi - lo) for product.
+
+        The common block is the lowest block holding both values, so at an
+        endpoint e shared by two blocks the pair (e, e) is taken in the
+        lower one; both blocks give e there."""
         self._check(x), self._check(y)
-        b = self._common_block(x, y)
+        low, high = (x, y) if x <= y else (y, x)
+        b = self._common_block(low, high)
         if b is None:
-            return x if x <= y else y
-        w = b.hi - b.lo
-        u = (x - b.lo) / w
-        v = (y - b.lo) / w
+            return low
         if b.kind is BlockKind.LUKASIEWICZ:
-            t = u + v - 1
-            if t < 0:
-                t = ZERO
-        else:
-            t = u * v
-        return b.lo + w * t
+            t = x + y - b.hi
+            return t if t > b.lo else b.lo
+        return b.lo + (x - b.lo) * (y - b.lo) / (b.hi - b.lo)
 
     def residuum(self, x: Fraction, y: Fraction) -> Fraction:
         """Closed form for the residuum of an ordinal sum.
 
         Three cases: 1 when x <= y; the rescaled block residuum when x and y
-        share a block; otherwise y itself (the values then straddle an
-        idempotent, which collapses the residuum).  Validated against the
+        share a block [lo, hi], which is hi - x + y for Lukasiewicz and
+        lo + (hi - lo)(y - lo)/(x - lo) for product; otherwise y itself (the
+        values then straddle an idempotent, which collapses the residuum).
+        Here x > y, so at an endpoint shared by two blocks the pair lies in
+        the block that holds the other value.  Validated against the
         brute-force grid oracle in the test suite.
         """
         self._check(x), self._check(y)
         if x <= y:
             return ONE
-        b = self._common_block(x, y)
+        b = self._common_block(y, x)
         if b is None:
             return y
-        w = b.hi - b.lo
-        u = (x - b.lo) / w
-        v = (y - b.lo) / w
         if b.kind is BlockKind.LUKASIEWICZ:
-            r = 1 - u + v            # x > y, so this is < 1
-        else:
-            r = v / u                # x > y >= lo forces u > 0
-        return b.lo + w * r
+            return b.hi - x + y          # x > y, so this is < hi
+        return b.lo + (b.hi - b.lo) * (y - b.lo) / (x - b.lo)   # x > y >= lo
 
     def is_idempotent(self, x: Fraction) -> bool:
         """x is idempotent iff it is not interior to any block."""

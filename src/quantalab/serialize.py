@@ -131,20 +131,44 @@ def expr_to_json(e: FnExpr) -> dict:
     raise StructuralError(f"not an expression: {e!r}")
 
 
+def _field(obj: dict, kind: str, name: str):
+    if name not in obj:
+        raise StructuralError(f"a {kind} expression needs a {name!r} field")
+    return obj[name]
+
+
+def _unit_fraction(obj: dict, kind: str, name: str) -> Fraction:
+    """A rational field of an expression that must lie in [0,1]."""
+    v = parse_fraction(_field(obj, kind, name))
+    if not 0 <= v <= 1:
+        raise StructuralError(
+            f"{kind}.{name} must lie in [0,1], got {format_fraction(v)}")
+    return v
+
+
 def expr_from_json(obj: dict) -> FnExpr:
+    """Parse one witness-catalog expression; see README for the format."""
+    if not isinstance(obj, dict):
+        raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "ramp":
-        return Ramp(parse_fraction(obj["scale"]))
+        return Ramp(_unit_fraction(obj, kind, "scale"))
     if kind == "indicator":
-        return TailIndicator(int(obj["start"]))
+        start = _integer(_field(obj, kind, "start"), "indicator.start")
+        if start < 1:
+            raise StructuralError(f"indicator.start must be at least 1, got {start}")
+        return TailIndicator(start)
     if kind == "const":
-        return Const(parse_fraction(obj["value"]))
+        return Const(_unit_fraction(obj, kind, "value"))
     if kind == "join":
-        return Join(expr_from_json(obj["left"]), expr_from_json(obj["right"]))
+        return Join(expr_from_json(_field(obj, kind, "left")),
+                    expr_from_json(_field(obj, kind, "right")))
     if kind == "meet":
-        return Meet(expr_from_json(obj["left"]), expr_from_json(obj["right"]))
+        return Meet(expr_from_json(_field(obj, kind, "left")),
+                    expr_from_json(_field(obj, kind, "right")))
     if kind == "res":
-        return Res(parse_fraction(obj["const"]), expr_from_json(obj["child"]))
+        return Res(_unit_fraction(obj, kind, "const"),
+                   expr_from_json(_field(obj, kind, "child")))
     raise StructuralError(f"unknown expression kind {kind!r}")
 
 
@@ -188,6 +212,8 @@ class ScenarioSpec:
         self.budget = None if budget is None else _integer(budget, "budgets.budget")
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
+        if wc is not None and not isinstance(wc, list):
+            raise StructuralError("witness_catalog must be a list of expressions")
         self.witness_catalog = [expr_from_json(e) for e in wc] if wc else None
 
     def explicit_maps(self):

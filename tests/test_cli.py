@@ -225,6 +225,45 @@ def test_counterexample_from_scenario_with_witness_catalog(runner, tmp_path):
     assert report["verdict"] == "VIOLATION"
 
 
+def _catalog_scenario(tmp_path, catalog):
+    return write(tmp_path, "cx.json", {
+        "quantale": {"type": "tnorm",
+                     "blocks": [{"lo": "1/4", "hi": "1/2", "kind": "lukasiewicz"}]},
+        "witness_catalog": catalog})
+
+
+@pytest.mark.parametrize("catalog,message", [
+    ([{"kind": "ramp"}], "needs a 'scale' field"),
+    ([{"kind": "join", "left": {"kind": "const", "value": "0/1"}}],
+     "needs a 'right' field"),
+    (["ramp"], "must be a JSON object"),
+    ({"kind": "ramp", "scale": "1/4"}, "witness_catalog must be a list"),
+    ([{"kind": "indicator", "start": 2.5}], "indicator.start must be an integer"),
+    ([{"kind": "indicator", "start": 0}], "indicator.start must be at least 1"),
+    ([{"kind": "ramp", "scale": "3/2"}], "ramp.scale must lie in [0,1]"),
+    ([{"kind": "const", "value": "-1/4"}], "const.value must lie in [0,1]"),
+    ([{"kind": "res", "const": "2", "child": {"kind": "const", "value": "0/1"}}],
+     "res.const must lie in [0,1]"),
+])
+def test_counterexample_bad_witness_catalog_is_input_error(runner, tmp_path,
+                                                          catalog, message):
+    path = _catalog_scenario(tmp_path, catalog)
+    r = runner.invoke(main, ["counterexample", "--scenario", path,
+                             "--t", "3/8", "--s", "3/8", "--truncation", "20"])
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+
+
+def test_counterexample_indicator_start_reads_integer_strings(runner, tmp_path):
+    path = _catalog_scenario(tmp_path, [{"kind": "ramp", "scale": "1/4"},
+                                        {"kind": "indicator", "start": "3"}])
+    r = runner.invoke(main, ["counterexample", "--scenario", path,
+                             "--t", "3/8", "--s", "3/8", "--truncation", "20",
+                             "--format", "structured"])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["catalog_size"] == 2
+
+
 def test_counterexample_needs_a_source(runner):
     r = runner.invoke(main, ["counterexample", "--t", "3/8", "--s", "3/8"])
     assert r.exit_code == 2

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quantalab import counterexample
 from quantalab.counterexample import (Const, Coreflected, FunctionDescriptor,
                                       Join, Meet, NO_VIOLATION_EXPECTED,
                                       NO_VIOLATION_FOUND, PointEvaluation,
@@ -10,10 +11,12 @@ from quantalab.counterexample import (Const, Coreflected, FunctionDescriptor,
                                       build_catalog, close_catalog,
                                       default_catalog_exprs, describe, eval_at,
                                       left_limit_residuum, run_counterexample,
-                                      sampled_sub_bound, tail_limit)
+                                      sampled_sub_bound, tail_limit,
+                                      _column, _eval_leaves,
+                                      _max_indicator_start)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
-from quantalab.quantale import (build_ordinal_sum, godel_tnorm, grid,
+from quantalab.quantale import (ONE, ZERO, build_ordinal_sum, godel_tnorm, grid,
                                 lukasiewicz_tnorm, product_tnorm)
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
@@ -163,6 +166,125 @@ def test_descriptor_consistency_enforced():
         FunctionDescriptor("bad", (F(0),), F(1, 2), F(3, 4))
     with pytest.raises(UsageError):
         FunctionDescriptor("bad", (F(1, 2),), F(1, 4), F(3, 4))
+
+
+def test_sample_outside_the_depth_is_refused():
+    d = describe(Ramp(P), BLOCK, depth=10)
+    assert d.sample(1) == 0 and d.sample(10) == d.samples[-1]
+    for m in (0, -1, 11):
+        with pytest.raises(UsageError):
+            d.sample(m)
+    with pytest.raises(UsageError):
+        PointEvaluation(0).evaluate(d, BLOCK)
+
+
+# -- columns against the per-point evaluator ---------------------------------------
+
+PRODUCT_BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "product")])
+# (t-norm, t, s, the block's upper end as default_catalog_exprs takes it)
+CLOSURE_CASES = [(BLOCK, F(3, 8), F(3, 8), F(1, 2)),
+                 (PRODUCT_BLOCK, F(3, 8), F(7, 16), None)]
+
+
+def shipped_closure(t, t_par, s_par, hi, variant):
+    p = t.tensor(t_par, s_par)
+    base = default_catalog_exprs(p, t_par, s_par, hi, variant, F(1, 8))
+    return close_catalog(base, [p, t_par, s_par])
+
+
+@pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES, ids=["luk", "product"])
+@pytest.mark.parametrize("pin_one", [False, True])
+def test_columns_equal_eval_at_on_the_shipped_closure(t, t_par, s_par, hi, pin_one):
+    exprs = shipped_closure(t, t_par, s_par, hi, Variant.PLAIN)
+    n = 24
+    columns: dict = {}
+    for e in exprs:
+        want = [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
+        assert list(_column(e, t, n, columns)[:n]) == want
+        if pin_one:
+            want[0] = ONE
+        assert list(describe(e, t, n, pin_one, columns=columns).samples) == want
+
+
+def test_columns_grow_when_a_longer_horizon_is_asked():
+    e = Res(F(3, 8), Join(Ramp(P), TailIndicator(5)))
+    columns: dict = {}
+    assert len(_column(e, BLOCK, 4, columns)) == 4
+    long = _column(e, BLOCK, 9, columns)
+    assert list(long[:9]) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
+
+
+def describe_per_point(expr, t, depth, pin_one=False, label=""):
+    """The point-by-point describe that the columns replace, kept as the
+    oracle."""
+    def value(m):
+        if pin_one and m == 1:
+            return ONE
+        return eval_at(expr, F(1, m), t)
+
+    horizon = max(depth, _max_indicator_start(expr) + 1) + 1
+    all_samples = [value(m) for m in range(1, horizon + 1)]
+    co_countable = _eval_leaves(expr, ZERO, ZERO, t)
+    at_zero = eval_at(expr, ZERO, t)
+    ginf = min(min(all_samples), co_countable, at_zero)
+    liminf, _ = tail_limit(expr, t)
+    return FunctionDescriptor(label or repr(expr), tuple(all_samples[:depth]),
+                              liminf, ginf)
+
+
+def build_catalog_per_point(exprs, t, depth, pin_one, cap=240):
+    light_seen, chosen = set(), []
+    for e in exprs:
+        d = describe_per_point(e, t, min(depth, 12), pin_one)
+        if d.key() not in light_seen:
+            light_seen.add(d.key())
+            chosen.append(e)
+        if len(chosen) >= cap:
+            break
+    out, full_seen = [], set()
+    for i, e in enumerate(chosen):
+        d = describe_per_point(e, t, depth, pin_one, label=f"w{i}")
+        if d.key() not in full_seen:
+            full_seen.add(d.key())
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_build_catalog_matches_per_point_describe(variant):
+    exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), variant)
+    pin_one = variant is Variant.FILTER
+    want = build_catalog_per_point(exprs, BLOCK, 200, pin_one)
+    assert build_catalog(exprs, BLOCK, 200, pin_one) == want
+
+
+def _nodes(e):
+    if isinstance(e, (Join, Meet)):
+        return 1 + _nodes(e.left) + _nodes(e.right)
+    if isinstance(e, Res):
+        return 1 + _nodes(e.child)
+    return 1
+
+
+def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
+    exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), Variant.PLAIN)
+    e = next(x for x in exprs                # a depth-2 residuation
+             if isinstance(x, Res) and isinstance(x.child, (Join, Meet)))
+    calls = []
+    original = counterexample.eval_at
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counterexample, "eval_at", counted)
+    counts = []
+    for depth in (50, 1000):
+        calls.clear()
+        describe(e, BLOCK, depth)
+        counts.append(len(calls))
+    # only the endpoint x = 0 is evaluated point by point: once per node
+    assert counts == [_nodes(e), _nodes(e)]
 
 
 def test_sampled_sub_bound_reflexive_and_bounds():

@@ -99,6 +99,76 @@ def test_residuum_closed_forms():
     assert BLOCK.residuum(F(3, 8), F(5, 16)) == F(7, 16)
 
 
+# The rescaled block formulas and the linear block scan that the closed
+# forms and the bisection replace, kept as the oracle.
+
+def _scan_block(t, x, y):
+    for b in t.blocks:
+        if b.lo <= x <= b.hi and b.lo <= y <= b.hi:
+            return b
+        if b.lo > x and b.lo > y:
+            break
+    return None
+
+
+def _rescaled_tensor(t, x, y):
+    b = _scan_block(t, x, y)
+    if b is None:
+        return min(x, y)
+    w = b.hi - b.lo
+    u, v = (x - b.lo) / w, (y - b.lo) / w
+    r = max(u + v - 1, F(0)) if b.kind is BlockKind.LUKASIEWICZ else u * v
+    return b.lo + w * r
+
+
+def _rescaled_residuum(t, x, y):
+    if x <= y:
+        return F(1)
+    b = _scan_block(t, x, y)
+    if b is None:
+        return y
+    w = b.hi - b.lo
+    u, v = (x - b.lo) / w, (y - b.lo) / w
+    r = 1 - u + v if b.kind is BlockKind.LUKASIEWICZ else v / u
+    return b.lo + w * r
+
+
+THREE_BLOCKS = build_ordinal_sum([(0, F(1, 4), "product"),
+                                  (F(1, 4), F(1, 2), "lukasiewicz"),
+                                  (F(1, 2), 1, "product")])
+
+
+@pytest.mark.parametrize("t", [GODEL, THREE_BLOCKS], ids=["godel", "three-blocks"])
+def test_closed_forms_and_bisection_match_rescaled_scan(t):
+    points = grid(F(1, 64))
+    for x in points:
+        for y in points:
+            assert t._common_block(min(x, y), max(x, y)) is _scan_block(t, x, y)
+            assert t.tensor(x, y) == _rescaled_tensor(t, x, y)
+            assert t.residuum(x, y) == _rescaled_residuum(t, x, y)
+
+
+def test_shared_endpoint_goes_to_the_lower_block():
+    lower, middle, upper = THREE_BLOCKS.blocks
+    assert THREE_BLOCKS._common_block(F(1, 4), F(1, 4)) is lower
+    assert THREE_BLOCKS._common_block(F(1, 4), F(3, 8)) is middle
+    assert THREE_BLOCKS._common_block(F(1, 8), F(1, 4)) is lower
+    assert THREE_BLOCKS._common_block(F(1, 2), F(1, 2)) is middle
+    assert THREE_BLOCKS._common_block(F(1, 2), F(3, 4)) is upper
+    assert THREE_BLOCKS._common_block(F(1, 8), F(3, 8)) is None
+
+
+def test_tnorm_contains_is_the_unit_interval():
+    for x in (F(0), F(1), F(1, 3), F(-1, 3), F(4, 3), F(-1), F(2)):
+        assert BLOCK.contains(x) == (0 <= x <= 1)
+    assert not BLOCK.contains(1)          # an int is not a carrier element
+    for bad in (F(-1, 3), F(4, 3)):
+        with pytest.raises(UsageError):
+            BLOCK.tensor(bad, F(1, 2))
+        with pytest.raises(UsageError):
+            BLOCK.residuum(F(1, 2), bad)
+
+
 def test_residuum_top_and_zero():
     for t in (GODEL, PROD, LUK, BLOCK):
         assert t.residuum(F(0), F(0)) == 1
