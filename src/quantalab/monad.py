@@ -66,11 +66,15 @@ def monad_units(domain: FiniteSet, carrier: FiniteQuantale,
     return out
 
 
-def monad_multiplication(outer: SemifilterTable, family: SemifilterFamily,
+def monad_multiplication(outer: SemifilterTable | PrefilterBasis,
+                         family: SemifilterFamily,
                          variant: Variant = Variant.PLAIN) -> SemifilterTable:
     """Variant coreflection of the Kowalsky sum over the declared family.
 
-    Every family member must lie in the variant's subcategory; otherwise the
+    The outer semifilter is read only at the evaluation functionals of the
+    functions on the base set (see ``kowalsky_sum``); a ``PrefilterBasis``
+    on the family's labels stands for ``semifilter_of(basis)``.  Every
+    family member must lie in the variant's subcategory; otherwise the
     input is rejected with the offending member.
     """
     for label, m in zip(family.labels, family.members):
@@ -312,7 +316,9 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
     Covers: the unit formula, the flattening formula against the coreflected
     Kowalsky sum, retraction of the coreflection on conical tables, the
     bounded multiplication naturality square, and naturality of the two
-    bounded coreflections.
+    bounded coreflections.  The flattening check passes the outer prefilter
+    as its basis, which is read only at the evaluation functionals, never
+    as a dense table over the universe's labels.
     """
     rep = NaturalityReport()
     rng = random.Random(seed)
@@ -334,8 +340,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
         outer_basis = normalize_basis(
             [random_qfunction(rng, labels, carrier) for _ in range(rng.choice((1, 2)))],
             labels, carrier)
-        outer = semifilter_of(outer_basis)
-        flattened = monad_multiplication(outer, family)
+        flattened = monad_multiplication(outer_basis, family)
         via_tables = {lam.values for lam in level_prefilter(flattened)}
         via_formula = {lam.values for lam in
                        multiplication_prefilter_members(universe, labels, outer_basis)}
@@ -459,8 +464,7 @@ def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
                 wanted = indicator(family.labels, q,
                                    [family.labels.elements[tables.index(t)]
                                     for t in base])
-                outer = semifilter_of(normalize_basis([wanted]))
-                got = kowalsky_sum(outer, family)
+                got = kowalsky_sum(normalize_basis([wanted]), family)
                 expect = filter_multiplication(
                     X.elements,
                     [principal(X.elements, _principal_base(sets_of[t])) for t in base])

@@ -43,6 +43,15 @@ class PrefilterBasis:
     def __len__(self):
         return len(self.basis)
 
+    def __call__(self, lam: QFunction) -> Fraction:
+        """The degree of lam in ``semifilter_of(self)``: ``eval_degree``.
+
+        Same contract as ``SemifilterTable.__call__``, so a basis can stand
+        for its induced table wherever only some of the table's values are
+        read, such as the outer argument of a Kowalsky sum.
+        """
+        return eval_degree(self, lam)
+
     def __repr__(self):
         return f"PrefilterBasis({list(self.basis)!r})"
 

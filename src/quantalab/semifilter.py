@@ -327,15 +327,19 @@ class SemifilterFamily:
         return len(self.members)
 
 
-def kowalsky_sum(outer: SemifilterTable, family: SemifilterFamily) -> SemifilterTable:
-    """The diagonal of an outer table over a declared family.
+def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
+                 family: SemifilterFamily) -> SemifilterTable:
+    """The diagonal of an outer semifilter over a declared family.
 
     Each function on the base set is sent to the outer degree of its
-    evaluation functional; the result satisfies F1-F3 whenever the outer
-    table does.
+    evaluation functional, and the outer semifilter is read nowhere else:
+    at most |Q|^|X| of its values.  The outer argument is a table over the
+    family's labels, or a ``PrefilterBasis`` on them, which stands for
+    ``semifilter_of(basis)`` and is evaluated only at those functionals.
+    The result satisfies F1-F3 whenever the outer semifilter does.
     """
     if outer.domain != family.labels or outer.carrier != family.carrier:
-        raise UsageError("outer table is not indexed by the family")
+        raise UsageError("outer semifilter is not indexed by the family")
     return SemifilterTable.from_function(
         family.x_domain, family.carrier, lambda lam: outer(family.hat(lam)))
 

@@ -17,7 +17,7 @@ from .counterexample import (Const, FnExpr, Join, Meet, Ramp, Res,
 from .errors import StructuralError
 from .monad import Variant
 from .qfun import FiniteSet, QFunction
-from .quantale import FiniteQuantale, TNorm, build_ordinal_sum
+from .quantale import BlockKind, FiniteQuantale, TNorm, build_ordinal_sum
 from .semifilter import SemifilterTable
 
 
@@ -60,24 +60,49 @@ def quantale_from_json(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise StructuralError("quantale definition needs a 'type' field")
     if obj["type"] == "tnorm":
-        blocks = [(parse_fraction(b["lo"]), parse_fraction(b["hi"]), b["kind"])
-                  for b in obj.get("blocks", [])]
-        return build_ordinal_sum(blocks)
+        blocks = _expect(obj.get("blocks", []), list, "blocks")
+        return build_ordinal_sum(_block_from_json(b, f"blocks[{i}]")
+                                 for i, b in enumerate(blocks))
     if obj["type"] == "finite":
         try:
-            carrier = [parse_fraction(e) for e in obj["carrier"]]
-            tensor = [[parse_fraction(v) for v in row] for row in obj["tensor"]]
+            carrier = [parse_fraction(e)
+                       for e in _expect(obj["carrier"], list, "carrier")]
+            tensor = _fraction_table(obj["tensor"], "tensor")
             unit = parse_fraction(obj["unit"])
         except KeyError as e:
             raise StructuralError(f"finite quantale definition missing {e}") from None
         join = obj.get("join")
         meet = obj.get("meet")
         if join is not None:
-            join = [[parse_fraction(v) for v in row] for row in join]
+            join = _fraction_table(join, "join")
         if meet is not None:
-            meet = [[parse_fraction(v) for v in row] for row in meet]
+            meet = _fraction_table(meet, "meet")
         return FiniteQuantale(carrier, tensor, unit, join=join, meet=meet)
     raise StructuralError(f"unknown quantale type {obj['type']!r}")
+
+
+def _expect(value, kind: type, name: str):
+    """value itself, if it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise StructuralError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _fraction_table(rows, name: str) -> list[list[Fraction]]:
+    return [[parse_fraction(v) for v in _expect(row, list, f"{name}[{i}]")]
+            for i, row in enumerate(_expect(rows, list, name))]
+
+
+def _block_from_json(obj, where: str) -> tuple:
+    """One t-norm block as a (lo, hi, kind) triple for ``build_ordinal_sum``."""
+    kind = _field(_expect(obj, dict, where), where, "kind")
+    names = [k.value for k in BlockKind]
+    if not isinstance(kind, str) or kind.lower() not in names:
+        raise StructuralError(
+            f"{where}.kind must be one of {', '.join(names)}, got {kind!r}")
+    return (parse_fraction(_field(obj, where, "lo")),
+            parse_fraction(_field(obj, where, "hi")), kind)
 
 
 def qfunction_to_json(f: QFunction) -> dict:
@@ -86,13 +111,15 @@ def qfunction_to_json(f: QFunction) -> dict:
 
 
 def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
+    """A function given as a list of values or as ``{"values": [...]}``."""
     if isinstance(obj, dict):
         declared = obj.get("domain")
         if declared is not None and tuple(declared) != domain.elements:
             raise StructuralError(f"function domain {declared} does not match {domain}")
-        values = obj["values"]
+        values = _field(obj, "a function", "values")
     else:
         values = obj
+    values = _expect(values, list, "function values")
     return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
 
 
@@ -105,8 +132,13 @@ def semifilter_to_json(t: SemifilterTable) -> dict:
 
 def semifilter_from_json(obj: dict, domain: FiniteSet,
                          carrier: FiniteQuantale) -> SemifilterTable:
+    raw = _expect(_field(obj, "a table", "entries"), list, "entries")
     entries = {}
-    for fn_obj, val in obj["entries"]:
+    for i, item in enumerate(raw):
+        if not isinstance(item, list) or len(item) != 2:
+            raise StructuralError(
+                f"entries[{i}] must be a [function, value] pair, got {item!r}")
+        fn_obj, val = item
         fn = qfunction_from_json(fn_obj, domain, carrier)
         entries[fn.values] = parse_fraction(val)
     return SemifilterTable(domain, carrier, entries)
@@ -131,15 +163,15 @@ def expr_to_json(e: FnExpr) -> dict:
     raise StructuralError(f"not an expression: {e!r}")
 
 
-def _field(obj: dict, kind: str, name: str):
+def _field(obj: dict, owner: str, name: str):
     if name not in obj:
-        raise StructuralError(f"a {kind} expression needs a {name!r} field")
+        raise StructuralError(f"{owner} needs a {name!r} field")
     return obj[name]
 
 
 def _unit_fraction(obj: dict, kind: str, name: str) -> Fraction:
     """A rational field of an expression that must lie in [0,1]."""
-    v = parse_fraction(_field(obj, kind, name))
+    v = parse_fraction(_field(obj, f"a {kind} expression", name))
     if not 0 <= v <= 1:
         raise StructuralError(
             f"{kind}.{name} must lie in [0,1], got {format_fraction(v)}")
@@ -151,24 +183,25 @@ def expr_from_json(obj: dict) -> FnExpr:
     if not isinstance(obj, dict):
         raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
+    owner = f"a {kind} expression"
     if kind == "ramp":
         return Ramp(_unit_fraction(obj, kind, "scale"))
     if kind == "indicator":
-        start = _integer(_field(obj, kind, "start"), "indicator.start")
+        start = _integer(_field(obj, owner, "start"), "indicator.start")
         if start < 1:
             raise StructuralError(f"indicator.start must be at least 1, got {start}")
         return TailIndicator(start)
     if kind == "const":
         return Const(_unit_fraction(obj, kind, "value"))
     if kind == "join":
-        return Join(expr_from_json(_field(obj, kind, "left")),
-                    expr_from_json(_field(obj, kind, "right")))
+        return Join(expr_from_json(_field(obj, owner, "left")),
+                    expr_from_json(_field(obj, owner, "right")))
     if kind == "meet":
-        return Meet(expr_from_json(_field(obj, kind, "left")),
-                    expr_from_json(_field(obj, kind, "right")))
+        return Meet(expr_from_json(_field(obj, owner, "left")),
+                    expr_from_json(_field(obj, owner, "right")))
     if kind == "res":
         return Res(_unit_fraction(obj, kind, "const"),
-                   expr_from_json(_field(obj, kind, "child")))
+                   expr_from_json(_field(obj, owner, "child")))
     raise StructuralError(f"unknown expression kind {kind!r}")
 
 
@@ -197,54 +230,74 @@ class ScenarioSpec:
             raise StructuralError("a scenario file must hold a JSON object")
         quantale = obj.get("quantale")
         if isinstance(quantale, str):
-            path = (base_dir or Path(".")) / quantale
-            quantale = json.loads(path.read_text())
+            quantale = load_json((base_dir or Path(".")) / quantale)
         self.carrier = quantale_from_json(quantale)
-        self.variant = Variant(obj.get("variant", "plain"))
-        sets = obj.get("sets", {})
-        self.x_set = FiniteSet(tuple(sets.get("X", ("x0", "x1"))))
-        self.y_set = FiniteSet(tuple(sets.get("Y", ("y0", "y1"))))
-        self.z_set = FiniteSet(tuple(sets.get("Z", ("z0", "z1"))))
+        variant = obj.get("variant", "plain")
+        try:
+            self.variant = Variant(variant)
+        except ValueError:
+            names = ", ".join(v.value for v in Variant)
+            raise StructuralError(
+                f"variant must be one of {names}, got {variant!r}") from None
+        sets = _expect(obj.get("sets", {}), dict, "sets")
+
+        def label_set(name: str, default: list) -> FiniteSet:
+            labels = _expect(sets.get(name, default), list, f"sets.{name}")
+            return FiniteSet(tuple(labels))
+
+        self.x_set = label_set("X", ["x0", "x1"])
+        self.y_set = label_set("Y", ["y0", "y1"])
+        self.z_set = label_set("Z", ["z0", "z1"])
         self.seed = _integer(obj.get("seed", 0), "seed")
-        budgets = obj.get("budgets", {})
+        budgets = _expect(obj.get("budgets", {}), dict, "budgets")
         self.scenarios = _integer(budgets.get("scenarios", 200), "budgets.scenarios")
         budget = budgets.get("budget")
         self.budget = None if budget is None else _integer(budget, "budgets.budget")
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
-        if wc is not None and not isinstance(wc, list):
-            raise StructuralError("witness_catalog must be a list of expressions")
+        if wc is not None:
+            _expect(wc, list, "witness_catalog")
         self.witness_catalog = [expr_from_json(e) for e in wc] if wc else None
 
     def explicit_maps(self):
-        """Decode explicit f/g map values into tables, if present."""
-        if not self.maps:
+        """Decode the pinned f/g map values into tables, or None without maps.
+
+        A ``maps`` object must pin both ``f`` and ``g``; a missing one is a
+        StructuralError naming it.
+        """
+        if self.maps is None:
             return None
+        _expect(self.maps, dict, "maps")
         out = {}
         for name, (src, dst) in (("f", (self.x_set, self.y_set)),
                                  ("g", (self.y_set, self.z_set))):
             raw = self.maps.get(name)
             if raw is None:
-                return None
+                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
+            _expect(raw, dict, f"map {name}")
             decoded = {}
             for x in src:
                 key = str(x)
                 if key not in raw:
                     raise StructuralError(f"map {name} missing value at {key!r}")
-                decoded[x] = self._decode_table(raw[key], dst)
+                decoded[x] = self._decode_table(raw[key], dst, f"map {name} at {key!r}")
             out[name] = decoded
         return out
 
-    def _decode_table(self, obj: dict, domain: FiniteSet) -> SemifilterTable:
+    def _decode_table(self, obj, domain: FiniteSet, where: str) -> SemifilterTable:
         from .prefilter import normalize_basis
         from .semifilter import semifilter_of
-        if "entries" in obj:
-            return semifilter_from_json(obj, domain, self.carrier)
-        if "basis" in obj:
-            fns = [qfunction_from_json(b, domain, self.carrier)
-                   for b in obj["basis"]]
-            return semifilter_of(normalize_basis(fns, domain, self.carrier))
-        raise StructuralError("map value needs either 'entries' or 'basis'")
+        _expect(obj, dict, where)
+        try:
+            if "entries" in obj:
+                return semifilter_from_json(obj, domain, self.carrier)
+            if "basis" in obj:
+                fns = [qfunction_from_json(b, domain, self.carrier)
+                       for b in _expect(obj["basis"], list, "basis")]
+                return semifilter_of(normalize_basis(fns, domain, self.carrier))
+        except StructuralError as e:
+            raise StructuralError(f"{where}: {e}") from None
+        raise StructuralError(f"{where} needs either 'entries' or 'basis'")
 
 
 def load_json(path) -> dict:

@@ -267,3 +267,60 @@ def test_counterexample_indicator_start_reads_integer_strings(runner, tmp_path):
 def test_counterexample_needs_a_source(runner):
     r = runner.invoke(main, ["counterexample", "--t", "3/8", "--s", "3/8"])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("blocks,message", [
+    ([{"hi": "1/2", "kind": "lukasiewicz"}], "blocks[0] needs a 'lo' field"),
+    ([{"lo": "1/4", "hi": "1/2", "kind": "lukas"}],
+     "blocks[0].kind must be one of lukasiewicz, product, got 'lukas'"),
+    ("x", "blocks must be a list, got 'x'"),
+])
+def test_quantale_malformed_block_is_input_error(runner, tmp_path, blocks, message):
+    path = write(tmp_path, "bad.json", {"type": "tnorm", "blocks": blocks})
+    r = runner.invoke(main, ["quantale", "--quantale", path, "--check", "s"])
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+
+
+BASIS_WITHOUT_VALUES = {"basis": [{"vals": []}]}
+ENTRY_NOT_A_PAIR = {"entries": [[{"values": ["0/1"]}]]}
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"variant": "weird"}, "variant must be one of plain, filter, bounded, got 'weird'"),
+    ({"maps": {"f": {"a": BASIS_WITHOUT_VALUES}, "g": {"u": BASIS_WITHOUT_VALUES}}},
+     "map f at 'a': a function needs a 'values' field"),
+    ({"maps": {"f": {"a": ENTRY_NOT_A_PAIR}, "g": {"u": ENTRY_NOT_A_PAIR}}},
+     "map f at 'a': entries[0] must be a [function, value] pair"),
+    ({"sets": "x"}, "sets must be an object, got 'x'"),
+    ({"sets": {"X": "ab"}}, "sets.X must be a list, got 'ab'"),
+    ({"budgets": 3}, "budgets must be an object, got 3"),
+    ({"quantale": {"type": "finite", "carrier": ["0/1", "1/1"], "tensor": 5,
+                   "unit": "1/1"}}, "tensor must be a list, got 5"),
+    ({"quantale": "missing.json"}, "cannot read"),
+])
+def test_laws_malformed_scenario_is_input_error(runner, tmp_path, extra, message):
+    path = write(tmp_path, "bad.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}, **extra})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+
+
+@pytest.mark.parametrize("pinned,missing", [("f", "g"), ("g", "f")])
+def test_laws_maps_need_both_f_and_g(runner, tmp_path, pinned, missing):
+    # generated by (0, 0), this value is the constant-top table, which
+    # fails F4; pinned alone it used to be ignored without a word
+    top = {"basis": [["0/1", "0/1"]]}
+    path = write(tmp_path, "sc.json", {
+        "quantale": quantale_to_json(two_chain()),
+        "variant": "filter",
+        "sets": {"X": ["a", "b"], "Y": ["u", "v"], "Z": ["w", "t"]},
+        "seed": 1, "budgets": {"scenarios": 2},
+        "maps": {pinned: {"a": top, "b": top, "u": top, "v": top}}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert f"maps needs both 'f' and 'g'; {missing!r} is missing" in r.stderr

@@ -19,8 +19,9 @@ from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   conical_bounded_coreflection,
-                                  evaluation_unit, image_outer,
-                                  level_prefilter, semifilter_of)
+                                  enumerate_semifilters, evaluation_unit,
+                                  image_outer, kowalsky_sum, level_prefilter,
+                                  semifilter_of)
 
 G3 = godel3()
 X = finite_set("x0", "x1")
@@ -85,6 +86,67 @@ def test_variant_membership():
     bounded = semifilter_of(normalize_basis([qf([F(1, 2), F(1, 2)])]))
     assert table_satisfies(bounded, Variant.BOUNDED)
     assert not table_satisfies(bounded, Variant.FILTER)
+
+
+# -- outer prefilters read through their bases ---------------------------------------
+
+@pytest.mark.parametrize("carrier,n", [
+    (two_chain(), 1), (two_chain(), 2), (godel3(), 1), (godel3(), 2),
+    (mv3(), 1), (mv3(), 2), (five_chain(), 1)],
+    ids=["two-1", "two-2", "godel3-1", "godel3-2", "mv3-1", "mv3-2", "five-1"])
+def test_outer_basis_matches_its_dense_table(carrier, n):
+    # the dense outer table over the labels is the oracle for reading the
+    # basis at the evaluation functionals only; a family keeps that table at
+    # no more than 27 entries, so a larger one is a seeded sub-family
+    rng = random.Random(n)
+    domain = finite_set(*(f"x{i}" for i in range(n)))
+    conicals = enumerate_semifilters(domain, carrier, "conical")
+    most = max(k for k in range(1, 7) if len(carrier.elements) ** k <= 27)
+    for variant in Variant:
+        members = [t for t in conicals if table_satisfies(t, variant)]
+        if len(members) > most:
+            members = rng.sample(members, most)
+        fam = SemifilterFamily.of(members)
+        fns = list(all_qfunctions(fam.labels, carrier))
+        pairs = [rng.sample(fns, 2) for _ in range(10)] if len(fns) > 1 else []
+        for raw in [[f] for f in fns] + pairs:
+            basis = normalize_basis(raw, fam.labels, carrier)
+            dense = semifilter_of(basis)
+            assert kowalsky_sum(basis, fam) == kowalsky_sum(dense, fam)
+            assert (monad_multiplication(basis, fam, variant)
+                    == monad_multiplication(dense, fam, variant))
+
+
+def test_outer_basis_on_the_wrong_space_is_rejected():
+    fam = SemifilterFamily.of([evaluation_unit(X, G3, x) for x in X])
+    wrong_labels = normalize_basis([qf([1, 1], domain=Y)])
+    wrong_carrier = normalize_basis([qf([1, 1], domain=fam.labels, carrier=mv3())])
+    for basis in (wrong_labels, wrong_carrier):
+        with pytest.raises(UsageError):
+            kowalsky_sum(basis, fam)
+        with pytest.raises(UsageError):
+            monad_multiplication(basis, fam)
+
+
+def test_outer_prefilters_are_never_tabulated(monkeypatch):
+    # the flattening and multiplication checks read each outer prefilter at
+    # |Q|^|X| evaluation functionals; a dense outer table over the labels
+    # would have 5^5 and 2^7 entries here
+    sizes = []
+    init = SemifilterTable.__init__
+
+    def recording_init(self, domain, carrier, entries):
+        init(self, domain, carrier, entries)
+        sizes.append(len(self.entries))
+
+    monkeypatch.setattr(SemifilterTable, "__init__", recording_init)
+    nat = check_naturality(five_chain(), samples=8, seed=1)
+    assert nat.passed and nat.checks == 35
+    assert max(sizes) <= 5 ** 4
+    sizes.clear()
+    cor = classical_correspondence_report(3)
+    assert cor.passed and cor.checks == 107
+    assert max(sizes) <= 8
 
 
 # -- kleisli extension ------------------------------------------------------------
