@@ -123,11 +123,13 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     the pushed-forward outer table over any family containing h's values and
     the units (checked in the tests), but computed directly.
     """
-    values = [h[x] for x in domain]
+    values = tuple(h[x] for x in domain)
     if not values:
         raise UsageError("cannot extend over an empty domain")
-    target = values[0].domain
-    carrier = values[0].carrier
+    # h as a family labelled by the domain: its hat of lam is x |-> h(x)(lam)
+    h_family = SemifilterFamily(domain, values)
+    target = h_family.x_domain
+    carrier = h_family.carrier
     if check:
         for x in domain:
             if not table_satisfies(h[x], variant):
@@ -137,9 +139,7 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
         if table.domain != domain or table.carrier != carrier:
             raise UsageError("table does not match the extension's source")
         raw = SemifilterTable.from_function(
-            target, carrier,
-            lambda lam: table(QFunction(domain, tuple(m(lam) for m in values),
-                                        carrier)))
+            target, carrier, lambda lam: table(h_family.hat(lam)))
         if variant is Variant.BOUNDED:
             return conical_bounded_coreflection(raw)
         return conical_coreflection(raw)

@@ -80,7 +80,7 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     if not any(f.leq(k_x) for f in fns):
         fns.append(k_x)
 
-    seen = {f.values: f for f in fns}
+    seen = {f.key: f for f in fns}
     work = list(seen.values())
     while work:
         if len(seen) > cap:
@@ -89,11 +89,11 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
         f = work.pop()
         for g in list(seen.values()):
             m = f.meet(g)
-            if m.values not in seen:
-                seen[m.values] = m
+            if m.key not in seen:
+                seen[m.key] = m
                 work.append(m)
     minimal = minimal_members(seen.values())
-    minimal.sort(key=lambda f: f.values)
+    minimal.sort(key=lambda f: f.key)
     return PrefilterBasis(domain, carrier, tuple(minimal))
 
 
@@ -106,7 +106,7 @@ def minimal_members(fns: Iterable[QFunction]) -> list[QFunction]:
     antichain and may have several elements; it is not the meet of the
     family, which need not belong to it.
     """
-    distinct = list({f.values: f for f in fns}.values())
+    distinct = list({f.key: f for f in fns}.values())
     return [f for f in distinct
             if not any(g is not f and g.leq(f) for g in distinct)]
 

@@ -57,6 +57,12 @@ class QFunction:
 
     Values are exact rationals aligned with the domain order; equality is
     pointwise exact equality over the same domain and carrier.
+
+    On a finite carrier a function also carries ``index``, the carrier
+    positions of its values, and ``code``, that tuple read as a mixed-radix
+    number in base ``|Q|`` with the last domain position least significant.
+    The code is the function's place in the canonical order of
+    ``all_qfunctions``.  On an interval carrier both are None.
     """
 
     domain: FiniteSet
@@ -69,6 +75,33 @@ class QFunction:
         for v in self.values:
             if not self.carrier.contains(v):
                 raise UsageError(f"value {v} outside the carrier")
+        index = code = None
+        if self.carrier.is_finite:
+            position = self.carrier.position
+            index = tuple(position[v] for v in self.values)
+            code = _code(index, len(position))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "code", code)
+
+    @classmethod
+    def from_index(cls, domain: FiniteSet, carrier, index: tuple) -> "QFunction":
+        """The function on a finite carrier with the given positions.
+
+        The positions come from the carrier's kernel, so no value is looked
+        up or hashed.
+        """
+        f = object.__new__(cls)
+        elements = carrier.elements
+        f.__dict__.update(domain=domain, values=tuple(map(elements.__getitem__, index)),
+                          carrier=carrier, index=index,
+                          code=_code(index, len(elements)))
+        return f
+
+    @property
+    def key(self):
+        """A hashable key in canonical order: the code, or on an interval
+        carrier the values."""
+        return self.values if self.code is None else self.code
 
     def __call__(self, x) -> Fraction:
         return self.values[self.domain.index(x)]
@@ -80,17 +113,29 @@ class QFunction:
 
     def leq(self, other: "QFunction") -> bool:
         _same_space(self, other)
-        return all(self.carrier.leq(a, b) for a, b in zip(self.values, other.values))
+        if self.index is None:
+            return all(self.carrier.leq(a, b)
+                       for a, b in zip(self.values, other.values))
+        leq = self.carrier.kernel.leq
+        return all(leq[a][b] for a, b in zip(self.index, other.index))
 
     def meet(self, other: "QFunction") -> "QFunction":
         _same_space(self, other)
-        return self.with_values(self.carrier.meet(a, b)
-                                for a, b in zip(self.values, other.values))
+        if self.index is None:
+            return self.with_values(self.carrier.meet(a, b)
+                                    for a, b in zip(self.values, other.values))
+        meet = self.carrier.kernel.meet
+        return QFunction.from_index(self.domain, self.carrier,
+                                    tuple(meet[a][b] for a, b in zip(self.index, other.index)))
 
     def join(self, other: "QFunction") -> "QFunction":
         _same_space(self, other)
-        return self.with_values(self.carrier.join(a, b)
-                                for a, b in zip(self.values, other.values))
+        if self.index is None:
+            return self.with_values(self.carrier.join(a, b)
+                                    for a, b in zip(self.values, other.values))
+        join = self.carrier.kernel.join
+        return QFunction.from_index(self.domain, self.carrier,
+                                    tuple(join[a][b] for a, b in zip(self.index, other.index)))
 
     def min_value(self) -> Fraction:
         """Pointwise minimum; the carrier top on the empty domain."""
@@ -109,6 +154,13 @@ class QFunction:
     def __repr__(self):
         pairs = ", ".join(f"{x!r}: {v}" for x, v in zip(self.domain, self.values))
         return "QFunction({" + pairs + "})"
+
+
+def _code(index, n: int) -> int:
+    code = 0
+    for i in index:
+        code = code * n + i
+    return code
 
 
 def _same_space(a: QFunction, b: QFunction):
@@ -138,12 +190,14 @@ def all_qfunctions(domain: FiniteSet, carrier) -> Iterator[QFunction]:
     """All |Q|^|X| functions in canonical lexicographic order.
 
     The order is lexicographic in the carrier's element order with the last
-    domain position varying fastest; serialization relies on it.
+    domain position varying fastest; serialization relies on it.  The n-th
+    function has code n.
     """
     if not carrier.is_finite:
         raise UsageError("cannot enumerate functions into an infinite carrier")
-    for values in itertools.product(carrier.elements, repeat=len(domain)):
-        yield QFunction(domain, values, carrier)
+    positions = range(len(carrier.elements))
+    for index in itertools.product(positions, repeat=len(domain)):
+        yield QFunction.from_index(domain, carrier, index)
 
 
 @dataclass(frozen=True)
@@ -191,14 +245,22 @@ class SetMap:
 def sub(lam: QFunction, mu: QFunction) -> Fraction:
     """Graded inclusion: the meet over the domain of lam(x) -> mu(x).
 
-    Over the empty domain the empty meet is the carrier top.
+    Over the empty domain the empty meet is the carrier top.  On a finite
+    carrier it is folded over the kernel's index tables.
     """
     _same_space(lam, mu)
     c = lam.carrier
-    out = c.top
-    for a, b in zip(lam.values, mu.values):
-        out = c.meet(out, c.residuum(a, b))
-    return out
+    if lam.index is None:
+        out = c.top
+        for a, b in zip(lam.values, mu.values):
+            out = c.meet(out, c.residuum(a, b))
+        return out
+    k = c.kernel
+    residuum, meet = k.residuum, k.meet
+    out = k.top
+    for a, b in zip(lam.index, mu.index):
+        out = meet[out][residuum[a][b]]
+    return c.elements[out]
 
 
 def image(f: SetMap, lam: QFunction) -> QFunction:
@@ -206,15 +268,25 @@ def image(f: SetMap, lam: QFunction) -> QFunction:
     if f.source != lam.domain:
         raise UsageError("map source does not match the function domain")
     c = lam.carrier
-    acc = {y: c.bottom for y in f.target}
-    for x, v in zip(lam.domain, lam.values):
-        y = f(x)
-        acc[y] = c.join(acc[y], v)
-    return QFunction(f.target, tuple(acc[y] for y in f.target), c)
+    targets = [f.target.index(y) for y in f.mapping]
+    if lam.index is None:
+        acc = [c.bottom] * len(f.target)
+        for t, v in zip(targets, lam.values):
+            acc[t] = c.join(acc[t], v)
+        return QFunction(f.target, tuple(acc), c)
+    join = c.kernel.join
+    acc = [c.kernel.bottom] * len(f.target)
+    for t, i in zip(targets, lam.index):
+        acc[t] = join[acc[t]][i]
+    return QFunction.from_index(f.target, c, tuple(acc))
 
 
 def precompose(f: SetMap, mu: QFunction) -> QFunction:
     """Pullback: x maps to mu(f(x))."""
     if f.target != mu.domain:
         raise UsageError("map target does not match the function domain")
-    return QFunction(f.source, tuple(mu(f(x)) for x in f.source), mu.carrier)
+    points = [mu.domain.index(y) for y in f.mapping]
+    if mu.index is None:
+        return QFunction(f.source, tuple(mu.values[p] for p in points), mu.carrier)
+    return QFunction.from_index(f.source, mu.carrier,
+                                tuple(mu.index[p] for p in points))

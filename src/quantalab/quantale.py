@@ -304,14 +304,45 @@ class Violation:
     witness: tuple
 
 
+@dataclass(frozen=True)
+class FiniteKernel:
+    """The index tables of a finite carrier.
+
+    Elements are named by their positions ``0..n-1`` in the carrier's
+    ascending order.  ``tensor``, ``residuum``, ``join`` and ``meet`` are
+    ``n x n`` tuples of positions and ``leq`` is an ``n x n`` tuple of
+    booleans, so ``tensor[i][j]`` is the position of the tensor of the
+    elements at ``i`` and ``j``.  ``bottom``, ``top`` and ``unit`` are
+    positions too.
+    """
+
+    tensor: tuple
+    residuum: tuple
+    join: tuple
+    meet: tuple
+    leq: tuple
+    bottom: int
+    top: int
+    unit: int
+
+
 class FiniteQuantale:
     """A finite commutative unital quantale given by tables.
 
-    ``elements`` is the carrier; without explicit ``join``/``meet`` tables it
-    is treated as a chain in numeric order.  The constructor only checks the
-    tables for shape (totality); the laws are examined separately by
+    ``elements`` is the carrier, in ascending numeric order; without
+    explicit ``join``/``meet`` tables it is treated as a chain in that order.
+    The constructor checks the tables for shape only (every entry present
+    and inside the carrier); the laws are examined separately by
     ``check_quantale_axioms`` so that broken tables can be constructed and
     reported on.
+
+    The constructor also builds the carrier's integer kernel, once:
+    ``position`` maps each element to its index, and ``kernel`` (a
+    ``FiniteKernel``) holds the tensor, residuum, join, meet and order as
+    index tables.  The finite path runs on it: ``QFunction`` index tuples
+    and codes, flat ``SemifilterTable`` values and ``sub``.  The methods
+    below take and return ``Fraction`` elements and look their arguments up
+    in ``position``; a non-member raises ``UsageError``.
     """
 
     def __init__(self, elements: Sequence, tensor, unit,
@@ -322,15 +353,24 @@ class FiniteQuantale:
         if not elems:
             raise ConstructionError("carrier must be nonempty")
         self.elements = tuple(sorted(elems))
+        self.position = {e: i for i, e in enumerate(self.elements)}
         self.unit = as_fraction(unit)
-        if self.unit not in self.elements:
+        if self.unit not in self.position:
             raise ConstructionError(f"unit {self.unit} not in carrier")
-        self._tensor = self._read_table(tensor, "tensor")
-        self._join = self._read_table(join, "join") if join is not None else None
-        self._meet = self._read_table(meet, "meet") if meet is not None else None
-        self._residuum: dict = {}
+        tensor_ix = self._read_table(tensor, "tensor")
+        join_ix = self._read_table(join, "join") if join is not None else None
+        meet_ix = self._read_table(meet, "meet") if meet is not None else None
+        # the tables as given, as rows of elements (None: the chain order)
+        self._tensor = self._rows(tensor_ix)
+        self._join = self._rows(join_ix)
+        self._meet = self._rows(meet_ix)
+        self.kernel = self._build_kernel(tensor_ix, join_ix, meet_ix)
+        self._identity = (self.elements, self.kernel,
+                          join_ix is None, meet_ix is None)
+        self._hash = hash((self.elements, self.kernel.unit, self.kernel.tensor))
 
-    def _read_table(self, table, name: str) -> dict:
+    def _read_table(self, table, name: str) -> tuple:
+        """The table as an ``n x n`` tuple of positions, checked for shape."""
         out = {}
         if isinstance(table, Mapping):
             for (x, y), v in table.items():
@@ -345,36 +385,63 @@ class FiniteQuantale:
                     raise StructuralError(f"{name} row for {x} has wrong length")
                 for y, v in zip(self.elements, row):
                     out[(x, y)] = as_fraction(v)
-        members = set(self.elements)
         for x in self.elements:
             for y in self.elements:
                 if (x, y) not in out:
                     raise StructuralError(f"{name} table missing entry ({x}, {y})")
-                if out[(x, y)] not in members:
+                if out[(x, y)] not in self.position:
                     raise StructuralError(f"{name}({x}, {y}) = {out[(x, y)]} outside carrier")
-        return out
+        return tuple(tuple(self.position[out[(x, y)]] for y in self.elements)
+                     for x in self.elements)
+
+    def _rows(self, table):
+        if table is None:
+            return None
+        return tuple(tuple(self.elements[k] for k in row) for row in table)
+
+    def _build_kernel(self, tensor, join, meet) -> FiniteKernel:
+        span = range(len(self.elements))
+        if join is None:
+            join = tuple(tuple(max(i, j) for j in span) for i in span)
+        if meet is None:
+            meet = tuple(tuple(min(i, j) for j in span) for i in span)
+        leq = tuple(tuple(join[i][j] == j for j in span) for i in span)
+        bottom = top = 0
+        for i in span:
+            if leq[i][bottom]:
+                bottom = i
+            if leq[top][i]:
+                top = i
+        residuum = []
+        for i in span:
+            row = []
+            for j in span:
+                # the largest z with i (x) z <= j, folded with the join
+                r = bottom
+                for z in span:
+                    if leq[tensor[i][z]][j]:
+                        r = join[r][z]
+                row.append(r)
+            residuum.append(tuple(row))
+        return FiniteKernel(tensor, tuple(residuum), join, meet, leq,
+                            bottom, top, self.position[self.unit])
+
+    def index_of(self, x) -> int:
+        """The position of a carrier element; ``UsageError`` for a non-member."""
+        try:
+            return self.position[x]
+        except (KeyError, TypeError):
+            raise UsageError(f"{x} is not a carrier element") from None
 
     # -- carrier surface -------------------------------------------------
 
     @property
     def bottom(self) -> Fraction:
-        if self._join is None:
-            return self.elements[0]
-        b = self.elements[0]
-        for x in self.elements:
-            if self.leq(x, b):
-                b = x
-        return b
+        return self.elements[self.kernel.bottom]
 
     @property
     def top(self) -> Fraction:
-        if self._join is None:
-            return self.elements[-1]
-        t = self.elements[0]
-        for x in self.elements:
-            if self.leq(t, x):
-                t = x
-        return t
+        return self.elements[self.kernel.top]
 
     @property
     def is_finite(self) -> bool:
@@ -385,65 +452,43 @@ class FiniteQuantale:
         return self.unit == self.top
 
     def contains(self, x) -> bool:
-        return x in self._member_set
-
-    @property
-    def _member_set(self):
-        s = getattr(self, "_members", None)
-        if s is None:
-            s = frozenset(self.elements)
-            self._members = s
-        return s
-
-    def _check(self, x: Fraction) -> Fraction:
-        if x not in self._member_set:
-            raise UsageError(f"{x} is not a carrier element")
-        return x
+        try:
+            return x in self.position
+        except TypeError:
+            return False
 
     def leq(self, x: Fraction, y: Fraction) -> bool:
         if self._join is None:
             return x <= y
-        return self._join[(x, y)] == y
+        return self.kernel.leq[self.index_of(x)][self.index_of(y)]
 
     def join(self, x: Fraction, y: Fraction) -> Fraction:
         if self._join is None:
             return x if x >= y else y
-        return self._join[(x, y)]
+        return self.elements[self.kernel.join[self.index_of(x)][self.index_of(y)]]
 
     def meet(self, x: Fraction, y: Fraction) -> Fraction:
         if self._meet is None:
             return x if x <= y else y
-        return self._meet[(x, y)]
+        return self.elements[self.kernel.meet[self.index_of(x)][self.index_of(y)]]
 
     def tensor(self, x: Fraction, y: Fraction) -> Fraction:
-        self._check(x), self._check(y)
-        return self._tensor[(x, y)]
+        return self.elements[self.kernel.tensor[self.index_of(x)][self.index_of(y)]]
 
     def residuum(self, x: Fraction, y: Fraction) -> Fraction:
         """Largest z with x (x) z <= y, folded with the carrier join.
 
-        The memo is read before membership is checked.  It only ever holds
-        pairs that passed ``_check``, so a hit already proves both arguments
-        are carrier elements; a miss checks them and raises ``UsageError``
-        on a non-member.  Callers that join over minimal members only (see
+        Read from the kernel, which folds the join over every such z once
+        per carrier.  Callers that join over minimal members only (see
         ``semifilter.semifilter_of``) rely on the residuum being antitone in
         its first argument, which holds on a genuine quantale; see
         ``check_quantale_axioms``.
         """
-        key = (x, y)
-        cached = self._residuum.get(key)
-        if cached is None:
-            self._check(x), self._check(y)
-            zs = [z for z in self.elements if self.leq(self._tensor[(x, z)], y)]
-            cached = self.bottom
-            for z in zs:
-                cached = self.join(cached, z)
-            self._residuum[key] = cached
-        return cached
+        return self.elements[self.kernel.residuum[self.index_of(x)][self.index_of(y)]]
 
     def is_idempotent(self, x: Fraction) -> bool:
-        self._check(x)
-        return self._tensor[(x, x)] == x
+        i = self.index_of(x)
+        return self.kernel.tensor[i][i] == i
 
     def _directed_subsets(self):
         cached = getattr(self, "_directed", None)
@@ -463,7 +508,7 @@ class FiniteQuantale:
 
     def way_below(self, x: Fraction, y: Fraction) -> bool:
         """Decided from the definition, quantified over all directed subsets."""
-        self._check(x), self._check(y)
+        self.index_of(x), self.index_of(y)
         for d in self._directed_subsets():
             jd = self.bottom
             for z in d:
@@ -473,18 +518,15 @@ class FiniteQuantale:
         return True
 
     def __eq__(self, other):
+        """Same elements, unit and tables, and the same tables given
+        explicitly; compared on the kernel."""
         if self is other:
             return True
         return (isinstance(other, FiniteQuantale)
-                and self.elements == other.elements
-                and self.unit == other.unit
-                and self._tensor == other._tensor
-                and self._join == other._join
-                and self._meet == other._meet)
+                and self._identity == other._identity)
 
     def __hash__(self):
-        return hash((self.elements, self.unit,
-                     tuple(sorted(self._tensor.items()))))
+        return self._hash
 
     def __repr__(self):
         elems = ", ".join(str(e) for e in self.elements)
@@ -505,7 +547,7 @@ def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
     """
     out: list[Violation] = []
     es = q.elements
-    t = q._tensor
+    t = q.tensor
     join, meet = q.join, q.meet
     for op, name in ((join, "join"), (meet, "meet")):
         for x in es:
@@ -529,20 +571,20 @@ def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
     if q.bottom != ZERO or q.top != ONE:
         out.append(Violation("bounds", (q.bottom, q.top)))
     for x in es:
-        if t[(q.unit, x)] != x:
+        if t(q.unit, x) != x:
             out.append(Violation("unit", (x,)))
-        if t[(x, q.bottom)] != q.bottom:
+        if t(x, q.bottom) != q.bottom:
             out.append(Violation("bottom-absorption", (x,)))
     for x in es:
         for y in es:
-            if t[(x, y)] != t[(y, x)]:
+            if t(x, y) != t(y, x):
                 out.append(Violation("commutativity", (x, y)))
     for x in es:
         for y in es:
             for z in es:
-                if t[(t[(x, y)], z)] != t[(x, t[(y, z)])]:
+                if t(t(x, y), z) != t(x, t(y, z)):
                     out.append(Violation("associativity", (x, y, z)))
-                if t[(x, q.join(y, z))] != q.join(t[(x, y)], t[(x, z)]):
+                if t(x, q.join(y, z)) != q.join(t(x, y), t(x, z)):
                     out.append(Violation("join-distributivity", (x, y, z)))
     return out
 

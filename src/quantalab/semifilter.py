@@ -5,8 +5,11 @@ to three laws: the constant unit gets at least the unit degree (F1), meets
 are not undervalued (F2), and the assignment respects graded inclusion (F3).
 A filter additionally caps constants (F4).
 
-Tables are dense dictionaries keyed by value tuples; everything here is
-exact and exhaustively checkable at desk scale.  Second-level objects
+A table is one flat tuple of carrier positions in the canonical order of
+``all_qfunctions``, so the value at a function is read at its mixed-radix
+code; order, meets and residuation of tables run on the carrier's integer
+kernel, and values leave a table as ``Fraction`` elements.  Everything here
+is exact and exhaustively checkable at desk scale.  Second-level objects
 (semifilters over a space of semifilters) are never full tables over the
 true double level; they are tables over an explicitly declared finite family
 of inner semifilters, which is all the constructions evaluate anyway.
@@ -15,6 +18,7 @@ of inner semifilters, which is all the constructions evaluate anyway.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,8 +35,23 @@ TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
 
 
+class Positions(tuple):
+    """Table values as carrier positions, in canonical function order.
+
+    Builders that compute on the carrier kernel pass their values to
+    ``SemifilterTable`` in this form; the table then only checks that there
+    is one position per function and that each names a carrier element.
+    """
+
+
 class SemifilterTable:
-    """A total map from all |Q|^|X| functions to carrier values."""
+    """A total map from all |Q|^|X| functions to carrier values.
+
+    ``entries`` is a mapping from functions (or their value tuples) to
+    values, a sequence of values in canonical order, or ``Positions``.  The
+    table is stored as ``index``, one flat tuple of carrier positions in
+    canonical order, so the value at ``lam`` is at ``index[lam.code]``.
+    """
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, entries):
         if not isinstance(carrier, FiniteQuantale):
@@ -43,30 +62,59 @@ class SemifilterTable:
                               count=size)
         self.domain = domain
         self.carrier = carrier
-        table: dict[tuple, Fraction] = {}
-        for key, v in dict(entries).items():
+        if isinstance(entries, Mapping):
+            entries = self._read_mapping(entries, size)
+        elif not isinstance(entries, Positions):
+            entries = self._read_values(list(entries))
+        if len(entries) < size:
+            missing = next(itertools.islice(self._value_tuples(), len(entries), None))
+            raise StructuralError(f"table is missing the entry at {missing}")
+        if len(entries) > size:
+            raise StructuralError("table has entries outside the function space")
+        if entries and not 0 <= min(entries) <= max(entries) < len(carrier.elements):
+            raise StructuralError("table position outside carrier")
+        self.index = tuple(entries)
+
+    def _value_tuples(self):
+        return itertools.product(self.carrier.elements, repeat=len(self.domain))
+
+    def _read_mapping(self, entries: Mapping, size: int) -> Positions:
+        table = {}
+        for key, v in entries.items():
             if isinstance(key, QFunction):
                 key = key.values
             table[tuple(key)] = v
-        for values in itertools.product(carrier.elements, repeat=len(domain)):
+        out = []
+        for values in self._value_tuples():
             if values not in table:
                 raise StructuralError(f"table is missing the entry at {values}")
-            if not carrier.contains(table[values]):
+            if not self.carrier.contains(table[values]):
                 raise StructuralError(f"table value {table[values]} outside carrier")
+            out.append(self.carrier.position[table[values]])
         if len(table) != size:
             raise StructuralError("table has entries outside the function space")
-        self.entries = table
+        return Positions(out)
+
+    def _read_values(self, values: list) -> Positions:
+        try:
+            return Positions(map(self.carrier.position.__getitem__, values))
+        except (KeyError, TypeError):
+            bad = next(v for v in values if not self.carrier.contains(v))
+            raise StructuralError(f"table value {bad} outside carrier") from None
 
     @classmethod
     def from_function(cls, domain: FiniteSet, carrier: FiniteQuantale,
                       fn: Callable[[QFunction], Fraction]) -> "SemifilterTable":
-        return cls(domain, carrier,
-                   {f.values: fn(f) for f in all_qfunctions(domain, carrier)})
+        return cls(domain, carrier, [fn(f) for f in all_qfunctions(domain, carrier)])
+
+    @property
+    def entries(self) -> "TableEntries":
+        return TableEntries(self)
 
     def __call__(self, lam: QFunction) -> Fraction:
         if lam.domain != self.domain or lam.carrier != self.carrier:
             raise UsageError("function does not match the table's space")
-        return self.entries[lam.values]
+        return self.carrier.elements[self.index[lam.code]]
 
     def value_at(self, values: tuple) -> Fraction:
         return self.entries[values]
@@ -75,18 +123,19 @@ class SemifilterTable:
         return all_qfunctions(self.domain, self.carrier)
 
     def canonical_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[f.values] for f in self.functions())
+        return tuple(self.carrier.elements[i] for i in self.index)
 
     def leq(self, other: "SemifilterTable") -> bool:
         self._same_space(other)
-        return all(self.carrier.leq(v, other.entries[k])
-                   for k, v in self.entries.items())
+        leq = self.carrier.kernel.leq
+        return all(leq[a][b] for a, b in zip(self.index, other.index))
 
     def meet(self, other: "SemifilterTable") -> "SemifilterTable":
         self._same_space(other)
+        meet = self.carrier.kernel.meet
         return SemifilterTable(self.domain, self.carrier,
-                               {k: self.carrier.meet(v, other.entries[k])
-                                for k, v in self.entries.items()})
+                               Positions(meet[a][b]
+                                         for a, b in zip(self.index, other.index)))
 
     def _same_space(self, other: "SemifilterTable"):
         if self.domain != other.domain or self.carrier != other.carrier:
@@ -96,13 +145,35 @@ class SemifilterTable:
         return (isinstance(other, SemifilterTable)
                 and self.domain == other.domain
                 and self.carrier == other.carrier
-                and self.entries == other.entries)
+                and self.index == other.index)
 
     def __hash__(self):
-        return hash((self.domain, self.canonical_values()))
+        return hash((self.domain, self.index))
 
     def __repr__(self):
-        return f"SemifilterTable({len(self.domain)} points, {len(self.entries)} entries)"
+        return f"SemifilterTable({len(self.domain)} points, {len(self.index)} entries)"
+
+
+class TableEntries(Mapping):
+    """A read-only view of a table: value tuples, in canonical order, to
+    values."""
+
+    def __init__(self, table: SemifilterTable):
+        self._table = table
+
+    def __getitem__(self, values) -> Fraction:
+        t = self._table
+        try:
+            lam = QFunction(t.domain, tuple(values), t.carrier)
+        except (UsageError, TypeError):
+            raise KeyError(values) from None
+        return t(lam)
+
+    def __iter__(self):
+        return self._table._value_tuples()
+
+    def __len__(self):
+        return len(self._table.index)
 
 
 @dataclass(frozen=True)
@@ -144,8 +215,8 @@ def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> Semifilter
     """
     idx = domain.index(x)
     return SemifilterTable(domain, carrier,
-                           {f.values: f.values[idx]
-                            for f in all_qfunctions(domain, carrier)})
+                           Positions(f.index[idx]
+                                     for f in all_qfunctions(domain, carrier)))
 
 
 def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
@@ -154,8 +225,10 @@ def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
     This is the saturated prefilter attached to the table; it is finite here
     because the whole function space is.
     """
-    q = table.carrier
-    return tuple(f for f in table.functions() if q.leq(q.unit, table(f)))
+    k = table.carrier.kernel
+    above_unit = k.leq[k.unit]
+    return tuple(f for f, v in zip(table.functions(), table.index)
+                 if above_unit[v])
 
 
 def semifilter_of(source) -> SemifilterTable:
@@ -278,8 +351,8 @@ def meet(tables: Sequence[SemifilterTable]) -> SemifilterTable:
 def residuate(p: Fraction, table: SemifilterTable) -> SemifilterTable:
     """Residuate every table value by the constant p; preserves F1-F3."""
     q = table.carrier
-    return SemifilterTable(table.domain, q,
-                           {k: q.residuum(p, v) for k, v in table.entries.items()})
+    row = q.kernel.residuum[q.index_of(p)]
+    return SemifilterTable(table.domain, q, Positions(row[v] for v in table.index))
 
 
 # -- second level ------------------------------------------------------------
@@ -320,8 +393,10 @@ class SemifilterFamily:
 
     def hat(self, lam: QFunction) -> QFunction:
         """The evaluation functional of lam restricted to the family."""
-        return QFunction(self.labels, tuple(m(lam) for m in self.members),
-                         self.carrier)
+        if lam.domain != self.x_domain or lam.carrier != self.carrier:
+            raise UsageError("function does not match the table's space")
+        return QFunction.from_index(self.labels, self.carrier,
+                                    tuple(m.index[lam.code] for m in self.members))
 
     def __len__(self):
         return len(self.members)
@@ -377,33 +452,30 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
             f"enumeration would scan {count} tables (budget {budget})",
             count=count)
 
-    index = {f.values: i for i, f in enumerate(funcs)}
-    k_idx = index[unit_constant(domain, q).values]
-    pairs = [(i, j, sub(funcs[i], funcs[j]), index[funcs[i].meet(funcs[j]).values])
-             for i in range(len(funcs)) for j in range(len(funcs))]
-    const_idx = [(index[constant(domain, q, p).values], p) for p in q.elements]
-    unit = q.unit
-    leq = q.leq
-    res = q.residuum
-    mt = q.meet
+    kernel = q.kernel
+    leq, meet, res = kernel.leq, kernel.meet, kernel.residuum
+    k_idx = unit_constant(domain, q).code
+    pairs = [(f.code, g.code, q.index_of(sub(f, g)), f.meet(g).code)
+             for f in funcs for g in funcs]
+    const_idx = [(constant(domain, q, p).code, i) for i, p in enumerate(q.elements)]
+    above_unit = leq[kernel.unit]
 
     out: list[SemifilterTable] = []
-    for vals in itertools.product(q.elements, repeat=len(funcs)):
-        if not leq(unit, vals[k_idx]):
+    for vals in itertools.product(range(len(q.elements)), repeat=len(funcs)):
+        if not above_unit[vals[k_idx]]:
             continue
         ok = True
         for i, j, s, mij in pairs:
             vi, vj = vals[i], vals[j]
-            if not leq(mt(vi, vj), vals[mij]) or not leq(s, res(vi, vj)):
+            if not leq[meet[vi][vj]][vals[mij]] or not leq[s][res[vi][vj]]:
                 ok = False
                 break
         if not ok:
             continue
         if require == "filter":
-            if not all(leq(vals[ci], p) for ci, p in const_idx):
+            if not all(leq[vals[ci]][p] for ci, p in const_idx):
                 continue
-        table = SemifilterTable(domain, q,
-                                {funcs[i].values: vals[i] for i in range(len(funcs))})
+        table = SemifilterTable(domain, q, Positions(vals))
         if require == "conical" and not is_conical(table):
             continue
         out.append(table)

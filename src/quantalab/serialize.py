@@ -43,17 +43,20 @@ def quantale_to_json(q) -> dict:
                             "hi": format_fraction(b.hi),
                             "kind": b.kind.value} for b in q.blocks]}
     if isinstance(q, FiniteQuantale):
-        es = q.elements
         out = {"type": "finite",
-               "carrier": [format_fraction(e) for e in es],
-               "tensor": [[format_fraction(q._tensor[(x, y)]) for y in es] for x in es],
+               "carrier": [format_fraction(e) for e in q.elements],
+               "tensor": _format_rows(q._tensor),
                "unit": format_fraction(q.unit)}
         if q._join is not None:
-            out["join"] = [[format_fraction(q._join[(x, y)]) for y in es] for x in es]
+            out["join"] = _format_rows(q._join)
         if q._meet is not None:
-            out["meet"] = [[format_fraction(q._meet[(x, y)]) for y in es] for x in es]
+            out["meet"] = _format_rows(q._meet)
         return out
     raise StructuralError(f"not a quantale: {q!r}")
+
+
+def _format_rows(rows) -> list[list[str]]:
+    return [[format_fraction(v) for v in row] for row in rows]
 
 
 def quantale_from_json(obj: dict):
@@ -132,14 +135,20 @@ def semifilter_to_json(t: SemifilterTable) -> dict:
 
 def semifilter_from_json(obj: dict, domain: FiniteSet,
                          carrier: FiniteQuantale) -> SemifilterTable:
+    """A table from its ``entries`` list, each function listed once."""
     raw = _expect(_field(obj, "a table", "entries"), list, "entries")
     entries = {}
+    first = {}
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
             raise StructuralError(
                 f"entries[{i}] must be a [function, value] pair, got {item!r}")
         fn_obj, val = item
         fn = qfunction_from_json(fn_obj, domain, carrier)
+        if fn.key in first:
+            raise StructuralError(
+                f"entries[{i}] repeats the function of entries[{first[fn.key]}]")
+        first[fn.key] = i
         entries[fn.values] = parse_fraction(val)
     return SemifilterTable(domain, carrier, entries)
 
@@ -243,6 +252,10 @@ class ScenarioSpec:
 
         def label_set(name: str, default: list) -> FiniteSet:
             labels = _expect(sets.get(name, default), list, f"sets.{name}")
+            for i, label in enumerate(labels):
+                if isinstance(label, (dict, list)):
+                    raise StructuralError(
+                        f"sets.{name}[{i}] must not be an object or a list, got {label!r}")
             return FiniteSet(tuple(labels))
 
         self.x_set = label_set("X", ["x0", "x1"])

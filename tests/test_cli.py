@@ -324,3 +324,29 @@ def test_laws_maps_need_both_f_and_g(runner, tmp_path, pinned, missing):
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
     assert f"maps needs both 'f' and 'g'; {missing!r} is missing" in r.stderr
+
+
+def test_laws_repeated_table_entry_is_input_error(runner, tmp_path):
+    # the function (1/2) is listed twice with conflicting values
+    entries = [[{"values": ["0/1"]}, "0/1"], [{"values": ["1/2"]}, "1/2"],
+               [{"values": ["1/1"]}, "1/1"], [{"values": ["1/2"]}, "1/1"]]
+    path = write(tmp_path, "dup.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2},
+        "maps": {"f": {"a": {"entries": entries}},
+                 "g": {"u": {"entries": entries[:3]}}}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert "map f at 'a': entries[3] repeats the function of entries[1]" in r.stderr
+
+
+@pytest.mark.parametrize("label,shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']")])
+def test_laws_unhashable_label_is_input_error(runner, tmp_path, label, shown):
+    path = write(tmp_path, "labels.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": [label, "b"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert f"sets.X[0] must not be an object or a list, got {shown}" in r.stderr

@@ -1,0 +1,261 @@
+"""The integer kernel of finite carriers against Fraction-level oracles.
+
+Every index table of ``FiniteQuantale.kernel`` is compared with a fold over
+the carrier's own Fraction tables, and every flat ``SemifilterTable`` with a
+dict-keyed table kept here as the oracle.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+import quantalab.qfun as qfun
+from quantalab.errors import StructuralError, UsageError
+from quantalab.qfun import QFunction, all_qfunctions, finite_set, sub
+from quantalab.quantale import FiniteQuantale, five_chain, godel3, mv3, two_chain
+from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
+                                  evaluation_unit, residuate)
+from quantalab.serialize import semifilter_from_json
+
+
+def diamond():
+    """The lattice {0, 1/3, 2/3, 1} with 1/3 and 2/3 incomparable, given by
+    explicit join and meet tables; the tensor is the meet."""
+    o, a, b, i = F(0), F(1, 3), F(2, 3), F(1)
+    order = {(o, o), (o, a), (o, b), (o, i), (a, a), (a, i), (b, b), (b, i), (i, i)}
+    es = (o, a, b, i)
+    join = {(x, y): next(z for z in (o, a, b, i) if (x, z) in order and (y, z) in order)
+            for x in es for y in es}
+    meet = {(x, y): next(z for z in (i, b, a, o) if (z, x) in order and (z, y) in order)
+            for x in es for y in es}
+    return FiniteQuantale(es, meet, i, join=join, meet=meet), join, meet
+
+
+def chain_oracle(q):
+    tensor = {(x, y): q._tensor[i][j]
+              for i, x in enumerate(q.elements) for j, y in enumerate(q.elements)}
+    join = {(x, y): max(x, y) for x in q.elements for y in q.elements}
+    meet = {(x, y): min(x, y) for x in q.elements for y in q.elements}
+    return tensor, join, meet
+
+
+def carriers():
+    out = [(q, *chain_oracle(q)) for q in (two_chain(), godel3(), mv3(), five_chain())]
+    q, join, meet = diamond()
+    out.append((q, meet, join, meet))
+    # not a quantale: 1 (x) z = 0 for z < 1, so {z : 1 (x) z <= 0} is
+    # {0, 1/3, 2/3}, whose join 1 is not in it; the kernel folds the join
+    # all the same
+    es = q.elements
+    broken = {(x, y): F(1) if x == y == 1 else F(0) for x in es for y in es}
+    out.append((FiniteQuantale(es, broken, 1, join=join, meet=meet), broken, join, meet))
+    return out
+
+
+@pytest.mark.parametrize("q,tensor,join,meet", carriers(),
+                         ids=["two", "godel3", "mv3", "five", "diamond", "broken"])
+def test_kernel_tables_match_the_fraction_fold(q, tensor, join, meet):
+    es = q.elements
+    k = q.kernel
+    pos = q.position
+    assert [pos[e] for e in es] == list(range(len(es)))
+
+    def leq(x, y):
+        return join[(x, y)] == y
+
+    bottom = next(b for b in es if all(leq(b, x) for x in es))
+    top = next(t for t in es if all(leq(x, t) for x in es))
+    assert es[k.bottom] == bottom == q.bottom
+    assert es[k.top] == top == q.top
+    assert es[k.unit] == q.unit
+    for x in es:
+        for y in es:
+            i, j = pos[x], pos[y]
+            # the largest z with x (x) z <= y, folded with the join
+            r = bottom
+            for z in es:
+                if leq(tensor[(x, z)], y):
+                    r = join[(r, z)]
+            assert es[k.residuum[i][j]] == r == q.residuum(x, y)
+            assert es[k.tensor[i][j]] == tensor[(x, y)] == q.tensor(x, y)
+            assert es[k.join[i][j]] == join[(x, y)] == q.join(x, y)
+            assert es[k.meet[i][j]] == meet[(x, y)] == q.meet(x, y)
+            assert k.leq[i][j] == leq(x, y) == q.leq(x, y)
+
+
+def test_carrier_arithmetic_refuses_non_members():
+    q = five_chain()
+    for call in (q.tensor, q.residuum):
+        with pytest.raises(UsageError, match="1/3 is not a carrier element"):
+            call(F(1, 3), F(1))
+        with pytest.raises(UsageError, match="is not a carrier element"):
+            call(F(1), [1])
+    assert not q.contains([1]) and not q.contains(F(1, 3)) and q.contains(F(3, 8))
+
+
+def test_carrier_identity_follows_the_tables():
+    a, b = five_chain(), five_chain()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != godel3() and a != mv3() and godel3() != mv3()
+    # the same chain with its order given as an explicit table is kept apart,
+    # as the tables it was given differ
+    q = godel3()
+    es = q.elements
+    rows = [[max(x, y) for y in es] for x in es]
+    explicit = FiniteQuantale(es, q._tensor, q.unit, join=rows)
+    assert explicit.kernel == q.kernel and explicit != q
+    assert FiniteQuantale(es, q._tensor, q.unit, join=rows) == explicit
+
+
+@pytest.mark.parametrize("q", [two_chain(), godel3(), mv3(), five_chain()],
+                         ids=["two", "godel3", "mv3", "five"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_code_is_the_position_in_canonical_order(q, n):
+    X = finite_set(*[f"x{i}" for i in range(n)])
+    fns = list(all_qfunctions(X, q))
+    assert len(fns) == len(q.elements) ** n
+    for place, f in enumerate(fns):
+        assert f.code == place
+        assert f.index == tuple(q.position[v] for v in f.values)
+        public = QFunction(X, f.values, q)
+        assert public == f and public.code == place and public.index == f.index
+        assert QFunction.from_index(X, q, f.index) == f
+    assert [f.values for f in fns] == list(itertools.product(q.elements, repeat=n))
+
+
+def test_qfunction_refuses_values_outside_the_carrier():
+    X = finite_set("a", "b")
+    with pytest.raises(UsageError, match="value 1/3 outside the carrier"):
+        QFunction(X, (F(0), F(1, 3)), godel3())
+
+
+class DictTable:
+    """The dict-keyed table storage, kept as the oracle for flat tables."""
+
+    def __init__(self, domain, carrier, entries):
+        self.domain, self.carrier = domain, carrier
+        self.entries = dict(entries)
+
+    def __call__(self, lam):
+        return self.entries[lam.values]
+
+    def leq(self, other):
+        return all(self.carrier.leq(v, other.entries[k]) for k, v in self.entries.items())
+
+    def meet(self, other):
+        return DictTable(self.domain, self.carrier,
+                         {k: self.carrier.meet(v, other.entries[k])
+                          for k, v in self.entries.items()})
+
+    def residuate(self, p):
+        return DictTable(self.domain, self.carrier,
+                         {k: self.carrier.residuum(p, v) for k, v in self.entries.items()})
+
+
+def same(flat, oracle):
+    return all(flat(f) == oracle(f) for f in all_qfunctions(flat.domain, flat.carrier))
+
+
+@pytest.mark.parametrize("q", [godel3(), mv3()], ids=["godel3", "mv3"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_tables_match_the_dict_oracle(q, n):
+    X = finite_set(*[f"x{i}" for i in range(n)])
+    found = enumerate_semifilters(X, q, "all")
+    assert found
+    oracles = [DictTable(X, q, {f.values: t(f) for f in all_qfunctions(X, q)})
+               for t in found]
+    flats = [SemifilterTable(X, q, o.entries) for o in oracles]
+    for t, o, flat in zip(found, oracles, flats):
+        assert flat == t and hash(flat) == hash(t)
+        assert same(flat, o)
+        assert flat.entries == o.entries and len(flat.entries) == len(o.entries)
+        assert list(flat.entries) == list(o.entries)
+        assert flat.canonical_values() == tuple(o.entries.values())
+        for p in q.elements:
+            assert same(residuate(p, flat), o.residuate(p))
+    for (o1, f1), (o2, f2) in itertools.product(zip(oracles, flats), repeat=2):
+        assert f1.leq(f2) == o1.leq(o2)
+        assert same(f1.meet(f2), o1.meet(o2))
+        assert (f1 == f2) == (o1.entries == o2.entries)
+    for x in X:
+        unit = DictTable(X, q, {f.values: f(x) for f in all_qfunctions(X, q)})
+        assert same(evaluation_unit(X, q, x), unit)
+
+
+def test_enumeration_matches_a_fraction_level_scan():
+    # the scan enumerate_semifilters made before it ran on the kernel
+    for q in (two_chain(), godel3(), mv3()):
+        for n in (1, 2):
+            X = finite_set(*[f"x{i}" for i in range(n)])
+            funcs = list(all_qfunctions(X, q))
+            unit = QFunction(X, (q.unit,) * n, q)
+            want = []
+            for vals in itertools.product(q.elements, repeat=len(funcs)):
+                d = {f.values: v for f, v in zip(funcs, vals)}
+                if not q.leq(q.unit, d[unit.values]):
+                    continue
+                if all(q.leq(q.meet(d[f.values], d[g.values]), d[f.meet(g).values])
+                       and q.leq(sub(f, g), q.residuum(d[f.values], d[g.values]))
+                       for f in funcs for g in funcs):
+                    want.append(vals)
+            got = [t.canonical_values() for t in enumerate_semifilters(X, q, "all")]
+            assert got == want
+
+
+def test_table_errors_are_unchanged():
+    q = godel3()
+    S = finite_set("s")
+    full = {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)}
+    with pytest.raises(StructuralError, match=r"table is missing the entry at \(Fraction\(1, 2\),\)"):
+        SemifilterTable(S, q, {(F(0),): F(0), (F(1),): F(1)})
+    with pytest.raises(StructuralError, match="table value 1/3 outside carrier"):
+        SemifilterTable(S, q, {**full, (F(1, 2),): F(1, 3)})
+    with pytest.raises(StructuralError, match="table has entries outside the function space"):
+        SemifilterTable(S, q, {**full, (F(1, 3),): F(1)})
+    # the flat form reports the same faults
+    with pytest.raises(StructuralError, match=r"table is missing the entry at \(Fraction\(1, 2\),\)"):
+        SemifilterTable(S, q, [F(0)])
+    with pytest.raises(StructuralError, match="table value 1/3 outside carrier"):
+        SemifilterTable(S, q, [F(0), F(1, 3), F(1)])
+    with pytest.raises(StructuralError, match="table has entries outside the function space"):
+        SemifilterTable(S, q, [F(0), F(1, 2), F(1), F(1)])
+    t = SemifilterTable(S, q, full)
+    assert t.entries[(F(1, 2),)] == F(1, 2) and t.value_at((F(1),)) == F(1)
+    for missing in ((F(1, 3),), (F(0), F(0)), 7):
+        assert missing not in t.entries
+        with pytest.raises(KeyError):
+            t.entries[missing]
+
+
+def test_sub_on_a_finite_carrier_reads_the_kernel_only(monkeypatch):
+    calls = []
+    residuum = FiniteQuantale.residuum
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return residuum(self, x, y)
+
+    monkeypatch.setattr(FiniteQuantale, "residuum", counting)
+    q = five_chain()
+    X = finite_set("a", "b")
+    fns = list(all_qfunctions(X, q))
+    for lam in fns:
+        for mu in fns:
+            r = qfun.sub(lam, mu)
+            assert r == min(residuum(q, a, b) for a, b in zip(lam.values, mu.values))
+    assert not calls
+
+
+def test_repeated_table_entries_are_refused():
+    q = godel3()
+    S = finite_set("s")
+    obj = {"entries": [[["0/1"], "0/1"], [["1/2"], "1/2"], [["1/1"], "1/1"],
+                       [{"values": ["1/2"]}, "1/1"]]}
+    with pytest.raises(StructuralError, match=r"entries\[3\] repeats the function of entries\[1\]"):
+        semifilter_from_json(obj, S, q)
+    obj["entries"][3][1] = "1/2"
+    with pytest.raises(StructuralError, match=r"entries\[3\] repeats the function of entries\[1\]"):
+        semifilter_from_json(obj, S, q)
+    del obj["entries"][3]
+    assert semifilter_from_json(obj, S, q).canonical_values() == (F(0), F(1, 2), F(1))
