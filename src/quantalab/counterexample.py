@@ -14,6 +14,15 @@ this module evaluates it through two finite, fully exact devices:
   sampling.  The samples are computed column by column: each distinct node
   of the expression trees is evaluated once, at all the points 1/m
   together, and ``eval_at`` remains the point-by-point evaluator.
+* ``Column`` -- the samples on integers.  A column is a positive integer
+  ``den`` and a tuple ``nums``, and its value at 1/m is
+  ``nums[m-1] / (den*m)``; ``den`` is reduced by the gcd of itself and all
+  of ``nums``, so equal columns are exactly equal values.  Descriptor
+  construction, deduplication, the step-2 scan and ``sampled_sub_bound``
+  all run on these integers.  ``Fraction``s enter through expression
+  constants and ``FunctionDescriptor(label, samples, ...)``, and leave
+  when a column is read (indexed, iterated or sliced) and as the exact
+  infima, bounds and residua of the report.
 * certified inequality chains -- lower bounds for suprema come from explicit
   witnesses in a catalog (the ramp itself realizes the value 1), and upper
   bounds come from the residuum collapse across an idempotent: whenever a
@@ -28,15 +37,19 @@ reported as a proof that the laws hold.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import and_, ge, lt, mul
+from typing import Union
 
 from .errors import PreconditionError, UsageError
 from .monad import Variant
-from .quantale import (Block, BlockKind, ONE, TNorm, ZERO, as_fraction,
-                       check_condition_s, is_lukasiewicz_shape,
-                       positive_residuum_zero_sup)
+from .quantale import (Block, BlockKind, ONE, TNorm, ZERO, _multiples,
+                       _times, as_fraction, check_condition_s,
+                       is_lukasiewicz_shape, positive_residuum_zero_sup)
 
 CATALOG_CAP = 240
 
@@ -184,6 +197,9 @@ def tail_limit(expr: FnExpr, t: TNorm) -> tuple[Fraction, bool]:
 
 
 def _max_indicator_start(expr: FnExpr) -> int:
+    """The largest indicator start in expr, or 1 without indicators: the
+    sampling horizon of the per-point reference ``describe`` in the tests
+    reaches past it."""
     if isinstance(expr, TailIndicator):
         return expr.start
     if isinstance(expr, (Join, Meet)):
@@ -193,19 +209,97 @@ def _max_indicator_start(expr: FnExpr) -> int:
     return 1
 
 
+def _rescaled(col: "Column", den: int):
+    """The numerators of col on a multiple den of its denominator."""
+    return _times(col.nums, den // col.den)
+
+
+class Column(Sequence):
+    """Samples at the points 1/m, m = 1..n, held as integers.
+
+    The value at 1/m is ``nums[m-1] / (den*m)``.  The form is canonical:
+    ``den`` is positive and has no common factor with all of ``nums``, so
+    two columns are equal, and hash alike, exactly when their values are.
+    Reading a column -- indexing, iterating, slicing to a tuple -- gives
+    ``Fraction``s.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums):
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple(x // g for x in nums)
+        self.den, self.nums = den, nums
+
+    @classmethod
+    def of(cls, values) -> "Column":
+        """The column of a sequence of rationals, the value at 1/m m-th."""
+        values = tuple(values)
+        den = lcm(*(v.denominator for v in values))
+        return cls(den, (v.numerator * (den // v.denominator) * m
+                         for m, v in enumerate(values, 1)))
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        ms = range(1, len(self.nums) + 1)[i]
+        if isinstance(i, slice):
+            return tuple(Fraction(self.nums[m - 1], self.den * m) for m in ms)
+        return Fraction(self.nums[ms - 1], self.den * ms)
+
+    def __iter__(self):
+        return map(Fraction, self.nums, _multiples(self.den, len(self.nums)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Column):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, self.nums))
+
+    def __repr__(self):
+        return f"Column(den={self.den}, nums={self.nums!r})"
+
+    def head(self, n: int) -> "Column":
+        """The first n samples."""
+        return Column(self.den, self.nums[:n])
+
+    def compare(self, op, value: Fraction):
+        """``op(sample, value)`` at every point, in order, exactly."""
+        return map(op, map(mul, self.nums, repeat(value.denominator)),
+                   _multiples(value.numerator * self.den, len(self.nums)))
+
+    def min(self) -> Fraction:
+        """The least sample."""
+        best, at = self.nums[0], 1
+        for m, x in enumerate(self.nums, 1):
+            if x * at < best * m:
+                best, at = x, m
+        return Fraction(best, self.den * at)
+
+
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """Samples at {1/m : m <= N} plus exact tail liminf and global infimum."""
+    """Samples at {1/m : m <= N} plus exact tail liminf and global infimum.
+
+    ``samples`` is a ``Column``; a sequence of rationals passed in its place
+    is converted to one, so equal values give equal descriptors.
+    """
 
     label: str
-    samples: tuple[Fraction, ...]
+    samples: Column
     tail_liminf: Fraction
     global_inf: Fraction
 
     def __post_init__(self):
-        for v in self.samples:
-            if self.global_inf > v:
-                raise UsageError("global infimum exceeds a sample")
+        if not isinstance(self.samples, Column):
+            object.__setattr__(self, "samples", Column.of(self.samples))
+        if any(self.samples.compare(lt, self.global_inf)):
+            raise UsageError("global infimum exceeds a sample")
         if self.tail_liminf < self.global_inf:
             raise UsageError("tail liminf below the global infimum")
 
@@ -223,34 +317,47 @@ class FunctionDescriptor:
         return (self.samples, self.tail_liminf, self.global_inf)
 
 
-def _column(expr: FnExpr, t: TNorm, n: int, memo: dict) -> tuple[Fraction, ...]:
+def _column(expr: FnExpr, t: TNorm, n: int, memo: dict) -> Column:
     """The values of expr at 1/m for m = 1, 2, ..., at least n of them.
 
     Each node is computed once per memo, keyed by identity, as a whole
-    column: leaves are filled directly, joins and meets zip their children's
-    columns and a residuation residuates its child's column by the
-    constant.  A memo entry shorter than n is recomputed and replaced.
+    column of integers: leaves are filled directly, joins and meets take the
+    integer max or min of their children's columns on the lcm of their
+    denominators, and a residuation is ``TNorm.residuate_column``.  A memo
+    entry shorter than n is recomputed and replaced.  The memo is a dict
+    that the caller creates; ``_column`` owns its contents.
     """
     hit = memo.get(id(expr))
     if hit is not None and len(hit[1]) >= n:
         return hit[1]
     if isinstance(expr, Ramp):
-        col = tuple(expr.scale * Fraction(m - 1, m) for m in range(1, n + 1))
+        # scale * (m - 1)/m
+        s = expr.scale
+        col = Column(s.denominator, range(0, s.numerator * n, s.numerator)
+                     if s.numerator else repeat(0, n))
     elif isinstance(expr, TailIndicator):
-        col = tuple(ONE if m >= expr.start else ZERO for m in range(1, n + 1))
+        low = min(max(expr.start - 1, 0), n)     # the points m < start
+        col = Column(1, (0,) * low + tuple(range(low + 1, n + 1)))
     elif isinstance(expr, Const):
-        col = (expr.value,) * n
-    elif isinstance(expr, Join):
-        col = tuple(map(max, _column(expr.left, t, n, memo),
-                        _column(expr.right, t, n, memo)))
-    elif isinstance(expr, Meet):
-        col = tuple(map(min, _column(expr.left, t, n, memo),
-                        _column(expr.right, t, n, memo)))
+        c = expr.value
+        col = Column(c.denominator, _multiples(c.numerator, n))
+    elif isinstance(expr, (Join, Meet)):
+        a = _column(expr.left, t, n, memo)
+        b = _column(expr.right, t, n, memo)
+        den = lcm(a.den, b.den)
+        col = Column(den, map(max if isinstance(expr, Join) else min,
+                              _rescaled(a, den), _rescaled(b, den)))
     elif isinstance(expr, Res):
-        res, c = t.residuum, expr.const
-        col = tuple(res(c, v) for v in _column(expr.child, t, n, memo))
+        child = _column(expr.child, t, n, memo)
+        col = Column(*t.residuate_column(expr.const, child.den, child.nums))
     else:
         raise UsageError(f"unknown expression {expr!r}")
+    # Each distinct numerator is held once per memo, under the key None:
+    # the node columns repeat a few thousand values about twenty times,
+    # and one int object per sample would cost more memory than the
+    # Fraction columns did, whose max and min shared their objects.
+    shared = memo.setdefault(None, {})
+    col = Column(col.den, map(shared.setdefault, col.nums, col.nums))
     # the node is stored with its column, so its id stays its own while
     # the memo lives
     memo[id(expr)] = (expr, col)
@@ -262,8 +369,8 @@ def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
     """Build the exact descriptor of an expression.
 
     The samples come from ``_column``, which computes every node of the
-    tree once as a column of its values at the points 1/m, not once per
-    point; ``columns`` is the memo of those node columns, which
+    tree once as an integer column of its values at the points 1/m, not
+    once per point; ``columns`` is the memo of those node columns, which
     ``build_catalog`` shares across its calls so that a subtree shared by
     many expressions is computed once.  ``eval_at`` evaluates only the
     endpoint x = 0.
@@ -271,34 +378,71 @@ def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
     The global infimum has three exact contributions: the co-countable part
     of the interval (where the indicators vanish and the ramp value sweeps
     down to 0, evaluated by inf-preservation at the limit), the endpoint
-    x = 0, and the sample sequence, whose tail beyond all indicator starts is
-    monotone nondecreasing so one extra sample closes it off.  ``pin_one``
-    overrides the value at x = 1 with the top, for the filter variant; it
-    applies to the top-level value only, never to a subtree's column.
+    x = 0, and the samples at 1/m for m up to depth + 1.  That horizon
+    suffices whatever the indicator starts: every node is nondecreasing in
+    m (the ramp rises, an indicator steps up, and join, meet and
+    residuation by a constant are monotone), so the sample sequence is
+    smallest at its start, and the extra point m = depth + 1 keeps m = 2
+    in range when ``pin_one`` overrides the value at x = 1 (m = 1) with the
+    top, for the filter variant.  The override applies to the top-level
+    value only, never to a subtree's column.
     """
-    horizon = max(depth, _max_indicator_start(expr) + 1) + 1
-    all_samples = _column(expr, t, horizon,
-                          {} if columns is None else columns)[:horizon]
+    horizon = depth + 1
+    col = _column(expr, t, horizon, {} if columns is None else columns)
+    nums = col.nums[:horizon]
     if pin_one:
-        all_samples = (ONE,) + all_samples[1:]
+        nums = (col.den,) + nums[1:]
+    all_samples = Column(col.den, nums)
     co_countable = _eval_leaves(expr, ZERO, ZERO, t)
     at_zero = eval_at(expr, ZERO, t)
-    ginf = min(min(all_samples), co_countable, at_zero)
+    ginf = min(all_samples.min(), co_countable, at_zero)
     liminf, _ = tail_limit(expr, t)
-    return FunctionDescriptor(label or repr(expr), all_samples[:depth],
+    return FunctionDescriptor(label or repr(expr), all_samples.head(depth),
                               liminf, ginf)
+
+
+def _min_pair(pairs, bound: tuple[int, int]) -> tuple[int, int]:
+    """The least of exact (num, den) pairs, den > 0, and the bound."""
+    best_n, best_d = bound
+    for n, d in pairs:
+        if n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
 
 
 def sampled_sub_bound(lam: FunctionDescriptor, mu: FunctionDescriptor,
                       t: TNorm) -> Fraction:
     """Meet of pointwise residuations over the sampled points only: an upper
-    bound for the true graded inclusion, exact when descriptors coincide."""
+    bound for the true graded inclusion, exact when descriptors coincide.
+    The residua stay exact integer pairs until the one ``Fraction`` of the
+    result."""
     if lam.key() == mu.key():
         return ONE
-    out = ONE
-    for a, b in zip(lam.samples, mu.samples):
-        out = min(out, t.residuum(a, b))
-    return out
+    a, b = lam.samples, mu.samples
+    den = lcm(a.den, b.den)
+    points = zip(range(1, len(a) + 1), _rescaled(a, den), _rescaled(b, den))
+    return Fraction(*_min_pair(t.residua(den, points), (1, 1)))
+
+
+def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
+    """The step-2 scan of a witness column ``a`` against the ramp ``g``.
+
+    At every point m where ``a >= p > g`` it residuates ``a`` into ``g``
+    and checks that the residuum collapses to ``g``.  Returns the least of
+    p and those residua, the number of such points, and every point where
+    the collapse fails as ``(m, residuum, g)``.
+    """
+    den = lcm(a.den, g.den)
+    ms = compress(range(1, len(a) + 1),
+                  map(and_, a.compare(ge, p), g.compare(lt, p)))
+    ra, rg = den // a.den, den // g.den
+    points = [(m, a.nums[m - 1] * ra, g.nums[m - 1] * rg) for m in ms]
+    residua = t.residua(den, points)
+    failures = [(m, Fraction(n, d), Fraction(y, den * m))
+                for (m, _, y), (n, d) in zip(points, residua)
+                if n * den * m != y * d]
+    cert = _min_pair(residua, (p.numerator, p.denominator))
+    return Fraction(*cert), len(points), failures
 
 
 # ---------------------------------------------------------------------------
@@ -608,19 +752,14 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
         # to the ramp's value, at most p; so p bounds the right side
         collapse_ok = True
         for d in candidates:
-            ms = [(m, a, g)
-                  for m, (a, g) in enumerate(zip(d.samples, gamma.samples), 1)
-                  if a >= p > g]
-            cert = p
-            for m, a, g in ms:
-                collapsed = tnorm.residuum(a, g)
-                if collapsed != g:
-                    collapse_ok = False
-                    claims.append(ClaimRecord(
-                        "step2-residuum-collapse", False,
-                        f"{d.label} at m={m}: {collapsed} != {g}"))
-                cert = min(cert, collapsed)
-            details.append((d.label, cert, len(ms)))
+            cert, count, failures = _collapse_scan(d.samples, gamma.samples,
+                                                  p, tnorm)
+            for m, collapsed, g in failures:
+                collapse_ok = False
+                claims.append(ClaimRecord(
+                    "step2-residuum-collapse", False,
+                    f"{d.label} at m={m}: {collapsed} != {g}"))
+            details.append((d.label, cert, count))
         if collapse_ok:
             claims.append(ClaimRecord(
                 "step2-residuum-collapse", True,

@@ -5,7 +5,9 @@ Two carrier families are supported:
 * ``TNorm`` -- the unit interval with a continuous t-norm described as an
   ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
   every block the operation is minimum.  All arithmetic is exact on
-  ``fractions.Fraction``; no floats appear anywhere.
+  ``fractions.Fraction``; no floats appear anywhere.  The residuum also has
+  two integer forms over sample columns, ``residuate_column`` and
+  ``residua``, for the interval counterexample.
 * ``FiniteQuantale`` -- a finite commutative unital quantale given by an
   explicit tensor table (chain-ordered by default, or lattice-ordered via
   explicit join/meet tables).
@@ -23,6 +25,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import gt
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetError, ConstructionError, StructuralError, UsageError
@@ -170,6 +174,94 @@ class TNorm:
             return b.hi - x + y          # x > y, so this is < hi
         return b.lo + (b.hi - b.lo) * (y - b.lo) / (x - b.lo)   # x > y >= lo
 
+    # -- integer columns ----------------------------------------------------
+    #
+    # A column is a positive integer ``den`` and a sequence of integers
+    # ``nums``; its value at the point 1/m is ``nums[m-1] / (den*m)``.
+
+    def residuate_column(self, c: Fraction, den: int,
+                         nums: Sequence[int]) -> tuple[int, list[int]]:
+        """The column of ``residuum(c, v)`` over a column of values ``v``.
+
+        The block that can hold ``c`` together with a value below it is
+        found once, and ``c`` is checked once, as in ``residuum``; then one
+        integer pass applies its three cases: 1 where ``v >= c``, the block
+        formula where ``lo <= v < c``, and ``v`` itself below that.  The
+        result's denominator is the lcm of ``den`` with the denominators of
+        ``c`` and of the block's ends, times, in a product block, the
+        denominator of the slope ``(hi - lo)/(c - lo)``, so every value is
+        exact.
+        """
+        self._check(c)
+        self._check_column(den, nums)
+        i = bisect_left(self._his, c)
+        b = self.blocks[i] if i < len(self.blocks) else None
+        if b is None or b.lo == c:       # no value below c shares a block with c
+            scale = lcm(den, c.denominator)
+            r, C = _exact_div(scale, den), _scaled(c, scale)
+            return scale, [scale * m if x >= C * m else x
+                           for m, x in enumerate(_times(nums, r), 1)]
+        scale = lcm(den, c.denominator, b.lo.denominator, b.hi.denominator)
+        r, C, lo, hi = (_exact_div(scale, den), _scaled(c, scale),
+                        _scaled(b.lo, scale), _scaled(b.hi, scale))
+        if b.kind is BlockKind.LUKASIEWICZ:
+            # hi - c + v, at the scale of the point
+            return scale, [scale * m if x >= C * m
+                           else (hi - C) * m + x if x >= lo * m else x
+                           for m, x in enumerate(_times(nums, r), 1)]
+        # lo + k (v - lo) with the slope k = kn/kd, on the denominator
+        # scale * kd, where lo (1 - k) becomes lo * (kd - kn)
+        k = (b.hi - b.lo) / (c - b.lo)
+        kn, kd = k.numerator, k.denominator
+        top, base = scale * kd, lo * (kd - kn)
+        return top, [top * m if x >= C * m
+                     else base * m + kn * x if x >= lo * m else x * kd
+                     for m, x in enumerate(_times(nums, r), 1)]
+
+    def residua(self, den: int,
+                points: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        """``residuum(x, y)`` at points of two columns on one denominator.
+
+        Each point is ``(m, x, y)`` for the values ``x/(den*m)`` and
+        ``y/(den*m)``; each result is an exact pair ``(num, d)``, ``d > 0``,
+        whose quotient is the residuum there.  Both values are checked as
+        ``residuum`` checks them.  The block is the first whose upper end
+        reaches ``x``, found by bisecting the upper ends rescaled to the
+        point, as ``_common_block`` finds it.
+        """
+        blocks = self.blocks
+        scale = lcm(den, *(b.lo.denominator for b in blocks),
+                    *(b.hi.denominator for b in blocks))
+        r = _exact_div(scale, den)
+        los = [_scaled(b.lo, scale) for b in blocks]
+        his = [_scaled(b.hi, scale) for b in blocks]
+        luk = [b.kind is BlockKind.LUKASIEWICZ for b in blocks]
+        out = []
+        for m, x, y in points:
+            s, x, y = scale * m, x * r, y * r
+            if not (0 <= x <= s and 0 <= y <= s):
+                self._check(Fraction(x, s)), self._check(Fraction(y, s))
+            if x <= y:
+                out.append((1, 1))
+                continue
+            i = bisect_left(his, -(-x // m))         # hi * m >= x
+            if i == len(blocks) or los[i] * m > y:
+                out.append((y, s))
+                continue
+            lo, hi = los[i] * m, his[i] * m
+            if luk[i]:
+                out.append((hi - x + y, s))
+            else:
+                out.append((lo * (x - lo) + (hi - lo) * (y - lo), s * (x - lo)))
+        return out
+
+    def _check_column(self, den: int, nums: Sequence[int]) -> None:
+        """Every value of the column lies in [0,1], else ``_check``'s error."""
+        if nums and (min(nums) < 0 or any(map(gt, nums, _multiples(den, len(nums))))):
+            bad = next(Fraction(x, den * m) for m, x in enumerate(nums, 1)
+                       if not 0 <= x <= den * m)
+            raise UsageError(f"{bad} is not in [0,1]")
+
     def is_idempotent(self, x: Fraction) -> bool:
         """x is idempotent iff it is not interior to any block."""
         self._check(x)
@@ -179,6 +271,29 @@ class TNorm:
         """On [0,1]: x is way below y iff x = 0 or x < y."""
         self._check(x), self._check(y)
         return x == ZERO or x < y
+
+
+def _exact_div(a: int, b: int) -> int:
+    """a / b for a multiple a of b; a remainder is a defect, never rounded."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{a} is not a multiple of {b}")
+    return q
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale, for a scale that x's denominator divides."""
+    return x.numerator * _exact_div(scale, x.denominator)
+
+
+def _times(nums: Sequence[int], r: int):
+    """Each of nums times r."""
+    return nums if r == 1 else map(r.__mul__, nums)
+
+
+def _multiples(step: int, n: int):
+    """step, 2*step, ..., n*step."""
+    return range(step, step * (n + 1), step) if step else itertools.repeat(0, n)
 
 
 def build_ordinal_sum(blocks: Iterable[tuple]) -> TNorm:

@@ -268,9 +268,12 @@ class ScenarioSpec:
         self.budget = None if budget is None else _integer(budget, "budgets.budget")
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
+        self.witness_catalog = None
         if wc is not None:
-            _expect(wc, list, "witness_catalog")
-        self.witness_catalog = [expr_from_json(e) for e in wc] if wc else None
+            if not _expect(wc, list, "witness_catalog"):
+                raise StructuralError("witness_catalog must not be empty; "
+                                      "leave it out for the default catalog")
+            self.witness_catalog = [expr_from_json(e) for e in wc]
 
     def explicit_maps(self):
         """Decode the pinned f/g map values into tables, or None without maps.

@@ -350,3 +350,12 @@ def test_laws_unhashable_label_is_input_error(runner, tmp_path, label, shown):
     r = runner.invoke(main, ["laws", "--scenario", path])
     assert r.exit_code == 2, r.output
     assert f"sets.X[0] must not be an object or a list, got {shown}" in r.stderr
+
+
+def test_counterexample_empty_witness_catalog_is_input_error(runner, tmp_path):
+    # an empty list is not "no catalog": the default catalog must not stand in
+    path = _catalog_scenario(tmp_path, [])
+    r = runner.invoke(main, ["counterexample", "--scenario", path,
+                             "--t", "3/8", "--s", "3/8", "--truncation", "20"])
+    assert r.exit_code == 2, r.output
+    assert "witness_catalog must not be empty" in r.stderr

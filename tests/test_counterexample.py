@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product as pairs_of
 
 import pytest
 
@@ -13,7 +14,8 @@ from quantalab.counterexample import (Const, Coreflected, FunctionDescriptor,
                                       left_limit_residuum, run_counterexample,
                                       sampled_sub_bound, tail_limit,
                                       _column, _eval_leaves,
-                                      _max_indicator_start)
+                                      _max_indicator_start, Column,
+                                      _collapse_scan)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
 from quantalab.quantale import (ONE, ZERO, build_ordinal_sum, godel_tnorm, grid,
@@ -418,3 +420,153 @@ def test_default_catalog_contains_ramp_first():
     assert catalog[0].tail_liminf == P and catalog[0].global_inf == 0
     keys = {d.key() for d in catalog}
     assert len(keys) == len(catalog)
+
+
+# -- integer columns and their Fraction oracles ------------------------------------
+
+THREE_BLOCKS = build_ordinal_sum([(0, F(1, 4), "product"),
+                                  (F(1, 4), F(1, 2), "lukasiewicz"),
+                                  (F(1, 2), 1, "product")])
+
+
+def test_column_reads_back_as_fractions():
+    values = (F(0), F(1, 3), F(5, 6), F(1), F(2, 7))
+    col = Column.of(values)
+    assert col.den == 42 and col.nums == (0, 28, 105, 168, 60)   # value * 42 * m
+    assert len(col) == 5 and tuple(col) == values and list(col) == list(values)
+    assert col[0] == 0 and col[-1] == F(2, 7) and col[1:3] == values[1:3]
+    assert col[::2] == values[::2] and col[:] == values
+    with pytest.raises(IndexError):
+        col[5]
+    assert col.min() == 0 and Column.of(values[1:]).min() == F(2, 7)
+    assert Column(6 * col.den, [6 * x for x in col.nums]) == col   # canonical
+    assert Column.of(()) == Column(1, ()) and len(Column.of(())) == 0
+
+
+def nested_product_exprs():
+    """Residuations three deep on a product block, with constants whose
+    denominators multiply."""
+    leaf = Join(Ramp(F(5, 11)), TailIndicator(4))
+    out = []
+    for c1, c2, c3 in [(F(2, 5), F(3, 7), F(4, 9)), (F(7, 20), F(1, 3), F(13, 30)),
+                       (F(3, 8), F(5, 13), F(9, 20))]:
+        out.append(Res(c1, Res(c2, Res(c3, leaf))))
+        out.append(Meet(Res(c1, Res(c2, leaf)), Res(c3, Const(F(2, 7)))))
+    return out
+
+
+@pytest.mark.parametrize("t", [PRODUCT_BLOCK, THREE_BLOCKS], ids=["product", "three"])
+def test_nested_product_residuations_are_exact(t):
+    n = 40
+    for e in nested_product_exprs():
+        col = _column(e, t, n, {})
+        assert list(col[:n]) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES
+                         + [(THREE_BLOCKS, F(5, 16), F(5, 16), F(1, 2))],
+                         ids=["luk", "product", "three"])
+def test_column_keys_are_value_equality(t, t_par, s_par, hi):
+    exprs = shipped_closure(t, t_par, s_par, hi, Variant.PLAIN) + nested_product_exprs()
+    columns: dict = {}
+    by_value: dict = {}
+    for e in exprs:
+        col = _column(e, t, 24, columns).head(24)
+        by_value.setdefault(tuple(col), set()).add(col)
+    # one canonical column per distinct sequence of values, and back
+    assert all(len(cols) == 1 for cols in by_value.values())
+    assert len({c for cols in by_value.values() for c in cols}) == len(by_value)
+    for values, (col,) in by_value.items():
+        again = Column.of(values)
+        assert again == col and hash(again) == hash(col)
+
+
+def test_descriptor_from_fractions_equals_the_described_one():
+    columns: dict = {}
+    for e in shipped_closure(PRODUCT_BLOCK, F(3, 8), F(7, 16), None, Variant.PLAIN)[:80]:
+        d = describe(e, PRODUCT_BLOCK, 30, label="w", columns=columns)
+        again = FunctionDescriptor("w", tuple(d.samples), d.tail_liminf, d.global_inf)
+        assert again == d and hash(again) == hash(d) and again.key() == d.key()
+
+
+def sampled_sub_bound_fraction(lam, mu, t):
+    """The Fraction ``sampled_sub_bound`` that integer pairs replace."""
+    if lam.key() == mu.key():
+        return ONE
+    out = ONE
+    for a, b in zip(lam.samples, mu.samples):
+        out = min(out, t.residuum(a, b))
+    return out
+
+
+def collapse_scan_fraction(a_samples, g_samples, p, t):
+    """The Fraction step-2 scan that ``_collapse_scan`` replaces."""
+    ms = [(m, a, g) for m, (a, g) in enumerate(zip(a_samples, g_samples), 1)
+          if a >= p > g]
+    cert, failures = p, []
+    for m, a, g in ms:
+        collapsed = t.residuum(a, g)
+        if collapsed != g:
+            failures.append((m, collapsed, g))
+        cert = min(cert, collapsed)
+    return cert, len(ms), failures
+
+
+@pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES
+                         + [(THREE_BLOCKS, F(5, 16), F(5, 16), F(1, 2))],
+                         ids=["luk", "product", "three"])
+def test_sampled_sub_bound_matches_its_fraction_oracle(t, t_par, s_par, hi):
+    catalog = build_catalog(shipped_closure(t, t_par, s_par, hi, Variant.PLAIN),
+                            t, 120, False)
+    gamma = catalog[0]
+    pairs = [(d, gamma) for d in catalog] + [(gamma, d) for d in catalog]
+    pairs += list(pairs_of(catalog[::7], catalog[3::11]))
+    for lam, mu in pairs:
+        assert sampled_sub_bound(lam, mu, t) == sampled_sub_bound_fraction(lam, mu, t)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_collapse_scan_matches_its_fraction_oracle(variant):
+    exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), variant)
+    catalog = build_catalog(exprs, BLOCK, 200, variant is Variant.FILTER)
+    gamma = catalog[0]
+    seen_points = 0
+    for d in catalog:
+        got = _collapse_scan(d.samples, gamma.samples, P, BLOCK)
+        assert got == collapse_scan_fraction(d.samples, gamma.samples, P, BLOCK)
+        seen_points += got[1]
+    assert seen_points > 0
+    # at the interior p = 3/8, against other members than the ramp, points
+    # with both values inside the block do not collapse
+    failures = 0
+    for a, g in pairs_of(catalog, catalog[1:12]):
+        a_col, g_col = a.samples.head(60), g.samples.head(60)
+        got = _collapse_scan(a_col, g_col, F(3, 8), BLOCK)
+        assert got == collapse_scan_fraction(a_col, g_col, F(3, 8), BLOCK)
+        failures += len(got[2])
+    assert failures > 0
+
+
+WIDE_STARTS = [TailIndicator(40), Meet(Ramp(P), TailIndicator(60)),
+               Join(TailIndicator(300), Const(F(1, 16))),
+               Res(F(3, 8), Join(Ramp(P), TailIndicator(90))),
+               Meet(Res(F(3, 8), TailIndicator(45)), Join(Ramp(P), TailIndicator(7))),
+               Res(F(5, 16), Meet(Const(F(7, 16)), TailIndicator(25)))]
+
+
+@pytest.mark.parametrize("pin_one", [False, True])
+@pytest.mark.parametrize("t", [BLOCK, PRODUCT_BLOCK], ids=["luk", "product"])
+def test_horizon_beyond_the_depth_is_not_needed(t, pin_one):
+    # describe_per_point samples past the largest indicator start
+    for depth in (1, 2, 5, 20):
+        for e in WIDE_STARTS:
+            assert describe(e, t, depth, pin_one) == describe_per_point(e, t, depth, pin_one)
+
+
+def test_horizon_follows_the_depth_not_the_indicator_start():
+    e = Join(TailIndicator(10 ** 5), Ramp(P))
+    columns: dict = {}
+    d = describe(e, BLOCK, 50, columns=columns)
+    assert d.depth == 50 and d.global_inf == 0
+    # the memo hands back the columns it computed, 51 samples each
+    assert [len(_column(x, BLOCK, 1, columns)) for x in (e, e.left, e.right)] == [51] * 3

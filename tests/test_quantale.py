@@ -432,3 +432,64 @@ def test_qvalue_mixed_carriers_rejected():
 def test_qvalue_outside_carrier_rejected():
     with pytest.raises(UsageError):
         QValue(F(1, 3), godel3())
+
+
+# -- integer columns ------------------------------------------------------------
+
+PRODUCT_BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "product")])
+COLUMN_TNORMS = [GODEL, BLOCK, PRODUCT_BLOCK, THREE_BLOCKS]
+COLUMN_IDS = ["godel", "luk-block", "product-block", "three-blocks"]
+
+
+def _column_of(values, den):
+    """Numerators on den of the column whose value at 1/m is values[m-1]."""
+    return [v.numerator * (den // v.denominator) * m for m, v in enumerate(values, 1)]
+
+
+@pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
+def test_residuate_column_matches_residuum_on_the_grid(t):
+    points = grid(F(1, 64))
+    # every grid value sits at three points 1/m, 65 apart
+    values = [points[i % len(points)] for i in range(3 * len(points))]
+    columns = [(den, _column_of(values, den)) for den in (64, 192)]
+    # and values off that grid, on the finer grid 1/(64 m) of each point
+    columns.append((64, [(29 * m) % (64 * m + 1) for m in range(1, 200)]))
+    for den, nums in columns:
+        for c in points:
+            out_den, out = t.residuate_column(c, den, nums)
+            assert out_den > 0 and len(out) == len(nums)
+            for m, (v, x) in enumerate(zip(nums, out), 1):
+                v = F(v, den * m)
+                assert F(x, out_den * m) == t.residuum(c, v), (c, v, m)
+
+
+@pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
+def test_residua_match_residuum_on_the_grid(t):
+    # every pair of the grid 1/(64 m) at the point 1/m, so every pair of
+    # the 1/64 grid scaled by m and the values between
+    for m in (1, 2, 3):
+        nums = range(64 * m + 1)
+        got = t.residua(64, [(m, x, y) for x in nums for y in nums])
+        want = [(F(x, 64 * m), F(y, 64 * m)) for x in nums for y in nums]
+        for (x, y), (n, d) in zip(want, got, strict=True):
+            assert d > 0 and F(n, d) == t.residuum(x, y), (x, y, m)
+    points = grid(F(1, 64))
+    pairs = [(x, y) for x in points for y in points]
+    got = t.residua(320, [(5, x * 320 * 5, y * 320 * 5) for x, y in pairs])
+    for (x, y), (n, d) in zip(pairs, got, strict=True):
+        assert F(n, d) == t.residuum(x, y), (x, y)
+
+
+def test_column_kernel_checks_its_values():
+    with pytest.raises(UsageError, match=r"3/2 is not in \[0,1\]"):
+        BLOCK.residuate_column(F(3, 2), 4, [1, 2])
+    with pytest.raises(UsageError, match=r"0 is not in \[0,1\]"):
+        BLOCK.residuate_column(0, 4, [1, 2])           # not a Fraction
+    with pytest.raises(UsageError, match=r"5/4 is not in \[0,1\]"):
+        BLOCK.residuate_column(F(3, 8), 2, [1, 5])     # 5/(2*2) at m = 2
+    with pytest.raises(UsageError, match=r"-1/2 is not in \[0,1\]"):
+        BLOCK.residuate_column(F(3, 8), 2, [-1, 0])
+    with pytest.raises(UsageError, match=r"3/2 is not in \[0,1\]"):
+        PRODUCT_BLOCK.residua(2, [(1, 1, 0), (1, 3, 0)])
+    with pytest.raises(UsageError, match=r"-1/4 is not in \[0,1\]"):
+        PRODUCT_BLOCK.residua(2, [(2, 1, -1)])
