@@ -22,7 +22,7 @@ from .errors import UsageError
 from .classical import (all_proper_filters, filter_image, filter_multiplication,
                         filter_unit, principal)
 from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
-                        image_prefilter, member, normalize_basis,
+                        image_prefilter, least_positive, normalize_basis,
                         saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
                    indicator)
@@ -58,7 +58,14 @@ def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
 
 def monad_units(domain: FiniteSet, carrier: FiniteQuantale,
                 variant: Variant = Variant.PLAIN) -> dict:
-    """The unit at every point: evaluation tables, coreflected for BOUNDED."""
+    """The unit at every point: evaluation tables, coreflected for BOUNDED.
+
+    BOUNDED needs a carrier with a least positive element
+    (``least_positive``); any other carrier is refused, even on an empty
+    domain.
+    """
+    if variant is Variant.BOUNDED:
+        least_positive(carrier)
     out = {}
     for x in domain:
         e = evaluation_unit(domain, carrier, x)
@@ -118,17 +125,17 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
                    check: bool = True) -> Callable[[SemifilterTable], SemifilterTable]:
     """Lift a map into tables to a map between table spaces.
 
-    The raw sum sends lam to T(x |-> h(x)(lam)); the variant coreflection of
-    that is the extension.  Equivalent to coreflecting the Kowalsky sum of
-    the pushed-forward outer table over any family containing h's values and
-    the units (checked in the tests), but computed directly.
+    The raw sum sends lam to T(x |-> h(x)(lam)): the Kowalsky sum of T over
+    h's values as a family labelled by the domain.  The variant coreflection
+    of that is the extension.  Equivalent to coreflecting the Kowalsky sum
+    of the pushed-forward outer table over any family containing h's values
+    and the units (checked in the tests).
     """
     values = tuple(h[x] for x in domain)
     if not values:
         raise UsageError("cannot extend over an empty domain")
     # h as a family labelled by the domain: its hat of lam is x |-> h(x)(lam)
     h_family = SemifilterFamily(domain, values)
-    target = h_family.x_domain
     carrier = h_family.carrier
     if check:
         for x in domain:
@@ -138,8 +145,7 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     def extend(table: SemifilterTable) -> SemifilterTable:
         if table.domain != domain or table.carrier != carrier:
             raise UsageError("table does not match the extension's source")
-        raw = SemifilterTable.from_function(
-            target, carrier, lambda lam: table(h_family.hat(lam)))
+        raw = kowalsky_sum(table, h_family)
         if variant is Variant.BOUNDED:
             return conical_bounded_coreflection(raw)
         return conical_coreflection(raw)
@@ -165,8 +171,12 @@ def random_variant_table(rng: random.Random, domain: FiniteSet,
 
     FILTER bases share a pivot point held at the top so meets stay at the
     top there (a top-filter basis); BOUNDED bases avoid the bottom value so
-    every basis element stays positive.
+    every basis element stays positive; they need a carrier with a least
+    positive element (``least_positive``), which is checked before any
+    draw.
     """
+    if variant is Variant.BOUNDED:
+        least_positive(carrier)
     size = rng.choice((1, 2))
     fns = []
     pivot = rng.randrange(len(domain)) if len(domain) else 0

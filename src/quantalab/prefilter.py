@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import BudgetError, UsageError
 from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
                    unit_constant)
-from .quantale import Carrier, ZERO
+from .quantale import Carrier, FiniteQuantale, ZERO
 
 BASIS_CAP = 4096
 
@@ -215,14 +215,26 @@ def bounded_coreflection(pf: PrefilterBasis,
     if not c.is_finite:
         schedule = tuple(epsilons) if epsilons is not None else default_epsilon_schedule()
         return BoundedPrefilterFamily(pf, schedule)
-    positive = [e for e in c.elements if e != c.bottom]
-    if not positive:
-        raise UsageError("carrier has no positive element")
-    eps0 = positive[0]
-    for e in positive:
-        if c.leq(e, eps0):
-            eps0 = e
-    if not all(c.leq(eps0, e) for e in positive):
-        raise UsageError("carrier has no least positive element")
-    eps_x = constant(pf.domain, c, eps0)
+    eps_x = constant(pf.domain, c, least_positive(c))
     return normalize_basis([b.join(eps_x) for b in pf.basis])
+
+
+def least_positive(carrier: FiniteQuantale) -> Fraction:
+    """The least element above bottom of a finite carrier.
+
+    Every bounded construction on a finite carrier needs it: positive
+    values are then exactly those at least it, so bounded functions are
+    closed under meets and each bounded coreflection has a largest result.
+    A carrier without one is refused with a ``UsageError`` naming it.
+    """
+    k = carrier.kernel
+    positive = [i for i in range(len(carrier.elements)) if i != k.bottom]
+    if not positive:
+        raise UsageError(f"carrier {carrier!r} has no positive element")
+    eps0 = positive[0]
+    for i in positive:
+        if k.leq[i][eps0]:
+            eps0 = i
+    if not all(k.leq[eps0][i] for i in positive):
+        raise UsageError(f"carrier {carrier!r} has no least positive element")
+    return carrier.elements[eps0]

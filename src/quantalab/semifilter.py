@@ -8,15 +8,26 @@ A filter additionally caps constants (F4).
 A table is one flat tuple of carrier positions in the canonical order of
 ``all_qfunctions``, so the value at a function is read at its mixed-radix
 code; order, meets and residuation of tables run on the carrier's integer
-kernel, and values leave a table as ``Fraction`` elements.  Everything here
-is exact and exhaustively checkable at desk scale.  Second-level objects
-(semifilters over a space of semifilters) are never full tables over the
-true double level; they are tables over an explicitly declared finite family
-of inner semifilters, which is all the constructions evaluate anyway.
+kernel.  Everything here is exact and exhaustively checkable at desk scale.
+Second-level objects (semifilters over a space of semifilters) are never
+full tables over the true double level; they are tables over an explicitly
+declared finite family of inner semifilters, which is all the constructions
+evaluate anyway.
+
+The builders fill tables on the kernel: positions in, positions out.  The
+table induced by a set of generators is the pointwise join of their
+``sub(g, -)`` rows, each folded from the residuum rows of ``g``'s positions
+(``_sub_fill``); level sets are read from ``index`` as position rows, and
+units, images, outer images and Kowalsky sums read their source table at
+computed codes.  None of them builds a ``QFunction`` or a ``Fraction``:
+values become ``Fraction`` elements only at ``__call__`` and
+``canonical_values``.  ``from_function``, with ``sub`` and ``eval_degree``
+on ``Fraction`` values, stays as the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,11 +36,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
-from .prefilter import (PrefilterBasis, eval_degree, is_bounded_function,
-                        minimal_members)
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
-                   precompose, sub, unit_constant)
-from .quantale import FiniteQuantale
+from .prefilter import PrefilterBasis, least_positive
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant, sub,
+                   unit_constant)
+from .quantale import ZERO, FiniteQuantale
 
 TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
@@ -54,12 +64,7 @@ class SemifilterTable:
     """
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, entries):
-        if not isinstance(carrier, FiniteQuantale):
-            raise UsageError("semifilter tables need a finite carrier")
-        size = len(carrier.elements) ** len(domain)
-        if size > TABLE_CAP:
-            raise BudgetError(f"table would need {size} entries (cap {TABLE_CAP})",
-                              count=size)
+        size = _table_size(domain, carrier)
         self.domain = domain
         self.carrier = carrier
         if isinstance(entries, Mapping):
@@ -154,6 +159,17 @@ class SemifilterTable:
         return f"SemifilterTable({len(self.domain)} points, {len(self.index)} entries)"
 
 
+def _table_size(domain: FiniteSet, carrier) -> int:
+    """|Q|^|X|, refused above ``TABLE_CAP`` before anything is filled."""
+    if not isinstance(carrier, FiniteQuantale):
+        raise UsageError("semifilter tables need a finite carrier")
+    size = len(carrier.elements) ** len(domain)
+    if size > TABLE_CAP:
+        raise BudgetError(f"table would need {size} entries (cap {TABLE_CAP})",
+                          count=size)
+    return size
+
+
 class TableEntries(Mapping):
     """A read-only view of a table: value tuples, in canonical order, to
     values."""
@@ -208,15 +224,120 @@ def is_semifilter(table: SemifilterTable) -> bool:
     return not check_axioms(table)
 
 
+# -- the kernel fill -----------------------------------------------------------
+
+def _fold(op: tuple, start: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """``op`` folded over one row per domain point, at every code.
+
+    Entry ``c`` is ``op(...op(start, rows[0][i0])..., rows[-1][ik])`` for
+    the function with positions ``(i0, ..., ik)`` and code ``c``; the last
+    point varies fastest, as in the canonical order.
+    """
+    out = [start]
+    for row in rows:
+        out = [op[a][r] for a in out for r in row]
+    return out
+
+
+def _sub_fill(kernel, g: Sequence[int]) -> list[int]:
+    """``sub(g, -)`` at every code, from the position row of ``g``."""
+    return _fold(kernel.meet, kernel.top, [kernel.residuum[i] for i in g])
+
+
+def _sub_at(kernel, g: Sequence[int], columns: Sequence[Sequence[int]],
+            size: int) -> list[int]:
+    """``sub(g, -)`` at ``size`` functions given point by point: entry ``c``
+    of ``columns[x]`` is the position of the ``c``-th function at ``x``."""
+    meet, residuum = kernel.meet, kernel.residuum
+    out = [kernel.top] * size
+    for i, column in zip(g, columns):
+        row = residuum[i]
+        out = [meet[a][row[v]] for a, v in zip(out, column)]
+    return out
+
+
+def _join_fills(kernel, fills: list[list[int]], size: int) -> Positions:
+    """The pointwise join of position lists; bottom everywhere if none."""
+    if not fills:
+        return Positions([kernel.bottom] * size)
+    out, join = fills[0], kernel.join
+    for fill in fills[1:]:
+        out = [join[a][b] for a, b in zip(out, fill)]
+    return Positions(out)
+
+
+def _induced(domain: FiniteSet, carrier: FiniteQuantale,
+             generators: Sequence[Sequence[int]]) -> SemifilterTable:
+    """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``."""
+    size = _table_size(domain, carrier)
+    k = carrier.kernel
+    return SemifilterTable(domain, carrier,
+                           _join_fills(k, [_sub_fill(k, g) for g in generators], size))
+
+
+def _generators(rows: Iterable[tuple], kernel) -> list[tuple]:
+    """The pointwise-minimal rows of a finite family of position rows.
+
+    ``sub(-, lam)`` is antitone, so the family and its minimal rows induce
+    the same table.  When the family contains its own pointwise meet, as
+    the level set of every semifilter does (F2), that meet is the only
+    minimal row and no pairs are compared.
+    """
+    distinct = list(dict.fromkeys(rows))
+    meet, leq = kernel.meet, kernel.leq
+    low = tuple(functools.reduce(lambda a, b: meet[a][b], column)
+                for column in zip(*distinct))
+    if low in distinct:
+        return [low]
+    return [r for r in distinct
+            if not any(s != r and all(leq[a][b] for a, b in zip(s, r))
+                       for s in distinct)]
+
+
+def _level_rows(table: SemifilterTable) -> list[tuple]:
+    """The position rows of the functions held at degree >= unit."""
+    k = table.carrier.kernel
+    above_unit = k.leq[k.unit]
+    n = len(table.carrier.elements)
+    return [row for row, v in zip(itertools.product(range(n), repeat=len(table.domain)),
+                                  table.index)
+            if above_unit[v]]
+
+
+def _is_positive(carrier: FiniteQuantale) -> tuple[bool, ...]:
+    """Per position, whether the element is positive (``is_bounded_function``)."""
+    return tuple(e > ZERO for e in carrier.elements)
+
+
+def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
+    """The table ``mu |-> table(mu . f)`` on ``f``'s target.
+
+    The code of ``mu . f`` is linear in ``mu``'s positions: each target
+    point weighs the sum of the place values of its fiber.
+    """
+    q = table.carrier
+    _table_size(f.target, q)
+    n, m = len(q.elements), len(f.source)
+    weights = [0] * len(f.target)
+    for x, y in enumerate(f.mapping):
+        weights[f.target.index(y)] += n ** (m - 1 - x)
+    codes = [0]
+    for w in weights:
+        codes = [c + w * i for c in codes for i in range(n)]
+    return SemifilterTable(f.target, q, Positions(map(table.index.__getitem__, codes)))
+
+
 def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> SemifilterTable:
     """The unit at x: every function is sent to its value at x.
 
     Satisfies F1-F4 and is conical.
     """
     idx = domain.index(x)
+    size = _table_size(domain, carrier)
+    n = len(carrier.elements)
+    stride = n ** (len(domain) - 1 - idx)
     return SemifilterTable(domain, carrier,
-                           Positions(f.index[idx]
-                                     for f in all_qfunctions(domain, carrier)))
+                           Positions(c // stride % n for c in range(size)))
 
 
 def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
@@ -246,24 +367,17 @@ def semifilter_of(source) -> SemifilterTable:
         domain, carrier = source.domain, source.carrier
         if not isinstance(carrier, FiniteQuantale):
             raise UsageError("tables need a finite carrier")
-        return SemifilterTable.from_function(
-            domain, carrier, lambda lam: eval_degree(source, lam))
+        return _induced(domain, carrier, [b.index for b in source.basis])
     members = list(source)
     if not members:
         raise UsageError("an explicit generating set must be nonempty")
     domain, carrier = members[0].domain, members[0].carrier
     if not isinstance(carrier, FiniteQuantale):
         raise UsageError("tables need a finite carrier")
-
-    minimal = minimal_members(members)
-
-    def degree(lam: QFunction) -> Fraction:
-        out = carrier.bottom
-        for mu in minimal:
-            out = carrier.join(out, sub(mu, lam))
-        return out
-
-    return SemifilterTable.from_function(domain, carrier, degree)
+    if any(f.domain != domain or f.carrier != carrier for f in members):
+        raise UsageError("QFunctions live on different domains or carriers")
+    return _induced(domain, carrier,
+                    _generators((f.index for f in members), carrier.kernel))
 
 
 def conical_coreflection(table: SemifilterTable) -> SemifilterTable:
@@ -272,13 +386,12 @@ def conical_coreflection(table: SemifilterTable) -> SemifilterTable:
     Deflationary, monotone, idempotent; fixes exactly the conical tables and
     preserves the level set of functions held at degree >= unit.  The table
     is induced from the minimal members of the level set (see
-    ``semifilter_of``); on a chain carrier there is exactly one.
+    ``semifilter_of``).  A semifilter's level set is meet-closed (F2), so
+    on any carrier it has exactly one minimal member, its meet; a table
+    that fails F2 may have several, and all of them are joined over.
     """
-    members = level_prefilter(table)
-    if not members:
-        return SemifilterTable.from_function(
-            table.domain, table.carrier, lambda lam: table.carrier.bottom)
-    return semifilter_of(members)
+    return _induced(table.domain, table.carrier,
+                    _generators(_level_rows(table), table.carrier.kernel))
 
 
 class ConicalTest(Enum):
@@ -415,8 +528,20 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
     """
     if outer.domain != family.labels or outer.carrier != family.carrier:
         raise UsageError("outer semifilter is not indexed by the family")
-    return SemifilterTable.from_function(
-        family.x_domain, family.carrier, lambda lam: outer(family.hat(lam)))
+    q = family.carrier
+    k = q.kernel
+    size = _table_size(family.x_domain, q)
+    columns = [m.index for m in family.members]
+    if isinstance(outer, PrefilterBasis):
+        fills = [_sub_at(k, b.index, columns, size) for b in outer.basis]
+        return SemifilterTable(family.x_domain, q, _join_fills(k, fills, size))
+    # the code of each evaluation functional, one label at a time
+    n = len(q.elements)
+    codes = [0] * size
+    for column in columns:
+        codes = [c * n + v for c, v in zip(codes, column)]
+    return SemifilterTable(family.x_domain, q,
+                           Positions(map(outer.index.__getitem__, codes)))
 
 
 def image_outer(table: SemifilterTable, h: SetMap,
@@ -428,8 +553,9 @@ def image_outer(table: SemifilterTable, h: SetMap,
     """
     if h.source != table.domain or h.target != family.labels:
         raise UsageError("map does not go from the table's space into the family")
-    return SemifilterTable.from_function(
-        family.labels, family.carrier, lambda xi: table(precompose(h, xi)))
+    if table.carrier != family.carrier:
+        raise UsageError("function does not match the table's space")
+    return _pullback(table, h)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -493,28 +619,37 @@ def is_bounded(table: SemifilterTable) -> bool:
     q = table.carrier
     if not q.is_integral:
         raise UsageError("boundedness needs an integral carrier")
-    for lam in table.functions():
-        if not is_bounded_function(lam) and table(lam) == q.top:
-            return False
-    return True
+    if not len(table.domain):
+        return True
+    k, positive = q.kernel, _is_positive(q)
+    # the meet of each function's values, at every code
+    row_meets = _fold(k.meet, k.top, [range(len(q.elements))] * len(table.domain))
+    return not any(v == k.top and not positive[m]
+                   for m, v in zip(row_meets, table.index))
 
 
 def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:
     """The largest conical bounded table below the given one.
 
-    Computed by restricting the level prefilter to its bounded members and
+    Computed by restricting the level set to its bounded members and
     inducing a table from that set, which joins over its minimal members
-    (see ``semifilter_of``).  The bounded members need not be meet-closed:
-    on a lattice carrier they can have several minimal members, and all of
-    them are kept.
+    (see ``semifilter_of``).  The carrier must have a least positive element
+    (``least_positive``).  Without one the largest such table need not
+    exist: on a lattice with two incomparable atoms ``a`` and ``b`` the
+    constant-top table lies above both ``sub(a, -)`` and ``sub(b, -)``,
+    which are maximal and incomparable.  With one, the bounded members of a
+    semifilter's level set are meet-closed, so their meet generates the
+    result.
     """
     q = table.carrier
     if not q.is_integral:
         raise UsageError("boundedness needs an integral carrier")
-    bounded = [f for f in level_prefilter(table) if is_bounded_function(f)]
-    if not bounded:
-        return SemifilterTable.from_function(table.domain, q, lambda lam: q.bottom)
-    return semifilter_of(bounded)
+    least_positive(q)
+    # every positive value lies above the least one, so a row's meet is
+    # positive exactly when each of its values is
+    positive = _is_positive(q)
+    rows = [r for r in _level_rows(table) if all(positive[i] for i in r)]
+    return _induced(table.domain, q, _generators(rows, q.kernel))
 
 
 def image_semifilter(f: SetMap, table: SemifilterTable,
@@ -523,6 +658,5 @@ def image_semifilter(f: SetMap, table: SemifilterTable,
     bounded coreflection (the bounded functor action)."""
     if f.source != table.domain:
         raise UsageError("map source does not match the table's space")
-    plain = SemifilterTable.from_function(
-        f.target, table.carrier, lambda mu: table(precompose(f, mu)))
+    plain = _pullback(table, f)
     return conical_bounded_coreflection(plain) if bounded else plain

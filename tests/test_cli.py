@@ -7,6 +7,8 @@ from quantalab.cli import main
 from quantalab.quantale import godel3, two_chain
 from quantalab.serialize import quantale_to_json
 
+from test_quantale import square_lattice
+
 
 @pytest.fixture
 def runner():
@@ -105,6 +107,21 @@ def test_laws_budget_exhaustion_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["laws", "--scenario", path, "--budget", "2"])
     assert r.exit_code == 3
     assert "incomplete: True" in r.output
+
+
+@pytest.mark.parametrize("variant", ["bounded", "plain"])
+def test_laws_refuses_a_carrier_without_least_positive(runner, tmp_path, variant):
+    # the square lattice's atoms 1/3 and 2/3 are incomparable; the refusal
+    # names the carrier, not a sampled map value
+    path = write(tmp_path, "square.json", {
+        "quantale": quantale_to_json(square_lattice()), "variant": variant,
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == ("input error: carrier FiniteQuantale([0, 1/3, 2/3, 1], "
+                        "unit=1) has no least positive element\n")
 
 
 def test_laws_nonconical_map_value_is_input_error(runner, tmp_path):

@@ -1,0 +1,235 @@
+"""The table builders on the carrier kernel against their Fraction oracles.
+
+Every builder fills its table as position lists (see the ``semifilter``
+module docstring).  Here each one is compared, exhaustively over small
+carriers and base sets, with the table ``SemifilterTable.from_function``
+builds from the ``Fraction`` formulas: ``sub``, ``eval_degree``, the
+evaluation functional ``SemifilterFamily.hat`` and ``precompose``.  The
+coreflections are compared with the join over every level member.
+"""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from quantalab.errors import UsageError
+from quantalab.monad import (Variant, kleisli_extend, monad_units,
+                             random_variant_table)
+from quantalab.prefilter import (PrefilterBasis, bounded_coreflection,
+                                 eval_degree, is_bounded_function,
+                                 normalize_basis)
+from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
+                            precompose, sub)
+from quantalab.quantale import five_chain, godel3, mv3, two_chain
+from quantalab.semifilter import (ENUM_BUDGET, Positions, SemifilterFamily,
+                                  SemifilterTable, conical_bounded_coreflection,
+                                  conical_coreflection, enumerate_semifilters,
+                                  evaluation_unit, image_outer,
+                                  image_semifilter, is_bounded, kowalsky_sum,
+                                  semifilter_of)
+
+from test_quantale import square_lattice
+from test_semifilter import _coreflection_oracle
+
+CARRIERS = {"two": two_chain(), "godel3": godel3(), "mv3": mv3(),
+            "five": five_chain(), "square": square_lattice()}
+SIZES = (0, 1, 2)
+CASES = [(name, n) for name in CARRIERS for n in SIZES]
+IDS = [f"{name}-{n}" for name, n in CASES]
+
+
+def domain(n, prefix="x"):
+    return finite_set(*(f"{prefix}{i}" for i in range(n)))
+
+
+def has_least_positive(q):
+    return q != CARRIERS["square"]
+
+
+@functools.lru_cache(maxsize=None)
+def semifilters(name, n):
+    """Every semifilter on n points, or () where the scan exceeds its budget."""
+    q = CARRIERS[name]
+    if len(q.elements) ** (len(q.elements) ** n) > ENUM_BUDGET:
+        return ()
+    return tuple(enumerate_semifilters(domain(n), q))
+
+
+def random_tables(q, dom, count, seed):
+    """Seeded tables with arbitrary values: most fail F1-F3."""
+    rng = random.Random(seed)
+    size = len(q.elements) ** len(dom)
+    return [SemifilterTable(dom, q, Positions(rng.randrange(len(q.elements))
+                                              for _ in range(size)))
+            for _ in range(count)]
+
+
+def join_of_subs(members, dom, q):
+    def degree(lam):
+        out = q.bottom
+        for mu in members:
+            out = q.join(out, sub(mu, lam))
+        return out
+    return SemifilterTable.from_function(dom, q, degree)
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_evaluation_unit_matches_evaluation(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    for x in dom:
+        assert evaluation_unit(dom, q, x) == \
+            SemifilterTable.from_function(dom, q, lambda lam: lam(x))
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_semifilter_of_every_function_and_pair(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    fns = list(all_qfunctions(dom, q))
+    for pair in itertools.combinations_with_replacement(fns, 2):
+        for members in ([pair[0]], list(pair)):
+            basis = normalize_basis(members)
+            assert semifilter_of(basis) == SemifilterTable.from_function(
+                dom, q, lambda lam: eval_degree(basis, lam))
+            assert semifilter_of(members) == join_of_subs(members, dom, q)
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_coreflections_match_the_join_over_all_members(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    tables = list(semifilters(name, n)) + random_tables(q, dom, 40, seed=n)
+    for t in tables:
+        assert conical_coreflection(t) == _coreflection_oracle(t)
+        if has_least_positive(q):
+            assert conical_bounded_coreflection(t) == \
+                _coreflection_oracle(t, bounded=True)
+        else:
+            with pytest.raises(UsageError, match="no least positive element"):
+                conical_bounded_coreflection(t)
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_is_bounded_matches_the_function_scan(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    for t in list(semifilters(name, n)) + random_tables(q, dom, 40, seed=7 + n):
+        expected = not any(not is_bounded_function(lam) and t(lam) == q.top
+                           for lam in t.functions())
+        assert is_bounded(t) == expected
+
+
+def all_maps(source, target):
+    for mapping in itertools.product(target.elements, repeat=len(source)):
+        yield SetMap(source, target, mapping)
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_images_match_precomposition(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    tables = list(semifilters(name, n))[:12] + random_tables(q, dom, 4, seed=n)
+    for m in SIZES:
+        for f in all_maps(dom, domain(m, "y")):
+            for t in tables:
+                plain = SemifilterTable.from_function(
+                    f.target, q, lambda mu: t(precompose(f, mu)))
+                assert image_semifilter(f, t) == plain
+                if has_least_positive(q):
+                    assert image_semifilter(f, t, bounded=True) == \
+                        _coreflection_oracle(plain, bounded=True)
+
+
+def families(name, n):
+    """Families of conical semifilters on n points, labelled g0, g1, ...
+
+    Unit tables where the enumeration is out of budget."""
+    q, dom = CARRIERS[name], domain(n)
+    conicals = [conical_coreflection(t) for t in semifilters(name, n)]
+    members = list(dict.fromkeys(conicals)) or \
+        [evaluation_unit(dom, q, x) for x in dom] or \
+        [semifilter_of(normalize_basis([], dom, q))]
+    return [SemifilterFamily.of(members[:1]), SemifilterFamily.of(members[:3])]
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_image_outer_matches_precomposition(name, n):
+    q, dom = CARRIERS[name], domain(n)
+    tables = list(semifilters(name, n))[:8] + random_tables(q, dom, 3, seed=n)
+    for fam in families(name, n):
+        for h in all_maps(dom, fam.labels):
+            for t in tables:
+                assert image_outer(t, h, fam) == SemifilterTable.from_function(
+                    fam.labels, q, lambda xi: t(precompose(h, xi)))
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_kowalsky_sum_matches_the_evaluation_functional(name, n):
+    q = CARRIERS[name]
+    rng = random.Random(n)
+    for fam in families(name, n):
+        outers = random_tables(q, fam.labels, 6, seed=n)
+        for _ in range(6):
+            raw = [QFunction(fam.labels, tuple(rng.choice(q.elements)
+                                               for _ in fam.labels), q)
+                   for _ in range(rng.choice((1, 2)))]
+            basis = normalize_basis(raw, fam.labels, q)
+            outers.append(semifilter_of(basis))
+            assert kowalsky_sum(basis, fam) == SemifilterTable.from_function(
+                fam.x_domain, q, lambda lam: eval_degree(basis, fam.hat(lam)))
+        for outer in outers:
+            assert kowalsky_sum(outer, fam) == SemifilterTable.from_function(
+                fam.x_domain, q, lambda lam: outer(fam.hat(lam)))
+        # a basis given as a bare antichain: every member is joined over
+        fns = list(all_qfunctions(fam.labels, q))
+        for pair in itertools.combinations(rng.sample(fns, min(6, len(fns))), 2):
+            if pair[0].leq(pair[1]) or pair[1].leq(pair[0]):
+                continue
+            basis = PrefilterBasis(fam.labels, q, pair)
+            expected = SemifilterTable.from_function(
+                fam.x_domain, q, lambda lam: eval_degree(basis, fam.hat(lam)))
+            assert kowalsky_sum(basis, fam) == expected
+            assert semifilter_of(basis) == join_of_subs(pair, fam.labels, q)
+
+
+KLEISLI_CASES = [(name, n, variant) for name, n in CASES if n
+                 for variant in Variant
+                 if variant is not Variant.BOUNDED
+                 or has_least_positive(CARRIERS[name])]
+
+
+@pytest.mark.parametrize("name,n,variant", KLEISLI_CASES,
+                         ids=[f"{name}-{n}-{v.value}" for name, n, v in KLEISLI_CASES])
+def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
+    q, dom = CARRIERS[name], domain(n)
+    rng = random.Random(n)
+    for m in (1, 2):
+        target = domain(m, "y")
+        for _ in range(4):
+            h = {x: random_variant_table(rng, target, q, variant) for x in dom}
+            fam = SemifilterFamily(dom, tuple(h[x] for x in dom))
+            extend = kleisli_extend(h, dom, variant, check=False)
+            for t in [random_variant_table(rng, dom, q, variant)] + \
+                    random_tables(q, dom, 2, seed=m):
+                raw = SemifilterTable.from_function(
+                    target, q, lambda lam: t(fam.hat(lam)))
+                assert extend(t) == _coreflection_oracle(
+                    raw, bounded=variant is Variant.BOUNDED)
+
+
+def test_bounded_constructions_refuse_a_carrier_without_least_positive():
+    q = CARRIERS["square"]
+    dom = domain(1)
+    message = f"carrier {q!r} has no least positive element"
+    top = SemifilterTable(dom, q, Positions([q.kernel.top] * 4))
+    for refused in (lambda: conical_bounded_coreflection(top),
+                    lambda: monad_units(dom, q, Variant.BOUNDED),
+                    lambda: monad_units(domain(0), q, Variant.BOUNDED),
+                    lambda: random_variant_table(random.Random(0), dom, q,
+                                                 Variant.BOUNDED),
+                    lambda: image_semifilter(SetMap.identity(dom), top, bounded=True),
+                    lambda: bounded_coreflection(normalize_basis([], dom, q))):
+        with pytest.raises(UsageError) as err:
+            refused()
+        assert str(err.value) == message
+    # the plain constructions are unaffected
+    assert conical_coreflection(top) == _coreflection_oracle(top)
+    assert monad_units(dom, q)[dom.elements[0]] == evaluation_unit(dom, q, "x0")

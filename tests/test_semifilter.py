@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantalab.errors import BudgetError, StructuralError
+import quantalab.semifilter as semifilter
+from quantalab.errors import BudgetError, StructuralError, UsageError
 from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
                                  minimal_members, normalize_basis,
                                  smallest_prefilter)
@@ -190,18 +191,23 @@ def test_coreflections_match_join_over_all_members(carrier, domain):
             _coreflection_oracle(t, bounded=True)
 
 
-def test_bounded_coreflection_keeps_every_minimal_member():
+def test_bounded_coreflection_refuses_a_carrier_without_least_positive():
+    # on the square lattice the bounded members of the constant-top level
+    # set have two minimal members, whose tables are both maximal among the
+    # conical bounded tables below it and are incomparable; their join is
+    # not bounded, so no largest one exists
     q = square_lattice()
     a, b = F(1, 3), F(2, 3)
     top = SemifilterTable.from_function(S, q, lambda lam: q.top)
     bounded = [f for f in level_prefilter(top) if is_bounded_function(f)]
     assert sorted(f.values for f in bounded) == [(a,), (b,), (F(1),)]
     assert sorted(f.values for f in minimal_members(bounded)) == [(a,), (b,)]
-    out = conical_bounded_coreflection(top)
-    assert out == _coreflection_oracle(top, bounded=True)
-    # a single minimal member would miss the other: 1/3 -> 0 is only 2/3
-    assert out(QFunction(S, (F(0),), q)) == 1
-    assert sub(QFunction(S, (a,), q), QFunction(S, (F(0),), q)) == b
+    below = [semifilter_of([f]) for f in minimal_members(bounded)]
+    assert all(t.leq(top) and is_bounded(t) and is_conical(t) for t in below)
+    assert not below[0].leq(below[1]) and not below[1].leq(below[0])
+    assert not is_bounded(_coreflection_oracle(top, bounded=True))
+    with pytest.raises(UsageError, match="has no least positive element"):
+        conical_bounded_coreflection(top)
 
 
 def test_semifilter_of_explicit_antichain_is_not_its_meet():
@@ -218,19 +224,22 @@ def test_semifilter_of_explicit_antichain_is_not_its_meet():
     assert sub(members[0].meet(members[1]), zero) == F(2, 3)
 
 
-def test_coreflection_sub_calls_one_per_entry(monkeypatch):
+def test_coreflection_fills_one_generator(monkeypatch):
+    # the level set of a semifilter contains its meet, so the coreflection
+    # fills one sub(g, -) row, from that meet
     q = five_chain()
     e = evaluation_unit(X, q, "a")
     assert len(minimal_members(level_prefilter(e))) == 1
-    calls = []
+    fills = []
+    fill = semifilter._sub_fill
 
-    def counting_sub(lam, mu):
-        calls.append(None)
-        return sub(lam, mu)
+    def counting_fill(kernel, g):
+        fills.append(g)
+        return fill(kernel, g)
 
-    monkeypatch.setattr("quantalab.semifilter.sub", counting_sub)
+    monkeypatch.setattr(semifilter, "_sub_fill", counting_fill)
     assert conical_coreflection(e) == e
-    assert len(calls) == 25
+    assert fills == [(q.index_of(q.unit), q.kernel.bottom)]
 
 
 # -- the three conicality tests ---------------------------------------------------
