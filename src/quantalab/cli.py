@@ -205,6 +205,8 @@ def cmd_laws(path, seed, budget, out, fmt):
                                    "detail": f.detail} for f in law.failures]},
             "naturality": {"checks": nat.checks, "failures": nat.failures},
         }
+        if nat.not_applicable:
+            report["naturality"]["not_applicable"] = nat.not_applicable
         if scenario.carrier == two_chain():
             cor = classical_correspondence_report(max_size=3)
             report["classical_filter_oracle"] = {

@@ -30,7 +30,7 @@ from .quantale import FiniteQuantale, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          enumerate_semifilters, evaluation_unit, image_outer,
-                         image_semifilter, is_bounded, is_conical,
+                         image_semifilter, is_bounded, is_conical_semifilter,
                          kowalsky_sum, level_prefilter, semifilter_of)
 
 
@@ -46,8 +46,12 @@ def _is_filter_table(table: SemifilterTable) -> bool:
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
-    """Whether a table belongs to the variant's subcategory of semifilters."""
-    if not is_conical(table):
+    """Whether a table belongs to the variant's subcategory of semifilters.
+
+    Every variant needs a conical semifilter (F1-F3); FILTER adds the cap
+    on constants (F4) and BOUNDED boundedness.
+    """
+    if not is_conical_semifilter(table):
         return False
     if variant is Variant.FILTER:
         return _is_filter_table(table)
@@ -300,6 +304,7 @@ def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],
 class NaturalityReport:
     failures: list[str] = field(default_factory=list)
     checks: int = 0
+    not_applicable: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -328,7 +333,9 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
     bounded multiplication naturality square, and naturality of the two
     bounded coreflections.  The flattening check passes the outer prefilter
     as its basis, which is read only at the evaluation functionals, never
-    as a dense table over the universe's labels.
+    as a dense table over the universe's labels.  The bounded checks need an
+    integral carrier with a least positive element (``least_positive``); on
+    any other carrier they are skipped and listed in ``not_applicable``.
     """
     rep = NaturalityReport()
     rng = random.Random(seed)
@@ -360,6 +367,16 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
     conicals = enumerate_semifilters(S, carrier, "conical", budget=enum_budget)
     rep.record(all(conical_coreflection(t) == t for t in conicals),
                "coreflection-retraction")
+
+    try:
+        least_positive(carrier)
+        bounded = carrier.is_integral
+    except UsageError:
+        bounded = False
+    if not bounded:
+        rep.not_applicable = ["bounded-coreflection-naturality",
+                              "bounded-multiplication-square"]
+        return rep
 
     # naturality of both bounded coreflections along sampled maps
     for i in range(samples):

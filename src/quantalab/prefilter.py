@@ -1,9 +1,12 @@
-"""Prefilters represented by finite meet-closed bases.
+"""Prefilters carried by their generators.
 
 A prefilter is an upper set of Q-valued functions containing the constant
-unit function and closed under binary meets.  Here it is carried by a finite
-generating basis, kept meet-closed and antichain-reduced, so membership is a
-finite scan and the induced evaluation degree is a maximum over the basis.
+unit function and closed under binary meets.  A finitely generated prefilter
+is principal: the meet of its generators and the constant unit belongs to it
+and lies below every member.  On a finite base set over a finite carrier
+every prefilter is finitely generated, so a prefilter is carried by that one
+generator.  Membership is one pointwise comparison with it, and the induced
+evaluation degree is one graded inclusion out of it.
 
 Saturations of finitely generated prefilters need not be finitely generated,
 so saturation is exposed only as a membership predicate and an evaluation
@@ -12,36 +15,32 @@ degree, never as a basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, UsageError
+from .errors import UsageError
 from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
                    unit_constant)
 from .quantale import Carrier, FiniteQuantale, ZERO
 
-BASIS_CAP = 4096
-
 
 @dataclass(frozen=True)
 class PrefilterBasis:
-    """A finite basis generating the prefilter of everything above it.
+    """The prefilter of everything above one generator.
 
-    The stored tuple is meet-closed up to domination, antichain-reduced and
-    canonically sorted, so two bases are equal exactly when they generate the
-    same prefilter.  Use ``normalize_basis`` to construct one.
+    Two bases are equal exactly when they generate the same prefilter.  Use
+    ``normalize_basis`` to construct one.
     """
 
     domain: FiniteSet
     carrier: Carrier
-    basis: tuple[QFunction, ...]
-
-    def __iter__(self):
-        return iter(self.basis)
+    generator: QFunction
 
     def __len__(self):
-        return len(self.basis)
+        """The number of generators: always one."""
+        return 1
 
     def __call__(self, lam: QFunction) -> Fraction:
         """The degree of lam in ``semifilter_of(self)``: ``eval_degree``.
@@ -53,18 +52,17 @@ class PrefilterBasis:
         return eval_degree(self, lam)
 
     def __repr__(self):
-        return f"PrefilterBasis({list(self.basis)!r})"
+        return f"PrefilterBasis({self.generator!r})"
 
 
 def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
-                    carrier: Carrier | None = None,
-                    cap: int = BASIS_CAP) -> PrefilterBasis:
-    """Meet-close and antichain-reduce a generating family.
+                    carrier: Carrier | None = None) -> PrefilterBasis:
+    """The prefilter generated by a family, carried by its one generator.
 
-    The empty family (and any family none of whose members lies below the
-    constant unit) gets the constant unit added, so the generated upper set
-    is always a genuine prefilter.  Dominated generators are dropped; the
-    result is the unique minimal basis of the generated prefilter.
+    The constant unit is always added, so the generated upper set is a
+    genuine prefilter; the empty family generates the prefilter above the
+    constant unit.  The generator is the pointwise meet of the family and
+    the constant unit: it lies in the meet closure and below every member.
     """
     fns = list(raw)
     if not fns:
@@ -76,39 +74,8 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
         for f in fns:
             if f.domain != domain or f.carrier != carrier:
                 raise UsageError("basis functions live on different domains or carriers")
-    k_x = unit_constant(domain, carrier)
-    if not any(f.leq(k_x) for f in fns):
-        fns.append(k_x)
-
-    seen = {f.key: f for f in fns}
-    work = list(seen.values())
-    while work:
-        if len(seen) > cap:
-            raise BudgetError(f"meet closure exceeded the basis cap of {cap}",
-                              count=len(seen))
-        f = work.pop()
-        for g in list(seen.values()):
-            m = f.meet(g)
-            if m.key not in seen:
-                seen[m.key] = m
-                work.append(m)
-    minimal = minimal_members(seen.values())
-    minimal.sort(key=lambda f: f.key)
-    return PrefilterBasis(domain, carrier, tuple(minimal))
-
-
-def minimal_members(fns: Iterable[QFunction]) -> list[QFunction]:
-    """The pointwise-minimal members of a finite family, duplicates dropped.
-
-    Every member dominates one of them.  A function antitone in its
-    argument, such as graded inclusion ``sub(-, lam)``, therefore has the
-    same join over the family as over these members.  The result is an
-    antichain and may have several elements; it is not the meet of the
-    family, which need not belong to it.
-    """
-    distinct = list({f.key: f for f in fns}.values())
-    return [f for f in distinct
-            if not any(g is not f and g.leq(f) for g in distinct)]
+    generator = functools.reduce(QFunction.meet, fns, unit_constant(domain, carrier))
+    return PrefilterBasis(domain, carrier, generator)
 
 
 def smallest_prefilter(domain: FiniteSet, carrier: Carrier) -> PrefilterBasis:
@@ -117,26 +84,21 @@ def smallest_prefilter(domain: FiniteSet, carrier: Carrier) -> PrefilterBasis:
 
 
 def member(pf: PrefilterBasis, lam: QFunction) -> bool:
-    """lam belongs to the generated prefilter iff it dominates a basis element."""
+    """lam belongs to the generated prefilter iff it dominates the generator."""
     if lam.domain != pf.domain or lam.carrier != pf.carrier:
         raise UsageError("function does not live on the prefilter's domain")
-    return any(b.leq(lam) for b in pf.basis)
+    return pf.generator.leq(lam)
 
 
 def eval_degree(pf: PrefilterBasis, lam: QFunction) -> Fraction:
     """The join over the prefilter of graded inclusions into lam.
 
     Because graded inclusion is antitone in its first argument and every
-    member dominates a basis element, the join over the whole prefilter is
-    attained on the basis, so a maximum over the basis is exact.
+    member dominates the generator, the join is attained there.
     """
     if lam.domain != pf.domain or lam.carrier != pf.carrier:
         raise UsageError("function does not live on the prefilter's domain")
-    c = pf.carrier
-    out = c.bottom
-    for b in pf.basis:
-        out = c.join(out, sub(b, lam))
-    return out
+    return sub(pf.generator, lam)
 
 
 def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
@@ -147,27 +109,26 @@ def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
 def is_top_filter(pf: PrefilterBasis) -> bool:
     """Every member has pointwise join above the unit.
 
-    It suffices to inspect the basis, since members dominate basis elements.
-    Only meaningful over integral carriers (unit = top).
+    It suffices to inspect the generator, since members dominate it.  Only
+    meaningful over integral carriers (unit = top).
     """
     c = pf.carrier
     if c.unit != c.top:
         raise UsageError("the top-filter notion needs an integral carrier")
-    return all(c.leq(c.unit, b.max_value()) for b in pf.basis)
+    return c.leq(c.unit, pf.generator.max_value())
 
 
 def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
     """The prefilter of functions whose pullback along f is in pf.
 
-    lam . f dominates a basis element b exactly when lam dominates the
-    pushforward image(f, b), so the image prefilter is generated by the
-    pushforwards of the basis; membership, saturation membership and the
-    evaluation degree of the result all agree with the pullback formulas.
+    lam . f dominates the generator g exactly when lam dominates the
+    pushforward image(f, g), so the image prefilter is generated by that
+    pushforward; membership, saturation membership and the evaluation
+    degree of the result all agree with the pullback formulas.
     """
     if f.source != pf.domain:
         raise UsageError("map source does not match the prefilter domain")
-    return normalize_basis([image(f, b) for b in pf.basis],
-                           f.target, pf.carrier)
+    return normalize_basis([image(f, pf.generator)], f.target, pf.carrier)
 
 
 # -- boundedness -------------------------------------------------------------
@@ -186,7 +147,7 @@ class BoundedPrefilterFamily:
     """The bounded coreflection of a prefilter over the unit interval.
 
     The coreflection is a union over positive epsilons of prefilters
-    generated by basis elements joined with the constant epsilon; over the
+    generated by the base's generator joined with the constant epsilon; over the
     real interval it has no finite basis, so it is exposed as the
     epsilon-indexed family together with an exact membership test (on a
     finite domain a function is bounded iff its minimum is positive).
@@ -197,7 +158,7 @@ class BoundedPrefilterFamily:
 
     def basis_at(self, eps: Fraction) -> PrefilterBasis:
         eps_x = constant(self.base.domain, self.base.carrier, eps)
-        return normalize_basis([b.join(eps_x) for b in self.base.basis])
+        return normalize_basis([self.base.generator.join(eps_x)])
 
     def member(self, lam: QFunction) -> bool:
         return member(self.base, lam) and is_bounded_function(lam)
@@ -207,8 +168,8 @@ def bounded_coreflection(pf: PrefilterBasis,
                          epsilons: Sequence[Fraction] | None = None):
     """The largest prefilter inside pf all of whose members are bounded.
 
-    Over a finite carrier the answer is again a finite basis: join every
-    basis element with the constant at the least nonzero carrier element.
+    Over a finite carrier the answer is again principal: join the generator
+    with the constant at the least nonzero carrier element.
     Over the unit interval the answer is the epsilon-indexed family above.
     """
     c = pf.carrier
@@ -216,7 +177,7 @@ def bounded_coreflection(pf: PrefilterBasis,
         schedule = tuple(epsilons) if epsilons is not None else default_epsilon_schedule()
         return BoundedPrefilterFamily(pf, schedule)
     eps_x = constant(pf.domain, c, least_positive(c))
-    return normalize_basis([b.join(eps_x) for b in pf.basis])
+    return normalize_basis([pf.generator.join(eps_x)])
 
 
 def least_positive(carrier: FiniteQuantale) -> Fraction:

@@ -594,7 +594,7 @@ class FiniteQuantale:
         """Largest z with x (x) z <= y, folded with the carrier join.
 
         Read from the kernel, which folds the join over every such z once
-        per carrier.  Callers that join over minimal members only (see
+        per carrier.  Callers that join over the meet of a set alone (see
         ``semifilter.semifilter_of``) rely on the residuum being antitone in
         its first argument, which holds on a genuine quantale; see
         ``check_quantale_axioms``.

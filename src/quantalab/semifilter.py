@@ -256,42 +256,35 @@ def _sub_at(kernel, g: Sequence[int], columns: Sequence[Sequence[int]],
     return out
 
 
-def _join_fills(kernel, fills: list[list[int]], size: int) -> Positions:
-    """The pointwise join of position lists; bottom everywhere if none."""
-    if not fills:
-        return Positions([kernel.bottom] * size)
-    out, join = fills[0], kernel.join
-    for fill in fills[1:]:
-        out = [join[a][b] for a, b in zip(out, fill)]
-    return Positions(out)
-
-
 def _induced(domain: FiniteSet, carrier: FiniteQuantale,
              generators: Sequence[Sequence[int]]) -> SemifilterTable:
-    """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``."""
+    """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``;
+    bottom everywhere if there are none."""
     size = _table_size(domain, carrier)
     k = carrier.kernel
-    return SemifilterTable(domain, carrier,
-                           _join_fills(k, [_sub_fill(k, g) for g in generators], size))
+    fills = [_sub_fill(k, g) for g in generators] or [[k.bottom] * size]
+    return SemifilterTable(domain, carrier, Positions(functools.reduce(
+        lambda out, fill: [k.join[a][b] for a, b in zip(out, fill)], fills)))
+
+
+def _row_meet(rows: Sequence[tuple], kernel) -> tuple:
+    """The pointwise meet of a family of position rows; ``()`` if empty."""
+    meet = kernel.meet
+    return tuple(functools.reduce(lambda a, b: meet[a][b], column)
+                 for column in zip(*rows))
 
 
 def _generators(rows: Iterable[tuple], kernel) -> list[tuple]:
-    """The pointwise-minimal rows of a finite family of position rows.
+    """Position rows inducing the same table as a finite family of rows.
 
-    ``sub(-, lam)`` is antitone, so the family and its minimal rows induce
-    the same table.  When the family contains its own pointwise meet, as
-    the level set of every semifilter does (F2), that meet is the only
-    minimal row and no pairs are compared.
+    When the family contains its own pointwise meet, as the level set of
+    every semifilter does (F2), that meet is the only row: ``sub(-, lam)``
+    is antitone, so every other row adds nothing to the join.  Otherwise
+    every distinct row is kept.
     """
     distinct = list(dict.fromkeys(rows))
-    meet, leq = kernel.meet, kernel.leq
-    low = tuple(functools.reduce(lambda a, b: meet[a][b], column)
-                for column in zip(*distinct))
-    if low in distinct:
-        return [low]
-    return [r for r in distinct
-            if not any(s != r and all(leq[a][b] for a, b in zip(s, r))
-                       for s in distinct)]
+    low = _row_meet(distinct, kernel)
+    return [low] if low in distinct else distinct
 
 
 def _level_rows(table: SemifilterTable) -> list[tuple]:
@@ -356,18 +349,18 @@ def semifilter_of(source) -> SemifilterTable:
     """The table induced by a prefilter: the join of graded inclusions.
 
     Accepts a PrefilterBasis (the join over the generated prefilter is then
-    attained on the basis) or any explicit iterable of functions.  For an
-    explicit set the join is taken over its pointwise-minimal members only.
-    This is exact for every finite set on a genuine quantale: there ``sub``
-    is antitone in its first argument, and every member dominates a minimal
-    member.  The set is not meet-closed first, since members below it would
-    change the join.  Tables produced this way are conical by construction.
+    attained at its generator, so the table is ``sub(generator, -)``) or
+    any explicit iterable of functions.  For an explicit set the join is
+    taken over its members, or over its meet alone when the set contains
+    it: ``sub`` is antitone in its first argument on a genuine quantale.
+    The set is not meet-closed first, since members below it would change
+    the join.  Tables produced this way are conical by construction.
     """
     if isinstance(source, PrefilterBasis):
         domain, carrier = source.domain, source.carrier
         if not isinstance(carrier, FiniteQuantale):
             raise UsageError("tables need a finite carrier")
-        return _induced(domain, carrier, [b.index for b in source.basis])
+        return _induced(domain, carrier, [source.generator.index])
     members = list(source)
     if not members:
         raise UsageError("an explicit generating set must be nonempty")
@@ -385,13 +378,28 @@ def conical_coreflection(table: SemifilterTable) -> SemifilterTable:
 
     Deflationary, monotone, idempotent; fixes exactly the conical tables and
     preserves the level set of functions held at degree >= unit.  The table
-    is induced from the minimal members of the level set (see
-    ``semifilter_of``).  A semifilter's level set is meet-closed (F2), so
-    on any carrier it has exactly one minimal member, its meet; a table
-    that fails F2 may have several, and all of them are joined over.
+    is induced from the level set (see ``semifilter_of``).  A semifilter's
+    level set is meet-closed (F2), so its meet alone generates the result;
+    for a table that fails F2 every member of the level set is joined over.
     """
     return _induced(table.domain, table.carrier,
                     _generators(_level_rows(table), table.carrier.kernel))
+
+
+def is_conical_semifilter(table: SemifilterTable) -> bool:
+    """Whether the table satisfies F1-F3 and is conical.
+
+    These are exactly the tables ``sub(g, -)`` with ``g`` below the constant
+    unit: such a table satisfies F2 and F3 for every ``g``, and F1 says
+    ``g`` lies below the unit.  ``g`` is then the meet of the level set, so
+    the test is F1 and one fill from that meet, with none of the pairwise
+    scans of ``check_axioms``.
+    """
+    q = table.carrier
+    k = q.kernel
+    if not k.leq[k.unit][table.index[unit_constant(table.domain, q).code]]:
+        return False
+    return tuple(_sub_fill(k, _row_meet(_level_rows(table), k))) == table.index
 
 
 class ConicalTest(Enum):
@@ -533,8 +541,8 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
     size = _table_size(family.x_domain, q)
     columns = [m.index for m in family.members]
     if isinstance(outer, PrefilterBasis):
-        fills = [_sub_at(k, b.index, columns, size) for b in outer.basis]
-        return SemifilterTable(family.x_domain, q, _join_fills(k, fills, size))
+        fill = _sub_at(k, outer.generator.index, columns, size)
+        return SemifilterTable(family.x_domain, q, Positions(fill))
     # the code of each evaluation functional, one label at a time
     n = len(q.elements)
     codes = [0] * size
@@ -632,14 +640,13 @@ def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:
     """The largest conical bounded table below the given one.
 
     Computed by restricting the level set to its bounded members and
-    inducing a table from that set, which joins over its minimal members
-    (see ``semifilter_of``).  The carrier must have a least positive element
-    (``least_positive``).  Without one the largest such table need not
-    exist: on a lattice with two incomparable atoms ``a`` and ``b`` the
-    constant-top table lies above both ``sub(a, -)`` and ``sub(b, -)``,
-    which are maximal and incomparable.  With one, the bounded members of a
-    semifilter's level set are meet-closed, so their meet generates the
-    result.
+    inducing a table from that set (see ``semifilter_of``).  The carrier
+    must have a least positive element (``least_positive``).  Without one
+    the largest such table need not exist: on a lattice with two
+    incomparable atoms ``a`` and ``b`` the constant-top table lies above
+    both ``sub(a, -)`` and ``sub(b, -)``, which are maximal and
+    incomparable.  With one, the bounded members of a semifilter's level
+    set are meet-closed, so their meet generates the result.
     """
     q = table.carrier
     if not q.is_integral:

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
 from quantalab.cli import main
+from quantalab.qfun import QFunction, finite_set
 from quantalab.quantale import godel3, two_chain
-from quantalab.serialize import quantale_to_json
+from quantalab.semifilter import SemifilterTable, evaluation_unit, semifilter_of
+from quantalab.serialize import quantale_to_json, semifilter_to_json
 
 from test_quantale import square_lattice
 
@@ -86,6 +89,7 @@ def test_laws_scenario_passes(runner, tmp_path):
     r = runner.invoke(main, ["laws", "--scenario", path])
     assert r.exit_code == 0, r.output
     assert "failures: []" in r.output
+    assert "not_applicable" not in r.output
 
 
 def test_laws_two_chain_reports_oracle_match(runner, tmp_path):
@@ -109,19 +113,42 @@ def test_laws_budget_exhaustion_exit_code(runner, tmp_path):
     assert "incomplete: True" in r.output
 
 
-@pytest.mark.parametrize("variant", ["bounded", "plain"])
+@pytest.mark.parametrize("variant", ["bounded", "plain", "filter"])
 def test_laws_refuses_a_carrier_without_least_positive(runner, tmp_path, variant):
-    # the square lattice's atoms 1/3 and 2/3 are incomparable; the refusal
-    # names the carrier, not a sampled map value
+    # the square lattice's atoms 1/3 and 2/3 are incomparable: a bounded run
+    # is refused, naming the carrier, not a sampled map value; plain and
+    # filter runs pass and list the bounded naturality checks they skip
     path = write(tmp_path, "square.json", {
         "quantale": quantale_to_json(square_lattice()), "variant": variant,
         "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
         "seed": 1, "budgets": {"scenarios": 2}})
-    r = runner.invoke(main, ["laws", "--scenario", path])
-    assert r.exit_code == 2, r.output
-    assert r.stdout == ""
-    assert r.stderr == ("input error: carrier FiniteQuantale([0, 1/3, 2/3, 1], "
-                        "unit=1) has no least positive element\n")
+    r = runner.invoke(main, ["laws", "--scenario", path, "--format", "structured"])
+    if variant == "bounded":
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        assert r.stderr == ("input error: carrier FiniteQuantale([0, 1/3, 2/3, 1], "
+                            "unit=1) has no least positive element\n")
+        return
+    assert r.exit_code == 0, r.output
+    naturality = json.loads(r.stdout)["naturality"]
+    assert naturality["failures"] == []
+    assert naturality["not_applicable"] == ["bounded-coreflection-naturality",
+                                            "bounded-multiplication-square"]
+
+
+def test_laws_skips_bounded_naturality_on_a_non_integral_carrier(runner, tmp_path):
+    # the unit 1/2 lies below the top, and boundedness needs an integral carrier
+    path = write(tmp_path, "nonintegral.json", {
+        "quantale": {"type": "finite", "carrier": ["0/1", "1/2", "1/1"],
+                     "tensor": [["0/1", "0/1", "0/1"], ["0/1", "1/2", "1/1"],
+                                ["0/1", "1/1", "1/1"]],
+                     "unit": "1/2"},
+        "sets": {"X": ["a", "b"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 4}})
+    r = runner.invoke(main, ["laws", "--scenario", path, "--format", "structured"])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.stdout)["naturality"]["not_applicable"] == [
+        "bounded-coreflection-naturality", "bounded-multiplication-square"]
 
 
 def test_laws_nonconical_map_value_is_input_error(runner, tmp_path):
@@ -137,6 +164,38 @@ def test_laws_nonconical_map_value_is_input_error(runner, tmp_path):
     r = runner.invoke(main, ["laws", "--scenario", path])
     assert r.exit_code == 2
     assert "not a plain semifilter" in r.output
+
+
+
+def _pinned_f(tmp_path, table):
+    """A godel3 scenario pinning ``f('a')`` to ``table`` on Y = {u, v}."""
+    unit = evaluation_unit(finite_set("w"), godel3(), "w")
+    return write(tmp_path, "pinned.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u", "v"], "Z": ["w"]},
+        "maps": {"f": {"a": semifilter_to_json(table)},
+                 "g": {"u": semifilter_to_json(unit),
+                       "v": semifilter_to_json(unit)}}})
+
+
+def _not_f2():
+    # the join of sub(g, -) over an antichain whose meet is not held: F2 fails
+    q, Y = godel3(), finite_set("u", "v")
+    return semifilter_of([QFunction(Y, (F(1), F(1, 2)), q),
+                          QFunction(Y, (F(1, 2), F(1)), q)])
+
+
+def _all_bottom():
+    q, Y = godel3(), finite_set("u", "v")
+    return SemifilterTable(Y, q, [q.bottom] * 9)
+
+
+@pytest.mark.parametrize("table", [_not_f2, _all_bottom], ids=["not-F2", "not-F1"])
+def test_laws_refuses_a_pinned_map_that_is_not_a_semifilter(runner, tmp_path, table):
+    r = runner.invoke(main, ["laws", "--scenario", _pinned_f(tmp_path, table())])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error: f('a') is not a plain semifilter\n")
 
 
 BROKEN_TENSOR = {"type": "finite", "carrier": ["0/1", "1/2", "1/1"],

@@ -17,9 +17,8 @@ import pytest
 from quantalab.errors import UsageError
 from quantalab.monad import (Variant, kleisli_extend, monad_units,
                              random_variant_table)
-from quantalab.prefilter import (PrefilterBasis, bounded_coreflection,
-                                 eval_degree, is_bounded_function,
-                                 normalize_basis)
+from quantalab.prefilter import (bounded_coreflection, eval_degree,
+                                 is_bounded_function, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
@@ -178,16 +177,6 @@ def test_kowalsky_sum_matches_the_evaluation_functional(name, n):
         for outer in outers:
             assert kowalsky_sum(outer, fam) == SemifilterTable.from_function(
                 fam.x_domain, q, lambda lam: outer(fam.hat(lam)))
-        # a basis given as a bare antichain: every member is joined over
-        fns = list(all_qfunctions(fam.labels, q))
-        for pair in itertools.combinations(rng.sample(fns, min(6, len(fns))), 2):
-            if pair[0].leq(pair[1]) or pair[1].leq(pair[0]):
-                continue
-            basis = PrefilterBasis(fam.labels, q, pair)
-            expected = SemifilterTable.from_function(
-                fam.x_domain, q, lambda lam: eval_degree(basis, fam.hat(lam)))
-            assert kowalsky_sum(basis, fam) == expected
-            assert semifilter_of(basis) == join_of_subs(pair, fam.labels, q)
 
 
 KLEISLI_CASES = [(name, n, variant) for name, n in CASES if n

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -17,10 +18,12 @@ from quantalab.monad import (KleisliScenario, Variant, check_monad_laws,
 from quantalab.prefilter import member, normalize_basis
 from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
-from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
+from quantalab.semifilter import (Positions, SemifilterFamily,
+                                  SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,
                                   enumerate_semifilters, evaluation_unit,
-                                  image_outer, kowalsky_sum, level_prefilter,
+                                  image_outer, is_bounded, is_conical,
+                                  is_semifilter, kowalsky_sum, level_prefilter,
                                   semifilter_of)
 
 G3 = godel3()
@@ -86,6 +89,58 @@ def test_variant_membership():
     bounded = semifilter_of(normalize_basis([qf([F(1, 2), F(1, 2)])]))
     assert table_satisfies(bounded, Variant.BOUNDED)
     assert not table_satisfies(bounded, Variant.FILTER)
+    # the join of sub(g, -) over an antichain whose meet it does not hold is
+    # a fixed point of the coreflection but fails F2; all-bottom fails F1
+    not_f2 = semifilter_of([qf([1, F(1, 2)]), qf([F(1, 2), 1])])
+    all_bottom = SemifilterTable(X, G3, Positions([G3.kernel.bottom] * 9))
+    assert is_conical(not_f2) and not is_semifilter(not_f2)
+    for t in (not_f2, all_bottom):
+        assert not any(table_satisfies(t, variant) for variant in Variant)
+
+
+def _variant_oracle(table, variant):
+    """F1-F3 and conicality by their definitions, then the variant's test."""
+    if not (is_semifilter(table) and is_conical(table)):
+        return False
+    if variant is Variant.FILTER:
+        return not check_axioms(table, require_filter=True)
+    if variant is Variant.BOUNDED:
+        return is_bounded(table)
+    return True
+
+
+def _every_table(carrier, n):
+    domain = finite_set(*(f"x{i}" for i in range(n)))
+    size = len(carrier.elements) ** n
+    for positions in itertools.product(range(len(carrier.elements)), repeat=size):
+        yield SemifilterTable(domain, carrier, Positions(positions))
+
+
+def _seeded_five_chain_tables(count):
+    # arbitrary tables, and tables induced by explicit sets, which fail F2
+    # when the set does not hold its meet
+    q, rng = five_chain(), random.Random(7)
+    out = []
+    for i in range(count):
+        if i % 4 == 0:
+            out.append(SemifilterTable(X, q, Positions(rng.randrange(5)
+                                                       for _ in range(25))))
+        else:
+            out.append(semifilter_of([QFunction(X, tuple(rng.choice(q.elements)
+                                                          for _ in X), q)
+                                      for _ in range(rng.choice((1, 2, 3)))]))
+    return out
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: _every_table(two_chain(), 1), lambda: _every_table(two_chain(), 2),
+    lambda: _every_table(godel3(), 1), lambda: _every_table(mv3(), 1),
+    lambda: _seeded_five_chain_tables(40)],
+    ids=["two-1", "two-2", "godel3-1", "mv3-1", "five-2-seeded"])
+def test_variant_membership_matches_the_axioms(tables):
+    for t in tables():
+        for variant in Variant:
+            assert table_satisfies(t, variant) == _variant_oracle(t, variant)
 
 
 # -- outer prefilters read through their bases ---------------------------------------

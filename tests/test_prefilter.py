@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantalab.errors import BudgetError, UsageError
+from quantalab.errors import UsageError
 from quantalab.prefilter import (BoundedPrefilterFamily, bounded_coreflection,
                                  default_epsilon_schedule, eval_degree,
                                  image_prefilter, is_bounded_function,
@@ -12,7 +13,10 @@ from quantalab.prefilter import (BoundedPrefilterFamily, bounded_coreflection,
                                  saturation_member, smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
-from quantalab.quantale import five_chain, godel3, lukasiewicz_tnorm, mv3
+from quantalab.quantale import (five_chain, godel3, lukasiewicz_tnorm, mv3,
+                                product_tnorm, two_chain)
+
+from test_quantale import square_lattice
 
 G3 = godel3()
 M3 = mv3()
@@ -36,36 +40,91 @@ def random_bases(carrier, domain):
     return st.lists(fn, min_size=0, max_size=3)
 
 
+# -- the meet-closure oracle ---------------------------------------------------
+
+def closure_basis(raw, domain, carrier):
+    """The meet closure of a family and the constant unit, by worklist."""
+    k = unit_constant(domain, carrier)
+    seen = {f.key: f for f in [*raw, k]}
+    work = list(seen.values())
+    while work:
+        f = work.pop()
+        for g in list(seen.values()):
+            m = f.meet(g)
+            if m.key not in seen:
+                seen[m.key] = m
+                work.append(m)
+    return list(seen.values())
+
+
+def minimal_members(fns):
+    """The pointwise-minimal members of a finite family, duplicates dropped.
+
+    Every member dominates one of them.  The result is an antichain and may
+    have several elements; it is not the meet of the family, which need not
+    belong to it.
+    """
+    distinct = list({f.key: f for f in fns}.values())
+    return [f for f in distinct
+            if not any(g is not f and g.leq(f) for g in distinct)]
+
+
+def assert_generator_is_closure_minimum(raw, domain, carrier):
+    pf = normalize_basis(raw, domain, carrier)
+    assert minimal_members(closure_basis(raw, domain, carrier)) == [pf.generator]
+
+
+ORACLE_CARRIERS = [two_chain(), G3, M3, five_chain(), square_lattice()]
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+@pytest.mark.parametrize("carrier", ORACLE_CARRIERS,
+                         ids=["two", "godel3", "mv3", "five", "square"])
+def test_generator_is_the_meet_closure_minimum(carrier, n):
+    dom = finite_set(*(f"x{i}" for i in range(n)))
+    fns = list(all_qfunctions(dom, carrier))
+    for f in fns:
+        assert_generator_is_closure_minimum([f], dom, carrier)
+    for pair in itertools.combinations(fns, 2):
+        assert_generator_is_closure_minimum(list(pair), dom, carrier)
+
+
+def interval_bases(carrier):
+    values = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    fn = st.tuples(values, values).map(lambda vs: QFunction(X, vs, carrier))
+    return st.lists(fn, min_size=0, max_size=3)
+
+
+@pytest.mark.parametrize("carrier", [lukasiewicz_tnorm(), product_tnorm()],
+                         ids=["lukasiewicz", "product"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generator_is_the_meet_closure_minimum_on_the_interval(carrier, data):
+    assert_generator_is_closure_minimum(data.draw(interval_bases(carrier)), X, carrier)
+
+
 # -- normalization -----------------------------------------------------------
 
 def test_empty_basis_is_smallest_prefilter():
     pf = smallest_prefilter(X, G3)
-    assert [b.values for b in pf.basis] == [(F(1), F(1))]
+    assert pf.generator.values == (F(1), F(1))
     assert member(pf, unit_constant(X, G3))
     assert not member(pf, qf([1, F(1, 2)]))
 
 
 def test_meet_closure_and_reduction():
     pf = normalize_basis([qf([1, F(1, 2)]), qf([F(1, 2), 1])])
-    assert [b.values for b in pf.basis] == [(F(1, 2), F(1, 2))]
+    assert pf.generator.values == (F(1, 2), F(1, 2))
 
 
 def test_dominated_generators_removed():
     pf = normalize_basis([qf([F(1, 2), F(1, 2)]), qf([1, 1])])
-    assert [b.values for b in pf.basis] == [(F(1, 2), F(1, 2))]
+    assert pf.generator.values == (F(1, 2), F(1, 2))
 
 
 def test_mixed_domains_rejected():
     with pytest.raises(UsageError):
         normalize_basis([qf([1, 1]), qf([1], finite_set("a"))])
-
-
-def test_basis_cap():
-    dom = finite_set(*"abcdef")
-    fns = [QFunction(dom, tuple(F(1, 2) if i != j else F(1) for i in range(6)),
-                     five_chain()) for j in range(6)]
-    with pytest.raises(BudgetError):
-        normalize_basis(fns, cap=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,8 +159,7 @@ def test_eval_degree_examples():
     half_m = normalize_basis([QFunction(S, (F(1, 2),), M3)])
     assert eval_degree(half_g, qf([0], S, G3)) == 0
     assert eval_degree(half_m, QFunction(S, (F(0),), M3)) == F(1, 2)
-    for b in half_g.basis:
-        assert eval_degree(half_g, b) == 1
+    assert eval_degree(half_g, half_g.generator) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +190,7 @@ def test_saturation_is_a_closure_operator(raw):
     for lam in generated_set(pf):
         assert saturation_member(pf, lam)
     # idempotent: enlarging the basis by saturation members changes nothing
-    enlarged = normalize_basis(list(pf.basis) + sat[:4], X, M3)
+    enlarged = normalize_basis([pf.generator] + sat[:4], X, M3)
     for lam in all_qfunctions(X, M3):
         assert saturation_member(pf, lam) == saturation_member(enlarged, lam)
 
@@ -203,7 +261,7 @@ def test_bounded_function_on_finite_domain():
 def test_bounded_coreflection_examples():
     pf = normalize_basis([qf([1, 0])])
     out = bounded_coreflection(pf)
-    assert [b.values for b in out.basis] == [(F(1), F(1, 2))]
+    assert out.generator.values == (F(1), F(1, 2))
     already = normalize_basis([qf([F(1, 2), F(1, 2)])])
     assert bounded_coreflection(already) == already
     assert bounded_coreflection(smallest_prefilter(X, G3)) == smallest_prefilter(X, G3)
@@ -217,8 +275,7 @@ def test_bounded_coreflection_is_largest_bounded_part(raw):
     oracle = {lam.values for lam in generated_set(pf) if is_bounded_function(lam)}
     got = {lam.values for lam in generated_set(out)}
     assert got == oracle
-    for b in out.basis:
-        assert b.min_value() > 0
+    assert out.generator.min_value() > 0
 
 
 def test_bounded_coreflection_interval_family():
@@ -229,7 +286,7 @@ def test_bounded_coreflection_interval_family():
     assert fam.epsilons == default_epsilon_schedule()
     eps = F(1, 4)
     basis = fam.basis_at(eps)
-    assert [b.values for b in basis.basis] == [(F(1, 2), F(1, 4))]
+    assert basis.generator.values == (F(1, 2), F(1, 4))
     assert fam.member(QFunction(X, (F(1, 2), F(1, 1024)), t))
     assert not fam.member(QFunction(X, (F(1, 2), F(0)), t))
     assert not fam.member(QFunction(X, (F(1, 4), F(1, 2)), t))

@@ -6,8 +6,7 @@ import pytest
 import quantalab.semifilter as semifilter
 from quantalab.errors import BudgetError, StructuralError, UsageError
 from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
-                                 minimal_members, normalize_basis,
-                                 smallest_prefilter)
+                                 normalize_basis, smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
@@ -21,6 +20,7 @@ from quantalab.semifilter import (AxiomViolation, ConicalTest,
                                   meet, residuate,
                                   satisfies_way_below_criterion, semifilter_of)
 
+from test_prefilter import minimal_members
 from test_quantale import square_lattice
 
 G3 = godel3()
