@@ -13,7 +13,7 @@ them), ``monad`` (units, multiplication, Kleisli extension, law suites),
 ``classical`` (the set-filter oracle), ``serialize`` and ``cli``.
 """
 
-from .quantale import (FiniteQuantale, QValue, TNorm, build_ordinal_sum,
+from .quantale import (FiniteQuantale, TNorm, build_ordinal_sum,
                        check_condition_s, check_quantale_axioms, five_chain,
                        godel3, godel_tnorm, lukasiewicz_tnorm, mv3,
                        product_tnorm, two_chain)
@@ -23,10 +23,11 @@ from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
                         normalize_basis, saturation_member)
 from .semifilter import (ConicalTest, SemifilterFamily, SemifilterTable,
                          check_axioms, conical_bounded_coreflection,
-                         conical_coreflection, enumerate_semifilters,
-                         evaluation_unit, image_semifilter, is_bounded,
-                         is_conical, kowalsky_sum, level_prefilter, meet,
-                         residuate, semifilter_of)
+                         conical_coreflection, conical_semifilters,
+                         enumerate_semifilters, evaluation_unit,
+                         image_semifilter, is_bounded, is_conical,
+                         kowalsky_sum, level_prefilter, meet, residuate,
+                         semifilter_of)
 from .monad import (KleisliScenario, Variant, check_monad_laws,
                     check_naturality, classical_correspondence_report,
                     kleisli_extend, monad_multiplication, monad_units)

@@ -556,8 +556,8 @@ def default_catalog_exprs(p: Fraction, t_par: Fraction, s_par: Fraction,
     return out
 
 
-def close_catalog(base: Sequence[FnExpr], res_consts: Sequence[Fraction],
-                  cap: int = CATALOG_CAP) -> list[FnExpr]:
+def close_catalog(base: Sequence[FnExpr],
+                  res_consts: Sequence[Fraction]) -> list[FnExpr]:
     """Close under pairwise joins/meets and residuation by the given
     constants, to depth two, keeping the ramp first and capping the size."""
     def one_round(pool: list[FnExpr], pair_pool: list[FnExpr]) -> list[FnExpr]:
@@ -574,11 +574,11 @@ def close_catalog(base: Sequence[FnExpr], res_consts: Sequence[Fraction],
 
     depth1 = one_round(list(base), list(base))
     depth2 = one_round(depth1, [base[0]])
-    return (list(base) + depth1 + depth2)[: cap * 4]
+    return (list(base) + depth1 + depth2)[: CATALOG_CAP * 4]
 
 
 def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
-                  pin_one: bool, cap: int = CATALOG_CAP) -> list[FunctionDescriptor]:
+                  pin_one: bool) -> list[FunctionDescriptor]:
     """Describe the expressions, deduplicating by descriptor content.
 
     A shallow first pass (a dozen samples plus the exact tail and infimum)
@@ -598,7 +598,7 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
         if d.key() not in light_seen:
             light_seen.add(d.key())
             chosen.append(e)
-        if len(chosen) >= cap:
+        if len(chosen) >= CATALOG_CAP:
             break
     out: list[FunctionDescriptor] = []
     full_seen = set()

@@ -22,16 +22,17 @@ from .errors import UsageError
 from .classical import (all_proper_filters, filter_image, filter_multiplication,
                         filter_unit, principal)
 from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
-                        image_prefilter, least_positive, normalize_basis,
-                        saturation_member)
+                        image_prefilter, normalize_basis, saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
-                   indicator)
+                   indicator, unit_constant)
 from .quantale import FiniteQuantale, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
-                         enumerate_semifilters, evaluation_unit, image_outer,
-                         image_semifilter, is_bounded, is_conical_semifilter,
-                         kowalsky_sum, level_prefilter, semifilter_of)
+                         conical_semifilters, enumerate_semifilters,
+                         evaluation_unit, image_outer, image_semifilter,
+                         is_bounded, is_conical_semifilter, kowalsky_sum,
+                         level_prefilter, require_bounded_carrier,
+                         semifilter_of)
 
 
 class Variant(Enum):
@@ -64,12 +65,12 @@ def monad_units(domain: FiniteSet, carrier: FiniteQuantale,
                 variant: Variant = Variant.PLAIN) -> dict:
     """The unit at every point: evaluation tables, coreflected for BOUNDED.
 
-    BOUNDED needs a carrier with a least positive element
-    (``least_positive``); any other carrier is refused, even on an empty
-    domain.
+    BOUNDED needs an integral carrier with a least positive element
+    (``require_bounded_carrier``); any other carrier is refused, even on an
+    empty domain.
     """
     if variant is Variant.BOUNDED:
-        least_positive(carrier)
+        require_bounded_carrier(carrier)
     out = {}
     for x in domain:
         e = evaluation_unit(domain, carrier, x)
@@ -175,12 +176,12 @@ def random_variant_table(rng: random.Random, domain: FiniteSet,
 
     FILTER bases share a pivot point held at the top so meets stay at the
     top there (a top-filter basis); BOUNDED bases avoid the bottom value so
-    every basis element stays positive; they need a carrier with a least
-    positive element (``least_positive``), which is checked before any
-    draw.
+    every basis element stays positive; they need an integral carrier with
+    a least positive element (``require_bounded_carrier``), which is
+    checked before any draw.
     """
     if variant is Variant.BOUNDED:
-        least_positive(carrier)
+        require_bounded_carrier(carrier)
     size = rng.choice((1, 2))
     fns = []
     pivot = rng.randrange(len(domain)) if len(domain) else 0
@@ -316,16 +317,21 @@ class NaturalityReport:
             self.failures.append(label)
 
 
-def _saturated_prefilter_universe(domain: FiniteSet, carrier: FiniteQuantale,
-                                  budget: int) -> tuple[list[PrefilterBasis], FiniteSet]:
-    """All saturated prefilters on the domain, via the conical tables."""
-    conicals = enumerate_semifilters(domain, carrier, "conical", budget=budget)
-    bases = [normalize_basis(level_prefilter(t), domain, carrier) for t in conicals]
-    return bases, _labels("F", len(bases))
+def _saturated_prefilter_universe(
+        domain: FiniteSet,
+        carrier: FiniteQuantale) -> tuple[list[PrefilterBasis], SemifilterFamily]:
+    """All saturated prefilters on the domain, each carried by its generator
+    ``g`` below the constant unit, and the family of their tables
+    ``sub(g, -)``, which ``conical_semifilters`` lists in the same order."""
+    k_x = unit_constant(domain, carrier)
+    bases = [normalize_basis([g]) for g in all_qfunctions(domain, carrier)
+             if g.leq(k_x)]
+    tables = conical_semifilters(domain, carrier)
+    return bases, SemifilterFamily(_labels("F", len(tables)), tuple(tables))
 
 
-def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
-                     enum_budget: int = 3 ** 9) -> NaturalityReport:
+def check_naturality(carrier: FiniteQuantale, samples: int = 12,
+                     seed: int = 0) -> NaturalityReport:
     """Spot checks tying the prefilter formulas to the table constructions.
 
     Covers: the unit formula, the flattening formula against the coreflected
@@ -334,8 +340,9 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
     bounded coreflections.  The flattening check passes the outer prefilter
     as its basis, which is read only at the evaluation functionals, never
     as a dense table over the universe's labels.  The bounded checks need an
-    integral carrier with a least positive element (``least_positive``); on
-    any other carrier they are skipped and listed in ``not_applicable``.
+    integral carrier with a least positive element
+    (``require_bounded_carrier``); on any other carrier they are skipped and
+    listed in ``not_applicable``.
     """
     rep = NaturalityReport()
     rng = random.Random(seed)
@@ -351,8 +358,8 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
 
     # flattening formula against the coreflected Kowalsky sum
     S = _labels("s", 1)
-    universe, labels = _saturated_prefilter_universe(S, carrier, enum_budget)
-    family = SemifilterFamily(labels, tuple(semifilter_of(f) for f in universe))
+    universe, family = _saturated_prefilter_universe(S, carrier)
+    labels = family.labels
     for i in range(samples):
         outer_basis = normalize_basis(
             [random_qfunction(rng, labels, carrier) for _ in range(rng.choice((1, 2)))],
@@ -364,16 +371,12 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12, seed: int = 0,
         rep.record(via_tables == via_formula, f"flattening-formula #{i}")
 
     # the coreflection retracts the inclusion of conical tables
-    conicals = enumerate_semifilters(S, carrier, "conical", budget=enum_budget)
-    rep.record(all(conical_coreflection(t) == t for t in conicals),
+    rep.record(all(conical_coreflection(t) == t for t in family.members),
                "coreflection-retraction")
 
     try:
-        least_positive(carrier)
-        bounded = carrier.is_integral
+        require_bounded_carrier(carrier)
     except UsageError:
-        bounded = False
-    if not bounded:
         rep.not_applicable = ["bounded-coreflection-naturality",
                               "bounded-multiplication-square"]
         return rep

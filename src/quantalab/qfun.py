@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import UsageError
 from .quantale import Carrier, as_fraction
@@ -217,18 +217,6 @@ class SetMap:
 
     def __call__(self, x):
         return self.mapping[self.source.index(x)]
-
-    @staticmethod
-    def from_dict(source: FiniteSet, target: FiniteSet, d: Mapping) -> "SetMap":
-        try:
-            values = tuple(d[x] for x in source)
-        except KeyError as e:
-            raise UsageError(f"map is missing {e.args[0]!r}") from None
-        return SetMap(source, target, values)
-
-    @staticmethod
-    def from_callable(source: FiniteSet, target: FiniteSet, f: Callable) -> "SetMap":
-        return SetMap(source, target, tuple(f(x) for x in source))
 
     def compose(self, other: "SetMap") -> "SetMap":
         """self after other."""

@@ -748,44 +748,3 @@ def five_chain() -> FiniteQuantale:
 
 
 Carrier = Union[TNorm, FiniteQuantale]
-
-
-# ---------------------------------------------------------------------------
-# tagged values
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QValue:
-    """An exact rational tagged with its home carrier."""
-
-    value: Fraction
-    carrier: Carrier
-
-    def __post_init__(self):
-        if not self.carrier.contains(self.value):
-            raise UsageError(f"{self.value} is not in the declared carrier")
-
-
-def _same_carrier(x: QValue, y: QValue) -> Carrier:
-    if x.carrier != y.carrier:
-        raise UsageError("mixed carriers")
-    return x.carrier
-
-
-def tensor(x: QValue, y: QValue) -> QValue:
-    c = _same_carrier(x, y)
-    return QValue(c.tensor(x.value, y.value), c)
-
-
-def residuum(x: QValue, y: QValue) -> QValue:
-    c = _same_carrier(x, y)
-    return QValue(c.residuum(x.value, y.value), c)
-
-
-def is_idempotent(x: QValue) -> bool:
-    return x.carrier.is_idempotent(x.value)
-
-
-def way_below(x: QValue, y: QValue) -> bool:
-    c = _same_carrier(x, y)
-    return c.way_below(x.value, y.value)

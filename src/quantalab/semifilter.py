@@ -568,15 +568,33 @@ def image_outer(table: SemifilterTable, h: SetMap,
 
 # -- enumeration -------------------------------------------------------------
 
+def conical_semifilters(domain: FiniteSet,
+                        carrier: FiniteQuantale) -> list[SemifilterTable]:
+    """Every conical semifilter on the domain, listed by its generator.
+
+    These are exactly the tables ``sub(g, -)`` with ``g`` below the constant
+    unit (see ``is_conical_semifilter``), and ``g`` is the meet of the
+    table's level set, so each is listed once: one fill per generator, in
+    the canonical order of ``g``.  Each is the table of the saturated
+    prefilter ``normalize_basis([g])``.
+    """
+    _table_size(domain, carrier)
+    k = carrier.kernel
+    below_unit = [i for i in range(len(carrier.elements)) if k.leq[i][k.unit]]
+    return [SemifilterTable(domain, carrier, Positions(_sub_fill(k, g)))
+            for g in itertools.product(below_unit, repeat=len(domain))]
+
+
 def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
                           require: str = "all",
                           budget: int = ENUM_BUDGET) -> list[SemifilterTable]:
     """Brute-force all tables and keep those satisfying the requested axioms.
 
-    ``require`` is one of "all" (F1-F3), "filter" (adds F4) or "conical".
-    Refuses to scan more than ``budget`` candidate tables, naming the count.
+    ``require`` is "all" (F1-F3) or "filter" (adds F4); the conical ones
+    are listed directly by ``conical_semifilters``.  Refuses to scan more
+    than ``budget`` candidate tables, naming the count.
     """
-    if require not in ("all", "filter", "conical"):
+    if require not in ("all", "filter"):
         raise UsageError(f"unknown requirement {require!r}")
     q = carrier
     funcs = list(all_qfunctions(domain, q))
@@ -609,14 +627,27 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
         if require == "filter":
             if not all(leq[vals[ci]][p] for ci, p in const_idx):
                 continue
-        table = SemifilterTable(domain, q, Positions(vals))
-        if require == "conical" and not is_conical(table):
-            continue
-        out.append(table)
+        out.append(SemifilterTable(domain, q, Positions(vals)))
     return out
 
 
 # -- boundedness -------------------------------------------------------------
+
+def _require_integral(carrier: FiniteQuantale) -> None:
+    if not carrier.is_integral:
+        raise UsageError(f"carrier {carrier!r} is not integral, which "
+                         "boundedness needs")
+
+
+def require_bounded_carrier(carrier: FiniteQuantale) -> None:
+    """Refuse a carrier the bounded constructions cannot run on.
+
+    It must be integral and have a least positive element
+    (``least_positive``); the refusal is a ``UsageError`` naming it.
+    """
+    _require_integral(carrier)
+    least_positive(carrier)
+
 
 def is_bounded(table: SemifilterTable) -> bool:
     """No function touching bottom somewhere is held at full degree.
@@ -625,8 +656,7 @@ def is_bounded(table: SemifilterTable) -> bool:
     bounded and the test is vacuous.
     """
     q = table.carrier
-    if not q.is_integral:
-        raise UsageError("boundedness needs an integral carrier")
+    _require_integral(q)
     if not len(table.domain):
         return True
     k, positive = q.kernel, _is_positive(q)
@@ -641,17 +671,16 @@ def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:
 
     Computed by restricting the level set to its bounded members and
     inducing a table from that set (see ``semifilter_of``).  The carrier
-    must have a least positive element (``least_positive``).  Without one
-    the largest such table need not exist: on a lattice with two
-    incomparable atoms ``a`` and ``b`` the constant-top table lies above
-    both ``sub(a, -)`` and ``sub(b, -)``, which are maximal and
-    incomparable.  With one, the bounded members of a semifilter's level
-    set are meet-closed, so their meet generates the result.
+    must be integral and have a least positive element
+    (``require_bounded_carrier``).  Without one the largest such table need
+    not exist: on a lattice with two incomparable atoms ``a`` and ``b`` the
+    constant-top table lies above both ``sub(a, -)`` and ``sub(b, -)``,
+    which are maximal and incomparable.  With one, the bounded members of a
+    semifilter's level set are meet-closed, so their meet generates the
+    result.
     """
     q = table.carrier
-    if not q.is_integral:
-        raise UsageError("boundedness needs an integral carrier")
-    least_positive(q)
+    require_bounded_carrier(q)
     # every positive value lies above the least one, so a row's meet is
     # positive exactly when each of its values is
     positive = _is_positive(q)

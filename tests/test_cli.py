@@ -10,7 +10,7 @@ from quantalab.quantale import godel3, two_chain
 from quantalab.semifilter import SemifilterTable, evaluation_unit, semifilter_of
 from quantalab.serialize import quantale_to_json, semifilter_to_json
 
-from test_quantale import square_lattice
+from test_quantale import half_unit_chain, square_lattice
 
 
 @pytest.fixture
@@ -149,6 +149,19 @@ def test_laws_skips_bounded_naturality_on_a_non_integral_carrier(runner, tmp_pat
     assert r.exit_code == 0, r.output
     assert json.loads(r.stdout)["naturality"]["not_applicable"] == [
         "bounded-coreflection-naturality", "bounded-multiplication-square"]
+
+
+def test_laws_bounded_refuses_a_non_integral_carrier(runner, tmp_path):
+    # the refusal names the carrier, as the least-positive refusal does
+    path = write(tmp_path, "nonintegral.json", {
+        "quantale": quantale_to_json(half_unit_chain()), "variant": "bounded",
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == ("input error: carrier FiniteQuantale([0, 1/2, 1], "
+                        "unit=1/2) is not integral, which boundedness needs\n")
 
 
 def test_laws_nonconical_map_value_is_input_error(runner, tmp_path):

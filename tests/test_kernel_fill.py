@@ -15,8 +15,8 @@ import random
 import pytest
 
 from quantalab.errors import UsageError
-from quantalab.monad import (Variant, kleisli_extend, monad_units,
-                             random_variant_table)
+from quantalab.monad import (Variant, check_naturality, kleisli_extend,
+                             monad_units, random_variant_table)
 from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  is_bounded_function, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
@@ -27,9 +27,9 @@ from quantalab.semifilter import (ENUM_BUDGET, Positions, SemifilterFamily,
                                   conical_coreflection, enumerate_semifilters,
                                   evaluation_unit, image_outer,
                                   image_semifilter, is_bounded, kowalsky_sum,
-                                  semifilter_of)
+                                  require_bounded_carrier, semifilter_of)
 
-from test_quantale import square_lattice
+from test_quantale import half_unit_chain, square_lattice
 from test_semifilter import _coreflection_oracle
 
 CARRIERS = {"two": two_chain(), "godel3": godel3(), "mv3": mv3(),
@@ -222,3 +222,29 @@ def test_bounded_constructions_refuse_a_carrier_without_least_positive():
     # the plain constructions are unaffected
     assert conical_coreflection(top) == _coreflection_oracle(top)
     assert monad_units(dom, q)[dom.elements[0]] == evaluation_unit(dom, q, "x0")
+
+
+def test_bounded_constructions_refuse_a_non_integral_carrier():
+    # 1/2 is the least positive element, but the unit 1/2 lies below the
+    # top: the refusal names the carrier, and the sampler draws nothing first
+    q = half_unit_chain()
+    dom = domain(1)
+    message = f"carrier {q!r} is not integral, which boundedness needs"
+    top = SemifilterTable(dom, q, Positions([q.kernel.top] * 3))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for refused in (lambda: require_bounded_carrier(q),
+                    lambda: conical_bounded_coreflection(top),
+                    lambda: is_bounded(top),
+                    lambda: monad_units(dom, q, Variant.BOUNDED),
+                    lambda: monad_units(domain(0), q, Variant.BOUNDED),
+                    lambda: random_variant_table(rng, dom, q, Variant.BOUNDED),
+                    lambda: image_semifilter(SetMap.identity(dom), top, bounded=True)):
+        with pytest.raises(UsageError) as err:
+            refused()
+        assert str(err.value) == message
+    assert rng.getstate() == state
+    rep = check_naturality(q, samples=2)
+    assert rep.passed
+    assert rep.not_applicable == ["bounded-coreflection-naturality",
+                                  "bounded-multiplication-square"]

@@ -21,7 +21,7 @@ from quantalab.quantale import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (Positions, SemifilterFamily,
                                   SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,
-                                  enumerate_semifilters, evaluation_unit,
+                                  conical_semifilters, evaluation_unit,
                                   image_outer, is_bounded, is_conical,
                                   is_semifilter, kowalsky_sum, level_prefilter,
                                   semifilter_of)
@@ -155,7 +155,7 @@ def test_outer_basis_matches_its_dense_table(carrier, n):
     # no more than 27 entries, so a larger one is a seeded sub-family
     rng = random.Random(n)
     domain = finite_set(*(f"x{i}" for i in range(n)))
-    conicals = enumerate_semifilters(domain, carrier, "conical")
+    conicals = conical_semifilters(domain, carrier)
     most = max(k for k in range(1, 7) if len(carrier.elements) ** k <= 27)
     for variant in Variant:
         members = [t for t in conicals if table_satisfies(t, variant)]
@@ -321,8 +321,9 @@ def test_flattening_formula_agreement_exhaustive(carrier):
     import itertools
     from quantalab.monad import _saturated_prefilter_universe
     s = finite_set("s")
-    universe, labels = _saturated_prefilter_universe(s, carrier, 3 ** 9)
-    fam = SemifilterFamily(labels, tuple(semifilter_of(f) for f in universe))
+    universe, fam = _saturated_prefilter_universe(s, carrier)
+    assert list(fam.members) == [semifilter_of(f) for f in universe]
+    labels = fam.labels
     fns = list(all_qfunctions(labels, carrier))
     bases = [[f] for f in fns] + [list(p) for p in itertools.combinations(fns, 2)]
     for raw in bases:

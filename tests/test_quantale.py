@@ -5,16 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantalab.errors import ConstructionError, StructuralError, UsageError
-from quantalab.quantale import (Block, BlockKind, FiniteQuantale, QValue,
+from quantalab.quantale import (Block, BlockKind, FiniteQuantale,
                                 build_ordinal_sum, check_condition_s,
                                 check_quantale_axioms, finite_restriction,
                                 five_chain, godel3, godel_tnorm, grid,
-                                is_idempotent, is_lukasiewicz_shape,
-                                lukasiewicz_tnorm, mv3,
+                                is_lukasiewicz_shape, lukasiewicz_tnorm, mv3,
                                 positive_residuum_zero_sup, product_tnorm,
-                                residuum, residuum_continuity_probe,
-                                residuum_grid_oracle, tensor, two_chain,
-                                Violation, way_below)
+                                residuum_continuity_probe,
+                                residuum_grid_oracle, two_chain, Violation)
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()
@@ -373,6 +371,18 @@ def square_lattice():
     return FiniteQuantale([o, a, b, i], meet, i, join=join, meet=meet)
 
 
+def half_unit_chain():
+    """The chain 0 < 1/2 < 1 with unit 1/2, so not integral; 1 (x) 1 = 1."""
+    h, i = F(1, 2), F(1)
+    return FiniteQuantale([0, h, i], [[0, 0, 0], [0, h, i], [0, i, i]], h)
+
+
+def test_half_unit_chain_is_a_quantale():
+    q = half_unit_chain()
+    assert check_quantale_axioms(q) == []
+    assert not q.is_integral and q.top == 1
+
+
 def test_lattice_ordered_quantale():
     q = square_lattice()
     a, b = F(1, 3), F(2, 3)
@@ -411,27 +421,16 @@ def test_five_chain_matches_ambient_tnorm():
                 assert q.residuum(x, y) == ambient
 
 
-# -- tagged values -----------------------------------------------------------
-
-def test_qvalue_operations():
-    g3 = godel3()
-    a, b = QValue(F(1, 2), g3), QValue(F(1), g3)
-    assert tensor(a, b).value == F(1, 2)
-    assert residuum(b, a).value == F(1, 2)
-    assert is_idempotent(a)
-    assert way_below(a, b)
-
-
-def test_qvalue_mixed_carriers_rejected():
-    a = QValue(F(1, 2), godel3())
-    b = QValue(F(1, 2), mv3())
+def test_finite_idempotents():
+    # x is idempotent iff x (x) x = x: every element of a Goedel chain, and
+    # on the Lukasiewicz side only the ends of the block
+    assert all(godel3().is_idempotent(x) for x in godel3().elements)
+    assert not mv3().is_idempotent(F(1, 2))
+    q = five_chain()
+    assert [x for x in q.elements if q.is_idempotent(x)] == \
+        [F(0), F(1, 4), F(1, 2), F(1)]
     with pytest.raises(UsageError):
-        tensor(a, b)
-
-
-def test_qvalue_outside_carrier_rejected():
-    with pytest.raises(UsageError):
-        QValue(F(1, 3), godel3())
+        q.is_idempotent(F(1, 3))
 
 
 # -- integer columns ------------------------------------------------------------

@@ -9,11 +9,12 @@ from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
                                  normalize_basis, smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
-from quantalab.quantale import five_chain, godel3, mv3, two_chain
+from quantalab.quantale import five_chain, godel3, mv3, product_tnorm, two_chain
 from quantalab.semifilter import (AxiomViolation, ConicalTest,
                                   SemifilterFamily, SemifilterTable,
                                   check_axioms, conical_bounded_coreflection,
-                                  conical_coreflection, enumerate_semifilters,
+                                  conical_coreflection, conical_semifilters,
+                                  enumerate_semifilters,
                                   evaluation_unit, image_outer,
                                   image_semifilter, is_bounded, is_conical,
                                   is_semifilter, kowalsky_sum, level_prefilter,
@@ -21,7 +22,7 @@ from quantalab.semifilter import (AxiomViolation, ConicalTest,
                                   satisfies_way_below_criterion, semifilter_of)
 
 from test_prefilter import minimal_members
-from test_quantale import square_lattice
+from test_quantale import half_unit_chain, square_lattice
 
 G3 = godel3()
 M3 = mv3()
@@ -313,6 +314,37 @@ def test_enumeration_budget_error():
     with pytest.raises(BudgetError) as err:
         enumerate_semifilters(X, five_chain())
     assert err.value.count == 5 ** 25
+
+
+def test_enumeration_has_no_conical_mode():
+    # the conical semifilters are listed by conical_semifilters instead
+    with pytest.raises(UsageError, match="unknown requirement 'conical'"):
+        enumerate_semifilters(S, G3, "conical")
+
+
+@pytest.mark.parametrize("carrier,domain,count", [
+    (two_chain(), S, 2), (two_chain(), X, 4), (G3, S, 3), (M3, S, 3),
+    (five_chain(), S, 5), (square_lattice(), S, 4), (half_unit_chain(), S, 2),
+], ids=["two-1", "two-2", "godel3", "mv3", "five", "square", "half-unit"])
+def test_conical_semifilters_match_the_brute_force_filter(carrier, domain, count):
+    listed = conical_semifilters(domain, carrier)
+    oracle = [t for t in enumerate_semifilters(domain, carrier) if is_conical(t)]
+    assert len(listed) == len(set(listed)) == len(oracle) == count
+    assert set(listed) == set(oracle)
+    # one table per generator below the constant unit, in canonical order
+    k_x = unit_constant(domain, carrier)
+    generators = [g for g in all_qfunctions(domain, carrier) if g.leq(k_x)]
+    assert [minimal_members(level_prefilter(t)) for t in listed] == \
+        [[g] for g in generators]
+    assert listed == [semifilter_of(normalize_basis([g])) for g in generators]
+
+
+def test_conical_semifilters_refuse_before_filling():
+    with pytest.raises(BudgetError):
+        conical_semifilters(finite_set(*"abcdefghij"), five_chain())
+    with pytest.raises(UsageError, match="finite carrier"):
+        conical_semifilters(S, product_tnorm())
+    assert [t.entries for t in conical_semifilters(finite_set(), G3)] == [{(): F(1)}]
 
 
 def test_two_chain_filters_match_classical_count():
