@@ -141,12 +141,8 @@ def _tnorm_axiom_probe(t, step):
 
 def _adjunction_witness(q, step):
     """First triple violating the residuation adjunction, or None."""
-    if isinstance(q, FiniteQuantale):
-        points = list(q.elements)
-        tensor, res, leq = q.tensor, q.residuum, q.leq
-    else:
-        points = grid(step)
-        tensor, res, leq = q.tensor, q.residuum, q.leq
+    points = list(q.elements) if isinstance(q, FiniteQuantale) else grid(step)
+    tensor, res, leq = q.tensor, q.residuum, q.leq
     for x in points:
         for y in points:
             r = res(x, y)

@@ -11,9 +11,11 @@ this module evaluates it through two finite, fully exact devices:
   (the decreasing ramp, tail indicators, constants, and joins/meets/
   residuations of those) whose tails are eventually monotone, so both the
   liminf and the infimum come out of exact left-limit algebra rather than
-  sampling.  The samples are computed column by column: each distinct node
-  of the expression trees is evaluated once, at all the points 1/m
-  together, and ``eval_at`` remains the point-by-point evaluator.
+  sampling.  Each distinct node of the expression trees is evaluated once,
+  from its children's records, into one record: its column of values at
+  all the points 1/m together, its tail limit, its value at x = 0 and its
+  infimum off the points 1/m.  ``eval_at`` remains the point-by-point
+  evaluator that the records are tested against.
 * ``Column`` -- the samples on integers.  A column is a positive integer
   ``den`` and a tuple ``nums``, and its value at 1/m is
   ``nums[m-1] / (den*m)``; ``den`` is reduced by the gcd of itself and all
@@ -116,29 +118,6 @@ def eval_at(expr: FnExpr, x: Fraction, t: TNorm) -> Fraction:
     raise UsageError(f"unknown expression {expr!r}")
 
 
-def _eval_leaves(expr: FnExpr, ramp_value: Fraction, indicator_value: Fraction,
-                 t: TNorm) -> Fraction:
-    """Evaluate with every ramp leaf pinned to a common value and every
-    indicator pinned likewise; legitimate for infima because all node
-    operations preserve meets in the function argument."""
-    if isinstance(expr, Ramp):
-        return ramp_value if expr.scale else ZERO
-    if isinstance(expr, TailIndicator):
-        return indicator_value
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Join):
-        return max(_eval_leaves(expr.left, ramp_value, indicator_value, t),
-                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
-    if isinstance(expr, Meet):
-        return min(_eval_leaves(expr.left, ramp_value, indicator_value, t),
-                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
-    if isinstance(expr, Res):
-        return t.residuum(expr.const,
-                          _eval_leaves(expr.child, ramp_value, indicator_value, t))
-    raise UsageError(f"unknown expression {expr!r}")
-
-
 def left_limit_residuum(t: TNorm, c: Fraction, limit: Fraction) -> tuple[Fraction, bool]:
     """sup over v < limit of (c -> v), with whether the sup is attained below.
 
@@ -162,51 +141,6 @@ def left_limit_residuum(t: TNorm, c: Fraction, limit: Fraction) -> tuple[Fractio
                 return b.lo + w * (1 - u + v), False
             return b.lo + w * (v / u), False
     return limit, False
-
-
-def tail_limit(expr: FnExpr, t: TNorm) -> tuple[Fraction, bool]:
-    """The limit of the sequence m -> expr(1/m), with exactness flag.
-
-    Exact means the sequence is eventually equal to the limit; otherwise it
-    approaches strictly from below.  Every expression in the class has one
-    of these two tail behaviours, which is what makes liminfs computable
-    without truncation error.
-    """
-    if isinstance(expr, Ramp):
-        return expr.scale, expr.scale == ZERO
-    if isinstance(expr, TailIndicator):
-        return ONE, True
-    if isinstance(expr, Const):
-        return expr.value, True
-    if isinstance(expr, (Join, Meet)):
-        la, ea = tail_limit(expr.left, t)
-        lb, eb = tail_limit(expr.right, t)
-        if isinstance(expr, Join):
-            if la != lb:
-                return (la, ea) if la > lb else (lb, eb)
-            return la, ea or eb
-        if la != lb:
-            return (la, ea) if la < lb else (lb, eb)
-        return la, ea and eb
-    if isinstance(expr, Res):
-        lc, ec = tail_limit(expr.child, t)
-        if ec:
-            return t.residuum(expr.const, lc), True
-        return left_limit_residuum(t, expr.const, lc)
-    raise UsageError(f"unknown expression {expr!r}")
-
-
-def _max_indicator_start(expr: FnExpr) -> int:
-    """The largest indicator start in expr, or 1 without indicators: the
-    sampling horizon of the per-point reference ``describe`` in the tests
-    reaches past it."""
-    if isinstance(expr, TailIndicator):
-        return expr.start
-    if isinstance(expr, (Join, Meet)):
-        return max(_max_indicator_start(expr.left), _max_indicator_start(expr.right))
-    if isinstance(expr, Res):
-        return _max_indicator_start(expr.child)
-    return 1
 
 
 def _rescaled(col: "Column", den: int):
@@ -317,39 +251,82 @@ class FunctionDescriptor:
         return (self.samples, self.tail_liminf, self.global_inf)
 
 
-def _column(expr: FnExpr, t: TNorm, n: int, memo: dict) -> Column:
-    """The values of expr at 1/m for m = 1, 2, ..., at least n of them.
+@dataclass(frozen=True, slots=True)
+class _Node:
+    """One expression node as ``_node`` computes it.
 
-    Each node is computed once per memo, keyed by identity, as a whole
-    column of integers: leaves are filled directly, joins and meets take the
-    integer max or min of their children's columns on the lcm of their
-    denominators, and a residuation is ``TNorm.residuate_column``.  A memo
-    entry shorter than n is recomputed and replaced.  The memo is a dict
-    that the caller creates; ``_column`` owns its contents.
+    ``column`` holds the values at 1/m for m = 1..n.  The other fields do
+    not depend on n:
+
+    * ``tail`` -- the limit of m -> expr(1/m) and whether it is exact.
+      Exact means the sequence is eventually equal to the limit; otherwise
+      it approaches strictly from below.  Every expression in the class
+      has one of these two tail behaviours, which is what makes liminfs
+      computable without truncation error.
+    * ``at_zero`` -- the value at x = 0.
+    * ``co_countable`` -- the infimum off the points 1/m, where every
+      indicator is 0 and the ramp sweeps down to 0: the value with every
+      leaf pinned to 0, which is legitimate because every node operation
+      preserves meets in the function argument.
+    """
+
+    column: Column
+    tail: tuple[Fraction, bool]
+    at_zero: Fraction
+    co_countable: Fraction
+
+
+def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
+    """The node record of expr, its column holding at least n values.
+
+    Each node is computed once per memo, keyed by identity, from its
+    children's records.  The column is integers: leaves are filled
+    directly, joins and meets take the integer max or min of their
+    children's columns on the lcm of their denominators, and a residuation
+    is ``TNorm.residuate_column``.  Joins and meets take the max or min of
+    the scalars too; on the tails, tuples order by limit and then by flag,
+    so a tie keeps an exact tail in a join and only two exact tails in a
+    meet.  A residuation applies ``t.residuum``, or ``left_limit_residuum``
+    to a tail that is not exact.  A memo entry shorter than n is
+    recomputed and replaced; its scalars come out the same, since they do
+    not depend on n.  The memo is a dict that the caller creates; ``_node``
+    owns its contents.
     """
     hit = memo.get(id(expr))
-    if hit is not None and len(hit[1]) >= n:
+    if hit is not None and len(hit[1].column) >= n:
         return hit[1]
     if isinstance(expr, Ramp):
         # scale * (m - 1)/m
         s = expr.scale
         col = Column(s.denominator, range(0, s.numerator * n, s.numerator)
                      if s.numerator else repeat(0, n))
+        tail, at_zero, co_countable = (s, s == ZERO), s, ZERO
     elif isinstance(expr, TailIndicator):
         low = min(max(expr.start - 1, 0), n)     # the points m < start
         col = Column(1, (0,) * low + tuple(range(low + 1, n + 1)))
+        tail, at_zero, co_countable = (ONE, True), ZERO, ZERO
     elif isinstance(expr, Const):
         c = expr.value
         col = Column(c.denominator, _multiples(c.numerator, n))
+        tail, at_zero, co_countable = (c, True), c, c
     elif isinstance(expr, (Join, Meet)):
-        a = _column(expr.left, t, n, memo)
-        b = _column(expr.right, t, n, memo)
-        den = lcm(a.den, b.den)
-        col = Column(den, map(max if isinstance(expr, Join) else min,
-                              _rescaled(a, den), _rescaled(b, den)))
+        a = _node(expr.left, t, n, memo)
+        b = _node(expr.right, t, n, memo)
+        pick = max if isinstance(expr, Join) else min
+        den = lcm(a.column.den, b.column.den)
+        col = Column(den, map(pick, _rescaled(a.column, den),
+                              _rescaled(b.column, den)))
+        tail = pick(a.tail, b.tail)
+        at_zero = pick(a.at_zero, b.at_zero)
+        co_countable = pick(a.co_countable, b.co_countable)
     elif isinstance(expr, Res):
-        child = _column(expr.child, t, n, memo)
-        col = Column(*t.residuate_column(expr.const, child.den, child.nums))
+        c, child = expr.const, _node(expr.child, t, n, memo)
+        col = Column(*t.residuate_column(c, child.column.den, child.column.nums))
+        limit, exact = child.tail
+        tail = ((t.residuum(c, limit), True) if exact
+                else left_limit_residuum(t, c, limit))
+        at_zero = t.residuum(c, child.at_zero)
+        co_countable = t.residuum(c, child.co_countable)
     else:
         raise UsageError(f"unknown expression {expr!r}")
     # Each distinct numerator is held once per memo, under the key None:
@@ -358,22 +335,24 @@ def _column(expr: FnExpr, t: TNorm, n: int, memo: dict) -> Column:
     # Fraction columns did, whose max and min shared their objects.
     shared = memo.setdefault(None, {})
     col = Column(col.den, map(shared.setdefault, col.nums, col.nums))
-    # the node is stored with its column, so its id stays its own while
-    # the memo lives
-    memo[id(expr)] = (expr, col)
-    return col
+    node = _Node(col, tail, at_zero, co_countable)
+    # the node is stored with its expression, so its id stays its own
+    # while the memo lives
+    memo[id(expr)] = (expr, node)
+    return node
 
 
 def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
              label: str = "", columns: dict | None = None) -> FunctionDescriptor:
     """Build the exact descriptor of an expression.
 
-    The samples come from ``_column``, which computes every node of the
-    tree once as an integer column of its values at the points 1/m, not
-    once per point; ``columns`` is the memo of those node columns, which
+    Everything comes from the record ``_node`` keeps for the root, and no
+    tree is walked here: ``_node`` computes every node once, from its
+    children's records, as an integer column of its values at the points
+    1/m together with its tail limit and its values at x = 0 and off the
+    points 1/m.  ``columns`` is the memo of those records, which
     ``build_catalog`` shares across its calls so that a subtree shared by
-    many expressions is computed once.  ``eval_at`` evaluates only the
-    endpoint x = 0.
+    many expressions is computed once.
 
     The global infimum has three exact contributions: the co-countable part
     of the interval (where the indicators vanish and the ramp value sweeps
@@ -388,17 +367,15 @@ def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
     value only, never to a subtree's column.
     """
     horizon = depth + 1
-    col = _column(expr, t, horizon, {} if columns is None else columns)
+    node = _node(expr, t, horizon, {} if columns is None else columns)
+    col = node.column
     nums = col.nums[:horizon]
     if pin_one:
         nums = (col.den,) + nums[1:]
     all_samples = Column(col.den, nums)
-    co_countable = _eval_leaves(expr, ZERO, ZERO, t)
-    at_zero = eval_at(expr, ZERO, t)
-    ginf = min(all_samples.min(), co_countable, at_zero)
-    liminf, _ = tail_limit(expr, t)
+    ginf = min(all_samples.min(), node.co_countable, node.at_zero)
     return FunctionDescriptor(label or repr(expr), all_samples.head(depth),
-                              liminf, ginf)
+                              node.tail[0], ginf)
 
 
 def _min_pair(pairs, bound: tuple[int, int]) -> tuple[int, int]:
@@ -581,11 +558,11 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
                   pin_one: bool) -> list[FunctionDescriptor]:
     """Describe the expressions, deduplicating by descriptor content.
 
-    A shallow first pass (a dozen samples plus the exact tail and infimum)
+    A shallow pass (a dozen samples plus the exact tail and infimum)
     screens out the heavy redundancy the closure produces, so full-depth
     descriptors are only computed for survivors.  The first expression is
     the target function and always survives in first position.  Both
-    passes share one memo of node columns, so each distinct node of the
+    passes share one memo of node records, so each distinct node of the
     closure is evaluated once per pass, as one column, however many
     expressions contain it.
     """
@@ -594,20 +571,19 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
     light_seen = set()
     chosen: list[FnExpr] = []
     for e in exprs:
-        d = describe(e, t, light_depth, pin_one, columns=columns)
+        d = describe(e, t, light_depth, pin_one, label=f"w{len(chosen)}",
+                     columns=columns)
         if d.key() not in light_seen:
             light_seen.add(d.key())
             chosen.append(e)
         if len(chosen) >= CATALOG_CAP:
             break
-    out: list[FunctionDescriptor] = []
-    full_seen = set()
-    for i, e in enumerate(chosen):
-        d = describe(e, t, depth, pin_one, label=f"w{i}", columns=columns)
-        if d.key() not in full_seen:
-            full_seen.add(d.key())
-            out.append(d)
-    return out
+    # Distinct shallow keys give distinct full keys, so the survivors need
+    # no second dedup: the full samples extend the shallow ones, the tail
+    # does not depend on the depth, and every node is nondecreasing in m
+    # (see ``describe``), so both infima are taken at the same start.
+    return [describe(e, t, depth, pin_one, label=f"w{i}", columns=columns)
+            for i, e in enumerate(chosen)]
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,14 @@ def monad_multiplication(outer: SemifilterTable | PrefilterBasis,
         if not table_satisfies(m, variant):
             raise UsageError(f"family member {label!r} is not a "
                              f"{variant.value} semifilter")
-    raw = kowalsky_sum(outer, family)
+    return _variant_coreflection(kowalsky_sum(outer, family), variant)
+
+
+def _variant_coreflection(table: SemifilterTable, variant: Variant) -> SemifilterTable:
+    """The bounded coreflection for BOUNDED, the conical one otherwise."""
     if variant is Variant.BOUNDED:
-        return conical_bounded_coreflection(raw)
-    return conical_coreflection(raw)
+        return conical_bounded_coreflection(table)
+    return conical_coreflection(table)
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,7 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     def extend(table: SemifilterTable) -> SemifilterTable:
         if table.domain != domain or table.carrier != carrier:
             raise UsageError("table does not match the extension's source")
-        raw = kowalsky_sum(table, h_family)
-        if variant is Variant.BOUNDED:
-            return conical_bounded_coreflection(raw)
-        return conical_coreflection(raw)
+        return _variant_coreflection(kowalsky_sum(table, h_family), variant)
 
     return extend
 

@@ -52,15 +52,18 @@ def test_criterion_01_residuation_adjunction():
                 for z in q.elements:
                     if q.leq(q.tensor(x, z), y) != q.leq(z, r):
                         violations += 1
-    step = F(1, 64)
-    points = grid(step)
+    points = grid(F(1, 64))
+    assert points == [F(k, 64) for k in range(65)]
     for t in (GODEL, PROD, LUK):
-        tensors = {(x, z): t.tensor(x, z) for x in points for z in points}
+        # compared on integers: a/b <= k/64 exactly when 64a <= k*b
         for x in points:
-            for y in points:
+            tensors = [(64 * v.numerator, v.denominator)
+                       for v in (t.tensor(x, z) for z in points)]
+            for j, y in enumerate(points):
                 r = t.residuum(x, y)
-                for z in points:
-                    if (tensors[(x, z)] <= y) != (z <= r):
+                r_num, r_den = 64 * r.numerator, r.denominator
+                for k, (a, b) in enumerate(tensors):
+                    if (a <= j * b) != (k * r_den <= r_num):
                         violations += 1
     elapsed = time.monotonic() - t0
     report(1, "residuation adjunction", violations == 0 and elapsed < 5.0,

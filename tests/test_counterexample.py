@@ -12,9 +12,7 @@ from quantalab.counterexample import (Const, Coreflected, FunctionDescriptor,
                                       build_catalog, close_catalog,
                                       default_catalog_exprs, describe, eval_at,
                                       left_limit_residuum, run_counterexample,
-                                      sampled_sub_bound, tail_limit,
-                                      _column, _eval_leaves,
-                                      _max_indicator_start, Column,
+                                      sampled_sub_bound, _node, Column,
                                       _collapse_scan)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
@@ -48,10 +46,76 @@ def test_eval_at_composites():
     assert eval_at(r, F(1, 2), BLOCK) == F(1, 8)
 
 
+# -- tree walks: the oracles for the node records --------------------------------
+
+def tail_limit(expr, t):
+    """The limit of m -> expr(1/m) and whether it is exact, by one walk of
+    the tree: the oracle for the tails of the node records."""
+    if isinstance(expr, Ramp):
+        return expr.scale, expr.scale == ZERO
+    if isinstance(expr, TailIndicator):
+        return ONE, True
+    if isinstance(expr, Const):
+        return expr.value, True
+    if isinstance(expr, (Join, Meet)):
+        la, ea = tail_limit(expr.left, t)
+        lb, eb = tail_limit(expr.right, t)
+        if isinstance(expr, Join):
+            if la != lb:
+                return (la, ea) if la > lb else (lb, eb)
+            return la, ea or eb
+        if la != lb:
+            return (la, ea) if la < lb else (lb, eb)
+        return la, ea and eb
+    if isinstance(expr, Res):
+        lc, ec = tail_limit(expr.child, t)
+        if ec:
+            return t.residuum(expr.const, lc), True
+        return left_limit_residuum(t, expr.const, lc)
+    raise UsageError(f"unknown expression {expr!r}")
+
+
+def _eval_leaves(expr, ramp_value, indicator_value, t):
+    """expr with every ramp leaf pinned to one value and every indicator to
+    another, by one walk of the tree: with both at 0, the oracle for the
+    co-countable values of the node records."""
+    if isinstance(expr, Ramp):
+        return ramp_value if expr.scale else ZERO
+    if isinstance(expr, TailIndicator):
+        return indicator_value
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Join):
+        return max(_eval_leaves(expr.left, ramp_value, indicator_value, t),
+                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
+    if isinstance(expr, Meet):
+        return min(_eval_leaves(expr.left, ramp_value, indicator_value, t),
+                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
+    if isinstance(expr, Res):
+        return t.residuum(expr.const,
+                          _eval_leaves(expr.child, ramp_value, indicator_value, t))
+    raise UsageError(f"unknown expression {expr!r}")
+
+
+def _max_indicator_start(expr):
+    """The largest indicator start in expr, or 1 without indicators."""
+    if isinstance(expr, TailIndicator):
+        return expr.start
+    if isinstance(expr, (Join, Meet)):
+        return max(_max_indicator_start(expr.left), _max_indicator_start(expr.right))
+    if isinstance(expr, Res):
+        return _max_indicator_start(expr.child)
+    return 1
+
+
 # -- tail limits ---------------------------------------------------------------
 
 def tail_oracle(expr, t, m=120000):
     return eval_at(expr, F(1, m), t)
+
+
+def node_tail(expr, t):
+    return _node(expr, t, 1, {}).tail
 
 
 @pytest.mark.parametrize("expr,want_limit,want_exact", [
@@ -67,8 +131,8 @@ def tail_oracle(expr, t, m=120000):
     (Meet(Ramp(P), TailIndicator(2)), P, False),
 ])
 def test_tail_limits_against_deep_samples(expr, want_limit, want_exact):
-    limit, exact = tail_limit(expr, BLOCK)
-    assert (limit, exact) == (want_limit, want_exact)
+    limit, exact = node_tail(expr, BLOCK)
+    assert (limit, exact) == (want_limit, want_exact) == tail_limit(expr, BLOCK)
     deep = tail_oracle(expr, BLOCK)
     if exact:
         assert deep == limit
@@ -81,7 +145,7 @@ def test_tail_limit_residuated_jump():
     # below the block to themselves, so the tail limit stays 1/4 even though
     # the residuum AT 1/4 jumps into the block
     expr = Res(F(3, 8), Ramp(P))
-    limit, exact = tail_limit(expr, BLOCK)
+    limit, exact = node_tail(expr, BLOCK)
     assert limit == P and not exact
     assert BLOCK.residuum(F(3, 8), P) == F(3, 8)      # the jump target
     deep = tail_oracle(expr, BLOCK)
@@ -91,7 +155,7 @@ def test_tail_limit_residuated_jump():
 def test_tail_limit_residuated_inside_block():
     # approaching 3/8 from below through the block: continuous there
     src = Join(Meet(Ramp(F(3, 8)), Const(F(3, 8))), Const(F(0)))
-    limit, exact = tail_limit(Res(F(7, 16), src), BLOCK)
+    limit, exact = node_tail(Res(F(7, 16), src), BLOCK)
     assert limit == BLOCK.residuum(F(7, 16), F(3, 8))
     assert not exact
 
@@ -202,7 +266,7 @@ def test_columns_equal_eval_at_on_the_shipped_closure(t, t_par, s_par, hi, pin_o
     columns: dict = {}
     for e in exprs:
         want = [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
-        assert list(_column(e, t, n, columns)[:n]) == want
+        assert list(_node(e, t, n, columns).column[:n]) == want
         if pin_one:
             want[0] = ONE
         assert list(describe(e, t, n, pin_one, columns=columns).samples) == want
@@ -211,9 +275,25 @@ def test_columns_equal_eval_at_on_the_shipped_closure(t, t_par, s_par, hi, pin_o
 def test_columns_grow_when_a_longer_horizon_is_asked():
     e = Res(F(3, 8), Join(Ramp(P), TailIndicator(5)))
     columns: dict = {}
-    assert len(_column(e, BLOCK, 4, columns)) == 4
-    long = _column(e, BLOCK, 9, columns)
+    assert len(_node(e, BLOCK, 4, columns).column) == 4
+    long = _node(e, BLOCK, 9, columns).column
     assert list(long[:9]) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES, ids=["luk", "product"])
+def test_node_records_equal_their_oracles_on_the_shipped_closure(t, t_par, s_par,
+                                                                 hi, variant):
+    exprs = shipped_closure(t, t_par, s_par, hi, variant)
+    columns: dict = {}
+    for n in (3, 30):          # the second pass refills every memo entry
+        for e in exprs:
+            node = _node(e, t, n, columns)
+            assert len(node.column) >= n
+            assert node.tail == tail_limit(e, t)
+            assert node.co_countable == _eval_leaves(e, ZERO, ZERO, t)
+            assert node.at_zero == eval_at(e, ZERO, t)
+    assert list(node.column) == [eval_at(e, F(1, m), t) for m in range(1, 31)]
 
 
 def describe_per_point(expr, t, depth, pin_one=False, label=""):
@@ -260,14 +340,6 @@ def test_build_catalog_matches_per_point_describe(variant):
     assert build_catalog(exprs, BLOCK, 200, pin_one) == want
 
 
-def _nodes(e):
-    if isinstance(e, (Join, Meet)):
-        return 1 + _nodes(e.left) + _nodes(e.right)
-    if isinstance(e, Res):
-        return 1 + _nodes(e.child)
-    return 1
-
-
 def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
     exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), Variant.PLAIN)
     e = next(x for x in exprs                # a depth-2 residuation
@@ -285,8 +357,8 @@ def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
         calls.clear()
         describe(e, BLOCK, depth)
         counts.append(len(calls))
-    # only the endpoint x = 0 is evaluated point by point: once per node
-    assert counts == [_nodes(e), _nodes(e)]
+    # the endpoint x = 0 comes from the node records: no point is evaluated
+    assert counts == [0, 0]
 
 
 def test_sampled_sub_bound_reflexive_and_bounds():
@@ -459,7 +531,7 @@ def nested_product_exprs():
 def test_nested_product_residuations_are_exact(t):
     n = 40
     for e in nested_product_exprs():
-        col = _column(e, t, n, {})
+        col = _node(e, t, n, {}).column
         assert list(col[:n]) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
 
 
@@ -471,7 +543,7 @@ def test_column_keys_are_value_equality(t, t_par, s_par, hi):
     columns: dict = {}
     by_value: dict = {}
     for e in exprs:
-        col = _column(e, t, 24, columns).head(24)
+        col = _node(e, t, 24, columns).column.head(24)
         by_value.setdefault(tuple(col), set()).add(col)
     # one canonical column per distinct sequence of values, and back
     assert all(len(cols) == 1 for cols in by_value.values())
@@ -569,4 +641,5 @@ def test_horizon_follows_the_depth_not_the_indicator_start():
     d = describe(e, BLOCK, 50, columns=columns)
     assert d.depth == 50 and d.global_inf == 0
     # the memo hands back the columns it computed, 51 samples each
-    assert [len(_column(x, BLOCK, 1, columns)) for x in (e, e.left, e.right)] == [51] * 3
+    assert [len(_node(x, BLOCK, 1, columns).column)
+            for x in (e, e.left, e.right)] == [51] * 3
