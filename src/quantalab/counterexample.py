@@ -13,25 +13,24 @@ this module evaluates it through two finite, fully exact devices:
   liminf and the infimum come out of exact left-limit algebra rather than
   sampling.  Each distinct node of the expression trees is evaluated once,
   from its children's records, into one record: its column of values at
-  all the points 1/m together, its tail limit, its value at x = 0 and its
-  infimum off the points 1/m.  ``eval_at`` remains the point-by-point
-  evaluator that the records are tested against.
+  all the points 1/m together, its tail limit and its infimum off the
+  points 1/m.  ``eval_at`` remains the point-by-point evaluator that the
+  records are tested against.
 * ``Column`` -- the samples on integers.  A column is a positive integer
   ``den`` and a tuple ``nums``, and its value at 1/m is
   ``nums[m-1] / (den*m)``; ``den`` is reduced by the gcd of itself and all
   of ``nums``, so equal columns are exactly equal values.  Descriptor
   construction, deduplication, the step-2 scan and ``sampled_sub_bound``
   all run on these integers.  ``Fraction``s enter through expression
-  constants and ``FunctionDescriptor(label, samples, ...)``, and leave
-  when a column is read (indexed, iterated or sliced) and as the exact
-  infima, bounds and residua of the report.
+  constants and leave as the exact infima, bounds and residua of the
+  report.
 * certified inequality chains -- lower bounds for suprema come from explicit
-  witnesses in a catalog (the ramp itself realizes the value 1), and upper
-  bounds come from the residuum collapse across an idempotent: whenever a
-  witness clears the block's left endpoint p at a sampled point while the
-  ramp sits strictly below p there, the residuum at that point collapses to
-  the ramp's value, which is at most p.  A plain discretization could reach
-  neither side.
+  witnesses in a catalog (the ramp itself realizes the value 1, see
+  ``_step1``), and upper bounds come from the residuum collapse across an
+  idempotent: whenever a witness clears the block's left endpoint p at a
+  sampled point while the ramp sits strictly below p there, the residuum at
+  that point collapses to the ramp's value, which is at most p.  A plain
+  discretization could reach neither side.
 
 Verdicts are three-valued; absence of a violation on a catalog is never
 reported as a proof that the laws hold.
@@ -148,14 +147,12 @@ def _rescaled(col: "Column", den: int):
     return _times(col.nums, den // col.den)
 
 
-class Column(Sequence):
+class Column:
     """Samples at the points 1/m, m = 1..n, held as integers.
 
     The value at 1/m is ``nums[m-1] / (den*m)``.  The form is canonical:
     ``den`` is positive and has no common factor with all of ``nums``, so
     two columns are equal, and hash alike, exactly when their values are.
-    Reading a column -- indexing, iterating, slicing to a tuple -- gives
-    ``Fraction``s.
     """
 
     __slots__ = ("den", "nums")
@@ -167,25 +164,8 @@ class Column(Sequence):
             den, nums = den // g, tuple(x // g for x in nums)
         self.den, self.nums = den, nums
 
-    @classmethod
-    def of(cls, values) -> "Column":
-        """The column of a sequence of rationals, the value at 1/m m-th."""
-        values = tuple(values)
-        den = lcm(*(v.denominator for v in values))
-        return cls(den, (v.numerator * (den // v.denominator) * m
-                         for m, v in enumerate(values, 1)))
-
     def __len__(self) -> int:
         return len(self.nums)
-
-    def __getitem__(self, i):
-        ms = range(1, len(self.nums) + 1)[i]
-        if isinstance(i, slice):
-            return tuple(Fraction(self.nums[m - 1], self.den * m) for m in ms)
-        return Fraction(self.nums[ms - 1], self.den * ms)
-
-    def __iter__(self):
-        return map(Fraction, self.nums, _multiples(self.den, len(self.nums)))
 
     def __eq__(self, other):
         if not isinstance(other, Column):
@@ -218,11 +198,8 @@ class Column(Sequence):
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """Samples at {1/m : m <= N} plus exact tail liminf and global infimum.
-
-    ``samples`` is a ``Column``; a sequence of rationals passed in its place
-    is converted to one, so equal values give equal descriptors.
-    """
+    """Samples at {1/m : m <= N} as a ``Column``, plus exact tail liminf and
+    global infimum."""
 
     label: str
     samples: Column
@@ -230,22 +207,10 @@ class FunctionDescriptor:
     global_inf: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.samples, Column):
-            object.__setattr__(self, "samples", Column.of(self.samples))
         if any(self.samples.compare(lt, self.global_inf)):
             raise UsageError("global infimum exceeds a sample")
         if self.tail_liminf < self.global_inf:
             raise UsageError("tail liminf below the global infimum")
-
-    def sample(self, m: int) -> Fraction:
-        """The value at 1/m, for m in 1..depth."""
-        if not 1 <= m <= len(self.samples):
-            raise UsageError(f"sample point m={m} outside 1..{len(self.samples)}")
-        return self.samples[m - 1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.samples)
 
     def key(self):
         return (self.samples, self.tail_liminf, self.global_inf)
@@ -263,16 +228,16 @@ class _Node:
       it approaches strictly from below.  Every expression in the class
       has one of these two tail behaviours, which is what makes liminfs
       computable without truncation error.
-    * ``at_zero`` -- the value at x = 0.
     * ``co_countable`` -- the infimum off the points 1/m, where every
       indicator is 0 and the ramp sweeps down to 0: the value with every
       leaf pinned to 0, which is legitimate because every node operation
-      preserves meets in the function argument.
+      preserves meets in the function argument.  It is also at most the
+      value at x = 0, since every leaf is there at least its pinned value
+      and every node operation is monotone.
     """
 
     column: Column
     tail: tuple[Fraction, bool]
-    at_zero: Fraction
     co_countable: Fraction
 
 
@@ -300,15 +265,15 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
         s = expr.scale
         col = Column(s.denominator, range(0, s.numerator * n, s.numerator)
                      if s.numerator else repeat(0, n))
-        tail, at_zero, co_countable = (s, s == ZERO), s, ZERO
+        tail, co_countable = (s, s == ZERO), ZERO
     elif isinstance(expr, TailIndicator):
         low = min(max(expr.start - 1, 0), n)     # the points m < start
         col = Column(1, (0,) * low + tuple(range(low + 1, n + 1)))
-        tail, at_zero, co_countable = (ONE, True), ZERO, ZERO
+        tail, co_countable = (ONE, True), ZERO
     elif isinstance(expr, Const):
         c = expr.value
         col = Column(c.denominator, _multiples(c.numerator, n))
-        tail, at_zero, co_countable = (c, True), c, c
+        tail, co_countable = (c, True), c
     elif isinstance(expr, (Join, Meet)):
         a = _node(expr.left, t, n, memo)
         b = _node(expr.right, t, n, memo)
@@ -317,7 +282,6 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
         col = Column(den, map(pick, _rescaled(a.column, den),
                               _rescaled(b.column, den)))
         tail = pick(a.tail, b.tail)
-        at_zero = pick(a.at_zero, b.at_zero)
         co_countable = pick(a.co_countable, b.co_countable)
     elif isinstance(expr, Res):
         c, child = expr.const, _node(expr.child, t, n, memo)
@@ -325,7 +289,6 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
         limit, exact = child.tail
         tail = ((t.residuum(c, limit), True) if exact
                 else left_limit_residuum(t, c, limit))
-        at_zero = t.residuum(c, child.at_zero)
         co_countable = t.residuum(c, child.co_countable)
     else:
         raise UsageError(f"unknown expression {expr!r}")
@@ -335,7 +298,7 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
     # Fraction columns did, whose max and min shared their objects.
     shared = memo.setdefault(None, {})
     col = Column(col.den, map(shared.setdefault, col.nums, col.nums))
-    node = _Node(col, tail, at_zero, co_countable)
+    node = _Node(col, tail, co_countable)
     # the node is stored with its expression, so its id stays its own
     # while the memo lives
     memo[id(expr)] = (expr, node)
@@ -349,21 +312,21 @@ def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
     Everything comes from the record ``_node`` keeps for the root, and no
     tree is walked here: ``_node`` computes every node once, from its
     children's records, as an integer column of its values at the points
-    1/m together with its tail limit and its values at x = 0 and off the
-    points 1/m.  ``columns`` is the memo of those records, which
-    ``build_catalog`` shares across its calls so that a subtree shared by
-    many expressions is computed once.
+    1/m together with its tail limit and its infimum off the points 1/m.
+    ``columns`` is the memo of those records, which ``build_catalog``
+    shares across its calls so that a subtree shared by many expressions
+    is computed once.
 
-    The global infimum has three exact contributions: the co-countable part
+    The global infimum has two exact contributions: the co-countable part
     of the interval (where the indicators vanish and the ramp value sweeps
-    down to 0, evaluated by inf-preservation at the limit), the endpoint
-    x = 0, and the samples at 1/m for m up to depth + 1.  That horizon
-    suffices whatever the indicator starts: every node is nondecreasing in
-    m (the ramp rises, an indicator steps up, and join, meet and
-    residuation by a constant are monotone), so the sample sequence is
-    smallest at its start, and the extra point m = depth + 1 keeps m = 2
-    in range when ``pin_one`` overrides the value at x = 1 (m = 1) with the
-    top, for the filter variant.  The override applies to the top-level
+    down to 0, evaluated by inf-preservation at the limit; it covers the
+    endpoint x = 0, see ``_Node``), and the samples at 1/m for m up to
+    depth + 1.  That horizon suffices whatever the indicator starts: every
+    node is nondecreasing in m (the ramp rises, an indicator steps up, and
+    join, meet and residuation by a constant are monotone), so the sample
+    sequence is smallest at its start, and the extra point m = depth + 1
+    keeps m = 2 in range when ``pin_one`` overrides the value at x = 1
+    (m = 1) with the top, for the filter variant.  The override applies to the top-level
     value only, never to a subtree's column.
     """
     horizon = depth + 1
@@ -373,7 +336,7 @@ def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
     if pin_one:
         nums = (col.den,) + nums[1:]
     all_samples = Column(col.den, nums)
-    ginf = min(all_samples.min(), node.co_countable, node.at_zero)
+    ginf = min(all_samples.min(), node.co_countable)
     return FunctionDescriptor(label or repr(expr), all_samples.head(depth),
                               node.tail[0], ginf)
 
@@ -422,90 +385,39 @@ def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
     return Fraction(*cert), len(points), failures
 
 
-# ---------------------------------------------------------------------------
-# symbolic semifilters on the uncountable domain
-# ---------------------------------------------------------------------------
+def _step1(gamma: FunctionDescriptor, catalog: Sequence[FunctionDescriptor],
+           p: Fraction, t: TNorm, bounded: bool) -> tuple[Fraction, bool, str]:
+    """The left side at the ramp: (lower bound, whether it is exact, witness).
 
-@dataclass(frozen=True)
-class Threshold:
-    """mu maps to (bound -> inf mu): induced by everything above the constant."""
-    bound: Fraction
-
-    def evaluate(self, d: FunctionDescriptor, t: TNorm) -> Fraction:
-        return t.residuum(self.bound, d.global_inf)
-
-
-@dataclass(frozen=True)
-class TailSemifilter:
-    """mu maps to its tail liminf; the bounded form meets in the factor
+    The left side is the conical coreflection of mu -> (p -> tail(mu)),
+    where tail is the tail liminf.  The bounded form meets in the factor
     obtained by joining the generators with vanishing positive constants,
-    which is 1 on bounded arguments and the zero-residuum sup otherwise."""
-    bounded: bool = False
-
-    def evaluate(self, d: FunctionDescriptor, t: TNorm) -> Fraction:
-        if not self.bounded or d.global_inf > ZERO:
-            return d.tail_liminf
-        return min(d.tail_liminf, positive_residuum_zero_sup(t))
-
-
-@dataclass(frozen=True)
-class PointEvaluation:
-    """mu maps to mu(1/m): the unit at a sample point."""
-    m: int
-
-    def evaluate(self, d: FunctionDescriptor, t: TNorm) -> Fraction:
-        return d.sample(self.m)
-
-
-@dataclass(frozen=True)
-class Residuated:
-    const: Fraction
-    inner: "SymbolicSemifilter"
-
-    def evaluate(self, d: FunctionDescriptor, t: TNorm) -> Fraction:
-        return t.residuum(self.const, self.inner.evaluate(d, t))
-
-
-SymbolicSemifilter = Union[Threshold, TailSemifilter, PointEvaluation, Residuated]
-
-
-@dataclass(frozen=True)
-class Coreflected:
-    """The conical coreflection of an inner symbolic semifilter.
-
-    Its pointwise values are suprema over the whole function space, which no
-    finite device can evaluate; what the descriptors decide exactly is the
-    full-degree level (where the inner value is already 1, since the
-    coreflection preserves that level).  At a target function the value is
-    therefore bounded from below through catalog witnesses in the level:
-    only the target itself certifies the bound 1, anything else contributes
-    nothing certified.
+    which is 1 on bounded arguments and the zero-residuum sup otherwise.
+    The coreflection's values are suprema over the whole function space,
+    which no finite device can evaluate; what the descriptors decide
+    exactly is its full-degree level, where p -> tail is already 1.  When
+    the ramp ``gamma`` lies in the level, reflexivity realizes 1 and the
+    sup is squeezed against the integral top, so the value is exact.
+    Otherwise the first strict maximum of the sampled inclusions from level
+    members into ``gamma`` is reported, and it certifies nothing.
     """
+    zero_sup = positive_residuum_zero_sup(t)
 
-    inner: SymbolicSemifilter
+    def in_level(d: FunctionDescriptor) -> bool:
+        tail = d.tail_liminf
+        if bounded and d.global_inf == ZERO:
+            tail = min(tail, zero_sup)
+        return t.residuum(p, tail) == ONE
 
-    def member(self, d: FunctionDescriptor, t: TNorm) -> bool:
-        return self.inner.evaluate(d, t) == ONE
-
-    def catalog_value(self, target: FunctionDescriptor,
-                      catalog: Sequence[FunctionDescriptor],
-                      t: TNorm) -> tuple[Fraction, bool, str]:
-        """(lower bound at the target, whether it is exact, the witness).
-
-        Exact means the sup is attained by a catalog witness: the target
-        itself belongs to the level, so reflexivity realizes 1 and the sup
-        is squeezed against the integral top.
-        """
-        for d in catalog:
-            if d.key() == target.key() and self.member(d, t):
-                return ONE, True, d.label
-        best, witness = ZERO, ""
-        for d in catalog:
-            if self.member(d, t):
-                v = sampled_sub_bound(d, target, t)
-                if v > best:
-                    best, witness = v, d.label
-        return best, False, witness
+    if in_level(gamma):
+        return ONE, True, gamma.label
+    best, witness = ZERO, ""
+    for d in catalog:
+        if in_level(d):
+            v = sampled_sub_bound(d, gamma, t)
+            if v > best:
+                best, witness = v, d.label
+    return best, False, witness
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +625,8 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
 
     # step 1: the left side is the coreflection of (p residuated into the
     # tail semifilter); the ramp lies in its full-degree level and realizes 1
-    tail_eval = TailSemifilter(bounded=variant is Variant.BOUNDED)
-    left_side = Coreflected(Residuated(p, tail_eval))
-    step1_value, step1_exact, witness = left_side.catalog_value(gamma, catalog, tnorm)
+    step1_value, step1_exact, witness = _step1(gamma, catalog, p, tnorm,
+                                               variant is Variant.BOUNDED)
     claims.append(ClaimRecord("step1-ramp-admissible", step1_exact,
                               f"tail liminf {gamma.tail_liminf} vs p = {p}"))
 

@@ -29,7 +29,7 @@ from .quantale import FiniteQuantale, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
-                         evaluation_unit, image_outer, image_semifilter,
+                         evaluation_unit, image_semifilter,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
                          semifilter_of)
@@ -338,12 +338,12 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
     Covers: the unit formula, the flattening formula against the coreflected
     Kowalsky sum, retraction of the coreflection on conical tables, the
     bounded multiplication naturality square, and naturality of the two
-    bounded coreflections.  The flattening check passes the outer prefilter
-    as its basis, which is read only at the evaluation functionals, never
-    as a dense table over the universe's labels.  The bounded checks need an
-    integral carrier with a least positive element
-    (``require_bounded_carrier``); on any other carrier they are skipped and
-    listed in ``not_applicable``.
+    bounded coreflections.  The flattening check and the right side of the
+    square pass the outer prefilter as its basis, which is read only at the
+    evaluation functionals, never as a dense table over the family's
+    labels.  The bounded checks need an integral carrier with a least
+    positive element (``require_bounded_carrier``); on any other carrier
+    they are skipped and listed in ``not_applicable``.
     """
     rep = NaturalityReport()
     rng = random.Random(seed)
@@ -406,9 +406,10 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
                  for _ in range(rng.choice((1, 2)))]
         inner = list(dict.fromkeys(inner))
         fam_x = SemifilterFamily.of(inner)
-        outer = conical_bounded_coreflection(semifilter_of(normalize_basis(
+        basis = bounded_coreflection(normalize_basis(
             [random_qfunction(rng, fam_x.labels, carrier)
-             for _ in range(rng.choice((1, 2)))], fam_x.labels, carrier)))
+             for _ in range(rng.choice((1, 2)))], fam_x.labels, carrier))
+        outer = conical_bounded_coreflection(semifilter_of(basis))
         lhs = image_semifilter(
             f, monad_multiplication(outer, fam_x, Variant.BOUNDED), bounded=True)
 
@@ -418,7 +419,9 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
         fam_y = SemifilterFamily.of(members_y, prefix="h")
         h = SetMap(fam_x.labels, fam_y.labels,
                    tuple(fam_y.labels.elements[members_y.index(t)] for t in pushed))
-        outer_y = conical_bounded_coreflection(image_outer(outer, h, fam_y))
+        # the outer image on the generator: image_prefilter is the
+        # prefilter side of image_outer, by the image/precompose adjunction
+        outer_y = bounded_coreflection(image_prefilter(h, basis))
         rhs = monad_multiplication(outer_y, fam_y, Variant.BOUNDED)
         rep.record(lhs == rhs, f"bounded-multiplication-square #{i}")
     return rep

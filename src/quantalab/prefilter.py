@@ -3,10 +3,12 @@
 A prefilter is an upper set of Q-valued functions containing the constant
 unit function and closed under binary meets.  A finitely generated prefilter
 is principal: the meet of its generators and the constant unit belongs to it
-and lies below every member.  On a finite base set over a finite carrier
-every prefilter is finitely generated, so a prefilter is carried by that one
-generator.  Membership is one pointwise comparison with it, and the induced
-evaluation degree is one graded inclusion out of it.
+and lies below every member.  Functions take their values in a finite
+carrier (see ``qfun``), and on a finite base set every prefilter is then
+finitely generated, so a prefilter is carried by that one generator.
+Membership is one pointwise comparison with it, and the induced evaluation
+degree is one graded inclusion out of it.  The bounded coreflection is
+principal too: the generator joined with the least positive constant.
 
 Saturations of finitely generated prefilters need not be finitely generated,
 so saturation is exposed only as a membership predicate and an evaluation
@@ -18,12 +20,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import UsageError
 from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
                    unit_constant)
-from .quantale import Carrier, FiniteQuantale, ZERO
+from .quantale import FiniteQuantale, ZERO
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class PrefilterBasis:
     """
 
     domain: FiniteSet
-    carrier: Carrier
+    carrier: FiniteQuantale
     generator: QFunction
 
     def __len__(self):
@@ -47,7 +49,7 @@ class PrefilterBasis:
 
 
 def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
-                    carrier: Carrier | None = None) -> PrefilterBasis:
+                    carrier: FiniteQuantale | None = None) -> PrefilterBasis:
     """The prefilter generated by a family, carried by its one generator.
 
     The constant unit is always added, so the generated upper set is a
@@ -69,7 +71,7 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     return PrefilterBasis(domain, carrier, generator)
 
 
-def smallest_prefilter(domain: FiniteSet, carrier: Carrier) -> PrefilterBasis:
+def smallest_prefilter(domain: FiniteSet, carrier: FiniteQuantale) -> PrefilterBasis:
     """The prefilter of everything above the constant unit."""
     return normalize_basis([], domain, carrier)
 
@@ -129,45 +131,13 @@ def is_bounded_function(lam: QFunction) -> bool:
     return len(lam.domain) == 0 or lam.min_value() > ZERO
 
 
-def default_epsilon_schedule(depth: int = 20) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, 2 ** n) for n in range(1, depth + 1))
-
-
-@dataclass(frozen=True)
-class BoundedPrefilterFamily:
-    """The bounded coreflection of a prefilter over the unit interval.
-
-    The coreflection is a union over positive epsilons of prefilters
-    generated by the base's generator joined with the constant epsilon; over the
-    real interval it has no finite basis, so it is exposed as the
-    epsilon-indexed family together with an exact membership test (on a
-    finite domain a function is bounded iff its minimum is positive).
-    """
-
-    base: PrefilterBasis
-    epsilons: tuple[Fraction, ...]
-
-    def basis_at(self, eps: Fraction) -> PrefilterBasis:
-        eps_x = constant(self.base.domain, self.base.carrier, eps)
-        return normalize_basis([self.base.generator.join(eps_x)])
-
-    def member(self, lam: QFunction) -> bool:
-        return member(self.base, lam) and is_bounded_function(lam)
-
-
-def bounded_coreflection(pf: PrefilterBasis,
-                         epsilons: Sequence[Fraction] | None = None):
+def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     """The largest prefilter inside pf all of whose members are bounded.
 
-    Over a finite carrier the answer is again principal: join the generator
-    with the constant at the least nonzero carrier element.
-    Over the unit interval the answer is the epsilon-indexed family above.
+    The answer is again principal: join the generator with the constant at
+    the least nonzero carrier element.
     """
-    c = pf.carrier
-    if not c.is_finite:
-        schedule = tuple(epsilons) if epsilons is not None else default_epsilon_schedule()
-        return BoundedPrefilterFamily(pf, schedule)
-    eps_x = constant(pf.domain, c, least_positive(c))
+    eps_x = constant(pf.domain, pf.carrier, least_positive(pf.carrier))
     return normalize_basis([pf.generator.join(eps_x)])
 
 

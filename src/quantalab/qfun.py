@@ -5,6 +5,10 @@ domain of ``lam(x) -> mu(x)``; it makes the function space a Q-category.
 ``image`` pushes a function forward along a map (joins over fibers) and
 ``precompose`` pulls one back; together they satisfy the adjunction
 ``sub(image(f, lam), mu) == sub(lam, precompose(f, mu))`` exhaustively.
+
+Functions take their values in a finite carrier and carry the carrier
+positions of those values, so every operation here reads the carrier's
+integer kernel; a carrier that is not a ``FiniteQuantale`` is refused.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .quantale import Carrier, as_fraction
+from .quantale import FiniteQuantale, as_fraction
 
 
 @dataclass(frozen=True)
@@ -53,35 +57,32 @@ def finite_set(*labels) -> FiniteSet:
 
 @dataclass(frozen=True)
 class QFunction:
-    """A total map from a finite set into a carrier, stored densely.
+    """A total map from a finite set into a finite carrier, stored densely.
 
     Values are exact rationals aligned with the domain order; equality is
     pointwise exact equality over the same domain and carrier.
 
-    On a finite carrier a function also carries ``index``, the carrier
-    positions of its values, and ``code``, that tuple read as a mixed-radix
-    number in base ``|Q|`` with the last domain position least significant.
-    The code is the function's place in the canonical order of
-    ``all_qfunctions``.  On an interval carrier both are None.
+    A function also carries ``index``, the carrier positions of its values,
+    and ``code``, that tuple read as a mixed-radix number in base ``|Q|``
+    with the last domain position least significant.  The code is the
+    function's place in the canonical order of ``all_qfunctions``.
     """
 
     domain: FiniteSet
     values: tuple[Fraction, ...]
-    carrier: Carrier
+    carrier: FiniteQuantale
 
     def __post_init__(self):
+        _require_finite(self.carrier)
         if len(self.values) != len(self.domain):
             raise UsageError("values must cover the domain exactly")
         for v in self.values:
             if not self.carrier.contains(v):
                 raise UsageError(f"value {v} outside the carrier")
-        index = code = None
-        if self.carrier.is_finite:
-            position = self.carrier.position
-            index = tuple(position[v] for v in self.values)
-            code = _code(index, len(position))
+        position = self.carrier.position
+        index = tuple(position[v] for v in self.values)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "code", _code(index, len(position)))
 
     @classmethod
     def from_index(cls, domain: FiniteSet, carrier, index: tuple) -> "QFunction":
@@ -97,12 +98,6 @@ class QFunction:
                           code=_code(index, len(elements)))
         return f
 
-    @property
-    def key(self):
-        """A hashable key in canonical order: the code, or on an interval
-        carrier the values."""
-        return self.values if self.code is None else self.code
-
     def __call__(self, x) -> Fraction:
         return self.values[self.domain.index(x)]
 
@@ -113,26 +108,17 @@ class QFunction:
 
     def leq(self, other: "QFunction") -> bool:
         _same_space(self, other)
-        if self.index is None:
-            return all(self.carrier.leq(a, b)
-                       for a, b in zip(self.values, other.values))
         leq = self.carrier.kernel.leq
         return all(leq[a][b] for a, b in zip(self.index, other.index))
 
     def meet(self, other: "QFunction") -> "QFunction":
         _same_space(self, other)
-        if self.index is None:
-            return self.with_values(self.carrier.meet(a, b)
-                                    for a, b in zip(self.values, other.values))
         meet = self.carrier.kernel.meet
         return QFunction.from_index(self.domain, self.carrier,
                                     tuple(meet[a][b] for a, b in zip(self.index, other.index)))
 
     def join(self, other: "QFunction") -> "QFunction":
         _same_space(self, other)
-        if self.index is None:
-            return self.with_values(self.carrier.join(a, b)
-                                    for a, b in zip(self.values, other.values))
         join = self.carrier.kernel.join
         return QFunction.from_index(self.domain, self.carrier,
                                     tuple(join[a][b] for a, b in zip(self.index, other.index)))
@@ -168,17 +154,22 @@ def _same_space(a: QFunction, b: QFunction):
         raise UsageError("QFunctions live on different domains or carriers")
 
 
-def constant(domain: FiniteSet, carrier: Carrier, c) -> QFunction:
+def _require_finite(carrier):
+    if not isinstance(carrier, FiniteQuantale):
+        raise UsageError(f"functions need a finite carrier, not {carrier!r}")
+
+
+def constant(domain: FiniteSet, carrier: FiniteQuantale, c) -> QFunction:
     c = as_fraction(c)
     return QFunction(domain, (c,) * len(domain), carrier)
 
 
-def unit_constant(domain: FiniteSet, carrier: Carrier) -> QFunction:
+def unit_constant(domain: FiniteSet, carrier: FiniteQuantale) -> QFunction:
     """The constant function at the monoid unit."""
     return constant(domain, carrier, carrier.unit)
 
 
-def indicator(domain: FiniteSet, carrier: Carrier, subset) -> QFunction:
+def indicator(domain: FiniteSet, carrier: FiniteQuantale, subset) -> QFunction:
     members = set(subset)
     return QFunction(domain,
                      tuple(carrier.top if x in members else carrier.bottom
@@ -193,8 +184,7 @@ def all_qfunctions(domain: FiniteSet, carrier) -> Iterator[QFunction]:
     domain position varying fastest; serialization relies on it.  The n-th
     function has code n.
     """
-    if not carrier.is_finite:
-        raise UsageError("cannot enumerate functions into an infinite carrier")
+    _require_finite(carrier)
     positions = range(len(carrier.elements))
     for index in itertools.product(positions, repeat=len(domain)):
         yield QFunction.from_index(domain, carrier, index)
@@ -233,16 +223,11 @@ class SetMap:
 def sub(lam: QFunction, mu: QFunction) -> Fraction:
     """Graded inclusion: the meet over the domain of lam(x) -> mu(x).
 
-    Over the empty domain the empty meet is the carrier top.  On a finite
-    carrier it is folded over the kernel's index tables.
+    Over the empty domain the empty meet is the carrier top.  It is folded
+    over the kernel's index tables.
     """
     _same_space(lam, mu)
     c = lam.carrier
-    if lam.index is None:
-        out = c.top
-        for a, b in zip(lam.values, mu.values):
-            out = c.meet(out, c.residuum(a, b))
-        return out
     k = c.kernel
     residuum, meet = k.residuum, k.meet
     out = k.top
@@ -257,11 +242,6 @@ def image(f: SetMap, lam: QFunction) -> QFunction:
         raise UsageError("map source does not match the function domain")
     c = lam.carrier
     targets = [f.target.index(y) for y in f.mapping]
-    if lam.index is None:
-        acc = [c.bottom] * len(f.target)
-        for t, v in zip(targets, lam.values):
-            acc[t] = c.join(acc[t], v)
-        return QFunction(f.target, tuple(acc), c)
     join = c.kernel.join
     acc = [c.kernel.bottom] * len(f.target)
     for t, i in zip(targets, lam.index):
@@ -274,7 +254,5 @@ def precompose(f: SetMap, mu: QFunction) -> QFunction:
     if f.target != mu.domain:
         raise UsageError("map target does not match the function domain")
     points = [mu.domain.index(y) for y in f.mapping]
-    if mu.index is None:
-        return QFunction(f.source, tuple(mu.values[p] for p in points), mu.carrier)
     return QFunction.from_index(f.source, mu.carrier,
                                 tuple(mu.index[p] for p in points))

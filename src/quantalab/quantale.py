@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import gt
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, ConstructionError, StructuralError, UsageError
 
@@ -96,10 +96,6 @@ class TNorm:
     @property
     def top(self) -> Fraction:
         return ONE
-
-    @property
-    def is_finite(self) -> bool:
-        return False
 
     def contains(self, x: Fraction) -> bool:
         # 0 <= x <= 1, read off the normalized pair: the denominator of a
@@ -559,10 +555,6 @@ class FiniteQuantale:
         return self.elements[self.kernel.top]
 
     @property
-    def is_finite(self) -> bool:
-        return True
-
-    @property
     def is_integral(self) -> bool:
         return self.unit == self.top
 
@@ -745,6 +737,3 @@ def five_chain() -> FiniteQuantale:
     """{0, 1/4, 3/8, 1/2, 1}, closed under the (1/4,1/2) Lukasiewicz block sum."""
     t = build_ordinal_sum([(Fraction(1, 4), Fraction(1, 2), BlockKind.LUKASIEWICZ)])
     return finite_restriction(t, [0, Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), 1])
-
-
-Carrier = Union[TNorm, FiniteQuantale]

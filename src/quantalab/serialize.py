@@ -145,10 +145,10 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
                 f"entries[{i}] must be a [function, value] pair, got {item!r}")
         fn_obj, val = item
         fn = qfunction_from_json(fn_obj, domain, carrier)
-        if fn.key in first:
+        if fn.code in first:
             raise StructuralError(
-                f"entries[{i}] repeats the function of entries[{first[fn.key]}]")
-        first[fn.key] = i
+                f"entries[{i}] repeats the function of entries[{first[fn.code]}]")
+        first[fn.code] = i
         entries[fn.values] = parse_fraction(val)
     return SemifilterTable(domain, carrier, entries)
 

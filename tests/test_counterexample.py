@@ -1,26 +1,40 @@
 from fractions import Fraction as F
 from itertools import product as pairs_of
+from math import lcm
 
 import pytest
 
 from quantalab import counterexample
-from quantalab.counterexample import (Const, Coreflected, FunctionDescriptor,
-                                      Join, Meet, NO_VIOLATION_EXPECTED,
-                                      NO_VIOLATION_FOUND, PointEvaluation,
-                                      Ramp, Res, Residuated, TailIndicator,
-                                      TailSemifilter, Threshold, VIOLATION,
+from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
+                                      NO_VIOLATION_EXPECTED, NO_VIOLATION_FOUND,
+                                      Ramp, Res, TailIndicator, VIOLATION,
                                       build_catalog, close_catalog,
                                       default_catalog_exprs, describe, eval_at,
                                       left_limit_residuum, run_counterexample,
                                       sampled_sub_bound, _node, Column,
-                                      _collapse_scan)
+                                      _collapse_scan, _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
 from quantalab.quantale import (ONE, ZERO, build_ordinal_sum, godel_tnorm, grid,
-                                lukasiewicz_tnorm, product_tnorm)
+                                lukasiewicz_tnorm, positive_residuum_zero_sup,
+                                product_tnorm)
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 P = F(1, 4)
+
+
+def column_of(values):
+    """The column of a sequence of rationals, the value at 1/m m-th: the
+    oracles' way into the integer form."""
+    values = tuple(values)
+    den = lcm(*(v.denominator for v in values))
+    return Column(den, (v.numerator * (den // v.denominator) * m
+                        for m, v in enumerate(values, 1)))
+
+
+def values_of(col):
+    """The samples of a column as Fractions, the value at 1/m m-th."""
+    return tuple(F(x, col.den * m) for m, x in enumerate(col.nums, 1))
 
 
 # -- expression evaluation ----------------------------------------------------
@@ -187,8 +201,9 @@ def test_left_limit_residuum_against_grid():
 
 def test_describe_gamma():
     d = describe(Ramp(P), BLOCK, depth=10)
-    assert d.samples[0] == 0 and d.samples[1] == F(1, 8)
-    assert d.sample(4) == P * F(3, 4)
+    samples = values_of(d.samples)
+    assert samples[0] == 0 and samples[1] == F(1, 8)
+    assert samples[3] == P * F(3, 4)
     assert d.tail_liminf == P
     assert d.global_inf == 0
 
@@ -197,20 +212,19 @@ def test_describe_bounded_gamma():
     d = describe(Join(Ramp(P), Const(F(1, 8))), BLOCK, depth=10)
     assert d.global_inf == F(1, 8)
     assert d.tail_liminf == P
-    assert d.sample(1) == F(1, 8)
+    assert values_of(d.samples)[0] == F(1, 8)
 
 
 def test_describe_indicator_with_floor():
     d = describe(Join(TailIndicator(3), Const(F(1, 16))), BLOCK, depth=10)
-    assert d.samples[:4] == (F(1, 16), F(1, 16), F(1), F(1))
+    assert values_of(d.samples)[:4] == (F(1, 16), F(1, 16), F(1), F(1))
     assert d.tail_liminf == 1
     assert d.global_inf == F(1, 16)
 
 
 def test_describe_pin_one():
     d = describe(Ramp(P), BLOCK, depth=10, pin_one=True)
-    assert d.sample(1) == 1
-    assert d.sample(2) == F(1, 8)
+    assert values_of(d.samples)[:2] == (1, F(1, 8))
     assert d.global_inf == 0         # the infimum lives off the pinned point
 
 
@@ -229,19 +243,9 @@ def test_global_inf_against_dense_sampling():
 
 def test_descriptor_consistency_enforced():
     with pytest.raises(UsageError):
-        FunctionDescriptor("bad", (F(0),), F(1, 2), F(3, 4))
+        FunctionDescriptor("bad", column_of((F(0),)), F(1, 2), F(3, 4))
     with pytest.raises(UsageError):
-        FunctionDescriptor("bad", (F(1, 2),), F(1, 4), F(3, 4))
-
-
-def test_sample_outside_the_depth_is_refused():
-    d = describe(Ramp(P), BLOCK, depth=10)
-    assert d.sample(1) == 0 and d.sample(10) == d.samples[-1]
-    for m in (0, -1, 11):
-        with pytest.raises(UsageError):
-            d.sample(m)
-    with pytest.raises(UsageError):
-        PointEvaluation(0).evaluate(d, BLOCK)
+        FunctionDescriptor("bad", column_of((F(1, 2),)), F(1, 4), F(3, 4))
 
 
 # -- columns against the per-point evaluator ---------------------------------------
@@ -266,10 +270,10 @@ def test_columns_equal_eval_at_on_the_shipped_closure(t, t_par, s_par, hi, pin_o
     columns: dict = {}
     for e in exprs:
         want = [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
-        assert list(_node(e, t, n, columns).column[:n]) == want
+        assert list(values_of(_node(e, t, n, columns).column)[:n]) == want
         if pin_one:
             want[0] = ONE
-        assert list(describe(e, t, n, pin_one, columns=columns).samples) == want
+        assert list(values_of(describe(e, t, n, pin_one, columns=columns).samples)) == want
 
 
 def test_columns_grow_when_a_longer_horizon_is_asked():
@@ -277,7 +281,7 @@ def test_columns_grow_when_a_longer_horizon_is_asked():
     columns: dict = {}
     assert len(_node(e, BLOCK, 4, columns).column) == 4
     long = _node(e, BLOCK, 9, columns).column
-    assert list(long[:9]) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
+    assert list(values_of(long)[:9]) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -292,8 +296,10 @@ def test_node_records_equal_their_oracles_on_the_shipped_closure(t, t_par, s_par
             assert len(node.column) >= n
             assert node.tail == tail_limit(e, t)
             assert node.co_countable == _eval_leaves(e, ZERO, ZERO, t)
-            assert node.at_zero == eval_at(e, ZERO, t)
-    assert list(node.column) == [eval_at(e, F(1, m), t) for m in range(1, 31)]
+            # the value at x = 0 never undercuts the co-countable infimum,
+            # which is why ``describe`` leaves it out of the global infimum
+            assert eval_at(e, ZERO, t) >= node.co_countable
+    assert list(values_of(node.column)) == [eval_at(e, F(1, m), t) for m in range(1, 31)]
 
 
 def describe_per_point(expr, t, depth, pin_one=False, label=""):
@@ -310,7 +316,7 @@ def describe_per_point(expr, t, depth, pin_one=False, label=""):
     at_zero = eval_at(expr, ZERO, t)
     ginf = min(min(all_samples), co_countable, at_zero)
     liminf, _ = tail_limit(expr, t)
-    return FunctionDescriptor(label or repr(expr), tuple(all_samples[:depth]),
+    return FunctionDescriptor(label or repr(expr), column_of(all_samples[:depth]),
                               liminf, ginf)
 
 
@@ -332,12 +338,15 @@ def build_catalog_per_point(exprs, t, depth, pin_one, cap=240):
     return out
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_build_catalog_matches_per_point_describe(variant):
-    exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), variant)
+# the Lukasiewicz cases keep their plain variant ids
+@pytest.mark.parametrize("t,t_par,s_par,hi,variant", [
+    pytest.param(*case, v, id=str(v) if case[0] is BLOCK else f"product-{v}")
+    for case in CLOSURE_CASES for v in Variant])
+def test_build_catalog_matches_per_point_describe(t, t_par, s_par, hi, variant):
+    exprs = shipped_closure(t, t_par, s_par, hi, variant)
     pin_one = variant is Variant.FILTER
-    want = build_catalog_per_point(exprs, BLOCK, 200, pin_one)
-    assert build_catalog(exprs, BLOCK, 200, pin_one) == want
+    want = build_catalog_per_point(exprs, t, 200, pin_one)
+    assert build_catalog(exprs, t, 200, pin_one) == want
 
 
 def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
@@ -357,7 +366,8 @@ def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
         calls.clear()
         describe(e, BLOCK, depth)
         counts.append(len(calls))
-    # the endpoint x = 0 comes from the node records: no point is evaluated
+    # the endpoint x = 0 is covered by the co-countable infimum: no point
+    # is evaluated
     assert counts == [0, 0]
 
 
@@ -366,37 +376,29 @@ def test_sampled_sub_bound_reflexive_and_bounds():
     b = describe(Const(P), BLOCK, depth=20)
     assert sampled_sub_bound(a, a, BLOCK) == 1
     v = sampled_sub_bound(b, a, BLOCK)
-    assert v <= BLOCK.residuum(P, a.sample(1))
+    assert v <= BLOCK.residuum(P, values_of(a.samples)[0])
 
 
-# -- symbolic semifilters -----------------------------------------------------------
-
-def test_threshold_and_tail_evaluation():
-    d = describe(Ramp(P), BLOCK, depth=10)
-    assert Threshold(F(3, 8)).evaluate(d, BLOCK) == BLOCK.residuum(F(3, 8), F(0))
-    assert TailSemifilter().evaluate(d, BLOCK) == P
-    assert TailSemifilter(bounded=True).evaluate(d, BLOCK) == 0
-    bounded = describe(Join(Ramp(P), Const(F(1, 8))), BLOCK, depth=10)
-    assert TailSemifilter(bounded=True).evaluate(bounded, BLOCK) == P
-
-
-def test_point_and_residuated_evaluation():
-    d = describe(Ramp(P), BLOCK, depth=10)
-    assert PointEvaluation(2).evaluate(d, BLOCK) == F(1, 8)
-    wrapped = Residuated(F(3, 8), TailSemifilter())
-    assert wrapped.evaluate(d, BLOCK) == BLOCK.residuum(F(3, 8), P)
-
+# -- step 1: the coreflected tail semifilter at the ramp ------------------------------
 
 def test_coreflected_level_and_catalog_value():
-    left = Coreflected(Residuated(P, TailSemifilter()))
     gamma = describe(Ramp(P), BLOCK, depth=30)
     low = describe(Const(F(1, 8)), BLOCK, depth=30)
-    assert left.member(gamma, BLOCK)           # tail liminf reaches p
-    assert not left.member(low, BLOCK)
-    value, exact, witness = left.catalog_value(gamma, [low, gamma], BLOCK)
-    assert (value, exact) == (F(1), True) and witness == gamma.label
-    value, exact, _ = left.catalog_value(low, [gamma], BLOCK)
-    assert not exact and value <= 1
+    floored = describe(Join(Ramp(P), Const(F(1, 8))), BLOCK, depth=30)
+    # the ramp's tail liminf reaches p: it is in the level and realizes 1
+    assert _step1(gamma, [gamma, low], P, BLOCK, False) == (ONE, True, gamma.label)
+    # BOUNDED meets a zero-infimum tail with the zero-residuum sup, 0 here,
+    # so the bare ramp leaves the level and the constant below p stays out
+    assert positive_residuum_zero_sup(BLOCK) == 0
+    assert _step1(gamma, [gamma, low], P, BLOCK, True) == (ZERO, False, "")
+    # floored by a positive constant, the ramp is bounded and back in
+    assert _step1(floored, [floored, low], P, BLOCK, True) == \
+        (ONE, True, floored.label)
+    # off the level only a sampled inclusion from a member is found, and it
+    # certifies nothing
+    value, exact, witness = _step1(low, [low, gamma], P, BLOCK, False)
+    assert not exact and witness == gamma.label
+    assert value == sampled_sub_bound(gamma, low, BLOCK) == F(1, 8)
 
 
 # -- the full script ------------------------------------------------------------------
@@ -503,16 +505,13 @@ THREE_BLOCKS = build_ordinal_sum([(0, F(1, 4), "product"),
 
 def test_column_reads_back_as_fractions():
     values = (F(0), F(1, 3), F(5, 6), F(1), F(2, 7))
-    col = Column.of(values)
+    col = column_of(values)
     assert col.den == 42 and col.nums == (0, 28, 105, 168, 60)   # value * 42 * m
-    assert len(col) == 5 and tuple(col) == values and list(col) == list(values)
-    assert col[0] == 0 and col[-1] == F(2, 7) and col[1:3] == values[1:3]
-    assert col[::2] == values[::2] and col[:] == values
-    with pytest.raises(IndexError):
-        col[5]
-    assert col.min() == 0 and Column.of(values[1:]).min() == F(2, 7)
+    assert len(col) == 5 and values_of(col) == values
+    assert values_of(col.head(2)) == values[:2]
+    assert col.min() == 0 and column_of(values[1:]).min() == F(2, 7)
     assert Column(6 * col.den, [6 * x for x in col.nums]) == col   # canonical
-    assert Column.of(()) == Column(1, ()) and len(Column.of(())) == 0
+    assert column_of(()) == Column(1, ()) and len(column_of(())) == 0
 
 
 def nested_product_exprs():
@@ -532,7 +531,7 @@ def test_nested_product_residuations_are_exact(t):
     n = 40
     for e in nested_product_exprs():
         col = _node(e, t, n, {}).column
-        assert list(col[:n]) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
+        assert list(values_of(col)[:n]) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES
@@ -544,12 +543,12 @@ def test_column_keys_are_value_equality(t, t_par, s_par, hi):
     by_value: dict = {}
     for e in exprs:
         col = _node(e, t, 24, columns).column.head(24)
-        by_value.setdefault(tuple(col), set()).add(col)
+        by_value.setdefault(values_of(col), set()).add(col)
     # one canonical column per distinct sequence of values, and back
     assert all(len(cols) == 1 for cols in by_value.values())
     assert len({c for cols in by_value.values() for c in cols}) == len(by_value)
     for values, (col,) in by_value.items():
-        again = Column.of(values)
+        again = column_of(values)
         assert again == col and hash(again) == hash(col)
 
 
@@ -557,7 +556,8 @@ def test_descriptor_from_fractions_equals_the_described_one():
     columns: dict = {}
     for e in shipped_closure(PRODUCT_BLOCK, F(3, 8), F(7, 16), None, Variant.PLAIN)[:80]:
         d = describe(e, PRODUCT_BLOCK, 30, label="w", columns=columns)
-        again = FunctionDescriptor("w", tuple(d.samples), d.tail_liminf, d.global_inf)
+        again = FunctionDescriptor("w", column_of(values_of(d.samples)),
+                                   d.tail_liminf, d.global_inf)
         assert again == d and hash(again) == hash(d) and again.key() == d.key()
 
 
@@ -566,7 +566,7 @@ def sampled_sub_bound_fraction(lam, mu, t):
     if lam.key() == mu.key():
         return ONE
     out = ONE
-    for a, b in zip(lam.samples, mu.samples):
+    for a, b in zip(values_of(lam.samples), values_of(mu.samples)):
         out = min(out, t.residuum(a, b))
     return out
 
@@ -605,7 +605,8 @@ def test_collapse_scan_matches_its_fraction_oracle(variant):
     seen_points = 0
     for d in catalog:
         got = _collapse_scan(d.samples, gamma.samples, P, BLOCK)
-        assert got == collapse_scan_fraction(d.samples, gamma.samples, P, BLOCK)
+        assert got == collapse_scan_fraction(values_of(d.samples),
+                                             values_of(gamma.samples), P, BLOCK)
         seen_points += got[1]
     assert seen_points > 0
     # at the interior p = 3/8, against other members than the ramp, points
@@ -614,7 +615,8 @@ def test_collapse_scan_matches_its_fraction_oracle(variant):
     for a, g in pairs_of(catalog, catalog[1:12]):
         a_col, g_col = a.samples.head(60), g.samples.head(60)
         got = _collapse_scan(a_col, g_col, F(3, 8), BLOCK)
-        assert got == collapse_scan_fraction(a_col, g_col, F(3, 8), BLOCK)
+        assert got == collapse_scan_fraction(values_of(a_col), values_of(g_col),
+                                             F(3, 8), BLOCK)
         failures += len(got[2])
     assert failures > 0
 
@@ -639,7 +641,7 @@ def test_horizon_follows_the_depth_not_the_indicator_start():
     e = Join(TailIndicator(10 ** 5), Ramp(P))
     columns: dict = {}
     d = describe(e, BLOCK, 50, columns=columns)
-    assert d.depth == 50 and d.global_inf == 0
+    assert len(d.samples) == 50 and d.global_inf == 0
     # the memo hands back the columns it computed, 51 samples each
     assert [len(_node(x, BLOCK, 1, columns).column)
             for x in (e, e.left, e.right)] == [51] * 3

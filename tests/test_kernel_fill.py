@@ -18,13 +18,15 @@ from quantalab.errors import UsageError
 from quantalab.monad import (Variant, check_naturality, kleisli_extend,
                              monad_units, random_variant_table)
 from quantalab.prefilter import (bounded_coreflection, eval_degree,
-                                 is_bounded_function, normalize_basis)
+                                 image_prefilter, is_bounded_function,
+                                 normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (ENUM_BUDGET, Positions, SemifilterFamily,
                                   SemifilterTable, conical_bounded_coreflection,
-                                  conical_coreflection, enumerate_semifilters,
+                                  conical_coreflection, conical_semifilters,
+                                  enumerate_semifilters,
                                   evaluation_unit, image_outer,
                                   image_semifilter, is_bounded, kowalsky_sum,
                                   require_bounded_carrier, semifilter_of)
@@ -158,6 +160,27 @@ def test_image_outer_matches_precomposition(name, n):
             for t in tables:
                 assert image_outer(t, h, fam) == SemifilterTable.from_function(
                     fam.labels, q, lambda xi: t(precompose(h, xi)))
+
+
+@pytest.mark.parametrize("name", [name for name in CARRIERS
+                                  if has_least_positive(CARRIERS[name])])
+def test_bounded_outer_image_of_a_generator_matches_the_dense_route(name):
+    # the bounded multiplication square of check_naturality pushes its outer
+    # prefilter along h as a generator; the dense route, the outer table
+    # pushed along h over the target family's labels and coreflected, is
+    # the oracle
+    q = CARRIERS[name]
+    conicals = conical_semifilters(domain(2), q)
+    for nx, ny in itertools.product((1, 2), (1, 2, 3)):
+        fam_x = SemifilterFamily.of(conicals[:nx])
+        fam_y = SemifilterFamily.of(conicals[-ny:])
+        for g in all_qfunctions(fam_x.labels, q):
+            basis = bounded_coreflection(normalize_basis([g]))
+            outer = conical_bounded_coreflection(semifilter_of(basis))
+            for h in all_maps(fam_x.labels, fam_y.labels):
+                dense = conical_bounded_coreflection(image_outer(outer, h, fam_y))
+                assert semifilter_of(bounded_coreflection(
+                    image_prefilter(h, basis))) == dense
 
 
 @pytest.mark.parametrize("name,n", CASES, ids=IDS)

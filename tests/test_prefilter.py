@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantalab.errors import UsageError
-from quantalab.prefilter import (BoundedPrefilterFamily, bounded_coreflection,
-                                 default_epsilon_schedule, eval_degree,
+from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  image_prefilter, is_bounded_function,
                                  is_top_filter, member, normalize_basis,
                                  saturation_member, smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
-from quantalab.quantale import (five_chain, godel3, lukasiewicz_tnorm, mv3,
-                                product_tnorm, two_chain)
+from quantalab.quantale import five_chain, godel3, mv3, two_chain
 
 from test_quantale import square_lattice
 
@@ -45,14 +43,14 @@ def random_bases(carrier, domain):
 def closure_basis(raw, domain, carrier):
     """The meet closure of a family and the constant unit, by worklist."""
     k = unit_constant(domain, carrier)
-    seen = {f.key: f for f in [*raw, k]}
+    seen = {f.code: f for f in [*raw, k]}
     work = list(seen.values())
     while work:
         f = work.pop()
         for g in list(seen.values()):
             m = f.meet(g)
-            if m.key not in seen:
-                seen[m.key] = m
+            if m.code not in seen:
+                seen[m.code] = m
                 work.append(m)
     return list(seen.values())
 
@@ -64,7 +62,7 @@ def minimal_members(fns):
     have several elements; it is not the meet of the family, which need not
     belong to it.
     """
-    distinct = list({f.key: f for f in fns}.values())
+    distinct = list({f.code: f for f in fns}.values())
     return [f for f in distinct
             if not any(g is not f and g.leq(f) for g in distinct)]
 
@@ -87,20 +85,6 @@ def test_generator_is_the_meet_closure_minimum(carrier, n):
         assert_generator_is_closure_minimum([f], dom, carrier)
     for pair in itertools.combinations(fns, 2):
         assert_generator_is_closure_minimum(list(pair), dom, carrier)
-
-
-def interval_bases(carrier):
-    values = st.fractions(min_value=0, max_value=1, max_denominator=12)
-    fn = st.tuples(values, values).map(lambda vs: QFunction(X, vs, carrier))
-    return st.lists(fn, min_size=0, max_size=3)
-
-
-@pytest.mark.parametrize("carrier", [lukasiewicz_tnorm(), product_tnorm()],
-                         ids=["lukasiewicz", "product"])
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_generator_is_the_meet_closure_minimum_on_the_interval(carrier, data):
-    assert_generator_is_closure_minimum(data.draw(interval_bases(carrier)), X, carrier)
 
 
 # -- normalization -----------------------------------------------------------
@@ -278,15 +262,3 @@ def test_bounded_coreflection_is_largest_bounded_part(raw):
     assert out.generator.min_value() > 0
 
 
-def test_bounded_coreflection_interval_family():
-    t = lukasiewicz_tnorm()
-    pf = normalize_basis([QFunction(X, (F(1, 2), F(0)), t)])
-    fam = bounded_coreflection(pf)
-    assert isinstance(fam, BoundedPrefilterFamily)
-    assert fam.epsilons == default_epsilon_schedule()
-    eps = F(1, 4)
-    basis = fam.basis_at(eps)
-    assert basis.generator.values == (F(1, 2), F(1, 4))
-    assert fam.member(QFunction(X, (F(1, 2), F(1, 1024)), t))
-    assert not fam.member(QFunction(X, (F(1, 2), F(0)), t))
-    assert not fam.member(QFunction(X, (F(1, 4), F(1, 2)), t))

@@ -9,7 +9,8 @@ from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
                                  normalize_basis, smallest_prefilter)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
-from quantalab.quantale import five_chain, godel3, mv3, product_tnorm, two_chain
+from quantalab.quantale import (five_chain, godel3, lukasiewicz_tnorm, mv3,
+                                product_tnorm, two_chain)
 from quantalab.semifilter import (AxiomViolation, ConicalTest,
                                   SemifilterFamily, SemifilterTable,
                                   check_axioms, conical_bounded_coreflection,
@@ -344,6 +345,14 @@ def test_conical_semifilters_refuse_before_filling():
         conical_semifilters(finite_set(*"abcdefghij"), five_chain())
     with pytest.raises(UsageError, match="finite carrier"):
         conical_semifilters(S, product_tnorm())
+    # functions, and so prefilters, take their values in a finite carrier
+    luk = lukasiewicz_tnorm()
+    for refused in (lambda: QFunction(S, (F(1, 2),), luk),
+                    lambda: constant(S, luk, F(1, 2)),
+                    lambda: normalize_basis([], S, luk),
+                    lambda: list(all_qfunctions(S, luk))):
+        with pytest.raises(UsageError, match="finite carrier"):
+            refused()
     assert [t.entries for t in conical_semifilters(finite_set(), G3)] == [{(): F(1)}]
 
 
