@@ -381,15 +381,30 @@ def test_sampled_sub_bound_reflexive_and_bounds():
 
 # -- step 1: the coreflected tail semifilter at the ramp ------------------------------
 
+def test_threshold_and_tail_evaluation():
+    # the threshold at r reads r -> inf mu and the tail semifilter the tail
+    # liminf; both are descriptor fields
+    d = describe(Ramp(P), BLOCK, depth=10)
+    assert d.global_inf == ZERO and d.tail_liminf == P
+    # the plain tail reaches p, so p -> tail is 1 and the ramp is in the level
+    assert _step1(d, [d], P, BLOCK, False) == (ONE, True, d.label)
+    # the bounded tail of a zero-infimum argument is cut to the zero-residuum
+    # sup, 0 here, so the bare ramp leaves the level
+    assert positive_residuum_zero_sup(BLOCK) == 0
+    assert _step1(d, [d], P, BLOCK, True) == (ZERO, False, "")
+    # floored by a positive constant the ramp is bounded: its tail stays p
+    bounded = describe(Join(Ramp(P), Const(F(1, 8))), BLOCK, depth=10)
+    assert bounded.global_inf > ZERO and bounded.tail_liminf == P
+    assert _step1(bounded, [bounded], P, BLOCK, True) == (ONE, True, bounded.label)
+
+
 def test_coreflected_level_and_catalog_value():
     gamma = describe(Ramp(P), BLOCK, depth=30)
     low = describe(Const(F(1, 8)), BLOCK, depth=30)
     floored = describe(Join(Ramp(P), Const(F(1, 8))), BLOCK, depth=30)
     # the ramp's tail liminf reaches p: it is in the level and realizes 1
     assert _step1(gamma, [gamma, low], P, BLOCK, False) == (ONE, True, gamma.label)
-    # BOUNDED meets a zero-infimum tail with the zero-residuum sup, 0 here,
-    # so the bare ramp leaves the level and the constant below p stays out
-    assert positive_residuum_zero_sup(BLOCK) == 0
+    # the constant below p stays out of the bounded level too
     assert _step1(gamma, [gamma, low], P, BLOCK, True) == (ZERO, False, "")
     # floored by a positive constant, the ramp is bounded and back in
     assert _step1(floored, [floored, low], P, BLOCK, True) == \
