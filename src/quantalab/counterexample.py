@@ -21,9 +21,10 @@ this module evaluates it through two finite, fully exact devices:
   ``nums[m-1] / (den*m)``; ``den`` is reduced by the gcd of itself and all
   of ``nums``, so equal columns are exactly equal values.  Descriptor
   construction, deduplication, the step-2 scan and ``sampled_sub_bound``
-  all run on these integers.  ``Fraction``s enter through expression
-  constants and leave as the exact infima, bounds and residua of the
-  report.
+  all run on these integers; all but deduplication residuate one column
+  into another point by point, through ``_residua``.  ``Fraction``s enter
+  through expression constants and leave as the exact infima, bounds and
+  residua of the report.
 * certified inequality chains -- lower bounds for suprema come from explicit
   witnesses in a catalog (the ramp itself realizes the value 1, see
   ``_step1``), and upper bounds come from the residuum collapse across an
@@ -38,19 +39,19 @@ reported as a proof that the laws hold.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import and_, ge, lt, mul
+from operator import and_, floordiv, ge, lt, mul
 from typing import Union
 
 from .errors import PreconditionError, UsageError
 from .monad import Variant
-from .quantale import (Block, BlockKind, ONE, TNorm, ZERO, _multiples,
-                       _times, as_fraction, check_condition_s,
-                       is_lukasiewicz_shape, positive_residuum_zero_sup)
+from .quantale import (Block, BlockKind, ONE, TNorm, ZERO, as_fraction,
+                       check_condition_s, is_lukasiewicz_shape,
+                       positive_residuum_zero_sup)
 
 CATALOG_CAP = 240
 
@@ -142,9 +143,15 @@ def left_limit_residuum(t: TNorm, c: Fraction, limit: Fraction) -> tuple[Fractio
     return limit, False
 
 
+def _multiples(step: int, n: int):
+    """step, 2*step, ..., n*step."""
+    return range(step, step * (n + 1), step) if step else repeat(0, n)
+
+
 def _rescaled(col: "Column", den: int):
     """The numerators of col on a multiple den of its denominator."""
-    return _times(col.nums, den // col.den)
+    r = den // col.den
+    return col.nums if r == 1 else map(r.__mul__, col.nums)
 
 
 class Column:
@@ -194,6 +201,30 @@ class Column:
             if x * at < best * m:
                 best, at = x, m
         return Fraction(best, self.den * at)
+
+
+def _residua(a: Column, b: Column, t: TNorm,
+             where: Iterable[bool] | None = None):
+    """``t.residuum`` of a's values into b's at the points 1/m of a, or at
+    those that ``where`` selects: ``den``, the points ``(m, x, y)`` on that
+    common denominator, and ``TNorm.residua`` of them as ``(num, d)`` pairs.
+    """
+    den = lcm(a.den, b.den)
+    points = zip(range(1, len(a) + 1), _rescaled(a, den), _rescaled(b, den))
+    points = list(points if where is None else compress(points, where))
+    return den, points, t.residua(den, points)
+
+
+def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
+    """The column of ``t.residuum(c, v)`` over the values v of col: the
+    constant's column residuated into col, on the least ``den`` such that
+    each pair's d divides ``x*den*m``, so ``x/d = (x*den*m/d) / (den*m)``."""
+    const = Column(c.denominator, _multiples(c.numerator, len(col)))
+    pairs = _residua(const, col, t)[2]
+    xs, ds = zip(*pairs) if pairs else ((), ())
+    xms = list(map(mul, xs, range(1, len(xs) + 1)))
+    den = lcm(*map(floordiv, ds, map(gcd, ds, xms)))
+    return Column(den, map(floordiv, map(mul, xms, repeat(den)), ds))
 
 
 @dataclass(frozen=True)
@@ -248,14 +279,14 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
     children's records.  The column is integers: leaves are filled
     directly, joins and meets take the integer max or min of their
     children's columns on the lcm of their denominators, and a residuation
-    is ``TNorm.residuate_column``.  Joins and meets take the max or min of
-    the scalars too; on the tails, tuples order by limit and then by flag,
-    so a tie keeps an exact tail in a join and only two exact tails in a
-    meet.  A residuation applies ``t.residuum``, or ``left_limit_residuum``
-    to a tail that is not exact.  A memo entry shorter than n is
-    recomputed and replaced; its scalars come out the same, since they do
-    not depend on n.  The memo is a dict that the caller creates; ``_node``
-    owns its contents.
+    is ``_residuate``.  Joins and meets take the max or min of the scalars
+    too; on the tails, tuples order by limit and then by flag, so a tie
+    keeps an exact tail in a join and only two exact tails in a meet.  A
+    residuation applies ``t.residuum`` (which refuses a bad constant before
+    any column is built), or ``left_limit_residuum`` to a tail that is not
+    exact.  A memo entry shorter than n is recomputed and replaced; its
+    scalars come out the same, since they do not depend on n.  The memo is
+    a dict that the caller creates; ``_node`` owns its contents.
     """
     hit = memo.get(id(expr))
     if hit is not None and len(hit[1].column) >= n:
@@ -285,11 +316,11 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
         co_countable = pick(a.co_countable, b.co_countable)
     elif isinstance(expr, Res):
         c, child = expr.const, _node(expr.child, t, n, memo)
-        col = Column(*t.residuate_column(c, child.column.den, child.column.nums))
+        co_countable = t.residuum(c, child.co_countable)
         limit, exact = child.tail
         tail = ((t.residuum(c, limit), True) if exact
                 else left_limit_residuum(t, c, limit))
-        co_countable = t.residuum(c, child.co_countable)
+        col = _residuate(c, child.column, t)
     else:
         raise UsageError(f"unknown expression {expr!r}")
     # Each distinct numerator is held once per memo, under the key None:
@@ -358,10 +389,7 @@ def sampled_sub_bound(lam: FunctionDescriptor, mu: FunctionDescriptor,
     result."""
     if lam.key() == mu.key():
         return ONE
-    a, b = lam.samples, mu.samples
-    den = lcm(a.den, b.den)
-    points = zip(range(1, len(a) + 1), _rescaled(a, den), _rescaled(b, den))
-    return Fraction(*_min_pair(t.residua(den, points), (1, 1)))
+    return Fraction(*_min_pair(_residua(lam.samples, mu.samples, t)[2], (1, 1)))
 
 
 def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
@@ -372,12 +400,8 @@ def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
     p and those residua, the number of such points, and every point where
     the collapse fails as ``(m, residuum, g)``.
     """
-    den = lcm(a.den, g.den)
-    ms = compress(range(1, len(a) + 1),
-                  map(and_, a.compare(ge, p), g.compare(lt, p)))
-    ra, rg = den // a.den, den // g.den
-    points = [(m, a.nums[m - 1] * ra, g.nums[m - 1] * rg) for m in ms]
-    residua = t.residua(den, points)
+    den, points, residua = _residua(
+        a, g, t, map(and_, a.compare(ge, p), g.compare(lt, p)))
     failures = [(m, Fraction(n, d), Fraction(y, den * m))
                 for (m, _, y), (n, d) in zip(points, residua)
                 if n * den * m != y * d]

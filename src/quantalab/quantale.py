@@ -6,8 +6,8 @@ Two carrier families are supported:
   ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
   every block the operation is minimum.  All arithmetic is exact on
   ``fractions.Fraction``; no floats appear anywhere.  The residuum also has
-  two integer forms over sample columns, ``residuate_column`` and
-  ``residua``, for the interval counterexample.
+  one integer form, ``residua``, at points of sample columns, for the
+  interval counterexample.
 * ``FiniteQuantale`` -- a finite commutative unital quantale given by an
   explicit tensor table (chain-ordered by default, or lattice-ordered via
   explicit join/meet tables).
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import gt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, ConstructionError, StructuralError, UsageError
@@ -170,50 +169,6 @@ class TNorm:
             return b.hi - x + y          # x > y, so this is < hi
         return b.lo + (b.hi - b.lo) * (y - b.lo) / (x - b.lo)   # x > y >= lo
 
-    # -- integer columns ----------------------------------------------------
-    #
-    # A column is a positive integer ``den`` and a sequence of integers
-    # ``nums``; its value at the point 1/m is ``nums[m-1] / (den*m)``.
-
-    def residuate_column(self, c: Fraction, den: int,
-                         nums: Sequence[int]) -> tuple[int, list[int]]:
-        """The column of ``residuum(c, v)`` over a column of values ``v``.
-
-        The block that can hold ``c`` together with a value below it is
-        found once, and ``c`` is checked once, as in ``residuum``; then one
-        integer pass applies its three cases: 1 where ``v >= c``, the block
-        formula where ``lo <= v < c``, and ``v`` itself below that.  The
-        result's denominator is the lcm of ``den`` with the denominators of
-        ``c`` and of the block's ends, times, in a product block, the
-        denominator of the slope ``(hi - lo)/(c - lo)``, so every value is
-        exact.
-        """
-        self._check(c)
-        self._check_column(den, nums)
-        i = bisect_left(self._his, c)
-        b = self.blocks[i] if i < len(self.blocks) else None
-        if b is None or b.lo == c:       # no value below c shares a block with c
-            scale = lcm(den, c.denominator)
-            r, C = _exact_div(scale, den), _scaled(c, scale)
-            return scale, [scale * m if x >= C * m else x
-                           for m, x in enumerate(_times(nums, r), 1)]
-        scale = lcm(den, c.denominator, b.lo.denominator, b.hi.denominator)
-        r, C, lo, hi = (_exact_div(scale, den), _scaled(c, scale),
-                        _scaled(b.lo, scale), _scaled(b.hi, scale))
-        if b.kind is BlockKind.LUKASIEWICZ:
-            # hi - c + v, at the scale of the point
-            return scale, [scale * m if x >= C * m
-                           else (hi - C) * m + x if x >= lo * m else x
-                           for m, x in enumerate(_times(nums, r), 1)]
-        # lo + k (v - lo) with the slope k = kn/kd, on the denominator
-        # scale * kd, where lo (1 - k) becomes lo * (kd - kn)
-        k = (b.hi - b.lo) / (c - b.lo)
-        kn, kd = k.numerator, k.denominator
-        top, base = scale * kd, lo * (kd - kn)
-        return top, [top * m if x >= C * m
-                     else base * m + kn * x if x >= lo * m else x * kd
-                     for m, x in enumerate(_times(nums, r), 1)]
-
     def residua(self, den: int,
                 points: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
         """``residuum(x, y)`` at points of two columns on one denominator.
@@ -251,13 +206,6 @@ class TNorm:
                 out.append((lo * (x - lo) + (hi - lo) * (y - lo), s * (x - lo)))
         return out
 
-    def _check_column(self, den: int, nums: Sequence[int]) -> None:
-        """Every value of the column lies in [0,1], else ``_check``'s error."""
-        if nums and (min(nums) < 0 or any(map(gt, nums, _multiples(den, len(nums))))):
-            bad = next(Fraction(x, den * m) for m, x in enumerate(nums, 1)
-                       if not 0 <= x <= den * m)
-            raise UsageError(f"{bad} is not in [0,1]")
-
     def is_idempotent(self, x: Fraction) -> bool:
         """x is idempotent iff it is not interior to any block."""
         self._check(x)
@@ -280,16 +228,6 @@ def _exact_div(a: int, b: int) -> int:
 def _scaled(x: Fraction, scale: int) -> int:
     """x * scale, for a scale that x's denominator divides."""
     return x.numerator * _exact_div(scale, x.denominator)
-
-
-def _times(nums: Sequence[int], r: int):
-    """Each of nums times r."""
-    return nums if r == 1 else map(r.__mul__, nums)
-
-
-def _multiples(step: int, n: int):
-    """step, 2*step, ..., n*step."""
-    return range(step, step * (n + 1), step) if step else itertools.repeat(0, n)
 
 
 def build_ordinal_sum(blocks: Iterable[tuple]) -> TNorm:
@@ -451,9 +389,10 @@ class FiniteQuantale:
     ``position`` maps each element to its index, and ``kernel`` (a
     ``FiniteKernel``) holds the tensor, residuum, join, meet and order as
     index tables.  The finite path runs on it: ``QFunction`` index tuples
-    and codes, flat ``SemifilterTable`` values and ``sub``.  The methods
-    below take and return ``Fraction`` elements and look their arguments up
-    in ``position``; a non-member raises ``UsageError``.
+    and codes, flat ``SemifilterTable`` values and ``sub``.  The operations
+    below take and return ``Fraction`` elements and read the kernel, on a
+    chain too: each looks its arguments up in ``position``, and a
+    non-member raises ``UsageError``.
     """
 
     def __init__(self, elements: Sequence, tensor, unit,
@@ -565,18 +504,12 @@ class FiniteQuantale:
             return False
 
     def leq(self, x: Fraction, y: Fraction) -> bool:
-        if self._join is None:
-            return x <= y
         return self.kernel.leq[self.index_of(x)][self.index_of(y)]
 
     def join(self, x: Fraction, y: Fraction) -> Fraction:
-        if self._join is None:
-            return x if x >= y else y
         return self.elements[self.kernel.join[self.index_of(x)][self.index_of(y)]]
 
     def meet(self, x: Fraction, y: Fraction) -> Fraction:
-        if self._meet is None:
-            return x if x <= y else y
         return self.elements[self.kernel.meet[self.index_of(x)][self.index_of(y)]]
 
     def tensor(self, x: Fraction, y: Fraction) -> Fraction:

@@ -587,17 +587,18 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
 
     ``require`` is "all" (F1-F3) or "filter" (adds F4); the conical ones
     are listed directly by ``conical_semifilters``.  Refuses to scan more
-    than ``budget`` candidate tables, naming the count.
+    than ``budget`` candidate tables before any function is built, naming
+    the count as ``n^k`` in the message and exactly in the error's ``count``.
     """
     if require not in ("all", "filter"):
         raise UsageError(f"unknown requirement {require!r}")
     q = carrier
-    funcs = list(all_qfunctions(domain, q))
-    count = len(q.elements) ** len(funcs)
+    size = _table_size(domain, q)
+    count = len(q.elements) ** size
     if count > budget:
-        raise BudgetError(
-            f"enumeration would scan {count} tables (budget {budget})",
-            count=count)
+        raise BudgetError(f"enumeration would scan {len(q.elements)}^{size} "
+                          f"tables (budget {budget})", count=count)
+    funcs = list(all_qfunctions(domain, q))
 
     kernel = q.kernel
     leq, meet, res = kernel.leq, kernel.meet, kernel.residuum

@@ -16,10 +16,11 @@ import pytest
 
 from quantalab.errors import UsageError
 from quantalab.monad import (Variant, check_naturality, kleisli_extend,
-                             monad_units, random_variant_table)
+                             monad_units, random_variant_table,
+                             table_satisfies)
 from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  image_prefilter, is_bounded_function,
-                                 normalize_basis)
+                                 least_positive, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
@@ -29,7 +30,8 @@ from quantalab.semifilter import (ENUM_BUDGET, Positions, SemifilterFamily,
                                   enumerate_semifilters,
                                   evaluation_unit, image_outer,
                                   image_semifilter, is_bounded, kowalsky_sum,
-                                  require_bounded_carrier, semifilter_of)
+                                  level_prefilter, require_bounded_carrier,
+                                  semifilter_of)
 
 from test_quantale import half_unit_chain, square_lattice
 from test_semifilter import _coreflection_oracle
@@ -225,6 +227,56 @@ def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
                     target, q, lambda lam: t(fam.hat(lam)))
                 assert extend(t) == _coreflection_oracle(
                     raw, bounded=variant is Variant.BOUNDED)
+
+
+LEMMA_CARRIERS = dict(CARRIERS, half=half_unit_chain())
+LEMMA_CASES = [(name, variant) for name in LEMMA_CARRIERS for variant in Variant
+               if variant is not Variant.BOUNDED
+               or name not in ("square", "half")]
+
+
+@pytest.mark.parametrize("name,variant", LEMMA_CASES,
+                         ids=[f"{name}-{v.value}" for name, v in LEMMA_CASES])
+def test_kleisli_extend_is_the_generator_product(name, variant):
+    # The extension lemma, at every (h, t) with |X| in {1, 2} and |Y| <= 2:
+    # the extension of t along h is the conical table sub(g, -) of the
+    # quantale matrix product g(y) = join_x g_t(x) (x) g_h(x)(y) of the
+    # generators, joined with the least positive element under BOUNDED.
+    # The extension itself is the table path, kowalsky_sum plus the
+    # variant coreflection; each generator is read off its table as the
+    # meet of the level set.
+    q = LEMMA_CARRIERS[name]
+    k = q.kernel
+    floor = (q.position[least_positive(q)] if variant is Variant.BOUNDED
+             else k.bottom)
+
+    def listed(dom):
+        """The variant's conical tables on dom, each with its generator."""
+        return [(table, functools.reduce(QFunction.meet,
+                                         level_prefilter(table)).index)
+                for table in conical_semifilters(dom, q)
+                if table_satisfies(table, variant)]
+
+    compared = 0
+    for n in (1, 2):
+        dom, sources = domain(n), listed(domain(n))
+        for m in (0, 1, 2):
+            target = domain(m, "y")
+            expected = {}
+            for choice in itertools.product(listed(target), repeat=n):
+                h = {x: table for x, (table, _) in zip(dom, choice)}
+                extend = kleisli_extend(h, dom, variant, check=False)
+                for t, g_t in sources:
+                    g = [floor] * m
+                    for a, (_, g_h) in zip(g_t, choice):
+                        g = [k.join[v][k.tensor[a][b]] for v, b in zip(g, g_h)]
+                    g = tuple(g)
+                    if g not in expected:
+                        expected[g] = semifilter_of(normalize_basis(
+                            [QFunction.from_index(target, q, g)]))
+                    assert extend(t) == expected[g], (h, t)
+                    compared += 1
+    assert compared > 0
 
 
 def test_bounded_constructions_refuse_a_carrier_without_least_positive():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantalab.counterexample import (Column, Const, Join, Ramp, Res, _node,
+                                      _residuate)
 from quantalab.errors import ConstructionError, StructuralError, UsageError
 from quantalab.quantale import (Block, BlockKind, FiniteQuantale,
                                 build_ordinal_sum, check_condition_s,
@@ -433,6 +435,18 @@ def test_finite_idempotents():
         q.is_idempotent(F(1, 3))
 
 
+def test_chain_operations_refuse_a_non_member():
+    # a chain reads its order off the kernel too, so 1/3, which lies
+    # between two elements of the five-chain, is refused like in tensor
+    q = five_chain()
+    for op in (q.leq, q.join, q.meet, q.tensor, q.residuum):
+        for args in ((F(1, 3), F(1, 2)), (F(1, 3), F(0)), (F(1), F(1, 3))):
+            with pytest.raises(UsageError, match=r"^1/3 is not a carrier element$"):
+                op(*args)
+    assert q.leq(F(1, 4), F(1, 2)) and not q.leq(F(1, 2), F(3, 8))
+    assert q.join(F(3, 8), F(1, 4)) == F(3, 8) and q.meet(F(3, 8), 1) == F(3, 8)
+
+
 # -- integer columns ------------------------------------------------------------
 
 PRODUCT_BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "product")])
@@ -447,6 +461,8 @@ def _column_of(values, den):
 
 @pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
 def test_residuate_column_matches_residuum_on_the_grid(t):
+    # the column of a residuation by a constant, as a residuated node of
+    # the interval counterexample computes it
     points = grid(F(1, 64))
     # every grid value sits at three points 1/m, 65 apart
     values = [points[i % len(points)] for i in range(3 * len(points))]
@@ -455,11 +471,11 @@ def test_residuate_column_matches_residuum_on_the_grid(t):
     columns.append((64, [(29 * m) % (64 * m + 1) for m in range(1, 200)]))
     for den, nums in columns:
         for c in points:
-            out_den, out = t.residuate_column(c, den, nums)
-            assert out_den > 0 and len(out) == len(nums)
-            for m, (v, x) in enumerate(zip(nums, out), 1):
+            out = _residuate(c, Column(den, nums), t)
+            assert out.den > 0 and len(out) == len(nums)
+            for m, (v, x) in enumerate(zip(nums, out.nums), 1):
                 v = F(v, den * m)
-                assert F(x, out_den * m) == t.residuum(c, v), (c, v, m)
+                assert F(x, out.den * m) == t.residuum(c, v), (c, v, m)
 
 
 @pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
@@ -480,14 +496,23 @@ def test_residua_match_residuum_on_the_grid(t):
 
 
 def test_column_kernel_checks_its_values():
-    with pytest.raises(UsageError, match=r"3/2 is not in \[0,1\]"):
-        BLOCK.residuate_column(F(3, 2), 4, [1, 2])
-    with pytest.raises(UsageError, match=r"0 is not in \[0,1\]"):
-        BLOCK.residuate_column(0, 4, [1, 2])           # not a Fraction
-    with pytest.raises(UsageError, match=r"5/4 is not in \[0,1\]"):
-        BLOCK.residuate_column(F(3, 8), 2, [1, 5])     # 5/(2*2) at m = 2
-    with pytest.raises(UsageError, match=r"-1/2 is not in \[0,1\]"):
-        BLOCK.residuate_column(F(3, 8), 2, [-1, 0])
+    # a residuated node refuses a bad constant or child value as the
+    # residuum does; each child holds the column (den, nums) shown, the
+    # last one at the first point only, since no expression is -1/2 at
+    # m = 1 and 0 at m = 2, so that column goes to _residuate itself
+    cases = [
+        (F(3, 2), Const(F(1, 4)), 2, (4, [1, 2]), "3/2"),
+        (0, Const(F(1, 4)), 2, (4, [1, 2]), "0"),          # not a Fraction
+        (F(3, 8), Join(Const(F(1, 2)), Ramp(F(5, 2))), 2,   # 5/(2*2) at m = 2
+         (2, [1, 5]), "5/4"),
+        (F(3, 8), Const(F(-1, 2)), 1, (2, [-1]), "-1/2"),
+    ]
+    for c, child, n, (den, nums), bad in cases:
+        assert _node(child, BLOCK, n, {}).column == Column(den, nums)
+        with pytest.raises(UsageError, match=rf"^{bad} is not in \[0,1\]$"):
+            _node(Res(c, child), BLOCK, n, {})
+    with pytest.raises(UsageError, match=r"^-1/2 is not in \[0,1\]$"):
+        _residuate(F(3, 8), Column(2, [-1, 0]), BLOCK)
     with pytest.raises(UsageError, match=r"3/2 is not in \[0,1\]"):
         PRODUCT_BLOCK.residua(2, [(1, 1, 0), (1, 3, 0)])
     with pytest.raises(UsageError, match=r"-1/4 is not in \[0,1\]"):

@@ -317,6 +317,22 @@ def test_enumeration_budget_error():
     assert err.value.count == 5 ** 25
 
 
+def test_enumeration_refuses_before_building_functions(monkeypatch):
+    # 5 ** 15625 candidates at six points has more digits than an int may
+    # format, so the message names it as a power; at seven points the
+    # table itself exceeds its cap.  Neither builds a function.
+    monkeypatch.setattr(semifilter, "all_qfunctions", None)
+    six, seven = (finite_set(*range(n)) for n in (6, 7))
+    with pytest.raises(BudgetError, match=r"^enumeration would scan 5\^15625 "
+                                          r"tables \(budget 19683\)$") as err:
+        enumerate_semifilters(six, five_chain())
+    assert err.value.count == 5 ** 15625
+    with pytest.raises(BudgetError, match=r"^table would need 78125 entries "
+                                          r"\(cap 19683\)$") as err:
+        enumerate_semifilters(seven, five_chain(), "filter")
+    assert err.value.count == 5 ** 7
+
+
 def test_enumeration_has_no_conical_mode():
     # the conical semifilters are listed by conical_semifilters instead
     with pytest.raises(UsageError, match="unknown requirement 'conical'"):
