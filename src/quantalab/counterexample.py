@@ -9,20 +9,14 @@ this module evaluates it through two finite, fully exact devices:
   the points 1/m, its exact tail liminf along those points, and its exact
   global infimum.  Descriptors are built from a closed class of expressions
   (the decreasing ramp, tail indicators, constants, and joins/meets/
-  residuations of those) whose tails are eventually monotone, so both the
-  liminf and the infimum come out of exact left-limit algebra rather than
-  sampling.  Each distinct node of the expression trees is evaluated once,
-  from its children's records, into one record: its column of values at
-  all the points 1/m together, its tail limit and its infimum off the
-  points 1/m.  ``eval_at`` remains the point-by-point evaluator that the
-  records are tested against.
-* ``Column`` -- the samples on integers.  A column is a positive integer
-  ``den`` and a tuple ``nums``, and its value at 1/m is
-  ``nums[m-1] / (den*m)``; ``den`` is reduced by the gcd of itself and all
-  of ``nums``, so equal columns are exactly equal values.  Descriptor
-  construction, deduplication, the step-2 scan and ``sampled_sub_bound``
-  all run on these integers; all but deduplication residuate one column
-  into another point by point, through ``_residua``.  ``Fraction``s enter
+  residuations of those); each distinct node of the expression trees is
+  evaluated once, from its children's records, into its column of values
+  at all the points 1/m and its infimum off them.
+* ``Column`` -- the samples on integers, in a few runs on which the value
+  is affine in x = 1/m.  The last run goes on forever, so the tail is read
+  off it exactly and nothing but ``describe`` depends on the truncation
+  depth.  Joins, meets and residuations work run by run, cut where the
+  operands cross each other or a block endpoint.  ``Fraction``s enter
   through expression constants and leave as the exact infima, bounds and
   residua of the report.
 * certified inequality chains -- lower bounds for suprema come from explicit
@@ -39,12 +33,10 @@ reported as a proof that the laws hold.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, lcm
-from operator import and_, floordiv, ge, lt, mul
 from typing import Union
 
 from .errors import PreconditionError, UsageError
@@ -99,132 +91,173 @@ class Res:
 FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
 
 
-def eval_at(expr: FnExpr, x: Fraction, t: TNorm) -> Fraction:
-    """The value of expr at one point x, walking the whole tree; the
-    reference that the column evaluation of ``describe`` is tested against."""
-    if isinstance(expr, Ramp):
-        return expr.scale * (1 - x)
-    if isinstance(expr, TailIndicator):
-        reciprocal = x.numerator == 1 and x.denominator >= expr.start
-        return ONE if x > 0 and reciprocal else ZERO
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Join):
-        return max(eval_at(expr.left, x, t), eval_at(expr.right, x, t))
-    if isinstance(expr, Meet):
-        return min(eval_at(expr.left, x, t), eval_at(expr.right, x, t))
-    if isinstance(expr, Res):
-        return t.residuum(expr.const, eval_at(expr.child, x, t))
-    raise UsageError(f"unknown expression {expr!r}")
-
-
-def left_limit_residuum(t: TNorm, c: Fraction, limit: Fraction) -> tuple[Fraction, bool]:
-    """sup over v < limit of (c -> v), with whether the sup is attained below.
-
-    Attainment means c -> v is eventually constant as v approaches the limit
-    from below, so a residuated sequence inherits an exact tail; otherwise
-    the residuated tail still approaches strictly from below.  This is the
-    one place where the order of limits matters: residuation by a constant
-    preserves infima outright but only conditionally preserves suprema, and
-    the failure of condition (S) is visible exactly here.
-    """
-    if limit <= ZERO:
-        raise UsageError("left limit needs a positive limit point")
-    if limit > c:
-        return ONE, True
-    for b in t.blocks:
-        if b.lo <= c <= b.hi and b.lo < limit:
-            w = b.hi - b.lo
-            u = (c - b.lo) / w
-            v = (limit - b.lo) / w
-            if b.kind is BlockKind.LUKASIEWICZ:
-                return b.lo + w * (1 - u + v), False
-            return b.lo + w * (v / u), False
-    return limit, False
-
-
-def _multiples(step: int, n: int):
-    """step, 2*step, ..., n*step."""
-    return range(step, step * (n + 1), step) if step else repeat(0, n)
-
-
-def _rescaled(col: "Column", den: int):
-    """The numerators of col on a multiple den of its denominator."""
-    r = den // col.den
-    return col.nums if r == 1 else map(r.__mul__, col.nums)
+def _greedy(runs, n: int | None) -> list[tuple[int, int, int]]:
+    """The canonical runs of the same values: from its first point, each
+    run takes the line through that point and the next, and keeps it for
+    as long as the points stay on it; a last run of one point has A = 0.
+    ``runs`` starts at 1 and holds no start past n."""
+    ends = [s - 1 for s, _, _ in runs[1:]] + [n]
+    out, i, p = [], 0, 1
+    while n is None or p <= n:
+        while ends[i] is not None and ends[i] < p:
+            i += 1
+        j, (_, a, b) = i, runs[i]
+        if p == n:
+            out.append((p, 0, a * p + b))
+            break
+        if ends[i] == p:                 # the line through p and p + 1
+            j, v = i + 1, a * p + b
+            a = runs[j][1] * (p + 1) + runs[j][2] - v
+            b = v - a * p
+        q = p + 1                        # the last point known on the line
+        while q != n:
+            j += ends[j] is not None and q >= ends[j]
+            _, aj, bj = runs[j]
+            if (aj, bj) == (a, b):
+                if ends[j] is None:
+                    return out + [(p, a, b)]
+                q = ends[j]
+            elif aj * (q + 1) + bj == a * (q + 1) + b:
+                q += 1                   # two distinct lines meet once
+            else:
+                break
+        out.append((p, a, b))
+        p = q + 1
+    return out
 
 
 class Column:
-    """Samples at the points 1/m, m = 1..n, held as integers.
-
-    The value at 1/m is ``nums[m-1] / (den*m)``.  The form is canonical:
-    ``den`` is positive and has no common factor with all of ``nums``, so
+    """Samples at the points 1/m as runs ``(start, A, B)``: from ``start``
+    up to the next run's start, the value at 1/m is ``(A*m + B) / (den*m)``.
+    The first run starts at 1 and the last runs up to ``n``, or on forever
+    when ``n`` is None.  The runs are canonical (see ``_greedy``) and
+    ``den`` is positive and has no common factor with every A and B, so
     two columns are equal, and hash alike, exactly when their values are.
     """
 
-    __slots__ = ("den", "nums")
+    __slots__ = ("den", "runs", "n", "spans")
 
-    def __init__(self, den: int, nums):
-        nums = tuple(nums)
-        g = gcd(den, *nums)
+    def __init__(self, den: int, runs, n: int | None = None):
+        runs = _greedy([r for r in runs if n is None or r[0] <= n], n)
+        g = gcd(den, *(x for _, a, b in runs for x in (a, b)))
         if g != 1:
-            den, nums = den // g, tuple(x // g for x in nums)
-        self.den, self.nums = den, nums
+            den, runs = den // g, [(s, a // g, b // g) for s, a, b in runs]
+        self.den, self.runs, self.n = den, tuple(runs), n
+        # (start, end, A, B) of each run, end None for an endless one
+        ends = [s - 1 for s, _, _ in runs[1:]] + [n]
+        self.spans = [(s, e, a, b) for (s, a, b), e in zip(runs, ends)]
 
     def __len__(self) -> int:
-        return len(self.nums)
+        return self.n
 
     def __eq__(self, other):
         if not isinstance(other, Column):
             return NotImplemented
-        return self.den == other.den and self.nums == other.nums
+        return (self.den, self.runs, self.n) == (other.den, other.runs, other.n)
 
     def __hash__(self):
-        return hash((self.den, self.nums))
+        return hash((self.den, self.runs, self.n))
 
     def __repr__(self):
-        return f"Column(den={self.den}, nums={self.nums!r})"
+        return f"Column(den={self.den}, runs={self.runs!r}, n={self.n})"
 
     def head(self, n: int) -> "Column":
         """The first n samples."""
-        return Column(self.den, self.nums[:n])
+        return Column(self.den, self.runs, n)
 
-    def compare(self, op, value: Fraction):
-        """``op(sample, value)`` at every point, in order, exactly."""
-        return map(op, map(mul, self.nums, repeat(value.denominator)),
-                   _multiples(value.numerator * self.den, len(self.nums)))
+    def at(self, m: int) -> tuple[int, int]:
+        """The value at 1/m as an exact pair ``(num, den)``."""
+        _, a, b = next(r for r in reversed(self.runs) if r[0] <= m)
+        return a * m + b, self.den * m
 
-    def min(self) -> Fraction:
-        """The least sample."""
-        best, at = self.nums[0], 1
-        for m, x in enumerate(self.nums, 1):
-            if x * at < best * m:
-                best, at = x, m
-        return Fraction(best, self.den * at)
+    def min(self) -> tuple[int, int]:
+        """The least sample as an exact pair: each run is monotone in m, so
+        it is taken where a run starts or ends."""
+        return _min_pair(((a * m + b, self.den * m) for s, e, a, b in self.spans
+                          for m in (s, e)), self.at(1))
 
 
-def _residua(a: Column, b: Column, t: TNorm,
-             where: Iterable[bool] | None = None):
-    """``t.residuum`` of a's values into b's at the points 1/m of a, or at
-    those that ``where`` selects: ``den``, the points ``(m, x, y)`` on that
-    common denominator, and ``TNorm.residua`` of them as ``(num, d)`` pairs.
+def _levels(t: TNorm, *extra: Fraction) -> set:
+    """0, 1, the block endpoints and the extra values.  Cut where two
+    columns cross each other or a level (``_pieces``), a residuum of one
+    into the other keeps one case and one block on each piece: 1, the
+    second value, ``hi - x + y`` or ``lo + (hi - lo)(y - lo)/(x - lo)``.
+    Each is affine in 1/m, or a Moebius map of it, so monotone, with its
+    extremes at the ends of the piece.  A value outside [0, 1] is so on a
+    whole piece, so ``TNorm.residua`` at its first point checks them all.
     """
+    return {ZERO, ONE, *extra, *(v for b in t.blocks for v in (b.lo, b.hi))}
+
+
+def _pieces(a: Column, b: Column, levels=()):
+    """The points of two columns cut into pieces on which each column is
+    one line and the signs of a - b and of each column against each level
+    are fixed, an exact zero being a sign of its own: ``den`` and the
+    pieces ``(start, end, A_a, B_a, A_b, B_b)`` on that denominator."""
     den = lcm(a.den, b.den)
-    points = zip(range(1, len(a) + 1), _rescaled(a, den), _rescaled(b, den))
-    points = list(points if where is None else compress(points, where))
-    return den, points, t.residua(den, points)
+    ra, rb = den // a.den, den // b.den
+    levels = [(v.denominator, v.numerator * den) for v in levels]
+    spans_a, spans_b = iter(a.spans), iter(b.spans)
+    (_, end_a, a1, b1), (_, end_b, a2, b2) = next(spans_a), next(spans_b)
+    out, s = [], 1
+    while True:
+        e = end_a if end_b is None or (end_a is not None and end_a < end_b) else end_b
+        lines = (a1 * ra, b1 * ra, a2 * rb, b2 * rb)
+        starts = set()
+        # (A*m + B)/(den*m) - v has the sign of vd*(A*m + B) - vn*m, for the
+        # level v = vn/(vd*den); each sign changes past m = -beta/alpha
+        for alpha, beta in [(a1 * ra - a2 * rb, b1 * ra - b2 * rb)] + [
+                (vd * lines[k] - vn, vd * lines[k + 1]) for vd, vn in levels for k in (0, 2)]:
+            if alpha:
+                q, r = divmod(*((-beta, alpha) if alpha > 0 else (beta, -alpha)))
+                starts.update(m for m in ((q, q + 1) if r == 0 else (q + 1,))
+                              if s < m and (e is None or m <= e))
+        firsts = [s, *sorted(starts)]
+        out += [(f, last, *lines) for f, last in zip(firsts, [m - 1 for m in firsts[1:]] + [e])]
+        if e == a.n:
+            return den, out
+        if e == end_a:
+            _, end_a, a1, b1 = next(spans_a)
+        if e == end_b:
+            _, end_b, a2, b2 = next(spans_b)
+        s = e + 1
+
+
+def _extremum(a: Column, b: Column, join: bool) -> Column:
+    """The pointwise max (join) or min of two columns, cut where they
+    cross; one of the two itself where it wins at every point."""
+    den, pieces = _pieces(a, b)
+    runs, sides = [], set()
+    for s, _, a1, b1, a2, b2 in pieces:
+        d = (a1 - a2) * s + b1 - b2      # 0 on a whole piece or nowhere on it
+        side = (d > 0) == join if d else None
+        sides.add(side)
+        runs.append((s, a1, b1) if side is not False else (s, a2, b2))
+    if False not in sides:
+        return a
+    if True not in sides:
+        return b
+    return Column(den, runs, a.n)
 
 
 def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
-    """The column of ``t.residuum(c, v)`` over the values v of col: the
-    constant's column residuated into col, on the least ``den`` such that
-    each pair's d divides ``x*den*m``, so ``x/d = (x*den*m/d) / (den*m)``."""
-    const = Column(c.denominator, _multiples(c.numerator, len(col)))
-    pairs = _residua(const, col, t)[2]
-    xs, ds = zip(*pairs) if pairs else ((), ())
-    xms = list(map(mul, xs, range(1, len(xs) + 1)))
-    den = lcm(*map(floordiv, ds, map(gcd, ds, xms)))
-    return Column(den, map(floordiv, map(mul, xms, repeat(den)), ds))
+    """The column of ``t.residuum(c, v)`` over the values v of col: on
+    each piece (see ``_levels``) of the constant's column against col, the
+    line through ``TNorm.residua`` at its first two points, since with a
+    constant first argument every case is affine in 1/m."""
+    const = Column(c.denominator, ((1, c.numerator, 0),), col.n)
+    den, pieces = _pieces(const, col, _levels(t))
+    points = [(m, a1 * m + b1, a2 * m + b2) for s, e, a1, b1, a2, b2 in pieces
+              for m in (s, s + 1)[:1 + (e != s)]]
+    values = iter(t.residua(den, points))
+    lines = []
+    for s, e, *_ in pieces:
+        at_s = Fraction(*next(values)) * s               # value * m at m = s
+        slope = Fraction(*next(values)) * (s + 1) - at_s if e != s else ZERO
+        lines.append((s, slope, at_s - slope * s))
+    out_den = lcm(*(x.denominator for _, a, b in lines for x in (a, b)))
+    return Column(out_den, [(s, (a * out_den).numerator, (b * out_den).numerator)
+                            for s, a, b in lines], col.n)
 
 
 @dataclass(frozen=True)
@@ -238,7 +271,8 @@ class FunctionDescriptor:
     global_inf: Fraction
 
     def __post_init__(self):
-        if any(self.samples.compare(lt, self.global_inf)):
+        num, den = self.samples.min()
+        if num * self.global_inf.denominator < self.global_inf.numerator * den:
             raise UsageError("global infimum exceeds a sample")
         if self.tail_liminf < self.global_inf:
             raise UsageError("tail liminf below the global infimum")
@@ -249,22 +283,12 @@ class FunctionDescriptor:
 
 @dataclass(frozen=True, slots=True)
 class _Node:
-    """One expression node as ``_node`` computes it.
-
-    ``column`` holds the values at 1/m for m = 1..n.  The other fields do
-    not depend on n:
-
-    * ``tail`` -- the limit of m -> expr(1/m) and whether it is exact.
-      Exact means the sequence is eventually equal to the limit; otherwise
-      it approaches strictly from below.  Every expression in the class
-      has one of these two tail behaviours, which is what makes liminfs
-      computable without truncation error.
-    * ``co_countable`` -- the infimum off the points 1/m, where every
-      indicator is 0 and the ramp sweeps down to 0: the value with every
-      leaf pinned to 0, which is legitimate because every node operation
-      preserves meets in the function argument.  It is also at most the
-      value at x = 0, since every leaf is there at least its pinned value
-      and every node operation is monotone.
+    """One expression node.  ``tail`` is the limit of m -> expr(1/m) and
+    whether the sequence reaches it rather than approaching from below.
+    ``co_countable`` is the infimum off the points 1/m: the value with every
+    leaf pinned to 0, as every node operation preserves meets in the
+    function argument; it is at most the value at x = 0, as every leaf is
+    there at least its pinned value and every node operation is monotone.
     """
 
     column: Column
@@ -272,64 +296,40 @@ class _Node:
     co_countable: Fraction
 
 
-def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
-    """The node record of expr, its column holding at least n values.
-
-    Each node is computed once per memo, keyed by identity, from its
-    children's records.  The column is integers: leaves are filled
-    directly, joins and meets take the integer max or min of their
-    children's columns on the lcm of their denominators, and a residuation
-    is ``_residuate``.  Joins and meets take the max or min of the scalars
-    too; on the tails, tuples order by limit and then by flag, so a tie
-    keeps an exact tail in a join and only two exact tails in a meet.  A
-    residuation applies ``t.residuum`` (which refuses a bad constant before
-    any column is built), or ``left_limit_residuum`` to a tail that is not
-    exact.  A memo entry shorter than n is recomputed and replaced; its
-    scalars come out the same, since they do not depend on n.  The memo is
-    a dict that the caller creates; ``_node`` owns its contents.
+def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
+    """The node record of expr, computed once per memo (a dict that the
+    caller creates and ``_node`` owns), keyed by identity, from its
+    children's records.  A ramp ``s*(1 - 1/m)`` is the run ``A = s,
+    B = -s``, a constant c the run ``A = c, B = 0``, and a tail indicator
+    0 up to its start and then ``A = 1, B = 0``.  A residuation first
+    refuses a bad constant through ``t.residuum`` on ``co_countable``.
     """
     hit = memo.get(id(expr))
-    if hit is not None and len(hit[1].column) >= n:
+    if hit is not None:
         return hit[1]
     if isinstance(expr, Ramp):
-        # scale * (m - 1)/m
         s = expr.scale
-        col = Column(s.denominator, range(0, s.numerator * n, s.numerator)
-                     if s.numerator else repeat(0, n))
-        tail, co_countable = (s, s == ZERO), ZERO
+        col, co_countable = Column(s.denominator, ((1, s.numerator, -s.numerator),)), ZERO
     elif isinstance(expr, TailIndicator):
-        low = min(max(expr.start - 1, 0), n)     # the points m < start
-        col = Column(1, (0,) * low + tuple(range(low + 1, n + 1)))
-        tail, co_countable = (ONE, True), ZERO
+        runs = ((1, 0, 0), (expr.start, 1, 0)) if expr.start > 1 else ((1, 1, 0),)
+        col, co_countable = Column(1, runs), ZERO
     elif isinstance(expr, Const):
         c = expr.value
-        col = Column(c.denominator, _multiples(c.numerator, n))
-        tail, co_countable = (c, True), c
+        col, co_countable = Column(c.denominator, ((1, c.numerator, 0),)), c
     elif isinstance(expr, (Join, Meet)):
-        a = _node(expr.left, t, n, memo)
-        b = _node(expr.right, t, n, memo)
-        pick = max if isinstance(expr, Join) else min
-        den = lcm(a.column.den, b.column.den)
-        col = Column(den, map(pick, _rescaled(a.column, den),
-                              _rescaled(b.column, den)))
-        tail = pick(a.tail, b.tail)
-        co_countable = pick(a.co_countable, b.co_countable)
+        a = _node(expr.left, t, memo)
+        b = _node(expr.right, t, memo)
+        join = isinstance(expr, Join)
+        col = _extremum(a.column, b.column, join)
+        co_countable = (max if join else min)(a.co_countable, b.co_countable)
     elif isinstance(expr, Res):
-        c, child = expr.const, _node(expr.child, t, n, memo)
-        co_countable = t.residuum(c, child.co_countable)
-        limit, exact = child.tail
-        tail = ((t.residuum(c, limit), True) if exact
-                else left_limit_residuum(t, c, limit))
-        col = _residuate(c, child.column, t)
+        child = _node(expr.child, t, memo)
+        co_countable = t.residuum(expr.const, child.co_countable)
+        col = _residuate(expr.const, child.column, t)
     else:
         raise UsageError(f"unknown expression {expr!r}")
-    # Each distinct numerator is held once per memo, under the key None:
-    # the node columns repeat a few thousand values about twenty times,
-    # and one int object per sample would cost more memory than the
-    # Fraction columns did, whose max and min shared their objects.
-    shared = memo.setdefault(None, {})
-    col = Column(col.den, map(shared.setdefault, col.nums, col.nums))
-    node = _Node(col, tail, co_countable)
+    _, a, b = col.runs[-1]                # the limit A/den, reached iff B = 0
+    node = _Node(col, (Fraction(a, col.den), b == 0), co_countable)
     # the node is stored with its expression, so its id stays its own
     # while the memo lives
     memo[id(expr)] = (expr, node)
@@ -338,38 +338,32 @@ def _node(expr: FnExpr, t: TNorm, n: int, memo: dict) -> _Node:
 
 def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
              label: str = "", columns: dict | None = None) -> FunctionDescriptor:
-    """Build the exact descriptor of an expression.
-
-    Everything comes from the record ``_node`` keeps for the root, and no
-    tree is walked here: ``_node`` computes every node once, from its
-    children's records, as an integer column of its values at the points
-    1/m together with its tail limit and its infimum off the points 1/m.
-    ``columns`` is the memo of those records, which ``build_catalog``
-    shares across its calls so that a subtree shared by many expressions
-    is computed once.
+    """Build the exact descriptor of an expression from the record
+    ``_node`` keeps for its root; no tree is walked here.  ``columns`` is
+    the memo of node records, which ``build_catalog`` shares across its
+    calls.  Only here is a column cut to the depth.
 
     The global infimum has two exact contributions: the co-countable part
-    of the interval (where the indicators vanish and the ramp value sweeps
-    down to 0, evaluated by inf-preservation at the limit; it covers the
-    endpoint x = 0, see ``_Node``), and the samples at 1/m for m up to
-    depth + 1.  That horizon suffices whatever the indicator starts: every
-    node is nondecreasing in m (the ramp rises, an indicator steps up, and
-    join, meet and residuation by a constant are monotone), so the sample
-    sequence is smallest at its start, and the extra point m = depth + 1
-    keeps m = 2 in range when ``pin_one`` overrides the value at x = 1
-    (m = 1) with the top, for the filter variant.  The override applies to the top-level
-    value only, never to a subtree's column.
+    of the interval (it covers the endpoint x = 0, see ``_Node``), and the
+    samples at 1/m for m up to depth + 1.  That horizon suffices whatever
+    the indicator starts: every node is nondecreasing in m (the ramp
+    rises, an indicator steps up, and join, meet and residuation by a
+    constant are monotone), so the sample sequence is smallest at its
+    start, and the extra point m = depth + 1 keeps m = 2 in range when
+    ``pin_one`` overrides the value at x = 1 (m = 1) with the top, for the
+    filter variant.  The override applies to the top-level value only.
     """
-    horizon = depth + 1
-    node = _node(expr, t, horizon, {} if columns is None else columns)
+    node = _node(expr, t, {} if columns is None else columns)
     col = node.column
-    nums = col.nums[:horizon]
     if pin_one:
-        nums = (col.den,) + nums[1:]
-    all_samples = Column(col.den, nums)
-    ginf = min(all_samples.min(), node.co_countable)
-    return FunctionDescriptor(label or repr(expr), all_samples.head(depth),
-                              node.tail[0], ginf)
+        first, *rest = col.runs
+        samples = Column(col.den, [(1, 0, col.den), (2, *first[1:]), *rest], depth)
+    else:
+        samples = col.head(depth)
+    co = node.co_countable
+    ginf = Fraction(*_min_pair([samples.min(), col.at(depth + 1)],
+                               (co.numerator, co.denominator)))
+    return FunctionDescriptor(label or repr(expr), samples, node.tail[0], ginf)
 
 
 def _min_pair(pairs, bound: tuple[int, int]) -> tuple[int, int]:
@@ -385,11 +379,15 @@ def sampled_sub_bound(lam: FunctionDescriptor, mu: FunctionDescriptor,
                       t: TNorm) -> Fraction:
     """Meet of pointwise residuations over the sampled points only: an upper
     bound for the true graded inclusion, exact when descriptors coincide.
-    The residua stay exact integer pairs until the one ``Fraction`` of the
-    result."""
+    The residuum is monotone on each piece (see ``_levels``), so its least
+    value is at a piece's first or last point; the residua stay exact
+    integer pairs until the one ``Fraction`` of the result."""
     if lam.key() == mu.key():
         return ONE
-    return Fraction(*_min_pair(_residua(lam.samples, mu.samples, t)[2], (1, 1)))
+    den, pieces = _pieces(lam.samples, mu.samples, _levels(t))
+    points = [(m, a1 * m + b1, a2 * m + b2)
+              for s, e, a1, b1, a2, b2 in pieces for m in (s, e)]
+    return Fraction(*_min_pair(t.residua(den, points), (1, 1)))
 
 
 def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
@@ -398,15 +396,29 @@ def _collapse_scan(a: Column, g: Column, p: Fraction, t: TNorm):
     At every point m where ``a >= p > g`` it residuates ``a`` into ``g``
     and checks that the residuum collapses to ``g``.  Returns the least of
     p and those residua, the number of such points, and every point where
-    the collapse fails as ``(m, residuum, g)``.
+    the collapse fails as ``(m, residuum, g)``.  Each piece (see
+    ``_levels``) is scanned whole or not at all, and the residuum equals
+    ``g`` on all of it or nowhere: straddling a block it is ``g``, and in a
+    shared block it is ``g`` only where ``g`` is the block's lower end or
+    ``a`` its upper one.  So only a piece failing at its first point is
+    scanned point by point.
     """
-    den, points, residua = _residua(
-        a, g, t, map(and_, a.compare(ge, p), g.compare(lt, p)))
-    failures = [(m, Fraction(n, d), Fraction(y, den * m))
-                for (m, _, y), (n, d) in zip(points, residua)
-                if n * den * m != y * d]
+    den, pieces = _pieces(a, g, _levels(t, p))
+    pn, pd = p.numerator * den, p.denominator
+    scanned = [(s, e, a1, b1, a2, b2) for s, e, a1, b1, a2, b2 in pieces
+               if (a1 * s + b1) * pd >= pn * s > (a2 * s + b2) * pd]
+    ends = [(m, a1 * m + b1, a2 * m + b2)
+            for s, e, a1, b1, a2, b2 in scanned for m in (s, e)]
+    residua = t.residua(den, ends)
+    failures = []
+    for (s, e, a1, b1, a2, b2), (num, d) in zip(scanned, residua[::2]):
+        if num * den * s != (a2 * s + b2) * d:
+            points = [(m, a1 * m + b1, a2 * m + b2) for m in range(s, e + 1)]
+            failures += [(m, Fraction(rn, rd), Fraction(y, den * m))
+                         for (m, _, y), (rn, rd) in zip(points, t.residua(den, points))
+                         if rn * den * m != y * rd]
     cert = _min_pair(residua, (p.numerator, p.denominator))
-    return Fraction(*cert), len(points), failures
+    return Fraction(*cert), sum(e - s + 1 for s, e, *_ in scanned), failures
 
 
 def _step1(gamma: FunctionDescriptor, catalog: Sequence[FunctionDescriptor],
@@ -494,32 +506,26 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
                   pin_one: bool) -> list[FunctionDescriptor]:
     """Describe the expressions, deduplicating by descriptor content.
 
-    A shallow pass (a dozen samples plus the exact tail and infimum)
-    screens out the heavy redundancy the closure produces, so full-depth
-    descriptors are only computed for survivors.  The first expression is
-    the target function and always survives in first position.  Both
-    passes share one memo of node records, so each distinct node of the
-    closure is evaluated once per pass, as one column, however many
-    expressions contain it.
+    The key is exact at the full depth (see ``Column``).  The first
+    expression is the target function and always survives in first
+    position.  All calls share one memo of node records, so each distinct
+    node of the closure is evaluated once, however many expressions hold
+    it, and a root whose record repeats an earlier root's is not described
+    again: its descriptor would repeat that one's too.
     """
     columns: dict = {}
-    light_depth = min(depth, 12)
-    light_seen = set()
-    chosen: list[FnExpr] = []
+    seen_nodes, seen, catalog = set(), set(), []
     for e in exprs:
-        d = describe(e, t, light_depth, pin_one, label=f"w{len(chosen)}",
-                     columns=columns)
-        if d.key() not in light_seen:
-            light_seen.add(d.key())
-            chosen.append(e)
-        if len(chosen) >= CATALOG_CAP:
+        node = _node(e, t, columns)
+        if node not in seen_nodes:
+            seen_nodes.add(node)
+            d = describe(e, t, depth, pin_one, label=f"w{len(catalog)}", columns=columns)
+            if d.key() not in seen:
+                seen.add(d.key())
+                catalog.append(d)
+        if len(catalog) >= CATALOG_CAP:
             break
-    # Distinct shallow keys give distinct full keys, so the survivors need
-    # no second dedup: the full samples extend the shallow ones, the tail
-    # does not depend on the depth, and every node is nondecreasing in m
-    # (see ``describe``), so both infima are taken at the same start.
-    return [describe(e, t, depth, pin_one, label=f"w{i}", columns=columns)
-            for i, e in enumerate(chosen)]
+    return catalog
 
 
 # ---------------------------------------------------------------------------

@@ -302,19 +302,6 @@ def grid(step: Fraction) -> list[Fraction]:
     return [Fraction(k, n) for k in range(n + 1)]
 
 
-def residuum_grid_oracle(t: TNorm, x: Fraction, y: Fraction, step: Fraction) -> Fraction:
-    """Independent oracle: the largest grid point z with x (x) z <= y.
-
-    A deliberately dumb full scan; always a lower bound for the closed-form
-    residuum, with equality whenever the true residuum lies on the grid.
-    """
-    best = ZERO
-    for z in grid(step):
-        if t.tensor(x, z) <= y and z > best:
-            best = z
-    return best
-
-
 def residuum_continuity_probe(t: TNorm, step: Fraction, min_gap: Fraction = Fraction(1, 8)):
     """Largest residuum jump between grid neighbours away from the diagonal.
 

@@ -295,6 +295,21 @@ def test_counterexample_variants(runner, block_path):
         assert report["step2_bound"] == "1/4"
 
 
+@pytest.mark.parametrize("variant", ["plain", "filter", "bounded"])
+def test_counterexample_report_does_not_depend_on_the_truncation(runner, block_path,
+                                                                 variant):
+    reports = []
+    for truncation in ("1000", "1000000"):
+        r = runner.invoke(main, ["counterexample", "--quantale", block_path,
+                                 "--t", "3/8", "--s", "3/8", "--truncation", truncation,
+                                 "--variant", variant, "--format", "structured"])
+        assert r.exit_code == 0, r.output
+        reports.append(json.loads(r.output))
+    assert reports[1].pop("truncation") == 1000000
+    assert reports[0].pop("truncation") == 1000
+    assert reports[0] == reports[1]
+
+
 def test_counterexample_from_scenario_with_witness_catalog(runner, tmp_path):
     from quantalab.counterexample import Ramp
     from quantalab.serialize import expr_to_json

@@ -9,15 +9,18 @@ from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
                                       NO_VIOLATION_EXPECTED, NO_VIOLATION_FOUND,
                                       Ramp, Res, TailIndicator, VIOLATION,
                                       build_catalog, close_catalog,
-                                      default_catalog_exprs, describe, eval_at,
-                                      left_limit_residuum, run_counterexample,
-                                      sampled_sub_bound, _node, Column,
-                                      _collapse_scan, _step1)
+                                      default_catalog_exprs, describe,
+                                      run_counterexample, sampled_sub_bound,
+                                      _node, Column, _collapse_scan, _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
-from quantalab.quantale import (ONE, ZERO, build_ordinal_sum, godel_tnorm, grid,
+from quantalab.quantale import (ONE, ZERO, TNorm, build_ordinal_sum,
+                                check_condition_s, godel_tnorm, grid,
                                 lukasiewicz_tnorm, positive_residuum_zero_sup,
                                 product_tnorm)
+
+from oracles import (PointColumn, eval_at, eval_leaves, left_limit_residuum,
+                     point_collapse_scan, point_node, tail_limit)
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 P = F(1, 4)
@@ -28,13 +31,22 @@ def column_of(values):
     oracles' way into the integer form."""
     values = tuple(values)
     den = lcm(*(v.denominator for v in values))
-    return Column(den, (v.numerator * (den // v.denominator) * m
-                        for m, v in enumerate(values, 1)))
+    return Column(den, [(m, 0, v.numerator * (den // v.denominator) * m)
+                        for m, v in enumerate(values, 1)], len(values))
 
 
-def values_of(col):
-    """The samples of a column as Fractions, the value at 1/m m-th."""
-    return tuple(F(x, col.den * m) for m, x in enumerate(col.nums, 1))
+def values_of(col, n=None):
+    """The samples of a column as Fractions, the value at 1/m m-th, up to
+    n or the column's length."""
+    n = len(col) if n is None else n
+    return tuple(F(a * m + b, col.den * m) for s, e, a, b in col.spans
+                 for m in range(s, (n if e is None else min(e, n)) + 1))
+
+
+def point_column_of(col, n):
+    """The first n samples of a column as the per-point oracle holds them."""
+    return PointColumn(col.den, [a * m + b for s, e, a, b in col.spans
+                                 for m in range(s, (n if e is None else min(e, n)) + 1)])
 
 
 # -- expression evaluation ----------------------------------------------------
@@ -60,56 +72,7 @@ def test_eval_at_composites():
     assert eval_at(r, F(1, 2), BLOCK) == F(1, 8)
 
 
-# -- tree walks: the oracles for the node records --------------------------------
-
-def tail_limit(expr, t):
-    """The limit of m -> expr(1/m) and whether it is exact, by one walk of
-    the tree: the oracle for the tails of the node records."""
-    if isinstance(expr, Ramp):
-        return expr.scale, expr.scale == ZERO
-    if isinstance(expr, TailIndicator):
-        return ONE, True
-    if isinstance(expr, Const):
-        return expr.value, True
-    if isinstance(expr, (Join, Meet)):
-        la, ea = tail_limit(expr.left, t)
-        lb, eb = tail_limit(expr.right, t)
-        if isinstance(expr, Join):
-            if la != lb:
-                return (la, ea) if la > lb else (lb, eb)
-            return la, ea or eb
-        if la != lb:
-            return (la, ea) if la < lb else (lb, eb)
-        return la, ea and eb
-    if isinstance(expr, Res):
-        lc, ec = tail_limit(expr.child, t)
-        if ec:
-            return t.residuum(expr.const, lc), True
-        return left_limit_residuum(t, expr.const, lc)
-    raise UsageError(f"unknown expression {expr!r}")
-
-
-def _eval_leaves(expr, ramp_value, indicator_value, t):
-    """expr with every ramp leaf pinned to one value and every indicator to
-    another, by one walk of the tree: with both at 0, the oracle for the
-    co-countable values of the node records."""
-    if isinstance(expr, Ramp):
-        return ramp_value if expr.scale else ZERO
-    if isinstance(expr, TailIndicator):
-        return indicator_value
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Join):
-        return max(_eval_leaves(expr.left, ramp_value, indicator_value, t),
-                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
-    if isinstance(expr, Meet):
-        return min(_eval_leaves(expr.left, ramp_value, indicator_value, t),
-                   _eval_leaves(expr.right, ramp_value, indicator_value, t))
-    if isinstance(expr, Res):
-        return t.residuum(expr.const,
-                          _eval_leaves(expr.child, ramp_value, indicator_value, t))
-    raise UsageError(f"unknown expression {expr!r}")
-
+# -- tree walks ------------------------------------------------------------------
 
 def _max_indicator_start(expr):
     """The largest indicator start in expr, or 1 without indicators."""
@@ -129,7 +92,7 @@ def tail_oracle(expr, t, m=120000):
 
 
 def node_tail(expr, t):
-    return _node(expr, t, 1, {}).tail
+    return _node(expr, t, {}).tail
 
 
 @pytest.mark.parametrize("expr,want_limit,want_exact", [
@@ -270,18 +233,22 @@ def test_columns_equal_eval_at_on_the_shipped_closure(t, t_par, s_par, hi, pin_o
     columns: dict = {}
     for e in exprs:
         want = [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
-        assert list(values_of(_node(e, t, n, columns).column)[:n]) == want
+        assert list(values_of(_node(e, t, columns).column, n)) == want
         if pin_one:
             want[0] = ONE
         assert list(values_of(describe(e, t, n, pin_one, columns=columns).samples)) == want
 
 
 def test_columns_grow_when_a_longer_horizon_is_asked():
+    # a node's column has no length: the memo hands back the same record
+    # for any horizon, and it reads out as far as it is asked
     e = Res(F(3, 8), Join(Ramp(P), TailIndicator(5)))
     columns: dict = {}
-    assert len(_node(e, BLOCK, 4, columns).column) == 4
-    long = _node(e, BLOCK, 9, columns).column
-    assert list(values_of(long)[:9]) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
+    node = _node(e, BLOCK, columns)
+    assert values_of(node.column, 4) == tuple(eval_at(e, F(1, m), BLOCK) for m in range(1, 5))
+    assert _node(e, BLOCK, columns) is node
+    long = node.column
+    assert list(values_of(long, 9)) == [eval_at(e, F(1, m), BLOCK) for m in range(1, 10)]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -290,29 +257,33 @@ def test_node_records_equal_their_oracles_on_the_shipped_closure(t, t_par, s_par
                                                                  hi, variant):
     exprs = shipped_closure(t, t_par, s_par, hi, variant)
     columns: dict = {}
-    for n in (3, 30):          # the second pass refills every memo entry
+    for n in (3, 30):          # the second pass reads every memo entry
         for e in exprs:
-            node = _node(e, t, n, columns)
-            assert len(node.column) >= n
+            node = _node(e, t, columns)
             assert node.tail == tail_limit(e, t)
-            assert node.co_countable == _eval_leaves(e, ZERO, ZERO, t)
+            assert node.co_countable == eval_leaves(e, ZERO, ZERO, t)
             # the value at x = 0 never undercuts the co-countable infimum,
             # which is why ``describe`` leaves it out of the global infimum
             assert eval_at(e, ZERO, t) >= node.co_countable
-    assert list(values_of(node.column)) == [eval_at(e, F(1, m), t) for m in range(1, 31)]
+    assert list(values_of(node.column, n)) == [eval_at(e, F(1, m), t) for m in range(1, 31)]
 
 
-def describe_per_point(expr, t, depth, pin_one=False, label=""):
+def describe_per_point(expr, t, depth, pin_one=False, label="", memo=None):
     """The point-by-point describe that the columns replace, kept as the
-    oracle."""
+    oracle; ``memo`` holds each point 1/m with ``eval_at``'s memo there."""
     def value(m):
         if pin_one and m == 1:
             return ONE
-        return eval_at(expr, F(1, m), t)
+        if memo is None:
+            return eval_at(expr, F(1, m), t)
+        if m not in memo:
+            memo[m] = F(1, m), {}
+        x, at_x = memo[m]
+        return eval_at(expr, x, t, at_x)
 
     horizon = max(depth, _max_indicator_start(expr) + 1) + 1
     all_samples = [value(m) for m in range(1, horizon + 1)]
-    co_countable = _eval_leaves(expr, ZERO, ZERO, t)
+    co_countable = eval_leaves(expr, ZERO, ZERO, t)
     at_zero = eval_at(expr, ZERO, t)
     ginf = min(min(all_samples), co_countable, at_zero)
     liminf, _ = tail_limit(expr, t)
@@ -321,20 +292,15 @@ def describe_per_point(expr, t, depth, pin_one=False, label=""):
 
 
 def build_catalog_per_point(exprs, t, depth, pin_one, cap=240):
-    light_seen, chosen = set(), []
+    """The catalog deduplicated by full-depth descriptors, point by point."""
+    seen, out, memo = set(), [], {}
     for e in exprs:
-        d = describe_per_point(e, t, min(depth, 12), pin_one)
-        if d.key() not in light_seen:
-            light_seen.add(d.key())
-            chosen.append(e)
-        if len(chosen) >= cap:
-            break
-    out, full_seen = [], set()
-    for i, e in enumerate(chosen):
-        d = describe_per_point(e, t, depth, pin_one, label=f"w{i}")
-        if d.key() not in full_seen:
-            full_seen.add(d.key())
+        d = describe_per_point(e, t, depth, pin_one, label=f"w{len(out)}", memo=memo)
+        if d.key() not in seen:
+            seen.add(d.key())
             out.append(d)
+        if len(out) >= cap:
+            break
     return out
 
 
@@ -353,22 +319,24 @@ def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
     exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), Variant.PLAIN)
     e = next(x for x in exprs                # a depth-2 residuation
              if isinstance(x, Res) and isinstance(x.child, (Join, Meet)))
-    calls = []
-    original = counterexample.eval_at
+    # the per-point evaluator is a test oracle, out of the library's reach
+    assert not hasattr(counterexample, "eval_at")
+    points = []
+    original = TNorm.residua
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(self, den, pts):
+        pts = list(pts)
+        points.append(len(pts))
+        return original(self, den, pts)
 
-    monkeypatch.setattr(counterexample, "eval_at", counted)
+    monkeypatch.setattr(TNorm, "residua", counted)
     counts = []
     for depth in (50, 1000):
-        calls.clear()
+        points.clear()
         describe(e, BLOCK, depth)
-        counts.append(len(calls))
-    # the endpoint x = 0 is covered by the co-countable infimum: no point
-    # is evaluated
-    assert counts == [0, 0]
+        counts.append(sum(points))
+    # the residuations evaluate a few points per piece, whatever the depth
+    assert counts[0] == counts[1] > 0
 
 
 def test_sampled_sub_bound_reflexive_and_bounds():
@@ -521,12 +489,14 @@ THREE_BLOCKS = build_ordinal_sum([(0, F(1, 4), "product"),
 def test_column_reads_back_as_fractions():
     values = (F(0), F(1, 3), F(5, 6), F(1), F(2, 7))
     col = column_of(values)
-    assert col.den == 42 and col.nums == (0, 28, 105, 168, 60)   # value * 42 * m
+    # value * 42 * m is 0, 28, 105, 168, 60: the line through each run's
+    # first two points, and a last run of one point
+    assert col.den == 42 and col.runs == ((1, 28, -28), (3, 63, -84), (5, 0, 60))
     assert len(col) == 5 and values_of(col) == values
     assert values_of(col.head(2)) == values[:2]
-    assert col.min() == 0 and column_of(values[1:]).min() == F(2, 7)
-    assert Column(6 * col.den, [6 * x for x in col.nums]) == col   # canonical
-    assert column_of(()) == Column(1, ()) and len(column_of(())) == 0
+    assert F(*col.min()) == 0 and F(*column_of(values[1:]).min()) == F(2, 7)
+    assert Column(6 * col.den, [(s, 6 * a, 6 * b) for s, a, b in col.runs], 5) == col
+    assert column_of(()) == Column(1, (), 0) and len(column_of(())) == 0
 
 
 def nested_product_exprs():
@@ -545,8 +515,8 @@ def nested_product_exprs():
 def test_nested_product_residuations_are_exact(t):
     n = 40
     for e in nested_product_exprs():
-        col = _node(e, t, n, {}).column
-        assert list(values_of(col)[:n]) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
+        col = _node(e, t, {}).column
+        assert list(values_of(col, n)) == [eval_at(e, F(1, m), t) for m in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("t,t_par,s_par,hi", CLOSURE_CASES
@@ -557,7 +527,7 @@ def test_column_keys_are_value_equality(t, t_par, s_par, hi):
     columns: dict = {}
     by_value: dict = {}
     for e in exprs:
-        col = _node(e, t, 24, columns).column.head(24)
+        col = _node(e, t, columns).column.head(24)
         by_value.setdefault(values_of(col), set()).add(col)
     # one canonical column per distinct sequence of values, and back
     assert all(len(cols) == 1 for cols in by_value.values())
@@ -657,6 +627,145 @@ def test_horizon_follows_the_depth_not_the_indicator_start():
     columns: dict = {}
     d = describe(e, BLOCK, 50, columns=columns)
     assert len(d.samples) == 50 and d.global_inf == 0
-    # the memo hands back the columns it computed, 51 samples each
-    assert [len(_node(x, BLOCK, 1, columns).column)
-            for x in (e, e.left, e.right)] == [51] * 3
+    # the memo hands back records that no depth shaped: the indicator is
+    # two runs however far it starts, and the join follows the ramp up to it
+    assert [_node(x, BLOCK, columns) for x in (e, e.left, e.right)] == \
+        [_node(x, BLOCK, {}) for x in (e, e.left, e.right)]
+    assert [len(_node(x, BLOCK, columns).column.runs)
+            for x in (e, e.left, e.right)] == [2, 2, 1]
+
+
+# -- run columns against their oracles ----------------------------------------------
+
+ALL_CLOSURE_CASES = CLOSURE_CASES + [(THREE_BLOCKS, F(5, 16), F(5, 16), F(1, 2))]
+DEPTHS = (1, 2, 12, 13, 200, 1001)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", ALL_CLOSURE_CASES,
+                         ids=["luk", "product", "three"])
+def test_run_columns_match_their_oracles_on_every_shipped_node(t, t_par, s_par, hi,
+                                                               variant):
+    exprs = shipped_closure(t, t_par, s_par, hi, variant)
+    memo, slow_memo, at_points = {}, {}, {}
+    for e in exprs:
+        _node(e, t, memo)
+    by_column, by_values = {}, {}
+    for e, node in memo.values():
+        slow = point_node(e, t, DEPTHS[-1], slow_memo)
+        assert (node.tail, node.co_countable) == (slow.tail, slow.co_countable)
+        if isinstance(e, Res) and not memo[id(e.child)][1].tail[1]:
+            limit = memo[id(e.child)][1].tail[0]
+            assert node.tail == left_limit_residuum(t, e.const, limit)
+        for n in DEPTHS:
+            col, want = node.column.head(n), slow.column.head(n)
+            assert col.den == want.den and point_column_of(col, n) == want
+            # equal columns exactly when equal values, over all pairs
+            assert by_column.setdefault(col, want) == want
+            assert by_values.setdefault(want, col) == col
+        # eval_at where runs meet, and at the last point of every depth
+        ends = {m for s, e_, _, _ in node.column.spans for m in (s - 1, s)}
+        for m in sorted((ends | set(DEPTHS)) - {0}):
+            if m <= DEPTHS[-1]:
+                if m not in at_points:
+                    at_points[m] = F(1, m), {}
+                x, at_x = at_points[m]
+                assert F(*node.column.at(m)) == eval_at(e, x, t, at_x), (e, m)
+
+
+def test_join_and_meet_dedup_whatever_their_order_at_an_integer_crossing():
+    a, b = Ramp(F(1, 2)), Const(F(3, 8))        # equal at m = 4
+    assert eval_at(a, F(1, 4), BLOCK) == eval_at(b, F(1, 4), BLOCK)
+    for op in (Join, Meet):
+        one, other = describe(op(a, b), BLOCK, 50), describe(op(b, a), BLOCK, 50)
+        assert one.key() == other.key()
+        assert values_of(one.samples) == tuple(eval_at(op(a, b), F(1, m), BLOCK)
+                                               for m in range(1, 51))
+    catalog = build_catalog([Join(a, b), Join(b, a), Meet(a, b), Meet(b, a)],
+                            BLOCK, 50, False)
+    assert [d.label for d in catalog] == ["w0", "w1"]
+
+
+def test_crossings_at_a_sampled_point_are_exact():
+    # the ramp 1/2 (1 - 1/m) meets 3/8 at m = 4 and p = 1/4 at m = 2
+    ramp = Ramp(F(1, 2))
+    for e in (Res(F(3, 8), ramp), Res(P, ramp), Res(F(3, 8), Meet(ramp, Const(F(3, 8)))),
+              Res(F(7, 16), Join(ramp, Const(F(3, 8)))), Meet(ramp, Ramp(F(3, 8)))):
+        for t in (BLOCK, PRODUCT_BLOCK, THREE_BLOCKS):
+            col = _node(e, t, {}).column
+            assert values_of(col, 40) == tuple(eval_at(e, F(1, m), t) for m in range(1, 41))
+    a = describe(ramp, BLOCK, 40).samples
+    for g, p in ((Ramp(P), P), (Ramp(F(3, 8)), F(3, 8))):
+        g = describe(g, BLOCK, 40).samples
+        got = _collapse_scan(a, g, p, BLOCK)
+        assert got == point_collapse_scan(point_column_of(a, 40), point_column_of(g, 40),
+                                          p, BLOCK)
+    # at p = 3/8 both values share the block from m = 4 on, and every such
+    # point fails to collapse
+    assert [m for m, _, _ in got[2]] == list(range(4, 41))
+
+
+def test_a_far_tail_indicator_is_two_runs():
+    e = TailIndicator(10 ** 9)
+    node = _node(e, BLOCK, {})
+    assert node.column.runs == ((1, 0, 0), (10 ** 9, 1, 0)) and node.tail == (ONE, True)
+    d = describe(e, BLOCK, 1000)
+    assert d.samples == column_of((ZERO,) * 1000)
+    assert (d.tail_liminf, d.global_inf) == (ONE, ZERO)
+    r = Res(F(3, 8), Join(e, Ramp(P)))
+    for depth in (10 ** 9 - 1, 10 ** 9, 10 ** 9 + 1):
+        samples = describe(r, BLOCK, depth).samples
+        assert len(samples) == depth
+        for m in (1, 2, depth - 1, depth):
+            assert F(*samples.at(m)) == eval_at(r, F(1, m), BLOCK)
+
+
+@pytest.mark.parametrize("t", [BLOCK, PRODUCT_BLOCK, THREE_BLOCKS],
+                         ids=["luk", "product", "three"])
+def test_pin_one_at_the_shallowest_depths(t):
+    exprs = [Ramp(P), Ramp(ZERO), Const(ONE), Const(F(1, 8)), TailIndicator(1),
+             TailIndicator(2), TailIndicator(3), Join(Ramp(P), TailIndicator(2)),
+             Res(F(3, 8), Ramp(F(1, 2)))]
+    for e in exprs:
+        for depth in (1, 2, 3):
+            assert describe(e, t, depth, True) == describe_per_point(e, t, depth, True)
+
+
+@pytest.mark.parametrize("catalog", [
+    [Ramp(P), Meet(Res(F(19, 80), Ramp(P)), Const(P))],
+    [TailIndicator(20), TailIndicator(30)]], ids=["residuated", "indicators"])
+def test_catalog_keeps_expressions_that_differ_only_deep(catalog):
+    # both pairs agree on their first twelve samples, tail and infimum
+    rep = run_counterexample(BLOCK, F(3, 8), F(3, 8), depth=1000, catalog_exprs=catalog)
+    assert rep.catalog_size == 2
+
+
+# -- every ordinal sum of at most two blocks on the quarter grid ------------------------
+
+def quarter_grid_sums():
+    quarters = [F(i, 4) for i in range(5)]
+    spans = [(lo, hi) for lo in quarters for hi in quarters if lo < hi]
+    kinds = ("lukasiewicz", "product")
+    sums = [[(lo, hi, k)] for lo, hi in spans for k in kinds]
+    sums += [[(a, b, k), (c, d, k2)] for a, b in spans for c, d in spans if b <= c
+             for k in kinds for k2 in kinds]
+    return [build_ordinal_sum(blocks) for blocks in sums]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_condition_s_decides_the_verdict_on_the_quarter_grid(variant):
+    sums = quarter_grid_sums()
+    assert len(sums) == 80
+    for t in sums:
+        s_holds, block = check_condition_s(t)
+        if s_holds:
+            t_par = s_par = F(7, 8)
+            epsilon = t.tensor(t_par, s_par) / 2
+        else:
+            t_par = s_par = (block.lo + block.hi) / 2
+            epsilon = block.lo / 2
+        rep = run_counterexample(t, t_par, s_par, variant=variant, epsilon=epsilon)
+        if s_holds:
+            assert rep.verdict == NO_VIOLATION_EXPECTED, t
+        else:
+            assert rep.verdict == VIOLATION and rep.all_claims_ok, t

@@ -13,8 +13,9 @@ from quantalab.quantale import (Block, BlockKind, FiniteQuantale,
                                 five_chain, godel3, godel_tnorm, grid,
                                 is_lukasiewicz_shape, lukasiewicz_tnorm, mv3,
                                 positive_residuum_zero_sup, product_tnorm,
-                                residuum_continuity_probe,
-                                residuum_grid_oracle, two_chain, Violation)
+                                residuum_continuity_probe, two_chain, Violation)
+
+from oracles import PointColumn, point_residuate, residuum_grid_oracle
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()
@@ -459,6 +460,18 @@ def _column_of(values, den):
     return [v.numerator * (den // v.denominator) * m for m, v in enumerate(values, 1)]
 
 
+def _runs_of(den, nums):
+    """The run column of the numerators ``nums`` on den, one run a point."""
+    return Column(den, [(m, 0, x) for m, x in enumerate(nums, 1)], len(nums))
+
+
+def _nums_on(col, den):
+    """The numerators of a run column's samples on a multiple den of its
+    denominator."""
+    r = den // col.den
+    return [(a * m + b) * r for s, e, a, b in col.spans for m in range(s, e + 1)]
+
+
 @pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
 def test_residuate_column_matches_residuum_on_the_grid(t):
     # the column of a residuation by a constant, as a residuated node of
@@ -471,11 +484,15 @@ def test_residuate_column_matches_residuum_on_the_grid(t):
     columns.append((64, [(29 * m) % (64 * m + 1) for m in range(1, 200)]))
     for den, nums in columns:
         for c in points:
-            out = _residuate(c, Column(den, nums), t)
+            out = _residuate(c, _runs_of(den, nums), t)
             assert out.den > 0 and len(out) == len(nums)
-            for m, (v, x) in enumerate(zip(nums, out.nums), 1):
+            for m, (v, x) in enumerate(zip(nums, _nums_on(out, out.den)), 1):
                 v = F(v, den * m)
                 assert F(x, out.den * m) == t.residuum(c, v), (c, v, m)
+            # and the per-point residuation it replaces agrees, on the
+            # same least denominator
+            slow = point_residuate(c, PointColumn(den, nums), t)
+            assert (out.den, _nums_on(out, out.den)) == (slow.den, list(slow.nums))
 
 
 @pytest.mark.parametrize("t", COLUMN_TNORMS, ids=COLUMN_IDS)
@@ -508,11 +525,11 @@ def test_column_kernel_checks_its_values():
         (F(3, 8), Const(F(-1, 2)), 1, (2, [-1]), "-1/2"),
     ]
     for c, child, n, (den, nums), bad in cases:
-        assert _node(child, BLOCK, n, {}).column == Column(den, nums)
+        assert _node(child, BLOCK, {}).column.head(n) == _runs_of(den, nums)
         with pytest.raises(UsageError, match=rf"^{bad} is not in \[0,1\]$"):
-            _node(Res(c, child), BLOCK, n, {})
+            _node(Res(c, child), BLOCK, {})
     with pytest.raises(UsageError, match=r"^-1/2 is not in \[0,1\]$"):
-        _residuate(F(3, 8), Column(2, [-1, 0]), BLOCK)
+        _residuate(F(3, 8), _runs_of(2, [-1, 0]), BLOCK)
     with pytest.raises(UsageError, match=r"3/2 is not in \[0,1\]"):
         PRODUCT_BLOCK.residua(2, [(1, 1, 0), (1, 3, 0)])
     with pytest.raises(UsageError, match=r"-1/4 is not in \[0,1\]"):
