@@ -5,32 +5,61 @@ their saturations, semifilter tables with conical and bounded coreflections,
 the derived monad structures with law suites, and proof-guided replication of
 the monad-law counterexamples.
 
-The modules follow the mathematics: ``quantale`` (carriers and residuation),
-``qfun`` (functions into a carrier and their enrichment), ``prefilter`` and
-``semifilter`` (the two filter notions and the Galois connection between
-them), ``monad`` (units, multiplication, Kleisli extension, law suites),
-``counterexample`` (exact symbolic replication on the unit interval),
-``classical`` (the set-filter oracle), ``serialize`` and ``cli``.
+The modules follow the mathematics: ``quantale`` (carriers, residuation and
+the monad ``Variant``), ``qfun`` (functions into a carrier and their
+enrichment), ``prefilter`` and ``semifilter`` (the two filter notions and the
+Galois connection between them), ``monad`` (units, multiplication, Kleisli
+extension, law suites), ``counterexample`` (exact symbolic replication on the
+unit interval), ``classical`` (the set-filter oracle), ``serialize`` and
+``cli``.
+
+Importing the package loads none of them.  Each public name below, and each
+module, is imported on first access (PEP 562), so ``from quantalab import
+TNorm`` loads only ``quantale``.
 """
 
-from .quantale import (FiniteQuantale, TNorm, build_ordinal_sum,
-                       check_condition_s, check_quantale_axioms, five_chain,
-                       godel3, godel_tnorm, lukasiewicz_tnorm, mv3,
-                       product_tnorm, two_chain)
-from .qfun import FiniteSet, QFunction, SetMap, finite_set, image, precompose, sub
-from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
-                        image_prefilter, is_top_filter, member,
-                        normalize_basis, saturation_member)
-from .semifilter import (ConicalTest, SemifilterFamily, SemifilterTable,
-                         check_axioms, conical_bounded_coreflection,
-                         conical_coreflection, conical_semifilters,
-                         enumerate_semifilters, evaluation_unit,
-                         image_semifilter, is_bounded, is_conical,
-                         kowalsky_sum, level_prefilter, meet, residuate,
-                         semifilter_of)
-from .monad import (KleisliScenario, Variant, check_monad_laws,
-                    check_naturality, classical_correspondence_report,
-                    kleisli_extend, monad_multiplication, monad_units)
-from .counterexample import FunctionDescriptor, run_counterexample
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "quantale": ("FiniteQuantale", "TNorm", "Variant", "build_ordinal_sum",
+                 "check_condition_s", "check_quantale_axioms", "five_chain",
+                 "godel3", "godel_tnorm", "lukasiewicz_tnorm", "mv3",
+                 "product_tnorm", "two_chain"),
+    "qfun": ("FiniteSet", "QFunction", "SetMap", "finite_set", "image",
+             "precompose", "sub"),
+    "prefilter": ("PrefilterBasis", "bounded_coreflection", "eval_degree",
+                  "image_prefilter", "is_top_filter", "member",
+                  "normalize_basis", "saturation_member"),
+    "semifilter": ("ConicalTest", "SemifilterFamily", "SemifilterTable",
+                   "check_axioms", "conical_bounded_coreflection",
+                   "conical_coreflection", "conical_semifilters",
+                   "enumerate_semifilters", "evaluation_unit",
+                   "image_semifilter", "is_bounded", "is_conical",
+                   "kowalsky_sum", "level_prefilter", "meet", "residuate",
+                   "semifilter_of"),
+    "monad": ("KleisliScenario", "check_monad_laws", "check_naturality",
+              "classical_correspondence_report", "kleisli_extend",
+              "monad_multiplication", "monad_units"),
+    "counterexample": ("FunctionDescriptor", "run_counterexample"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"classical", "cli", "errors", "serialize"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(_MODULE_OF))

@@ -7,6 +7,9 @@ script.  Exit codes are a stable contract: 0 when expectations are met, 1 on
 a mathematical failure, 2 on input errors, 3 on budget exhaustion.  Reports
 are deterministic given inputs and seeds, and the structured output mirrors
 the text output exactly.
+
+Each subcommand imports the layers it runs when it runs: ``quantale`` and
+``counterexample`` never load the finite function, filter and monad modules.
 """
 
 from __future__ import annotations
@@ -18,12 +21,8 @@ from pathlib import Path
 
 import click
 
-from .counterexample import (NO_VIOLATION_EXPECTED, VIOLATION,
-                             run_counterexample)
 from .errors import BudgetError, PreconditionError, QuantalabError
-from .monad import (Variant, check_monad_laws, check_naturality,
-                    classical_correspondence_report, table_satisfies)
-from .quantale import (FiniteQuantale, TNorm, check_condition_s,
+from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
                        check_quantale_axioms, grid,
                        residuum_continuity_probe, two_chain)
 from .serialize import (format_fraction, load_quantale, load_scenario,
@@ -58,7 +57,8 @@ def main():
 @click.option("--quantale", "path", required=True, type=click.Path(exists=True))
 @click.option("--check", "checks", multiple=True,
               type=click.Choice(["axioms", "adjunction", "s", "probe"]),
-              help="Checks to run; defaults to every applicable one.")
+              help="Checks to run; defaults to every applicable one. "
+                   "s and probe need a t-norm definition.")
 @click.option("--grid-step", default="1/64", show_default=True)
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="text",
@@ -71,6 +71,11 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
         if not checks:
             checks = ("axioms", "adjunction", "s", "probe") if isinstance(q, TNorm) \
                 else ("axioms", "adjunction")
+        tnorm_only = [c for c in ("s", "probe") if c in checks]
+        if tnorm_only and not isinstance(q, TNorm):
+            raise PreconditionError(
+                f"--check {tnorm_only[0]} needs a t-norm definition, "
+                f"and {path} defines a finite quantale")
         report: dict = {"input": str(path), "kind": "tnorm" if isinstance(q, TNorm) else "finite"}
         failed = False
 
@@ -96,21 +101,20 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
             if bad is not None:
                 report["adjunction"]["witness"] = [format_fraction(v) for v in bad]
                 failed = True
-        if isinstance(q, TNorm):
-            if "s" in checks:
-                ok, block = check_condition_s(q)
-                entry = {"status": "satisfied" if ok else "violated"}
-                if block is not None:
-                    entry["witness_block"] = {"lo": format_fraction(block.lo),
-                                              "hi": format_fraction(block.hi),
-                                              "kind": block.kind.value}
-                report["condition (S)"] = entry
-                failed = failed or not ok
-            if "probe" in checks:
-                jump, where = residuum_continuity_probe(q, step)
-                report["continuity probe"] = {
-                    "max_offdiagonal_jump": format_fraction(jump),
-                    "at": [[format_fraction(v) for v in pt] for pt in where] if where else None}
+        if "s" in checks:
+            ok, block = check_condition_s(q)
+            entry = {"status": "satisfied" if ok else "violated"}
+            if block is not None:
+                entry["witness_block"] = {"lo": format_fraction(block.lo),
+                                          "hi": format_fraction(block.hi),
+                                          "kind": block.kind.value}
+            report["condition (S)"] = entry
+            failed = failed or not ok
+        if "probe" in checks:
+            jump, where = residuum_continuity_probe(q, step)
+            report["continuity probe"] = {
+                "max_offdiagonal_jump": format_fraction(jump),
+                "at": [[format_fraction(v) for v in pt] for pt in where] if where else None}
         _emit(report, out, fmt)
         sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
     except QuantalabError as e:
@@ -155,13 +159,15 @@ def _adjunction_witness(q, step):
 @main.command("laws")
 @click.option("--scenario", "path", required=True, type=click.Path(exists=True))
 @click.option("--seed", default=None, type=int, help="Overrides the file's seed.")
-@click.option("--budget", default=None, type=int,
+@click.option("--budget", default=None, type=click.IntRange(min=0),
               help="Cap on the number of law scenarios actually run.")
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "structured"]), show_default=True)
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
+    from .monad import (check_monad_laws, check_naturality,
+                        classical_correspondence_report, table_satisfies)
     try:
         scenario = load_scenario(path)
         if not isinstance(scenario.carrier, FiniteQuantale):
@@ -240,6 +246,8 @@ def cmd_laws(path, seed, budget, out, fmt):
 def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
                        epsilon, out, fmt):
     """Replay the associativity-failure script on a t-norm definition."""
+    from .counterexample import (NO_VIOLATION_EXPECTED, VIOLATION,
+                                 run_counterexample)
     try:
         catalog = None
         if scenario_path is not None:

@@ -40,9 +40,8 @@ from math import gcd, lcm
 from typing import Union
 
 from .errors import PreconditionError, UsageError
-from .monad import Variant
-from .quantale import (Block, BlockKind, ONE, TNorm, ZERO, as_fraction,
-                       check_condition_s, is_lukasiewicz_shape,
+from .quantale import (Block, BlockKind, ONE, TNorm, Variant, ZERO,
+                       as_fraction, check_condition_s, is_lukasiewicz_shape,
                        positive_residuum_zero_sup)
 
 CATALOG_CAP = 240

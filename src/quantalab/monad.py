@@ -15,17 +15,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
-from .classical import (all_proper_filters, filter_image, filter_multiplication,
-                        filter_unit, principal)
 from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
                         image_prefilter, normalize_basis, saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
                    indicator, unit_constant)
-from .quantale import FiniteQuantale, two_chain
+from .quantale import FiniteQuantale, Variant, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
@@ -33,12 +30,6 @@ from .semifilter import (SemifilterFamily, SemifilterTable,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
                          semifilter_of)
-
-
-class Variant(Enum):
-    PLAIN = "plain"
-    FILTER = "filter"
-    BOUNDED = "bounded"
 
 
 def _is_filter_table(table: SemifilterTable) -> bool:
@@ -464,6 +455,8 @@ def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
     and Kowalsky sums over the full filter family against the classical
     multiplication.
     """
+    from .classical import (all_proper_filters, filter_image,
+                            filter_multiplication, filter_unit, principal)
     q = two_chain()
     rep = CorrespondenceReport(list(range(1, max_size + 1)))
     for n in range(1, max_size + 1):

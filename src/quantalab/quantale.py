@@ -50,6 +50,16 @@ class BlockKind(Enum):
     PRODUCT = "product"
 
 
+class Variant(Enum):
+    """Which of the three monads: on conical semifilters (PLAIN), on those
+    that are filters (FILTER), or on bounded ones (BOUNDED).  The finite law
+    suites and the interval counterexample both take one."""
+
+    PLAIN = "plain"
+    FILTER = "filter"
+    BOUNDED = "bounded"
+
+
 @dataclass(frozen=True)
 class Block:
     """One summand of an ordinal sum: a rescaled base t-norm on [lo, hi]."""

@@ -3,7 +3,9 @@
 Rationals travel as "num/den" strings so that files round-trip exactly.
 Table entries are emitted in the canonical lexicographic order of the
 function space; parsers are strict and raise StructuralError on malformed
-input so the CLI can map it to the input-error exit code.
+input so the CLI can map it to the input-error exit code.  The function,
+table and expression layers are imported by the functions that build their
+objects, so reading a t-norm definition loads only ``quantale``.
 """
 
 from __future__ import annotations
@@ -11,14 +13,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .counterexample import (Const, FnExpr, Join, Meet, Ramp, Res,
-                             TailIndicator)
 from .errors import StructuralError
-from .monad import Variant
-from .qfun import FiniteSet, QFunction
-from .quantale import BlockKind, FiniteQuantale, TNorm, build_ordinal_sum
-from .semifilter import SemifilterTable
+from .quantale import (BlockKind, FiniteQuantale, TNorm, Variant,
+                       build_ordinal_sum)
+
+if TYPE_CHECKING:
+    from .counterexample import FnExpr
+    from .qfun import FiniteSet, QFunction
+    from .semifilter import SemifilterTable
 
 
 def format_fraction(v: Fraction) -> str:
@@ -115,6 +119,7 @@ def qfunction_to_json(f: QFunction) -> dict:
 
 def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
     """A function given as a list of values or as ``{"values": [...]}``."""
+    from .qfun import QFunction
     if isinstance(obj, dict):
         declared = obj.get("domain")
         if declared is not None and tuple(declared) != domain.elements:
@@ -136,6 +141,7 @@ def semifilter_to_json(t: SemifilterTable) -> dict:
 def semifilter_from_json(obj: dict, domain: FiniteSet,
                          carrier: FiniteQuantale) -> SemifilterTable:
     """A table from its ``entries`` list, each function listed once."""
+    from .semifilter import SemifilterTable
     raw = _expect(_field(obj, "a table", "entries"), list, "entries")
     entries = {}
     first = {}
@@ -154,6 +160,7 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
 
 
 def expr_to_json(e: FnExpr) -> dict:
+    from .counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
     if isinstance(e, Ramp):
         return {"kind": "ramp", "scale": format_fraction(e.scale)}
     if isinstance(e, TailIndicator):
@@ -189,6 +196,7 @@ def _unit_fraction(obj: dict, kind: str, name: str) -> Fraction:
 
 def expr_from_json(obj: dict) -> FnExpr:
     """Parse one witness-catalog expression; see README for the format."""
+    from .counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
     if not isinstance(obj, dict):
         raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
@@ -226,6 +234,14 @@ def _integer(value, name: str) -> int:
     raise StructuralError(f"{name} must be an integer, got {value!r}")
 
 
+def _count(value, name: str) -> int:
+    """A non-negative integer field."""
+    n = _integer(value, name)
+    if n < 0:
+        raise StructuralError(f"{name} must not be negative, got {n}")
+    return n
+
+
 class ScenarioSpec:
     """A parsed law-suite scenario file.
 
@@ -235,6 +251,7 @@ class ScenarioSpec:
     """
 
     def __init__(self, obj: dict, base_dir: Path | None = None):
+        from .qfun import FiniteSet
         if not isinstance(obj, dict):
             raise StructuralError("a scenario file must hold a JSON object")
         quantale = obj.get("quantale")
@@ -263,9 +280,9 @@ class ScenarioSpec:
         self.z_set = label_set("Z", ["z0", "z1"])
         self.seed = _integer(obj.get("seed", 0), "seed")
         budgets = _expect(obj.get("budgets", {}), dict, "budgets")
-        self.scenarios = _integer(budgets.get("scenarios", 200), "budgets.scenarios")
+        self.scenarios = _count(budgets.get("scenarios", 200), "budgets.scenarios")
         budget = budgets.get("budget")
-        self.budget = None if budget is None else _integer(budget, "budgets.budget")
+        self.budget = None if budget is None else _count(budget, "budgets.budget")
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
         self.witness_catalog = None

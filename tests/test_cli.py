@@ -81,6 +81,32 @@ def test_quantale_structured_output_and_file(runner, godel_path, tmp_path):
     assert report["condition (S)"]["status"] == "satisfied"
 
 
+@pytest.mark.parametrize("checks,named", [
+    (["s"], "--check s"), (["probe"], "--check probe"),
+    (["s", "probe"], "--check s"), (["axioms", "probe"], "--check probe"),
+])
+def test_quantale_interval_checks_refuse_a_finite_definition(runner, tmp_path,
+                                                              checks, named):
+    path = write(tmp_path, "two.json", quantale_to_json(two_chain()))
+    argv = ["quantale", "--quantale", path]
+    for c in checks:
+        argv += ["--check", c]
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == (f"input error: {named} needs a t-norm definition, "
+                        f"and {path} defines a finite quantale\n")
+
+
+def test_quantale_default_checks_on_a_finite_definition(runner, tmp_path):
+    path = write(tmp_path, "two.json", quantale_to_json(two_chain()))
+    r = runner.invoke(main, ["quantale", "--quantale", path, "--format", "structured"])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output) == {"input": path, "kind": "finite",
+                                    "axioms": {"status": "ok", "violations": []},
+                                    "adjunction": {"status": "ok"}}
+
+
 def test_laws_scenario_passes(runner, tmp_path):
     path = write(tmp_path, "sc.json", {
         "quantale": quantale_to_json(godel3()),
@@ -248,6 +274,35 @@ def test_laws_scenario_budget_must_be_an_integer(runner, tmp_path, budget, code)
     assert r.exit_code == code, r.output
     if code == 2:
         assert "budgets.budget must be an integer" in r.stderr
+
+
+@pytest.mark.parametrize("budgets,message", [
+    ({"scenarios": -3}, "budgets.scenarios must not be negative, got -3"),
+    ({"scenarios": "-3"}, "budgets.scenarios must not be negative, got -3"),
+    ({"scenarios": 9, "budget": -1}, "budgets.budget must not be negative, got -1"),
+])
+def test_laws_scenario_budgets_must_not_be_negative(runner, tmp_path, budgets, message):
+    path = write(tmp_path, "sc7.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": budgets})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("budget,code", [("-1", 2), ("0", 3)])
+def test_laws_budget_flag_must_not_be_negative(runner, tmp_path, budget, code):
+    path = write(tmp_path, "sc8.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path, "--budget", budget])
+    assert r.exit_code == code, r.output
+    if code == 2:
+        assert r.stdout == ""
+        assert "Invalid value for '--budget': -1 is not in the range x>=0." in r.stderr
 
 
 def test_counterexample_violation(runner, block_path):

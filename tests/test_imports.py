@@ -1,22 +1,32 @@
-"""Every library module uses each name it imports, and no private one.
+"""Every library module uses each name it imports, and no private one; and
+each command loads only the modules it runs.
 
 A representation that is deleted tends to leave its imports behind; this
-check reads the source of each module of the package, ``__init__`` aside
-(it imports to re-export), and names every imported name that the module
-never mentions again.  A helper that one module borrows from another's
-privates belongs to the borrower, so a module of the package importing an
-underscore name from another is named too.
+check reads the source of each module of the package and names every
+imported name that the module never mentions again.  A helper that one
+module borrows from another's privates belongs to the borrower, so a module
+of the package importing an underscore name from another is named too.
+
+The package resolves its public names on first access, and the layers
+import each other where they are used, so reading a t-norm or running a
+``counterexample`` never loads the finite function, filter and monad stack.
+The import graph is checked in a fresh interpreter.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import quantalab
 
-MODULES = sorted(p for p in Path(quantalab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(quantalab.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,3 +74,94 @@ def test_a_private_import_is_named():
               "from .quantale import ONE, _scaled\n"
               "from quantalab.qfun import _code\n")
     assert private_imports(source) == ["_code (line 4)", "_scaled (line 3)"]
+
+
+# Runs the script in argv[1] with the CLI's output and exit swallowed, then
+# prints the quantalab modules the interpreter holds.
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        exec(sys.argv[1])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("quantalab"))))
+"""
+
+
+def loaded_modules(script: str, tmp_path) -> set[str]:
+    """The quantalab modules a fresh interpreter holds after running script
+    in tmp_path, next to a t-norm file and a laws scenario file."""
+    (tmp_path / "block.json").write_text(json.dumps({
+        "type": "tnorm",
+        "blocks": [{"lo": "1/4", "hi": "1/2", "kind": "lukasiewicz"}]}))
+    (tmp_path / "laws.json").write_text(json.dumps({
+        "quantale": {"type": "finite", "carrier": ["0/1", "1/1"],
+                     "tensor": [["0/1", "0/1"], ["0/1", "1/1"]], "unit": "1/1"},
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 1}}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", PROBE, script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout))
+
+
+FINITE_STACK = {"quantalab.monad", "quantalab.semifilter", "quantalab.prefilter",
+                "quantalab.qfun", "quantalab.classical"}
+
+
+def test_reading_a_tnorm_loads_no_finite_stack(tmp_path):
+    loaded = loaded_modules("import quantalab.cli\n"
+                            "from quantalab.serialize import load_quantale\n"
+                            "load_quantale('block.json')", tmp_path)
+    assert "quantalab.quantale" in loaded
+    assert loaded & (FINITE_STACK | {"quantalab.counterexample"}) == set()
+
+
+def test_reading_a_scenario_without_a_catalog_loads_no_counterexample(tmp_path):
+    loaded = loaded_modules("from quantalab.serialize import load_scenario\n"
+                            "load_scenario('laws.json')", tmp_path)
+    assert "quantalab.qfun" in loaded
+    assert "quantalab.counterexample" not in loaded
+    assert "quantalab.monad" not in loaded
+
+
+def test_a_counterexample_command_loads_only_its_layers(tmp_path):
+    loaded = loaded_modules(
+        "from quantalab.cli import main\n"
+        "main(['counterexample', '--quantale', 'block.json', '--t', '3/8',\n"
+        "      '--s', '3/8', '--truncation', '20'])", tmp_path)
+    assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
+                      "quantalab.errors", "quantalab.quantale", "quantalab.serialize"}
+
+
+def test_a_laws_command_loads_no_counterexample(tmp_path):
+    loaded = loaded_modules("from quantalab.cli import main\n"
+                            "main(['laws', '--scenario', 'laws.json'])", tmp_path)
+    assert FINITE_STACK <= loaded
+    assert "quantalab.counterexample" not in loaded
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    assert quantalab.__all__
+    for name in quantalab.__all__:
+        obj = getattr(quantalab, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(quantalab.__all__) <= set(dir(quantalab))
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quantalab.no_such_name
+    with pytest.raises(ImportError):
+        from quantalab import no_such_name  # noqa: F401
+
+
+def test_variant_lives_in_quantale():
+    import quantalab.monad
+    import quantalab.quantale
+    assert quantalab.monad.Variant is quantalab.quantale.Variant
+    assert quantalab.Variant is quantalab.quantale.Variant
