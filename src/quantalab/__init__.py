@@ -32,11 +32,10 @@ _EXPORTS = {
     "prefilter": ("PrefilterBasis", "bounded_coreflection", "eval_degree",
                   "image_prefilter", "is_top_filter", "member",
                   "normalize_basis", "saturation_member"),
-    "semifilter": ("ConicalTest", "SemifilterFamily", "SemifilterTable",
-                   "check_axioms", "conical_bounded_coreflection",
-                   "conical_coreflection", "conical_semifilters",
-                   "enumerate_semifilters", "evaluation_unit",
-                   "image_semifilter", "is_bounded", "is_conical",
+    "semifilter": ("SemifilterFamily", "SemifilterTable", "check_axioms",
+                   "conical_bounded_coreflection", "conical_coreflection",
+                   "conical_semifilters", "enumerate_semifilters",
+                   "evaluation_unit", "image_semifilter", "is_bounded",
                    "kowalsky_sum", "level_prefilter", "meet", "residuate",
                    "semifilter_of"),
     "monad": ("KleisliScenario", "check_monad_laws", "check_naturality",

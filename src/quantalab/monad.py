@@ -134,7 +134,8 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     values = tuple(h[x] for x in domain)
     if not values:
         raise UsageError("cannot extend over an empty domain")
-    # h as a family labelled by the domain: its hat of lam is x |-> h(x)(lam)
+    # h as a family labelled by the domain: the evaluation functional of
+    # lam on it is x |-> h(x)(lam)
     h_family = SemifilterFamily(domain, values)
     carrier = h_family.carrier
     if check:
@@ -265,12 +266,6 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
 
 
 # -- prefilter-side formulas -------------------------------------------------
-
-def unit_prefilter(domain: FiniteSet, carrier, x) -> PrefilterBasis:
-    """The saturated prefilter of functions whose value at x reaches the unit."""
-    values = tuple(carrier.unit if y == x else carrier.bottom for y in domain)
-    return normalize_basis([QFunction(domain, values, carrier)])
-
 
 def functional_of(lam: QFunction, universe: Sequence[PrefilterBasis],
                   labels: FiniteSet) -> QFunction:
@@ -410,8 +405,9 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
         fam_y = SemifilterFamily.of(members_y, prefix="h")
         h = SetMap(fam_x.labels, fam_y.labels,
                    tuple(fam_y.labels.elements[members_y.index(t)] for t in pushed))
-        # the outer image on the generator: image_prefilter is the
-        # prefilter side of image_outer, by the image/precompose adjunction
+        # the outer image on the generator: image_prefilter is the prefilter
+        # side of the outer table pushed along h, by the image/precompose
+        # adjunction
         outer_y = bounded_coreflection(image_prefilter(h, basis))
         rhs = monad_multiplication(outer_y, fam_y, Variant.BOUNDED)
         rep.record(lhs == rhs, f"bounded-multiplication-square #{i}")

@@ -71,11 +71,6 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     return PrefilterBasis(domain, carrier, generator)
 
 
-def smallest_prefilter(domain: FiniteSet, carrier: FiniteQuantale) -> PrefilterBasis:
-    """The prefilter of everything above the constant unit."""
-    return normalize_basis([], domain, carrier)
-
-
 def member(pf: PrefilterBasis, lam: QFunction) -> bool:
     """lam belongs to the generated prefilter iff it dominates the generator."""
     if lam.domain != pf.domain or lam.carrier != pf.carrier:

@@ -13,14 +13,14 @@ Two carrier families are supported:
   explicit join/meet tables).
 
 Both carriers expose the same surface: ``tensor``, ``residuum``, ``leq``,
-``join``, ``meet``, ``is_idempotent``, ``way_below``, plus ``unit``,
-``bottom`` and ``top``.  ``residuum(x, y)`` always returns the largest ``z``
-with ``x (x) z <= y``.
+``join``, ``meet`` and ``is_idempotent``, plus ``unit``, ``bottom`` and
+``top``.  ``residuum(x, y)`` always returns the largest ``z`` with
+``x (x) z <= y``.  The way-below relation, decided from its definition, is
+a test oracle (``tests/oracles.py``): no computation here needs it.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetError, ConstructionError, StructuralError, UsageError
+from .errors import ConstructionError, StructuralError, UsageError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -220,11 +220,6 @@ class TNorm:
         """x is idempotent iff it is not interior to any block."""
         self._check(x)
         return all(not (b.lo < x < b.hi) for b in self.blocks)
-
-    def way_below(self, x: Fraction, y: Fraction) -> bool:
-        """On [0,1]: x is way below y iff x = 0 or x < y."""
-        self._check(x), self._check(y)
-        return x == ZERO or x < y
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -526,33 +521,6 @@ class FiniteQuantale:
     def is_idempotent(self, x: Fraction) -> bool:
         i = self.index_of(x)
         return self.kernel.tensor[i][i] == i
-
-    def _directed_subsets(self):
-        cached = getattr(self, "_directed", None)
-        if cached is not None:
-            return cached
-        if len(self.elements) > 12:
-            raise BudgetError("way-below enumeration over 2^|Q| subsets refused",
-                              count=2 ** len(self.elements))
-        out = []
-        for r in range(1, len(self.elements) + 1):
-            for combo in itertools.combinations(self.elements, r):
-                if all(any(self.leq(a, c) and self.leq(b, c) for c in combo)
-                       for a in combo for b in combo):
-                    out.append(combo)
-        self._directed = out
-        return out
-
-    def way_below(self, x: Fraction, y: Fraction) -> bool:
-        """Decided from the definition, quantified over all directed subsets."""
-        self.index_of(x), self.index_of(y)
-        for d in self._directed_subsets():
-            jd = self.bottom
-            for z in d:
-                jd = self.join(jd, z)
-            if self.leq(y, jd) and not any(self.leq(x, z) for z in d):
-                return False
-        return True
 
     def __eq__(self, other):
         """Same elements, unit and tables, and the same tables given

@@ -18,11 +18,12 @@ The builders fill tables on the kernel: positions in, positions out.  The
 table induced by a set of generators is the pointwise join of their
 ``sub(g, -)`` rows, each folded from the residuum rows of ``g``'s positions
 (``_sub_fill``); level sets are read from ``index`` as position rows, and
-units, images, outer images and Kowalsky sums read their source table at
-computed codes.  None of them builds a ``QFunction`` or a ``Fraction``:
-values become ``Fraction`` elements only at ``__call__`` and
-``canonical_values``.  ``from_function``, with ``sub`` and ``eval_degree``
-on ``Fraction`` values, stays as the oracle the tests compare against.
+units, images and Kowalsky sums read their source table at computed codes.
+None of them builds a ``QFunction`` or a ``Fraction``: values become
+``Fraction`` elements only at ``__call__`` and ``canonical_values``, and
+enter only through ``serialize``.  The ``Fraction``-level table of a
+function and the characterizations of conicality by residuation and by
+the way-below relation are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
 from .prefilter import PrefilterBasis, least_positive
@@ -45,22 +45,12 @@ TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
 
 
-class Positions(tuple):
-    """Table values as carrier positions, in canonical function order.
-
-    Builders that compute on the carrier kernel pass their values to
-    ``SemifilterTable`` in this form; the table then only checks that there
-    is one position per function and that each names a carrier element.
-    """
-
-
 class SemifilterTable:
     """A total map from all |Q|^|X| functions to carrier values.
 
-    ``entries`` is a mapping from functions (or their value tuples) to
-    values, a sequence of values in canonical order, or ``Positions``.  The
-    table is stored as ``index``, one flat tuple of carrier positions in
-    canonical order, so the value at ``lam`` is at ``index[lam.code]``.
+    ``entries`` holds one carrier position per function, in canonical
+    order; the table stores them as ``index``, so the value at ``lam`` is
+    at ``index[lam.code]``.
     """
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, entries):
@@ -68,49 +58,19 @@ class SemifilterTable:
         self.domain = domain
         self.carrier = carrier
         if isinstance(entries, Mapping):
-            entries = self._read_mapping(entries, size)
-        elif not isinstance(entries, Positions):
-            entries = self._read_values(list(entries))
-        if len(entries) < size:
-            missing = next(itertools.islice(self._value_tuples(), len(entries), None))
-            raise StructuralError(f"table is missing the entry at {missing}")
-        if len(entries) > size:
-            raise StructuralError("table has entries outside the function space")
-        if entries and not 0 <= min(entries) <= max(entries) < len(carrier.elements):
-            raise StructuralError("table position outside carrier")
-        self.index = tuple(entries)
-
-    def _value_tuples(self):
-        return itertools.product(self.carrier.elements, repeat=len(self.domain))
-
-    def _read_mapping(self, entries: Mapping, size: int) -> Positions:
-        table = {}
-        for key, v in entries.items():
-            if isinstance(key, QFunction):
-                key = key.values
-            table[tuple(key)] = v
-        out = []
-        for values in self._value_tuples():
-            if values not in table:
-                raise StructuralError(f"table is missing the entry at {values}")
-            if not self.carrier.contains(table[values]):
-                raise StructuralError(f"table value {table[values]} outside carrier")
-            out.append(self.carrier.position[table[values]])
-        if len(table) != size:
-            raise StructuralError("table has entries outside the function space")
-        return Positions(out)
-
-    def _read_values(self, values: list) -> Positions:
-        try:
-            return Positions(map(self.carrier.position.__getitem__, values))
-        except (KeyError, TypeError):
-            bad = next(v for v in values if not self.carrier.contains(v))
-            raise StructuralError(f"table value {bad} outside carrier") from None
-
-    @classmethod
-    def from_function(cls, domain: FiniteSet, carrier: FiniteQuantale,
-                      fn: Callable[[QFunction], Fraction]) -> "SemifilterTable":
-        return cls(domain, carrier, [fn(f) for f in all_qfunctions(domain, carrier)])
+            raise StructuralError("table entries must be carrier positions, "
+                                  "not a mapping")
+        index = tuple(entries)
+        if len(index) != size:
+            raise StructuralError(f"table needs {size} entries, one per "
+                                  f"function, got {len(index)}")
+        n = len(carrier.elements)
+        if index and ({*map(type, index)} != {int}
+                      or not 0 <= min(index) <= max(index) < n):
+            i, bad = next((i, v) for i, v in enumerate(index)
+                          if type(v) is not int or not 0 <= v < n)
+            raise StructuralError(f"table entry {i} is {bad!r}, not a carrier position")
+        self.index = index
 
     @property
     def entries(self) -> "TableEntries":
@@ -120,9 +80,6 @@ class SemifilterTable:
         if lam.domain != self.domain or lam.carrier != self.carrier:
             raise UsageError("function does not match the table's space")
         return self.carrier.elements[self.index[lam.code]]
-
-    def value_at(self, values: tuple) -> Fraction:
-        return self.entries[values]
 
     def functions(self):
         return all_qfunctions(self.domain, self.carrier)
@@ -139,8 +96,7 @@ class SemifilterTable:
         self._same_space(other)
         meet = self.carrier.kernel.meet
         return SemifilterTable(self.domain, self.carrier,
-                               Positions(meet[a][b]
-                                         for a, b in zip(self.index, other.index)))
+                               (meet[a][b] for a, b in zip(self.index, other.index)))
 
     def _same_space(self, other: "SemifilterTable"):
         if self.domain != other.domain or self.carrier != other.carrier:
@@ -186,7 +142,8 @@ class TableEntries(Mapping):
         return t(lam)
 
     def __iter__(self):
-        return self._table._value_tuples()
+        t = self._table
+        return itertools.product(t.carrier.elements, repeat=len(t.domain))
 
     def __len__(self):
         return len(self._table.index)
@@ -263,8 +220,8 @@ def _induced(domain: FiniteSet, carrier: FiniteQuantale,
     size = _table_size(domain, carrier)
     k = carrier.kernel
     fills = [_sub_fill(k, g) for g in generators] or [[k.bottom] * size]
-    return SemifilterTable(domain, carrier, Positions(functools.reduce(
-        lambda out, fill: [k.join[a][b] for a, b in zip(out, fill)], fills)))
+    return SemifilterTable(domain, carrier, functools.reduce(
+        lambda out, fill: [k.join[a][b] for a, b in zip(out, fill)], fills))
 
 
 def _row_meet(rows: Sequence[tuple], kernel) -> tuple:
@@ -317,7 +274,7 @@ def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
     codes = [0]
     for w in weights:
         codes = [c + w * i for c in codes for i in range(n)]
-    return SemifilterTable(f.target, q, Positions(map(table.index.__getitem__, codes)))
+    return SemifilterTable(f.target, q, map(table.index.__getitem__, codes))
 
 
 def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> SemifilterTable:
@@ -329,8 +286,7 @@ def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> Semifilter
     size = _table_size(domain, carrier)
     n = len(carrier.elements)
     stride = n ** (len(domain) - 1 - idx)
-    return SemifilterTable(domain, carrier,
-                           Positions(c // stride % n for c in range(size)))
+    return SemifilterTable(domain, carrier, (c // stride % n for c in range(size)))
 
 
 def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
@@ -402,58 +358,6 @@ def is_conical_semifilter(table: SemifilterTable) -> bool:
     return tuple(_sub_fill(k, _row_meet(_level_rows(table), k))) == table.index
 
 
-class ConicalTest(Enum):
-    DEFINITION = "definition"          # fixed point of the coreflection
-    SUP_FORMULA = "sup-formula"        # value recovered from residuated level tests
-    RESIDUATION = "residuation"        # table commutes with residuation by constants
-
-
-def residuate_function(p: Fraction, lam: QFunction) -> QFunction:
-    c = lam.carrier
-    return lam.with_values(c.residuum(p, v) for v in lam.values)
-
-
-def is_conical(table: SemifilterTable, mode: ConicalTest = ConicalTest.DEFINITION) -> bool:
-    """Three equivalent characterizations of conicality on finite carriers.
-
-    RESIDUATION additionally assumes residuation by constants preserves
-    directed joins, which holds on every finite lattice because directed
-    subsets attain their join.
-    """
-    q = table.carrier
-    if mode is ConicalTest.DEFINITION:
-        return conical_coreflection(table) == table
-    if mode is ConicalTest.SUP_FORMULA:
-        for lam in table.functions():
-            best = q.bottom
-            for p in q.elements:
-                if q.leq(q.unit, table(residuate_function(p, lam))):
-                    best = q.join(best, p)
-            if best != table(lam):
-                return False
-        return True
-    if mode is ConicalTest.RESIDUATION:
-        for lam in table.functions():
-            for p in q.elements:
-                if table(residuate_function(p, lam)) != q.residuum(p, table(lam)):
-                    return False
-        return True
-    raise UsageError(f"unknown mode {mode!r}")
-
-
-def satisfies_way_below_criterion(table: SemifilterTable) -> bool:
-    """Whether p way below the degree of lam forces the residuated function
-    to be held at full degree.  On a continuous carrier this characterizes
-    conical tables; every finite lattice is continuous."""
-    q = table.carrier
-    for lam in table.functions():
-        for p in q.elements:
-            if q.way_below(p, table(lam)):
-                if not q.leq(q.unit, table(residuate_function(p, lam))):
-                    return False
-    return True
-
-
 def meet(tables: Sequence[SemifilterTable]) -> SemifilterTable:
     """Pointwise meet of semifilter tables; preserves F1-F3."""
     if not tables:
@@ -468,7 +372,7 @@ def residuate(p: Fraction, table: SemifilterTable) -> SemifilterTable:
     """Residuate every table value by the constant p; preserves F1-F3."""
     q = table.carrier
     row = q.kernel.residuum[q.index_of(p)]
-    return SemifilterTable(table.domain, q, Positions(row[v] for v in table.index))
+    return SemifilterTable(table.domain, q, (row[v] for v in table.index))
 
 
 # -- second level ------------------------------------------------------------
@@ -507,13 +411,6 @@ class SemifilterFamily:
     def carrier(self) -> FiniteQuantale:
         return self.members[0].carrier
 
-    def hat(self, lam: QFunction) -> QFunction:
-        """The evaluation functional of lam restricted to the family."""
-        if lam.domain != self.x_domain or lam.carrier != self.carrier:
-            raise UsageError("function does not match the table's space")
-        return QFunction.from_index(self.labels, self.carrier,
-                                    tuple(m.index[lam.code] for m in self.members))
-
     def __len__(self):
         return len(self.members)
 
@@ -537,28 +434,13 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
     columns = [m.index for m in family.members]
     if isinstance(outer, PrefilterBasis):
         fill = _sub_at(k, outer.generator.index, columns, size)
-        return SemifilterTable(family.x_domain, q, Positions(fill))
+        return SemifilterTable(family.x_domain, q, fill)
     # the code of each evaluation functional, one label at a time
     n = len(q.elements)
     codes = [0] * size
     for column in columns:
         codes = [c * n + v for c, v in zip(codes, column)]
-    return SemifilterTable(family.x_domain, q,
-                           Positions(map(outer.index.__getitem__, codes)))
-
-
-def image_outer(table: SemifilterTable, h: SetMap,
-                family: SemifilterFamily) -> SemifilterTable:
-    """Push a table on X forward along a map into the family's labels.
-
-    The result is the outer table xi |-> table(xi . h); this is the functor
-    action on a map into a semifilter space, materialized over the family.
-    """
-    if h.source != table.domain or h.target != family.labels:
-        raise UsageError("map does not go from the table's space into the family")
-    if table.carrier != family.carrier:
-        raise UsageError("function does not match the table's space")
-    return _pullback(table, h)
+    return SemifilterTable(family.x_domain, q, map(outer.index.__getitem__, codes))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -576,7 +458,7 @@ def conical_semifilters(domain: FiniteSet,
     _table_size(domain, carrier)
     k = carrier.kernel
     below_unit = [i for i in range(len(carrier.elements)) if k.leq[i][k.unit]]
-    return [SemifilterTable(domain, carrier, Positions(_sub_fill(k, g)))
+    return [SemifilterTable(domain, carrier, _sub_fill(k, g))
             for g in itertools.product(below_unit, repeat=len(domain))]
 
 
@@ -623,7 +505,7 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
         if require == "filter":
             if not all(leq[vals[ci]][p] for ci, p in const_idx):
                 continue
-        out.append(SemifilterTable(domain, q, Positions(vals)))
+        out.append(SemifilterTable(domain, q, vals))
     return out
 
 

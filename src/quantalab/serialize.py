@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import StructuralError
+from .errors import StructuralError, UsageError
 from .quantale import (BlockKind, FiniteQuantale, TNorm, Variant,
                        build_ordinal_sum)
 
@@ -128,7 +128,10 @@ def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
     else:
         values = obj
     values = _expect(values, list, "function values")
-    return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
+    try:
+        return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
+    except UsageError as e:
+        raise StructuralError(str(e)) from None
 
 
 def semifilter_to_json(t: SemifilterTable) -> dict:
@@ -140,10 +143,15 @@ def semifilter_to_json(t: SemifilterTable) -> dict:
 
 def semifilter_from_json(obj: dict, domain: FiniteSet,
                          carrier: FiniteQuantale) -> SemifilterTable:
-    """A table from its ``entries`` list, each function listed once."""
+    """A table from its ``entries`` list, each function listed once.
+
+    Each value's carrier position is placed at its function's code: the
+    table is built from positions, as every table is.
+    """
+    from .qfun import all_qfunctions
     from .semifilter import SemifilterTable
     raw = _expect(_field(obj, "a table", "entries"), list, "entries")
-    entries = {}
+    positions = {}
     first = {}
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
@@ -155,8 +163,20 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
             raise StructuralError(
                 f"entries[{i}] repeats the function of entries[{first[fn.code]}]")
         first[fn.code] = i
-        entries[fn.values] = parse_fraction(val)
-    return SemifilterTable(domain, carrier, entries)
+        v = parse_fraction(val)
+        if not carrier.contains(v):
+            raise StructuralError(
+                f"entries[{i}] has the value {format_fraction(v)} outside the carrier")
+        positions[fn.code] = carrier.index_of(v)
+
+    def position(fn: QFunction) -> int:
+        if fn.code not in positions:
+            raise StructuralError("table is missing the entry at "
+                                  f"({', '.join(map(format_fraction, fn.values))})")
+        return positions[fn.code]
+
+    # the table checks its size against its cap before it reads a position
+    return SemifilterTable(domain, carrier, map(position, all_qfunctions(domain, carrier)))
 
 
 def expr_to_json(e: FnExpr) -> dict:

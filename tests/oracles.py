@@ -1,7 +1,8 @@
-"""Slow reference evaluators for the t-norm carriers and the interval
-counterexample.
+"""Slow reference evaluators: the test oracles of the fast paths in the
+library.
 
-Each fast path is tested against a slow path, often the one it replaced:
+Each fast path is tested against a slow path, often the one it replaced.
+On the t-norm carriers and the interval counterexample:
 
 * ``residuum_grid_oracle`` -- the residuum of a t-norm by a scan of a grid;
 * ``eval_at`` -- the value of an expression at one point, walking the tree;
@@ -12,19 +13,39 @@ Each fast path is tested against a slow path, often the one it replaced:
   the run columns replace: one numerator per sample, with the residuum of
   every point through ``point_residua`` and the step-2 scan of every point
   through ``point_collapse_scan``.
+
+On the finite carriers, where the library stores a table as carrier
+positions and never builds a ``Fraction`` on the way:
+
+* ``from_function`` and ``from_mapping`` -- the table of a ``Fraction``
+  formula, one call per function, or of a dict from value tuples;
+* ``hat`` -- the evaluation functional of a function over a family;
+* ``image_outer`` -- a table pushed along a map into a family's labels;
+* ``unit_prefilter`` -- the prefilter of the unit at a point, by its formula;
+* ``is_conical`` -- conicality three ways (``ConicalTest``): as a fixed
+  point of the coreflection, by the sup formula over residuated level
+  tests, and as commuting with residuation by constants;
+* ``way_below`` and ``satisfies_way_below_criterion`` -- the way-below
+  relation decided from its definition, and the characterization of
+  conicality that it gives on a continuous carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
 from operator import and_, floordiv, ge, lt, mul
 
 from quantalab.counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
-from quantalab.errors import UsageError
-from quantalab.quantale import ONE, ZERO, BlockKind, grid
+from quantalab.errors import BudgetError, UsageError
+from quantalab.prefilter import PrefilterBasis, normalize_basis
+from quantalab.qfun import FiniteSet, QFunction, SetMap, all_qfunctions
+from quantalab.quantale import ONE, ZERO, BlockKind, FiniteQuantale, TNorm, grid
+from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
+                                  conical_coreflection, image_semifilter)
 
 
 def residuum_grid_oracle(t, x: Fraction, y: Fraction, step: Fraction) -> Fraction:
@@ -276,3 +297,132 @@ def point_collapse_scan(a: PointColumn, g: PointColumn, p: Fraction, t):
                 if n * den * m != y * d]
     cert = min([p, *(Fraction(n, d) for n, d in residua)])
     return cert, len(points), failures
+
+
+# -- finite carriers: tables from Fraction formulas -------------------------------
+
+def from_function(domain: FiniteSet, carrier: FiniteQuantale, fn) -> SemifilterTable:
+    """The table ``lam |-> fn(lam)`` of a formula on ``Fraction`` values,
+    called once per function in canonical order."""
+    return SemifilterTable(domain, carrier, [carrier.index_of(fn(lam))
+                                             for lam in all_qfunctions(domain, carrier)])
+
+
+def from_mapping(domain: FiniteSet, carrier: FiniteQuantale, entries) -> SemifilterTable:
+    """The table of a mapping from value tuples to values; every function
+    must be a key."""
+    return from_function(domain, carrier, lambda lam: entries[lam.values])
+
+
+def hat(family: SemifilterFamily, lam: QFunction) -> QFunction:
+    """The evaluation functional of lam restricted to the family."""
+    if lam.domain != family.x_domain or lam.carrier != family.carrier:
+        raise UsageError("function does not match the table's space")
+    return QFunction(family.labels, tuple(m(lam) for m in family.members),
+                     family.carrier)
+
+
+def image_outer(table: SemifilterTable, h: SetMap,
+                family: SemifilterFamily) -> SemifilterTable:
+    """Push a table on X forward along a map into the family's labels.
+
+    The result is the outer table xi |-> table(xi . h); this is the functor
+    action on a map into a semifilter space, materialized over the family.
+    """
+    if h.source != table.domain or h.target != family.labels:
+        raise UsageError("map does not go from the table's space into the family")
+    if table.carrier != family.carrier:
+        raise UsageError("function does not match the table's space")
+    return image_semifilter(h, table)
+
+
+def unit_prefilter(domain: FiniteSet, carrier, x) -> PrefilterBasis:
+    """The saturated prefilter of functions whose value at x reaches the unit."""
+    values = tuple(carrier.unit if y == x else carrier.bottom for y in domain)
+    return normalize_basis([QFunction(domain, values, carrier)])
+
+
+# -- finite carriers: conicality and the way-below relation -----------------------
+
+class ConicalTest(Enum):
+    DEFINITION = "definition"          # fixed point of the coreflection
+    SUP_FORMULA = "sup-formula"        # value recovered from residuated level tests
+    RESIDUATION = "residuation"        # table commutes with residuation by constants
+
+
+def residuate_function(p: Fraction, lam: QFunction) -> QFunction:
+    c = lam.carrier
+    return lam.with_values(c.residuum(p, v) for v in lam.values)
+
+
+def is_conical(table: SemifilterTable, mode: ConicalTest = ConicalTest.DEFINITION) -> bool:
+    """Three equivalent characterizations of conicality on finite carriers.
+
+    RESIDUATION additionally assumes residuation by constants preserves
+    directed joins, which holds on every finite lattice because directed
+    subsets attain their join.
+    """
+    q = table.carrier
+    if mode is ConicalTest.DEFINITION:
+        return conical_coreflection(table) == table
+    if mode is ConicalTest.SUP_FORMULA:
+        for lam in table.functions():
+            best = q.bottom
+            for p in q.elements:
+                if q.leq(q.unit, table(residuate_function(p, lam))):
+                    best = q.join(best, p)
+            if best != table(lam):
+                return False
+        return True
+    if mode is ConicalTest.RESIDUATION:
+        for lam in table.functions():
+            for p in q.elements:
+                if table(residuate_function(p, lam)) != q.residuum(p, table(lam)):
+                    return False
+        return True
+    raise UsageError(f"unknown mode {mode!r}")
+
+
+def directed_subsets(q: FiniteQuantale) -> list[tuple]:
+    """Every nonempty directed subset of a finite carrier, by brute force."""
+    if len(q.elements) > 12:
+        raise BudgetError("way-below enumeration over 2^|Q| subsets refused",
+                          count=2 ** len(q.elements))
+    out = []
+    for r in range(1, len(q.elements) + 1):
+        for combo in combinations(q.elements, r):
+            if all(any(q.leq(a, c) and q.leq(b, c) for c in combo)
+                   for a in combo for b in combo):
+                out.append(combo)
+    return out
+
+
+def way_below(q, x: Fraction, y: Fraction) -> bool:
+    """Whether x is way below y: on [0,1] iff x = 0 or x < y; on a finite
+    carrier decided from the definition, over all directed subsets."""
+    if isinstance(q, TNorm):
+        for v in (x, y):
+            if not q.contains(v):
+                raise UsageError(f"{v} is not in [0,1]")
+        return x == ZERO or x < y
+    q.index_of(x), q.index_of(y)
+    for d in directed_subsets(q):
+        jd = q.bottom
+        for z in d:
+            jd = q.join(jd, z)
+        if q.leq(y, jd) and not any(q.leq(x, z) for z in d):
+            return False
+    return True
+
+
+def satisfies_way_below_criterion(table: SemifilterTable) -> bool:
+    """Whether p way below the degree of lam forces the residuated function
+    to be held at full degree.  On a continuous carrier this characterizes
+    conical tables; every finite lattice is continuous."""
+    q = table.carrier
+    for lam in table.functions():
+        for p in q.elements:
+            if way_below(q, p, table(lam)):
+                if not q.leq(q.unit, table(residuate_function(p, lam))):
+                    return False
+    return True

@@ -19,12 +19,13 @@ from quantalab.quantale import (Block, BlockKind, build_ordinal_sum,
                                 godel_tnorm, grid, lukasiewicz_tnorm, mv3,
                                 positive_residuum_zero_sup, product_tnorm,
                                 two_chain)
-from quantalab.semifilter import (ConicalTest, conical_bounded_coreflection,
+from quantalab.semifilter import (conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
-                                  enumerate_semifilters,
-                                  is_conical, is_semifilter, kowalsky_sum,
-                                  level_prefilter, meet, residuate,
-                                  semifilter_of, SemifilterFamily)
+                                  enumerate_semifilters, is_semifilter,
+                                  kowalsky_sum, level_prefilter, meet,
+                                  residuate, semifilter_of, SemifilterFamily)
+
+from oracles import ConicalTest, is_conical
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()

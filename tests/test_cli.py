@@ -226,7 +226,7 @@ def _not_f2():
 
 def _all_bottom():
     q, Y = godel3(), finite_set("u", "v")
-    return SemifilterTable(Y, q, [q.bottom] * 9)
+    return SemifilterTable(Y, q, [q.kernel.bottom] * 9)
 
 
 @pytest.mark.parametrize("table", [_not_f2, _all_bottom], ids=["not-F2", "not-F1"])
@@ -498,6 +498,33 @@ def test_laws_repeated_table_entry_is_input_error(runner, tmp_path):
     r = runner.invoke(main, ["laws", "--scenario", path])
     assert r.exit_code == 2, r.output
     assert "map f at 'a': entries[3] repeats the function of entries[1]" in r.stderr
+
+
+GODEL3_TABLE = {"entries": [[{"values": ["0/1"]}, "0/1"], [{"values": ["1/2"]}, "1/2"],
+                            [{"values": ["1/1"]}, "1/1"]]}
+
+
+@pytest.mark.parametrize("value,message", [
+    ({"entries": [[{"values": ["0/1"]}, "0/1"], [{"values": ["1/3"]}, "1/2"],
+                  [{"values": ["1/1"]}, "1/1"]]},
+     "map f at 'a': value 1/3 outside the carrier"),
+    ({"basis": [["1/3"]]}, "map f at 'a': value 1/3 outside the carrier"),
+    ({"entries": [[{"values": ["0/1"]}, "0/1"], [{"values": ["1/2"]}, "1/3"],
+                  [{"values": ["1/1"]}, "1/1"]]},
+     "map f at 'a': entries[1] has the value 1/3 outside the carrier"),
+    ({"entries": GODEL3_TABLE["entries"][:2]},
+     "map f at 'a': table is missing the entry at (1/1)"),
+], ids=["entries-function", "basis-function", "entries-value", "entries-missing"])
+def test_laws_pinned_map_input_error_names_the_map(runner, tmp_path, value, message):
+    path = write(tmp_path, "pinned.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2},
+        "maps": {"f": {"a": value}, "g": {"u": GODEL3_TABLE}}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("label,shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']")])

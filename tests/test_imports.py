@@ -1,11 +1,13 @@
-"""Every library module uses each name it imports, and no private one; and
-each command loads only the modules it runs.
+"""Every library module uses each name it imports, no private one and
+nothing of the test suite; and each command loads only the modules it runs.
 
 A representation that is deleted tends to leave its imports behind; this
 check reads the source of each module of the package and names every
 imported name that the module never mentions again.  A helper that one
 module borrows from another's privates belongs to the borrower, so a module
-of the package importing an underscore name from another is named too.
+of the package importing an underscore name from another is named too.  The
+slow oracles that the fast paths are tested against live in ``tests/``; a
+library module that imports one of them, or a test file, is named as well.
 
 The package resolves its public names on first access, and the layers
 import each other where they are used, so reading a t-norm or running a
@@ -74,6 +76,42 @@ def test_a_private_import_is_named():
               "from .quantale import ONE, _scaled\n"
               "from quantalab.qfun import _code\n")
     assert private_imports(source) == ["_code (line 4)", "_scaled (line 3)"]
+
+
+TESTS = Path(__file__).parent
+TEST_MODULES = frozenset({TESTS.name} | {p.stem for p in TESTS.glob("*.py")})
+
+
+def imports_of_test_code(source: str) -> list[str]:
+    """Modules of the test suite (the oracles, a test file, or the tests
+    package) that source imports."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names
+                if name.split(".")[0] in TEST_MODULES]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_test_code(path):
+    # the slow oracles live in tests/ so that the library never runs them
+    assert imports_of_test_code(path.read_text()) == []
+
+
+def test_an_import_of_test_code_is_named():
+    source = ("import json\n"
+              "from oracles import eval_at\n"
+              "import tests.test_cli\n"
+              "from .qfun import sub\n"
+              "from test_quantale import square_lattice\n")
+    assert imports_of_test_code(source) == [
+        "oracles (line 2)", "test_quantale (line 5)", "tests.test_cli (line 3)"]
 
 
 # Runs the script in argv[1] with the CLI's output and exit swallowed, then

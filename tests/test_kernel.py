@@ -6,6 +6,7 @@ dict-keyed table kept here as the oracle.
 """
 
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,9 @@ from quantalab.qfun import QFunction, all_qfunctions, finite_set, sub
 from quantalab.quantale import FiniteQuantale, five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
                                   evaluation_unit, residuate)
-from quantalab.serialize import semifilter_from_json
+from quantalab.serialize import format_fraction, semifilter_from_json
+
+from oracles import from_mapping
 
 
 def diamond():
@@ -165,7 +168,7 @@ def test_flat_tables_match_the_dict_oracle(q, n):
     assert found
     oracles = [DictTable(X, q, {f.values: t(f) for f in all_qfunctions(X, q)})
                for t in found]
-    flats = [SemifilterTable(X, q, o.entries) for o in oracles]
+    flats = [from_mapping(X, q, o.entries) for o in oracles]
     for t, o, flat in zip(found, oracles, flats):
         assert flat == t and hash(flat) == hash(t)
         assert same(flat, o)
@@ -203,29 +206,58 @@ def test_enumeration_matches_a_fraction_level_scan():
             assert got == want
 
 
+def entries_json(table: dict) -> dict:
+    """A table given as a dict from value tuples to values, as JSON."""
+    return {"entries": [[[format_fraction(v) for v in key], format_fraction(value)]
+                        for key, value in table.items()]}
+
+
 def test_table_errors_are_unchanged():
+    # a table read from JSON names what is wrong with it, as the dict form
+    # of the constructor did
     q = godel3()
     S = finite_set("s")
     full = {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)}
-    with pytest.raises(StructuralError, match=r"table is missing the entry at \(Fraction\(1, 2\),\)"):
-        SemifilterTable(S, q, {(F(0),): F(0), (F(1),): F(1)})
-    with pytest.raises(StructuralError, match="table value 1/3 outside carrier"):
-        SemifilterTable(S, q, {**full, (F(1, 2),): F(1, 3)})
-    with pytest.raises(StructuralError, match="table has entries outside the function space"):
-        SemifilterTable(S, q, {**full, (F(1, 3),): F(1)})
-    # the flat form reports the same faults
-    with pytest.raises(StructuralError, match=r"table is missing the entry at \(Fraction\(1, 2\),\)"):
-        SemifilterTable(S, q, [F(0)])
-    with pytest.raises(StructuralError, match="table value 1/3 outside carrier"):
-        SemifilterTable(S, q, [F(0), F(1, 3), F(1)])
-    with pytest.raises(StructuralError, match="table has entries outside the function space"):
-        SemifilterTable(S, q, [F(0), F(1, 2), F(1), F(1)])
-    t = SemifilterTable(S, q, full)
-    assert t.entries[(F(1, 2),)] == F(1, 2) and t.value_at((F(1),)) == F(1)
+    with pytest.raises(StructuralError, match=r"^table is missing the entry at \(1/2\)$"):
+        semifilter_from_json(entries_json({(F(0),): F(0), (F(1),): F(1)}), S, q)
+    with pytest.raises(StructuralError,
+                       match=r"^entries\[1\] has the value 1/3 outside the carrier$"):
+        semifilter_from_json(entries_json({**full, (F(1, 2),): F(1, 3)}), S, q)
+    with pytest.raises(StructuralError, match="^value 1/3 outside the carrier$"):
+        semifilter_from_json(entries_json({**full, (F(1, 3),): F(1)}), S, q)
+    # the constructor takes positions and reports the same faults
+    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
+        SemifilterTable(S, q, [0])
+    with pytest.raises(StructuralError, match="table entry 1 is 3, not a carrier position"):
+        SemifilterTable(S, q, [0, 3, 2])
+    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 4"):
+        SemifilterTable(S, q, [0, 1, 2, 2])
+    t = semifilter_from_json(entries_json(full), S, q)
+    assert t == SemifilterTable(S, q, [0, 1, 2])
+    assert t.entries[(F(1, 2),)] == F(1, 2) and t.entries[(F(1),)] == F(1)
     for missing in ((F(1, 3),), (F(0), F(0)), 7):
         assert missing not in t.entries
         with pytest.raises(KeyError):
             t.entries[missing]
+
+
+def test_a_table_is_built_from_carrier_positions_only():
+    # values, a mapping or a bool would pass a range check on their own and
+    # fail later, when the table is read
+    q = godel3()
+    S = finite_set("s")
+    refused = [
+        ([F(0), F(1, 2), F(1)], "table entry 0 is Fraction(0, 1), not a carrier position"),
+        ([0, True, 2], "table entry 1 is True, not a carrier position"),
+        ([0, 1, 2.0], "table entry 2 is 2.0, not a carrier position"),
+        ([0, -1, 2], "table entry 1 is -1, not a carrier position"),
+        ({0: 0, 1: 1, 2: 2}, "table entries must be carrier positions, not a mapping"),
+    ]
+    for entries, message in refused:
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            SemifilterTable(S, q, entries)
+    assert SemifilterTable(S, q, iter([2, 1, 0])).canonical_values() == (F(1), F(1, 2), F(0))
+    assert SemifilterTable(finite_set(), q, [2]).index == (2,)
 
 
 def test_sub_on_a_finite_carrier_reads_the_kernel_only(monkeypatch):

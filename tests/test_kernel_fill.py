@@ -2,10 +2,10 @@
 
 Every builder fills its table as position lists (see the ``semifilter``
 module docstring).  Here each one is compared, exhaustively over small
-carriers and base sets, with the table ``SemifilterTable.from_function``
-builds from the ``Fraction`` formulas: ``sub``, ``eval_degree``, the
-evaluation functional ``SemifilterFamily.hat`` and ``precompose``.  The
-coreflections are compared with the join over every level member.
+carriers and base sets, with the table the oracle ``from_function`` builds
+from the ``Fraction`` formulas: ``sub``, ``eval_degree``, the evaluation
+functional ``hat`` and ``precompose``.  The coreflections are compared with
+the join over every level member.
 """
 
 import functools
@@ -24,15 +24,15 @@ from quantalab.prefilter import (bounded_coreflection, eval_degree,
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
-from quantalab.semifilter import (ENUM_BUDGET, Positions, SemifilterFamily,
+from quantalab.semifilter import (ENUM_BUDGET, SemifilterFamily,
                                   SemifilterTable, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
-                                  enumerate_semifilters,
-                                  evaluation_unit, image_outer,
+                                  enumerate_semifilters, evaluation_unit,
                                   image_semifilter, is_bounded, kowalsky_sum,
                                   level_prefilter, require_bounded_carrier,
                                   semifilter_of)
 
+from oracles import from_function, hat, image_outer
 from test_quantale import half_unit_chain, square_lattice
 from test_semifilter import _coreflection_oracle
 
@@ -64,8 +64,8 @@ def random_tables(q, dom, count, seed):
     """Seeded tables with arbitrary values: most fail F1-F3."""
     rng = random.Random(seed)
     size = len(q.elements) ** len(dom)
-    return [SemifilterTable(dom, q, Positions(rng.randrange(len(q.elements))
-                                              for _ in range(size)))
+    return [SemifilterTable(dom, q, [rng.randrange(len(q.elements))
+                                     for _ in range(size)])
             for _ in range(count)]
 
 
@@ -75,7 +75,7 @@ def join_of_subs(members, dom, q):
         for mu in members:
             out = q.join(out, sub(mu, lam))
         return out
-    return SemifilterTable.from_function(dom, q, degree)
+    return from_function(dom, q, degree)
 
 
 @pytest.mark.parametrize("name,n", CASES, ids=IDS)
@@ -83,7 +83,7 @@ def test_evaluation_unit_matches_evaluation(name, n):
     q, dom = CARRIERS[name], domain(n)
     for x in dom:
         assert evaluation_unit(dom, q, x) == \
-            SemifilterTable.from_function(dom, q, lambda lam: lam(x))
+            from_function(dom, q, lambda lam: lam(x))
 
 
 @pytest.mark.parametrize("name,n", CASES, ids=IDS)
@@ -93,7 +93,7 @@ def test_semifilter_of_every_function_and_pair(name, n):
     for pair in itertools.combinations_with_replacement(fns, 2):
         for members in ([pair[0]], list(pair)):
             basis = normalize_basis(members)
-            assert semifilter_of(basis) == SemifilterTable.from_function(
+            assert semifilter_of(basis) == from_function(
                 dom, q, lambda lam: eval_degree(basis, lam))
             assert semifilter_of(members) == join_of_subs(members, dom, q)
 
@@ -133,7 +133,7 @@ def test_images_match_precomposition(name, n):
     for m in SIZES:
         for f in all_maps(dom, domain(m, "y")):
             for t in tables:
-                plain = SemifilterTable.from_function(
+                plain = from_function(
                     f.target, q, lambda mu: t(precompose(f, mu)))
                 assert image_semifilter(f, t) == plain
                 if has_least_positive(q):
@@ -160,7 +160,7 @@ def test_image_outer_matches_precomposition(name, n):
     for fam in families(name, n):
         for h in all_maps(dom, fam.labels):
             for t in tables:
-                assert image_outer(t, h, fam) == SemifilterTable.from_function(
+                assert image_outer(t, h, fam) == from_function(
                     fam.labels, q, lambda xi: t(precompose(h, xi)))
 
 
@@ -197,11 +197,11 @@ def test_kowalsky_sum_matches_the_evaluation_functional(name, n):
                    for _ in range(rng.choice((1, 2)))]
             basis = normalize_basis(raw, fam.labels, q)
             outers.append(semifilter_of(basis))
-            assert kowalsky_sum(basis, fam) == SemifilterTable.from_function(
-                fam.x_domain, q, lambda lam: eval_degree(basis, fam.hat(lam)))
+            assert kowalsky_sum(basis, fam) == from_function(
+                fam.x_domain, q, lambda lam: eval_degree(basis, hat(fam, lam)))
         for outer in outers:
-            assert kowalsky_sum(outer, fam) == SemifilterTable.from_function(
-                fam.x_domain, q, lambda lam: outer(fam.hat(lam)))
+            assert kowalsky_sum(outer, fam) == from_function(
+                fam.x_domain, q, lambda lam: outer(hat(fam, lam)))
 
 
 KLEISLI_CASES = [(name, n, variant) for name, n in CASES if n
@@ -223,8 +223,8 @@ def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
             extend = kleisli_extend(h, dom, variant, check=False)
             for t in [random_variant_table(rng, dom, q, variant)] + \
                     random_tables(q, dom, 2, seed=m):
-                raw = SemifilterTable.from_function(
-                    target, q, lambda lam: t(fam.hat(lam)))
+                raw = from_function(
+                    target, q, lambda lam: t(hat(fam, lam)))
                 assert extend(t) == _coreflection_oracle(
                     raw, bounded=variant is Variant.BOUNDED)
 
@@ -283,7 +283,7 @@ def test_bounded_constructions_refuse_a_carrier_without_least_positive():
     q = CARRIERS["square"]
     dom = domain(1)
     message = f"carrier {q!r} has no least positive element"
-    top = SemifilterTable(dom, q, Positions([q.kernel.top] * 4))
+    top = SemifilterTable(dom, q, [q.kernel.top] * 4)
     for refused in (lambda: conical_bounded_coreflection(top),
                     lambda: monad_units(dom, q, Variant.BOUNDED),
                     lambda: monad_units(domain(0), q, Variant.BOUNDED),
@@ -305,7 +305,7 @@ def test_bounded_constructions_refuse_a_non_integral_carrier():
     q = half_unit_chain()
     dom = domain(1)
     message = f"carrier {q!r} is not integral, which boundedness needs"
-    top = SemifilterTable(dom, q, Positions([q.kernel.top] * 3))
+    top = SemifilterTable(dom, q, [q.kernel.top] * 3)
     rng = random.Random(0)
     state = rng.getstate()
     for refused in (lambda: require_bounded_carrier(q),

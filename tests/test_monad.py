@@ -13,18 +13,18 @@ from quantalab.monad import (KleisliScenario, Variant, check_monad_laws,
                              classical_correspondence_report, kleisli_extend,
                              monad_multiplication, monad_units,
                              multiplication_prefilter_members,
-                             random_variant_table, table_satisfies,
-                             unit_prefilter)
+                             random_variant_table, table_satisfies)
 from quantalab.prefilter import member, normalize_basis
 from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
-from quantalab.semifilter import (Positions, SemifilterFamily,
-                                  SemifilterTable, check_axioms,
-                                  conical_bounded_coreflection,
+from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
+                                  check_axioms, conical_bounded_coreflection,
                                   conical_semifilters, evaluation_unit,
-                                  image_outer, is_bounded, is_conical,
-                                  is_semifilter, kowalsky_sum, level_prefilter,
-                                  semifilter_of)
+                                  is_bounded, is_semifilter, kowalsky_sum,
+                                  level_prefilter, semifilter_of)
+
+from oracles import (from_function, from_mapping, image_outer, is_conical,
+                     unit_prefilter)
 
 G3 = godel3()
 X = finite_set("x0", "x1")
@@ -57,7 +57,7 @@ def test_bounded_unit_example():
 def test_multiplication_unit_law():
     target = semifilter_of(normalize_basis([qf([F(1, 2), 1])]))
     fam = SemifilterFamily.of([target, evaluation_unit(X, G3, "x0")])
-    outer = SemifilterTable.from_function(fam.labels, G3, lambda xi: xi("g0"))
+    outer = from_function(fam.labels, G3, lambda xi: xi("g0"))
     assert monad_multiplication(outer, fam) == target
 
 
@@ -73,10 +73,10 @@ def test_multiplication_meet_example():
 
 
 def test_multiplication_rejects_nonconical_member():
-    bad = SemifilterTable(finite_set("s"), G3,
-                          {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
+    bad = from_mapping(finite_set("s"), G3,
+                       {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
     fam = SemifilterFamily.of([bad])
-    outer = SemifilterTable.from_function(fam.labels, G3, lambda xi: xi("g0"))
+    outer = from_function(fam.labels, G3, lambda xi: xi("g0"))
     with pytest.raises(UsageError):
         monad_multiplication(outer, fam)
 
@@ -92,7 +92,7 @@ def test_variant_membership():
     # the join of sub(g, -) over an antichain whose meet it does not hold is
     # a fixed point of the coreflection but fails F2; all-bottom fails F1
     not_f2 = semifilter_of([qf([1, F(1, 2)]), qf([F(1, 2), 1])])
-    all_bottom = SemifilterTable(X, G3, Positions([G3.kernel.bottom] * 9))
+    all_bottom = SemifilterTable(X, G3, [G3.kernel.bottom] * 9)
     assert is_conical(not_f2) and not is_semifilter(not_f2)
     for t in (not_f2, all_bottom):
         assert not any(table_satisfies(t, variant) for variant in Variant)
@@ -113,7 +113,7 @@ def _every_table(carrier, n):
     domain = finite_set(*(f"x{i}" for i in range(n)))
     size = len(carrier.elements) ** n
     for positions in itertools.product(range(len(carrier.elements)), repeat=size):
-        yield SemifilterTable(domain, carrier, Positions(positions))
+        yield SemifilterTable(domain, carrier, positions)
 
 
 def _seeded_five_chain_tables(count):
@@ -123,8 +123,7 @@ def _seeded_five_chain_tables(count):
     out = []
     for i in range(count):
         if i % 4 == 0:
-            out.append(SemifilterTable(X, q, Positions(rng.randrange(5)
-                                                       for _ in range(25))))
+            out.append(SemifilterTable(X, q, [rng.randrange(5) for _ in range(25)]))
         else:
             out.append(semifilter_of([QFunction(X, tuple(rng.choice(q.elements)
                                                           for _ in X), q)
@@ -294,7 +293,7 @@ def test_scenario_validation():
     with pytest.raises(UsageError):
         KleisliScenario(X, Y, Y, {"x0": evaluation_unit(Y, G3, "y0")},
                         {}, G3)   # f not total
-    bad = SemifilterTable(Y, G3, {k.values: F(1) for k in all_qfunctions(Y, G3)})
+    bad = from_mapping(Y, G3, {k.values: F(1) for k in all_qfunctions(Y, G3)})
     with pytest.raises(UsageError):
         KleisliScenario(X, Y, Y,
                         {"x0": bad, "x1": bad},

@@ -9,7 +9,7 @@ from quantalab.errors import UsageError
 from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  image_prefilter, is_bounded_function,
                                  is_top_filter, member, normalize_basis,
-                                 saturation_member, smallest_prefilter)
+                                 saturation_member)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
 from quantalab.quantale import five_chain, godel3, mv3, two_chain
@@ -90,7 +90,7 @@ def test_generator_is_the_meet_closure_minimum(carrier, n):
 # -- normalization -----------------------------------------------------------
 
 def test_empty_basis_is_smallest_prefilter():
-    pf = smallest_prefilter(X, G3)
+    pf = normalize_basis([], X, G3)
     assert pf.generator.values == (F(1), F(1))
     assert member(pf, unit_constant(X, G3))
     assert not member(pf, qf([1, F(1, 2)]))
@@ -190,14 +190,14 @@ def test_saturation_monotone():
 # -- top filters ---------------------------------------------------------------
 
 def test_top_filter_examples():
-    assert is_top_filter(smallest_prefilter(X, G3))
+    assert is_top_filter(normalize_basis([], X, G3))
     assert is_top_filter(normalize_basis([qf([1, 0])]))
     assert not is_top_filter(normalize_basis([qf([F(1, 2), 0])]))
 
 
 def test_top_filter_empty_domain():
     e = finite_set()
-    assert not is_top_filter(smallest_prefilter(e, G3))
+    assert not is_top_filter(normalize_basis([], e, G3))
 
 
 # -- image -------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_bounded_coreflection_examples():
     assert out.generator.values == (F(1), F(1, 2))
     already = normalize_basis([qf([F(1, 2), F(1, 2)])])
     assert bounded_coreflection(already) == already
-    assert bounded_coreflection(smallest_prefilter(X, G3)) == smallest_prefilter(X, G3)
+    assert bounded_coreflection(normalize_basis([], X, G3)) == normalize_basis([], X, G3)
 
 
 @settings(max_examples=40, deadline=None)

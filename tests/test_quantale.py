@@ -15,7 +15,8 @@ from quantalab.quantale import (Block, BlockKind, FiniteQuantale,
                                 positive_residuum_zero_sup, product_tnorm,
                                 residuum_continuity_probe, two_chain, Violation)
 
-from oracles import PointColumn, point_residuate, residuum_grid_oracle
+from oracles import (PointColumn, point_residuate, residuum_grid_oracle,
+                     way_below)
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()
@@ -242,16 +243,16 @@ def test_idempotent_collapse(x, y):
 # -- way below ---------------------------------------------------------------
 
 def test_way_below_interval():
-    assert LUK.way_below(F(0), F(0))
-    assert not LUK.way_below(F(1, 2), F(1, 2))
-    assert LUK.way_below(F(1, 4), F(1, 2))
+    assert way_below(LUK, F(0), F(0))
+    assert not way_below(LUK, F(1, 2), F(1, 2))
+    assert way_below(LUK, F(1, 4), F(1, 2))
 
 
 def test_way_below_finite_chain():
     g3 = godel3()
-    assert g3.way_below(F(1, 2), F(1))
-    assert g3.way_below(F(1, 2), F(1, 2))   # finite chains: below implies way below
-    assert not g3.way_below(F(1), F(1, 2))
+    assert way_below(g3, F(1, 2), F(1))
+    assert way_below(g3, F(1, 2), F(1, 2))   # finite chains: below implies way below
+    assert not way_below(g3, F(1), F(1, 2))
 
 
 # -- condition (S) -----------------------------------------------------------
@@ -404,7 +405,7 @@ def test_lattice_ordered_quantale():
     # in a finite lattice, way below coincides with the order
     for x in q.elements:
         for y in q.elements:
-            assert q.way_below(x, y) == q.leq(x, y)
+            assert way_below(q, x, y) == q.leq(x, y)
 
 
 def test_finite_restriction_requires_closure():

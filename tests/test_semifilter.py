@@ -6,22 +6,22 @@ import pytest
 import quantalab.semifilter as semifilter
 from quantalab.errors import BudgetError, StructuralError, UsageError
 from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
-                                 normalize_basis, smallest_prefilter)
+                                 normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
 from quantalab.quantale import (five_chain, godel3, lukasiewicz_tnorm, mv3,
                                 product_tnorm, two_chain)
-from quantalab.semifilter import (AxiomViolation, ConicalTest,
-                                  SemifilterFamily, SemifilterTable,
-                                  check_axioms, conical_bounded_coreflection,
+from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
+                                  SemifilterTable, check_axioms,
+                                  conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
-                                  enumerate_semifilters,
-                                  evaluation_unit, image_outer,
-                                  image_semifilter, is_bounded, is_conical,
-                                  is_semifilter, kowalsky_sum, level_prefilter,
-                                  meet, residuate,
-                                  satisfies_way_below_criterion, semifilter_of)
+                                  enumerate_semifilters, evaluation_unit,
+                                  image_semifilter, is_bounded, is_semifilter,
+                                  kowalsky_sum, level_prefilter, meet,
+                                  residuate, semifilter_of)
 
+from oracles import (ConicalTest, from_function, from_mapping, image_outer,
+                     is_conical, satisfies_way_below_criterion)
 from test_prefilter import minimal_members
 from test_quantale import half_unit_chain, square_lattice
 
@@ -53,8 +53,8 @@ def g3_pairs_conical(g3_pairs_all):
 # -- tables and axioms ---------------------------------------------------------
 
 def test_table_must_be_total():
-    with pytest.raises(StructuralError):
-        SemifilterTable(S, G3, {(F(0),): F(0)})
+    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
+        SemifilterTable(S, G3, [0])
 
 
 def test_unit_satisfies_all_axioms():
@@ -63,7 +63,7 @@ def test_unit_satisfies_all_axioms():
 
 
 def test_constant_one_fails_f4_only():
-    t = SemifilterTable.from_function(S, G3, lambda lam: F(1))
+    t = from_function(S, G3, lambda lam: F(1))
     assert check_axioms(t) == []
     report = check_axioms(t, require_filter=True)
     assert report and all(v.axiom == "F4" for v in report)
@@ -71,7 +71,7 @@ def test_constant_one_fails_f4_only():
 
 
 def test_low_unit_value_fails_f1():
-    t = SemifilterTable.from_function(
+    t = from_function(
         S, G3, lambda lam: F(1, 2) if lam.values == (F(1),) else F(0))
     assert any(v.axiom == "F1" for v in check_axioms(t))
 
@@ -94,17 +94,17 @@ def test_level_prefilter_of_unit():
 
 
 def test_level_prefilter_of_constant_one_is_everything():
-    t = SemifilterTable.from_function(X, G3, lambda lam: F(1))
+    t = from_function(X, G3, lambda lam: F(1))
     assert len(level_prefilter(t)) == 9
 
 
 def test_identity_table_level_is_top():
-    t = SemifilterTable(S, G3, {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)})
+    t = from_mapping(S, G3, {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)})
     assert [lam.values for lam in level_prefilter(t)] == [(F(1),)]
 
 
 def test_semifilter_of_smallest_prefilter():
-    t = semifilter_of(smallest_prefilter(X, G3))
+    t = semifilter_of(normalize_basis([], X, G3))
     k = unit_constant(X, G3)
     for lam in all_qfunctions(X, G3):
         assert t(lam) == sub(k, lam)
@@ -133,7 +133,7 @@ def test_semifilter_of_satisfies_f1_f3(g3_pairs_all):
 # -- conical coreflection --------------------------------------------------------
 
 def test_coreflection_recomputed_example():
-    t = SemifilterTable(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
+    t = from_mapping(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
     c = conical_coreflection(t)
     assert c.entries == {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)}
 
@@ -178,7 +178,7 @@ def _coreflection_oracle(table, bounded=False):
             out = q.join(out, sub(mu, lam))
         return out
 
-    return SemifilterTable.from_function(table.domain, q, degree)
+    return from_function(table.domain, q, degree)
 
 
 @pytest.mark.parametrize("carrier,domain", [
@@ -200,7 +200,7 @@ def test_bounded_coreflection_refuses_a_carrier_without_least_positive():
     # not bounded, so no largest one exists
     q = square_lattice()
     a, b = F(1, 3), F(2, 3)
-    top = SemifilterTable.from_function(S, q, lambda lam: q.top)
+    top = from_function(S, q, lambda lam: q.top)
     bounded = [f for f in level_prefilter(top) if is_bounded_function(f)]
     assert sorted(f.values for f in bounded) == [(a,), (b,), (F(1),)]
     assert sorted(f.values for f in minimal_members(bounded)) == [(a,), (b,)]
@@ -219,7 +219,7 @@ def test_semifilter_of_explicit_antichain_is_not_its_meet():
     a = F(1, 3)
     members = [QFunction(X, (a, F(1)), q), QFunction(X, (F(1), a), q)]
     t = semifilter_of(members)
-    assert t == SemifilterTable.from_function(
+    assert t == from_function(
         X, q, lambda lam: q.join(sub(members[0], lam), sub(members[1], lam)))
     zero = QFunction(X, (F(0), F(0)), q)
     assert t(zero) == 0
@@ -248,7 +248,7 @@ def test_coreflection_fills_one_generator(monkeypatch):
 
 def test_is_conical_examples():
     e = evaluation_unit(X, G3, "a")
-    t = SemifilterTable(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
+    t = from_mapping(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
     lam_of = semifilter_of(normalize_basis([qf([F(1, 2), 1])]))
     for mode in ConicalTest:
         assert is_conical(e, mode)
@@ -447,7 +447,7 @@ def test_kowalsky_unit_law():
     e_a = evaluation_unit(X, G3, "a")
     other = semifilter_of(normalize_basis([qf([F(1, 2), F(1, 2)])]))
     fam = SemifilterFamily.of([e_a, other])
-    outer = SemifilterTable.from_function(fam.labels, G3, lambda xi: xi("g1"))
+    outer = from_function(fam.labels, G3, lambda xi: xi("g1"))
     assert kowalsky_sum(outer, fam) == other
 
 
@@ -485,7 +485,7 @@ def test_kowalsky_satisfies_axioms(g3_pairs_conical):
 def test_is_bounded_examples():
     assert not is_bounded(evaluation_unit(X, G3, "a"))
     assert is_bounded(semifilter_of(normalize_basis([qf([F(1, 2), F(1, 2)])])))
-    t = SemifilterTable(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1), (F(1),): F(1)})
+    t = from_mapping(S, G3, {(F(0),): F(1, 2), (F(1, 2),): F(1), (F(1),): F(1)})
     assert is_bounded(t)
 
 
