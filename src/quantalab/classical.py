@@ -13,18 +13,16 @@ its base (a nonempty frozenset) and the upper set is implicit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class ProperFilter:
-    universe: frozenset
-    base: frozenset
+    __slots__ = ("universe", "base")
 
-    def __post_init__(self):
-        if not self.base or not self.base <= self.universe:
+    def __init__(self, universe: frozenset, base: frozenset):
+        if not base or not base <= universe:
             raise ValueError("a proper filter needs a nonempty base inside the universe")
+        self.universe, self.base = universe, base
 
     def member(self, subset: Iterable) -> bool:
         return self.base <= frozenset(subset)

@@ -8,18 +8,19 @@ a mathematical failure, 2 on input errors, 3 on budget exhaustion.  Reports
 are deterministic given inputs and seeds, and the structured output mirrors
 the text output exactly.
 
-Each subcommand imports the layers it runs when it runs: ``quantale`` and
-``counterexample`` never load the finite function, filter and monad modules.
+Arguments are parsed with the standard library's ``argparse``, which exits
+2 on a usage error, as on an input error.  Each subcommand imports the
+layers it runs when it runs: ``quantale`` and ``counterexample`` never load
+the finite function, filter and monad modules.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from .errors import BudgetError, PreconditionError, QuantalabError
 from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
@@ -34,35 +35,101 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
+class Command:
+    """One subcommand: its name, the function that runs it, and the
+    ``add_argument`` calls of its options as (flags, keywords) pairs."""
+
+    __slots__ = ("name", "callback", "options")
+
+    def __init__(self, name: str, callback, options: tuple):
+        self.name = name
+        self.callback = callback
+        self.options = options
+
+
+class Group:
+    """The ``quantalab`` command.  ``main`` parses the arguments and calls
+    the subcommand's ``callback`` with the parsed options as keywords."""
+
+    def __init__(self, description: str):
+        self.description = description
+        self.commands: dict[str, Command] = {}
+
+    def command(self, name: str, *options):
+        """Register the decorated function as the subcommand ``name``."""
+        def register(fn):
+            self.commands[name] = Command(name, fn, options)
+            return fn
+        return register
+
+    def main(self, args=None, prog_name: str = "quantalab"):
+        parser = argparse.ArgumentParser(prog=prog_name, description=self.description)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                           required=True)
+        for cmd in self.commands.values():
+            doc = cmd.callback.__doc__
+            sub = subparsers.add_parser(cmd.name, help=doc, description=doc)
+            for flags, kwargs in cmd.options:
+                sub.add_argument(*flags, **kwargs)
+        options = vars(parser.parse_args(args))
+        self.commands[options.pop("command")].callback(**options)
+
+    def __call__(self, args=None):
+        self.main(args)
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _existing_path(value: str) -> str:
+    if not Path(value).exists():
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
+
+
+def _fraction(value: str) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except QuantalabError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _count(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
+_OUT = _option("--out", default=None, metavar="FILE", help="Also write the report to this file.")
+_FORMAT = _option("--format", dest="fmt", default="text", choices=["text", "structured"],
+                  help="Report format (default: text).")
+
+
 def _emit(report: dict, out: str | None, fmt: str):
     text = render_text(report) if fmt == "text" else json.dumps(report, indent=2)
     if out:
         Path(out).write_text(text + "\n")
-    click.echo(text)
+    print(text)
 
 
-def _fraction_arg(value: str, name: str) -> Fraction:
-    try:
-        return parse_fraction(value)
-    except QuantalabError as e:
-        raise click.UsageError(f"bad {name}: {e}")
+main = Group("Exact checks for quantale-valued filter structures and their monads.")
 
 
-@click.group()
-def main():
-    """Exact checks for quantale-valued filter structures and their monads."""
-
-
-@main.command("quantale")
-@click.option("--quantale", "path", required=True, type=click.Path(exists=True))
-@click.option("--check", "checks", multiple=True,
-              type=click.Choice(["axioms", "adjunction", "s", "probe"]),
-              help="Checks to run; defaults to every applicable one. "
-                   "s and probe need a t-norm definition.")
-@click.option("--grid-step", default="1/64", show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["text", "structured"]), show_default=True)
+@main.command(
+    "quantale",
+    _option("--quantale", dest="path", required=True, type=_existing_path,
+            metavar="FILE"),
+    _option("--check", dest="checks", action="append",
+            choices=["axioms", "adjunction", "s", "probe"],
+            help="A check to run, repeatable; defaults to every applicable one. "
+                 "s and probe need a t-norm definition."),
+    _option("--grid-step", default="1/64", help="Grid step 1/2^n (default: 1/64)."),
+    _OUT, _FORMAT)
 def cmd_quantale(path, checks, grid_step, out, fmt):
     """Check a quantale definition file."""
     try:
@@ -118,7 +185,7 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
         _emit(report, out, fmt)
         sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
     except QuantalabError as e:
-        click.echo(f"input error: {e}", err=True)
+        print(f"input error: {e}", file=sys.stderr)
         sys.exit(EXIT_INPUT_ERROR)
 
 
@@ -156,14 +223,14 @@ def _adjunction_witness(q, step):
     return None
 
 
-@main.command("laws")
-@click.option("--scenario", "path", required=True, type=click.Path(exists=True))
-@click.option("--seed", default=None, type=int, help="Overrides the file's seed.")
-@click.option("--budget", default=None, type=click.IntRange(min=0),
-              help="Cap on the number of law scenarios actually run.")
-@click.option("--out", default=None, type=click.Path())
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["text", "structured"]), show_default=True)
+@main.command(
+    "laws",
+    _option("--scenario", dest="path", required=True, type=_existing_path,
+            metavar="FILE"),
+    _option("--seed", default=None, type=int, help="Overrides the file's seed."),
+    _option("--budget", default=None, type=_count,
+            help="Cap on the number of law scenarios actually run."),
+    _OUT, _FORMAT)
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
     from .monad import (check_monad_laws, check_naturality,
@@ -186,9 +253,9 @@ def cmd_laws(path, seed, budget, out, fmt):
             for name, mapped in explicit.items():
                 for x, table in mapped.items():
                     if not table_satisfies(table, scenario.variant):
-                        click.echo(f"input error: {name}({x!r}) is not a "
-                                   f"{scenario.variant.value} semifilter", err=True)
-                        click.echo(json.dumps(semifilter_to_json(table)), err=True)
+                        print(f"input error: {name}({x!r}) is not a "
+                              f"{scenario.variant.value} semifilter", file=sys.stderr)
+                        print(json.dumps(semifilter_to_json(table)), file=sys.stderr)
                         sys.exit(EXIT_INPUT_ERROR)
 
         sizes = (len(scenario.x_set), len(scenario.y_set), len(scenario.z_set))
@@ -221,28 +288,28 @@ def cmd_laws(path, seed, budget, out, fmt):
             or report.get("classical_filter_oracle", {}).get("status") == "mismatch"
         sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
     except BudgetError as e:
-        click.echo(f"budget exhausted: {e}", err=True)
+        print(f"budget exhausted: {e}", file=sys.stderr)
         sys.exit(EXIT_BUDGET)
     except QuantalabError as e:
-        click.echo(f"input error: {e}", err=True)
+        print(f"input error: {e}", file=sys.stderr)
         sys.exit(EXIT_INPUT_ERROR)
 
 
-@main.command("counterexample")
-@click.option("--quantale", "path", default=None, type=click.Path(exists=True))
-@click.option("--scenario", "scenario_path", default=None, type=click.Path(exists=True),
-              help="Scenario file supplying the quantale, variant and an "
-                   "optional witness catalog; flags take precedence.")
-@click.option("--t", "t_par", required=True)
-@click.option("--s", "s_par", required=True)
-@click.option("--truncation", default=1000, show_default=True, type=int)
-@click.option("--variant", default=None,
-              type=click.Choice([v.value for v in Variant]),
-              help="Defaults to the scenario's variant, else plain.")
-@click.option("--epsilon", default="1/8", show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["text", "structured"]), show_default=True)
+@main.command(
+    "counterexample",
+    _option("--quantale", dest="path", default=None, type=_existing_path,
+            metavar="FILE"),
+    _option("--scenario", dest="scenario_path", default=None, type=_existing_path,
+            metavar="FILE",
+            help="Scenario file supplying the quantale, variant and an "
+                 "optional witness catalog; flags take precedence."),
+    _option("--t", dest="t_par", required=True, type=_fraction, metavar="P"),
+    _option("--s", dest="s_par", required=True, type=_fraction, metavar="P"),
+    _option("--truncation", default=1000, type=int, help="Default: 1000."),
+    _option("--variant", default=None, choices=[v.value for v in Variant],
+            help="Defaults to the scenario's variant, else plain."),
+    _option("--epsilon", default="1/8", type=_fraction, help="Default: 1/8."),
+    _OUT, _FORMAT)
 def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
                        epsilon, out, fmt):
     """Replay the associativity-failure script on a t-norm definition."""
@@ -266,10 +333,8 @@ def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
             variant = Variant.PLAIN.value
         if not isinstance(q, TNorm):
             raise PreconditionError("the counterexample runs on t-norm specs")
-        rep = run_counterexample(q, _fraction_arg(t_par, "--t"),
-                                 _fraction_arg(s_par, "--s"),
-                                 depth=truncation, variant=Variant(variant),
-                                 epsilon=_fraction_arg(epsilon, "--epsilon"),
+        rep = run_counterexample(q, t_par, s_par, depth=truncation,
+                                 variant=Variant(variant), epsilon=epsilon,
                                  catalog_exprs=catalog)
         report = {
             "input": str(path or scenario_path),
@@ -297,7 +362,7 @@ def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
             else (rep.verdict == VIOLATION and rep.all_claims_ok)
         sys.exit(EXIT_OK if expected else EXIT_MATH_FAILURE)
     except QuantalabError as e:
-        click.echo(f"input error: {e}", err=True)
+        print(f"input error: {e}", file=sys.stderr)
         sys.exit(EXIT_INPUT_ERROR)
 
 

@@ -34,7 +34,6 @@ reported as a proof that the laws hold.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -51,40 +50,101 @@ CATALOG_CAP = 240
 # expression trees for the closed function class on [0,1]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ramp:
+class _Expr:
+    """An expression node: equal to a node of its own class with equal
+    fields, listed by ``_key``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Ramp(_Expr):
     """x maps to scale * (1 - x): the decreasing ramp hitting 0 at x = 1."""
-    scale: Fraction
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: Fraction):
+        self.scale = scale
+
+    def _key(self):
+        return (self.scale,)
+
+    def __repr__(self):
+        return f"Ramp(scale={self.scale!r})"
 
 
-@dataclass(frozen=True)
-class TailIndicator:
+class TailIndicator(_Expr):
     """1 on {1/m : m >= start}, 0 elsewhere."""
-    start: int
+
+    __slots__ = ("start",)
+
+    def __init__(self, start: int):
+        self.start = start
+
+    def _key(self):
+        return (self.start,)
+
+    def __repr__(self):
+        return f"TailIndicator(start={self.start!r})"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(_Expr):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
+
+    def _key(self):
+        return (self.value,)
+
+    def __repr__(self):
+        return f"Const(value={self.value!r})"
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "FnExpr"
-    right: "FnExpr"
+class Join(_Expr):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "FnExpr", right: "FnExpr"):
+        self.left, self.right = left, right
+
+    def _key(self):
+        return self.left, self.right
+
+    def __repr__(self):
+        return f"Join(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "FnExpr"
-    right: "FnExpr"
+class Meet(_Expr):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "FnExpr", right: "FnExpr"):
+        self.left, self.right = left, right
+
+    def _key(self):
+        return self.left, self.right
+
+    def __repr__(self):
+        return f"Meet(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True)
-class Res:
+class Res(_Expr):
     """x maps to (constant -> child(x))."""
-    const: Fraction
-    child: "FnExpr"
+
+    __slots__ = ("const", "child")
+
+    def __init__(self, const: Fraction, child: "FnExpr"):
+        self.const, self.child = const, child
+
+    def _key(self):
+        return self.const, self.child
+
+    def __repr__(self):
+        return f"Res(const={self.const!r}, child={self.child!r})"
 
 
 FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
@@ -259,28 +319,33 @@ def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
                             for s, a, b in lines], col.n)
 
 
-@dataclass(frozen=True)
 class FunctionDescriptor:
     """Samples at {1/m : m <= N} as a ``Column``, plus exact tail liminf and
     global infimum."""
 
-    label: str
-    samples: Column
-    tail_liminf: Fraction
-    global_inf: Fraction
+    __slots__ = ("label", "samples", "tail_liminf", "global_inf")
 
-    def __post_init__(self):
-        num, den = self.samples.min()
-        if num * self.global_inf.denominator < self.global_inf.numerator * den:
+    def __init__(self, label: str, samples: Column, tail_liminf: Fraction,
+                 global_inf: Fraction):
+        num, den = samples.min()
+        if num * global_inf.denominator < global_inf.numerator * den:
             raise UsageError("global infimum exceeds a sample")
-        if self.tail_liminf < self.global_inf:
+        if tail_liminf < global_inf:
             raise UsageError("tail liminf below the global infimum")
+        self.label, self.samples = label, samples
+        self.tail_liminf, self.global_inf = tail_liminf, global_inf
 
     def key(self):
         return (self.samples, self.tail_liminf, self.global_inf)
 
+    def __eq__(self, other):
+        return (other.__class__ is FunctionDescriptor and self.label == other.label
+                and self.key() == other.key())
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        return hash((self.label, self.key()))
+
+
 class _Node:
     """One expression node.  ``tail`` is the limit of m -> expr(1/m) and
     whether the sequence reaches it rather than approaching from below.
@@ -290,9 +355,19 @@ class _Node:
     there at least its pinned value and every node operation is monotone.
     """
 
-    column: Column
-    tail: tuple[Fraction, bool]
-    co_countable: Fraction
+    __slots__ = ("column", "tail", "co_countable")
+
+    def __init__(self, column: Column, tail: tuple[Fraction, bool], co_countable: Fraction):
+        self.column, self.tail, self.co_countable = column, tail, co_countable
+
+    def _key(self):
+        return self.column, self.tail, self.co_countable
+
+    def __eq__(self, other):
+        return other.__class__ is _Node and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
@@ -531,33 +606,35 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
 # the proof script
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClaimRecord:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
 
-@dataclass
 class CounterexampleReport:
-    variant: Variant
-    condition_s: bool
-    certified: bool
-    routed_to_plain: bool
-    p: Fraction
-    q: Fraction | None
-    t_par: Fraction
-    s_par: Fraction
-    depth: int
-    catalog_size: int
-    step1_value: Fraction
-    step1_exact: bool
-    step1_witness: str
-    step2_bound: Fraction
-    step2_details: list
-    coincide_on_catalog: bool | None
-    verdict: str
-    claims: list[ClaimRecord] = field(default_factory=list)
+    __slots__ = ("variant", "condition_s", "certified", "routed_to_plain", "p", "q",
+                 "t_par", "s_par", "depth", "catalog_size", "step1_value", "step1_exact",
+                 "step1_witness", "step2_bound", "step2_details", "coincide_on_catalog",
+                 "verdict", "claims")
+
+    def __init__(self, variant: Variant, condition_s: bool, certified: bool,
+                 routed_to_plain: bool, p: Fraction, q: Fraction | None,
+                 t_par: Fraction, s_par: Fraction, depth: int, catalog_size: int,
+                 step1_value: Fraction, step1_exact: bool, step1_witness: str,
+                 step2_bound: Fraction, step2_details: list,
+                 coincide_on_catalog: bool | None, verdict: str,
+                 claims: list[ClaimRecord] | None = None):
+        self.variant, self.condition_s = variant, condition_s
+        self.certified, self.routed_to_plain = certified, routed_to_plain
+        self.p, self.q, self.t_par, self.s_par = p, q, t_par, s_par
+        self.depth, self.catalog_size = depth, catalog_size
+        self.step1_value, self.step1_exact = step1_value, step1_exact
+        self.step1_witness = step1_witness
+        self.step2_bound, self.step2_details = step2_bound, step2_details
+        self.coincide_on_catalog, self.verdict = coincide_on_catalog, verdict
+        self.claims = [] if claims is None else claims
 
     @property
     def all_claims_ok(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
@@ -94,7 +93,6 @@ def _variant_coreflection(table: SemifilterTable, variant: Variant) -> Semifilte
     return conical_coreflection(table)
 
 
-@dataclass(frozen=True)
 class KleisliScenario:
     """One sampled instance of the associativity data: maps into table spaces.
 
@@ -102,23 +100,20 @@ class KleisliScenario:
     y_set into tables on z_set; every value must pass the variant test.
     """
 
-    x_set: FiniteSet
-    y_set: FiniteSet
-    z_set: FiniteSet
-    f: dict
-    g: dict
-    carrier: FiniteQuantale
-    variant: Variant = Variant.PLAIN
-    seed: object = None
+    __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant", "seed")
 
-    def __post_init__(self):
-        for name, m, src in (("f", self.f, self.x_set), ("g", self.g, self.y_set)):
+    def __init__(self, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
+                 f: dict, g: dict, carrier: FiniteQuantale,
+                 variant: Variant = Variant.PLAIN, seed: object = None):
+        for name, m, src in (("f", f, x_set), ("g", g, y_set)):
             for x in src:
                 if x not in m:
                     raise UsageError(f"{name} is not total: missing {x!r}")
-                if not table_satisfies(m[x], self.variant):
-                    raise UsageError(
-                        f"{name}({x!r}) is not a {self.variant.value} semifilter")
+                if not table_satisfies(m[x], variant):
+                    raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter")
+        self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
+        self.f, self.g, self.carrier = f, g, carrier
+        self.variant, self.seed = variant, seed
 
 
 def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN,
@@ -201,22 +196,32 @@ def random_scenario(rng: random.Random, carrier: FiniteQuantale,
 
 # -- law suite ---------------------------------------------------------------
 
-@dataclass
 class LawFailure:
-    law: str
-    scenario: int
-    detail: str
+    __slots__ = ("law", "scenario", "detail")
+
+    def __init__(self, law: str, scenario: int, detail: str):
+        self.law, self.scenario, self.detail = law, scenario, detail
+
+    def _key(self):
+        return self.law, self.scenario, self.detail
+
+    def __eq__(self, other):
+        return other.__class__ is LawFailure and self._key() == other._key()
+
+    def __repr__(self):
+        return (f"LawFailure(law={self.law!r}, scenario={self.scenario!r}, "
+                f"detail={self.detail!r})")
 
 
-@dataclass
 class LawReport:
-    variant: Variant
-    sizes: tuple[int, int, int]
-    seed: int
-    scenarios_run: int
-    checks: int = 0
-    failures: list[LawFailure] = field(default_factory=list)
-    incomplete: bool = False
+    __slots__ = ("variant", "sizes", "seed", "scenarios_run", "checks", "failures",
+                 "incomplete")
+
+    def __init__(self, variant: Variant, sizes: tuple[int, int, int], seed: int):
+        self.variant, self.sizes, self.seed = variant, sizes, seed
+        self.scenarios_run = self.checks = 0
+        self.failures: list[LawFailure] = []
+        self.incomplete = False
 
     @property
     def passed(self) -> bool:
@@ -235,7 +240,7 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
     comparisons; failures carry the scenario index for replay.
     """
     to_run = scenarios
-    report = LawReport(variant, sizes, seed, 0)
+    report = LawReport(variant, sizes, seed)
     if budget is not None and scenarios > budget:
         to_run = budget
         report.incomplete = True
@@ -288,11 +293,13 @@ def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],
 
 # -- naturality --------------------------------------------------------------
 
-@dataclass
 class NaturalityReport:
-    failures: list[str] = field(default_factory=list)
-    checks: int = 0
-    not_applicable: list[str] = field(default_factory=list)
+    __slots__ = ("failures", "checks", "not_applicable")
+
+    def __init__(self):
+        self.failures: list[str] = []
+        self.checks = 0
+        self.not_applicable: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -416,11 +423,13 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
 
 # -- classical correspondence ------------------------------------------------
 
-@dataclass
 class CorrespondenceReport:
-    sizes: list[int]
-    failures: list[str] = field(default_factory=list)
-    checks: int = 0
+    __slots__ = ("sizes", "failures", "checks")
+
+    def __init__(self, sizes: list[int]):
+        self.sizes = sizes
+        self.failures: list[str] = []
+        self.checks = 0
 
     @property
     def passed(self) -> bool:

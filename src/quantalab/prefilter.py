@@ -18,7 +18,6 @@ degree, never as a basis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,7 +27,6 @@ from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
 from .quantale import FiniteQuantale, ZERO
 
 
-@dataclass(frozen=True)
 class PrefilterBasis:
     """The prefilter of everything above one generator.
 
@@ -36,9 +34,19 @@ class PrefilterBasis:
     ``normalize_basis`` to construct one.
     """
 
-    domain: FiniteSet
-    carrier: FiniteQuantale
-    generator: QFunction
+    __slots__ = ("domain", "carrier", "generator")
+
+    def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, generator: QFunction):
+        self.domain, self.carrier, self.generator = domain, carrier, generator
+
+    def _key(self):
+        return self.domain, self.carrier, self.generator
+
+    def __eq__(self, other):
+        return other.__class__ is PrefilterBasis and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
         """The number of generators: always one."""

@@ -14,7 +14,6 @@ integer kernel; a carrier that is not a ``FiniteQuantale`` is refused.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -22,15 +21,21 @@ from .errors import UsageError
 from .quantale import FiniteQuantale, as_fraction
 
 
-@dataclass(frozen=True)
 class FiniteSet:
     """An ordered finite set of distinct hashable labels; may be empty."""
 
-    elements: tuple = ()
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: tuple = ()):
+        if len(set(elements)) != len(elements):
             raise UsageError("labels must be distinct")
+        self.elements = elements
+
+    def __eq__(self, other):
+        return other.__class__ is FiniteSet and self.elements == other.elements
+
+    def __hash__(self):
+        return hash(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -55,7 +60,6 @@ def finite_set(*labels) -> FiniteSet:
     return FiniteSet(tuple(labels))
 
 
-@dataclass(frozen=True)
 class QFunction:
     """A total map from a finite set into a finite carrier, stored densely.
 
@@ -68,21 +72,20 @@ class QFunction:
     function's place in the canonical order of ``all_qfunctions``.
     """
 
-    domain: FiniteSet
-    values: tuple[Fraction, ...]
-    carrier: FiniteQuantale
+    __slots__ = ("domain", "values", "carrier", "index", "code")
 
-    def __post_init__(self):
-        _require_finite(self.carrier)
-        if len(self.values) != len(self.domain):
+    def __init__(self, domain: FiniteSet, values: tuple[Fraction, ...],
+                 carrier: FiniteQuantale):
+        _require_finite(carrier)
+        if len(values) != len(domain):
             raise UsageError("values must cover the domain exactly")
-        for v in self.values:
-            if not self.carrier.contains(v):
+        for v in values:
+            if not carrier.contains(v):
                 raise UsageError(f"value {v} outside the carrier")
-        position = self.carrier.position
-        index = tuple(position[v] for v in self.values)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "code", _code(index, len(position)))
+        position = carrier.position
+        self.domain, self.values, self.carrier = domain, values, carrier
+        self.index = tuple(position[v] for v in values)
+        self.code = _code(self.index, len(position))
 
     @classmethod
     def from_index(cls, domain: FiniteSet, carrier, index: tuple) -> "QFunction":
@@ -93,10 +96,19 @@ class QFunction:
         """
         f = object.__new__(cls)
         elements = carrier.elements
-        f.__dict__.update(domain=domain, values=tuple(map(elements.__getitem__, index)),
-                          carrier=carrier, index=index,
-                          code=_code(index, len(elements)))
+        f.domain, f.carrier, f.index = domain, carrier, index
+        f.values = tuple(map(elements.__getitem__, index))
+        f.code = _code(index, len(elements))
         return f
+
+    def __eq__(self, other):
+        # equal carriers hold the same elements, so equal positions are
+        # equal values
+        return (other.__class__ is QFunction and self.index == other.index
+                and self.domain == other.domain and self.carrier == other.carrier)
+
+    def __hash__(self):
+        return hash((self.domain, self.index))
 
     def __call__(self, x) -> Fraction:
         return self.values[self.domain.index(x)]
@@ -190,20 +202,18 @@ def all_qfunctions(domain: FiniteSet, carrier) -> Iterator[QFunction]:
         yield QFunction.from_index(domain, carrier, index)
 
 
-@dataclass(frozen=True)
 class SetMap:
     """A total map between finite sets, validated at construction."""
 
-    source: FiniteSet
-    target: FiniteSet
-    mapping: tuple
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != len(self.source):
+    def __init__(self, source: FiniteSet, target: FiniteSet, mapping: tuple):
+        if len(mapping) != len(source):
             raise UsageError("map must be total on its source")
-        for y in self.mapping:
-            if y not in self.target:
+        for y in mapping:
+            if y not in target:
                 raise UsageError(f"map value {y!r} lies outside the target")
+        self.source, self.target, self.mapping = source, target, mapping
 
     def __call__(self, x):
         return self.mapping[self.source.index(x)]

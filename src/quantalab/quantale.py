@@ -22,7 +22,6 @@ a test oracle (``tests/oracles.py``): no computation here needs it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -60,16 +59,27 @@ class Variant(Enum):
     BOUNDED = "bounded"
 
 
-@dataclass(frozen=True)
 class Block:
     """One summand of an ordinal sum: a rescaled base t-norm on [lo, hi]."""
 
-    lo: Fraction
-    hi: Fraction
-    kind: BlockKind
+    __slots__ = ("lo", "hi", "kind")
+
+    def __init__(self, lo: Fraction, hi: Fraction, kind: BlockKind):
+        self.lo, self.hi, self.kind = lo, hi, kind
+
+    def _key(self):
+        return self.lo, self.hi, self.kind
+
+    def __eq__(self, other):
+        return other.__class__ is Block and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Block(lo={self.lo!r}, hi={self.hi!r}, kind={self.kind!r})"
 
 
-@dataclass(frozen=True)
 class TNorm:
     """A continuous t-norm on [0, 1] as an ordinal sum of rational blocks.
 
@@ -79,18 +89,28 @@ class TNorm:
     lies in the interior of another block.
     """
 
-    blocks: tuple[Block, ...] = ()
+    __slots__ = ("blocks", "_his")
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[Block, ...] = ()):
         prev_hi = None
-        for b in self.blocks:
+        for b in blocks:
             if not (ZERO <= b.lo < b.hi <= ONE):
                 raise ConstructionError(f"bad block endpoints: [{b.lo}, {b.hi}]")
             if prev_hi is not None and b.lo < prev_hi:
                 raise ConstructionError(
                     f"blocks overlap or are unsorted near {b.lo}")
             prev_hi = b.hi
-        object.__setattr__(self, "_his", tuple(b.hi for b in self.blocks))
+        self.blocks = blocks
+        self._his = tuple(b.hi for b in blocks)
+
+    def __eq__(self, other):
+        return other.__class__ is TNorm and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"TNorm(blocks={self.blocks!r})"
 
     # -- carrier surface -------------------------------------------------
 
@@ -337,15 +357,24 @@ def residuum_continuity_probe(t: TNorm, step: Fraction, min_gap: Fraction = Frac
 # finite quantales
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Violation:
     """One failed law with a witness tuple of carrier elements."""
 
-    law: str
-    witness: tuple
+    __slots__ = ("law", "witness")
+
+    def __init__(self, law: str, witness: tuple):
+        self.law, self.witness = law, witness
+
+    def _key(self):
+        return self.law, self.witness
+
+    def __eq__(self, other):
+        return other.__class__ is Violation and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class FiniteKernel:
     """The index tables of a finite carrier.
 
@@ -357,14 +386,22 @@ class FiniteKernel:
     positions too.
     """
 
-    tensor: tuple
-    residuum: tuple
-    join: tuple
-    meet: tuple
-    leq: tuple
-    bottom: int
-    top: int
-    unit: int
+    __slots__ = ("tensor", "residuum", "join", "meet", "leq", "bottom", "top", "unit")
+
+    def __init__(self, tensor: tuple, residuum: tuple, join: tuple, meet: tuple,
+                 leq: tuple, bottom: int, top: int, unit: int):
+        self.tensor, self.residuum, self.join, self.meet = tensor, residuum, join, meet
+        self.leq, self.bottom, self.top, self.unit = leq, bottom, top, unit
+
+    def _key(self):
+        return (self.tensor, self.residuum, self.join, self.meet, self.leq,
+                self.bottom, self.top, self.unit)
+
+    def __eq__(self, other):
+        return other.__class__ is FiniteKernel and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class FiniteQuantale:

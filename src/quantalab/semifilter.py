@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -149,10 +148,20 @@ class TableEntries(Mapping):
         return len(self._table.index)
 
 
-@dataclass(frozen=True)
 class AxiomViolation:
-    axiom: str
-    witness: tuple
+    __slots__ = ("axiom", "witness")
+
+    def __init__(self, axiom: str, witness: tuple):
+        self.axiom, self.witness = axiom, witness
+
+    def _key(self):
+        return self.axiom, self.witness
+
+    def __eq__(self, other):
+        return other.__class__ is AxiomViolation and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[AxiomViolation]:
@@ -377,7 +386,6 @@ def residuate(p: Fraction, table: SemifilterTable) -> SemifilterTable:
 
 # -- second level ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SemifilterFamily:
     """A declared finite family of semifilters on a common space.
 
@@ -386,14 +394,14 @@ class SemifilterFamily:
     the evaluation functional of a function restricts to the family.
     """
 
-    labels: FiniteSet
-    members: tuple[SemifilterTable, ...]
+    __slots__ = ("labels", "members")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.members):
+    def __init__(self, labels: FiniteSet, members: tuple[SemifilterTable, ...]):
+        if len(labels) != len(members):
             raise UsageError("labels and members must align")
-        for m in self.members[1:]:
-            m._same_space(self.members[0])
+        for m in members[1:]:
+            m._same_space(members[0])
+        self.labels, self.members = labels, members
 
     @classmethod
     def of(cls, members: Iterable[SemifilterTable], prefix: str = "g") -> "SemifilterFamily":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import StructuralError, UsageError
+from .errors import QuantalabError, StructuralError, UsageError
 from .quantale import (BlockKind, FiniteQuantale, TNorm, Variant,
                        build_ordinal_sum)
 
@@ -121,9 +121,7 @@ def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
     """A function given as a list of values or as ``{"values": [...]}``."""
     from .qfun import QFunction
     if isinstance(obj, dict):
-        declared = obj.get("domain")
-        if declared is not None and tuple(declared) != domain.elements:
-            raise StructuralError(f"function domain {declared} does not match {domain}")
+        _check_domain(obj, domain, "function")
         values = _field(obj, "a function", "values")
     else:
         values = obj
@@ -132,6 +130,14 @@ def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
         return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
     except UsageError as e:
         raise StructuralError(str(e)) from None
+
+
+def _check_domain(obj: dict, domain: FiniteSet, what: str):
+    """Refuse a ``domain`` field of obj that does not list domain's labels."""
+    declared = obj.get("domain")
+    if declared is not None and \
+            tuple(_expect(declared, list, f"{what} domain")) != domain.elements:
+        raise StructuralError(f"{what} domain {declared} does not match {domain}")
 
 
 def semifilter_to_json(t: SemifilterTable) -> dict:
@@ -143,13 +149,24 @@ def semifilter_to_json(t: SemifilterTable) -> dict:
 
 def semifilter_from_json(obj: dict, domain: FiniteSet,
                          carrier: FiniteQuantale) -> SemifilterTable:
-    """A table from its ``entries`` list, each function listed once.
+    """A table from its ``entries`` list, each function listed once.  The
+    table's own ``domain`` and ``carrier`` fields, where given, must match
+    ``domain`` and ``carrier``.
 
     Each value's carrier position is placed at its function's code: the
     table is built from positions, as every table is.
     """
     from .qfun import all_qfunctions
     from .semifilter import SemifilterTable
+    _check_domain(obj, domain, "table")
+    if "carrier" in obj:
+        try:
+            declared_carrier = quantale_from_json(obj["carrier"])
+        except QuantalabError as e:
+            raise StructuralError(f"table carrier: {e}") from None
+        if declared_carrier != carrier:
+            raise StructuralError(
+                f"table carrier {declared_carrier!r} does not match {carrier!r}")
     raw = _expect(_field(obj, "a table", "entries"), list, "entries")
     positions = {}
     first = {}
@@ -267,11 +284,11 @@ class ScenarioSpec:
 
     Holds the carrier, the variant, the three label sets, optional explicit
     maps (as tables or generating bases), seeds, budgets and an optional
-    witness catalog for counterexample runs.
+    witness catalog for counterexample runs.  The label sets are checked on
+    load and built as ``FiniteSet``s only when a law run reads them.
     """
 
     def __init__(self, obj: dict, base_dir: Path | None = None):
-        from .qfun import FiniteSet
         if not isinstance(obj, dict):
             raise StructuralError("a scenario file must hold a JSON object")
         quantale = obj.get("quantale")
@@ -287,17 +304,22 @@ class ScenarioSpec:
                 f"variant must be one of {names}, got {variant!r}") from None
         sets = _expect(obj.get("sets", {}), dict, "sets")
 
-        def label_set(name: str, default: list) -> FiniteSet:
+        def checked_labels(name: str, default: list) -> tuple:
             labels = _expect(sets.get(name, default), list, f"sets.{name}")
+            seen = set()
             for i, label in enumerate(labels):
                 if isinstance(label, (dict, list)):
                     raise StructuralError(
                         f"sets.{name}[{i}] must not be an object or a list, got {label!r}")
-            return FiniteSet(tuple(labels))
+                if label in seen:
+                    raise StructuralError(f"sets.{name} repeats the label {label!r}")
+                seen.add(label)
+            return tuple(labels)
 
-        self.x_set = label_set("X", ["x0", "x1"])
-        self.y_set = label_set("Y", ["y0", "y1"])
-        self.z_set = label_set("Z", ["z0", "z1"])
+        # checked here, each becomes a FiniteSet when it is first read
+        self._sets = {"X": checked_labels("X", ["x0", "x1"]),
+                      "Y": checked_labels("Y", ["y0", "y1"]),
+                      "Z": checked_labels("Z", ["z0", "z1"])}
         self.seed = _integer(obj.get("seed", 0), "seed")
         budgets = _expect(obj.get("budgets", {}), dict, "budgets")
         self.scenarios = _count(budgets.get("scenarios", 200), "budgets.scenarios")
@@ -311,6 +333,17 @@ class ScenarioSpec:
                 raise StructuralError("witness_catalog must not be empty; "
                                       "leave it out for the default catalog")
             self.witness_catalog = [expr_from_json(e) for e in wc]
+
+    def _label_set(self, name: str) -> FiniteSet:
+        from .qfun import FiniteSet
+        labels = self._sets[name]
+        if not isinstance(labels, FiniteSet):
+            labels = self._sets[name] = FiniteSet(labels)
+        return labels
+
+    x_set = property(lambda self: self._label_set("X"))
+    y_set = property(lambda self: self._label_set("Y"))
+    z_set = property(lambda self: self._label_set("Z"))
 
     def explicit_maps(self):
         """Decode the pinned f/g map values into tables, or None without maps.

@@ -1,8 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from quantalab.cli import main
 from quantalab.qfun import QFunction, finite_set
@@ -13,9 +15,25 @@ from quantalab.serialize import quantale_to_json, semifilter_to_json
 from test_quantale import half_unit_chain, square_lattice
 
 
+class Runner:
+    """Runs the CLI in this process.  The result holds the exit code, each
+    stream, and in ``output`` both streams, stdout first."""
+
+    def invoke(self, cli, args) -> SimpleNamespace:
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args)
+            except SystemExit as e:
+                code = e.code or 0
+        return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=out.getvalue() + err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write(tmp_path, name, obj):
@@ -302,7 +320,7 @@ def test_laws_budget_flag_must_not_be_negative(runner, tmp_path, budget, code):
     assert r.exit_code == code, r.output
     if code == 2:
         assert r.stdout == ""
-        assert "Invalid value for '--budget': -1 is not in the range x>=0." in r.stderr
+        assert "argument --budget: must not be negative, got -1" in r.stderr
 
 
 def test_counterexample_violation(runner, block_path):
@@ -525,6 +543,65 @@ def test_laws_pinned_map_input_error_names_the_map(runner, tmp_path, value, mess
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
     assert r.stderr == f"input error: {message}\n"
+
+
+def _two_chain_pinned(tmp_path, f_value, y_labels=("u",)):
+    """A two-chain scenario pinning ``f('a')`` to ``f_value`` on Y, and g to
+    evaluation units."""
+    q = two_chain()
+    unit = semifilter_to_json(evaluation_unit(finite_set("w"), q, "w"))
+    return write(tmp_path, "pinned.json", {
+        "quantale": quantale_to_json(q),
+        "sets": {"X": ["a"], "Y": list(y_labels), "Z": ["w"]},
+        "maps": {"f": {"a": f_value}, "g": {y: unit for y in y_labels}}})
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("domain", ["nope"], "table domain ['nope'] does not match {'u'}"),
+    ("domain", "u", "table domain must be a list, got 'u'"),
+    ("carrier", quantale_to_json(godel3()),
+     "table carrier FiniteQuantale([0, 1/2, 1], unit=1) does not match "
+     "FiniteQuantale([0, 1], unit=1)"),
+    ("carrier", {"type": "tnorm", "blocks": []},
+     "table carrier TNorm(blocks=()) does not match FiniteQuantale([0, 1], unit=1)"),
+    ("carrier", {"blocks": []}, "table carrier: quantale definition needs a 'type' field"),
+], ids=["domain", "domain-not-a-list", "carrier-other-chain", "carrier-tnorm",
+        "carrier-malformed"])
+def test_laws_pinned_table_must_declare_the_scenario_space(runner, tmp_path, field,
+                                                           value, message):
+    table = semifilter_to_json(evaluation_unit(finite_set("u"), two_chain(), "u"))
+    r = runner.invoke(main, ["laws", "--scenario",
+                             _two_chain_pinned(tmp_path, {**table, field: value})])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: map f at 'a': {message}\n"
+
+
+def test_laws_pinned_function_domain_must_be_a_list(runner, tmp_path):
+    # the string "uv" used to pass for the labels u, v
+    basis = {"basis": [{"domain": "uv", "values": ["1/1", "1/1"]}]}
+    r = runner.invoke(main, ["laws", "--scenario",
+                             _two_chain_pinned(tmp_path, basis, ("u", "v"))])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == ("input error: map f at 'a': function domain must be a list, "
+                        "got 'uv'\n")
+
+
+def test_laws_pinned_table_declaring_the_scenario_space_runs(runner, tmp_path):
+    table = semifilter_to_json(evaluation_unit(finite_set("u"), two_chain(), "u"))
+    r = runner.invoke(main, ["laws", "--scenario", _two_chain_pinned(tmp_path, table)])
+    assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize("labels,shown", [(["a", "b", "a"], "'a'"), ([1, True], "True")])
+def test_laws_repeated_label_is_input_error(runner, tmp_path, labels, shown):
+    path = write(tmp_path, "labels.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": labels, "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == f"input error: sets.Y repeats the label {shown}\n"
 
 
 @pytest.mark.parametrize("label,shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']")])

@@ -115,7 +115,7 @@ def test_an_import_of_test_code_is_named():
 
 
 # Runs the script in argv[1] with the CLI's output and exit swallowed, then
-# prints the quantalab modules the interpreter holds.
+# prints the modules the interpreter holds.
 PROBE = """
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()):
@@ -123,16 +123,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         exec(sys.argv[1])
     except SystemExit:
         pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("quantalab"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
+BLOCK = {"type": "tnorm", "blocks": [{"lo": "1/4", "hi": "1/2", "kind": "lukasiewicz"}]}
 
-def loaded_modules(script: str, tmp_path) -> set[str]:
-    """The quantalab modules a fresh interpreter holds after running script
-    in tmp_path, next to a t-norm file and a laws scenario file."""
-    (tmp_path / "block.json").write_text(json.dumps({
-        "type": "tnorm",
-        "blocks": [{"lo": "1/4", "hi": "1/2", "kind": "lukasiewicz"}]}))
+
+def loaded_modules(script: str, tmp_path, package_only: bool = True) -> set[str]:
+    """The quantalab modules (or with package_only false, all modules) a
+    fresh interpreter holds after running script in tmp_path, next to a
+    t-norm file, a laws scenario file and a counterexample scenario file."""
+    (tmp_path / "block.json").write_text(json.dumps(BLOCK))
+    (tmp_path / "cx.json").write_text(json.dumps({
+        "quantale": BLOCK, "variant": "filter",
+        "witness_catalog": [{"kind": "ramp", "scale": "1/4"}]}))
     (tmp_path / "laws.json").write_text(json.dumps({
         "quantale": {"type": "finite", "carrier": ["0/1", "1/1"],
                      "tensor": [["0/1", "0/1"], ["0/1", "1/1"]], "unit": "1/1"},
@@ -144,7 +148,7 @@ def loaded_modules(script: str, tmp_path) -> set[str]:
     out = subprocess.run([sys.executable, "-c", PROBE, script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return set(json.loads(out.stdout))
+    return {m for m in json.loads(out.stdout) if not package_only or m.startswith("quantalab")}
 
 
 FINITE_STACK = {"quantalab.monad", "quantalab.semifilter", "quantalab.prefilter",
@@ -161,7 +165,7 @@ def test_reading_a_tnorm_loads_no_finite_stack(tmp_path):
 
 def test_reading_a_scenario_without_a_catalog_loads_no_counterexample(tmp_path):
     loaded = loaded_modules("from quantalab.serialize import load_scenario\n"
-                            "load_scenario('laws.json')", tmp_path)
+                            "load_scenario('laws.json').x_set", tmp_path)
     assert "quantalab.qfun" in loaded
     assert "quantalab.counterexample" not in loaded
     assert "quantalab.monad" not in loaded
@@ -174,6 +178,34 @@ def test_a_counterexample_command_loads_only_its_layers(tmp_path):
         "      '--s', '3/8', '--truncation', '20'])", tmp_path)
     assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
                       "quantalab.errors", "quantalab.quantale", "quantalab.serialize"}
+
+
+def test_a_counterexample_from_a_scenario_loads_no_finite_stack(tmp_path):
+    # the scenario's label sets are built only when a law run reads them
+    loaded = loaded_modules(
+        "from quantalab.cli import main\n"
+        "main(['counterexample', '--scenario', 'cx.json', '--t', '3/8',\n"
+        "      '--s', '3/8', '--truncation', '20'])", tmp_path)
+    assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
+                      "quantalab.errors", "quantalab.quantale", "quantalab.serialize"}
+
+
+COMMANDS = {
+    "quantale": "['quantale', '--quantale', 'block.json', '--check', 's']",
+    "laws": "['laws', '--scenario', 'laws.json']",
+    "counterexample": "['counterexample', '--quantale', 'block.json', '--t', '3/8', "
+                      "'--s', '3/8', '--truncation', '20']",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_loads_neither_click_nor_dataclasses(tmp_path, command):
+    # import click costs about 30 ms per op, and import dataclasses about
+    # 10 ms, as it loads inspect, ast, dis and tokenize
+    loaded = loaded_modules(f"from quantalab.cli import main\nmain({COMMANDS[command]})",
+                            tmp_path, package_only=False)
+    assert "quantalab.cli" in loaded
+    assert loaded & {"click", "dataclasses"} == set()
 
 
 def test_a_laws_command_loads_no_counterexample(tmp_path):

@@ -73,6 +73,10 @@ def test_qfunction_domain_mismatch():
     with pytest.raises(StructuralError):
         qfunction_from_json({"domain": ["a"], "values": ["1/1"]},
                             finite_set("a", "b"), godel3())
+    # a string is not a list of labels, though it iterates like one
+    with pytest.raises(StructuralError, match="^function domain must be a list, got 'ab'$"):
+        qfunction_from_json({"domain": "ab", "values": ["1/1", "1/1"]},
+                            finite_set("a", "b"), godel3())
 
 
 def test_semifilter_round_trip_canonical_order():
@@ -108,6 +112,8 @@ def test_scenario_parsing():
     spec = ScenarioSpec(obj)
     assert spec.variant is Variant.FILTER
     assert spec.x_set.elements == ("a",)
+    assert spec.x_set is spec.x_set and spec.y_set == finite_set("u", "v")
+    assert ScenarioSpec({"quantale": obj["quantale"]}).z_set == finite_set("z0", "z1")
     assert spec.scenarios == 17 and spec.seed == 11
     assert spec.witness_catalog == [Ramp(F(1, 4))]
 
