@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,7 +115,13 @@ def _emit(report: dict, out: str | None, fmt: str):
     text = render_text(report) if fmt == "text" else json.dumps(report, indent=2)
     if out:
         Path(out).write_text(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; the verdict still sets the exit code, and
+        # what is left of stdout goes to devnull, so that the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 main = Group("Exact checks for quantale-valued filter structures and their monads.")

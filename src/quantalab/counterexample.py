@@ -9,8 +9,8 @@ this module evaluates it through two finite, fully exact devices:
   the points 1/m, its exact tail liminf along those points, and its exact
   global infimum.  Descriptors are built from a closed class of expressions
   (the decreasing ramp, tail indicators, constants, and joins/meets/
-  residuations of those); each distinct node of the expression trees is
-  evaluated once, from its children's records, into its column of values
+  residuations of those); each distinct operation on distinct child
+  records is evaluated once, from those records, into its column of values
   at all the points 1/m and its infimum off them.
 * ``Column`` -- the samples on integers, in a few runs on which the value
   is affine in x = 1/m.  The last run goes on forever, so the tail is read
@@ -371,16 +371,47 @@ class _Node:
 
 
 def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
-    """The node record of expr, computed once per memo (a dict that the
-    caller creates and ``_node`` owns), keyed by identity, from its
-    children's records.  A ramp ``s*(1 - 1/m)`` is the run ``A = s,
-    B = -s``, a constant c the run ``A = c, B = 0``, and a tail indicator
-    0 up to its start and then ``A = 1, B = 0``.  A residuation first
-    refuses a bad constant through ``t.residuum`` on ``co_countable``.
+    """The node record of expr, computed from its children's records in
+    memo, a dict that the caller creates and ``_node`` owns.
+
+    Every entry of the memo is a pair (an expression, its record), under
+    one of three keys.  The id of each expression object met, so that an
+    object is looked up once; the entry holds the object, so its id stays
+    its own while the memo lives.  The record itself, so that equal records
+    are one object.  And the operation that yields the record: a leaf is
+    its own key, a join or meet is its class with the ids of its two
+    children's records in either order (both commute), and a residuation
+    is its constant with the id of its child's record.  So each distinct
+    operation on distinct records is evaluated once, however many
+    expressions spell it.
     """
     hit = memo.get(id(expr))
-    if hit is not None:
-        return hit[1]
+    if hit is None:
+        if isinstance(expr, (Join, Meet)):
+            args = _node(expr.left, t, memo), _node(expr.right, t, memo)
+            op = (expr.__class__, *sorted(map(id, args)))
+        elif isinstance(expr, Res):
+            args = (_node(expr.child, t, memo),)
+            op = (expr.const, id(args[0]))
+        elif isinstance(expr, (Ramp, TailIndicator, Const)):
+            args, op = (), expr
+        else:
+            raise UsageError(f"unknown expression {expr!r}")
+        hit = memo.get(op)
+        if hit is None:
+            node = _evaluate(expr, args, t)
+            hit = memo[op] = memo.setdefault(node, (expr, node))
+        hit = memo[id(expr)] = (expr, hit[1])
+    return hit[1]
+
+
+def _evaluate(expr: FnExpr, args: tuple, t: TNorm) -> _Node:
+    """The record of expr from the records ``args`` of its children.  A
+    ramp ``s*(1 - 1/m)`` is the run ``A = s, B = -s``, a constant c the
+    run ``A = c, B = 0``, and a tail indicator 0 up to its start and then
+    ``A = 1, B = 0``.  A residuation first refuses a bad constant through
+    ``t.residuum`` on ``co_countable``.
+    """
     if isinstance(expr, Ramp):
         s = expr.scale
         col, co_countable = Column(s.denominator, ((1, s.numerator, -s.numerator),)), ZERO
@@ -390,24 +421,17 @@ def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
     elif isinstance(expr, Const):
         c = expr.value
         col, co_countable = Column(c.denominator, ((1, c.numerator, 0),)), c
-    elif isinstance(expr, (Join, Meet)):
-        a = _node(expr.left, t, memo)
-        b = _node(expr.right, t, memo)
-        join = isinstance(expr, Join)
-        col = _extremum(a.column, b.column, join)
-        co_countable = (max if join else min)(a.co_countable, b.co_countable)
     elif isinstance(expr, Res):
-        child = _node(expr.child, t, memo)
+        (child,) = args
         co_countable = t.residuum(expr.const, child.co_countable)
         col = _residuate(expr.const, child.column, t)
     else:
-        raise UsageError(f"unknown expression {expr!r}")
+        a, b = args
+        join = isinstance(expr, Join)
+        col = _extremum(a.column, b.column, join)
+        co_countable = (max if join else min)(a.co_countable, b.co_countable)
     _, a, b = col.runs[-1]                # the limit A/den, reached iff B = 0
-    node = _Node(col, (Fraction(a, col.den), b == 0), co_countable)
-    # the node is stored with its expression, so its id stays its own
-    # while the memo lives
-    memo[id(expr)] = (expr, node)
-    return node
+    return _Node(col, (Fraction(a, col.den), b == 0), co_countable)
 
 
 def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
@@ -582,17 +606,18 @@ def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
 
     The key is exact at the full depth (see ``Column``).  The first
     expression is the target function and always survives in first
-    position.  All calls share one memo of node records, so each distinct
-    node of the closure is evaluated once, however many expressions hold
-    it, and a root whose record repeats an earlier root's is not described
-    again: its descriptor would repeat that one's too.
+    position.  All calls share one memo of node records (see ``_node``), so
+    each distinct operation on distinct child records is evaluated once,
+    however many expressions spell it, and a root whose record repeats an
+    earlier root's is not described again: its descriptor would repeat that
+    one's too.  Equal records are one object, so they are told apart by id.
     """
     columns: dict = {}
     seen_nodes, seen, catalog = set(), set(), []
     for e in exprs:
         node = _node(e, t, columns)
-        if node not in seen_nodes:
-            seen_nodes.add(node)
+        if id(node) not in seen_nodes:
+            seen_nodes.add(id(node))
             d = describe(e, t, depth, pin_one, label=f"w{len(catalog)}", columns=columns)
             if d.key() not in seen:
                 seen.add(d.key())

@@ -306,7 +306,8 @@ class ScenarioSpec:
 
         def checked_labels(name: str, default: list) -> tuple:
             labels = _expect(sets.get(name, default), list, f"sets.{name}")
-            seen = set()
+            # a map reads each point's value at the key str(label)
+            seen, keys = set(), {}
             for i, label in enumerate(labels):
                 if isinstance(label, (dict, list)):
                     raise StructuralError(
@@ -314,6 +315,10 @@ class ScenarioSpec:
                 if label in seen:
                     raise StructuralError(f"sets.{name} repeats the label {label!r}")
                 seen.add(label)
+                other = keys.setdefault(str(label), label)
+                if other is not label:
+                    raise StructuralError(f"sets.{name} labels {other!r} and {label!r} "
+                                          f"share the map key {str(label)!r}")
             return tuple(labels)
 
         # checked here, each becomes a FiniteSet when it is first read

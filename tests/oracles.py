@@ -12,7 +12,10 @@ On the t-norm carriers and the interval counterexample:
 * ``PointColumn`` and ``point_node`` -- the per-point integer columns that
   the run columns replace: one numerator per sample, with the residuum of
   every point through ``point_residua`` and the step-2 scan of every point
-  through ``point_collapse_scan``.
+  through ``point_collapse_scan``;
+* ``node_per_expr`` and ``build_catalog_per_expr`` -- the node records and
+  the catalog with one evaluation per expression object, the records that
+  equal operations on equal child records share in the library.
 
 On the finite carriers, where the library stores a table as carrier
 positions and never builds a ``Fraction`` on the way:
@@ -39,7 +42,8 @@ from itertools import combinations, compress, repeat
 from math import gcd, lcm
 from operator import and_, floordiv, ge, lt, mul
 
-from quantalab.counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
+from quantalab.counterexample import (CATALOG_CAP, Const, Join, Meet, Ramp, Res,
+                                      TailIndicator, _evaluate, describe)
 from quantalab.errors import BudgetError, UsageError
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction, SetMap, all_qfunctions
@@ -285,6 +289,36 @@ def point_node(expr, t, n: int, memo: dict) -> PointNode:
     node = PointNode(col, tail, co_countable)
     memo[id(expr)] = (expr, node)
     return node
+
+
+def node_per_expr(expr, t, memo: dict):
+    """The node record of expr, evaluated once per expression object: the
+    memo holds ``(expr, record)`` by id, as ``_node``'s memo does, but
+    nothing is shared between distinct objects, equal or not."""
+    hit = memo.get(id(expr))
+    if hit is None:
+        children = ((expr.left, expr.right) if isinstance(expr, (Join, Meet))
+                    else (expr.child,) if isinstance(expr, Res) else ())
+        node = _evaluate(expr, tuple(node_per_expr(c, t, memo) for c in children), t)
+        hit = memo[id(expr)] = (expr, node)
+    return hit[1]
+
+
+def build_catalog_per_expr(exprs, t, depth: int, pin_one: bool):
+    """``build_catalog`` on the records of ``node_per_expr``: ``describe``
+    finds each root's record in the memo under its id."""
+    memo, seen_nodes, seen, catalog = {}, set(), set(), []
+    for e in exprs:
+        node = node_per_expr(e, t, memo)
+        if node not in seen_nodes:
+            seen_nodes.add(node)
+            d = describe(e, t, depth, pin_one, label=f"w{len(catalog)}", columns=memo)
+            if d.key() not in seen:
+                seen.add(d.key())
+                catalog.append(d)
+        if len(catalog) >= CATALOG_CAP:
+            break
+    return catalog
 
 
 def point_collapse_scan(a: PointColumn, g: PointColumn, p: Fraction, t):

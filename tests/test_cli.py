@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
+import quantalab
 from quantalab.cli import main
 from quantalab.qfun import QFunction, finite_set
 from quantalab.quantale import godel3, two_chain
@@ -604,6 +608,21 @@ def test_laws_repeated_label_is_input_error(runner, tmp_path, labels, shown):
     assert r.stderr == f"input error: sets.Y repeats the label {shown}\n"
 
 
+@pytest.mark.parametrize("labels,shown", [([1, "1"], "1 and '1' share the map key '1'"),
+                                          (["a", True, "True"],
+                                           "True and 'True' share the map key 'True'")])
+def test_laws_labels_sharing_a_map_key_are_input_error(runner, tmp_path, labels, shown):
+    # a pinned map reads the value of a point at the key str(label), so
+    # both points would read one entry
+    path = write(tmp_path, "labels.json", {
+        "quantale": quantale_to_json(two_chain()),
+        "sets": {"X": labels, "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == f"input error: sets.X labels {shown}\n"
+
+
 @pytest.mark.parametrize("label,shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']")])
 def test_laws_unhashable_label_is_input_error(runner, tmp_path, label, shown):
     path = write(tmp_path, "labels.json", {
@@ -622,3 +641,45 @@ def test_counterexample_empty_witness_catalog_is_input_error(runner, tmp_path):
                              "--t", "3/8", "--s", "3/8", "--truncation", "20"])
     assert r.exit_code == 2, r.output
     assert "witness_catalog must not be empty" in r.stderr
+
+
+# -- a reader that leaves early ------------------------------------------------------
+
+def _cli_args(tmp_path, block_path, command):
+    if command == "laws":
+        return ["laws", "--scenario", write(tmp_path, "laws.json", {
+            "quantale": quantale_to_json(two_chain()), "seed": 1,
+            "budgets": {"scenarios": 2}})]
+    return ["counterexample", "--quantale", block_path, "--t", "3/8", "--s", "3/8",
+            "--truncation", "50"]
+
+
+@pytest.mark.parametrize("reader", ["one-line", "none"])
+@pytest.mark.parametrize("command", ["counterexample", "laws"])
+def test_a_closed_stdout_keeps_the_verdict_exit_code(tmp_path, block_path, command, reader):
+    # both runs meet their expectations, so the verdict's exit code is 0
+    args = [sys.executable, "-m", "quantalab.cli", *_cli_args(tmp_path, block_path, command),
+            "--format", "structured"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(quantalab.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if reader == "one-line":
+        with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as p:
+            first = p.stdout.readline()
+            p.stdout.close()
+            err = p.stderr.read().decode()
+            code = p.wait(timeout=120)
+        assert first == b"{\n"
+    else:
+        # a pipe whose reader has gone before the report is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            p = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                               timeout=120, text=True)
+        finally:
+            os.close(write_end)
+        err, code = p.stderr, p.returncode
+    assert (code, err) == (0, "")

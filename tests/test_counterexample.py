@@ -19,8 +19,9 @@ from quantalab.quantale import (ONE, ZERO, TNorm, build_ordinal_sum,
                                 lukasiewicz_tnorm, positive_residuum_zero_sup,
                                 product_tnorm)
 
-from oracles import (PointColumn, eval_at, eval_leaves, left_limit_residuum,
-                     point_collapse_scan, point_node, tail_limit)
+from oracles import (PointColumn, build_catalog_per_expr, eval_at, eval_leaves,
+                     left_limit_residuum, node_per_expr, point_collapse_scan,
+                     point_node, tail_limit)
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 P = F(1, 4)
@@ -671,6 +672,73 @@ def test_run_columns_match_their_oracles_on_every_shipped_node(t, t_par, s_par, 
                     at_points[m] = F(1, m), {}
                 x, at_x = at_points[m]
                 assert F(*node.column.at(m)) == eval_at(e, x, t, at_x), (e, m)
+
+
+# -- records shared by equal operations on equal records --------------------------
+
+def report_fields(rep):
+    return ([getattr(rep, s) for s in rep.__slots__ if s != "claims"],
+            [(c.name, c.ok, c.detail) for c in rep.claims])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", ALL_CLOSURE_CASES,
+                         ids=["luk", "product", "three"])
+def test_shared_records_match_the_per_expression_oracle(t, t_par, s_par, hi, variant,
+                                                        monkeypatch):
+    exprs = shipped_closure(t, t_par, s_par, hi, variant)
+    pin_one = variant is Variant.FILTER
+    want = build_catalog_per_expr(exprs, t, 1000, pin_one)
+    got = build_catalog(exprs, t, 1000, pin_one)
+    assert [(d.label, d.key()) for d in got] == [(d.label, d.key()) for d in want]
+    fast = run_counterexample(t, t_par, s_par, 1000, variant)
+    monkeypatch.setattr(counterexample, "build_catalog", build_catalog_per_expr)
+    slow = run_counterexample(t, t_par, s_par, 1000, variant)
+    assert report_fields(fast) == report_fields(slow)
+
+
+def counted_evaluations(monkeypatch) -> list:
+    """Count the join/meet and residuation evaluations from here on."""
+    calls = []
+    for name in ("_extremum", "_residuate"):
+        f = getattr(counterexample, name)
+        monkeypatch.setattr(counterexample, name,
+                            lambda *args, _f=f: calls.append(args) or _f(*args))
+    return calls
+
+
+def test_a_commuted_operation_costs_one_evaluation(monkeypatch):
+    a, b = Ramp(F(1, 2)), Join(TailIndicator(3), Const(F(1, 8)))
+    memo: dict = {}
+    _node(a, BLOCK, memo), _node(b, BLOCK, memo)
+    calls = counted_evaluations(monkeypatch)
+    for op in (Join, Meet):
+        before = len(calls)
+        assert _node(op(a, b), BLOCK, memo) is _node(op(b, a), BLOCK, memo)
+        assert len(calls) - before == 1
+    # an equal child spelled by another object, under the same constant
+    before = len(calls)
+    assert _node(Res(P, a), BLOCK, memo) is _node(Res(P, Ramp(F(1, 2))), BLOCK, memo)
+    assert len(calls) - before == 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", ALL_CLOSURE_CASES,
+                         ids=["luk", "product", "three"])
+def test_the_closure_costs_at_most_its_distinct_operations(t, t_par, s_par, hi, variant,
+                                                           monkeypatch):
+    exprs = shipped_closure(t, t_par, s_par, hi, variant)
+    memo: dict = {}
+    for e in exprs:
+        node_per_expr(e, t, memo)
+    record = lambda e: memo[id(e)][1]               # equal records hash alike
+    ops = {(e.__class__, frozenset((record(e.left), record(e.right))))
+           if isinstance(e, (Join, Meet)) else (e.const, record(e.child))
+           for e, _ in memo.values() if isinstance(e, (Join, Meet, Res))}
+    per_expr = sum(isinstance(e, (Join, Meet, Res)) for e, _ in memo.values())
+    calls = counted_evaluations(monkeypatch)
+    build_catalog(exprs, t, 1000, variant is Variant.FILTER)
+    assert len(calls) <= len(ops) < per_expr / 2
 
 
 def test_join_and_meet_dedup_whatever_their_order_at_an_integer_crossing():
