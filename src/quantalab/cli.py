@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetError, PreconditionError, QuantalabError
+from .errors import BudgetError, PreconditionError, QuantalabError, UsageError
 from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
                        check_quantale_axioms, grid,
                        residuum_continuity_probe, two_chain)
@@ -50,7 +50,9 @@ class Command:
 
 class Group:
     """The ``quantalab`` command.  ``main`` parses the arguments and calls
-    the subcommand's ``callback`` with the parsed options as keywords."""
+    the subcommand's ``callback`` with the parsed options as keywords.  A
+    library error that the callback raises ends the run: a ``BudgetError``
+    with exit 3, any other with exit 2, its message on stderr."""
 
     def __init__(self, description: str):
         self.description = description
@@ -73,7 +75,14 @@ class Group:
             for flags, kwargs in cmd.options:
                 sub.add_argument(*flags, **kwargs)
         options = vars(parser.parse_args(args))
-        self.commands[options.pop("command")].callback(**options)
+        try:
+            self.commands[options.pop("command")].callback(**options)
+        except BudgetError as e:
+            print(f"budget exhausted: {e}", file=sys.stderr)
+            sys.exit(EXIT_BUDGET)
+        except QuantalabError as e:
+            print(f"input error: {e}", file=sys.stderr)
+            sys.exit(EXIT_INPUT_ERROR)
 
     def __call__(self, args=None):
         self.main(args)
@@ -139,61 +148,57 @@ main = Group("Exact checks for quantale-valued filter structures and their monad
     _OUT, _FORMAT)
 def cmd_quantale(path, checks, grid_step, out, fmt):
     """Check a quantale definition file."""
-    try:
-        q = load_quantale(path)
-        step = parse_fraction(grid_step)
-        if not checks:
-            checks = ("axioms", "adjunction", "s", "probe") if isinstance(q, TNorm) \
-                else ("axioms", "adjunction")
-        tnorm_only = [c for c in ("s", "probe") if c in checks]
-        if tnorm_only and not isinstance(q, TNorm):
-            raise PreconditionError(
-                f"--check {tnorm_only[0]} needs a t-norm definition, "
-                f"and {path} defines a finite quantale")
-        report: dict = {"input": str(path), "kind": "tnorm" if isinstance(q, TNorm) else "finite"}
-        failed = False
+    q = load_quantale(path)
+    step = parse_fraction(grid_step)
+    if not checks:
+        checks = ("axioms", "adjunction", "s", "probe") if isinstance(q, TNorm) \
+            else ("axioms", "adjunction")
+    tnorm_only = [c for c in ("s", "probe") if c in checks]
+    if tnorm_only and not isinstance(q, TNorm):
+        raise PreconditionError(
+            f"--check {tnorm_only[0]} needs a t-norm definition, "
+            f"and {path} defines a finite quantale")
+    report: dict = {"input": str(path), "kind": "tnorm" if isinstance(q, TNorm) else "finite"}
+    failed = False
 
-        if "axioms" in checks:
-            if isinstance(q, FiniteQuantale):
-                violations = check_quantale_axioms(q)
-                report["axioms"] = {
-                    "status": "ok" if not violations else "violated",
-                    "violations": [{"law": v.law,
-                                    "witness": [format_fraction(w) for w in v.witness]}
-                                   for v in violations]}
-                failed = failed or bool(violations)
-            else:
-                bad = _tnorm_axiom_probe(q, step)
-                report["axioms"] = {"status": "ok" if bad is None else "violated",
-                                    "probe": "grid"}
-                if bad is not None:
-                    report["axioms"]["witness"] = [format_fraction(v) for v in bad]
-                    failed = True
-        if "adjunction" in checks:
-            bad = _adjunction_witness(q, step)
-            report["adjunction"] = {"status": "ok" if bad is None else "violated"}
+    if "axioms" in checks:
+        if isinstance(q, FiniteQuantale):
+            violations = check_quantale_axioms(q)
+            report["axioms"] = {
+                "status": "ok" if not violations else "violated",
+                "violations": [{"law": v.law,
+                                "witness": [format_fraction(w) for w in v.witness]}
+                               for v in violations]}
+            failed = failed or bool(violations)
+        else:
+            bad = _tnorm_axiom_probe(q, step)
+            report["axioms"] = {"status": "ok" if bad is None else "violated",
+                                "probe": "grid"}
             if bad is not None:
-                report["adjunction"]["witness"] = [format_fraction(v) for v in bad]
+                report["axioms"]["witness"] = [format_fraction(v) for v in bad]
                 failed = True
-        if "s" in checks:
-            ok, block = check_condition_s(q)
-            entry = {"status": "satisfied" if ok else "violated"}
-            if block is not None:
-                entry["witness_block"] = {"lo": format_fraction(block.lo),
-                                          "hi": format_fraction(block.hi),
-                                          "kind": block.kind.value}
-            report["condition (S)"] = entry
-            failed = failed or not ok
-        if "probe" in checks:
-            jump, where = residuum_continuity_probe(q, step)
-            report["continuity probe"] = {
-                "max_offdiagonal_jump": format_fraction(jump),
-                "at": [[format_fraction(v) for v in pt] for pt in where] if where else None}
-        _emit(report, out, fmt)
-        sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
-    except QuantalabError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        sys.exit(EXIT_INPUT_ERROR)
+    if "adjunction" in checks:
+        bad = _adjunction_witness(q, step)
+        report["adjunction"] = {"status": "ok" if bad is None else "violated"}
+        if bad is not None:
+            report["adjunction"]["witness"] = [format_fraction(v) for v in bad]
+            failed = True
+    if "s" in checks:
+        ok, block = check_condition_s(q)
+        entry = {"status": "satisfied" if ok else "violated"}
+        if block is not None:
+            entry["witness_block"] = {"lo": format_fraction(block.lo),
+                                      "hi": format_fraction(block.hi),
+                                      "kind": block.kind.value}
+        report["condition (S)"] = entry
+        failed = failed or not ok
+    if "probe" in checks:
+        jump, where = residuum_continuity_probe(q, step)
+        report["continuity probe"] = {
+            "max_offdiagonal_jump": format_fraction(jump),
+            "at": [[format_fraction(v) for v in pt] for pt in where] if where else None}
+    _emit(report, out, fmt)
+    sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
 
 
 def _tnorm_axiom_probe(t, step):
@@ -242,64 +247,56 @@ def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
     from .monad import (check_monad_laws, check_naturality,
                         classical_correspondence_report, table_satisfies)
-    try:
-        scenario = load_scenario(path)
-        if not isinstance(scenario.carrier, FiniteQuantale):
-            raise PreconditionError("law suites need a finite carrier")
-        violations = check_quantale_axioms(scenario.carrier)
-        if violations:
-            first = violations[0]
-            witness = ", ".join(format_fraction(w) for w in first.witness)
-            raise PreconditionError(
-                f"carrier is not a quantale: {first.law} fails at ({witness})")
-        seed = scenario.seed if seed is None else seed
-        budget = scenario.budget if budget is None else budget
+    scenario = load_scenario(path)
+    if not isinstance(scenario.carrier, FiniteQuantale):
+        raise PreconditionError("law suites need a finite carrier")
+    violations = check_quantale_axioms(scenario.carrier)
+    if violations:
+        first = violations[0]
+        witness = ", ".join(format_fraction(w) for w in first.witness)
+        raise PreconditionError(
+            f"carrier is not a quantale: {first.law} fails at ({witness})")
+    seed = scenario.seed if seed is None else seed
+    budget = scenario.budget if budget is None else budget
 
-        explicit = scenario.explicit_maps()
-        if explicit is not None:
-            for name, mapped in explicit.items():
-                for x, table in mapped.items():
-                    if not table_satisfies(table, scenario.variant):
-                        print(f"input error: {name}({x!r}) is not a "
-                              f"{scenario.variant.value} semifilter", file=sys.stderr)
-                        print(json.dumps(semifilter_to_json(table)), file=sys.stderr)
-                        sys.exit(EXIT_INPUT_ERROR)
+    explicit = scenario.explicit_maps()
+    if explicit is not None:
+        for name, mapped in explicit.items():
+            for x, table in mapped.items():
+                if not table_satisfies(table, scenario.variant):
+                    # the table itself on the second line of the message
+                    raise UsageError(f"{name}({x!r}) is not a {scenario.variant.value} "
+                                     f"semifilter\n{json.dumps(semifilter_to_json(table))}")
 
-        sizes = (len(scenario.x_set), len(scenario.y_set), len(scenario.z_set))
-        law = check_monad_laws(scenario.carrier, sizes, scenario.scenarios, seed,
-                               scenario.variant, budget=budget)
-        nat = check_naturality(scenario.carrier, samples=8, seed=seed)
-        report = {
-            "input": str(path),
-            "variant": scenario.variant.value,
-            "seed": seed,
-            "sizes": list(sizes),
-            "laws": {"scenarios_run": law.scenarios_run,
-                     "checks": law.checks,
-                     "incomplete": law.incomplete,
-                     "failures": [{"law": f.law, "scenario": f.scenario,
-                                   "detail": f.detail} for f in law.failures]},
-            "naturality": {"checks": nat.checks, "failures": nat.failures},
-        }
-        if nat.not_applicable:
-            report["naturality"]["not_applicable"] = nat.not_applicable
-        if scenario.carrier == two_chain():
-            cor = classical_correspondence_report(max_size=3)
-            report["classical_filter_oracle"] = {
-                "status": "match" if cor.passed else "mismatch",
-                "checks": cor.checks, "failures": cor.failures}
-        _emit(report, out, fmt)
-        if law.incomplete:
-            sys.exit(EXIT_BUDGET)
-        failed = law.failures or nat.failures \
-            or report.get("classical_filter_oracle", {}).get("status") == "mismatch"
-        sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
-    except BudgetError as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
+    sizes = (len(scenario.x_set), len(scenario.y_set), len(scenario.z_set))
+    law = check_monad_laws(scenario.carrier, sizes, scenario.scenarios, seed,
+                           scenario.variant, budget=budget)
+    nat = check_naturality(scenario.carrier, samples=8, seed=seed)
+    report = {
+        "input": str(path),
+        "variant": scenario.variant.value,
+        "seed": seed,
+        "sizes": list(sizes),
+        "laws": {"scenarios_run": law.scenarios_run,
+                 "checks": law.checks,
+                 "incomplete": law.incomplete,
+                 "failures": [{"law": f.law, "scenario": f.scenario,
+                               "detail": f.detail} for f in law.failures]},
+        "naturality": {"checks": nat.checks, "failures": nat.failures},
+    }
+    if nat.not_applicable:
+        report["naturality"]["not_applicable"] = nat.not_applicable
+    if scenario.carrier == two_chain():
+        cor = classical_correspondence_report(max_size=3)
+        report["classical_filter_oracle"] = {
+            "status": "match" if cor.passed else "mismatch",
+            "checks": cor.checks, "failures": cor.failures}
+    _emit(report, out, fmt)
+    if law.incomplete:
         sys.exit(EXIT_BUDGET)
-    except QuantalabError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        sys.exit(EXIT_INPUT_ERROR)
+    failed = law.failures or nat.failures \
+        or report.get("classical_filter_oracle", {}).get("status") == "mismatch"
+    sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
 
 
 @main.command(
@@ -322,55 +319,51 @@ def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
     """Replay the associativity-failure script on a t-norm definition."""
     from .counterexample import (NO_VIOLATION_EXPECTED, VIOLATION,
                                  run_counterexample)
-    try:
-        catalog = None
-        if scenario_path is not None:
-            scenario = load_scenario(scenario_path)
-            q = scenario.carrier
-            catalog = scenario.witness_catalog
-            if variant is None:
-                variant = scenario.variant.value
-            if path is not None:
-                q = load_quantale(path)
-        elif path is not None:
-            q = load_quantale(path)
-        else:
-            raise PreconditionError("need --quantale or --scenario")
+    catalog = None
+    if scenario_path is not None:
+        scenario = load_scenario(scenario_path)
+        q = scenario.carrier
+        catalog = scenario.witness_catalog
         if variant is None:
-            variant = Variant.PLAIN.value
-        if not isinstance(q, TNorm):
-            raise PreconditionError("the counterexample runs on t-norm specs")
-        rep = run_counterexample(q, t_par, s_par, depth=truncation,
-                                 variant=Variant(variant), epsilon=epsilon,
-                                 catalog_exprs=catalog)
-        report = {
-            "input": str(path or scenario_path),
-            "variant": rep.variant.value,
-            "condition (S)": rep.condition_s,
-            "certified": rep.certified,
-            "routed_to_plain": rep.routed_to_plain,
-            "p": format_fraction(rep.p),
-            "q": format_fraction(rep.q) if rep.q is not None else None,
-            "t": format_fraction(rep.t_par),
-            "s": format_fraction(rep.s_par),
-            "truncation": rep.depth,
-            "catalog_size": rep.catalog_size,
-            "step1_value": format_fraction(rep.step1_value),
-            "step1_exact": rep.step1_exact,
-            "step1_witness": rep.step1_witness,
-            "step2_bound": format_fraction(rep.step2_bound),
-            "coincide_on_catalog": rep.coincide_on_catalog,
-            "claims": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                       for c in rep.claims],
-            "verdict": rep.verdict,
-        }
-        _emit(report, out, fmt)
-        expected = (rep.verdict == NO_VIOLATION_EXPECTED) if rep.condition_s \
-            else (rep.verdict == VIOLATION and rep.all_claims_ok)
-        sys.exit(EXIT_OK if expected else EXIT_MATH_FAILURE)
-    except QuantalabError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        sys.exit(EXIT_INPUT_ERROR)
+            variant = scenario.variant.value
+        if path is not None:
+            q = load_quantale(path)
+    elif path is not None:
+        q = load_quantale(path)
+    else:
+        raise PreconditionError("need --quantale or --scenario")
+    if variant is None:
+        variant = Variant.PLAIN.value
+    if not isinstance(q, TNorm):
+        raise PreconditionError("the counterexample runs on t-norm specs")
+    rep = run_counterexample(q, t_par, s_par, depth=truncation,
+                             variant=Variant(variant), epsilon=epsilon,
+                             catalog_exprs=catalog)
+    report = {
+        "input": str(path or scenario_path),
+        "variant": rep.variant.value,
+        "condition (S)": rep.condition_s,
+        "certified": rep.certified,
+        "routed_to_plain": rep.routed_to_plain,
+        "p": format_fraction(rep.p),
+        "q": format_fraction(rep.q) if rep.q is not None else None,
+        "t": format_fraction(rep.t_par),
+        "s": format_fraction(rep.s_par),
+        "truncation": rep.depth,
+        "catalog_size": rep.catalog_size,
+        "step1_value": format_fraction(rep.step1_value),
+        "step1_exact": rep.step1_exact,
+        "step1_witness": rep.step1_witness,
+        "step2_bound": format_fraction(rep.step2_bound),
+        "coincide_on_catalog": rep.coincide_on_catalog,
+        "claims": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                   for c in rep.claims],
+        "verdict": rep.verdict,
+    }
+    _emit(report, out, fmt)
+    expected = (rep.verdict == NO_VIOLATION_EXPECTED) if rep.condition_s \
+        else (rep.verdict == VIOLATION and rep.all_claims_ok)
+    sys.exit(EXIT_OK if expected else EXIT_MATH_FAILURE)
 
 
 if __name__ == "__main__":

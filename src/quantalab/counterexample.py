@@ -39,7 +39,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .errors import PreconditionError, UsageError
-from .quantale import (Block, BlockKind, ONE, TNorm, Variant, ZERO,
+from .quantale import (Block, BlockKind, ONE, Record, TNorm, Variant, ZERO,
                        as_fraction, check_condition_s, is_lukasiewicz_shape,
                        positive_residuum_zero_sup)
 
@@ -50,20 +50,7 @@ CATALOG_CAP = 240
 # expression trees for the closed function class on [0,1]
 # ---------------------------------------------------------------------------
 
-class _Expr:
-    """An expression node: equal to a node of its own class with equal
-    fields, listed by ``_key``."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class Ramp(_Expr):
+class Ramp(Record):
     """x maps to scale * (1 - x): the decreasing ramp hitting 0 at x = 1."""
 
     __slots__ = ("scale",)
@@ -71,14 +58,8 @@ class Ramp(_Expr):
     def __init__(self, scale: Fraction):
         self.scale = scale
 
-    def _key(self):
-        return (self.scale,)
 
-    def __repr__(self):
-        return f"Ramp(scale={self.scale!r})"
-
-
-class TailIndicator(_Expr):
+class TailIndicator(Record):
     """1 on {1/m : m >= start}, 0 elsewhere."""
 
     __slots__ = ("start",)
@@ -86,65 +67,35 @@ class TailIndicator(_Expr):
     def __init__(self, start: int):
         self.start = start
 
-    def _key(self):
-        return (self.start,)
 
-    def __repr__(self):
-        return f"TailIndicator(start={self.start!r})"
-
-
-class Const(_Expr):
+class Const(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
         self.value = value
 
-    def _key(self):
-        return (self.value,)
 
-    def __repr__(self):
-        return f"Const(value={self.value!r})"
-
-
-class Join(_Expr):
+class Join(Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: "FnExpr", right: "FnExpr"):
         self.left, self.right = left, right
 
-    def _key(self):
-        return self.left, self.right
 
-    def __repr__(self):
-        return f"Join(left={self.left!r}, right={self.right!r})"
-
-
-class Meet(_Expr):
+class Meet(Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: "FnExpr", right: "FnExpr"):
         self.left, self.right = left, right
 
-    def _key(self):
-        return self.left, self.right
 
-    def __repr__(self):
-        return f"Meet(left={self.left!r}, right={self.right!r})"
-
-
-class Res(_Expr):
+class Res(Record):
     """x maps to (constant -> child(x))."""
 
     __slots__ = ("const", "child")
 
     def __init__(self, const: Fraction, child: "FnExpr"):
         self.const, self.child = const, child
-
-    def _key(self):
-        return self.const, self.child
-
-    def __repr__(self):
-        return f"Res(const={self.const!r}, child={self.child!r})"
 
 
 FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
@@ -319,7 +270,7 @@ def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
                             for s, a, b in lines], col.n)
 
 
-class FunctionDescriptor:
+class FunctionDescriptor(Record):
     """Samples at {1/m : m <= N} as a ``Column``, plus exact tail liminf and
     global infimum."""
 
@@ -338,15 +289,8 @@ class FunctionDescriptor:
     def key(self):
         return (self.samples, self.tail_liminf, self.global_inf)
 
-    def __eq__(self, other):
-        return (other.__class__ is FunctionDescriptor and self.label == other.label
-                and self.key() == other.key())
 
-    def __hash__(self):
-        return hash((self.label, self.key()))
-
-
-class _Node:
+class _Node(Record):
     """One expression node.  ``tail`` is the limit of m -> expr(1/m) and
     whether the sequence reaches it rather than approaching from below.
     ``co_countable`` is the infimum off the points 1/m: the value with every
@@ -359,15 +303,6 @@ class _Node:
 
     def __init__(self, column: Column, tail: tuple[Fraction, bool], co_countable: Fraction):
         self.column, self.tail, self.co_countable = column, tail, co_countable
-
-    def _key(self):
-        return self.column, self.tail, self.co_countable
-
-    def __eq__(self, other):
-        return other.__class__ is _Node and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:

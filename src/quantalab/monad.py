@@ -21,7 +21,7 @@ from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
                         image_prefilter, normalize_basis, saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
                    indicator, unit_constant)
-from .quantale import FiniteQuantale, Variant, two_chain
+from .quantale import FiniteQuantale, Record, Variant, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
@@ -100,11 +100,11 @@ class KleisliScenario:
     y_set into tables on z_set; every value must pass the variant test.
     """
 
-    __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant", "seed")
+    __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant")
 
     def __init__(self, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
                  f: dict, g: dict, carrier: FiniteQuantale,
-                 variant: Variant = Variant.PLAIN, seed: object = None):
+                 variant: Variant = Variant.PLAIN):
         for name, m, src in (("f", f, x_set), ("g", g, y_set)):
             for x in src:
                 if x not in m:
@@ -112,8 +112,7 @@ class KleisliScenario:
                 if not table_satisfies(m[x], variant):
                     raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
-        self.f, self.g, self.carrier = f, g, carrier
-        self.variant, self.seed = variant, seed
+        self.f, self.g, self.carrier, self.variant = f, g, carrier, variant
 
 
 def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN,
@@ -196,29 +195,17 @@ def random_scenario(rng: random.Random, carrier: FiniteQuantale,
 
 # -- law suite ---------------------------------------------------------------
 
-class LawFailure:
+class LawFailure(Record):
     __slots__ = ("law", "scenario", "detail")
 
     def __init__(self, law: str, scenario: int, detail: str):
         self.law, self.scenario, self.detail = law, scenario, detail
 
-    def _key(self):
-        return self.law, self.scenario, self.detail
-
-    def __eq__(self, other):
-        return other.__class__ is LawFailure and self._key() == other._key()
-
-    def __repr__(self):
-        return (f"LawFailure(law={self.law!r}, scenario={self.scenario!r}, "
-                f"detail={self.detail!r})")
-
 
 class LawReport:
-    __slots__ = ("variant", "sizes", "seed", "scenarios_run", "checks", "failures",
-                 "incomplete")
+    __slots__ = ("scenarios_run", "checks", "failures", "incomplete")
 
-    def __init__(self, variant: Variant, sizes: tuple[int, int, int], seed: int):
-        self.variant, self.sizes, self.seed = variant, sizes, seed
+    def __init__(self):
         self.scenarios_run = self.checks = 0
         self.failures: list[LawFailure] = []
         self.incomplete = False
@@ -240,7 +227,7 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
     comparisons; failures carry the scenario index for replay.
     """
     to_run = scenarios
-    report = LawReport(variant, sizes, seed)
+    report = LawReport()
     if budget is not None and scenarios > budget:
         to_run = budget
         report.incomplete = True
@@ -293,7 +280,10 @@ def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],
 
 # -- naturality --------------------------------------------------------------
 
-class NaturalityReport:
+class SuiteReport:
+    """The checks a naturality or correspondence suite ran, the labels of
+    those that failed, and the names of the checks it skipped."""
+
     __slots__ = ("failures", "checks", "not_applicable")
 
     def __init__(self):
@@ -325,7 +315,7 @@ def _saturated_prefilter_universe(
 
 
 def check_naturality(carrier: FiniteQuantale, samples: int = 12,
-                     seed: int = 0) -> NaturalityReport:
+                     seed: int = 0) -> SuiteReport:
     """Spot checks tying the prefilter formulas to the table constructions.
 
     Covers: the unit formula, the flattening formula against the coreflected
@@ -338,7 +328,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
     positive element (``require_bounded_carrier``); on any other carrier
     they are skipped and listed in ``not_applicable``.
     """
-    rep = NaturalityReport()
+    rep = SuiteReport()
     rng = random.Random(seed)
     X = _labels("x", 2)
     Y = _labels("y", 2)
@@ -423,24 +413,6 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
 
 # -- classical correspondence ------------------------------------------------
 
-class CorrespondenceReport:
-    __slots__ = ("sizes", "failures", "checks")
-
-    def __init__(self, sizes: list[int]):
-        self.sizes = sizes
-        self.failures: list[str] = []
-        self.checks = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, ok: bool, label: str):
-        self.checks += 1
-        if not ok:
-            self.failures.append(label)
-
-
 def _filter_of_table(table: SemifilterTable) -> frozenset:
     """The family of crisp sets the table holds at full degree."""
     q = table.carrier
@@ -452,7 +424,7 @@ def _filter_of_table(table: SemifilterTable) -> frozenset:
     return frozenset(out)
 
 
-def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
+def classical_correspondence_report(max_size: int = 3) -> SuiteReport:
     """Match the two-chain filter tables against the classical filter monad.
 
     Checks, for every base set up to the given size: the bijection between
@@ -463,7 +435,7 @@ def classical_correspondence_report(max_size: int = 3) -> CorrespondenceReport:
     from .classical import (all_proper_filters, filter_image,
                             filter_multiplication, filter_unit, principal)
     q = two_chain()
-    rep = CorrespondenceReport(list(range(1, max_size + 1)))
+    rep = SuiteReport()
     for n in range(1, max_size + 1):
         X = _labels("x", n)
         tables = enumerate_semifilters(X, q, "filter", budget=2 ** (2 ** n) + 1)

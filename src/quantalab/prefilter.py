@@ -24,10 +24,10 @@ from typing import Iterable
 from .errors import UsageError
 from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
                    unit_constant)
-from .quantale import FiniteQuantale, ZERO
+from .quantale import FiniteQuantale, Record, ZERO
 
 
-class PrefilterBasis:
+class PrefilterBasis(Record):
     """The prefilter of everything above one generator.
 
     Two bases are equal exactly when they generate the same prefilter.  Use
@@ -38,15 +38,6 @@ class PrefilterBasis:
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, generator: QFunction):
         self.domain, self.carrier, self.generator = domain, carrier, generator
-
-    def _key(self):
-        return self.domain, self.carrier, self.generator
-
-    def __eq__(self, other):
-        return other.__class__ is PrefilterBasis and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __len__(self):
         """The number of generators: always one."""

@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .quantale import FiniteQuantale, as_fraction
+from .quantale import FiniteQuantale, Record, as_fraction
 
 
-class FiniteSet:
+class FiniteSet(Record):
     """An ordered finite set of distinct hashable labels; may be empty."""
 
     __slots__ = ("elements",)
@@ -30,12 +30,6 @@ class FiniteSet:
         if len(set(elements)) != len(elements):
             raise UsageError("labels must be distinct")
         self.elements = elements
-
-    def __eq__(self, other):
-        return other.__class__ is FiniteSet and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
 
     def __len__(self):
         return len(self.elements)

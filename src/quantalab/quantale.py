@@ -25,6 +25,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, StructuralError, UsageError
@@ -44,6 +45,31 @@ def as_fraction(value) -> Fraction:
     raise UsageError(f"not an exact rational: {value!r}")
 
 
+class Record:
+    """A value compared by content: equal to a record of its own class whose
+    fields are equal, and hashed and shown by those fields.  The fields are
+    the names in the subclass's own ``__slots__``; a subclass that names
+    none is refused when it is created."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if not vars(cls).get("__slots__"):
+            raise TypeError(f"{cls.__name__} must name its fields in its own __slots__")
+        # a class attribute that is not a method: called as self._key(self)
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
 class BlockKind(Enum):
     LUKASIEWICZ = "lukasiewicz"
     PRODUCT = "product"
@@ -59,25 +85,13 @@ class Variant(Enum):
     BOUNDED = "bounded"
 
 
-class Block:
+class Block(Record):
     """One summand of an ordinal sum: a rescaled base t-norm on [lo, hi]."""
 
     __slots__ = ("lo", "hi", "kind")
 
     def __init__(self, lo: Fraction, hi: Fraction, kind: BlockKind):
         self.lo, self.hi, self.kind = lo, hi, kind
-
-    def _key(self):
-        return self.lo, self.hi, self.kind
-
-    def __eq__(self, other):
-        return other.__class__ is Block and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Block(lo={self.lo!r}, hi={self.hi!r}, kind={self.kind!r})"
 
 
 class TNorm:
@@ -131,7 +145,12 @@ class TNorm:
         # Fraction is always positive
         return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
 
-    def _check(self, x: Fraction) -> Fraction:
+    def _check(self, x) -> Fraction:
+        """x as a Fraction in [0,1]; an int is taken as the Fraction it equals."""
+        if isinstance(x, int):
+            x = Fraction(x)
+        elif not isinstance(x, Fraction):
+            raise UsageError(f"not an exact rational: {x!r}")
         if not self.contains(x):
             raise UsageError(f"{x} is not in [0,1]")
         return x
@@ -168,7 +187,7 @@ class TNorm:
         The common block is the lowest block holding both values, so at an
         endpoint e shared by two blocks the pair (e, e) is taken in the
         lower one; both blocks give e there."""
-        self._check(x), self._check(y)
+        x, y = self._check(x), self._check(y)
         low, high = (x, y) if x <= y else (y, x)
         b = self._common_block(low, high)
         if b is None:
@@ -189,7 +208,7 @@ class TNorm:
         the block that holds the other value.  Validated against the
         brute-force grid oracle in the test suite.
         """
-        self._check(x), self._check(y)
+        x, y = self._check(x), self._check(y)
         if x <= y:
             return ONE
         b = self._common_block(y, x)
@@ -357,7 +376,7 @@ def residuum_continuity_probe(t: TNorm, step: Fraction, min_gap: Fraction = Frac
 # finite quantales
 # ---------------------------------------------------------------------------
 
-class Violation:
+class Violation(Record):
     """One failed law with a witness tuple of carrier elements."""
 
     __slots__ = ("law", "witness")
@@ -365,17 +384,8 @@ class Violation:
     def __init__(self, law: str, witness: tuple):
         self.law, self.witness = law, witness
 
-    def _key(self):
-        return self.law, self.witness
 
-    def __eq__(self, other):
-        return other.__class__ is Violation and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class FiniteKernel:
+class FiniteKernel(Record):
     """The index tables of a finite carrier.
 
     Elements are named by their positions ``0..n-1`` in the carrier's
@@ -392,16 +402,6 @@ class FiniteKernel:
                  leq: tuple, bottom: int, top: int, unit: int):
         self.tensor, self.residuum, self.join, self.meet = tensor, residuum, join, meet
         self.leq, self.bottom, self.top, self.unit = leq, bottom, top, unit
-
-    def _key(self):
-        return (self.tensor, self.residuum, self.join, self.meet, self.leq,
-                self.bottom, self.top, self.unit)
-
-    def __eq__(self, other):
-        return other.__class__ is FiniteKernel and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class FiniteQuantale:

@@ -38,7 +38,7 @@ from .errors import BudgetError, StructuralError, UsageError
 from .prefilter import PrefilterBasis, least_positive
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant, sub,
                    unit_constant)
-from .quantale import ZERO, FiniteQuantale
+from .quantale import ZERO, FiniteQuantale, Record
 
 TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
@@ -148,20 +148,11 @@ class TableEntries(Mapping):
         return len(self._table.index)
 
 
-class AxiomViolation:
+class AxiomViolation(Record):
     __slots__ = ("axiom", "witness")
 
     def __init__(self, axiom: str, witness: tuple):
         self.axiom, self.witness = axiom, witness
-
-    def _key(self):
-        return self.axiom, self.witness
-
-    def __eq__(self, other):
-        return other.__class__ is AxiomViolation and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[AxiomViolation]:

@@ -307,14 +307,19 @@ class ScenarioSpec:
         def checked_labels(name: str, default: list) -> tuple:
             labels = _expect(sets.get(name, default), list, f"sets.{name}")
             # a map reads each point's value at the key str(label)
-            seen, keys = set(), {}
+            seen, keys = {}, {}
             for i, label in enumerate(labels):
                 if isinstance(label, (dict, list)):
                     raise StructuralError(
                         f"sets.{name}[{i}] must not be an object or a list, got {label!r}")
                 if label in seen:
-                    raise StructuralError(f"sets.{name} repeats the label {label!r}")
-                seen.add(label)
+                    # Python finds true equal to 1, and 1 equal to 1.0
+                    earlier = seen[label]
+                    if type(earlier) is type(label):
+                        raise StructuralError(f"sets.{name} repeats the label {label!r}")
+                    raise StructuralError(f"sets.{name} labels {earlier!r} and {label!r} "
+                                          "would name one point")
+                seen[label] = label
                 other = keys.setdefault(str(label), label)
                 if other is not label:
                     raise StructuralError(f"sets.{name} labels {other!r} and {label!r} "

@@ -253,10 +253,13 @@ def _all_bottom():
 
 @pytest.mark.parametrize("table", [_not_f2, _all_bottom], ids=["not-F2", "not-F1"])
 def test_laws_refuses_a_pinned_map_that_is_not_a_semifilter(runner, tmp_path, table):
-    r = runner.invoke(main, ["laws", "--scenario", _pinned_f(tmp_path, table())])
+    table = table()
+    r = runner.invoke(main, ["laws", "--scenario", _pinned_f(tmp_path, table)])
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
-    assert r.stderr.startswith("input error: f('a') is not a plain semifilter\n")
+    # the refused table on the second line
+    assert r.stderr == ("input error: f('a') is not a plain semifilter\n"
+                        f"{json.dumps(semifilter_to_json(table))}\n")
 
 
 BROKEN_TENSOR = {"type": "finite", "carrier": ["0/1", "1/2", "1/1"],
@@ -597,7 +600,7 @@ def test_laws_pinned_table_declaring_the_scenario_space_runs(runner, tmp_path):
     assert r.exit_code == 0, r.output
 
 
-@pytest.mark.parametrize("labels,shown", [(["a", "b", "a"], "'a'"), ([1, True], "True")])
+@pytest.mark.parametrize("labels,shown", [(["a", "b", "a"], "'a'"), ([True, "b", True], "True")])
 def test_laws_repeated_label_is_input_error(runner, tmp_path, labels, shown):
     path = write(tmp_path, "labels.json", {
         "quantale": quantale_to_json(godel3()),
@@ -606,6 +609,21 @@ def test_laws_repeated_label_is_input_error(runner, tmp_path, labels, shown):
     r = runner.invoke(main, ["laws", "--scenario", path])
     assert r.exit_code == 2, r.output
     assert r.stderr == f"input error: sets.Y repeats the label {shown}\n"
+
+
+@pytest.mark.parametrize("labels,shown", [([True, 1], "True and 1"), ([1, True], "1 and True"),
+                                          (["a", 1, 1.0], "1 and 1.0")])
+def test_laws_equal_labels_of_different_json_values_are_input_error(runner, tmp_path,
+                                                                    labels, shown):
+    # Python finds true equal to 1 and 1 equal to 1.0, yet the file repeats
+    # no label, so the message names both
+    path = write(tmp_path, "labels.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": labels, "Y": ["u"], "Z": ["w"]},
+        "seed": 1, "budgets": {"scenarios": 2}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == f"input error: sets.X labels {shown} would name one point\n"
 
 
 @pytest.mark.parametrize("labels,shown", [([1, "1"], "1 and '1' share the map key '1'"),

@@ -1,5 +1,6 @@
 """Every library module uses each name it imports, no private one and
-nothing of the test suite; and each command loads only the modules it runs.
+nothing of the test suite; its classes write no equality by fields of their
+own; and each command loads only the modules it runs.
 
 A representation that is deleted tends to leave its imports behind; this
 check reads the source of each module of the package and names every
@@ -112,6 +113,42 @@ def test_an_import_of_test_code_is_named():
               "from test_quantale import square_lattice\n")
     assert imports_of_test_code(source) == [
         "oracles (line 2)", "test_quantale (line 5)", "tests.test_cli (line 3)"]
+
+
+def equality_faults(source: str) -> list[str]:
+    """Classes that define ``__eq__`` without ``__hash__``, which leaves them
+    unhashable, and classes other than ``Record`` that define ``_key``:
+    equality by fields is written once, in ``quantale.Record``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        defined |= {target.id for item in node.body if isinstance(item, ast.Assign)
+                    for target in item.targets if isinstance(target, ast.Name)}
+        if "__eq__" in defined and "__hash__" not in defined:
+            out.append(f"{node.name} defines __eq__ without __hash__ (line {node.lineno})")
+        if "_key" in defined and node.name != "Record":
+            out.append(f"{node.name} defines _key (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_equality_is_hashable_and_written_once(path):
+    assert equality_faults(path.read_text()) == []
+
+
+def test_an_equality_fault_is_named():
+    source = ("class Record:\n"
+              "    def _key(self): pass\n"
+              "class Point:\n"
+              "    def __eq__(self, other): pass\n"
+              "class Pair:\n"
+              "    _key = None\n"
+              "    def __eq__(self, other): pass\n"
+              "    def __hash__(self): pass\n")
+    assert equality_faults(source) == ["Point defines __eq__ without __hash__ (line 3)",
+                                       "Pair defines _key (line 5)"]
 
 
 # Runs the script in argv[1] with the CLI's output and exit swallowed, then

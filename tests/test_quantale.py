@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -169,6 +170,26 @@ def test_tnorm_contains_is_the_unit_interval():
             BLOCK.tensor(bad, F(1, 2))
         with pytest.raises(UsageError):
             BLOCK.residuum(F(1, 2), bad)
+
+
+def test_tnorm_takes_an_int_as_the_fraction_it_equals():
+    # a finite chain took 1 for its element 1 while [0,1] refused it
+    assert five_chain().tensor(1, F(1, 2)) == F(1, 2)
+    for t in (GODEL, PROD, LUK, BLOCK):
+        for x, y in ((1, 0), (0, 1), (1, 1), (0, 0), (1, F(3, 8)), (F(3, 8), 0)):
+            for got, want in ((t.tensor(x, y), t.tensor(F(x), F(y))),
+                              (t.residuum(x, y), t.residuum(F(x), F(y)))):
+                assert got == want and got.__class__ is F, (t, x, y)
+        assert t.is_idempotent(1) and t.is_idempotent(0)
+    assert LUK.tensor(1, 0) == 0 and LUK.residuum(1, 0) == 0
+    for bad in (0.5, "1/2", None, 1j):
+        with pytest.raises(UsageError, match=rf"^not an exact rational: {re.escape(repr(bad))}$"):
+            LUK.tensor(bad, F(1, 2))
+        with pytest.raises(UsageError, match="^not an exact rational"):
+            BLOCK.residuum(F(1, 2), bad)
+    for bad, shown in ((2, "2"), (-1, "-1"), (F(3, 2), "3/2")):
+        with pytest.raises(UsageError, match=rf"^{shown} is not in \[0,1\]$"):
+            LUK.tensor(F(1, 2), bad)
 
 
 def test_residuum_top_and_zero():
@@ -518,16 +539,17 @@ def test_column_kernel_checks_its_values():
     # residuum does; each child holds the column (den, nums) shown, the
     # last one at the first point only, since no expression is -1/2 at
     # m = 1 and 0 at m = 2, so that column goes to _residuate itself
+    out = r"is not in \[0,1\]"
     cases = [
-        (F(3, 2), Const(F(1, 4)), 2, (4, [1, 2]), "3/2"),
-        (0, Const(F(1, 4)), 2, (4, [1, 2]), "0"),          # not a Fraction
+        (F(3, 2), Const(F(1, 4)), 2, (4, [1, 2]), f"3/2 {out}"),
+        (0.25, Const(F(1, 4)), 2, (4, [1, 2]), r"not an exact rational: 0\.25"),
         (F(3, 8), Join(Const(F(1, 2)), Ramp(F(5, 2))), 2,   # 5/(2*2) at m = 2
-         (2, [1, 5]), "5/4"),
-        (F(3, 8), Const(F(-1, 2)), 1, (2, [-1]), "-1/2"),
+         (2, [1, 5]), f"5/4 {out}"),
+        (F(3, 8), Const(F(-1, 2)), 1, (2, [-1]), f"-1/2 {out}"),
     ]
-    for c, child, n, (den, nums), bad in cases:
+    for c, child, n, (den, nums), message in cases:
         assert _node(child, BLOCK, {}).column.head(n) == _runs_of(den, nums)
-        with pytest.raises(UsageError, match=rf"^{bad} is not in \[0,1\]$"):
+        with pytest.raises(UsageError, match=f"^{message}$"):
             _node(Res(c, child), BLOCK, {})
     with pytest.raises(UsageError, match=r"^-1/2 is not in \[0,1\]$"):
         _residuate(F(3, 8), _runs_of(2, [-1, 0]), BLOCK)
