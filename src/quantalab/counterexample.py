@@ -187,8 +187,9 @@ class Column:
                           for m in (s, e)), self.at(1))
 
 
-def _levels(t: TNorm, *extra: Fraction) -> set:
-    """0, 1, the block endpoints and the extra values.  Cut where two
+def _levels(t: TNorm, *extra: Fraction) -> tuple:
+    """0, 1, the block endpoints and the extra values, once each; the
+    t-norm holds the first three as ``endpoints``.  Cut where two
     columns cross each other or a level (``_pieces``), a residuum of one
     into the other keeps one case and one block on each piece: 1, the
     second value, ``hi - x + y`` or ``lo + (hi - lo)(y - lo)/(x - lo)``.
@@ -196,7 +197,7 @@ def _levels(t: TNorm, *extra: Fraction) -> set:
     extremes at the ends of the piece.  A value outside [0, 1] is so on a
     whole piece, so ``TNorm.residua`` at its first point checks them all.
     """
-    return {ZERO, ONE, *extra, *(v for b in t.blocks for v in (b.lo, b.hi))}
+    return t.endpoints + tuple(v for v in extra if v not in t.endpoints)
 
 
 def _pieces(a: Column, b: Column, levels=()):

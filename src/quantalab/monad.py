@@ -17,10 +17,10 @@ import random
 from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
-from .prefilter import (PrefilterBasis, bounded_coreflection, eval_degree,
-                        image_prefilter, normalize_basis, saturation_member)
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
-                   indicator, unit_constant)
+from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
+                        normalize_basis, saturation_member)
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant_at,
+                   indicator, sub_position, unit_constant)
 from .quantale import FiniteQuantale, Record, Variant, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
@@ -32,8 +32,11 @@ from .semifilter import (SemifilterFamily, SemifilterTable,
 
 
 def _is_filter_table(table: SemifilterTable) -> bool:
-    q = table.carrier
-    return all(q.leq(table(constant(table.domain, q, p)), p) for p in q.elements)
+    """F4: the table holds every constant at most at its own value."""
+    q, index = table.carrier, table.index
+    leq = q.kernel.leq
+    return all(leq[index[constant_at(table.domain, q, i).code]][i]
+               for i in range(len(q.elements)))
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
@@ -152,8 +155,11 @@ def _labels(prefix: str, n: int) -> FiniteSet:
 
 def random_qfunction(rng: random.Random, domain: FiniteSet,
                      carrier: FiniteQuantale, positive: bool = False) -> QFunction:
-    pool = [e for e in carrier.elements if not positive or e != carrier.bottom]
-    return QFunction(domain, tuple(rng.choice(pool) for _ in domain), carrier)
+    """Values drawn from the carrier, or from its positive part, as positions:
+    the pool has the elements' order, so a seed draws the same function."""
+    bottom = carrier.kernel.bottom
+    pool = [i for i in range(len(carrier.elements)) if not positive or i != bottom]
+    return QFunction.from_index(domain, carrier, tuple(rng.choice(pool) for _ in domain))
 
 
 def random_variant_table(rng: random.Random, domain: FiniteSet,
@@ -176,9 +182,9 @@ def random_variant_table(rng: random.Random, domain: FiniteSet,
         fn = random_qfunction(rng, domain, carrier,
                               positive=variant is Variant.BOUNDED)
         if variant is Variant.FILTER and len(domain):
-            vals = list(fn.values)
-            vals[pivot] = carrier.top
-            fn = fn.with_values(vals)
+            index = list(fn.index)
+            index[pivot] = carrier.kernel.top
+            fn = QFunction.from_index(domain, carrier, tuple(index))
         fns.append(fn)
     return semifilter_of(normalize_basis(fns, domain, carrier))
 
@@ -262,8 +268,8 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
 def functional_of(lam: QFunction, universe: Sequence[PrefilterBasis],
                   labels: FiniteSet) -> QFunction:
     """lam-tilde: each prefilter of the universe gets its degree of lam."""
-    return QFunction(labels, tuple(eval_degree(f, lam) for f in universe),
-                     lam.carrier)
+    return QFunction.from_index(labels, lam.carrier, tuple(
+        sub_position(f.generator, lam) for f in universe))
 
 
 def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],
@@ -333,11 +339,13 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
     X = _labels("x", 2)
     Y = _labels("y", 2)
 
-    # unit formula: the level set of the evaluation unit
-    for x in X:
-        expected = {lam.values for lam in all_qfunctions(X, carrier)
-                    if carrier.leq(carrier.unit, lam(x))}
-        got = {lam.values for lam in level_prefilter(evaluation_unit(X, carrier, x))}
+    # unit formula: the level set of the evaluation unit; functions on one
+    # domain and carrier are compared by their codes
+    above_unit = carrier.kernel.leq[carrier.kernel.unit]
+    for i, x in enumerate(X):
+        expected = {lam.code for lam in all_qfunctions(X, carrier)
+                    if above_unit[lam.index[i]]}
+        got = {lam.code for lam in level_prefilter(evaluation_unit(X, carrier, x))}
         rep.record(got == expected, f"unit-formula at {x!r}")
 
     # flattening formula against the coreflected Kowalsky sum
@@ -349,8 +357,8 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
             [random_qfunction(rng, labels, carrier) for _ in range(rng.choice((1, 2)))],
             labels, carrier)
         flattened = monad_multiplication(outer_basis, family)
-        via_tables = {lam.values for lam in level_prefilter(flattened)}
-        via_formula = {lam.values for lam in
+        via_tables = {lam.code for lam in level_prefilter(flattened)}
+        via_formula = {lam.code for lam in
                        multiplication_prefilter_members(universe, labels, outer_basis)}
         rep.record(via_tables == via_formula, f"flattening-formula #{i}")
 

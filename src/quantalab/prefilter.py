@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import UsageError
-from .qfun import (FiniteSet, QFunction, SetMap, constant, image, sub,
-                   unit_constant)
+from .qfun import (FiniteSet, QFunction, SetMap, constant_at, image, sub,
+                   sub_position, unit_constant)
 from .quantale import FiniteQuantale, Record, ZERO
 
 
@@ -70,10 +70,14 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     return PrefilterBasis(domain, carrier, generator)
 
 
-def member(pf: PrefilterBasis, lam: QFunction) -> bool:
-    """lam belongs to the generated prefilter iff it dominates the generator."""
+def _same_space(pf: PrefilterBasis, lam: QFunction):
     if lam.domain != pf.domain or lam.carrier != pf.carrier:
         raise UsageError("function does not live on the prefilter's domain")
+
+
+def member(pf: PrefilterBasis, lam: QFunction) -> bool:
+    """lam belongs to the generated prefilter iff it dominates the generator."""
+    _same_space(pf, lam)
     return pf.generator.leq(lam)
 
 
@@ -83,14 +87,16 @@ def eval_degree(pf: PrefilterBasis, lam: QFunction) -> Fraction:
     Because graded inclusion is antitone in its first argument and every
     member dominates the generator, the join is attained there.
     """
-    if lam.domain != pf.domain or lam.carrier != pf.carrier:
-        raise UsageError("function does not live on the prefilter's domain")
+    _same_space(pf, lam)
     return sub(pf.generator, lam)
 
 
 def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
-    """Membership in the saturation: the evaluation degree reaches the unit."""
-    return pf.carrier.leq(pf.carrier.unit, eval_degree(pf, lam))
+    """Membership in the saturation: the evaluation degree reaches the unit,
+    read at its carrier position."""
+    _same_space(pf, lam)
+    k = pf.carrier.kernel
+    return k.leq[k.unit][sub_position(pf.generator, lam)]
 
 
 def is_top_filter(pf: PrefilterBasis) -> bool:
@@ -131,7 +137,7 @@ def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     The answer is again principal: join the generator with the constant at
     the least nonzero carrier element.
     """
-    eps_x = constant(pf.domain, pf.carrier, least_positive(pf.carrier))
+    eps_x = constant_at(pf.domain, pf.carrier, _least_positive_position(pf.carrier))
     return normalize_basis([pf.generator.join(eps_x)])
 
 
@@ -143,6 +149,10 @@ def least_positive(carrier: FiniteQuantale) -> Fraction:
     closed under meets and each bounded coreflection has a largest result.
     A carrier without one is refused with a ``UsageError`` naming it.
     """
+    return carrier.elements[_least_positive_position(carrier)]
+
+
+def _least_positive_position(carrier: FiniteQuantale) -> int:
     k = carrier.kernel
     positive = [i for i in range(len(carrier.elements)) if i != k.bottom]
     if not positive:
@@ -153,4 +163,4 @@ def least_positive(carrier: FiniteQuantale) -> Fraction:
             eps0 = i
     if not all(k.leq[eps0][i] for i in positive):
         raise UsageError(f"carrier {carrier!r} has no least positive element")
-    return carrier.elements[eps0]
+    return eps0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import UsageError
 from .quantale import FiniteQuantale, Record, as_fraction
@@ -73,13 +73,14 @@ class QFunction:
         _require_finite(carrier)
         if len(values) != len(domain):
             raise UsageError("values must cover the domain exactly")
-        for v in values:
-            if not carrier.contains(v):
-                raise UsageError(f"value {v} outside the carrier")
-        position = carrier.position
+        try:
+            index = tuple(map(carrier.position.__getitem__, values))
+        except (KeyError, TypeError):
+            bad = next(v for v in values if not carrier.contains(v))
+            raise UsageError(f"value {bad} outside the carrier") from None
         self.domain, self.values, self.carrier = domain, values, carrier
-        self.index = tuple(position[v] for v in values)
-        self.code = _code(self.index, len(position))
+        self.index = index
+        self.code = _code(index, len(carrier.elements))
 
     @classmethod
     def from_index(cls, domain: FiniteSet, carrier, index: tuple) -> "QFunction":
@@ -107,9 +108,6 @@ class QFunction:
     def __call__(self, x) -> Fraction:
         return self.values[self.domain.index(x)]
 
-    def with_values(self, values: Iterable) -> "QFunction":
-        return QFunction(self.domain, tuple(values), self.carrier)
-
     # pointwise order and lattice structure ------------------------------
 
     def leq(self, other: "QFunction") -> bool:
@@ -131,21 +129,24 @@ class QFunction:
 
     def min_value(self) -> Fraction:
         """Pointwise minimum; the carrier top on the empty domain."""
-        out = self.carrier.top
-        for v in self.values:
-            out = self.carrier.meet(out, v)
-        return out
+        k = self.carrier.kernel
+        return self.carrier.elements[_fold(k.meet, k.top, self.index)]
 
     def max_value(self) -> Fraction:
         """Pointwise join; the carrier bottom on the empty domain."""
-        out = self.carrier.bottom
-        for v in self.values:
-            out = self.carrier.join(out, v)
-        return out
+        k = self.carrier.kernel
+        return self.carrier.elements[_fold(k.join, k.bottom, self.index)]
 
     def __repr__(self):
         pairs = ", ".join(f"{x!r}: {v}" for x, v in zip(self.domain, self.values))
         return "QFunction({" + pairs + "})"
+
+
+def _fold(op: tuple, start: int, positions) -> int:
+    """The kernel table ``op`` folded over positions from ``start``."""
+    for i in positions:
+        start = op[start][i]
+    return start
 
 
 def _code(index, n: int) -> int:
@@ -165,22 +166,28 @@ def _require_finite(carrier):
         raise UsageError(f"functions need a finite carrier, not {carrier!r}")
 
 
+def constant_at(domain: FiniteSet, carrier: FiniteQuantale, i: int) -> QFunction:
+    """The constant function at the carrier position ``i``."""
+    return QFunction.from_index(domain, carrier, (i,) * len(domain))
+
+
 def constant(domain: FiniteSet, carrier: FiniteQuantale, c) -> QFunction:
-    c = as_fraction(c)
-    return QFunction(domain, (c,) * len(domain), carrier)
+    _require_finite(carrier)
+    return constant_at(domain, carrier, carrier.index_of(as_fraction(c)))
 
 
 def unit_constant(domain: FiniteSet, carrier: FiniteQuantale) -> QFunction:
     """The constant function at the monoid unit."""
-    return constant(domain, carrier, carrier.unit)
+    _require_finite(carrier)
+    return constant_at(domain, carrier, carrier.kernel.unit)
 
 
 def indicator(domain: FiniteSet, carrier: FiniteQuantale, subset) -> QFunction:
+    _require_finite(carrier)
     members = set(subset)
-    return QFunction(domain,
-                     tuple(carrier.top if x in members else carrier.bottom
-                           for x in domain),
-                     carrier)
+    k = carrier.kernel
+    index = tuple(k.top if x in members else k.bottom for x in domain)
+    return QFunction.from_index(domain, carrier, index)
 
 
 def all_qfunctions(domain: FiniteSet, carrier) -> Iterator[QFunction]:
@@ -227,17 +234,21 @@ class SetMap:
 def sub(lam: QFunction, mu: QFunction) -> Fraction:
     """Graded inclusion: the meet over the domain of lam(x) -> mu(x).
 
-    Over the empty domain the empty meet is the carrier top.  It is folded
-    over the kernel's index tables.
+    Over the empty domain the empty meet is the carrier top.
     """
+    return lam.carrier.elements[sub_position(lam, mu)]
+
+
+def sub_position(lam: QFunction, mu: QFunction) -> int:
+    """The carrier position of ``sub(lam, mu)``, folded over the kernel's
+    index tables."""
     _same_space(lam, mu)
-    c = lam.carrier
-    k = c.kernel
+    k = lam.carrier.kernel
     residuum, meet = k.residuum, k.meet
     out = k.top
     for a, b in zip(lam.index, mu.index):
         out = meet[out][residuum[a][b]]
-    return c.elements[out]
+    return out
 
 
 def image(f: SetMap, lam: QFunction) -> QFunction:

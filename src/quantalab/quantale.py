@@ -38,9 +38,7 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '3/8' and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise UsageError(f"not an exact rational: {value!r}")
 
@@ -103,7 +101,7 @@ class TNorm:
     lies in the interior of another block.
     """
 
-    __slots__ = ("blocks", "_his")
+    __slots__ = ("blocks", "_his", "endpoints")
 
     def __init__(self, blocks: tuple[Block, ...] = ()):
         prev_hi = None
@@ -116,6 +114,7 @@ class TNorm:
             prev_hi = b.hi
         self.blocks = blocks
         self._his = tuple(b.hi for b in blocks)
+        self.endpoints = tuple(sorted({ZERO, ONE, *(v for b in blocks for v in (b.lo, b.hi))}))
 
     def __eq__(self, other):
         return other.__class__ is TNorm and self.blocks == other.blocks
@@ -156,13 +155,13 @@ class TNorm:
         return x
 
     def leq(self, x: Fraction, y: Fraction) -> bool:
-        return x <= y
+        return self._check(x) <= self._check(y)
 
     def join(self, x: Fraction, y: Fraction) -> Fraction:
-        return x if x >= y else y
+        return max(self._check(x), self._check(y))
 
     def meet(self, x: Fraction, y: Fraction) -> Fraction:
-        return x if x <= y else y
+        return min(self._check(x), self._check(y))
 
     def _common_block(self, low: Fraction, high: Fraction) -> Block | None:
         """The lowest block holding both low <= high, or None.
@@ -417,11 +416,9 @@ class FiniteQuantale:
     The constructor also builds the carrier's integer kernel, once:
     ``position`` maps each element to its index, and ``kernel`` (a
     ``FiniteKernel``) holds the tensor, residuum, join, meet and order as
-    index tables.  The finite path runs on it: ``QFunction`` index tuples
-    and codes, flat ``SemifilterTable`` values and ``sub``.  The operations
-    below take and return ``Fraction`` elements and read the kernel, on a
-    chain too: each looks its arguments up in ``position``, and a
-    non-member raises ``UsageError``.
+    index tables for the finite path.  The operations below take and
+    return ``Fraction`` elements: each looks its arguments up in
+    ``position``, and a non-member raises ``UsageError``.
     """
 
     def __init__(self, elements: Sequence, tensor, unit,
@@ -440,9 +437,7 @@ class FiniteQuantale:
         join_ix = self._read_table(join, "join") if join is not None else None
         meet_ix = self._read_table(meet, "meet") if meet is not None else None
         # the tables as given, as rows of elements (None: the chain order)
-        self._tensor = self._rows(tensor_ix)
-        self._join = self._rows(join_ix)
-        self._meet = self._rows(meet_ix)
+        self._tensor, self._join, self._meet = map(self._rows, (tensor_ix, join_ix, meet_ix))
         self.kernel = self._build_kernel(tensor_ix, join_ix, meet_ix)
         self._identity = (self.elements, self.kernel,
                           join_ix is None, meet_ix is None)
@@ -524,7 +519,7 @@ class FiniteQuantale:
 
     @property
     def is_integral(self) -> bool:
-        return self.unit == self.top
+        return self.kernel.unit == self.kernel.top
 
     def contains(self, x) -> bool:
         try:
@@ -586,48 +581,52 @@ def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
     joins and over the empty join (bottom absorption), and the presence of
     bottom 0 and top 1 in the carrier.  Lattice violations come first.  An
     empty report means the table is a genuine commutative unital quantale.
+    It reads the kernel; only a witness becomes elements.
     """
     out: list[Violation] = []
-    es = q.elements
-    t = q.tensor
-    join, meet = q.join, q.meet
+    k, es = q.kernel, q.elements
+    span = range(len(es))
+    t, join, meet, bot = k.tensor, k.join, k.meet, k.bottom
+
+    def fail(law: str, *witness: int):
+        out.append(Violation(law, tuple(es[i] for i in witness)))
     for op, name in ((join, "join"), (meet, "meet")):
-        for x in es:
-            if op(x, x) != x:
-                out.append(Violation(f"{name}-idempotence", (x,)))
-        for x in es:
-            for y in es:
-                if op(x, y) != op(y, x):
-                    out.append(Violation(f"{name}-commutativity", (x, y)))
-        for x in es:
-            for y in es:
-                for z in es:
-                    if op(op(x, y), z) != op(x, op(y, z)):
-                        out.append(Violation(f"{name}-associativity", (x, y, z)))
-    for x in es:
-        for y in es:
-            if join(x, meet(x, y)) != x or meet(x, join(x, y)) != x:
-                out.append(Violation("absorption", (x, y)))
-            if (join(x, y) == y) != (meet(x, y) == x):
-                out.append(Violation("join-meet-agreement", (x, y)))
-    if q.bottom != ZERO or q.top != ONE:
-        out.append(Violation("bounds", (q.bottom, q.top)))
-    for x in es:
-        if t(q.unit, x) != x:
-            out.append(Violation("unit", (x,)))
-        if t(x, q.bottom) != q.bottom:
-            out.append(Violation("bottom-absorption", (x,)))
-    for x in es:
-        for y in es:
-            if t(x, y) != t(y, x):
-                out.append(Violation("commutativity", (x, y)))
-    for x in es:
-        for y in es:
-            for z in es:
-                if t(t(x, y), z) != t(x, t(y, z)):
-                    out.append(Violation("associativity", (x, y, z)))
-                if t(x, q.join(y, z)) != q.join(t(x, y), t(x, z)):
-                    out.append(Violation("join-distributivity", (x, y, z)))
+        for x in span:
+            if op[x][x] != x:
+                fail(f"{name}-idempotence", x)
+        for x in span:
+            for y in span:
+                if op[x][y] != op[y][x]:
+                    fail(f"{name}-commutativity", x, y)
+        for x in span:
+            for y in span:
+                for z in span:
+                    if op[op[x][y]][z] != op[x][op[y][z]]:
+                        fail(f"{name}-associativity", x, y, z)
+    for x in span:
+        for y in span:
+            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
+                fail("absorption", x, y)
+            if (join[x][y] == y) != (meet[x][y] == x):
+                fail("join-meet-agreement", x, y)
+    if es[bot] != ZERO or es[k.top] != ONE:
+        fail("bounds", bot, k.top)
+    for x in span:
+        if t[k.unit][x] != x:
+            fail("unit", x)
+        if t[x][bot] != bot:
+            fail("bottom-absorption", x)
+    for x in span:
+        for y in span:
+            if t[x][y] != t[y][x]:
+                fail("commutativity", x, y)
+    for x in span:
+        for y in span:
+            for z in span:
+                if t[t[x][y]][z] != t[x][t[y][z]]:
+                    fail("associativity", x, y, z)
+                if t[x][join[y][z]] != join[t[x][y]][t[x][z]]:
+                    fail("join-distributivity", x, y, z)
     return out
 
 

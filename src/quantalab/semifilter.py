@@ -36,9 +36,9 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
 from .prefilter import PrefilterBasis, least_positive
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant, sub,
-                   unit_constant)
-from .quantale import ZERO, FiniteQuantale, Record
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
+                   constant_at, sub, sub_position, unit_constant)
+from .quantale import FiniteQuantale, Record
 
 TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
@@ -255,8 +255,9 @@ def _level_rows(table: SemifilterTable) -> list[tuple]:
 
 
 def _is_positive(carrier: FiniteQuantale) -> tuple[bool, ...]:
-    """Per position, whether the element is positive (``is_bounded_function``)."""
-    return tuple(e > ZERO for e in carrier.elements)
+    """Per position, whether the element is positive (``is_bounded_function``):
+    read off its numerator, as a ``Fraction``'s denominator is positive."""
+    return tuple(e.numerator > 0 for e in carrier.elements)
 
 
 def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
@@ -484,9 +485,9 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
     kernel = q.kernel
     leq, meet, res = kernel.leq, kernel.meet, kernel.residuum
     k_idx = unit_constant(domain, q).code
-    pairs = [(f.code, g.code, q.index_of(sub(f, g)), f.meet(g).code)
+    pairs = [(f.code, g.code, sub_position(f, g), f.meet(g).code)
              for f in funcs for g in funcs]
-    const_idx = [(constant(domain, q, p).code, i) for i, p in enumerate(q.elements)]
+    const_idx = [(constant_at(domain, q, i).code, i) for i in range(len(q.elements))]
     above_unit = leq[kernel.unit]
 
     out: list[SemifilterTable] = []

@@ -30,7 +30,12 @@ positions and never builds a ``Fraction`` on the way:
   tests, and as commuting with residuation by constants;
 * ``way_below`` and ``satisfies_way_below_criterion`` -- the way-below
   relation decided from its definition, and the characterization of
-  conicality that it gives on a continuous carrier.
+  conicality that it gives on a continuous carrier;
+* ``quantale_axioms_by_elements`` -- the quantale laws scanned through the
+  carrier's ``Fraction`` operations, which the kernel scan replaces;
+* ``random_qfunction_by_elements`` and ``random_variant_table_by_elements``
+  -- the seeded draws from a pool of ``Fraction`` elements, which the
+  draws from a pool of positions replace.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from quantalab.counterexample import (CATALOG_CAP, Const, Join, Meet, Ramp, Res,
 from quantalab.errors import BudgetError, UsageError
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction, SetMap, all_qfunctions
-from quantalab.quantale import ONE, ZERO, BlockKind, FiniteQuantale, TNorm, grid
+from quantalab.quantale import (ONE, ZERO, BlockKind, FiniteQuantale, TNorm,
+                                Variant, Violation, grid)
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
-                                  conical_coreflection, image_semifilter)
+                                  conical_coreflection, image_semifilter,
+                                  require_bounded_carrier, semifilter_of)
 
 
 def residuum_grid_oracle(t, x: Fraction, y: Fraction, step: Fraction) -> Fraction:
@@ -386,7 +393,7 @@ class ConicalTest(Enum):
 
 def residuate_function(p: Fraction, lam: QFunction) -> QFunction:
     c = lam.carrier
-    return lam.with_values(c.residuum(p, v) for v in lam.values)
+    return QFunction(lam.domain, tuple(c.residuum(p, v) for v in lam.values), c)
 
 
 def is_conical(table: SemifilterTable, mode: ConicalTest = ConicalTest.DEFINITION) -> bool:
@@ -460,3 +467,79 @@ def satisfies_way_below_criterion(table: SemifilterTable) -> bool:
                 if not q.leq(q.unit, table(residuate_function(p, lam))):
                     return False
     return True
+
+
+# -- finite carriers: the laws path on Fraction elements -------------------------
+
+def quantale_axioms_by_elements(q: FiniteQuantale) -> list[Violation]:
+    """``check_quantale_axioms`` through the carrier's ``Fraction``
+    operations, every law in the same order with the same witnesses."""
+    out: list[Violation] = []
+    es = q.elements
+    t = q.tensor
+    join, meet = q.join, q.meet
+    for op, name in ((join, "join"), (meet, "meet")):
+        for x in es:
+            if op(x, x) != x:
+                out.append(Violation(f"{name}-idempotence", (x,)))
+        for x in es:
+            for y in es:
+                if op(x, y) != op(y, x):
+                    out.append(Violation(f"{name}-commutativity", (x, y)))
+        for x in es:
+            for y in es:
+                for z in es:
+                    if op(op(x, y), z) != op(x, op(y, z)):
+                        out.append(Violation(f"{name}-associativity", (x, y, z)))
+    for x in es:
+        for y in es:
+            if join(x, meet(x, y)) != x or meet(x, join(x, y)) != x:
+                out.append(Violation("absorption", (x, y)))
+            if (join(x, y) == y) != (meet(x, y) == x):
+                out.append(Violation("join-meet-agreement", (x, y)))
+    if q.bottom != ZERO or q.top != ONE:
+        out.append(Violation("bounds", (q.bottom, q.top)))
+    for x in es:
+        if t(q.unit, x) != x:
+            out.append(Violation("unit", (x,)))
+        if t(x, q.bottom) != q.bottom:
+            out.append(Violation("bottom-absorption", (x,)))
+    for x in es:
+        for y in es:
+            if t(x, y) != t(y, x):
+                out.append(Violation("commutativity", (x, y)))
+    for x in es:
+        for y in es:
+            for z in es:
+                if t(t(x, y), z) != t(x, t(y, z)):
+                    out.append(Violation("associativity", (x, y, z)))
+                if t(x, q.join(y, z)) != q.join(t(x, y), t(x, z)):
+                    out.append(Violation("join-distributivity", (x, y, z)))
+    return out
+
+
+def random_qfunction_by_elements(rng, domain: FiniteSet, carrier: FiniteQuantale,
+                                 positive: bool = False) -> QFunction:
+    """``monad.random_qfunction`` drawing from a pool of elements."""
+    pool = [e for e in carrier.elements if not positive or e != carrier.bottom]
+    return QFunction(domain, tuple(rng.choice(pool) for _ in domain), carrier)
+
+
+def random_variant_table_by_elements(rng, domain: FiniteSet, carrier: FiniteQuantale,
+                                     variant: Variant) -> SemifilterTable:
+    """``monad.random_variant_table`` drawing from a pool of elements and
+    pinning the FILTER pivot to the carrier's top element."""
+    if variant is Variant.BOUNDED:
+        require_bounded_carrier(carrier)
+    size = rng.choice((1, 2))
+    fns = []
+    pivot = rng.randrange(len(domain)) if len(domain) else 0
+    for _ in range(size):
+        fn = random_qfunction_by_elements(rng, domain, carrier,
+                                          positive=variant is Variant.BOUNDED)
+        if variant is Variant.FILTER and len(domain):
+            values = list(fn.values)
+            values[pivot] = carrier.top
+            fn = QFunction(domain, tuple(values), carrier)
+        fns.append(fn)
+    return semifilter_of(normalize_basis(fns, domain, carrier))

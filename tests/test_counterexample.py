@@ -11,7 +11,8 @@ from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
                                       build_catalog, close_catalog,
                                       default_catalog_exprs, describe,
                                       run_counterexample, sampled_sub_bound,
-                                      _node, Column, _collapse_scan, _step1)
+                                      _node, Column, _collapse_scan, _levels,
+                                      _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
 from quantalab.quantale import (ONE, ZERO, TNorm, build_ordinal_sum,
@@ -837,3 +838,16 @@ def test_condition_s_decides_the_verdict_on_the_quarter_grid(variant):
             assert rep.verdict == NO_VIOLATION_EXPECTED, t
         else:
             assert rep.verdict == VIOLATION and rep.all_claims_ok, t
+
+
+def test_levels_are_read_from_the_tnorm_and_hash_nothing(monkeypatch):
+    three = build_ordinal_sum([(0, F(1, 4), "product"), (F(1, 4), F(1, 2), "lukasiewicz")])
+    assert three.endpoints == (0, F(1, 4), F(1, 2), 1)
+    assert BLOCK.endpoints == (0, F(1, 4), F(1, 2), 1) and godel_tnorm().endpoints == (0, 1)
+    hashed = []
+    real = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert _levels(BLOCK) == BLOCK.endpoints
+    # an extra value already among the endpoints is not repeated
+    assert _levels(BLOCK, P, F(3, 8)) == (0, F(1, 4), F(1, 2), 1, F(3, 8))
+    assert hashed == []

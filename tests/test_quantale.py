@@ -172,6 +172,22 @@ def test_tnorm_contains_is_the_unit_interval():
             BLOCK.residuum(F(1, 2), bad)
 
 
+def test_tnorm_order_and_lattice_refuse_a_non_member():
+    # as tensor and residuum do: before, join(0.5, 2) returned 2
+    t = lukasiewicz_tnorm()
+    for op in (t.leq, t.join, t.meet):
+        with pytest.raises(UsageError, match=r"^2 is not in \[0,1\]$"):
+            op(F(1, 2), 2)
+        with pytest.raises(UsageError, match=r"^3/2 is not in \[0,1\]$"):
+            op(F(3, 2), 1)
+        for bad in (0.5, "a"):
+            with pytest.raises(UsageError, match="^not an exact rational: "):
+                op(bad, F(1, 2))
+    assert t.leq(F(1, 4), 1) and not t.leq(1, F(1, 4))
+    assert t.join(F(1, 4), 1) == 1 and t.meet(F(1, 4), 1) == F(1, 4)
+    assert type(t.join(0, 1)) is F and type(t.meet(0, 1)) is F
+
+
 def test_tnorm_takes_an_int_as_the_fraction_it_equals():
     # a finite chain took 1 for its element 1 while [0,1] refused it
     assert five_chain().tensor(1, F(1, 2)) == F(1, 2)
