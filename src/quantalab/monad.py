@@ -19,8 +19,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import UsageError
 from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
                         normalize_basis, saturation_member)
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant_at,
-                   indicator, sub_position, unit_constant)
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, indicator,
+                   sub, unit_constant)
 from .quantale import FiniteQuantale, Record, Variant, two_chain
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
@@ -29,14 +29,6 @@ from .semifilter import (SemifilterFamily, SemifilterTable,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
                          semifilter_of)
-
-
-def _is_filter_table(table: SemifilterTable) -> bool:
-    """F4: the table holds every constant at most at its own value."""
-    q, index = table.carrier, table.index
-    leq = q.kernel.leq
-    return all(leq[index[constant_at(table.domain, q, i).code]][i]
-               for i in range(len(q.elements)))
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
@@ -48,7 +40,7 @@ def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
     if not is_conical_semifilter(table):
         return False
     if variant is Variant.FILTER:
-        return _is_filter_table(table)
+        return not table.f4_failures()
     if variant is Variant.BOUNDED:
         return is_bounded(table)
     return True
@@ -269,7 +261,7 @@ def functional_of(lam: QFunction, universe: Sequence[PrefilterBasis],
                   labels: FiniteSet) -> QFunction:
     """lam-tilde: each prefilter of the universe gets its degree of lam."""
     return QFunction.from_index(labels, lam.carrier, tuple(
-        sub_position(f.generator, lam) for f in universe))
+        sub(f.generator, lam, position=True) for f in universe))
 
 
 def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],

@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import UsageError
-from .qfun import (FiniteSet, QFunction, SetMap, constant_at, image, sub,
-                   sub_position, unit_constant)
+from .qfun import FiniteSet, QFunction, SetMap, image, sub, unit_constant
 from .quantale import FiniteQuantale, Record, ZERO
 
 
@@ -96,7 +95,7 @@ def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
     read at its carrier position."""
     _same_space(pf, lam)
     k = pf.carrier.kernel
-    return k.leq[k.unit][sub_position(pf.generator, lam)]
+    return k.leq[k.unit][sub(pf.generator, lam, position=True)]
 
 
 def is_top_filter(pf: PrefilterBasis) -> bool:
@@ -137,7 +136,8 @@ def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     The answer is again principal: join the generator with the constant at
     the least nonzero carrier element.
     """
-    eps_x = constant_at(pf.domain, pf.carrier, _least_positive_position(pf.carrier))
+    eps0 = _least_positive_position(pf.carrier)
+    eps_x = QFunction.from_index(pf.domain, pf.carrier, (eps0,) * len(pf.domain))
     return normalize_basis([pf.generator.join(eps_x)])
 
 

@@ -166,20 +166,16 @@ def _require_finite(carrier):
         raise UsageError(f"functions need a finite carrier, not {carrier!r}")
 
 
-def constant_at(domain: FiniteSet, carrier: FiniteQuantale, i: int) -> QFunction:
-    """The constant function at the carrier position ``i``."""
-    return QFunction.from_index(domain, carrier, (i,) * len(domain))
-
-
 def constant(domain: FiniteSet, carrier: FiniteQuantale, c) -> QFunction:
     _require_finite(carrier)
-    return constant_at(domain, carrier, carrier.index_of(as_fraction(c)))
+    i = carrier.index_of(as_fraction(c))
+    return QFunction.from_index(domain, carrier, (i,) * len(domain))
 
 
 def unit_constant(domain: FiniteSet, carrier: FiniteQuantale) -> QFunction:
     """The constant function at the monoid unit."""
     _require_finite(carrier)
-    return constant_at(domain, carrier, carrier.kernel.unit)
+    return QFunction.from_index(domain, carrier, (carrier.kernel.unit,) * len(domain))
 
 
 def indicator(domain: FiniteSet, carrier: FiniteQuantale, subset) -> QFunction:
@@ -231,24 +227,21 @@ class SetMap:
         return SetMap(s, s, s.elements)
 
 
-def sub(lam: QFunction, mu: QFunction) -> Fraction:
+def sub(lam: QFunction, mu: QFunction, *, position: bool = False):
     """Graded inclusion: the meet over the domain of lam(x) -> mu(x).
 
-    Over the empty domain the empty meet is the carrier top.
+    Over the empty domain the empty meet is the carrier top.  It is folded
+    over the kernel's index tables; with ``position`` set, the result is
+    the carrier position of the meet instead of the element.
     """
-    return lam.carrier.elements[sub_position(lam, mu)]
-
-
-def sub_position(lam: QFunction, mu: QFunction) -> int:
-    """The carrier position of ``sub(lam, mu)``, folded over the kernel's
-    index tables."""
     _same_space(lam, mu)
-    k = lam.carrier.kernel
+    c = lam.carrier
+    k = c.kernel
     residuum, meet = k.residuum, k.meet
     out = k.top
     for a, b in zip(lam.index, mu.index):
         out = meet[out][residuum[a][b]]
-    return out
+    return out if position else c.elements[out]
 
 
 def image(f: SetMap, lam: QFunction) -> QFunction:

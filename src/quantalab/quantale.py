@@ -38,7 +38,9 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '3/8' and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
         return Fraction(value)
     raise UsageError(f"not an exact rational: {value!r}")
 
@@ -416,9 +418,11 @@ class FiniteQuantale:
     The constructor also builds the carrier's integer kernel, once:
     ``position`` maps each element to its index, and ``kernel`` (a
     ``FiniteKernel``) holds the tensor, residuum, join, meet and order as
-    index tables for the finite path.  The operations below take and
-    return ``Fraction`` elements: each looks its arguments up in
-    ``position``, and a non-member raises ``UsageError``.
+    index tables.  The finite path runs on it: ``QFunction`` index tuples
+    and codes, flat ``SemifilterTable`` values and ``sub``.  The operations
+    below take and return ``Fraction`` elements and read the kernel, on a
+    chain too: each looks its arguments up in ``position``, and a
+    non-member raises ``UsageError``.
     """
 
     def __init__(self, elements: Sequence, tensor, unit,
@@ -437,7 +441,9 @@ class FiniteQuantale:
         join_ix = self._read_table(join, "join") if join is not None else None
         meet_ix = self._read_table(meet, "meet") if meet is not None else None
         # the tables as given, as rows of elements (None: the chain order)
-        self._tensor, self._join, self._meet = map(self._rows, (tensor_ix, join_ix, meet_ix))
+        self._tensor = self._rows(tensor_ix)
+        self._join = self._rows(join_ix)
+        self._meet = self._rows(meet_ix)
         self.kernel = self._build_kernel(tensor_ix, join_ix, meet_ix)
         self._identity = (self.elements, self.kernel,
                           join_ix is None, meet_ix is None)
@@ -581,53 +587,49 @@ def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
     joins and over the empty join (bottom absorption), and the presence of
     bottom 0 and top 1 in the carrier.  Lattice violations come first.  An
     empty report means the table is a genuine commutative unital quantale.
-    It reads the kernel; only a witness becomes elements.
     """
-    out: list[Violation] = []
+    out: list[tuple] = []
     k, es = q.kernel, q.elements
     span = range(len(es))
     t, join, meet, bot = k.tensor, k.join, k.meet, k.bottom
-
-    def fail(law: str, *witness: int):
-        out.append(Violation(law, tuple(es[i] for i in witness)))
     for op, name in ((join, "join"), (meet, "meet")):
         for x in span:
             if op[x][x] != x:
-                fail(f"{name}-idempotence", x)
+                out.append((f"{name}-idempotence", (x,)))
         for x in span:
             for y in span:
                 if op[x][y] != op[y][x]:
-                    fail(f"{name}-commutativity", x, y)
+                    out.append((f"{name}-commutativity", (x, y)))
         for x in span:
             for y in span:
                 for z in span:
                     if op[op[x][y]][z] != op[x][op[y][z]]:
-                        fail(f"{name}-associativity", x, y, z)
+                        out.append((f"{name}-associativity", (x, y, z)))
     for x in span:
         for y in span:
             if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
-                fail("absorption", x, y)
+                out.append(("absorption", (x, y)))
             if (join[x][y] == y) != (meet[x][y] == x):
-                fail("join-meet-agreement", x, y)
+                out.append(("join-meet-agreement", (x, y)))
     if es[bot] != ZERO or es[k.top] != ONE:
-        fail("bounds", bot, k.top)
+        out.append(("bounds", (bot, k.top)))
     for x in span:
         if t[k.unit][x] != x:
-            fail("unit", x)
+            out.append(("unit", (x,)))
         if t[x][bot] != bot:
-            fail("bottom-absorption", x)
+            out.append(("bottom-absorption", (x,)))
     for x in span:
         for y in span:
             if t[x][y] != t[y][x]:
-                fail("commutativity", x, y)
+                out.append(("commutativity", (x, y)))
     for x in span:
         for y in span:
             for z in span:
                 if t[t[x][y]][z] != t[x][t[y][z]]:
-                    fail("associativity", x, y, z)
+                    out.append(("associativity", (x, y, z)))
                 if t[x][join[y][z]] != join[t[x][y]][t[x][z]]:
-                    fail("join-distributivity", x, y, z)
-    return out
+                    out.append(("join-distributivity", (x, y, z)))
+    return [Violation(law, tuple(es[i] for i in w)) for law, w in out]
 
 
 def finite_restriction(t: TNorm, elements: Sequence) -> FiniteQuantale:

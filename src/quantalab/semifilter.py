@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
 from .prefilter import PrefilterBasis, least_positive
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, constant,
-                   constant_at, sub, sub_position, unit_constant)
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
+                   unit_constant)
 from .quantale import FiniteQuantale, Record
 
 TABLE_CAP = 3 ** 9
@@ -85,6 +85,15 @@ class SemifilterTable:
 
     def canonical_values(self) -> tuple[Fraction, ...]:
         return tuple(self.carrier.elements[i] for i in self.index)
+
+    def f4_failures(self) -> list[int]:
+        """The carrier positions ``i`` where F4 fails: the table holds the
+        constant function at ``i`` above ``i``."""
+        q, d = self.carrier, len(self.domain)
+        leq = q.kernel.leq
+        codes = (QFunction.from_index(self.domain, q, (i,) * d).code
+                 for i in range(len(q.elements)))
+        return [i for i, c in enumerate(codes) if not leq[self.index[c]][i]]
 
     def leq(self, other: "SemifilterTable") -> bool:
         self._same_space(other)
@@ -171,9 +180,8 @@ def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[A
             if not q.leq(sub(lam, mu), q.residuum(table(lam), table(mu))):
                 out.append(AxiomViolation("F3", (lam.values, mu.values)))
     if require_filter:
-        for p in q.elements:
-            if not q.leq(table(constant(table.domain, q, p)), p):
-                out.append(AxiomViolation("F4", (p,)))
+        for i in table.f4_failures():
+            out.append(AxiomViolation("F4", (q.elements[i],)))
     return out
 
 
@@ -485,9 +493,10 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
     kernel = q.kernel
     leq, meet, res = kernel.leq, kernel.meet, kernel.residuum
     k_idx = unit_constant(domain, q).code
-    pairs = [(f.code, g.code, sub_position(f, g), f.meet(g).code)
+    pairs = [(f.code, g.code, sub(f, g, position=True), f.meet(g).code)
              for f in funcs for g in funcs]
-    const_idx = [(constant_at(domain, q, i).code, i) for i in range(len(q.elements))]
+    const_idx = [(QFunction.from_index(domain, q, (i,) * len(domain)).code, i)
+                 for i in range(len(q.elements))]
     above_unit = leq[kernel.unit]
 
     out: list[SemifilterTable] = []

@@ -18,9 +18,9 @@ from quantalab.monad import (Variant, check_monad_laws, check_naturality,
                              functional_of, random_qfunction,
                              random_variant_table)
 from quantalab.prefilter import eval_degree, normalize_basis
-from quantalab.qfun import (QFunction, all_qfunctions, constant, constant_at,
-                            finite_set, indicator, sub, sub_position,
-                            unit_constant)
+from quantalab.qfun import (QFunction, all_qfunctions, constant, finite_set,
+                            indicator, sub, unit_constant)
+from quantalab.semifilter import SemifilterTable, check_axioms
 from quantalab.quantale import (FiniteQuantale, check_quantale_axioms,
                                 five_chain, godel3, mv3, two_chain)
 
@@ -150,7 +150,8 @@ def test_draws_from_positions_match_draws_from_elements(name):
 def test_constants_and_indicators_are_the_functions_of_their_values(name):
     q = CHAINS[name]()
     for i, e in enumerate(q.elements):
-        assert constant(X3, q, e) == constant_at(X3, q, i) == QFunction(X3, (e,) * 3, q)
+        assert constant(X3, q, e) == QFunction.from_index(X3, q, (i,) * 3) \
+            == QFunction(X3, (e,) * 3, q)
     assert unit_constant(X3, q) == QFunction(X3, (q.unit,) * 3, q)
     assert indicator(X3, q, ["x1"]) == QFunction(X3, (q.bottom, q.top, q.bottom), q)
     with pytest.raises(UsageError, match=r"^1/3 is not a carrier element$"):
@@ -158,17 +159,36 @@ def test_constants_and_indicators_are_the_functions_of_their_values(name):
 
 
 @pytest.mark.parametrize("name", CHAINS)
-def test_sub_position_is_the_position_of_sub(name):
+def test_sub_at_a_position_is_the_position_of_sub(name):
     q = CHAINS[name]()
     fns = list(all_qfunctions(X, q))
     for lam in fns:
         for mu in fns:
-            assert q.elements[sub_position(lam, mu)] == sub(lam, mu)
+            assert q.elements[sub(lam, mu, position=True)] == sub(lam, mu)
+    empty = QFunction(finite_set(), (), q)
+    assert sub(empty, empty, position=True) == q.kernel.top
     universe = [normalize_basis([g]) for g in fns]
     labels = finite_set(*range(len(universe)))
     for lam in fns:
         assert functional_of(lam, universe, labels) == QFunction(
             labels, tuple(eval_degree(f, lam) for f in universe), q)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_f4_failures_are_the_constants_held_above_their_value(name):
+    """The position read of F4, shared by ``table_satisfies`` and
+    ``check_axioms``, against the element form it replaced."""
+    q = CHAINS[name]()
+    rng = random.Random(5)
+    for _ in range(40):
+        table = random_variant_table(rng, X, q, rng.choice(list(Variant)))
+        table = SemifilterTable(X, q, [rng.choice(range(len(q.elements))) if
+                                       rng.random() < 0.3 else v for v in table.index])
+        by_elements = [i for i, p in enumerate(q.elements)
+                       if not q.leq(table(constant(X, q, p)), p)]
+        assert table.f4_failures() == by_elements
+        f4 = [v.witness for v in check_axioms(table, require_filter=True) if v.axiom == "F4"]
+        assert f4 == [(q.elements[i],) for i in by_elements]
 
 
 def test_qfunction_looks_each_value_up_once(fraction_hashes):
