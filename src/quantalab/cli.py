@@ -23,12 +23,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetError, PreconditionError, QuantalabError, UsageError
+from .errors import BudgetError, PreconditionError, QuantalabError
 from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
                        check_quantale_axioms, grid,
                        residuum_continuity_probe, two_chain)
 from .serialize import (format_fraction, load_quantale, load_scenario,
-                        parse_fraction, render_text, semifilter_to_json)
+                        parse_fraction, render_text)
 
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
@@ -245,8 +245,8 @@ def _adjunction_witness(q, step):
     _OUT, _FORMAT)
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
-    from .monad import (check_monad_laws, check_naturality,
-                        classical_correspondence_report, table_satisfies)
+    from .monad import (KleisliScenario, check_monad_laws, check_naturality,
+                        classical_correspondence_report)
     scenario = load_scenario(path)
     if not isinstance(scenario.carrier, FiniteQuantale):
         raise PreconditionError("law suites need a finite carrier")
@@ -259,14 +259,11 @@ def cmd_laws(path, seed, budget, out, fmt):
     seed = scenario.seed if seed is None else seed
     budget = scenario.budget if budget is None else budget
 
-    explicit = scenario.explicit_maps()
-    if explicit is not None:
-        for name, mapped in explicit.items():
-            for x, table in mapped.items():
-                if not table_satisfies(table, scenario.variant):
-                    # the table itself on the second line of the message
-                    raise UsageError(f"{name}({x!r}) is not a {scenario.variant.value} "
-                                     f"semifilter\n{json.dumps(semifilter_to_json(table))}")
+    maps = scenario.explicit_maps()
+    if maps is not None:
+        # checked as the seeded maps are, not yet run
+        KleisliScenario(scenario.x_set, scenario.y_set, scenario.z_set,
+                        maps["f"], maps["g"], scenario.carrier, scenario.variant)
 
     sizes = (len(scenario.x_set), len(scenario.y_set), len(scenario.z_set))
     law = check_monad_laws(scenario.carrier, sizes, scenario.scenarios, seed,

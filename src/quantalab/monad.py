@@ -1,5 +1,5 @@
 """Monad assembly over finite carriers: units, multiplication, Kleisli
-extension, seeded law suites, naturality spot checks and the classical
+extension, the law checker, naturality spot checks and the classical
 filter correspondence.
 
 The unit at a point is the evaluation table (already conical); the
@@ -8,11 +8,17 @@ family.  The Kleisli extension of ``h`` never materializes second-level
 tables: the raw sum at ``lam`` is just ``T`` applied to ``x |-> h(x)(lam)``,
 which is exact and family-independent, so the law suite over a finite
 carrier is a finite exact computation.
+
+The monad laws are checked in one place, ``check_scenario``, on one
+``KleisliScenario`` and one table.  ``KleisliScenario`` is the one place a
+law map is refused, for the seeded maps of ``check_monad_laws`` and the
+maps pinned in a scenario file alike; pinned maps are not yet run.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Callable, Mapping, Sequence
 
@@ -29,6 +35,7 @@ from .semifilter import (SemifilterFamily, SemifilterTable,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
                          semifilter_of)
+from .serialize import format_fraction, semifilter_to_json
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
@@ -89,10 +96,12 @@ def _variant_coreflection(table: SemifilterTable, variant: Variant) -> Semifilte
 
 
 class KleisliScenario:
-    """One sampled instance of the associativity data: maps into table spaces.
+    """One instance of the associativity data: maps into table spaces.
 
     ``f`` maps each point of x_set to a table on y_set, ``g`` likewise from
-    y_set into tables on z_set; every value must pass the variant test.
+    y_set into tables on z_set.  x_set and y_set must not be empty, and
+    every value must pass the variant test; a refused value is shown as
+    its JSON table on the second line of the message.
     """
 
     __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant")
@@ -100,12 +109,16 @@ class KleisliScenario:
     def __init__(self, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
                  f: dict, g: dict, carrier: FiniteQuantale,
                  variant: Variant = Variant.PLAIN):
+        for name, src in (("X", x_set), ("Y", y_set)):
+            if not len(src):
+                raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
         for name, m, src in (("f", f, x_set), ("g", g, y_set)):
             for x in src:
                 if x not in m:
                     raise UsageError(f"{name} is not total: missing {x!r}")
                 if not table_satisfies(m[x], variant):
-                    raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter")
+                    raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter\n"
+                                     f"{json.dumps(semifilter_to_json(m[x]))}")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
         self.f, self.g, self.carrier, self.variant = f, g, carrier, variant
 
@@ -213,16 +226,48 @@ class LawReport:
         return not self.failures and not self.incomplete
 
 
+def _shown(t: SemifilterTable) -> str:
+    return f"table ({', '.join(format_fraction(v) for v in t.canonical_values())})"
+
+
+def check_scenario(sc: KleisliScenario, t: SemifilterTable,
+                   index: int = 0) -> list[LawFailure]:
+    """The failures of the monad laws on one scenario and one table t on
+    its x_set, each carrying ``index`` for replay.
+
+    Three laws, ``2 + |X|`` exact table comparisons: the extension of the
+    units is the identity at t, extending f then applying it to the unit
+    at x returns f(x) at every x, and the two ways of composing the
+    extensions of f and g agree at t.  Every extension is the table path,
+    ``kleisli_extend``, unchecked: the scenario has checked its maps.
+    """
+    variant = sc.variant
+    units_x = monad_units(sc.x_set, sc.carrier, variant)
+    failures = []
+    d_sharp = kleisli_extend(units_x, sc.x_set, variant, check=False)
+    if d_sharp(t) != t:
+        failures.append(LawFailure("unit-extension-identity", index, _shown(t)))
+    f_sharp = kleisli_extend(sc.f, sc.x_set, variant, check=False)
+    for x in sc.x_set:
+        if f_sharp(units_x[x]) != sc.f[x]:
+            failures.append(LawFailure("extension-after-unit", index, f"at point {x!r}"))
+    g_sharp = kleisli_extend(sc.g, sc.y_set, variant, check=False)
+    gf = {x: g_sharp(sc.f[x]) for x in sc.x_set}
+    gf_sharp = kleisli_extend(gf, sc.x_set, variant, check=False)
+    if g_sharp(f_sharp(t)) != gf_sharp(t):
+        failures.append(LawFailure("associativity", index, _shown(t)))
+    return failures
+
+
 def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 2, 2),
                      scenarios: int = 200, seed: int = 0,
                      variant: Variant = Variant.PLAIN,
                      budget: int | None = None) -> LawReport:
     """Seeded verification of the unit laws and Kleisli associativity.
 
-    Per scenario: the extension of the units is the identity, extending a
-    map then applying it to a unit returns the map's value, and the two ways
-    of composing extensions agree.  All equalities are exact table
-    comparisons; failures carry the scenario index for replay.
+    Scenario i and its table are drawn from ``random.Random(seed *
+    1_000_003 + i)`` and checked by ``check_scenario``; failures carry i
+    for replay.
     """
     to_run = scenarios
     report = LawReport()
@@ -232,24 +277,8 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
     for i in range(to_run):
         rng = random.Random(seed * 1_000_003 + i)
         sc = random_scenario(rng, carrier, sizes, variant)
-        units_x = monad_units(sc.x_set, carrier, variant)
         t = random_variant_table(rng, sc.x_set, carrier, variant)
-
-        d_sharp = kleisli_extend(units_x, sc.x_set, variant, check=False)
-        if d_sharp(t) != t:
-            report.failures.append(LawFailure("unit-extension-identity", i,
-                                              f"table {t.canonical_values()}"))
-        f_sharp = kleisli_extend(sc.f, sc.x_set, variant, check=False)
-        for x in sc.x_set:
-            if f_sharp(units_x[x]) != sc.f[x]:
-                report.failures.append(LawFailure("extension-after-unit", i,
-                                                  f"at point {x!r}"))
-        g_sharp = kleisli_extend(sc.g, sc.y_set, variant, check=False)
-        gf = {x: g_sharp(sc.f[x]) for x in sc.x_set}
-        gf_sharp = kleisli_extend(gf, sc.x_set, variant, check=False)
-        if g_sharp(f_sharp(t)) != gf_sharp(t):
-            report.failures.append(LawFailure("associativity", i,
-                                              f"table {t.canonical_values()}"))
+        report.failures += check_scenario(sc, t, i)
         report.checks += 2 + len(sc.x_set)
         report.scenarios_run += 1
     return report

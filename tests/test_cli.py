@@ -262,6 +262,60 @@ def test_laws_refuses_a_pinned_map_that_is_not_a_semifilter(runner, tmp_path, ta
                         f"{json.dumps(semifilter_to_json(table))}\n")
 
 
+def _pinned_g(tmp_path, variant, table):
+    """A godel3 scenario under ``variant`` pinning ``f('a')`` to the unit at
+    u and ``g('u')`` to ``table`` on Z = {w}."""
+    unit = evaluation_unit(finite_set("u"), godel3(), "u")
+    return write(tmp_path, "pinned.json", {
+        "quantale": quantale_to_json(godel3()), "variant": variant,
+        "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+        "maps": {"f": {"a": semifilter_to_json(unit)},
+                 "g": {"u": semifilter_to_json(table)}}})
+
+
+@pytest.mark.parametrize("variant,constant", [
+    ("plain", "bottom"),
+    # the constant-top table is conical, and not bounded
+    ("bounded", "top"),
+], ids=["plain-not-F1", "bounded-conical"])
+def test_laws_refuses_a_pinned_g_outside_its_variant(runner, tmp_path, variant, constant):
+    q = godel3()
+    table = SemifilterTable(finite_set("w"), q, [getattr(q.kernel, constant)] * 3)
+    r = runner.invoke(main, ["laws", "--scenario", _pinned_g(tmp_path, variant, table)])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == (f"input error: g('u') is not a {variant} semifilter\n"
+                        f"{json.dumps(semifilter_to_json(table))}\n")
+
+
+@pytest.mark.parametrize("empty", ["X", "Y"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["seeded", "pinned"])
+def test_laws_refuses_an_empty_x_or_y_by_name(runner, tmp_path, empty, pinned):
+    sets = {"X": ["a"], "Y": ["u"], "Z": ["w"], empty: []}
+    scenario = {"quantale": quantale_to_json(two_chain()), "sets": sets,
+                "seed": 1, "budgets": {"scenarios": 2}}
+    if pinned:
+        # each value generated by the top function: a unit, on one point
+        top = {"basis": [["1/1"] * len(sets["Y"])]}
+        scenario["maps"] = {"f": {x: top for x in sets["X"]},
+                            "g": {y: {"basis": [["1/1"]]} for y in sets["Y"]}}
+    r = runner.invoke(main, ["laws", "--scenario", write(tmp_path, "empty.json", scenario)])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: {empty} is empty: the laws extend maps over X and Y\n"
+
+
+def test_laws_runs_with_an_empty_z(runner, tmp_path):
+    path = write(tmp_path, "empty.json", {
+        "quantale": quantale_to_json(godel3()),
+        "sets": {"X": ["a"], "Y": ["u", "v"], "Z": []},
+        "seed": 1, "budgets": {"scenarios": 4}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 0, r.output
+    assert "sizes: [1, 2, 0]" in r.stdout
+    assert "scenarios_run: 4" in r.stdout
+
+
 BROKEN_TENSOR = {"type": "finite", "carrier": ["0/1", "1/2", "1/1"],
                  "tensor": [["0/1", "0/1", "0/1"],
                             ["0/1", "1/1", "1/2"],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,8 +9,8 @@ from quantalab.classical import (all_proper_filters, filter_image,
                                  filter_multiplication, filter_unit,
                                  principal)
 from quantalab.errors import UsageError
-from quantalab.monad import (KleisliScenario, Variant, check_monad_laws,
-                             check_naturality,
+from quantalab.monad import (KleisliScenario, LawFailure, Variant,
+                             check_monad_laws, check_naturality, check_scenario,
                              classical_correspondence_report, kleisli_extend,
                              monad_multiplication, monad_units,
                              multiplication_prefilter_members,
@@ -22,6 +23,7 @@ from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   conical_semifilters, evaluation_unit,
                                   is_bounded, is_semifilter, kowalsky_sum,
                                   level_prefilter, semifilter_of)
+from quantalab.serialize import semifilter_to_json
 
 from oracles import (from_function, from_mapping, image_outer, is_conical,
                      unit_prefilter)
@@ -298,6 +300,76 @@ def test_scenario_validation():
         KleisliScenario(X, Y, Y,
                         {"x0": bad, "x1": bad},
                         {"y0": bad, "y1": bad}, G3, Variant.FILTER)
+
+
+def test_scenario_refuses_a_map_value_with_its_table():
+    # the constant-top table on one point is conical, and not bounded
+    Z, U = finite_set("w"), finite_set("u")
+    top = SemifilterTable(Z, G3, [G3.kernel.top] * 3)
+    assert table_satisfies(top, Variant.PLAIN)
+    with pytest.raises(UsageError) as refused:
+        KleisliScenario(finite_set("a"), U, Z, {"a": evaluation_unit(U, G3, "u")},
+                        {"u": top}, G3, Variant.BOUNDED)
+    assert str(refused.value) == ("g('u') is not a bounded semifilter\n"
+                                  f"{json.dumps(semifilter_to_json(top))}")
+
+
+@pytest.mark.parametrize("sizes,empty", [((0, 2, 2), "X"), ((2, 0, 2), "Y"),
+                                         ((0, 0, 2), "X")])
+def test_scenario_refuses_an_empty_x_or_y_before_any_extension(sizes, empty):
+    message = f"^{empty} is empty: the laws extend maps over X and Y$"
+    with pytest.raises(UsageError, match=message):
+        check_monad_laws(G3, sizes, scenarios=1)
+    xs, ys = (finite_set(*(f"{p}{i}" for i in range(n))) for p, n in zip("xy", sizes))
+    with pytest.raises(UsageError, match=message):
+        KleisliScenario(xs, ys, Y, {}, {}, G3)
+
+
+def test_check_scenario_reports_a_failing_law_with_num_den_values():
+    # t is not conical: on godel3 a conical table holds 0 or 1 at the
+    # constant bottom, and t holds 1/2 there, so the extension of the
+    # units, which is conical, cannot return it
+    Z = finite_set("z0")
+    sc = KleisliScenario(X, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in X},
+                         {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
+    t = SemifilterTable(X, G3, [1] * 8 + [2])
+    assert check_scenario(sc, t, 7) == [LawFailure(
+        "unit-extension-identity", 7, "table (" + ", ".join(["1/2"] * 8 + ["1/1"]) + ")")]
+
+
+# Every (f, g, t) of a size: f and g run over all maps into the variant's
+# conical tables, t over those tables on X.  Each comparison of
+# check_scenario has the table path, kowalsky_sum plus the coreflection, on
+# one side.  godel3 and mv3 at (2, 2, 2), 59049 plain scenarios each, are
+# left out for time.
+EXHAUSTIVE = [("two_chain", two_chain(), (2, 2, 2), (1024, 243, 1))] + [
+    (name, q, sizes, counts) for name, q in (("godel3", G3), ("mv3", mv3()))
+    for sizes, counts in (((1, 2, 2), (2187, 125, 128)), ((2, 1, 2), (729, 25, 64)))]
+EXHAUSTIVE_CASES = [(name, q, sizes, variant, count)
+                    for name, q, sizes, counts in EXHAUSTIVE
+                    for variant, count in zip((Variant.PLAIN, Variant.FILTER,
+                                               Variant.BOUNDED), counts)]
+
+
+@pytest.mark.parametrize("name,q,sizes,variant,count", EXHAUSTIVE_CASES,
+                         ids=[f"{c[0]}-{''.join(map(str, c[2]))}-{c[3].value}"
+                              for c in EXHAUSTIVE_CASES])
+def test_the_monad_laws_hold_on_every_scenario(name, q, sizes, variant, count):
+    xs, ys, zs = (finite_set(*(f"{p}{i}" for i in range(n))) for p, n in zip("xyz", sizes))
+
+    def listed(dom):
+        return [t for t in conical_semifilters(dom, q) if table_satisfies(t, variant)]
+
+    tables_x, tables_y, tables_z = listed(xs), listed(ys), listed(zs)
+    checked = 0
+    for f_values in itertools.product(tables_y, repeat=len(xs)):
+        for g_values in itertools.product(tables_z, repeat=len(ys)):
+            sc = KleisliScenario(xs, ys, zs, dict(zip(xs, f_values)),
+                                 dict(zip(ys, g_values)), q, variant)
+            for t in tables_x:
+                assert check_scenario(sc, t, checked) == []
+                checked += 1
+    assert checked == count
 
 
 # -- prefilter-side formulas ---------------------------------------------------------
