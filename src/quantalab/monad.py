@@ -77,14 +77,9 @@ def monad_multiplication(outer: SemifilterTable | PrefilterBasis,
 
     The outer semifilter is read only at the evaluation functionals of the
     functions on the base set (see ``kowalsky_sum``); a ``PrefilterBasis``
-    on the family's labels stands for ``semifilter_of(basis)``.  Every
-    family member must lie in the variant's subcategory; otherwise the
-    input is rejected with the offending member.
+    on the family's labels stands for ``semifilter_of(basis)``.  Members
+    are trusted to lie in the variant, as ``table_satisfies`` checks them.
     """
-    for label, m in zip(family.labels, family.members):
-        if not table_satisfies(m, variant):
-            raise UsageError(f"family member {label!r} is not a "
-                             f"{variant.value} semifilter")
     return _variant_coreflection(kowalsky_sum(outer, family), variant)
 
 
@@ -99,8 +94,10 @@ class KleisliScenario:
     """One instance of the associativity data: maps into table spaces.
 
     ``f`` maps each point of x_set to a table on y_set, ``g`` likewise from
-    y_set into tables on z_set.  x_set and y_set must not be empty, and
-    every value must pass the variant test; a refused value is shown as
+    y_set into tables on z_set.  This is the gate of the law maps, and
+    ``kleisli_extend`` trusts what it passes: x_set and y_set must not be
+    empty, and every value must be a table on its target over ``carrier``
+    that passes the variant test.  A value failing that test is shown as
     its JSON table on the second line of the message.
     """
 
@@ -112,26 +109,32 @@ class KleisliScenario:
         for name, src in (("X", x_set), ("Y", y_set)):
             if not len(src):
                 raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
-        for name, m, src in (("f", f, x_set), ("g", g, y_set)):
+        for name, m, src, dst in (("f", f, x_set, y_set), ("g", g, y_set, z_set)):
             for x in src:
                 if x not in m:
                     raise UsageError(f"{name} is not total: missing {x!r}")
-                if not table_satisfies(m[x], variant):
+                v = m[x]
+                if (not isinstance(v, SemifilterTable) or v.domain != dst
+                        or v.carrier != carrier):
+                    raise UsageError(f"{name}({x!r}) is not a table on {dst!r} "
+                                     f"over {carrier!r}")
+                if not table_satisfies(v, variant):
                     raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter\n"
-                                     f"{json.dumps(semifilter_to_json(m[x]))}")
+                                     f"{json.dumps(semifilter_to_json(v))}")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
         self.f, self.g, self.carrier, self.variant = f, g, carrier, variant
 
 
-def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN,
-                   check: bool = True) -> Callable[[SemifilterTable], SemifilterTable]:
+def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN
+                   ) -> Callable[[SemifilterTable], SemifilterTable]:
     """Lift a map into tables to a map between table spaces.
 
     The raw sum sends lam to T(x |-> h(x)(lam)): the Kowalsky sum of T over
     h's values as a family labelled by the domain.  The variant coreflection
     of that is the extension.  Equivalent to coreflecting the Kowalsky sum
     of the pushed-forward outer table over any family containing h's values
-    and the units (checked in the tests).
+    and the units (checked in the tests).  h's values are trusted to lie in
+    the variant, as ``KleisliScenario`` or ``table_satisfies`` checks them.
     """
     values = tuple(h[x] for x in domain)
     if not values:
@@ -139,15 +142,8 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     # h as a family labelled by the domain: the evaluation functional of
     # lam on it is x |-> h(x)(lam)
     h_family = SemifilterFamily(domain, values)
-    carrier = h_family.carrier
-    if check:
-        for x in domain:
-            if not table_satisfies(h[x], variant):
-                raise UsageError(f"h({x!r}) is not a {variant.value} semifilter")
 
     def extend(table: SemifilterTable) -> SemifilterTable:
-        if table.domain != domain or table.carrier != carrier:
-            raise UsageError("table does not match the extension's source")
         return _variant_coreflection(kowalsky_sum(table, h_family), variant)
 
     return extend
@@ -239,21 +235,21 @@ def check_scenario(sc: KleisliScenario, t: SemifilterTable,
     units is the identity at t, extending f then applying it to the unit
     at x returns f(x) at every x, and the two ways of composing the
     extensions of f and g agree at t.  Every extension is the table path,
-    ``kleisli_extend``, unchecked: the scenario has checked its maps.
+    ``kleisli_extend``, which trusts the maps the scenario has checked.
     """
     variant = sc.variant
     units_x = monad_units(sc.x_set, sc.carrier, variant)
     failures = []
-    d_sharp = kleisli_extend(units_x, sc.x_set, variant, check=False)
+    d_sharp = kleisli_extend(units_x, sc.x_set, variant)
     if d_sharp(t) != t:
         failures.append(LawFailure("unit-extension-identity", index, _shown(t)))
-    f_sharp = kleisli_extend(sc.f, sc.x_set, variant, check=False)
+    f_sharp = kleisli_extend(sc.f, sc.x_set, variant)
     for x in sc.x_set:
         if f_sharp(units_x[x]) != sc.f[x]:
             failures.append(LawFailure("extension-after-unit", index, f"at point {x!r}"))
-    g_sharp = kleisli_extend(sc.g, sc.y_set, variant, check=False)
+    g_sharp = kleisli_extend(sc.g, sc.y_set, variant)
     gf = {x: g_sharp(sc.f[x]) for x in sc.x_set}
-    gf_sharp = kleisli_extend(gf, sc.x_set, variant, check=False)
+    gf_sharp = kleisli_extend(gf, sc.x_set, variant)
     if g_sharp(f_sharp(t)) != gf_sharp(t):
         failures.append(LawFailure("associativity", index, _shown(t)))
     return failures

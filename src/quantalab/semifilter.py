@@ -47,15 +47,21 @@ ENUM_BUDGET = 3 ** 9
 class SemifilterTable:
     """A total map from all |Q|^|X| functions to carrier values.
 
-    ``entries`` holds one carrier position per function, in canonical
-    order; the table stores them as ``index``, so the value at ``lam`` is
-    at ``index[lam.code]``.
+    ``index`` holds one carrier position per function, in canonical
+    order, so the value at ``lam`` is at ``index[lam.code]``.  The
+    constructor trusts its positions, as ``QFunction.from_index`` does:
+    the kernel builders fill them.  Positions from elsewhere go through
+    ``checked``, as ``serialize`` does.
     """
 
-    def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, entries):
+    def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, index):
+        self.domain, self.carrier, self.index = domain, carrier, tuple(index)
+
+    @classmethod
+    def checked(cls, domain: FiniteSet, carrier: FiniteQuantale,
+                entries) -> "SemifilterTable":
+        """A table from positions no builder filled: capped, then checked."""
         size = _table_size(domain, carrier)
-        self.domain = domain
-        self.carrier = carrier
         if isinstance(entries, Mapping):
             raise StructuralError("table entries must be carrier positions, "
                                   "not a mapping")
@@ -69,7 +75,7 @@ class SemifilterTable:
             i, bad = next((i, v) for i, v in enumerate(index)
                           if type(v) is not int or not 0 <= v < n)
             raise StructuralError(f"table entry {i} is {bad!r}, not a carrier position")
-        self.index = index
+        return cls(domain, carrier, index)
 
     @property
     def entries(self) -> "TableEntries":
@@ -322,16 +328,11 @@ def semifilter_of(source) -> SemifilterTable:
     the join.  Tables produced this way are conical by construction.
     """
     if isinstance(source, PrefilterBasis):
-        domain, carrier = source.domain, source.carrier
-        if not isinstance(carrier, FiniteQuantale):
-            raise UsageError("tables need a finite carrier")
-        return _induced(domain, carrier, [source.generator.index])
+        return _induced(source.domain, source.carrier, [source.generator.index])
     members = list(source)
     if not members:
         raise UsageError("an explicit generating set must be nonempty")
     domain, carrier = members[0].domain, members[0].carrier
-    if not isinstance(carrier, FiniteQuantale):
-        raise UsageError("tables need a finite carrier")
     if any(f.domain != domain or f.carrier != carrier for f in members):
         raise UsageError("QFunctions live on different domains or carriers")
     return _induced(domain, carrier,

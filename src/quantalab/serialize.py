@@ -192,8 +192,9 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
                                   f"({', '.join(map(format_fraction, fn.values))})")
         return positions[fn.code]
 
-    # the table checks its size against its cap before it reads a position
-    return SemifilterTable(domain, carrier, map(position, all_qfunctions(domain, carrier)))
+    # checked caps the size before it reads a position
+    return SemifilterTable.checked(domain, carrier,
+                                   map(position, all_qfunctions(domain, carrier)))
 
 
 def expr_to_json(e: FnExpr) -> dict:
@@ -347,6 +348,8 @@ class ScenarioSpec:
     def _label_set(self, name: str) -> FiniteSet:
         from .qfun import FiniteSet
         labels = self._sets[name]
+        if not labels and name != "Z":
+            raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
         if not isinstance(labels, FiniteSet):
             labels = self._sets[name] = FiniteSet(labels)
         return labels

@@ -305,6 +305,18 @@ def test_laws_refuses_an_empty_x_or_y_by_name(runner, tmp_path, empty, pinned):
     assert r.stderr == f"input error: {empty} is empty: the laws extend maps over X and Y\n"
 
 
+@pytest.mark.parametrize("empty", ["X", "Y"])
+def test_laws_refuses_an_empty_x_or_y_with_no_scenario_to_run(runner, tmp_path, empty):
+    sets = {"X": ["a"], "Y": ["u"], "Z": ["w"], empty: []}
+    path = write(tmp_path, "empty.json", {
+        "quantale": quantale_to_json(two_chain()), "sets": sets,
+        "seed": 1, "budgets": {"scenarios": 0}})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: {empty} is empty: the laws extend maps over X and Y\n"
+
+
 def test_laws_runs_with_an_empty_z(runner, tmp_path):
     path = write(tmp_path, "empty.json", {
         "quantale": quantale_to_json(godel3()),

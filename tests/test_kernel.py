@@ -225,13 +225,13 @@ def test_table_errors_are_unchanged():
         semifilter_from_json(entries_json({**full, (F(1, 2),): F(1, 3)}), S, q)
     with pytest.raises(StructuralError, match="^value 1/3 outside the carrier$"):
         semifilter_from_json(entries_json({**full, (F(1, 3),): F(1)}), S, q)
-    # the constructor takes positions and reports the same faults
+    # positions from outside the kernel builders report the same faults
     with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
-        SemifilterTable(S, q, [0])
+        SemifilterTable.checked(S, q, [0])
     with pytest.raises(StructuralError, match="table entry 1 is 3, not a carrier position"):
-        SemifilterTable(S, q, [0, 3, 2])
+        SemifilterTable.checked(S, q, [0, 3, 2])
     with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 4"):
-        SemifilterTable(S, q, [0, 1, 2, 2])
+        SemifilterTable.checked(S, q, [0, 1, 2, 2])
     t = semifilter_from_json(entries_json(full), S, q)
     assert t == SemifilterTable(S, q, [0, 1, 2])
     assert t.entries[(F(1, 2),)] == F(1, 2) and t.entries[(F(1),)] == F(1)
@@ -255,9 +255,10 @@ def test_a_table_is_built_from_carrier_positions_only():
     ]
     for entries, message in refused:
         with pytest.raises(StructuralError, match=re.escape(message)):
-            SemifilterTable(S, q, entries)
-    assert SemifilterTable(S, q, iter([2, 1, 0])).canonical_values() == (F(1), F(1, 2), F(0))
-    assert SemifilterTable(finite_set(), q, [2]).index == (2,)
+            SemifilterTable.checked(S, q, entries)
+    for build in (SemifilterTable, SemifilterTable.checked):
+        assert build(S, q, iter([2, 1, 0])).canonical_values() == (F(1), F(1, 2), F(0))
+        assert build(finite_set(), q, [2]).index == (2,)
 
 
 def test_sub_on_a_finite_carrier_reads_the_kernel_only(monkeypatch):

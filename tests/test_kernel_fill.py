@@ -220,7 +220,7 @@ def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
         for _ in range(4):
             h = {x: random_variant_table(rng, target, q, variant) for x in dom}
             fam = SemifilterFamily(dom, tuple(h[x] for x in dom))
-            extend = kleisli_extend(h, dom, variant, check=False)
+            extend = kleisli_extend(h, dom, variant)
             for t in [random_variant_table(rng, dom, q, variant)] + \
                     random_tables(q, dom, 2, seed=m):
                 raw = from_function(
@@ -265,7 +265,7 @@ def test_kleisli_extend_is_the_generator_product(name, variant):
             expected = {}
             for choice in itertools.product(listed(target), repeat=n):
                 h = {x: table for x, (table, _) in zip(dom, choice)}
-                extend = kleisli_extend(h, dom, variant, check=False)
+                extend = kleisli_extend(h, dom, variant)
                 for t, g_t in sources:
                     g = [floor] * m
                     for a, (_, g_h) in zip(g_t, choice):

@@ -74,15 +74,6 @@ def test_multiplication_meet_example():
     assert got == meet(members)   # coreflection is the identity on finite chains
 
 
-def test_multiplication_rejects_nonconical_member():
-    bad = from_mapping(finite_set("s"), G3,
-                       {(F(0),): F(1, 2), (F(1, 2),): F(1, 2), (F(1),): F(1)})
-    fam = SemifilterFamily.of([bad])
-    outer = from_function(fam.labels, G3, lambda xi: xi("g0"))
-    with pytest.raises(UsageError):
-        monad_multiplication(outer, fam)
-
-
 def test_variant_membership():
     e = evaluation_unit(X, G3, "x0")
     assert table_satisfies(e, Variant.PLAIN)
@@ -233,9 +224,11 @@ def test_kleisli_of_lifted_plain_map_is_image():
 
 
 def test_kleisli_rejects_wrong_variant_values():
+    # the extension trusts its map: the scenario is the gate that refuses it
     h = {x: evaluation_unit(Y, G3, "y0") for x in X}
-    with pytest.raises(UsageError):
-        kleisli_extend(h, X, Variant.BOUNDED)
+    g = monad_units(Y, G3, Variant.BOUNDED)
+    with pytest.raises(UsageError, match=r"^f\('x0'\) is not a bounded semifilter\n"):
+        KleisliScenario(X, Y, Y, h, g, G3, Variant.BOUNDED)
 
 
 def test_kleisli_matches_materialized_outer_route():
@@ -312,6 +305,39 @@ def test_scenario_refuses_a_map_value_with_its_table():
                         {"u": top}, G3, Variant.BOUNDED)
     assert str(refused.value) == ("g('u') is not a bounded semifilter\n"
                                   f"{json.dumps(semifilter_to_json(top))}")
+
+
+def test_scenario_refuses_a_map_value_on_the_wrong_space():
+    A, U, W = finite_set("a"), finite_set("u", "v"), finite_set("w")
+    f = {"a": evaluation_unit(U, G3, "u")}
+    g = {y: evaluation_unit(W, G3, "w") for y in U}
+    for wrong in (evaluation_unit(W, G3, "w"), evaluation_unit(U, mv3(), "u")):
+        with pytest.raises(UsageError) as refused:
+            KleisliScenario(A, U, W, {"a": wrong}, g, G3)
+        assert str(refused.value) == f"f('a') is not a table on {{'u', 'v'}} over {G3!r}"
+    for wrong in (f["a"], evaluation_unit(W, mv3(), "w")):
+        with pytest.raises(UsageError) as refused:
+            KleisliScenario(A, U, W, f, {**g, "v": wrong}, G3)
+        assert str(refused.value) == f"g('v') is not a table on {{'w'}} over {G3!r}"
+    KleisliScenario(A, U, W, f, g, G3)
+
+
+def test_law_maps_are_checked_once_at_the_gate(monkeypatch):
+    # one conicality test per law-map value, in KleisliScenario; the
+    # extensions and the multiplications trust the tables they are given
+    import quantalab.monad as monad
+    tested = []
+    conical = monad.is_conical_semifilter
+
+    def counting(table):
+        tested.append(table)
+        return conical(table)
+
+    monkeypatch.setattr(monad, "is_conical_semifilter", counting)
+    law = check_monad_laws(five_chain(), (2, 2, 2), 20, 1)
+    check_naturality(five_chain(), 8, 1)
+    assert law.scenarios_run == 20
+    assert len(tested) == 20 * (2 + 2)
 
 
 @pytest.mark.parametrize("sizes,empty", [((0, 2, 2), "X"), ((2, 0, 2), "Y"),

@@ -54,7 +54,7 @@ def g3_pairs_conical(g3_pairs_all):
 
 def test_table_must_be_total():
     with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
-        SemifilterTable(S, G3, [0])
+        SemifilterTable.checked(S, G3, [0])
 
 
 def test_unit_satisfies_all_axioms():
