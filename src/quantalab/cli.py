@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import BudgetError, PreconditionError, QuantalabError
 from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
-                       check_quantale_axioms, grid,
+                       check_quantale_axioms, grid, pow2_step,
                        residuum_continuity_probe, two_chain)
 from .serialize import (format_fraction, load_quantale, load_scenario,
                         parse_fraction, render_text)
@@ -150,6 +150,7 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
     """Check a quantale definition file."""
     q = load_quantale(path)
     step = parse_fraction(grid_step)
+    pow2_step(step)           # refused whatever checks run
     if not checks:
         checks = ("axioms", "adjunction", "s", "probe") if isinstance(q, TNorm) \
             else ("axioms", "adjunction")

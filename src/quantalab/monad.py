@@ -163,6 +163,13 @@ def random_qfunction(rng: random.Random, domain: FiniteSet,
     return QFunction.from_index(domain, carrier, tuple(rng.choice(pool) for _ in domain))
 
 
+def _random_basis(rng: random.Random, domain: FiniteSet,
+                  carrier: FiniteQuantale) -> PrefilterBasis:
+    """The prefilter of one or two seeded functions."""
+    return normalize_basis([random_qfunction(rng, domain, carrier)
+                            for _ in range(rng.choice((1, 2)))], domain, carrier)
+
+
 def random_variant_table(rng: random.Random, domain: FiniteSet,
                          carrier: FiniteQuantale,
                          variant: Variant = Variant.PLAIN) -> SemifilterTable:
@@ -209,17 +216,27 @@ class LawFailure(Record):
         self.law, self.scenario, self.detail = law, scenario, detail
 
 
-class LawReport:
-    __slots__ = ("scenarios_run", "checks", "failures", "incomplete")
+class SuiteReport:
+    """What a suite ran: the law scenarios and the checks, the failures (a
+    ``LawFailure`` each, or the label of a failed check), the names of the
+    checks it skipped, and whether a budget cut the law scenarios short."""
+
+    __slots__ = ("scenarios_run", "checks", "failures", "not_applicable", "incomplete")
 
     def __init__(self):
         self.scenarios_run = self.checks = 0
-        self.failures: list[LawFailure] = []
+        self.failures: list = []
+        self.not_applicable: list[str] = []
         self.incomplete = False
 
     @property
     def passed(self) -> bool:
         return not self.failures and not self.incomplete
+
+    def record(self, ok: bool, label: str):
+        self.checks += 1
+        if not ok:
+            self.failures.append(label)
 
 
 def _shown(t: SemifilterTable) -> str:
@@ -258,7 +275,7 @@ def check_scenario(sc: KleisliScenario, t: SemifilterTable,
 def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 2, 2),
                      scenarios: int = 200, seed: int = 0,
                      variant: Variant = Variant.PLAIN,
-                     budget: int | None = None) -> LawReport:
+                     budget: int | None = None) -> SuiteReport:
     """Seeded verification of the unit laws and Kleisli associativity.
 
     Scenario i and its table are drawn from ``random.Random(seed *
@@ -266,7 +283,7 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
     for replay.
     """
     to_run = scenarios
-    report = LawReport()
+    report = SuiteReport()
     if budget is not None and scenarios > budget:
         to_run = budget
         report.incomplete = True
@@ -302,27 +319,6 @@ def multiplication_prefilter_members(universe: Sequence[PrefilterBasis],
 
 
 # -- naturality --------------------------------------------------------------
-
-class SuiteReport:
-    """The checks a naturality or correspondence suite ran, the labels of
-    those that failed, and the names of the checks it skipped."""
-
-    __slots__ = ("failures", "checks", "not_applicable")
-
-    def __init__(self):
-        self.failures: list[str] = []
-        self.checks = 0
-        self.not_applicable: list[str] = []
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, ok: bool, label: str):
-        self.checks += 1
-        if not ok:
-            self.failures.append(label)
-
 
 def _saturated_prefilter_universe(
         domain: FiniteSet,
@@ -370,9 +366,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
     universe, family = _saturated_prefilter_universe(S, carrier)
     labels = family.labels
     for i in range(samples):
-        outer_basis = normalize_basis(
-            [random_qfunction(rng, labels, carrier) for _ in range(rng.choice((1, 2)))],
-            labels, carrier)
+        outer_basis = _random_basis(rng, labels, carrier)
         flattened = monad_multiplication(outer_basis, family)
         via_tables = {lam.code for lam in level_prefilter(flattened)}
         via_formula = {lam.code for lam in
@@ -399,9 +393,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
             image_semifilter(f, conical_bounded_coreflection(table)))
         rep.record(lhs == rhs, f"bounded-table-coreflection-naturality #{i}")
 
-        basis = normalize_basis(
-            [random_qfunction(rng, X, carrier) for _ in range(rng.choice((1, 2)))],
-            X, carrier)
+        basis = _random_basis(rng, X, carrier)
         plhs = bounded_coreflection(image_prefilter(f, basis))
         prhs = image_prefilter(f, bounded_coreflection(basis))
         rep.record(plhs == bounded_coreflection(prhs),
@@ -414,9 +406,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
                  for _ in range(rng.choice((1, 2)))]
         inner = list(dict.fromkeys(inner))
         fam_x = SemifilterFamily.of(inner)
-        basis = bounded_coreflection(normalize_basis(
-            [random_qfunction(rng, fam_x.labels, carrier)
-             for _ in range(rng.choice((1, 2)))], fam_x.labels, carrier))
+        basis = bounded_coreflection(_random_basis(rng, fam_x.labels, carrier))
         outer = conical_bounded_coreflection(semifilter_of(basis))
         lhs = image_semifilter(
             f, monad_multiplication(outer, fam_x, Variant.BOUNDED), bounded=True)

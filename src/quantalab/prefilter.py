@@ -53,30 +53,20 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     The constant unit is always added, so the generated upper set is a
     genuine prefilter; the empty family generates the prefilter above the
     constant unit.  The generator is the pointwise meet of the family and
-    the constant unit: it lies in the meet closure and below every member.
+    the constant unit: it lies in the meet closure and below every member,
+    and ``QFunction.meet`` refuses a member on another space.
     """
     fns = list(raw)
-    if not fns:
-        if domain is None or carrier is None:
-            raise UsageError("an empty basis needs an explicit domain and carrier")
-    else:
-        domain = fns[0].domain
-        carrier = fns[0].carrier
-        for f in fns:
-            if f.domain != domain or f.carrier != carrier:
-                raise UsageError("basis functions live on different domains or carriers")
+    if fns:
+        domain, carrier = fns[0].domain, fns[0].carrier
+    elif domain is None or carrier is None:
+        raise UsageError("an empty basis needs an explicit domain and carrier")
     generator = functools.reduce(QFunction.meet, fns, unit_constant(domain, carrier))
     return PrefilterBasis(domain, carrier, generator)
 
 
-def _same_space(pf: PrefilterBasis, lam: QFunction):
-    if lam.domain != pf.domain or lam.carrier != pf.carrier:
-        raise UsageError("function does not live on the prefilter's domain")
-
-
 def member(pf: PrefilterBasis, lam: QFunction) -> bool:
     """lam belongs to the generated prefilter iff it dominates the generator."""
-    _same_space(pf, lam)
     return pf.generator.leq(lam)
 
 
@@ -86,14 +76,12 @@ def eval_degree(pf: PrefilterBasis, lam: QFunction) -> Fraction:
     Because graded inclusion is antitone in its first argument and every
     member dominates the generator, the join is attained there.
     """
-    _same_space(pf, lam)
     return sub(pf.generator, lam)
 
 
 def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
     """Membership in the saturation: the evaluation degree reaches the unit,
     read at its carrier position."""
-    _same_space(pf, lam)
     k = pf.carrier.kernel
     return k.leq[k.unit][sub(pf.generator, lam, position=True)]
 
@@ -118,8 +106,6 @@ def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
     pushforward; membership, saturation membership and the evaluation
     degree of the result all agree with the pullback formulas.
     """
-    if f.source != pf.domain:
-        raise UsageError("map source does not match the prefilter domain")
     return normalize_basis([image(f, pf.generator)], f.target, pf.carrier)
 
 

@@ -35,13 +35,16 @@ ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/8' and Fractions to an exact Fraction."""
+    """Coerce ints, strings like '3/8' and Fractions to a Fraction; else UsageError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise UsageError(f"not an exact rational: {value!r}")
 
 
@@ -278,13 +281,18 @@ def _scaled(x: Fraction, scale: int) -> int:
 def build_ordinal_sum(blocks: Iterable[tuple]) -> TNorm:
     """Build a validated TNorm from (lo, hi, kind) triples.
 
-    Accepts kinds as BlockKind values or their string names.  Rejects
-    reversed, zero-width or overlapping blocks.
+    Accepts kinds as BlockKind values or their string names.  Rejects any
+    other kind, and reversed, zero-width or overlapping blocks.
     """
     parsed = []
     for lo, hi, kind in blocks:
-        if isinstance(kind, str):
-            kind = BlockKind(kind.lower())
+        if not isinstance(kind, BlockKind):
+            try:
+                kind = BlockKind(kind.lower())
+            except (AttributeError, ValueError):
+                names = ", ".join(k.value for k in BlockKind)
+                raise UsageError(f"block kind must be one of {names}, "
+                                 f"got {kind!r}") from None
         parsed.append(Block(as_fraction(lo), as_fraction(hi), kind))
     parsed.sort(key=lambda b: b.lo)
     return TNorm(tuple(parsed))
@@ -334,7 +342,8 @@ def positive_residuum_zero_sup(t: TNorm) -> Fraction:
     return ZERO
 
 
-def _pow2_step(step: Fraction) -> int:
+def pow2_step(step: Fraction) -> int:
+    """The n of a grid step 1/n, refused unless n is a power of two."""
     n = step.denominator
     if step.numerator != 1 or n & (n - 1):
         raise UsageError(f"grid step must be 1/2^n, got {step}")
@@ -343,7 +352,7 @@ def _pow2_step(step: Fraction) -> int:
 
 def grid(step: Fraction) -> list[Fraction]:
     """The rational grid {0, step, 2*step, ..., 1}."""
-    n = _pow2_step(step)
+    n = pow2_step(step)
     return [Fraction(k, n) for k in range(n + 1)]
 
 
@@ -440,10 +449,6 @@ class FiniteQuantale:
         tensor_ix = self._read_table(tensor, "tensor")
         join_ix = self._read_table(join, "join") if join is not None else None
         meet_ix = self._read_table(meet, "meet") if meet is not None else None
-        # the tables as given, as rows of elements (None: the chain order)
-        self._tensor = self._rows(tensor_ix)
-        self._join = self._rows(join_ix)
-        self._meet = self._rows(meet_ix)
         self.kernel = self._build_kernel(tensor_ix, join_ix, meet_ix)
         self._identity = (self.elements, self.kernel,
                           join_ix is None, meet_ix is None)
@@ -473,11 +478,6 @@ class FiniteQuantale:
                     raise StructuralError(f"{name}({x}, {y}) = {out[(x, y)]} outside carrier")
         return tuple(tuple(self.position[out[(x, y)]] for y in self.elements)
                      for x in self.elements)
-
-    def _rows(self, table):
-        if table is None:
-            return None
-        return tuple(tuple(self.elements[k] for k in row) for row in table)
 
     def _build_kernel(self, tensor, join, meet) -> FiniteKernel:
         span = range(len(self.elements))

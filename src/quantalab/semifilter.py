@@ -44,7 +44,7 @@ TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
 
 
-class SemifilterTable:
+class SemifilterTable(Record):
     """A total map from all |Q|^|X| functions to carrier values.
 
     ``index`` holds one carrier position per function, in canonical
@@ -53,6 +53,8 @@ class SemifilterTable:
     the kernel builders fill them.  Positions from elsewhere go through
     ``checked``, as ``serialize`` does.
     """
+
+    __slots__ = ("domain", "carrier", "index")
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, index):
         self.domain, self.carrier, self.index = domain, carrier, tuple(index)
@@ -78,8 +80,11 @@ class SemifilterTable:
         return cls(domain, carrier, index)
 
     @property
-    def entries(self) -> "TableEntries":
-        return TableEntries(self)
+    def entries(self) -> dict:
+        """Value tuples, in canonical order, to values: a new dict at each
+        read, so bind it once."""
+        tuples = itertools.product(self.carrier.elements, repeat=len(self.domain))
+        return dict(zip(tuples, self.canonical_values()))
 
     def __call__(self, lam: QFunction) -> Fraction:
         if lam.domain != self.domain or lam.carrier != self.carrier:
@@ -116,15 +121,6 @@ class SemifilterTable:
         if self.domain != other.domain or self.carrier != other.carrier:
             raise UsageError("tables live on different spaces")
 
-    def __eq__(self, other):
-        return (isinstance(other, SemifilterTable)
-                and self.domain == other.domain
-                and self.carrier == other.carrier
-                and self.index == other.index)
-
-    def __hash__(self):
-        return hash((self.domain, self.index))
-
     def __repr__(self):
         return f"SemifilterTable({len(self.domain)} points, {len(self.index)} entries)"
 
@@ -138,29 +134,6 @@ def _table_size(domain: FiniteSet, carrier) -> int:
         raise BudgetError(f"table would need {size} entries (cap {TABLE_CAP})",
                           count=size)
     return size
-
-
-class TableEntries(Mapping):
-    """A read-only view of a table: value tuples, in canonical order, to
-    values."""
-
-    def __init__(self, table: SemifilterTable):
-        self._table = table
-
-    def __getitem__(self, values) -> Fraction:
-        t = self._table
-        try:
-            lam = QFunction(t.domain, tuple(values), t.carrier)
-        except (UsageError, TypeError):
-            raise KeyError(values) from None
-        return t(lam)
-
-    def __iter__(self):
-        t = self._table
-        return itertools.product(t.carrier.elements, repeat=len(t.domain))
-
-    def __len__(self):
-        return len(self._table.index)
 
 
 class AxiomViolation(Record):
@@ -310,10 +283,8 @@ def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
     This is the saturated prefilter attached to the table; it is finite here
     because the whole function space is.
     """
-    k = table.carrier.kernel
-    above_unit = k.leq[k.unit]
-    return tuple(f for f, v in zip(table.functions(), table.index)
-                 if above_unit[v])
+    return tuple(QFunction.from_index(table.domain, table.carrier, row)
+                 for row in _level_rows(table))
 
 
 def semifilter_of(source) -> SemifilterTable:
@@ -496,26 +467,20 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
     k_idx = unit_constant(domain, q).code
     pairs = [(f.code, g.code, sub(f, g, position=True), f.meet(g).code)
              for f in funcs for g in funcs]
-    const_idx = [(QFunction.from_index(domain, q, (i,) * len(domain)).code, i)
-                 for i in range(len(q.elements))]
     above_unit = leq[kernel.unit]
 
     out: list[SemifilterTable] = []
     for vals in itertools.product(range(len(q.elements)), repeat=len(funcs)):
         if not above_unit[vals[k_idx]]:
             continue
-        ok = True
         for i, j, s, mij in pairs:
             vi, vj = vals[i], vals[j]
             if not leq[meet[vi][vj]][vals[mij]] or not leq[s][res[vi][vj]]:
-                ok = False
                 break
-        if not ok:
-            continue
-        if require == "filter":
-            if not all(leq[vals[ci]][p] for ci, p in const_idx):
-                continue
-        out.append(SemifilterTable(domain, q, vals))
+        else:
+            t = SemifilterTable(domain, q, vals)
+            if require == "all" or not t.f4_failures():
+                out.append(t)
     return out
 
 

@@ -47,20 +47,23 @@ def quantale_to_json(q) -> dict:
                             "hi": format_fraction(b.hi),
                             "kind": b.kind.value} for b in q.blocks]}
     if isinstance(q, FiniteQuantale):
-        out = {"type": "finite",
-               "carrier": [format_fraction(e) for e in q.elements],
-               "tensor": _format_rows(q._tensor),
+        names = [format_fraction(e) for e in q.elements]
+        k = q.kernel
+        out = {"type": "finite", "carrier": names,
+               "tensor": _format_rows(k.tensor, names),
                "unit": format_fraction(q.unit)}
-        if q._join is not None:
-            out["join"] = _format_rows(q._join)
-        if q._meet is not None:
-            out["meet"] = _format_rows(q._meet)
+        # join and meet as they were given: without them, the chain order
+        _, _, chain_join, chain_meet = q._identity
+        if not chain_join:
+            out["join"] = _format_rows(k.join, names)
+        if not chain_meet:
+            out["meet"] = _format_rows(k.meet, names)
         return out
     raise StructuralError(f"not a quantale: {q!r}")
 
 
-def _format_rows(rows) -> list[list[str]]:
-    return [[format_fraction(v) for v in row] for row in rows]
+def _format_rows(rows, names: list[str]) -> list[list[str]]:
+    return [[names[i] for i in row] for row in rows]
 
 
 def quantale_from_json(obj: dict):

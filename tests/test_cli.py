@@ -120,6 +120,23 @@ def test_quantale_interval_checks_refuse_a_finite_definition(runner, tmp_path,
                         f"and {path} defines a finite quantale\n")
 
 
+@pytest.mark.parametrize("definition,checks", [
+    ("finite", []), ("block", ["s"]), ("godel", ["axioms"]),
+    ("godel", ["adjunction"]), ("godel", ["probe"]),
+], ids=["finite-defaults", "tnorm-s", "tnorm-axioms", "tnorm-adjunction", "tnorm-probe"])
+def test_quantale_refuses_a_bad_grid_step_whatever_checks_run(
+        runner, tmp_path, godel_path, block_path, definition, checks):
+    paths = {"finite": write(tmp_path, "two.json", quantale_to_json(two_chain())),
+             "godel": godel_path, "block": block_path}
+    argv = ["quantale", "--quantale", paths[definition], "--grid-step", "1/3"]
+    for c in checks:
+        argv += ["--check", c]
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == "input error: grid step must be 1/2^n, got 1/3\n"
+
+
 def test_quantale_default_checks_on_a_finite_definition(runner, tmp_path):
     path = write(tmp_path, "two.json", quantale_to_json(two_chain()))
     r = runner.invoke(main, ["quantale", "--quantale", path, "--format", "structured"])

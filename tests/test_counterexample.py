@@ -428,6 +428,14 @@ def test_depth_monotonicity_never_weakens_verdict():
     assert shallow.step2_bound == deep.step2_bound == P
 
 
+@pytest.mark.parametrize("t_par,s_par,epsilon,bad", [
+    ("a", F(3, 8), F(1, 8), "a"), (F(3, 8), "1/0", F(1, 8), "1/0"),
+    (F(3, 8), F(3, 8), "eps", "eps")])
+def test_malformed_parameters_are_usage_errors(t_par, s_par, epsilon, bad):
+    with pytest.raises(UsageError, match=f"not an exact rational: '{bad}'"):
+        run_counterexample(BLOCK, t_par, s_par, depth=50, epsilon=epsilon)
+
+
 def test_preconditions():
     with pytest.raises(PreconditionError):
         run_counterexample(BLOCK, F(3, 8), F(1, 4))       # boundary point

@@ -14,7 +14,8 @@ import pytest
 import quantalab.qfun as qfun
 from quantalab.errors import StructuralError, UsageError
 from quantalab.qfun import QFunction, all_qfunctions, finite_set, sub
-from quantalab.quantale import FiniteQuantale, five_chain, godel3, mv3, two_chain
+from quantalab.quantale import (FiniteQuantale, build_ordinal_sum, five_chain, godel3,
+                                godel_tnorm, lukasiewicz_tnorm, mv3, two_chain)
 from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
                                   evaluation_unit, residuate)
 from quantalab.serialize import format_fraction, semifilter_from_json
@@ -35,16 +36,19 @@ def diamond():
     return FiniteQuantale(es, meet, i, join=join, meet=meet), join, meet
 
 
-def chain_oracle(q):
-    tensor = {(x, y): q._tensor[i][j]
-              for i, x in enumerate(q.elements) for j, y in enumerate(q.elements)}
+def chain_oracle(q, t):
+    """The tables of a chain restricted from the t-norm ``t``."""
+    tensor = {(x, y): t.tensor(x, y) for x in q.elements for y in q.elements}
     join = {(x, y): max(x, y) for x in q.elements for y in q.elements}
     meet = {(x, y): min(x, y) for x in q.elements for y in q.elements}
     return tensor, join, meet
 
 
 def carriers():
-    out = [(q, *chain_oracle(q)) for q in (two_chain(), godel3(), mv3(), five_chain())]
+    five = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
+    out = [(q, *chain_oracle(q, t))
+           for q, t in ((two_chain(), godel_tnorm()), (godel3(), godel_tnorm()),
+                        (mv3(), lukasiewicz_tnorm()), (five_chain(), five))]
     q, join, meet = diamond()
     out.append((q, meet, join, meet))
     # not a quantale: 1 (x) z = 0 for z < 1, so {z : 1 (x) z <= 0} is
@@ -106,9 +110,10 @@ def test_carrier_identity_follows_the_tables():
     q = godel3()
     es = q.elements
     rows = [[max(x, y) for y in es] for x in es]
-    explicit = FiniteQuantale(es, q._tensor, q.unit, join=rows)
+    tensor = [[min(x, y) for y in es] for x in es]
+    explicit = FiniteQuantale(es, tensor, q.unit, join=rows)
     assert explicit.kernel == q.kernel and explicit != q
-    assert FiniteQuantale(es, q._tensor, q.unit, join=rows) == explicit
+    assert FiniteQuantale(es, tensor, q.unit, join=rows) == explicit
 
 
 @pytest.mark.parametrize("q", [two_chain(), godel3(), mv3(), five_chain()],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quantalab.counterexample import (Column, Const, Join, Ramp, Res, _node,
                                       _residuate)
 from quantalab.errors import ConstructionError, StructuralError, UsageError
-from quantalab.quantale import (Block, BlockKind, FiniteQuantale,
+from quantalab.quantale import (Block, BlockKind, FiniteQuantale, as_fraction,
                                 build_ordinal_sum, check_condition_s,
                                 check_quantale_axioms, finite_restriction,
                                 five_chain, godel3, godel_tnorm, grid,
@@ -47,6 +47,31 @@ def test_reversed_block_rejected():
 def test_overlapping_blocks_rejected():
     with pytest.raises(ConstructionError):
         build_ordinal_sum([(0, F(1, 2), "product"), (F(1, 4), 1, "product")])
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3", 0.5, None])
+def test_malformed_rationals_are_usage_errors_naming_the_value(value):
+    with pytest.raises(UsageError, match=re.escape(f"not an exact rational: {value!r}")):
+        as_fraction(value)
+
+
+def test_a_finite_carrier_with_a_malformed_element_is_refused():
+    with pytest.raises(UsageError, match="not an exact rational: 'x'"):
+        FiniteQuantale(["0", "x"], [[0, 0], [0, 1]], 1)
+    with pytest.raises(UsageError, match="not an exact rational: '1/0'"):
+        FiniteQuantale([0, 1], {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): "1/0"}, 1)
+
+
+@pytest.mark.parametrize("kind", ["luk", "", 3, None])
+def test_a_bad_block_kind_names_the_valid_kinds(kind):
+    with pytest.raises(UsageError, match=re.escape(
+            f"block kind must be one of lukasiewicz, product, got {kind!r}")):
+        build_ordinal_sum([("1/4", "1/2", kind)])
+
+
+def test_a_malformed_block_endpoint_is_a_usage_error():
+    with pytest.raises(UsageError, match="not an exact rational: '1/x'"):
+        build_ordinal_sum([("1/x", "1/2", "product")])
 
 
 def test_empty_sum_is_minimum():
@@ -358,9 +383,10 @@ def test_lattice_law_violations_are_reported_first():
 def test_explicit_meet_table_is_checked():
     q = square_lattice()
     o, a, b, i = q.elements
-    meet = {(x, y): q.meet(x, y) for x in q.elements for y in q.elements}
+    tensor, join, meet = ({(x, y): op(x, y) for x in q.elements for y in q.elements}
+                          for op in (q.tensor, q.join, q.meet))
     meet[(a, b)] = a                      # no longer commutative or a glb
-    bad = FiniteQuantale(q.elements, q._tensor, i, join=q._join, meet=meet)
+    bad = FiniteQuantale(q.elements, tensor, i, join=join, meet=meet)
     laws = {v.law for v in check_quantale_axioms(bad)}
     assert {"meet-commutativity", "join-meet-agreement"} <= laws
 

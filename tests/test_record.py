@@ -15,7 +15,7 @@ from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction
 from quantalab.quantale import (Block, BlockKind, FiniteKernel, Record, Violation,
                                 build_ordinal_sum, two_chain)
-from quantalab.semifilter import AxiomViolation
+from quantalab.semifilter import AxiomViolation, SemifilterTable, evaluation_unit
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 
@@ -29,6 +29,7 @@ EXAMPLES = {
     PrefilterBasis: lambda: normalize_basis(
         [QFunction(FiniteSet(("a", "b")), (F(0), F(1)), two_chain())]),
     AxiomViolation: lambda: AxiomViolation("F1", ("a",)),
+    SemifilterTable: lambda: evaluation_unit(FiniteSet(("a", "b")), two_chain(), "b"),
     LawFailure: lambda: LawFailure("associativity", 3, "table (0, 1)"),
     Ramp: lambda: Ramp(F(1, 4)),
     TailIndicator: lambda: TailIndicator(3),
@@ -117,6 +118,7 @@ def test_reprs_keep_their_shapes():
                                             "detail='table (0, 1)')")
     assert repr(EXAMPLES[FiniteSet]()) == "{'a', 1}"
     assert repr(EXAMPLES[PrefilterBasis]()) == "PrefilterBasis(QFunction({'a': 0, 'b': 1}))"
+    assert repr(EXAMPLES[SemifilterTable]()) == "SemifilterTable(2 points, 4 entries)"
 
 
 def test_a_record_class_names_its_fields():

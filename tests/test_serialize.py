@@ -8,8 +8,8 @@ from quantalab.errors import StructuralError
 from quantalab.monad import Variant
 from quantalab.prefilter import normalize_basis
 from quantalab.qfun import QFunction, finite_set
-from quantalab.quantale import (build_ordinal_sum, five_chain, godel3,
-                                godel_tnorm)
+from quantalab.quantale import (FiniteQuantale, build_ordinal_sum, five_chain,
+                                godel3, godel_tnorm)
 from quantalab.semifilter import semifilter_of
 from quantalab.serialize import (ScenarioSpec, expr_from_json, expr_to_json,
                                  format_fraction, parse_fraction,
@@ -17,6 +17,8 @@ from quantalab.serialize import (ScenarioSpec, expr_from_json, expr_to_json,
                                  quantale_from_json, quantale_to_json,
                                  render_text, semifilter_from_json,
                                  semifilter_to_json)
+
+from test_quantale import square_lattice
 
 
 def test_fraction_round_trip():
@@ -44,6 +46,26 @@ def test_finite_quantale_round_trip():
     for q in (godel3(), five_chain()):
         again = quantale_from_json(quantale_to_json(q))
         assert again == q
+
+
+def test_explicit_join_and_meet_tables_round_trip():
+    square = square_lattice()
+    obj = quantale_to_json(square)
+    assert list(obj) == ["type", "carrier", "tensor", "unit", "join", "meet"]
+    # 1/3 and 2/3 are incomparable: their join is 1 and their meet 0
+    assert obj["join"][1][2] == "1/1" and obj["meet"][1][2] == "0/1"
+    again = quantale_from_json(obj)
+    assert again == square and again.kernel == square.kernel
+    # godel3 with its chain order given as a join table stays apart from godel3
+    q = godel3()
+    es = q.elements
+    explicit = FiniteQuantale(es, [[min(x, y) for y in es] for x in es], q.unit,
+                              join=[[max(x, y) for y in es] for x in es])
+    obj = quantale_to_json(explicit)
+    assert "join" in obj and "meet" not in obj
+    assert "join" not in quantale_to_json(q)
+    again = quantale_from_json(obj)
+    assert again == explicit and again.kernel == q.kernel and again != q
 
 
 def test_quantale_json_is_bit_exact_strings():
