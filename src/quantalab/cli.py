@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BudgetError, PreconditionError, QuantalabError
@@ -92,19 +91,6 @@ def _option(*flags, **kwargs):
     return flags, kwargs
 
 
-def _existing_path(value: str) -> str:
-    if not Path(value).exists():
-        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
-    return value
-
-
-def _fraction(value: str) -> Fraction:
-    try:
-        return parse_fraction(value)
-    except QuantalabError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
 def _count(value: str) -> int:
     try:
         n = int(value)
@@ -138,8 +124,7 @@ main = Group("Exact checks for quantale-valued filter structures and their monad
 
 @main.command(
     "quantale",
-    _option("--quantale", dest="path", required=True, type=_existing_path,
-            metavar="FILE"),
+    _option("--quantale", dest="path", required=True, metavar="FILE"),
     _option("--check", dest="checks", action="append",
             choices=["axioms", "adjunction", "s", "probe"],
             help="A check to run, repeatable; defaults to every applicable one. "
@@ -238,8 +223,7 @@ def _adjunction_witness(q, step):
 
 @main.command(
     "laws",
-    _option("--scenario", dest="path", required=True, type=_existing_path,
-            metavar="FILE"),
+    _option("--scenario", dest="path", required=True, metavar="FILE"),
     _option("--seed", default=None, type=int, help="Overrides the file's seed."),
     _option("--budget", default=None, type=_count,
             help="Cap on the number of law scenarios actually run."),
@@ -299,18 +283,16 @@ def cmd_laws(path, seed, budget, out, fmt):
 
 @main.command(
     "counterexample",
-    _option("--quantale", dest="path", default=None, type=_existing_path,
-            metavar="FILE"),
-    _option("--scenario", dest="scenario_path", default=None, type=_existing_path,
-            metavar="FILE",
+    _option("--quantale", dest="path", default=None, metavar="FILE"),
+    _option("--scenario", dest="scenario_path", default=None, metavar="FILE",
             help="Scenario file supplying the quantale, variant and an "
                  "optional witness catalog; flags take precedence."),
-    _option("--t", dest="t_par", required=True, type=_fraction, metavar="P"),
-    _option("--s", dest="s_par", required=True, type=_fraction, metavar="P"),
+    _option("--t", dest="t_par", required=True, metavar="P"),
+    _option("--s", dest="s_par", required=True, metavar="P"),
     _option("--truncation", default=1000, type=int, help="Default: 1000."),
     _option("--variant", default=None, choices=[v.value for v in Variant],
             help="Defaults to the scenario's variant, else plain."),
-    _option("--epsilon", default="1/8", type=_fraction, help="Default: 1/8."),
+    _option("--epsilon", default="1/8", help="Default: 1/8."),
     _OUT, _FORMAT)
 def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
                        epsilon, out, fmt):

@@ -35,10 +35,11 @@ ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/8' and Fractions to a Fraction; else UsageError."""
+    """Coerce ints, strings like '3/8' and Fractions to a Fraction; anything
+    else, a bool (a JSON true or false) too, is a UsageError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -285,13 +286,13 @@ def build_ordinal_sum(blocks: Iterable[tuple]) -> TNorm:
     other kind, and reversed, zero-width or overlapping blocks.
     """
     parsed = []
-    for lo, hi, kind in blocks:
+    for i, (lo, hi, kind) in enumerate(blocks):
         if not isinstance(kind, BlockKind):
             try:
                 kind = BlockKind(kind.lower())
             except (AttributeError, ValueError):
                 names = ", ".join(k.value for k in BlockKind)
-                raise UsageError(f"block kind must be one of {names}, "
+                raise UsageError(f"blocks[{i}].kind must be one of {names}, "
                                  f"got {kind!r}") from None
         parsed.append(Block(as_fraction(lo), as_fraction(hi), kind))
     parsed.sort(key=lambda b: b.lo)

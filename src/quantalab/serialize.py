@@ -2,8 +2,9 @@
 
 Rationals travel as "num/den" strings so that files round-trip exactly.
 Table entries are emitted in the canonical lexicographic order of the
-function space; parsers are strict and raise StructuralError on malformed
-input so the CLI can map it to the input-error exit code.  The function,
+function space.  Parsers check the JSON shape and refuse unknown fields
+with StructuralError; the library objects they build coerce each value,
+so the CLI maps either refusal to the input-error exit code.  The function,
 table and expression layers are imported by the functions that build their
 objects, so reading a t-norm definition loads only ``quantale``.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import QuantalabError, StructuralError, UsageError
-from .quantale import (BlockKind, FiniteQuantale, TNorm, Variant,
+from .quantale import (FiniteQuantale, TNorm, Variant, as_fraction,
                        build_ordinal_sum)
 
 if TYPE_CHECKING:
@@ -30,14 +31,11 @@ def format_fraction(v: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise StructuralError(f"expected a rational string, got {s!r}")
+    """``as_fraction`` raising StructuralError, which a pinned map's reader locates."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise StructuralError(f"malformed rational {s!r}: {e}") from None
+        return as_fraction(s)
+    except UsageError as e:
+        raise StructuralError(str(e)) from None
 
 
 def quantale_to_json(q) -> dict:
@@ -71,22 +69,21 @@ def quantale_from_json(obj: dict):
         raise StructuralError("quantale definition needs a 'type' field")
     if obj["type"] == "tnorm":
         blocks = _expect(obj.get("blocks", []), list, "blocks")
+        _known(obj, "quantale definition", ("type", "blocks"))
         return build_ordinal_sum(_block_from_json(b, f"blocks[{i}]")
                                  for i, b in enumerate(blocks))
     if obj["type"] == "finite":
+        # FiniteQuantale reads each element, entry and the unit
         try:
-            carrier = [parse_fraction(e)
-                       for e in _expect(obj["carrier"], list, "carrier")]
-            tensor = _fraction_table(obj["tensor"], "tensor")
-            unit = parse_fraction(obj["unit"])
+            carrier = _expect(obj["carrier"], list, "carrier")
+            tensor = _rows(obj["tensor"], "tensor")
+            unit = obj["unit"]
         except KeyError as e:
             raise StructuralError(f"finite quantale definition missing {e}") from None
-        join = obj.get("join")
-        meet = obj.get("meet")
-        if join is not None:
-            join = _fraction_table(join, "join")
-        if meet is not None:
-            meet = _fraction_table(meet, "meet")
+        join, meet = (None if obj.get(name) is None else _rows(obj[name], name)
+                      for name in ("join", "meet"))
+        _known(obj, "quantale definition",
+               ("type", "carrier", "tensor", "unit", "join", "meet"))
         return FiniteQuantale(carrier, tensor, unit, join=join, meet=meet)
     raise StructuralError(f"unknown quantale type {obj['type']!r}")
 
@@ -99,20 +96,24 @@ def _expect(value, kind: type, name: str):
     return value
 
 
-def _fraction_table(rows, name: str) -> list[list[Fraction]]:
-    return [[parse_fraction(v) for v in _expect(row, list, f"{name}[{i}]")]
-            for i, row in enumerate(_expect(rows, list, name))]
+def _known(obj: dict, where: str, names) -> None:
+    """Refuse a field of obj that its reader does not read."""
+    for name in obj:
+        if name not in names:
+            raise StructuralError(f"{where} has an unknown field {name!r}")
+
+
+def _rows(rows, name: str) -> list:
+    """The rows of a table, if it is a list of lists; the entries are not read."""
+    return [_expect(row, list, f"{name}[{i}]") for i, row in enumerate(_expect(rows, list, name))]
 
 
 def _block_from_json(obj, where: str) -> tuple:
     """One t-norm block as a (lo, hi, kind) triple for ``build_ordinal_sum``."""
-    kind = _field(_expect(obj, dict, where), where, "kind")
-    names = [k.value for k in BlockKind]
-    if not isinstance(kind, str) or kind.lower() not in names:
-        raise StructuralError(
-            f"{where}.kind must be one of {', '.join(names)}, got {kind!r}")
-    return (parse_fraction(_field(obj, where, "lo")),
-            parse_fraction(_field(obj, where, "hi")), kind)
+    _expect(obj, dict, where)
+    block = tuple(_field(obj, where, name) for name in ("lo", "hi", "kind"))
+    _known(obj, where, ("lo", "hi", "kind"))
+    return block
 
 
 def qfunction_to_json(f: QFunction) -> dict:
@@ -126,6 +127,7 @@ def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
     if isinstance(obj, dict):
         _check_domain(obj, domain, "function")
         values = _field(obj, "a function", "values")
+        _known(obj, "a function", ("domain", "values"))
     else:
         values = obj
     values = _expect(values, list, "function values")
@@ -168,9 +170,13 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
         except QuantalabError as e:
             raise StructuralError(f"table carrier: {e}") from None
         if declared_carrier != carrier:
-            raise StructuralError(
-                f"table carrier {declared_carrier!r} does not match {carrier!r}")
+            # the reprs show the elements and the unit only
+            ours, theirs = quantale_to_json(declared_carrier), quantale_to_json(carrier)
+            field = next(k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k))
+            raise StructuralError(f"table carrier {declared_carrier!r} does not match "
+                                  f"{carrier!r}: they differ in {field!r}")
     raw = _expect(_field(obj, "a table", "entries"), list, "entries")
+    _known(obj, "a table", ("domain", "carrier", "entries"))
     positions = {}
     first = {}
     for i, item in enumerate(raw):
@@ -243,24 +249,25 @@ def expr_from_json(obj: dict) -> FnExpr:
     kind = obj.get("kind")
     owner = f"a {kind} expression"
     if kind == "ramp":
-        return Ramp(_unit_fraction(obj, kind, "scale"))
-    if kind == "indicator":
+        e = Ramp(_unit_fraction(obj, kind, "scale"))
+    elif kind == "indicator":
         start = _integer(_field(obj, owner, "start"), "indicator.start")
         if start < 1:
             raise StructuralError(f"indicator.start must be at least 1, got {start}")
-        return TailIndicator(start)
-    if kind == "const":
-        return Const(_unit_fraction(obj, kind, "value"))
-    if kind == "join":
-        return Join(expr_from_json(_field(obj, owner, "left")),
-                    expr_from_json(_field(obj, owner, "right")))
-    if kind == "meet":
-        return Meet(expr_from_json(_field(obj, owner, "left")),
-                    expr_from_json(_field(obj, owner, "right")))
-    if kind == "res":
-        return Res(_unit_fraction(obj, kind, "const"),
-                   expr_from_json(_field(obj, owner, "child")))
-    raise StructuralError(f"unknown expression kind {kind!r}")
+        e = TailIndicator(start)
+    elif kind == "const":
+        e = Const(_unit_fraction(obj, kind, "value"))
+    elif kind in ("join", "meet"):
+        e = (Join if kind == "join" else Meet)(expr_from_json(_field(obj, owner, "left")),
+                                               expr_from_json(_field(obj, owner, "right")))
+    elif kind == "res":
+        e = Res(_unit_fraction(obj, kind, "const"),
+                expr_from_json(_field(obj, owner, "child")))
+    else:
+        raise StructuralError(f"unknown expression kind {kind!r}")
+    # each field is named as the expression's own
+    _known(obj, owner, ("kind", *e.__slots__))
+    return e
 
 
 def _integer(value, name: str) -> int:
@@ -307,6 +314,7 @@ class ScenarioSpec:
             raise StructuralError(
                 f"variant must be one of {names}, got {variant!r}") from None
         sets = _expect(obj.get("sets", {}), dict, "sets")
+        _known(sets, "sets", ("X", "Y", "Z"))
 
         def checked_labels(name: str, default: list) -> tuple:
             labels = _expect(sets.get(name, default), list, f"sets.{name}")
@@ -339,6 +347,7 @@ class ScenarioSpec:
         self.scenarios = _count(budgets.get("scenarios", 200), "budgets.scenarios")
         budget = budgets.get("budget")
         self.budget = None if budget is None else _count(budget, "budgets.budget")
+        _known(budgets, "budgets", ("scenarios", "budget"))
         self.maps = obj.get("maps")
         wc = obj.get("witness_catalog")
         self.witness_catalog = None
@@ -347,6 +356,8 @@ class ScenarioSpec:
                 raise StructuralError("witness_catalog must not be empty; "
                                       "leave it out for the default catalog")
             self.witness_catalog = [expr_from_json(e) for e in wc]
+        _known(obj, "scenario", ("quantale", "variant", "sets", "seed", "budgets",
+                                 "maps", "witness_catalog"))
 
     def _label_set(self, name: str) -> FiniteSet:
         from .qfun import FiniteSet
@@ -370,19 +381,21 @@ class ScenarioSpec:
         if self.maps is None:
             return None
         _expect(self.maps, dict, "maps")
+        for name in ("f", "g"):
+            if self.maps.get(name) is None:
+                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
+        _known(self.maps, "maps", ("f", "g"))
         out = {}
         for name, (src, dst) in (("f", (self.x_set, self.y_set)),
                                  ("g", (self.y_set, self.z_set))):
-            raw = self.maps.get(name)
-            if raw is None:
-                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
-            _expect(raw, dict, f"map {name}")
+            raw = _expect(self.maps[name], dict, f"map {name}")
             decoded = {}
             for x in src:
                 key = str(x)
                 if key not in raw:
                     raise StructuralError(f"map {name} missing value at {key!r}")
                 decoded[x] = self._decode_table(raw[key], dst, f"map {name} at {key!r}")
+            _known(raw, f"map {name}", [str(x) for x in src])
             out[name] = decoded
         return out
 
@@ -394,6 +407,7 @@ class ScenarioSpec:
             if "entries" in obj:
                 return semifilter_from_json(obj, domain, self.carrier)
             if "basis" in obj:
+                _known(obj, "a table", ("basis",))
                 fns = [qfunction_from_json(b, domain, self.carrier)
                        for b in _expect(obj["basis"], list, "basis")]
                 return semifilter_of(normalize_basis(fns, domain, self.carrier))

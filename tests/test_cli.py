@@ -12,7 +12,7 @@ import pytest
 import quantalab
 from quantalab.cli import main
 from quantalab.qfun import QFunction, finite_set
-from quantalab.quantale import godel3, two_chain
+from quantalab.quantale import godel3, mv3, two_chain
 from quantalab.semifilter import SemifilterTable, evaluation_unit, semifilter_of
 from quantalab.serialize import quantale_to_json, semifilter_to_json
 
@@ -492,6 +492,18 @@ def test_counterexample_from_scenario_with_witness_catalog(runner, tmp_path):
     assert report["verdict"] == "VIOLATION"
 
 
+def test_counterexample_witness_catalog_is_capped(runner, tmp_path):
+    consts = [{"kind": "const", "value": f"{k}/300"} for k in range(300)]
+    path = _catalog_scenario(tmp_path, [{"kind": "ramp", "scale": "1/4"}, *consts])
+    r = runner.invoke(main, ["counterexample", "--scenario", path,
+                             "--t", "3/8", "--s", "3/8", "--truncation", "20",
+                             "--format", "structured"])
+    assert r.exit_code == 0, r.output
+    report = json.loads(r.output)
+    assert report["catalog_size"] == 240
+    assert report["step1_witness"] == "w0"
+
+
 def _catalog_scenario(tmp_path, catalog):
     return write(tmp_path, "cx.json", {
         "quantale": {"type": "tnorm",
@@ -635,6 +647,126 @@ def test_laws_pinned_map_input_error_names_the_map(runner, tmp_path, value, mess
     assert r.stderr == f"input error: {message}\n"
 
 
+GODEL3 = quantale_to_json(godel3())
+BLOCK = {"lo": "1/4", "hi": "1/2", "kind": "lukasiewicz"}
+CONST = {"kind": "const", "value": "1/8"}
+
+
+def _input_error(runner, tmp_path, command, obj):
+    """Run ``command`` on obj written as its definition or scenario file."""
+    path = write(tmp_path, "in.json", obj)
+    if command == "quantale":
+        r = runner.invoke(main, ["quantale", "--quantale", path, "--check", "axioms"])
+    elif command == "laws":
+        r = runner.invoke(main, ["laws", "--scenario", path])
+    else:
+        r = runner.invoke(main, ["counterexample", "--scenario", path,
+                                 "--t", "3/8", "--s", "3/8", "--truncation", "20"])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    return r.stderr
+
+
+def _godel3_pinned(f_value=GODEL3_TABLE, **fields):
+    """A godel3 laws scenario pinning f('a') to ``f_value``, with ``fields``
+    added or replacing its own."""
+    return {"quantale": GODEL3, "sets": {"X": ["a"], "Y": ["u"], "Z": ["w"]},
+            "maps": {"f": {"a": f_value}, "g": {"u": GODEL3_TABLE}}, **fields}
+
+
+def _cx_scenario(*catalog, **fields):
+    return {"quantale": {"type": "tnorm", "blocks": [BLOCK]},
+            "witness_catalog": [{"kind": "ramp", "scale": "1/4"}, *catalog], **fields}
+
+
+@pytest.mark.parametrize("command,obj,message", [
+    # a misspelled blocks used to classify the minimum t-norm: exit 0
+    ("quantale", {"type": "tnorm", "block": [BLOCK]},
+     "quantale definition has an unknown field 'block'"),
+    ("quantale", {**GODEL3, "units": "1/1"}, "quantale definition has an unknown field 'units'"),
+    ("quantale", {"type": "tnorm", "blocks": [{**BLOCK, "high": "1/2"}]},
+     "blocks[0] has an unknown field 'high'"),
+    # a misspelled seed used to run seed 0
+    ("laws", {**_godel3_pinned(), "seeds": 5}, "scenario has an unknown field 'seeds'"),
+    ("laws", _godel3_pinned(sets={"X": ["a"], "Y": ["u"], "Z": ["w"], "W": []}),
+     "sets has an unknown field 'W'"),
+    ("laws", _godel3_pinned(budgets={"scenarios": 2, "budjet": 3}),
+     "budgets has an unknown field 'budjet'"),
+    ("laws", _godel3_pinned(maps={"f": {"a": GODEL3_TABLE}, "g": {"u": GODEL3_TABLE},
+                                  "h": {}}),
+     "maps has an unknown field 'h'"),
+    ("laws", _godel3_pinned(maps={"f": {"a": GODEL3_TABLE, "b": GODEL3_TABLE},
+                                  "g": {"u": GODEL3_TABLE}}),
+     "map f has an unknown field 'b'"),
+    ("laws", _godel3_pinned({**GODEL3_TABLE, "basis": []}),
+     "map f at 'a': a table has an unknown field 'basis'"),
+    ("laws", _godel3_pinned({"basis": [["1/1"]], "domain": ["u"]}),
+     "map f at 'a': a table has an unknown field 'domain'"),
+    ("laws", _godel3_pinned({"basis": [{"values": ["1/1"], "vals": []}]}),
+     "map f at 'a': a function has an unknown field 'vals'"),
+    ("counterexample", _cx_scenario(seeds=5), "scenario has an unknown field 'seeds'"),
+    ("counterexample", _cx_scenario({"kind": "ramp", "scale": "1/8", "start": 2}),
+     "a ramp expression has an unknown field 'start'"),
+    ("counterexample", _cx_scenario({"kind": "indicator", "start": 2, "value": "1/8"}),
+     "a indicator expression has an unknown field 'value'"),
+    ("counterexample", _cx_scenario({**CONST, "scale": "1/8"}),
+     "a const expression has an unknown field 'scale'"),
+    ("counterexample", _cx_scenario({"kind": "join", "left": CONST, "right": CONST,
+                                     "child": CONST}),
+     "a join expression has an unknown field 'child'"),
+    ("counterexample", _cx_scenario({"kind": "meet", "left": CONST, "right": CONST,
+                                     "child": CONST}),
+     "a meet expression has an unknown field 'child'"),
+    ("counterexample", _cx_scenario({"kind": "res", "const": "1/8", "child": CONST,
+                                     "left": CONST}),
+     "a res expression has an unknown field 'left'"),
+], ids=["tnorm", "finite", "block", "scenario", "sets", "budgets", "maps", "map-point",
+        "table-entries", "table-basis", "function", "scenario-counterexample", "ramp",
+        "indicator", "const", "join", "meet", "res"])
+def test_a_field_no_reader_reads_is_input_error(runner, tmp_path, command, obj, message):
+    assert _input_error(runner, tmp_path, command, obj) == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command,obj,shown", [
+    ("quantale", {**GODEL3, "carrier": ["0/1", "1/2", True]}, "True"),
+    ("quantale", {**GODEL3, "tensor": [["0/1", "0/1", False], *GODEL3["tensor"][1:]]},
+     "False"),
+    ("quantale", {**GODEL3, "unit": True}, "True"),
+    ("quantale", {"type": "tnorm", "blocks": [{**BLOCK, "lo": False}]}, "False"),
+    ("laws", _godel3_pinned({"basis": [[True]]}), "True"),
+    ("laws", _godel3_pinned({"entries": [[["0/1"], "0/1"], [["1/2"], "1/2"],
+                                         [["1/1"], True]]}), "True"),
+    ("counterexample", _cx_scenario({"kind": "const", "value": True}), "True"),
+], ids=["element", "tensor-entry", "unit", "block-endpoint", "function-value",
+        "table-value", "expression-value"])
+def test_a_json_boolean_is_not_a_rational(runner, tmp_path, command, obj, shown):
+    # true and false used to be read as 1 and 0
+    assert f"not an exact rational: {shown}\n" in _input_error(runner, tmp_path,
+                                                                 command, obj)
+
+
+@pytest.mark.parametrize("command", ["quantale", "laws", "counterexample"])
+def test_a_missing_file_is_input_error(runner, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    args = {"quantale": ["quantale", "--quantale", missing],
+            "laws": ["laws", "--scenario", missing],
+            "counterexample": ["counterexample", "--quantale", missing,
+                               "--t", "3/8", "--s", "3/8"]}[command]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith(f"input error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("flag", ["--t", "--s", "--epsilon"])
+def test_counterexample_parameter_that_is_not_a_rational_is_input_error(
+        runner, block_path, flag):
+    args = {"--t": "3/8", "--s": "3/8", "--epsilon": "1/8", flag: "abc"}
+    r = runner.invoke(main, ["counterexample", "--quantale", block_path,
+                             *(x for kv in args.items() for x in kv)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == "input error: not an exact rational: 'abc'\n"
+
+
 def _two_chain_pinned(tmp_path, f_value, y_labels=("u",)):
     """A two-chain scenario pinning ``f('a')`` to ``f_value`` on Y, and g to
     evaluation units."""
@@ -651,9 +783,10 @@ def _two_chain_pinned(tmp_path, f_value, y_labels=("u",)):
     ("domain", "u", "table domain must be a list, got 'u'"),
     ("carrier", quantale_to_json(godel3()),
      "table carrier FiniteQuantale([0, 1/2, 1], unit=1) does not match "
-     "FiniteQuantale([0, 1], unit=1)"),
+     "FiniteQuantale([0, 1], unit=1): they differ in 'carrier'"),
     ("carrier", {"type": "tnorm", "blocks": []},
-     "table carrier TNorm(blocks=()) does not match FiniteQuantale([0, 1], unit=1)"),
+     "table carrier TNorm(blocks=()) does not match FiniteQuantale([0, 1], unit=1): "
+     "they differ in 'type'"),
     ("carrier", {"blocks": []}, "table carrier: quantale definition needs a 'type' field"),
 ], ids=["domain", "domain-not-a-list", "carrier-other-chain", "carrier-tnorm",
         "carrier-malformed"])
@@ -665,6 +798,21 @@ def test_laws_pinned_table_must_declare_the_scenario_space(runner, tmp_path, fie
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
     assert r.stderr == f"input error: map f at 'a': {message}\n"
+
+
+@pytest.mark.parametrize("declared,field", [
+    (quantale_to_json(mv3()), "tensor"),
+    # godel3 with its chain order given as a join table is kept apart
+    ({**GODEL3, "join": [[GODEL3["carrier"][max(i, j)] for j in range(3)] for i in range(3)]},
+     "join"),
+], ids=["mv3", "explicit-join"])
+def test_a_carrier_mismatch_names_the_field_the_reprs_do_not_show(runner, tmp_path,
+                                                                   declared, field):
+    stderr = _input_error(runner, tmp_path, "laws",
+                          _godel3_pinned({**GODEL3_TABLE, "carrier": declared}))
+    assert stderr == ("input error: map f at 'a': table carrier FiniteQuantale([0, 1/2, 1], "
+                      "unit=1) does not match FiniteQuantale([0, 1/2, 1], unit=1): "
+                      f"they differ in {field!r}\n")
 
 
 def test_laws_pinned_function_domain_must_be_a_list(runner, tmp_path):

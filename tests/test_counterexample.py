@@ -317,6 +317,15 @@ def test_build_catalog_matches_per_point_describe(t, t_par, s_par, hi, variant):
     assert build_catalog(exprs, t, 200, pin_one) == want
 
 
+def test_build_catalog_stops_at_its_cap():
+    ramp = Ramp(F(1, 4))
+    exprs = [ramp, *(Const(F(k, 300)) for k in range(300))]
+    catalog = build_catalog(exprs, BLOCK, 20, False)
+    assert len(catalog) == counterexample.CATALOG_CAP == 240
+    assert catalog[0] == describe(ramp, BLOCK, 20, False, label="w0")
+    assert catalog == build_catalog_per_expr(exprs, BLOCK, 20, False)
+
+
 def test_describe_eval_at_calls_do_not_grow_with_depth(monkeypatch):
     exprs = shipped_closure(BLOCK, F(3, 8), F(3, 8), F(1, 2), Variant.PLAIN)
     e = next(x for x in exprs                # a depth-2 residuation

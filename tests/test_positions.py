@@ -105,6 +105,9 @@ BROKEN = {
                                join=[[1, 1], [1, 1]], meet=[[0, 0], [0, 1]]),
         "join-idempotence"),
     "no-zero": (lambda: FiniteQuantale([A, 1], [[A, A], [A, 1]], 1), "bounds"),
+    # max with unit 0: 0 (x) 1 = 1
+    "no-bottom-absorption": (lambda: FiniteQuantale([0, 1], [[0, 1], [1, 1]], 0),
+                             "bottom-absorption"),
 }
 
 

@@ -49,7 +49,7 @@ def test_overlapping_blocks_rejected():
         build_ordinal_sum([(0, F(1, 2), "product"), (F(1, 4), 1, "product")])
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3", 0.5, None])
+@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3", 0.5, None, True, False])
 def test_malformed_rationals_are_usage_errors_naming_the_value(value):
     with pytest.raises(UsageError, match=re.escape(f"not an exact rational: {value!r}")):
         as_fraction(value)
@@ -65,7 +65,7 @@ def test_a_finite_carrier_with_a_malformed_element_is_refused():
 @pytest.mark.parametrize("kind", ["luk", "", 3, None])
 def test_a_bad_block_kind_names_the_valid_kinds(kind):
     with pytest.raises(UsageError, match=re.escape(
-            f"block kind must be one of lukasiewicz, product, got {kind!r}")):
+            f"blocks[0].kind must be one of lukasiewicz, product, got {kind!r}")):
         build_ordinal_sum([("1/4", "1/2", kind)])
 
 
