@@ -5,17 +5,24 @@ their saturations, semifilter tables with conical and bounded coreflections,
 the derived monad structures with law suites, and proof-guided replication of
 the monad-law counterexamples.
 
-The modules follow the mathematics: ``quantale`` (carriers, residuation and
-the monad ``Variant``), ``qfun`` (functions into a carrier and their
-enrichment), ``prefilter`` and ``semifilter`` (the two filter notions and the
-Galois connection between them), ``monad`` (units, multiplication, Kleisli
-extension, law suites), ``counterexample`` (exact symbolic replication on the
-unit interval), ``classical`` (the set-filter oracle), ``serialize`` and
-``cli``.
+The modules follow the mathematics, and the paper's two carriers: the unit
+interval with a continuous t-norm, on which the monad question is decided,
+and the finite quantales on which the law suites run.  ``quantale`` holds
+the interval carrier (t-norms, residuation, condition (S)) and what both
+carriers share (``Record``, ``as_fraction`` and the monad ``Variant``);
+``finite`` holds the finite carrier and its shipped chains.  Over the
+finite carrier: ``qfun`` (functions into a carrier and their enrichment),
+``prefilter`` and ``semifilter`` (the two filter notions and the Galois
+connection between them), ``monad`` (units, multiplication, Kleisli
+extension, law suites) and ``classical`` (the set-filter oracle).  Over the
+interval: ``counterexample`` (exact symbolic replication).  Then
+``serialize`` (quantale and expression JSON, reports), ``scenario``
+(scenario files, and the function and table JSON they pin) and ``cli``.
 
 Importing the package loads none of them.  Each public name below, and each
 module, is imported on first access (PEP 562), so ``from quantalab import
-TNorm`` loads only ``quantale``.
+TNorm`` loads only ``quantale``, and ``from quantalab import five_chain``
+loads ``finite`` and ``quantale``.
 """
 
 import importlib
@@ -23,10 +30,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "quantale": ("FiniteQuantale", "TNorm", "Variant", "build_ordinal_sum",
-                 "check_condition_s", "check_quantale_axioms", "five_chain",
-                 "godel3", "godel_tnorm", "lukasiewicz_tnorm", "mv3",
-                 "product_tnorm", "two_chain"),
+    "quantale": ("TNorm", "Variant", "build_ordinal_sum", "check_condition_s",
+                 "godel_tnorm", "lukasiewicz_tnorm", "product_tnorm"),
+    "finite": ("FiniteQuantale", "check_quantale_axioms", "five_chain", "godel3",
+               "mv3", "two_chain"),
     "qfun": ("FiniteSet", "QFunction", "SetMap", "finite_set", "image",
              "precompose", "sub"),
     "prefilter": ("PrefilterBasis", "bounded_coreflection", "eval_degree",
@@ -44,7 +51,8 @@ _EXPORTS = {
     "counterexample": ("FunctionDescriptor", "run_counterexample"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"classical", "cli", "errors", "serialize"}
+_SUBMODULES = frozenset(_EXPORTS) | {"classical", "cli", "errors", "scenario",
+                                      "serialize"}
 
 __all__ = sorted(_MODULE_OF)
 

@@ -10,8 +10,11 @@ the text output exactly.
 
 Arguments are parsed with the standard library's ``argparse``, which exits
 2 on a usage error, as on an input error.  Each subcommand imports the
-layers it runs when it runs: ``quantale`` and ``counterexample`` never load
-the finite function, filter and monad modules.
+layers it runs when it runs: ``counterexample`` never loads the finite
+carrier (``finite``) nor the finite function, filter and monad modules, and
+``quantale`` loads ``finite`` only for a finite definition.  Scenario files
+are read by ``scenario``, which ``laws`` and ``counterexample --scenario``
+load through ``serialize.load_scenario``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetError, PreconditionError, QuantalabError
-from .quantale import (FiniteQuantale, TNorm, Variant, check_condition_s,
-                       check_quantale_axioms, grid, pow2_step,
-                       residuum_continuity_probe, two_chain)
+from .quantale import (TNorm, Variant, check_condition_s, grid, pow2_step,
+                       residuum_continuity_probe)
 from .serialize import (format_fraction, load_quantale, load_scenario,
                         parse_fraction, render_text)
 
@@ -148,7 +150,8 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
     failed = False
 
     if "axioms" in checks:
-        if isinstance(q, FiniteQuantale):
+        if not isinstance(q, TNorm):
+            from .finite import check_quantale_axioms
             violations = check_quantale_axioms(q)
             report["axioms"] = {
                 "status": "ok" if not violations else "violated",
@@ -210,7 +213,7 @@ def _tnorm_axiom_probe(t, step):
 
 def _adjunction_witness(q, step):
     """First triple violating the residuation adjunction, or None."""
-    points = list(q.elements) if isinstance(q, FiniteQuantale) else grid(step)
+    points = grid(step) if isinstance(q, TNorm) else list(q.elements)
     tensor, res, leq = q.tensor, q.residuum, q.leq
     for x in points:
         for y in points:
@@ -230,10 +233,11 @@ def _adjunction_witness(q, step):
     _OUT, _FORMAT)
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
+    from .finite import check_quantale_axioms, two_chain
     from .monad import (KleisliScenario, check_monad_laws, check_naturality,
                         classical_correspondence_report)
     scenario = load_scenario(path)
-    if not isinstance(scenario.carrier, FiniteQuantale):
+    if isinstance(scenario.carrier, TNorm):
         raise PreconditionError("law suites need a finite carrier")
     violations = check_quantale_axioms(scenario.carrier)
     if violations:

@@ -23,11 +23,12 @@ import random
 from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
+from .finite import FiniteQuantale
 from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
                         normalize_basis, saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, indicator,
                    sub, unit_constant)
-from .quantale import FiniteQuantale, Record, Variant, two_chain
+from .quantale import Record, Variant
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
@@ -35,7 +36,7 @@ from .semifilter import (SemifilterFamily, SemifilterTable,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
                          semifilter_of)
-from .serialize import format_fraction, semifilter_to_json
+from .serialize import format_fraction
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
@@ -119,6 +120,7 @@ class KleisliScenario:
                     raise UsageError(f"{name}({x!r}) is not a table on {dst!r} "
                                      f"over {carrier!r}")
                 if not table_satisfies(v, variant):
+                    from .scenario import semifilter_to_json
                     raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter\n"
                                      f"{json.dumps(semifilter_to_json(v))}")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
@@ -449,6 +451,7 @@ def classical_correspondence_report(max_size: int = 3) -> SuiteReport:
     """
     from .classical import (all_proper_filters, filter_image,
                             filter_multiplication, filter_unit, principal)
+    from .finite import two_chain
     q = two_chain()
     rep = SuiteReport()
     for n in range(1, max_size + 1):

@@ -22,8 +22,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import UsageError
+from .finite import FiniteQuantale
 from .qfun import FiniteSet, QFunction, SetMap, image, sub, unit_constant
-from .quantale import FiniteQuantale, Record, ZERO
+from .quantale import Record, ZERO
 
 
 class PrefilterBasis(Record):

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import UsageError
-from .quantale import FiniteQuantale, Record, as_fraction
+from .finite import FiniteQuantale
+from .quantale import Record, as_fraction
 
 
 class FiniteSet(Record):
@@ -73,6 +74,10 @@ class QFunction:
         _require_finite(carrier)
         if len(values) != len(domain):
             raise UsageError("values must cover the domain exactly")
+        for v in values:
+            # a bool hashes as 0 or 1, so the lookup below would take it
+            if v.__class__ is bool:
+                raise UsageError(f"not an exact rational: {v!r}")
         try:
             index = tuple(map(carrier.position.__getitem__, values))
         except (KeyError, TypeError):

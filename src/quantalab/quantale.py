@@ -1,18 +1,17 @@
-"""Exact quantale arithmetic.
+"""Exact quantale arithmetic on the unit interval, and what both carriers share.
 
-Two carrier families are supported:
+``TNorm`` is the unit interval with a continuous t-norm described as an
+ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
+every block the operation is minimum.  All arithmetic is exact on
+``fractions.Fraction``; no floats appear anywhere.  The residuum also has
+one integer form, ``residua``, at points of sample columns, for the
+interval counterexample.  Condition (S), which decides the monad question
+on an ordinal sum, and the grid probes of the residuum live here too.
 
-* ``TNorm`` -- the unit interval with a continuous t-norm described as an
-  ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
-  every block the operation is minimum.  All arithmetic is exact on
-  ``fractions.Fraction``; no floats appear anywhere.  The residuum also has
-  one integer form, ``residua``, at points of sample columns, for the
-  interval counterexample.
-* ``FiniteQuantale`` -- a finite commutative unital quantale given by an
-  explicit tensor table (chain-ordered by default, or lattice-ordered via
-  explicit join/meet tables).
-
-Both carriers expose the same surface: ``tensor``, ``residuum``, ``leq``,
+The finite carrier, ``FiniteQuantale``, lives in ``finite``; this module
+holds what both carriers and every layer share: ``Record``, the rational
+coercion ``as_fraction``, ``ZERO``/``ONE`` and the monad ``Variant``.  Both
+carriers expose the same surface: ``tensor``, ``residuum``, ``leq``,
 ``join``, ``meet`` and ``is_idempotent``, plus ``unit``, ``bottom`` and
 ``top``.  ``residuum(x, y)`` always returns the largest ``z`` with
 ``x (x) z <= y``.  The way-below relation, decided from its definition, is
@@ -26,9 +25,9 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .errors import ConstructionError, StructuralError, UsageError
+from .errors import ConstructionError, UsageError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -151,8 +150,11 @@ class TNorm:
         return isinstance(x, Fraction) and 0 <= x.numerator <= x.denominator
 
     def _check(self, x) -> Fraction:
-        """x as a Fraction in [0,1]; an int is taken as the Fraction it equals."""
+        """x as a Fraction in [0,1]; an int is taken as the Fraction it
+        equals, and a bool, an int to Python, is refused."""
         if isinstance(x, int):
+            if isinstance(x, bool):
+                raise UsageError(f"not an exact rational: {x!r}")
             x = Fraction(x)
         elif not isinstance(x, Fraction):
             raise UsageError(f"not an exact rational: {x!r}")
@@ -381,296 +383,3 @@ def residuum_continuity_probe(t: TNorm, step: Fraction, min_gap: Fraction = Frac
             if jump > best:
                 best, where = jump, ((x, y), (x2, y2))
     return best, where
-
-
-# ---------------------------------------------------------------------------
-# finite quantales
-# ---------------------------------------------------------------------------
-
-class Violation(Record):
-    """One failed law with a witness tuple of carrier elements."""
-
-    __slots__ = ("law", "witness")
-
-    def __init__(self, law: str, witness: tuple):
-        self.law, self.witness = law, witness
-
-
-class FiniteKernel(Record):
-    """The index tables of a finite carrier.
-
-    Elements are named by their positions ``0..n-1`` in the carrier's
-    ascending order.  ``tensor``, ``residuum``, ``join`` and ``meet`` are
-    ``n x n`` tuples of positions and ``leq`` is an ``n x n`` tuple of
-    booleans, so ``tensor[i][j]`` is the position of the tensor of the
-    elements at ``i`` and ``j``.  ``bottom``, ``top`` and ``unit`` are
-    positions too.
-    """
-
-    __slots__ = ("tensor", "residuum", "join", "meet", "leq", "bottom", "top", "unit")
-
-    def __init__(self, tensor: tuple, residuum: tuple, join: tuple, meet: tuple,
-                 leq: tuple, bottom: int, top: int, unit: int):
-        self.tensor, self.residuum, self.join, self.meet = tensor, residuum, join, meet
-        self.leq, self.bottom, self.top, self.unit = leq, bottom, top, unit
-
-
-class FiniteQuantale:
-    """A finite commutative unital quantale given by tables.
-
-    ``elements`` is the carrier, in ascending numeric order; without
-    explicit ``join``/``meet`` tables it is treated as a chain in that order.
-    The constructor checks the tables for shape only (every entry present
-    and inside the carrier); the laws are examined separately by
-    ``check_quantale_axioms`` so that broken tables can be constructed and
-    reported on.
-
-    The constructor also builds the carrier's integer kernel, once:
-    ``position`` maps each element to its index, and ``kernel`` (a
-    ``FiniteKernel``) holds the tensor, residuum, join, meet and order as
-    index tables.  The finite path runs on it: ``QFunction`` index tuples
-    and codes, flat ``SemifilterTable`` values and ``sub``.  The operations
-    below take and return ``Fraction`` elements and read the kernel, on a
-    chain too: each looks its arguments up in ``position``, and a
-    non-member raises ``UsageError``.
-    """
-
-    def __init__(self, elements: Sequence, tensor, unit,
-                 join=None, meet=None):
-        elems = tuple(as_fraction(e) for e in elements)
-        if len(set(elems)) != len(elems):
-            raise ConstructionError("carrier elements must be distinct")
-        if not elems:
-            raise ConstructionError("carrier must be nonempty")
-        self.elements = tuple(sorted(elems))
-        self.position = {e: i for i, e in enumerate(self.elements)}
-        self.unit = as_fraction(unit)
-        if self.unit not in self.position:
-            raise ConstructionError(f"unit {self.unit} not in carrier")
-        tensor_ix = self._read_table(tensor, "tensor")
-        join_ix = self._read_table(join, "join") if join is not None else None
-        meet_ix = self._read_table(meet, "meet") if meet is not None else None
-        self.kernel = self._build_kernel(tensor_ix, join_ix, meet_ix)
-        self._identity = (self.elements, self.kernel,
-                          join_ix is None, meet_ix is None)
-        self._hash = hash((self.elements, self.kernel.unit, self.kernel.tensor))
-
-    def _read_table(self, table, name: str) -> tuple:
-        """The table as an ``n x n`` tuple of positions, checked for shape."""
-        out = {}
-        if isinstance(table, Mapping):
-            for (x, y), v in table.items():
-                out[(as_fraction(x), as_fraction(y))] = as_fraction(v)
-        else:
-            rows = list(table)
-            if len(rows) != len(self.elements):
-                raise StructuralError(f"{name} table must have {len(self.elements)} rows")
-            for x, row in zip(self.elements, rows):
-                row = list(row)
-                if len(row) != len(self.elements):
-                    raise StructuralError(f"{name} row for {x} has wrong length")
-                for y, v in zip(self.elements, row):
-                    out[(x, y)] = as_fraction(v)
-        for x in self.elements:
-            for y in self.elements:
-                if (x, y) not in out:
-                    raise StructuralError(f"{name} table missing entry ({x}, {y})")
-                if out[(x, y)] not in self.position:
-                    raise StructuralError(f"{name}({x}, {y}) = {out[(x, y)]} outside carrier")
-        return tuple(tuple(self.position[out[(x, y)]] for y in self.elements)
-                     for x in self.elements)
-
-    def _build_kernel(self, tensor, join, meet) -> FiniteKernel:
-        span = range(len(self.elements))
-        if join is None:
-            join = tuple(tuple(max(i, j) for j in span) for i in span)
-        if meet is None:
-            meet = tuple(tuple(min(i, j) for j in span) for i in span)
-        leq = tuple(tuple(join[i][j] == j for j in span) for i in span)
-        bottom = top = 0
-        for i in span:
-            if leq[i][bottom]:
-                bottom = i
-            if leq[top][i]:
-                top = i
-        residuum = []
-        for i in span:
-            row = []
-            for j in span:
-                # the largest z with i (x) z <= j, folded with the join
-                r = bottom
-                for z in span:
-                    if leq[tensor[i][z]][j]:
-                        r = join[r][z]
-                row.append(r)
-            residuum.append(tuple(row))
-        return FiniteKernel(tensor, tuple(residuum), join, meet, leq,
-                            bottom, top, self.position[self.unit])
-
-    def index_of(self, x) -> int:
-        """The position of a carrier element; ``UsageError`` for a non-member."""
-        try:
-            return self.position[x]
-        except (KeyError, TypeError):
-            raise UsageError(f"{x} is not a carrier element") from None
-
-    # -- carrier surface -------------------------------------------------
-
-    @property
-    def bottom(self) -> Fraction:
-        return self.elements[self.kernel.bottom]
-
-    @property
-    def top(self) -> Fraction:
-        return self.elements[self.kernel.top]
-
-    @property
-    def is_integral(self) -> bool:
-        return self.kernel.unit == self.kernel.top
-
-    def contains(self, x) -> bool:
-        try:
-            return x in self.position
-        except TypeError:
-            return False
-
-    def leq(self, x: Fraction, y: Fraction) -> bool:
-        return self.kernel.leq[self.index_of(x)][self.index_of(y)]
-
-    def join(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.elements[self.kernel.join[self.index_of(x)][self.index_of(y)]]
-
-    def meet(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.elements[self.kernel.meet[self.index_of(x)][self.index_of(y)]]
-
-    def tensor(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.elements[self.kernel.tensor[self.index_of(x)][self.index_of(y)]]
-
-    def residuum(self, x: Fraction, y: Fraction) -> Fraction:
-        """Largest z with x (x) z <= y, folded with the carrier join.
-
-        Read from the kernel, which folds the join over every such z once
-        per carrier.  Callers that join over the meet of a set alone (see
-        ``semifilter.semifilter_of``) rely on the residuum being antitone in
-        its first argument, which holds on a genuine quantale; see
-        ``check_quantale_axioms``.
-        """
-        return self.elements[self.kernel.residuum[self.index_of(x)][self.index_of(y)]]
-
-    def is_idempotent(self, x: Fraction) -> bool:
-        i = self.index_of(x)
-        return self.kernel.tensor[i][i] == i
-
-    def __eq__(self, other):
-        """Same elements, unit and tables, and the same tables given
-        explicitly; compared on the kernel."""
-        if self is other:
-            return True
-        return (isinstance(other, FiniteQuantale)
-                and self._identity == other._identity)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        elems = ", ".join(str(e) for e in self.elements)
-        return f"FiniteQuantale([{elems}], unit={self.unit})"
-
-
-def check_quantale_axioms(q: FiniteQuantale) -> list[Violation]:
-    """Exhaustively check the quantale laws, witnessing each failure.
-
-    First the lattice laws of the join and meet (explicit tables or the
-    chain order): idempotence (for the join, this is reflexivity of the
-    order ``leq`` derived from it), commutativity, associativity, absorption,
-    and agreement of the join order with the meet order.  Then the tensor:
-    commutativity, associativity, the unit law, distributivity over binary
-    joins and over the empty join (bottom absorption), and the presence of
-    bottom 0 and top 1 in the carrier.  Lattice violations come first.  An
-    empty report means the table is a genuine commutative unital quantale.
-    """
-    out: list[tuple] = []
-    k, es = q.kernel, q.elements
-    span = range(len(es))
-    t, join, meet, bot = k.tensor, k.join, k.meet, k.bottom
-    for op, name in ((join, "join"), (meet, "meet")):
-        for x in span:
-            if op[x][x] != x:
-                out.append((f"{name}-idempotence", (x,)))
-        for x in span:
-            for y in span:
-                if op[x][y] != op[y][x]:
-                    out.append((f"{name}-commutativity", (x, y)))
-        for x in span:
-            for y in span:
-                for z in span:
-                    if op[op[x][y]][z] != op[x][op[y][z]]:
-                        out.append((f"{name}-associativity", (x, y, z)))
-    for x in span:
-        for y in span:
-            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
-                out.append(("absorption", (x, y)))
-            if (join[x][y] == y) != (meet[x][y] == x):
-                out.append(("join-meet-agreement", (x, y)))
-    if es[bot] != ZERO or es[k.top] != ONE:
-        out.append(("bounds", (bot, k.top)))
-    for x in span:
-        if t[k.unit][x] != x:
-            out.append(("unit", (x,)))
-        if t[x][bot] != bot:
-            out.append(("bottom-absorption", (x,)))
-    for x in span:
-        for y in span:
-            if t[x][y] != t[y][x]:
-                out.append(("commutativity", (x, y)))
-    for x in span:
-        for y in span:
-            for z in span:
-                if t[t[x][y]][z] != t[x][t[y][z]]:
-                    out.append(("associativity", (x, y, z)))
-                if t[x][join[y][z]] != join[t[x][y]][t[x][z]]:
-                    out.append(("join-distributivity", (x, y, z)))
-    return [Violation(law, tuple(es[i] for i in w)) for law, w in out]
-
-
-def finite_restriction(t: TNorm, elements: Sequence) -> FiniteQuantale:
-    """Restrict a t-norm to a finite subchain closed under its tensor.
-
-    Raises ConstructionError when the subchain is not closed.  The residuum
-    of the restriction is recomputed inside the subchain and may differ from
-    the ambient residuum when the latter leaves the subchain.
-    """
-    elems = sorted(as_fraction(e) for e in elements)
-    table = {}
-    for x in elems:
-        for y in elems:
-            v = t.tensor(x, y)
-            if v not in set(elems):
-                raise ConstructionError(
-                    f"carrier not closed: {x} (x) {y} = {v}")
-            table[(x, y)] = v
-    return FiniteQuantale(elems, table, t.unit)
-
-
-# shipped finite chains ------------------------------------------------------
-
-def two_chain() -> FiniteQuantale:
-    """The Boolean quantale {0, 1} with tensor = min."""
-    return FiniteQuantale([0, 1], {(ZERO, ZERO): 0, (ZERO, ONE): 0,
-                                   (ONE, ZERO): 0, (ONE, ONE): 1}, 1)
-
-
-def godel3() -> FiniteQuantale:
-    """Three-element chain with tensor = min."""
-    return finite_restriction(godel_tnorm(), [0, Fraction(1, 2), 1])
-
-
-def mv3() -> FiniteQuantale:
-    """Three-element Lukasiewicz chain: 1/2 (x) 1/2 = 0."""
-    return finite_restriction(lukasiewicz_tnorm(), [0, Fraction(1, 2), 1])
-
-
-def five_chain() -> FiniteQuantale:
-    """{0, 1/4, 3/8, 1/2, 1}, closed under the (1/4,1/2) Lukasiewicz block sum."""
-    t = build_ordinal_sum([(Fraction(1, 4), Fraction(1, 2), BlockKind.LUKASIEWICZ)])
-    return finite_restriction(t, [0, Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), 1])

@@ -1,0 +1,254 @@
+"""Scenario files for the law suites, and the functions and tables they pin.
+
+A scenario names a finite carrier (or, for a ``counterexample`` run, a
+t-norm), a variant, the label sets X, Y and Z, seeds, budgets, optional
+pinned maps and an optional witness catalog.  ``ScenarioSpec`` reads one;
+``serialize.load_scenario`` is its entry from a file.  Q-valued functions
+and semifilter tables travel as JSON here: table entries are emitted in
+the canonical lexicographic order of the function space, and a table is
+read back into carrier positions at its functions' codes.
+
+The finite function, filter and monad layers are imported by the
+functions that build their objects, so a ``counterexample --scenario``
+run loads none of them.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .errors import QuantalabError, StructuralError, UsageError
+from .quantale import Variant
+from .serialize import (expect, expr_from_json, format_fraction, load_json,
+                        parse_fraction, parse_integer, quantale_from_json,
+                        quantale_to_json, refuse_unknown, required_field)
+
+if TYPE_CHECKING:
+    from .finite import FiniteQuantale
+    from .qfun import FiniteSet, QFunction
+    from .semifilter import SemifilterTable
+
+
+def qfunction_to_json(f: QFunction) -> dict:
+    return {"domain": list(f.domain.elements),
+            "values": [format_fraction(v) for v in f.values]}
+
+
+def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
+    """A function given as a list of values or as ``{"values": [...]}``."""
+    from .qfun import QFunction
+    if isinstance(obj, dict):
+        _check_domain(obj, domain, "function")
+        values = required_field(obj, "a function", "values")
+        refuse_unknown(obj, "a function", ("domain", "values"))
+    else:
+        values = obj
+    values = expect(values, list, "function values")
+    try:
+        return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
+    except UsageError as e:
+        raise StructuralError(str(e)) from None
+
+
+def _check_domain(obj: dict, domain: FiniteSet, what: str):
+    """Refuse a ``domain`` field of obj that does not list domain's labels."""
+    declared = obj.get("domain")
+    if declared is not None and \
+            tuple(expect(declared, list, f"{what} domain")) != domain.elements:
+        raise StructuralError(f"{what} domain {declared} does not match {domain}")
+
+
+def semifilter_to_json(t: SemifilterTable) -> dict:
+    return {"domain": list(t.domain.elements),
+            "carrier": quantale_to_json(t.carrier),
+            "entries": [[qfunction_to_json(f), format_fraction(t(f))]
+                        for f in t.functions()]}
+
+
+def semifilter_from_json(obj: dict, domain: FiniteSet,
+                         carrier: FiniteQuantale) -> SemifilterTable:
+    """A table from its ``entries`` list, each function listed once.  The
+    table's own ``domain`` and ``carrier`` fields, where given, must match
+    ``domain`` and ``carrier``.
+
+    Each value's carrier position is placed at its function's code: the
+    table is built from positions, as every table is.
+    """
+    from .qfun import all_qfunctions
+    from .semifilter import SemifilterTable
+    _check_domain(obj, domain, "table")
+    if "carrier" in obj:
+        try:
+            declared_carrier = quantale_from_json(obj["carrier"])
+        except QuantalabError as e:
+            raise StructuralError(f"table carrier: {e}") from None
+        if declared_carrier != carrier:
+            # the reprs show the elements and the unit only
+            ours, theirs = quantale_to_json(declared_carrier), quantale_to_json(carrier)
+            field = next(k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k))
+            raise StructuralError(f"table carrier {declared_carrier!r} does not match "
+                                  f"{carrier!r}: they differ in {field!r}")
+    raw = expect(required_field(obj, "a table", "entries"), list, "entries")
+    refuse_unknown(obj, "a table", ("domain", "carrier", "entries"))
+    positions = {}
+    first = {}
+    for i, item in enumerate(raw):
+        if not isinstance(item, list) or len(item) != 2:
+            raise StructuralError(
+                f"entries[{i}] must be a [function, value] pair, got {item!r}")
+        fn_obj, val = item
+        fn = qfunction_from_json(fn_obj, domain, carrier)
+        if fn.code in first:
+            raise StructuralError(
+                f"entries[{i}] repeats the function of entries[{first[fn.code]}]")
+        first[fn.code] = i
+        v = parse_fraction(val)
+        if not carrier.contains(v):
+            raise StructuralError(
+                f"entries[{i}] has the value {format_fraction(v)} outside the carrier")
+        positions[fn.code] = carrier.index_of(v)
+
+    def position(fn: QFunction) -> int:
+        if fn.code not in positions:
+            raise StructuralError("table is missing the entry at "
+                                  f"({', '.join(map(format_fraction, fn.values))})")
+        return positions[fn.code]
+
+    # checked caps the size before it reads a position
+    return SemifilterTable.checked(domain, carrier,
+                                   map(position, all_qfunctions(domain, carrier)))
+
+
+def _count(value, name: str) -> int:
+    """A non-negative integer field."""
+    n = parse_integer(value, name)
+    if n < 0:
+        raise StructuralError(f"{name} must not be negative, got {n}")
+    return n
+
+
+class ScenarioSpec:
+    """A parsed law-suite scenario file.
+
+    Holds the carrier, the variant, the three label sets, optional explicit
+    maps (as tables or generating bases), seeds, budgets and an optional
+    witness catalog for counterexample runs.  The label sets are checked on
+    load and built as ``FiniteSet``s only when a law run reads them.
+    """
+
+    def __init__(self, obj: dict, base_dir: Path | None = None):
+        if not isinstance(obj, dict):
+            raise StructuralError("a scenario file must hold a JSON object")
+        quantale = obj.get("quantale")
+        if isinstance(quantale, str):
+            quantale = load_json((base_dir or Path(".")) / quantale)
+        self.carrier = quantale_from_json(quantale)
+        variant = obj.get("variant", "plain")
+        try:
+            self.variant = Variant(variant)
+        except ValueError:
+            names = ", ".join(v.value for v in Variant)
+            raise StructuralError(
+                f"variant must be one of {names}, got {variant!r}") from None
+        sets = expect(obj.get("sets", {}), dict, "sets")
+        refuse_unknown(sets, "sets", ("X", "Y", "Z"))
+
+        def checked_labels(name: str, default: list) -> tuple:
+            labels = expect(sets.get(name, default), list, f"sets.{name}")
+            # a map reads each point's value at the key str(label)
+            seen, keys = {}, {}
+            for i, label in enumerate(labels):
+                if isinstance(label, (dict, list)):
+                    raise StructuralError(
+                        f"sets.{name}[{i}] must not be an object or a list, got {label!r}")
+                if label in seen:
+                    # Python finds true equal to 1, and 1 equal to 1.0
+                    earlier = seen[label]
+                    if type(earlier) is type(label):
+                        raise StructuralError(f"sets.{name} repeats the label {label!r}")
+                    raise StructuralError(f"sets.{name} labels {earlier!r} and {label!r} "
+                                          "would name one point")
+                seen[label] = label
+                other = keys.setdefault(str(label), label)
+                if other is not label:
+                    raise StructuralError(f"sets.{name} labels {other!r} and {label!r} "
+                                          f"share the map key {str(label)!r}")
+            return tuple(labels)
+
+        # checked here, each becomes a FiniteSet when it is first read
+        self._sets = {"X": checked_labels("X", ["x0", "x1"]),
+                      "Y": checked_labels("Y", ["y0", "y1"]),
+                      "Z": checked_labels("Z", ["z0", "z1"])}
+        self.seed = parse_integer(obj.get("seed", 0), "seed")
+        budgets = expect(obj.get("budgets", {}), dict, "budgets")
+        self.scenarios = _count(budgets.get("scenarios", 200), "budgets.scenarios")
+        budget = budgets.get("budget")
+        self.budget = None if budget is None else _count(budget, "budgets.budget")
+        refuse_unknown(budgets, "budgets", ("scenarios", "budget"))
+        self.maps = obj.get("maps")
+        wc = obj.get("witness_catalog")
+        self.witness_catalog = None
+        if wc is not None:
+            if not expect(wc, list, "witness_catalog"):
+                raise StructuralError("witness_catalog must not be empty; "
+                                      "leave it out for the default catalog")
+            self.witness_catalog = [expr_from_json(e) for e in wc]
+        refuse_unknown(obj, "scenario", ("quantale", "variant", "sets", "seed", "budgets",
+                                 "maps", "witness_catalog"))
+
+    def _label_set(self, name: str) -> FiniteSet:
+        from .qfun import FiniteSet
+        labels = self._sets[name]
+        if not labels and name != "Z":
+            raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
+        if not isinstance(labels, FiniteSet):
+            labels = self._sets[name] = FiniteSet(labels)
+        return labels
+
+    x_set = property(lambda self: self._label_set("X"))
+    y_set = property(lambda self: self._label_set("Y"))
+    z_set = property(lambda self: self._label_set("Z"))
+
+    def explicit_maps(self):
+        """Decode the pinned f/g map values into tables, or None without maps.
+
+        A ``maps`` object must pin both ``f`` and ``g``; a missing one is a
+        StructuralError naming it.
+        """
+        if self.maps is None:
+            return None
+        expect(self.maps, dict, "maps")
+        for name in ("f", "g"):
+            if self.maps.get(name) is None:
+                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
+        refuse_unknown(self.maps, "maps", ("f", "g"))
+        out = {}
+        for name, (src, dst) in (("f", (self.x_set, self.y_set)),
+                                 ("g", (self.y_set, self.z_set))):
+            raw = expect(self.maps[name], dict, f"map {name}")
+            decoded = {}
+            for x in src:
+                key = str(x)
+                if key not in raw:
+                    raise StructuralError(f"map {name} missing value at {key!r}")
+                decoded[x] = self._decode_table(raw[key], dst, f"map {name} at {key!r}")
+            refuse_unknown(raw, f"map {name}", [str(x) for x in src])
+            out[name] = decoded
+        return out
+
+    def _decode_table(self, obj, domain: FiniteSet, where: str) -> SemifilterTable:
+        from .prefilter import normalize_basis
+        from .semifilter import semifilter_of
+        expect(obj, dict, where)
+        try:
+            if "entries" in obj:
+                return semifilter_from_json(obj, domain, self.carrier)
+            if "basis" in obj:
+                refuse_unknown(obj, "a table", ("basis",))
+                fns = [qfunction_from_json(b, domain, self.carrier)
+                       for b in expect(obj["basis"], list, "basis")]
+                return semifilter_of(normalize_basis(fns, domain, self.carrier))
+        except StructuralError as e:
+            raise StructuralError(f"{where}: {e}") from None
+        raise StructuralError(f"{where} needs either 'entries' or 'basis'")

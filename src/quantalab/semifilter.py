@@ -35,10 +35,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, StructuralError, UsageError
+from .finite import FiniteQuantale
 from .prefilter import PrefilterBasis, least_positive
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
                    unit_constant)
-from .quantale import FiniteQuantale, Record
+from .quantale import Record
 
 TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9

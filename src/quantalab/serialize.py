@@ -1,12 +1,17 @@
-"""Bit-exact JSON serialization for quantales, functions, tables, scenarios.
+"""Bit-exact JSON serialization for quantales and witness expressions.
 
 Rationals travel as "num/den" strings so that files round-trip exactly.
-Table entries are emitted in the canonical lexicographic order of the
-function space.  Parsers check the JSON shape and refuse unknown fields
-with StructuralError; the library objects they build coerce each value,
-so the CLI maps either refusal to the input-error exit code.  The function,
-table and expression layers are imported by the functions that build their
-objects, so reading a t-norm definition loads only ``quantale``.
+Parsers check the JSON shape and refuse unknown fields with
+StructuralError, through the shape helpers ``expect``, ``required_field``,
+``refuse_unknown`` and ``parse_integer``; the library objects they build
+coerce each value, so the CLI maps either refusal to the input-error exit
+code.  ``render_text`` writes a report as text.
+
+Scenario files, and the functions and tables they pin, are read by
+``scenario``, which ``load_scenario`` imports when it is called.  The
+finite carrier and the expression layer are likewise imported by the
+functions that build their objects, so reading a t-norm definition loads
+only ``quantale``.
 """
 
 from __future__ import annotations
@@ -16,14 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import QuantalabError, StructuralError, UsageError
-from .quantale import (FiniteQuantale, TNorm, Variant, as_fraction,
-                       build_ordinal_sum)
+from .errors import StructuralError, UsageError
+from .quantale import TNorm, as_fraction, build_ordinal_sum
 
 if TYPE_CHECKING:
     from .counterexample import FnExpr
-    from .qfun import FiniteSet, QFunction
-    from .semifilter import SemifilterTable
+    from .scenario import ScenarioSpec
 
 
 def format_fraction(v: Fraction) -> str:
@@ -44,6 +47,7 @@ def quantale_to_json(q) -> dict:
                 "blocks": [{"lo": format_fraction(b.lo),
                             "hi": format_fraction(b.hi),
                             "kind": b.kind.value} for b in q.blocks]}
+    from .finite import FiniteQuantale
     if isinstance(q, FiniteQuantale):
         names = [format_fraction(e) for e in q.elements]
         k = q.kernel
@@ -68,27 +72,28 @@ def quantale_from_json(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise StructuralError("quantale definition needs a 'type' field")
     if obj["type"] == "tnorm":
-        blocks = _expect(obj.get("blocks", []), list, "blocks")
-        _known(obj, "quantale definition", ("type", "blocks"))
+        blocks = expect(obj.get("blocks", []), list, "blocks")
+        refuse_unknown(obj, "quantale definition", ("type", "blocks"))
         return build_ordinal_sum(_block_from_json(b, f"blocks[{i}]")
                                  for i, b in enumerate(blocks))
     if obj["type"] == "finite":
         # FiniteQuantale reads each element, entry and the unit
+        from .finite import FiniteQuantale
         try:
-            carrier = _expect(obj["carrier"], list, "carrier")
+            carrier = expect(obj["carrier"], list, "carrier")
             tensor = _rows(obj["tensor"], "tensor")
             unit = obj["unit"]
         except KeyError as e:
             raise StructuralError(f"finite quantale definition missing {e}") from None
         join, meet = (None if obj.get(name) is None else _rows(obj[name], name)
                       for name in ("join", "meet"))
-        _known(obj, "quantale definition",
-               ("type", "carrier", "tensor", "unit", "join", "meet"))
+        refuse_unknown(obj, "quantale definition",
+                       ("type", "carrier", "tensor", "unit", "join", "meet"))
         return FiniteQuantale(carrier, tensor, unit, join=join, meet=meet)
     raise StructuralError(f"unknown quantale type {obj['type']!r}")
 
 
-def _expect(value, kind: type, name: str):
+def expect(value, kind: type, name: str):
     """value itself, if it is a JSON object (kind dict) or list (kind list)."""
     if not isinstance(value, kind):
         what = "an object" if kind is dict else "a list"
@@ -96,7 +101,7 @@ def _expect(value, kind: type, name: str):
     return value
 
 
-def _known(obj: dict, where: str, names) -> None:
+def refuse_unknown(obj: dict, where: str, names) -> None:
     """Refuse a field of obj that its reader does not read."""
     for name in obj:
         if name not in names:
@@ -105,105 +110,16 @@ def _known(obj: dict, where: str, names) -> None:
 
 def _rows(rows, name: str) -> list:
     """The rows of a table, if it is a list of lists; the entries are not read."""
-    return [_expect(row, list, f"{name}[{i}]") for i, row in enumerate(_expect(rows, list, name))]
+    return [expect(row, list, f"{name}[{i}]")
+            for i, row in enumerate(expect(rows, list, name))]
 
 
 def _block_from_json(obj, where: str) -> tuple:
     """One t-norm block as a (lo, hi, kind) triple for ``build_ordinal_sum``."""
-    _expect(obj, dict, where)
-    block = tuple(_field(obj, where, name) for name in ("lo", "hi", "kind"))
-    _known(obj, where, ("lo", "hi", "kind"))
+    expect(obj, dict, where)
+    block = tuple(required_field(obj, where, name) for name in ("lo", "hi", "kind"))
+    refuse_unknown(obj, where, ("lo", "hi", "kind"))
     return block
-
-
-def qfunction_to_json(f: QFunction) -> dict:
-    return {"domain": list(f.domain.elements),
-            "values": [format_fraction(v) for v in f.values]}
-
-
-def qfunction_from_json(obj, domain: FiniteSet, carrier) -> QFunction:
-    """A function given as a list of values or as ``{"values": [...]}``."""
-    from .qfun import QFunction
-    if isinstance(obj, dict):
-        _check_domain(obj, domain, "function")
-        values = _field(obj, "a function", "values")
-        _known(obj, "a function", ("domain", "values"))
-    else:
-        values = obj
-    values = _expect(values, list, "function values")
-    try:
-        return QFunction(domain, tuple(parse_fraction(v) for v in values), carrier)
-    except UsageError as e:
-        raise StructuralError(str(e)) from None
-
-
-def _check_domain(obj: dict, domain: FiniteSet, what: str):
-    """Refuse a ``domain`` field of obj that does not list domain's labels."""
-    declared = obj.get("domain")
-    if declared is not None and \
-            tuple(_expect(declared, list, f"{what} domain")) != domain.elements:
-        raise StructuralError(f"{what} domain {declared} does not match {domain}")
-
-
-def semifilter_to_json(t: SemifilterTable) -> dict:
-    return {"domain": list(t.domain.elements),
-            "carrier": quantale_to_json(t.carrier),
-            "entries": [[qfunction_to_json(f), format_fraction(t(f))]
-                        for f in t.functions()]}
-
-
-def semifilter_from_json(obj: dict, domain: FiniteSet,
-                         carrier: FiniteQuantale) -> SemifilterTable:
-    """A table from its ``entries`` list, each function listed once.  The
-    table's own ``domain`` and ``carrier`` fields, where given, must match
-    ``domain`` and ``carrier``.
-
-    Each value's carrier position is placed at its function's code: the
-    table is built from positions, as every table is.
-    """
-    from .qfun import all_qfunctions
-    from .semifilter import SemifilterTable
-    _check_domain(obj, domain, "table")
-    if "carrier" in obj:
-        try:
-            declared_carrier = quantale_from_json(obj["carrier"])
-        except QuantalabError as e:
-            raise StructuralError(f"table carrier: {e}") from None
-        if declared_carrier != carrier:
-            # the reprs show the elements and the unit only
-            ours, theirs = quantale_to_json(declared_carrier), quantale_to_json(carrier)
-            field = next(k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k))
-            raise StructuralError(f"table carrier {declared_carrier!r} does not match "
-                                  f"{carrier!r}: they differ in {field!r}")
-    raw = _expect(_field(obj, "a table", "entries"), list, "entries")
-    _known(obj, "a table", ("domain", "carrier", "entries"))
-    positions = {}
-    first = {}
-    for i, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise StructuralError(
-                f"entries[{i}] must be a [function, value] pair, got {item!r}")
-        fn_obj, val = item
-        fn = qfunction_from_json(fn_obj, domain, carrier)
-        if fn.code in first:
-            raise StructuralError(
-                f"entries[{i}] repeats the function of entries[{first[fn.code]}]")
-        first[fn.code] = i
-        v = parse_fraction(val)
-        if not carrier.contains(v):
-            raise StructuralError(
-                f"entries[{i}] has the value {format_fraction(v)} outside the carrier")
-        positions[fn.code] = carrier.index_of(v)
-
-    def position(fn: QFunction) -> int:
-        if fn.code not in positions:
-            raise StructuralError("table is missing the entry at "
-                                  f"({', '.join(map(format_fraction, fn.values))})")
-        return positions[fn.code]
-
-    # checked caps the size before it reads a position
-    return SemifilterTable.checked(domain, carrier,
-                                   map(position, all_qfunctions(domain, carrier)))
 
 
 def expr_to_json(e: FnExpr) -> dict:
@@ -226,15 +142,16 @@ def expr_to_json(e: FnExpr) -> dict:
     raise StructuralError(f"not an expression: {e!r}")
 
 
-def _field(obj: dict, owner: str, name: str):
+def required_field(obj: dict, owner: str, name: str):
+    """obj[name], refused when obj has no such field."""
     if name not in obj:
         raise StructuralError(f"{owner} needs a {name!r} field")
     return obj[name]
 
 
-def _unit_fraction(obj: dict, kind: str, name: str) -> Fraction:
+def _unit_fraction(obj: dict, owner: str, kind: str, name: str) -> Fraction:
     """A rational field of an expression that must lie in [0,1]."""
-    v = parse_fraction(_field(obj, f"a {kind} expression", name))
+    v = parse_fraction(required_field(obj, owner, name))
     if not 0 <= v <= 1:
         raise StructuralError(
             f"{kind}.{name} must lie in [0,1], got {format_fraction(v)}")
@@ -247,30 +164,32 @@ def expr_from_json(obj: dict) -> FnExpr:
     if not isinstance(obj, dict):
         raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
-    owner = f"a {kind} expression"
+    article = "an" if str(kind)[:1] in ("a", "e", "i", "o", "u") else "a"
+    owner = f"{article} {kind} expression"
     if kind == "ramp":
-        e = Ramp(_unit_fraction(obj, kind, "scale"))
+        e = Ramp(_unit_fraction(obj, owner, kind, "scale"))
     elif kind == "indicator":
-        start = _integer(_field(obj, owner, "start"), "indicator.start")
+        start = parse_integer(required_field(obj, owner, "start"), "indicator.start")
         if start < 1:
             raise StructuralError(f"indicator.start must be at least 1, got {start}")
         e = TailIndicator(start)
     elif kind == "const":
-        e = Const(_unit_fraction(obj, kind, "value"))
+        e = Const(_unit_fraction(obj, owner, kind, "value"))
     elif kind in ("join", "meet"):
-        e = (Join if kind == "join" else Meet)(expr_from_json(_field(obj, owner, "left")),
-                                               expr_from_json(_field(obj, owner, "right")))
+        e = (Join if kind == "join" else Meet)(
+            expr_from_json(required_field(obj, owner, "left")),
+            expr_from_json(required_field(obj, owner, "right")))
     elif kind == "res":
-        e = Res(_unit_fraction(obj, kind, "const"),
-                expr_from_json(_field(obj, owner, "child")))
+        e = Res(_unit_fraction(obj, owner, kind, "const"),
+                expr_from_json(required_field(obj, owner, "child")))
     else:
         raise StructuralError(f"unknown expression kind {kind!r}")
     # each field is named as the expression's own
-    _known(obj, owner, ("kind", *e.__slots__))
+    refuse_unknown(obj, owner, ("kind", *e.__slots__))
     return e
 
 
-def _integer(value, name: str) -> int:
+def parse_integer(value, name: str) -> int:
     """An integer field: a JSON integer or a string holding one."""
     if isinstance(value, str):
         try:
@@ -280,140 +199,6 @@ def _integer(value, name: str) -> int:
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise StructuralError(f"{name} must be an integer, got {value!r}")
-
-
-def _count(value, name: str) -> int:
-    """A non-negative integer field."""
-    n = _integer(value, name)
-    if n < 0:
-        raise StructuralError(f"{name} must not be negative, got {n}")
-    return n
-
-
-class ScenarioSpec:
-    """A parsed law-suite scenario file.
-
-    Holds the carrier, the variant, the three label sets, optional explicit
-    maps (as tables or generating bases), seeds, budgets and an optional
-    witness catalog for counterexample runs.  The label sets are checked on
-    load and built as ``FiniteSet``s only when a law run reads them.
-    """
-
-    def __init__(self, obj: dict, base_dir: Path | None = None):
-        if not isinstance(obj, dict):
-            raise StructuralError("a scenario file must hold a JSON object")
-        quantale = obj.get("quantale")
-        if isinstance(quantale, str):
-            quantale = load_json((base_dir or Path(".")) / quantale)
-        self.carrier = quantale_from_json(quantale)
-        variant = obj.get("variant", "plain")
-        try:
-            self.variant = Variant(variant)
-        except ValueError:
-            names = ", ".join(v.value for v in Variant)
-            raise StructuralError(
-                f"variant must be one of {names}, got {variant!r}") from None
-        sets = _expect(obj.get("sets", {}), dict, "sets")
-        _known(sets, "sets", ("X", "Y", "Z"))
-
-        def checked_labels(name: str, default: list) -> tuple:
-            labels = _expect(sets.get(name, default), list, f"sets.{name}")
-            # a map reads each point's value at the key str(label)
-            seen, keys = {}, {}
-            for i, label in enumerate(labels):
-                if isinstance(label, (dict, list)):
-                    raise StructuralError(
-                        f"sets.{name}[{i}] must not be an object or a list, got {label!r}")
-                if label in seen:
-                    # Python finds true equal to 1, and 1 equal to 1.0
-                    earlier = seen[label]
-                    if type(earlier) is type(label):
-                        raise StructuralError(f"sets.{name} repeats the label {label!r}")
-                    raise StructuralError(f"sets.{name} labels {earlier!r} and {label!r} "
-                                          "would name one point")
-                seen[label] = label
-                other = keys.setdefault(str(label), label)
-                if other is not label:
-                    raise StructuralError(f"sets.{name} labels {other!r} and {label!r} "
-                                          f"share the map key {str(label)!r}")
-            return tuple(labels)
-
-        # checked here, each becomes a FiniteSet when it is first read
-        self._sets = {"X": checked_labels("X", ["x0", "x1"]),
-                      "Y": checked_labels("Y", ["y0", "y1"]),
-                      "Z": checked_labels("Z", ["z0", "z1"])}
-        self.seed = _integer(obj.get("seed", 0), "seed")
-        budgets = _expect(obj.get("budgets", {}), dict, "budgets")
-        self.scenarios = _count(budgets.get("scenarios", 200), "budgets.scenarios")
-        budget = budgets.get("budget")
-        self.budget = None if budget is None else _count(budget, "budgets.budget")
-        _known(budgets, "budgets", ("scenarios", "budget"))
-        self.maps = obj.get("maps")
-        wc = obj.get("witness_catalog")
-        self.witness_catalog = None
-        if wc is not None:
-            if not _expect(wc, list, "witness_catalog"):
-                raise StructuralError("witness_catalog must not be empty; "
-                                      "leave it out for the default catalog")
-            self.witness_catalog = [expr_from_json(e) for e in wc]
-        _known(obj, "scenario", ("quantale", "variant", "sets", "seed", "budgets",
-                                 "maps", "witness_catalog"))
-
-    def _label_set(self, name: str) -> FiniteSet:
-        from .qfun import FiniteSet
-        labels = self._sets[name]
-        if not labels and name != "Z":
-            raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
-        if not isinstance(labels, FiniteSet):
-            labels = self._sets[name] = FiniteSet(labels)
-        return labels
-
-    x_set = property(lambda self: self._label_set("X"))
-    y_set = property(lambda self: self._label_set("Y"))
-    z_set = property(lambda self: self._label_set("Z"))
-
-    def explicit_maps(self):
-        """Decode the pinned f/g map values into tables, or None without maps.
-
-        A ``maps`` object must pin both ``f`` and ``g``; a missing one is a
-        StructuralError naming it.
-        """
-        if self.maps is None:
-            return None
-        _expect(self.maps, dict, "maps")
-        for name in ("f", "g"):
-            if self.maps.get(name) is None:
-                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
-        _known(self.maps, "maps", ("f", "g"))
-        out = {}
-        for name, (src, dst) in (("f", (self.x_set, self.y_set)),
-                                 ("g", (self.y_set, self.z_set))):
-            raw = _expect(self.maps[name], dict, f"map {name}")
-            decoded = {}
-            for x in src:
-                key = str(x)
-                if key not in raw:
-                    raise StructuralError(f"map {name} missing value at {key!r}")
-                decoded[x] = self._decode_table(raw[key], dst, f"map {name} at {key!r}")
-            _known(raw, f"map {name}", [str(x) for x in src])
-            out[name] = decoded
-        return out
-
-    def _decode_table(self, obj, domain: FiniteSet, where: str) -> SemifilterTable:
-        from .prefilter import normalize_basis
-        from .semifilter import semifilter_of
-        _expect(obj, dict, where)
-        try:
-            if "entries" in obj:
-                return semifilter_from_json(obj, domain, self.carrier)
-            if "basis" in obj:
-                _known(obj, "a table", ("basis",))
-                fns = [qfunction_from_json(b, domain, self.carrier)
-                       for b in _expect(obj["basis"], list, "basis")]
-                return semifilter_of(normalize_basis(fns, domain, self.carrier))
-        except StructuralError as e:
-            raise StructuralError(f"{where}: {e}") from None
-        raise StructuralError(f"{where} needs either 'entries' or 'basis'")
 
 
 def load_json(path) -> dict:
@@ -428,6 +213,7 @@ def load_quantale(path):
 
 
 def load_scenario(path) -> ScenarioSpec:
+    from .scenario import ScenarioSpec
     return ScenarioSpec(load_json(path), base_dir=Path(path).parent)
 
 

@@ -52,8 +52,8 @@ from quantalab.counterexample import (CATALOG_CAP, Const, Join, Meet, Ramp, Res,
 from quantalab.errors import BudgetError, UsageError
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction, SetMap, all_qfunctions
-from quantalab.quantale import (ONE, ZERO, BlockKind, FiniteQuantale, TNorm,
-                                Variant, Violation, grid)
+from quantalab.finite import FiniteQuantale, Violation
+from quantalab.quantale import ONE, ZERO, BlockKind, TNorm, Variant, grid
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   conical_coreflection, image_semifilter,
                                   require_bounded_carrier, semifilter_of)

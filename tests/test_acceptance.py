@@ -14,11 +14,10 @@ from quantalab.monad import (Variant, check_monad_laws, check_naturality,
                              classical_correspondence_report)
 from quantalab.prefilter import normalize_basis
 from quantalab.qfun import QFunction, finite_set
-from quantalab.quantale import (Block, BlockKind, build_ordinal_sum,
-                                check_condition_s, five_chain, godel3,
-                                godel_tnorm, grid, lukasiewicz_tnorm, mv3,
-                                positive_residuum_zero_sup, product_tnorm,
-                                two_chain)
+from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.quantale import (Block, BlockKind, build_ordinal_sum, check_condition_s,
+                                godel_tnorm, grid, lukasiewicz_tnorm,
+                                positive_residuum_zero_sup, product_tnorm)
 from quantalab.semifilter import (conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, is_semifilter,

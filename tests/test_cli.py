@@ -12,9 +12,10 @@ import pytest
 import quantalab
 from quantalab.cli import main
 from quantalab.qfun import QFunction, finite_set
-from quantalab.quantale import godel3, mv3, two_chain
+from quantalab.finite import godel3, mv3, two_chain
 from quantalab.semifilter import SemifilterTable, evaluation_unit, semifilter_of
-from quantalab.serialize import quantale_to_json, semifilter_to_json
+from quantalab.scenario import semifilter_to_json
+from quantalab.serialize import quantale_to_json
 
 from test_quantale import half_unit_chain, square_lattice
 
@@ -708,7 +709,7 @@ def _cx_scenario(*catalog, **fields):
     ("counterexample", _cx_scenario({"kind": "ramp", "scale": "1/8", "start": 2}),
      "a ramp expression has an unknown field 'start'"),
     ("counterexample", _cx_scenario({"kind": "indicator", "start": 2, "value": "1/8"}),
-     "a indicator expression has an unknown field 'value'"),
+     "an indicator expression has an unknown field 'value'"),
     ("counterexample", _cx_scenario({**CONST, "scale": "1/8"}),
      "a const expression has an unknown field 'scale'"),
     ("counterexample", _cx_scenario({"kind": "join", "left": CONST, "right": CONST,

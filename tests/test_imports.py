@@ -12,8 +12,9 @@ library module that imports one of them, or a test file, is named as well.
 
 The package resolves its public names on first access, and the layers
 import each other where they are used, so reading a t-norm or running a
-``counterexample`` never loads the finite function, filter and monad stack.
-The import graph is checked in a fresh interpreter.
+``counterexample`` never loads the finite carrier, nor the finite function,
+filter and monad stack, and only a scenario file loads its reader.  The
+import graph is checked in a fresh interpreter.
 """
 
 import ast
@@ -188,8 +189,16 @@ def loaded_modules(script: str, tmp_path, package_only: bool = True) -> set[str]
     return {m for m in json.loads(out.stdout) if not package_only or m.startswith("quantalab")}
 
 
-FINITE_STACK = {"quantalab.monad", "quantalab.semifilter", "quantalab.prefilter",
-                "quantalab.qfun", "quantalab.classical"}
+FINITE_STACK = {"quantalab.finite", "quantalab.monad", "quantalab.semifilter",
+                "quantalab.prefilter", "quantalab.qfun", "quantalab.classical"}
+# what every subcommand loads: the interval carrier and the quantale reader
+FRONT = {"quantalab", "quantalab.cli", "quantalab.errors", "quantalab.quantale",
+         "quantalab.serialize"}
+
+
+def test_importing_the_cli_loads_only_the_front(tmp_path):
+    # the import that bench/run.py's set-up probe times
+    assert loaded_modules("import quantalab.cli", tmp_path) == FRONT
 
 
 def test_reading_a_tnorm_loads_no_finite_stack(tmp_path):
@@ -197,7 +206,15 @@ def test_reading_a_tnorm_loads_no_finite_stack(tmp_path):
                             "from quantalab.serialize import load_quantale\n"
                             "load_quantale('block.json')", tmp_path)
     assert "quantalab.quantale" in loaded
-    assert loaded & (FINITE_STACK | {"quantalab.counterexample"}) == set()
+    assert loaded & (FINITE_STACK | {"quantalab.counterexample", "quantalab.scenario"}) \
+        == set()
+
+
+def test_checking_a_tnorm_loads_no_finite_carrier(tmp_path):
+    loaded = loaded_modules("from quantalab.cli import main\n"
+                            "main(['quantale', '--quantale', 'block.json', '--check', 'axioms',\n"
+                            "      '--check', 'adjunction', '--grid-step', '1/4'])", tmp_path)
+    assert loaded == FRONT
 
 
 def test_reading_a_scenario_without_a_catalog_loads_no_counterexample(tmp_path):
@@ -224,7 +241,8 @@ def test_a_counterexample_from_a_scenario_loads_no_finite_stack(tmp_path):
         "main(['counterexample', '--scenario', 'cx.json', '--t', '3/8',\n"
         "      '--s', '3/8', '--truncation', '20'])", tmp_path)
     assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
-                      "quantalab.errors", "quantalab.quantale", "quantalab.serialize"}
+                      "quantalab.errors", "quantalab.quantale", "quantalab.scenario",
+                      "quantalab.serialize"}
 
 
 COMMANDS = {
@@ -248,7 +266,7 @@ def test_a_command_loads_neither_click_nor_dataclasses(tmp_path, command):
 def test_a_laws_command_loads_no_counterexample(tmp_path):
     loaded = loaded_modules("from quantalab.cli import main\n"
                             "main(['laws', '--scenario', 'laws.json'])", tmp_path)
-    assert FINITE_STACK <= loaded
+    assert FINITE_STACK | {"quantalab.scenario"} <= loaded
     assert "quantalab.counterexample" not in loaded
 
 

@@ -14,11 +14,12 @@ import pytest
 import quantalab.qfun as qfun
 from quantalab.errors import StructuralError, UsageError
 from quantalab.qfun import QFunction, all_qfunctions, finite_set, sub
-from quantalab.quantale import (FiniteQuantale, build_ordinal_sum, five_chain, godel3,
-                                godel_tnorm, lukasiewicz_tnorm, mv3, two_chain)
+from quantalab.finite import FiniteQuantale, five_chain, godel3, mv3, two_chain
+from quantalab.quantale import build_ordinal_sum, godel_tnorm, lukasiewicz_tnorm
 from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
                                   evaluation_unit, residuate)
-from quantalab.serialize import format_fraction, semifilter_from_json
+from quantalab.scenario import semifilter_from_json
+from quantalab.serialize import format_fraction
 
 from oracles import from_mapping
 

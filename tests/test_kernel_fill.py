@@ -23,7 +23,7 @@ from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  least_positive, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
-from quantalab.quantale import five_chain, godel3, mv3, two_chain
+from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (ENUM_BUDGET, SemifilterFamily,
                                   SemifilterTable, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,

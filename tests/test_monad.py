@@ -18,14 +18,14 @@ from quantalab.monad import (KleisliScenario, LawFailure, Variant,
                              random_variant_table, table_satisfies)
 from quantalab.prefilter import member, normalize_basis
 from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set, unit_constant
-from quantalab.quantale import five_chain, godel3, mv3, two_chain
+from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   check_axioms, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
                                   is_bounded, is_semifilter, kowalsky_sum,
                                   level_prefilter, semifilter_of)
-from quantalab.serialize import semifilter_to_json
+from quantalab.scenario import semifilter_to_json
 
 from oracles import (from_function, from_mapping, image_outer, is_conical,
                      unit_prefilter)

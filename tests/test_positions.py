@@ -21,8 +21,8 @@ from quantalab.prefilter import eval_degree, normalize_basis
 from quantalab.qfun import (QFunction, all_qfunctions, constant, finite_set,
                             indicator, sub, unit_constant)
 from quantalab.semifilter import SemifilterTable, check_axioms
-from quantalab.quantale import (FiniteQuantale, check_quantale_axioms,
-                                five_chain, godel3, mv3, two_chain)
+from quantalab.finite import (FiniteQuantale, check_quantale_axioms, five_chain, godel3,
+                              mv3, two_chain)
 
 from oracles import (quantale_axioms_by_elements, random_qfunction_by_elements,
                      random_variant_table_by_elements)

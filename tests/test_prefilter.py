@@ -12,7 +12,7 @@ from quantalab.prefilter import (bounded_coreflection, eval_degree,
                                  saturation_member)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
-from quantalab.quantale import five_chain, godel3, mv3, two_chain
+from quantalab.finite import five_chain, godel3, mv3, two_chain
 
 from test_quantale import square_lattice
 

@@ -7,7 +7,7 @@ from quantalab.errors import UsageError
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, image, indicator, precompose, sub,
                             unit_constant)
-from quantalab.quantale import godel3, mv3
+from quantalab.finite import godel3, mv3
 
 G3 = godel3()
 X = finite_set("a", "b")
@@ -26,6 +26,13 @@ def all_maps(src, dst):
 def test_finite_set_rejects_duplicates():
     with pytest.raises(UsageError):
         finite_set("a", "a")
+
+
+def test_a_bool_is_not_a_function_value():
+    # True hashes as 1, so looking up its position alone would take it for 1
+    for values in ((True,), (False,), (F(1, 2), True)):
+        with pytest.raises(UsageError, match=rf"^not an exact rational: {values[-1]!r}$"):
+            QFunction(finite_set(*"ab"[:len(values)]), values, G3)
 
 
 def test_sub_examples():

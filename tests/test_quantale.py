@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from quantalab.counterexample import (Column, Const, Join, Ramp, Res, _node,
                                       _residuate)
 from quantalab.errors import ConstructionError, StructuralError, UsageError
-from quantalab.quantale import (Block, BlockKind, FiniteQuantale, as_fraction,
-                                build_ordinal_sum, check_condition_s,
-                                check_quantale_axioms, finite_restriction,
-                                five_chain, godel3, godel_tnorm, grid,
-                                is_lukasiewicz_shape, lukasiewicz_tnorm, mv3,
-                                positive_residuum_zero_sup, product_tnorm,
-                                residuum_continuity_probe, two_chain, Violation)
+from quantalab.finite import (FiniteQuantale, check_quantale_axioms, finite_restriction,
+                              five_chain, godel3, mv3, two_chain, Violation)
+from quantalab.quantale import (Block, BlockKind, as_fraction, build_ordinal_sum,
+                                check_condition_s, godel_tnorm, grid, is_lukasiewicz_shape,
+                                lukasiewicz_tnorm, positive_residuum_zero_sup,
+                                product_tnorm, residuum_continuity_probe)
 
 from oracles import (PointColumn, point_residuate, residuum_grid_oracle,
                      way_below)
@@ -231,6 +230,21 @@ def test_tnorm_takes_an_int_as_the_fraction_it_equals():
     for bad, shown in ((2, "2"), (-1, "-1"), (F(3, 2), "3/2")):
         with pytest.raises(UsageError, match=rf"^{shown} is not in \[0,1\]$"):
             LUK.tensor(F(1, 2), bad)
+
+
+def test_carriers_refuse_a_bool():
+    # a bool is an int to Python, but as_fraction refuses it, and so does
+    # each carrier: a finite one would find True at the position of 1
+    for t in (LUK, BLOCK, five_chain(), two_chain()):
+        for op in (t.tensor, t.residuum, t.leq, t.join, t.meet):
+            for bad in (True, False):
+                with pytest.raises(UsageError, match=rf"^not an exact rational: {bad!r}$"):
+                    op(bad, F(1))
+                with pytest.raises(UsageError, match=rf"^not an exact rational: {bad!r}$"):
+                    op(F(1), bad)
+        with pytest.raises(UsageError, match="^not an exact rational: True$"):
+            t.is_idempotent(True)
+        assert not t.contains(True) and not t.contains(False)
 
 
 def test_residuum_top_and_zero():

@@ -13,8 +13,8 @@ from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet, Ram
 from quantalab.monad import LawFailure
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction
-from quantalab.quantale import (Block, BlockKind, FiniteKernel, Record, Violation,
-                                build_ordinal_sum, two_chain)
+from quantalab.finite import FiniteKernel, Violation, two_chain
+from quantalab.quantale import Block, BlockKind, Record, build_ordinal_sum
 from quantalab.semifilter import AxiomViolation, SemifilterTable, evaluation_unit
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])

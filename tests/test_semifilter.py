@@ -9,8 +9,8 @@ from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
                                  normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
-from quantalab.quantale import (five_chain, godel3, lukasiewicz_tnorm, mv3,
-                                product_tnorm, two_chain)
+from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.quantale import lukasiewicz_tnorm, product_tnorm
 from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
                                   SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,

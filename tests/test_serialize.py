@@ -8,15 +8,14 @@ from quantalab.errors import StructuralError
 from quantalab.monad import Variant
 from quantalab.prefilter import normalize_basis
 from quantalab.qfun import QFunction, finite_set
-from quantalab.quantale import (FiniteQuantale, build_ordinal_sum, five_chain,
-                                godel3, godel_tnorm)
+from quantalab.finite import FiniteQuantale, five_chain, godel3
+from quantalab.quantale import build_ordinal_sum, godel_tnorm
 from quantalab.semifilter import semifilter_of
-from quantalab.serialize import (ScenarioSpec, expr_from_json, expr_to_json,
-                                 format_fraction, parse_fraction,
-                                 qfunction_from_json, qfunction_to_json,
-                                 quantale_from_json, quantale_to_json,
-                                 render_text, semifilter_from_json,
-                                 semifilter_to_json)
+from quantalab.scenario import (ScenarioSpec, qfunction_from_json, qfunction_to_json,
+                                semifilter_from_json, semifilter_to_json)
+from quantalab.serialize import (expr_from_json, expr_to_json, format_fraction,
+                                 parse_fraction, quantale_from_json, quantale_to_json,
+                                 render_text)
 
 from test_quantale import square_lattice
 
