@@ -36,14 +36,14 @@ _EXPORTS = {
                "mv3", "two_chain"),
     "qfun": ("FiniteSet", "QFunction", "SetMap", "finite_set", "image",
              "precompose", "sub"),
-    "prefilter": ("PrefilterBasis", "bounded_coreflection", "eval_degree",
-                  "image_prefilter", "is_top_filter", "member",
-                  "normalize_basis", "saturation_member"),
+    "prefilter": ("PrefilterBasis", "bounded_coreflection", "image_prefilter",
+                  "is_top_filter", "member", "normalize_basis",
+                  "saturation_member"),
     "semifilter": ("SemifilterFamily", "SemifilterTable", "check_axioms",
                    "conical_bounded_coreflection", "conical_coreflection",
                    "conical_semifilters", "enumerate_semifilters",
                    "evaluation_unit", "image_semifilter", "is_bounded",
-                   "kowalsky_sum", "level_prefilter", "meet", "residuate",
+                   "kowalsky_sum", "level_prefilter", "residuate",
                    "semifilter_of"),
     "monad": ("KleisliScenario", "check_monad_laws", "check_naturality",
               "classical_correspondence_report", "kleisli_extend",

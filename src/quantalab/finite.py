@@ -15,7 +15,7 @@ The interval counterexample never loads this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConstructionError, StructuralError, UsageError
 from .quantale import (ONE, ZERO, BlockKind, Record, TNorm, as_fraction,
@@ -55,8 +55,10 @@ class FiniteQuantale:
 
     ``elements`` is the carrier, in ascending numeric order; without
     explicit ``join``/``meet`` tables it is treated as a chain in that order.
-    The constructor checks the tables for shape only (every entry present
-    and inside the carrier); the laws are examined separately by
+    Each table is given as rows: row ``i`` lists the results at the ``i``-th
+    element and each element in turn, in that order.  The constructor
+    checks the tables for shape only (every entry present and inside the
+    carrier); the laws are examined separately by
     ``check_quantale_axioms`` so that broken tables can be constructed and
     reported on.
 
@@ -66,8 +68,9 @@ class FiniteQuantale:
     index tables.  The finite path runs on it: ``QFunction`` index tuples
     and codes, flat ``SemifilterTable`` values and ``sub``.  The operations
     below take and return ``Fraction`` elements and read the kernel, on a
-    chain too: each looks its arguments up in ``position``, and a
-    non-member raises ``UsageError``.
+    chain too: each looks its arguments up with ``index_of``, which refuses
+    a non-member, or a value that is neither a ``Fraction`` nor an ``int``,
+    with a ``UsageError``.
     """
 
     def __init__(self, elements: Sequence, tensor, unit,
@@ -90,30 +93,24 @@ class FiniteQuantale:
                           join_ix is None, meet_ix is None)
         self._hash = hash((self.elements, self.kernel.unit, self.kernel.tensor))
 
-    def _read_table(self, table, name: str) -> tuple:
-        """The table as an ``n x n`` tuple of positions, checked for shape."""
-        out = {}
-        if isinstance(table, Mapping):
-            for (x, y), v in table.items():
-                out[(as_fraction(x), as_fraction(y))] = as_fraction(v)
-        else:
-            rows = list(table)
-            if len(rows) != len(self.elements):
-                raise StructuralError(f"{name} table must have {len(self.elements)} rows")
-            for x, row in zip(self.elements, rows):
-                row = list(row)
-                if len(row) != len(self.elements):
-                    raise StructuralError(f"{name} row for {x} has wrong length")
-                for y, v in zip(self.elements, row):
-                    out[(x, y)] = as_fraction(v)
-        for x in self.elements:
-            for y in self.elements:
-                if (x, y) not in out:
-                    raise StructuralError(f"{name} table missing entry ({x}, {y})")
-                if out[(x, y)] not in self.position:
-                    raise StructuralError(f"{name}({x}, {y}) = {out[(x, y)]} outside carrier")
-        return tuple(tuple(self.position[out[(x, y)]] for y in self.elements)
-                     for x in self.elements)
+    def _read_table(self, rows, name: str) -> tuple:
+        """The table, one row per element in ascending order, as an ``n x n``
+        tuple of positions, checked for shape."""
+        es, position = self.elements, self.position
+        rows = list(rows)
+        if len(rows) != len(es):
+            raise StructuralError(f"{name} table must have {len(es)} rows")
+        out = []
+        for x, row in zip(es, rows):
+            row = list(row)
+            if len(row) != len(es):
+                raise StructuralError(f"{name} row for {x} has wrong length")
+            row = [as_fraction(v) for v in row]
+            for y, v in zip(es, row):
+                if v not in position:
+                    raise StructuralError(f"{name}({x}, {y}) = {v} outside carrier")
+            out.append(tuple(map(position.__getitem__, row)))
+        return tuple(out)
 
     def _build_kernel(self, tensor, join, meet) -> FiniteKernel:
         span = range(len(self.elements))
@@ -143,14 +140,16 @@ class FiniteQuantale:
                             bottom, top, self.position[self.unit])
 
     def index_of(self, x) -> int:
-        """The position of a carrier element; ``UsageError`` for a non-member,
-        and for a bool, which hashes as 0 or 1."""
+        """The position of a carrier element, given as ``TNorm`` takes one: a
+        ``Fraction``, or an ``int`` that is not a bool.  Anything else, a
+        float equal to a member too, is a ``UsageError``."""
         if x.__class__ is bool:
             raise UsageError(f"not an exact rational: {x!r}")
-        try:
-            return self.position[x]
-        except (KeyError, TypeError):
-            raise UsageError(f"{x} is not a carrier element") from None
+        if isinstance(x, (Fraction, int)):
+            i = self.position.get(x)
+            if i is not None:
+                return i
+        raise UsageError(f"{x} is not a carrier element")
 
     # -- carrier surface -------------------------------------------------
 
@@ -168,9 +167,10 @@ class FiniteQuantale:
 
     def contains(self, x) -> bool:
         try:
-            return x in self.position and x.__class__ is not bool
-        except TypeError:
+            self.index_of(x)
+        except UsageError:
             return False
+        return True
 
     def leq(self, x: Fraction, y: Fraction) -> bool:
         return self.kernel.leq[self.index_of(x)][self.index_of(y)]
@@ -279,23 +279,20 @@ def finite_restriction(t: TNorm, elements: Sequence) -> FiniteQuantale:
     the ambient residuum when the latter leaves the subchain.
     """
     elems = sorted(as_fraction(e) for e in elements)
-    table = {}
-    for x in elems:
-        for y in elems:
-            v = t.tensor(x, y)
-            if v not in set(elems):
-                raise ConstructionError(
-                    f"carrier not closed: {x} (x) {y} = {v}")
-            table[(x, y)] = v
-    return FiniteQuantale(elems, table, t.unit)
+    members = set(elems)
+    rows = [[t.tensor(x, y) for y in elems] for x in elems]
+    for x, row in zip(elems, rows):
+        for y, v in zip(elems, row):
+            if v not in members:
+                raise ConstructionError(f"carrier not closed: {x} (x) {y} = {v}")
+    return FiniteQuantale(elems, rows, t.unit)
 
 
 # shipped finite chains ------------------------------------------------------
 
 def two_chain() -> FiniteQuantale:
     """The Boolean quantale {0, 1} with tensor = min."""
-    return FiniteQuantale([0, 1], {(ZERO, ZERO): 0, (ZERO, ONE): 0,
-                                   (ONE, ZERO): 0, (ONE, ONE): 1}, 1)
+    return FiniteQuantale([0, 1], [[0, 0], [0, 1]], 1)
 
 
 def godel3() -> FiniteQuantale:

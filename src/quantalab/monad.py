@@ -431,13 +431,14 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
 # -- classical correspondence ------------------------------------------------
 
 def _filter_of_table(table: SemifilterTable) -> frozenset:
-    """The family of crisp sets the table holds at full degree."""
-    q = table.carrier
+    """The family of crisp sets the table holds at full degree, read at the
+    codes of the functions whose positions are the kernel's bottom and top."""
+    k = table.carrier.kernel
     domain = table.domain
     out = []
-    for lam in table.functions():
-        if all(v in (q.bottom, q.top) for v in lam.values) and table(lam) == q.top:
-            out.append(frozenset(x for x, v in zip(domain, lam.values) if v == q.top))
+    for index in itertools.product((k.bottom, k.top), repeat=len(domain)):
+        if table.index[QFunction.from_index(domain, table.carrier, index).code] == k.top:
+            out.append(frozenset(x for x, i in zip(domain, index) if i == k.top))
     return frozenset(out)
 
 

@@ -7,8 +7,12 @@ and lies below every member.  Functions take their values in a finite
 carrier (see ``qfun``), and on a finite base set every prefilter is then
 finitely generated, so a prefilter is carried by that one generator.
 Membership is one pointwise comparison with it, and the induced evaluation
-degree is one graded inclusion out of it.  The bounded coreflection is
-principal too: the generator joined with the least positive constant.
+degree of ``lam`` is one graded inclusion out of it, ``sub(generator, lam)``:
+graded inclusion is antitone in its first argument and every member
+dominates the generator, so the join over the prefilter is attained there.
+The bounded coreflection is principal too: the generator joined with the
+least positive constant.  A value is positive when it lies above the
+carrier's bottom, read as a position of its kernel.
 
 Saturations of finitely generated prefilters need not be finitely generated,
 so saturation is exposed only as a membership predicate and an evaluation
@@ -24,7 +28,7 @@ from typing import Iterable
 from .errors import UsageError
 from .finite import FiniteQuantale
 from .qfun import FiniteSet, QFunction, SetMap, image, sub, unit_constant
-from .quantale import Record, ZERO
+from .quantale import Record
 
 
 class PrefilterBasis(Record):
@@ -71,15 +75,6 @@ def member(pf: PrefilterBasis, lam: QFunction) -> bool:
     return pf.generator.leq(lam)
 
 
-def eval_degree(pf: PrefilterBasis, lam: QFunction) -> Fraction:
-    """The join over the prefilter of graded inclusions into lam.
-
-    Because graded inclusion is antitone in its first argument and every
-    member dominates the generator, the join is attained there.
-    """
-    return sub(pf.generator, lam)
-
-
 def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
     """Membership in the saturation: the evaluation degree reaches the unit,
     read at its carrier position."""
@@ -90,13 +85,16 @@ def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
 def is_top_filter(pf: PrefilterBasis) -> bool:
     """Every member has pointwise join above the unit.
 
-    It suffices to inspect the generator, since members dominate it.  Only
-    meaningful over integral carriers (unit = top).
+    It suffices to inspect the generator, since members dominate it: the
+    join of its positions is read on the kernel.  Only meaningful over
+    integral carriers (unit = top), ``FiniteQuantale.is_integral``.
     """
     c = pf.carrier
-    if c.unit != c.top:
+    if not c.is_integral:
         raise UsageError("the top-filter notion needs an integral carrier")
-    return c.leq(c.unit, pf.generator.max_value())
+    k = c.kernel
+    join = functools.reduce(lambda a, b: k.join[a][b], pf.generator.index, k.bottom)
+    return k.leq[k.unit][join]
 
 
 def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
@@ -113,15 +111,19 @@ def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
 # -- boundedness -------------------------------------------------------------
 
 def is_bounded_function(lam: QFunction) -> bool:
-    """Bounded below by a positive constant; vacuously true on an empty domain."""
-    return len(lam.domain) == 0 or lam.min_value() > ZERO
+    """Bounded below by a positive constant: the meet of its positions is
+    not the kernel's bottom.  Vacuously true on an empty domain."""
+    if not lam.index:
+        return True
+    k = lam.carrier.kernel
+    return functools.reduce(lambda a, b: k.meet[a][b], lam.index) != k.bottom
 
 
 def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     """The largest prefilter inside pf all of whose members are bounded.
 
     The answer is again principal: join the generator with the constant at
-    the least nonzero carrier element.
+    the least positive carrier element.
     """
     eps0 = _least_positive_position(pf.carrier)
     eps_x = QFunction.from_index(pf.domain, pf.carrier, (eps0,) * len(pf.domain))

@@ -58,8 +58,10 @@ def finite_set(*labels) -> FiniteSet:
 class QFunction:
     """A total map from a finite set into a finite carrier, stored densely.
 
-    Values are exact rationals aligned with the domain order; equality is
-    pointwise exact equality over the same domain and carrier.
+    Values are the carrier's own elements, aligned with the domain order:
+    each given value is looked up once with ``FiniteQuantale.index_of``, so
+    an ``int`` is taken as the element it equals and a float is refused.
+    Equality is pointwise exact equality over the same domain and carrier.
 
     A function also carries ``index``, the carrier positions of its values,
     and ``code``, that tuple read as a mixed-radix number in base ``|Q|``
@@ -75,16 +77,16 @@ class QFunction:
         if len(values) != len(domain):
             raise UsageError("values must cover the domain exactly")
         for v in values:
-            # a bool hashes as 0 or 1, so the lookup below would take it
+            # refused by name, as the carriers refuse it
             if v.__class__ is bool:
                 raise UsageError(f"not an exact rational: {v!r}")
         try:
-            index = tuple(map(carrier.position.__getitem__, values))
-        except (KeyError, TypeError):
+            index = tuple(map(carrier.index_of, values))
+        except UsageError:
             bad = next(v for v in values if not carrier.contains(v))
             raise UsageError(f"value {bad} outside the carrier") from None
-        self.domain, self.values, self.carrier = domain, values, carrier
-        self.index = index
+        self.domain, self.carrier, self.index = domain, carrier, index
+        self.values = tuple(map(carrier.elements.__getitem__, index))
         self.code = _code(index, len(carrier.elements))
 
     @classmethod

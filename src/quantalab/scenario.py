@@ -72,11 +72,13 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
     table's own ``domain`` and ``carrier`` fields, where given, must match
     ``domain`` and ``carrier``.
 
-    Each value's carrier position is placed at its function's code: the
-    table is built from positions, as every table is.
+    This is where a table's values become carrier positions, and the one
+    check a table read from a file passes: each value's position is placed
+    at its function's code, and a value outside the carrier, a function
+    listed twice or missing, and a table above the size cap are refused.
     """
     from .qfun import all_qfunctions
-    from .semifilter import SemifilterTable
+    from .semifilter import SemifilterTable, table_size
     _check_domain(obj, domain, "table")
     if "carrier" in obj:
         try:
@@ -104,20 +106,18 @@ def semifilter_from_json(obj: dict, domain: FiniteSet,
                 f"entries[{i}] repeats the function of entries[{first[fn.code]}]")
         first[fn.code] = i
         v = parse_fraction(val)
-        if not carrier.contains(v):
+        try:
+            positions[fn.code] = carrier.index_of(v)
+        except UsageError:
             raise StructuralError(
-                f"entries[{i}] has the value {format_fraction(v)} outside the carrier")
-        positions[fn.code] = carrier.index_of(v)
-
-    def position(fn: QFunction) -> int:
-        if fn.code not in positions:
-            raise StructuralError("table is missing the entry at "
-                                  f"({', '.join(map(format_fraction, fn.values))})")
-        return positions[fn.code]
-
-    # checked caps the size before it reads a position
-    return SemifilterTable.checked(domain, carrier,
-                                   map(position, all_qfunctions(domain, carrier)))
+                f"entries[{i}] has the value {format_fraction(v)} outside the carrier") from None
+    # capped before the function space is walked
+    size = table_size(domain, carrier)
+    if len(positions) < size:
+        fn = next(f for f in all_qfunctions(domain, carrier) if f.code not in positions)
+        raise StructuralError("table is missing the entry at "
+                              f"({', '.join(map(format_fraction, fn.values))})")
+    return SemifilterTable(domain, carrier, map(positions.__getitem__, range(size)))
 
 
 def _count(value, name: str) -> int:

@@ -21,20 +21,22 @@ table induced by a set of generators is the pointwise join of their
 units, images and Kowalsky sums read their source table at computed codes.
 None of them builds a ``QFunction`` or a ``Fraction``: values become
 ``Fraction`` elements only at ``__call__`` and ``canonical_values``, and
-enter only through ``serialize``.  The ``Fraction``-level table of a
-function and the characterizations of conicality by residuation and by
-the way-below relation are test oracles (``tests/oracles.py``).
+enter only through ``scenario.semifilter_from_json``.  F1-F3 are decided
+by one lazy scan over pairs of functions, shared by ``check_axioms`` and
+``enumerate_semifilters``, and "positive" means above the kernel's
+bottom.  The ``Fraction``-level table of a function, the ``Fraction``
+scan of F1-F4 and the characterizations of conicality by residuation and
+by the way-below relation are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, StructuralError, UsageError
+from .errors import BudgetError, UsageError
 from .finite import FiniteQuantale
 from .prefilter import PrefilterBasis, least_positive
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
@@ -51,34 +53,15 @@ class SemifilterTable(Record):
     ``index`` holds one carrier position per function, in canonical
     order, so the value at ``lam`` is at ``index[lam.code]``.  The
     constructor trusts its positions, as ``QFunction.from_index`` does:
-    the kernel builders fill them.  Positions from elsewhere go through
-    ``checked``, as ``serialize`` does.
+    the kernel builders fill them, and a table read from a file gets them
+    from ``scenario.semifilter_from_json``, which refuses a value outside
+    the carrier and a function missing or listed twice.
     """
 
     __slots__ = ("domain", "carrier", "index")
 
     def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, index):
         self.domain, self.carrier, self.index = domain, carrier, tuple(index)
-
-    @classmethod
-    def checked(cls, domain: FiniteSet, carrier: FiniteQuantale,
-                entries) -> "SemifilterTable":
-        """A table from positions no builder filled: capped, then checked."""
-        size = _table_size(domain, carrier)
-        if isinstance(entries, Mapping):
-            raise StructuralError("table entries must be carrier positions, "
-                                  "not a mapping")
-        index = tuple(entries)
-        if len(index) != size:
-            raise StructuralError(f"table needs {size} entries, one per "
-                                  f"function, got {len(index)}")
-        n = len(carrier.elements)
-        if index and ({*map(type, index)} != {int}
-                      or not 0 <= min(index) <= max(index) < n):
-            i, bad = next((i, v) for i, v in enumerate(index)
-                          if type(v) is not int or not 0 <= v < n)
-            raise StructuralError(f"table entry {i} is {bad!r}, not a carrier position")
-        return cls(domain, carrier, index)
 
     @property
     def entries(self) -> dict:
@@ -126,8 +109,9 @@ class SemifilterTable(Record):
         return f"SemifilterTable({len(self.domain)} points, {len(self.index)} entries)"
 
 
-def _table_size(domain: FiniteSet, carrier) -> int:
-    """|Q|^|X|, refused above ``TABLE_CAP`` before anything is filled."""
+def table_size(domain: FiniteSet, carrier) -> int:
+    """|Q|^|X|, the entries of a table on ``domain``, refused above
+    ``TABLE_CAP`` before anything is filled or read."""
     if not isinstance(carrier, FiniteQuantale):
         raise UsageError("semifilter tables need a finite carrier")
     size = len(carrier.elements) ** len(domain)
@@ -144,29 +128,52 @@ class AxiomViolation(Record):
         self.axiom, self.witness = axiom, witness
 
 
+def _f1_f3_failures(kernel, unit_code: int, pairs: Sequence[tuple],
+                    index: Sequence[int]):
+    """The F1-F3 failures of the table with positions ``index``, lazily.
+
+    First F1, with the position held at the constant unit (at
+    ``unit_code``); then F2 and F3 at each pair of ``pairs``, each with the
+    codes of the pair.  A pair is ``(code lam, code mu, position of
+    sub(lam, mu), code of their meet)``, as ``_pairs`` lists them.
+    """
+    leq, meet, res = kernel.leq, kernel.meet, kernel.residuum
+    if not leq[kernel.unit][index[unit_code]]:
+        yield "F1", (index[unit_code],)
+    for i, j, s, mij in pairs:
+        vi, vj = index[i], index[j]
+        if not leq[meet[vi][vj]][index[mij]]:
+            yield "F2", (i, j)
+        if not leq[s][res[vi][vj]]:
+            yield "F3", (i, j)
+
+
+def _pairs(funcs: Sequence[QFunction]) -> list[tuple]:
+    """Every ordered pair of the functions, in their order, for
+    ``_f1_f3_failures``."""
+    return [(f.code, g.code, sub(f, g, position=True), f.meet(g).code)
+            for f in funcs for g in funcs]
+
+
 def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[AxiomViolation]:
-    """Report all violations of F1-F3 (and F4 on request) with witnesses."""
+    """Report all violations of F1-F3 (and F4 on request) with witnesses.
+
+    The scan runs on positions (``_f1_f3_failures``, as in
+    ``enumerate_semifilters``); only a witness becomes ``Fraction``s: the
+    value held at the constant unit for F1, the values of the two
+    functions for F2 and F3, the constant's value for F4.
+    """
     q = table.carrier
-    out: list[AxiomViolation] = []
-    k_x = unit_constant(table.domain, q)
-    if not q.leq(q.unit, table(k_x)):
-        out.append(AxiomViolation("F1", (table(k_x),)))
+    es = q.elements
     funcs = list(table.functions())
-    for lam in funcs:
-        for mu in funcs:
-            both = q.meet(table(lam), table(mu))
-            if not q.leq(both, table(lam.meet(mu))):
-                out.append(AxiomViolation("F2", (lam.values, mu.values)))
-            if not q.leq(sub(lam, mu), q.residuum(table(lam), table(mu))):
-                out.append(AxiomViolation("F3", (lam.values, mu.values)))
+    unit_code = unit_constant(table.domain, q).code
+    out = [AxiomViolation(axiom, (es[w[0]],) if axiom == "F1"
+                          else (funcs[w[0]].values, funcs[w[1]].values))
+           for axiom, w in _f1_f3_failures(q.kernel, unit_code, _pairs(funcs),
+                                           table.index)]
     if require_filter:
-        for i in table.f4_failures():
-            out.append(AxiomViolation("F4", (q.elements[i],)))
+        out += [AxiomViolation("F4", (es[i],)) for i in table.f4_failures()]
     return out
-
-
-def is_semifilter(table: SemifilterTable) -> bool:
-    return not check_axioms(table)
 
 
 # -- the kernel fill -----------------------------------------------------------
@@ -205,7 +212,7 @@ def _induced(domain: FiniteSet, carrier: FiniteQuantale,
              generators: Sequence[Sequence[int]]) -> SemifilterTable:
     """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``;
     bottom everywhere if there are none."""
-    size = _table_size(domain, carrier)
+    size = table_size(domain, carrier)
     k = carrier.kernel
     fills = [_sub_fill(k, g) for g in generators] or [[k.bottom] * size]
     return SemifilterTable(domain, carrier, functools.reduce(
@@ -242,12 +249,6 @@ def _level_rows(table: SemifilterTable) -> list[tuple]:
             if above_unit[v]]
 
 
-def _is_positive(carrier: FiniteQuantale) -> tuple[bool, ...]:
-    """Per position, whether the element is positive (``is_bounded_function``):
-    read off its numerator, as a ``Fraction``'s denominator is positive."""
-    return tuple(e.numerator > 0 for e in carrier.elements)
-
-
 def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
     """The table ``mu |-> table(mu . f)`` on ``f``'s target.
 
@@ -255,7 +256,7 @@ def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
     point weighs the sum of the place values of its fiber.
     """
     q = table.carrier
-    _table_size(f.target, q)
+    table_size(f.target, q)
     n, m = len(q.elements), len(f.source)
     weights = [0] * len(f.target)
     for x, y in enumerate(f.mapping):
@@ -272,7 +273,7 @@ def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> Semifilter
     Satisfies F1-F4 and is conical.
     """
     idx = domain.index(x)
-    size = _table_size(domain, carrier)
+    size = table_size(domain, carrier)
     n = len(carrier.elements)
     stride = n ** (len(domain) - 1 - idx)
     return SemifilterTable(domain, carrier, (c // stride % n for c in range(size)))
@@ -340,16 +341,6 @@ def is_conical_semifilter(table: SemifilterTable) -> bool:
     return tuple(_sub_fill(k, _row_meet(_level_rows(table), k))) == table.index
 
 
-def meet(tables: Sequence[SemifilterTable]) -> SemifilterTable:
-    """Pointwise meet of semifilter tables; preserves F1-F3."""
-    if not tables:
-        raise UsageError("meet of an empty family is undefined here")
-    out = tables[0]
-    for t in tables[1:]:
-        out = out.meet(t)
-    return out
-
-
 def residuate(p: Fraction, table: SemifilterTable) -> SemifilterTable:
     """Residuate every table value by the constant p; preserves F1-F3."""
     q = table.carrier
@@ -411,7 +402,7 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
         raise UsageError("outer semifilter is not indexed by the family")
     q = family.carrier
     k = q.kernel
-    size = _table_size(family.x_domain, q)
+    size = table_size(family.x_domain, q)
     columns = [m.index for m in family.members]
     if isinstance(outer, PrefilterBasis):
         fill = _sub_at(k, outer.generator.index, columns, size)
@@ -436,7 +427,7 @@ def conical_semifilters(domain: FiniteSet,
     the canonical order of ``g``.  Each is the table of the saturated
     prefilter ``normalize_basis([g])``.
     """
-    _table_size(domain, carrier)
+    table_size(domain, carrier)
     k = carrier.kernel
     below_unit = [i for i in range(len(carrier.elements)) if k.leq[i][k.unit]]
     return [SemifilterTable(domain, carrier, _sub_fill(k, g))
@@ -449,36 +440,26 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
     """Brute-force all tables and keep those satisfying the requested axioms.
 
     ``require`` is "all" (F1-F3) or "filter" (adds F4); the conical ones
-    are listed directly by ``conical_semifilters``.  Refuses to scan more
-    than ``budget`` candidate tables before any function is built, naming
-    the count as ``n^k`` in the message and exactly in the error's ``count``.
+    are listed directly by ``conical_semifilters``.  Each candidate runs
+    the F1-F3 scan of ``check_axioms`` up to its first failure.  Refuses
+    to scan more than ``budget`` candidate tables before any function is
+    built, naming the count as ``n^k`` in the message and exactly in the
+    error's ``count``.
     """
     if require not in ("all", "filter"):
         raise UsageError(f"unknown requirement {require!r}")
     q = carrier
-    size = _table_size(domain, q)
+    size = table_size(domain, q)
     count = len(q.elements) ** size
     if count > budget:
         raise BudgetError(f"enumeration would scan {len(q.elements)}^{size} "
                           f"tables (budget {budget})", count=count)
-    funcs = list(all_qfunctions(domain, q))
-
-    kernel = q.kernel
-    leq, meet, res = kernel.leq, kernel.meet, kernel.residuum
-    k_idx = unit_constant(domain, q).code
-    pairs = [(f.code, g.code, sub(f, g, position=True), f.meet(g).code)
-             for f in funcs for g in funcs]
-    above_unit = leq[kernel.unit]
-
+    kernel, unit_code = q.kernel, unit_constant(domain, q).code
+    pairs = _pairs(list(all_qfunctions(domain, q)))
     out: list[SemifilterTable] = []
-    for vals in itertools.product(range(len(q.elements)), repeat=len(funcs)):
-        if not above_unit[vals[k_idx]]:
-            continue
-        for i, j, s, mij in pairs:
-            vi, vj = vals[i], vals[j]
-            if not leq[meet[vi][vj]][vals[mij]] or not leq[s][res[vi][vj]]:
-                break
-        else:
+    for vals in itertools.product(range(len(q.elements)), repeat=size):
+        # the scan stops at the first failure
+        if next(_f1_f3_failures(kernel, unit_code, pairs, vals), None) is None:
             t = SemifilterTable(domain, q, vals)
             if require == "all" or not t.f4_failures():
                 out.append(t)
@@ -504,7 +485,8 @@ def require_bounded_carrier(carrier: FiniteQuantale) -> None:
 
 
 def is_bounded(table: SemifilterTable) -> bool:
-    """No function touching bottom somewhere is held at full degree.
+    """No function whose values meet at the kernel's bottom is held at full
+    degree.
 
     Needs an integral carrier; on an empty base set every function counts as
     bounded and the test is vacuous.
@@ -513,10 +495,10 @@ def is_bounded(table: SemifilterTable) -> bool:
     _require_integral(q)
     if not len(table.domain):
         return True
-    k, positive = q.kernel, _is_positive(q)
+    k = q.kernel
     # the meet of each function's values, at every code
     row_meets = _fold(k.meet, k.top, [range(len(q.elements))] * len(table.domain))
-    return not any(v == k.top and not positive[m]
+    return not any(v == k.top and m == k.bottom
                    for m, v in zip(row_meets, table.index))
 
 
@@ -536,9 +518,9 @@ def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:
     q = table.carrier
     require_bounded_carrier(q)
     # every positive value lies above the least one, so a row's meet is
-    # positive exactly when each of its values is
-    positive = _is_positive(q)
-    rows = [r for r in _level_rows(table) if all(positive[i] for i in r)]
+    # positive exactly when none of its values is the bottom
+    bottom = q.kernel.bottom
+    rows = [r for r in _level_rows(table) if bottom not in r]
     return _induced(table.domain, q, _generators(rows, q.kernel))
 
 

@@ -33,6 +33,9 @@ positions and never builds a ``Fraction`` on the way:
   conicality that it gives on a continuous carrier;
 * ``quantale_axioms_by_elements`` -- the quantale laws scanned through the
   carrier's ``Fraction`` operations, which the kernel scan replaces;
+* ``semifilter_axioms_by_elements`` -- F1-F4 of a table scanned through
+  its ``Fraction`` values, which the position scan of ``check_axioms``
+  replaces;
 * ``random_qfunction_by_elements`` and ``random_variant_table_by_elements``
   -- the seeded draws from a pool of ``Fraction`` elements, which the
   draws from a pool of positions replace.
@@ -51,11 +54,12 @@ from quantalab.counterexample import (CATALOG_CAP, Const, Join, Meet, Ramp, Res,
                                       TailIndicator, _evaluate, describe)
 from quantalab.errors import BudgetError, UsageError
 from quantalab.prefilter import PrefilterBasis, normalize_basis
-from quantalab.qfun import FiniteSet, QFunction, SetMap, all_qfunctions
+from quantalab.qfun import (FiniteSet, QFunction, SetMap, all_qfunctions,
+                            constant, sub, unit_constant)
 from quantalab.finite import FiniteQuantale, Violation
 from quantalab.quantale import ONE, ZERO, BlockKind, TNorm, Variant, grid
-from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
-                                  conical_coreflection, image_semifilter,
+from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
+                                  SemifilterTable, conical_coreflection, image_semifilter,
                                   require_bounded_carrier, semifilter_of)
 
 
@@ -342,6 +346,13 @@ def point_collapse_scan(a: PointColumn, g: PointColumn, p: Fraction, t):
 
 # -- finite carriers: tables from Fraction formulas -------------------------------
 
+def rows_of(table: dict, elements) -> list[list]:
+    """A carrier table given as a dict from pairs of elements, as the rows
+    ``FiniteQuantale`` takes: row ``i`` holds the results at the ``i``-th
+    element."""
+    return [[table[(x, y)] for y in elements] for x in elements]
+
+
 def from_function(domain: FiniteSet, carrier: FiniteQuantale, fn) -> SemifilterTable:
     """The table ``lam |-> fn(lam)`` of a formula on ``Fraction`` values,
     called once per function in canonical order."""
@@ -515,6 +526,31 @@ def quantale_axioms_by_elements(q: FiniteQuantale) -> list[Violation]:
                     out.append(Violation("associativity", (x, y, z)))
                 if t(x, q.join(y, z)) != q.join(t(x, y), t(x, z)):
                     out.append(Violation("join-distributivity", (x, y, z)))
+    return out
+
+
+def semifilter_axioms_by_elements(table: SemifilterTable,
+                                  require_filter: bool = False) -> list[AxiomViolation]:
+    """``check_axioms`` through the table's ``Fraction`` values and the
+    carrier's ``Fraction`` operations, every failure in the same order with
+    the same witnesses."""
+    q = table.carrier
+    out: list[AxiomViolation] = []
+    k_x = unit_constant(table.domain, q)
+    if not q.leq(q.unit, table(k_x)):
+        out.append(AxiomViolation("F1", (table(k_x),)))
+    funcs = list(table.functions())
+    for lam in funcs:
+        for mu in funcs:
+            both = q.meet(table(lam), table(mu))
+            if not q.leq(both, table(lam.meet(mu))):
+                out.append(AxiomViolation("F2", (lam.values, mu.values)))
+            if not q.leq(sub(lam, mu), q.residuum(table(lam), table(mu))):
+                out.append(AxiomViolation("F3", (lam.values, mu.values)))
+    if require_filter:
+        for p in q.elements:
+            if not q.leq(table(constant(table.domain, q, p)), p):
+                out.append(AxiomViolation("F4", (p,)))
     return out
 
 

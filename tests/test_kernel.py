@@ -21,7 +21,7 @@ from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
 from quantalab.scenario import semifilter_from_json
 from quantalab.serialize import format_fraction
 
-from oracles import from_mapping
+from oracles import from_mapping, rows_of
 
 
 def diamond():
@@ -34,7 +34,8 @@ def diamond():
             for x in es for y in es}
     meet = {(x, y): next(z for z in (i, b, a, o) if (z, x) in order and (z, y) in order)
             for x in es for y in es}
-    return FiniteQuantale(es, meet, i, join=join, meet=meet), join, meet
+    return (FiniteQuantale(es, rows_of(meet, es), i, join=rows_of(join, es),
+                           meet=rows_of(meet, es)), join, meet)
 
 
 def chain_oracle(q, t):
@@ -57,7 +58,8 @@ def carriers():
     # all the same
     es = q.elements
     broken = {(x, y): F(1) if x == y == 1 else F(0) for x in es for y in es}
-    out.append((FiniteQuantale(es, broken, 1, join=join, meet=meet), broken, join, meet))
+    out.append((FiniteQuantale(es, rows_of(broken, es), 1, join=rows_of(join, es),
+                               meet=rows_of(meet, es)), broken, join, meet))
     return out
 
 
@@ -100,6 +102,32 @@ def test_carrier_arithmetic_refuses_non_members():
         with pytest.raises(UsageError, match="is not a carrier element"):
             call(F(1), [1])
     assert not q.contains([1]) and not q.contains(F(1, 3)) and q.contains(F(3, 8))
+
+
+def test_a_float_equal_to_a_member_is_refused():
+    # 0.5 hashes and compares like 1/2, so a plain lookup would take it
+    q = godel3()
+    S = finite_set("a")
+    for bad in (0.5, 1.0, 0.0):
+        assert not q.contains(bad)
+        with pytest.raises(UsageError, match=rf"^{bad} is not a carrier element$"):
+            q.index_of(bad)
+        with pytest.raises(UsageError, match=rf"^value {bad} outside the carrier$"):
+            QFunction(S, (bad,), q)
+    for call in (q.tensor, q.residuum, q.leq, q.join, q.meet):
+        with pytest.raises(UsageError, match=r"^0\.5 is not a carrier element$"):
+            call(0.5, 1.0)
+    with pytest.raises(UsageError, match=r"^0\.5 is not a carrier element$"):
+        q.is_idempotent(0.5)
+
+
+def test_a_function_holds_the_carriers_own_elements():
+    # an int is taken as the element it equals, as TNorm takes it
+    q = godel3()
+    lam = QFunction(finite_set("a", "b"), (1, 0), q)
+    assert lam.values == (F(1), F(0)) and lam.index == (2, 0)
+    assert all(v is e for v, e in zip(lam.values, (q.elements[2], q.elements[0])))
+    assert q.contains(1) and q.index_of(0) == 0
 
 
 def test_carrier_identity_follows_the_tables():
@@ -231,13 +259,6 @@ def test_table_errors_are_unchanged():
         semifilter_from_json(entries_json({**full, (F(1, 2),): F(1, 3)}), S, q)
     with pytest.raises(StructuralError, match="^value 1/3 outside the carrier$"):
         semifilter_from_json(entries_json({**full, (F(1, 3),): F(1)}), S, q)
-    # positions from outside the kernel builders report the same faults
-    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
-        SemifilterTable.checked(S, q, [0])
-    with pytest.raises(StructuralError, match="table entry 1 is 3, not a carrier position"):
-        SemifilterTable.checked(S, q, [0, 3, 2])
-    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 4"):
-        SemifilterTable.checked(S, q, [0, 1, 2, 2])
     t = semifilter_from_json(entries_json(full), S, q)
     assert t == SemifilterTable(S, q, [0, 1, 2])
     assert t.entries[(F(1, 2),)] == F(1, 2) and t.entries[(F(1),)] == F(1)
@@ -248,23 +269,25 @@ def test_table_errors_are_unchanged():
 
 
 def test_a_table_is_built_from_carrier_positions_only():
-    # values, a mapping or a bool would pass a range check on their own and
-    # fail later, when the table is read
+    # the reader turns each value into its position once; a bool, a float
+    # or a number outside the carrier never reaches the table
     q = godel3()
     S = finite_set("s")
     refused = [
-        ([F(0), F(1, 2), F(1)], "table entry 0 is Fraction(0, 1), not a carrier position"),
-        ([0, True, 2], "table entry 1 is True, not a carrier position"),
-        ([0, 1, 2.0], "table entry 2 is 2.0, not a carrier position"),
-        ([0, -1, 2], "table entry 1 is -1, not a carrier position"),
-        ({0: 0, 1: 1, 2: 2}, "table entries must be carrier positions, not a mapping"),
+        (True, "not an exact rational: True"),
+        (0.5, "not an exact rational: 0.5"),
+        ("2/1", "entries[2] has the value 2/1 outside the carrier"),
+        ("-1", "entries[2] has the value -1/1 outside the carrier"),
     ]
-    for entries, message in refused:
+    for value, message in refused:
+        obj = {"entries": [[["0/1"], "0/1"], [["1/2"], "1/2"], [["1/1"], value]]}
         with pytest.raises(StructuralError, match=re.escape(message)):
-            SemifilterTable.checked(S, q, entries)
-    for build in (SemifilterTable, SemifilterTable.checked):
-        assert build(S, q, iter([2, 1, 0])).canonical_values() == (F(1), F(1, 2), F(0))
-        assert build(finite_set(), q, [2]).index == (2,)
+            semifilter_from_json(obj, S, q)
+    obj = {"entries": [[["1/1"], "0/1"], [["1/2"], "1/2"], [["0/1"], 1]]}
+    t = semifilter_from_json(obj, S, q)
+    assert t.index == (2, 1, 0) and t.canonical_values() == (F(1), F(1, 2), F(0))
+    assert SemifilterTable(S, q, iter([2, 1, 0])).canonical_values() == (F(1), F(1, 2), F(0))
+    assert semifilter_from_json({"entries": [[[], "1/1"]]}, finite_set(), q).index == (2,)
 
 
 def test_sub_on_a_finite_carrier_reads_the_kernel_only(monkeypatch):

@@ -3,9 +3,10 @@
 Every builder fills its table as position lists (see the ``semifilter``
 module docstring).  Here each one is compared, exhaustively over small
 carriers and base sets, with the table the oracle ``from_function`` builds
-from the ``Fraction`` formulas: ``sub``, ``eval_degree``, the evaluation
-functional ``hat`` and ``precompose``.  The coreflections are compared with
-the join over every level member.
+from the ``Fraction`` formulas: ``sub``, the evaluation degree
+``sub(generator, -)``, the evaluation functional ``hat`` and
+``precompose``.  The coreflections are compared with the join over every
+level member.
 """
 
 import functools
@@ -18,9 +19,9 @@ from quantalab.errors import UsageError
 from quantalab.monad import (Variant, check_naturality, kleisli_extend,
                              monad_units, random_variant_table,
                              table_satisfies)
-from quantalab.prefilter import (bounded_coreflection, eval_degree,
-                                 image_prefilter, is_bounded_function,
-                                 least_positive, normalize_basis)
+from quantalab.prefilter import (bounded_coreflection, image_prefilter,
+                                 is_bounded_function, least_positive,
+                                 normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
@@ -94,7 +95,7 @@ def test_semifilter_of_every_function_and_pair(name, n):
         for members in ([pair[0]], list(pair)):
             basis = normalize_basis(members)
             assert semifilter_of(basis) == from_function(
-                dom, q, lambda lam: eval_degree(basis, lam))
+                dom, q, lambda lam: sub(basis.generator, lam))
             assert semifilter_of(members) == join_of_subs(members, dom, q)
 
 
@@ -198,7 +199,7 @@ def test_kowalsky_sum_matches_the_evaluation_functional(name, n):
             basis = normalize_basis(raw, fam.labels, q)
             outers.append(semifilter_of(basis))
             assert kowalsky_sum(basis, fam) == from_function(
-                fam.x_domain, q, lambda lam: eval_degree(basis, hat(fam, lam)))
+                fam.x_domain, q, lambda lam: sub(basis.generator, hat(fam, lam)))
         for outer in outers:
             assert kowalsky_sum(outer, fam) == from_function(
                 fam.x_domain, q, lambda lam: outer(hat(fam, lam)))

@@ -7,25 +7,30 @@ and hash none.  Each position-level step is held against the
 ``Fraction``-level code it replaced (``tests/oracles.py``).
 """
 
+import itertools
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
+import quantalab.finite as finite
 from quantalab.errors import UsageError
 from quantalab.monad import (Variant, check_monad_laws, check_naturality,
-                             functional_of, random_qfunction,
-                             random_variant_table)
-from quantalab.prefilter import eval_degree, normalize_basis
+                             classical_correspondence_report, functional_of,
+                             random_qfunction, random_variant_table)
+from quantalab.prefilter import (bounded_coreflection, is_bounded_function,
+                                 normalize_basis)
 from quantalab.qfun import (QFunction, all_qfunctions, constant, finite_set,
                             indicator, sub, unit_constant)
-from quantalab.semifilter import SemifilterTable, check_axioms
+from quantalab.semifilter import (SemifilterTable, check_axioms,
+                                  conical_bounded_coreflection,
+                                  evaluation_unit, is_bounded, semifilter_of)
 from quantalab.finite import (FiniteQuantale, check_quantale_axioms, five_chain, godel3,
                               mv3, two_chain)
 
 from oracles import (quantale_axioms_by_elements, random_qfunction_by_elements,
-                     random_variant_table_by_elements)
+                     random_variant_table_by_elements, semifilter_axioms_by_elements)
 
 CHAINS = {"five": five_chain, "godel3": godel3, "mv3": mv3, "two": two_chain}
 X = finite_set("x0", "x1")
@@ -43,6 +48,26 @@ def fraction_hashes(monkeypatch) -> list:
         return real(self)
 
     monkeypatch.setattr(F, "__hash__", counted)
+    return calls
+
+
+@pytest.fixture
+def fraction_compares(monkeypatch) -> list:
+    """Every ``Fraction.__hash__`` and ``Fraction.__eq__`` call from here
+    on, one entry each."""
+    calls = []
+    real_hash, real_eq = F.__hash__, F.__eq__
+
+    def hashed(self):
+        calls.append(("hash", self))
+        return real_hash(self)
+
+    def compared(self, other):
+        calls.append(("eq", self, other))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(F, "__hash__", hashed)
+    monkeypatch.setattr(F, "__eq__", compared)
     return calls
 
 
@@ -174,7 +199,7 @@ def test_sub_at_a_position_is_the_position_of_sub(name):
     labels = finite_set(*range(len(universe)))
     for lam in fns:
         assert functional_of(lam, universe, labels) == QFunction(
-            labels, tuple(eval_degree(f, lam) for f in universe), q)
+            labels, tuple(sub(f.generator, lam) for f in universe), q)
 
 
 @pytest.mark.parametrize("name", CHAINS)
@@ -192,6 +217,91 @@ def test_f4_failures_are_the_constants_held_above_their_value(name):
         assert table.f4_failures() == by_elements
         f4 = [v.witness for v in check_axioms(table, require_filter=True) if v.axiom == "F4"]
         assert f4 == [(q.elements[i],) for i in by_elements]
+
+
+def no_zero() -> FiniteQuantale:
+    """The chain 1/4 < 1 with tensor = min: its bottom is 1/4, so its only
+    positive element is 1."""
+    return BROKEN["no-zero"][0]()
+
+
+def sample_tables(q: FiniteQuantale, domain, rng, count: int):
+    """Seeded tables on the domain: plain and filter semifilters, some with
+    entries redrawn at random."""
+    for _ in range(count):
+        table = random_variant_table(rng, domain, q, rng.choice((Variant.PLAIN,
+                                                                 Variant.FILTER)))
+        p = rng.choice((0, 0.1, 0.5))
+        yield SemifilterTable(domain, q, [rng.randrange(len(q.elements))
+                                          if rng.random() < p else v for v in table.index])
+
+
+@pytest.mark.parametrize("build", [two_chain, godel3, no_zero])
+def test_check_axioms_is_the_element_scan_on_every_table_at_one_point(build):
+    q = build()
+    S = finite_set("s")
+    n = len(q.elements)
+    for index in itertools.product(range(n), repeat=n):
+        table = SemifilterTable(S, q, index)
+        for require_filter in (False, True):
+            got = check_axioms(table, require_filter)
+            assert got == semifilter_axioms_by_elements(table, require_filter)
+            assert all(type(v) is F for a in got for w in a.witness
+                       for v in (w if isinstance(w, tuple) else (w,)))
+
+
+@pytest.mark.parametrize("name", [*CHAINS, "no-zero", "diamond"])
+def test_check_axioms_is_the_element_scan_on_sampled_tables(name):
+    q = {"no-zero": no_zero, "diamond": diamond, **CHAINS}[name]()
+    rng = random.Random(17)
+    failing = 0
+    for table in sample_tables(q, X, rng, 30):
+        got = check_axioms(table, require_filter=True)
+        assert got == semifilter_axioms_by_elements(table, require_filter=True)
+        failing += bool(got)
+    assert 0 < failing < 30
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_the_axiom_scan_and_the_classical_oracle_compare_no_fraction(
+        name, monkeypatch, fraction_compares):
+    q = CHAINS[name]()
+    tables = list(sample_tables(q, X, random.Random(3), 10))
+    # the classical oracle builds its two-element chain before it checks
+    two = two_chain()
+    monkeypatch.setattr(finite, "two_chain", lambda: two)
+    fraction_compares.clear()
+    assert any([check_axioms(t, require_filter=True) for t in tables])
+    assert classical_correspondence_report(3).passed
+    assert fraction_compares == []
+
+
+# -- positive means above the kernel's bottom ----------------------------------------
+
+@pytest.mark.parametrize("name", [*CHAINS, "no-zero"])
+def test_the_bounded_coreflections_agree_on_every_basis(name):
+    q = {"no-zero": no_zero, **CHAINS}[name]()
+    for size in range(3):
+        domain = finite_set(*(f"x{i}" for i in range(size)))
+        for g in all_qfunctions(domain, q):
+            basis = normalize_basis([g])
+            assert (conical_bounded_coreflection(semifilter_of(basis))
+                    == semifilter_of(bounded_coreflection(basis))), (size, g)
+
+
+def test_positive_means_above_the_bottom_on_a_carrier_without_zero():
+    q = no_zero()
+    A = q.bottom
+    assert not is_bounded_function(QFunction(X, (A, F(1)), q))
+    assert is_bounded_function(QFunction(X, (F(1), F(1)), q))
+    assert not is_bounded(evaluation_unit(X, q, "x0"))
+    assert is_bounded(semifilter_of(normalize_basis([QFunction(X, (F(1), F(1)), q)])))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_naturality_holds_on_a_carrier_without_zero(seed):
+    report = check_naturality(no_zero(), 8, seed)
+    assert report.failures == [] and report.not_applicable == []
 
 
 def test_qfunction_looks_each_value_up_once(fraction_hashes):

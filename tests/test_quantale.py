@@ -16,7 +16,7 @@ from quantalab.quantale import (Block, BlockKind, as_fraction, build_ordinal_sum
                                 product_tnorm, residuum_continuity_probe)
 
 from oracles import (PointColumn, point_residuate, residuum_grid_oracle,
-                     way_below)
+                     rows_of, way_below)
 
 GODEL = godel_tnorm()
 PROD = product_tnorm()
@@ -58,7 +58,7 @@ def test_a_finite_carrier_with_a_malformed_element_is_refused():
     with pytest.raises(UsageError, match="not an exact rational: 'x'"):
         FiniteQuantale(["0", "x"], [[0, 0], [0, 1]], 1)
     with pytest.raises(UsageError, match="not an exact rational: '1/0'"):
-        FiniteQuantale([0, 1], {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): "1/0"}, 1)
+        FiniteQuantale([0, 1], [[0, 0], [0, "1/0"]], 1)
 
 
 @pytest.mark.parametrize("kind", ["luk", "", 3, None])
@@ -396,10 +396,10 @@ def test_lattice_law_violations_are_reported_first():
 
 def test_explicit_meet_table_is_checked():
     q = square_lattice()
-    o, a, b, i = q.elements
-    tensor, join, meet = ({(x, y): op(x, y) for x in q.elements for y in q.elements}
+    _, a, _, i = q.elements
+    tensor, join, meet = ([[op(x, y) for y in q.elements] for x in q.elements]
                           for op in (q.tensor, q.join, q.meet))
-    meet[(a, b)] = a                      # no longer commutative or a glb
+    meet[1][2] = a                        # meet(a, b): no longer commutative or a glb
     bad = FiniteQuantale(q.elements, tensor, i, join=join, meet=meet)
     laws = {v.law for v in check_quantale_axioms(bad)}
     assert {"meet-commutativity", "join-meet-agreement"} <= laws
@@ -419,7 +419,7 @@ def test_residuum_memo_hit_does_not_admit_non_members():
 
 def test_malformed_table_raises_structural():
     with pytest.raises(StructuralError):
-        FiniteQuantale([0, 1], {(F(0), F(0)): 0}, 1)
+        FiniteQuantale([0, 1], [[0]], 1)
     with pytest.raises(StructuralError):
         FiniteQuantale([0, 1], [[0, 0], [0, F(1, 2)]], 1)
 
@@ -449,7 +449,9 @@ def square_lattice():
                 meet[(x, y)] = o
             else:
                 meet[(x, y)] = x if join[(x, y)] == y else y
-    return FiniteQuantale([o, a, b, i], meet, i, join=join, meet=meet)
+    es = [o, a, b, i]
+    return FiniteQuantale(es, rows_of(meet, es), i, join=rows_of(join, es),
+                          meet=rows_of(meet, es))
 
 
 def half_unit_chain():

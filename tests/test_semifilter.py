@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -11,14 +12,14 @@ from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.quantale import lukasiewicz_tnorm, product_tnorm
+from quantalab.scenario import semifilter_from_json
 from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
                                   SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
-                                  image_semifilter, is_bounded, is_semifilter,
-                                  kowalsky_sum, level_prefilter, meet,
-                                  residuate, semifilter_of)
+                                  image_semifilter, is_bounded, kowalsky_sum,
+                                  level_prefilter, residuate, semifilter_of)
 
 from oracles import (ConicalTest, from_function, from_mapping, image_outer,
                      is_conical, satisfies_way_below_criterion)
@@ -53,8 +54,8 @@ def g3_pairs_conical(g3_pairs_all):
 # -- tables and axioms ---------------------------------------------------------
 
 def test_table_must_be_total():
-    with pytest.raises(StructuralError, match="table needs 3 entries, one per function, got 1"):
-        SemifilterTable.checked(S, G3, [0])
+    with pytest.raises(StructuralError, match=r"^table is missing the entry at \(0/1\)$"):
+        semifilter_from_json({"entries": [[["1/2"], "1/2"], [["1/1"], "1/1"]]}, S, G3)
 
 
 def test_unit_satisfies_all_axioms():
@@ -127,7 +128,7 @@ def test_semifilter_of_satisfies_f1_f3(g3_pairs_all):
         fns = [QFunction(X, tuple(rng.choice(G3.elements) for _ in X), G3)
                for _ in range(rng.choice((1, 2)))]
         t = semifilter_of(normalize_basis(fns, X, G3))
-        assert is_semifilter(t)
+        assert check_axioms(t) == []
 
 
 # -- conical coreflection --------------------------------------------------------
@@ -407,13 +408,13 @@ def test_galois_connection_exhaustive(g3_singleton_all):
 
 def test_meet_examples(g3_pairs_conical):
     e_a, e_b = evaluation_unit(X, G3, "a"), evaluation_unit(X, G3, "b")
-    assert meet([e_a]) == e_a
-    both = meet([e_a, e_b])
+    assert e_a.meet(e_a) == e_a
+    both = e_a.meet(e_b)
     for lam in all_qfunctions(X, G3):
         assert both(lam) == min(lam("a"), lam("b"))
     for t in g3_pairs_conical[:12]:
         for u in g3_pairs_conical[:12]:
-            assert is_conical(meet([t, u]))
+            assert is_conical(t.meet(u))
 
 
 def test_residuate_examples():
@@ -434,7 +435,7 @@ def test_residuate_preserves_conical(g3_pairs_conical):
 def test_directed_families_of_conical_have_conical_joins(g3_pairs_conical):
     # finite directed families attain their join at a member
     for t in g3_pairs_conical[:10]:
-        c = conical_coreflection(meet([t, g3_pairs_conical[0]]))
+        c = conical_coreflection(t.meet(g3_pairs_conical[0]))
         family = [c, t] if c.leq(t) else [c]
         join = family[0]
         for u in family[1:]:
@@ -456,7 +457,7 @@ def test_kowalsky_meet_formula(g3_pairs_conical):
     fam = SemifilterFamily.of(members)
     wanted = indicator(fam.labels, G3, fam.labels.elements)
     outer = semifilter_of(normalize_basis([wanted]))
-    assert kowalsky_sum(outer, fam) == meet(members)
+    assert kowalsky_sum(outer, fam) == functools.reduce(SemifilterTable.meet, members)
 
 
 def test_kowalsky_residuation_formula(g3_pairs_conical):
@@ -477,7 +478,7 @@ def test_kowalsky_satisfies_axioms(g3_pairs_conical):
             [QFunction(fam.labels, tuple(rng.choice(G3.elements) for _ in fam.labels), G3)
              for _ in range(rng.choice((1, 2)))], fam.labels, G3)
         outer = semifilter_of(basis)
-        assert is_semifilter(kowalsky_sum(outer, fam))
+        assert check_axioms(kowalsky_sum(outer, fam)) == []
 
 
 # -- boundedness ----------------------------------------------------------------------
