@@ -3,11 +3,17 @@ extension, the law checker, naturality spot checks and the classical
 filter correspondence.
 
 The unit at a point is the evaluation table (already conical); the
-multiplication is the conical coreflection of a Kowalsky sum over a declared
-family.  The Kleisli extension of ``h`` never materializes second-level
-tables: the raw sum at ``lam`` is just ``T`` applied to ``x |-> h(x)(lam)``,
-which is exact and family-independent, so the law suite over a finite
-carrier is a finite exact computation.
+multiplication is the Kowalsky sum over a declared family.  Under PLAIN and
+FILTER that sum is the multiplication itself: a Kowalsky sum of conical
+tables is the conical table of the generator product, so the conical
+coreflection would fix it (the proof is the docstring of
+``tests/test_monad.py::test_a_kowalsky_sum_of_conical_tables_is_conical``).
+Under BOUNDED the sum can be unbounded, and it passes through the bounded
+coreflection.  The Kleisli extension of ``h`` is the multiplication over
+``h``'s values as a family labelled by its domain, so it never materializes
+second-level tables: the sum at ``lam`` is just ``T`` applied to
+``x |-> h(x)(lam)``, and the law suite over a finite carrier is a finite
+exact computation.  Both trust their tables to lie in the variant.
 
 The monad laws are checked in one place, ``check_scenario``, on one
 ``KleisliScenario`` and one table.  ``KleisliScenario`` is the one place a
@@ -74,21 +80,17 @@ def monad_units(domain: FiniteSet, carrier: FiniteQuantale,
 def monad_multiplication(outer: SemifilterTable | PrefilterBasis,
                          family: SemifilterFamily,
                          variant: Variant = Variant.PLAIN) -> SemifilterTable:
-    """Variant coreflection of the Kowalsky sum over the declared family.
+    """The Kowalsky sum over the declared family, coreflected under BOUNDED.
 
     The outer semifilter is read only at the evaluation functionals of the
     functions on the base set (see ``kowalsky_sum``); a ``PrefilterBasis``
-    on the family's labels stands for ``semifilter_of(basis)``.  Members
-    are trusted to lie in the variant, as ``table_satisfies`` checks them.
+    on the family's labels stands for ``semifilter_of(basis)``.  The outer
+    table and the members are trusted to lie in the variant, as
+    ``table_satisfies`` checks them; then a PLAIN or FILTER sum is conical
+    already, and only a BOUNDED one can change under its coreflection.
     """
-    return _variant_coreflection(kowalsky_sum(outer, family), variant)
-
-
-def _variant_coreflection(table: SemifilterTable, variant: Variant) -> SemifilterTable:
-    """The bounded coreflection for BOUNDED, the conical one otherwise."""
-    if variant is Variant.BOUNDED:
-        return conical_bounded_coreflection(table)
-    return conical_coreflection(table)
+    total = kowalsky_sum(outer, family)
+    return conical_bounded_coreflection(total) if variant is Variant.BOUNDED else total
 
 
 class KleisliScenario:
@@ -131,24 +133,18 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
                    ) -> Callable[[SemifilterTable], SemifilterTable]:
     """Lift a map into tables to a map between table spaces.
 
-    The raw sum sends lam to T(x |-> h(x)(lam)): the Kowalsky sum of T over
-    h's values as a family labelled by the domain.  The variant coreflection
-    of that is the extension.  Equivalent to coreflecting the Kowalsky sum
-    of the pushed-forward outer table over any family containing h's values
-    and the units (checked in the tests).  h's values are trusted to lie in
-    the variant, as ``KleisliScenario`` or ``table_satisfies`` checks them.
+    The extension is the multiplication over h's values as a family
+    labelled by the domain: its sum sends lam to T(x |-> h(x)(lam)).
+    Equivalent to multiplying the pushed-forward outer table over any
+    family containing h's values and the units (checked in the tests).
+    h's values and the tables it is applied to are trusted to lie in the
+    variant, as ``KleisliScenario`` or ``table_satisfies`` checks them.
     """
     values = tuple(h[x] for x in domain)
     if not values:
         raise UsageError("cannot extend over an empty domain")
-    # h as a family labelled by the domain: the evaluation functional of
-    # lam on it is x |-> h(x)(lam)
-    h_family = SemifilterFamily(domain, values)
-
-    def extend(table: SemifilterTable) -> SemifilterTable:
-        return _variant_coreflection(kowalsky_sum(table, h_family), variant)
-
-    return extend
+    family = SemifilterFamily(domain, values)
+    return lambda table: monad_multiplication(table, family, variant)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -254,7 +250,9 @@ def check_scenario(sc: KleisliScenario, t: SemifilterTable,
     units is the identity at t, extending f then applying it to the unit
     at x returns f(x) at every x, and the two ways of composing the
     extensions of f and g agree at t.  Every extension is the table path,
-    ``kleisli_extend``, which trusts the maps the scenario has checked.
+    ``kleisli_extend``, which trusts the maps the scenario has checked and
+    t, which must lie in the scenario's variant (``table_satisfies``), as
+    every draw of ``random_variant_table`` does.
     """
     variant = sc.variant
     units_x = monad_units(sc.x_set, sc.carrier, variant)
@@ -339,8 +337,8 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
                      seed: int = 0) -> SuiteReport:
     """Spot checks tying the prefilter formulas to the table constructions.
 
-    Covers: the unit formula, the flattening formula against the coreflected
-    Kowalsky sum, retraction of the coreflection on conical tables, the
+    Covers: the unit formula, the flattening formula against the
+    multiplication, retraction of the coreflection on conical tables, the
     bounded multiplication naturality square, and naturality of the two
     bounded coreflections.  The flattening check and the right side of the
     square pass the outer prefilter as its basis, which is read only at the
@@ -363,7 +361,7 @@ def check_naturality(carrier: FiniteQuantale, samples: int = 12,
         got = {lam.code for lam in level_prefilter(evaluation_unit(X, carrier, x))}
         rep.record(got == expected, f"unit-formula at {x!r}")
 
-    # flattening formula against the coreflected Kowalsky sum
+    # flattening formula against the multiplication
     S = _labels("s", 1)
     universe, family = _saturated_prefilter_universe(S, carrier)
     labels = family.labels

@@ -134,26 +134,9 @@ class QFunction:
         return QFunction.from_index(self.domain, self.carrier,
                                     tuple(join[a][b] for a, b in zip(self.index, other.index)))
 
-    def min_value(self) -> Fraction:
-        """Pointwise minimum; the carrier top on the empty domain."""
-        k = self.carrier.kernel
-        return self.carrier.elements[_fold(k.meet, k.top, self.index)]
-
-    def max_value(self) -> Fraction:
-        """Pointwise join; the carrier bottom on the empty domain."""
-        k = self.carrier.kernel
-        return self.carrier.elements[_fold(k.join, k.bottom, self.index)]
-
     def __repr__(self):
         pairs = ", ".join(f"{x!r}: {v}" for x, v in zip(self.domain, self.values))
         return "QFunction({" + pairs + "})"
-
-
-def _fold(op: tuple, start: int, positions) -> int:
-    """The kernel table ``op`` folded over positions from ``start``."""
-    for i in positions:
-        start = op[start][i]
-    return start
 
 
 def _code(index, n: int) -> int:

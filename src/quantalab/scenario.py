@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import QuantalabError, StructuralError, UsageError
-from .quantale import Variant
+from .quantale import TNorm, Variant
 from .serialize import (expect, expr_from_json, format_fraction, load_json,
                         parse_fraction, parse_integer, quantale_from_json,
                         quantale_to_json, refuse_unknown, required_field)
@@ -134,7 +134,10 @@ class ScenarioSpec:
     Holds the carrier, the variant, the three label sets, optional explicit
     maps (as tables or generating bases), seeds, budgets and an optional
     witness catalog for counterexample runs.  The label sets are checked on
-    load and built as ``FiniteSet``s only when a law run reads them.
+    load and built as ``FiniteSet``s only when a law run reads them.  A
+    ``maps`` object is checked on load too: it needs a finite carrier and
+    pins exactly ``f`` and ``g``, each an object; its tables are decoded
+    when a law run reads them (``explicit_maps``).
     """
 
     def __init__(self, obj: dict, base_dir: Path | None = None):
@@ -186,7 +189,18 @@ class ScenarioSpec:
         budget = budgets.get("budget")
         self.budget = None if budget is None else _count(budget, "budgets.budget")
         refuse_unknown(budgets, "budgets", ("scenarios", "budget"))
-        self.maps = obj.get("maps")
+        maps = obj.get("maps")
+        if maps is not None:
+            expect(maps, dict, "maps")
+            for name in ("f", "g"):
+                if maps.get(name) is None:
+                    raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
+            refuse_unknown(maps, "maps", ("f", "g"))
+            for name in ("f", "g"):
+                expect(maps[name], dict, f"map {name}")
+            if isinstance(self.carrier, TNorm):
+                raise StructuralError("maps need a finite carrier, not a t-norm")
+        self.maps = maps
         wc = obj.get("witness_catalog")
         self.witness_catalog = None
         if wc is not None:
@@ -211,22 +225,13 @@ class ScenarioSpec:
     z_set = property(lambda self: self._label_set("Z"))
 
     def explicit_maps(self):
-        """Decode the pinned f/g map values into tables, or None without maps.
-
-        A ``maps`` object must pin both ``f`` and ``g``; a missing one is a
-        StructuralError naming it.
-        """
+        """Decode the pinned f/g map values into tables, or None without maps."""
         if self.maps is None:
             return None
-        expect(self.maps, dict, "maps")
-        for name in ("f", "g"):
-            if self.maps.get(name) is None:
-                raise StructuralError(f"maps needs both 'f' and 'g'; {name!r} is missing")
-        refuse_unknown(self.maps, "maps", ("f", "g"))
         out = {}
         for name, (src, dst) in (("f", (self.x_set, self.y_set)),
                                  ("g", (self.y_set, self.z_set))):
-            raw = expect(self.maps[name], dict, f"map {name}")
+            raw = self.maps[name]
             decoded = {}
             for x in src:
                 key = str(x)

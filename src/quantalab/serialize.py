@@ -201,10 +201,21 @@ def parse_integer(value, name: str) -> int:
     raise StructuralError(f"{name} must be an integer, got {value!r}")
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object's fields, refused when one is given twice: the JSON
+    reader would keep only the last."""
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ValueError(f"the field {name!r} is given twice in one object")
+        out[name] = value
+    return out
+
+
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_fields)
+    except (OSError, ValueError) as e:
         raise StructuralError(f"cannot read {path}: {e}") from None
 
 

@@ -234,7 +234,7 @@ def test_criterion_10_boundedness_lemma():
         for t in conical_semifilters(dom, q):
             bounded_part = conical_bounded_coreflection(t)
             for lam in level_prefilter(bounded_part):
-                ok = ok and lam.min_value() > 0
+                ok = ok and min(lam.values) > 0
                 checked += 1
     report(10, "boundedness lemma and positive minima", ok,
            f"{checked} members checked")

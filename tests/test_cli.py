@@ -654,8 +654,11 @@ CONST = {"kind": "const", "value": "1/8"}
 
 
 def _input_error(runner, tmp_path, command, obj):
-    """Run ``command`` on obj written as its definition or scenario file."""
-    path = write(tmp_path, "in.json", obj)
+    """Run ``command`` on obj written as its definition or scenario file; a
+    string is written as it stands."""
+    path = tmp_path / "in.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    path = str(path)
     if command == "quantale":
         r = runner.invoke(main, ["quantale", "--quantale", path, "--check", "axioms"])
     elif command == "laws":
@@ -744,6 +747,43 @@ def test_a_json_boolean_is_not_a_rational(runner, tmp_path, command, obj, shown)
     # true and false used to be read as 1 and 0
     assert f"not an exact rational: {shown}\n" in _input_error(runner, tmp_path,
                                                                  command, obj)
+
+
+@pytest.mark.parametrize("command,text,field", [
+    ("quantale", '{"type": "tnorm", "blocks": [%s], "blocks": []}' % json.dumps(BLOCK),
+     "blocks"),
+    ("laws", json.dumps(_godel3_pinned())[:-1] + ', "seed": 1, "seed": 2}', "seed"),
+    ("counterexample", json.dumps(_cx_scenario({"kind": "const", "value": "1/8"}))
+     .replace('"value": "1/8"', '"value": "1/8", "value": "1/4"'), "value"),
+], ids=["tnorm", "scenario", "expression"])
+def test_a_field_given_twice_is_input_error(runner, tmp_path, command, text, field):
+    # the JSON reader keeps the last of two equal keys: the t-norm with its
+    # blocks given twice used to classify the minimum t-norm, exit 0
+    message = _input_error(runner, tmp_path, command, text)
+    assert message.endswith(f": the field {field!r} is given twice in one object\n")
+
+
+def test_a_file_that_is_not_utf8_is_input_error(runner, tmp_path):
+    # the decoding error used to escape with a traceback, exit 1
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    r = runner.invoke(main, ["quantale", "--quantale", str(path)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith(f"input error: cannot read {path}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("maps,message", [
+    ("garbage", "maps must be an object, got 'garbage'"),
+    ({"f": {}}, "maps needs both 'f' and 'g'; 'g' is missing"),
+    ({"f": {}, "g": {}, "h": {}}, "maps has an unknown field 'h'"),
+    ({"f": {}, "g": []}, "map g must be an object, got []"),
+    ({"f": {}, "g": {}}, "maps need a finite carrier, not a t-norm"),
+], ids=["not-an-object", "missing-g", "unknown-map", "map-not-an-object", "tnorm"])
+@pytest.mark.parametrize("command", ["laws", "counterexample"])
+def test_scenario_maps_are_read_on_load(runner, tmp_path, command, maps, message):
+    # counterexample --scenario used to skip maps: exit 0 with VIOLATION
+    obj = _cx_scenario(maps=maps)
+    assert _input_error(runner, tmp_path, command, obj) == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["quantale", "laws", "counterexample"])

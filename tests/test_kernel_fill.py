@@ -214,6 +214,10 @@ KLEISLI_CASES = [(name, n, variant) for name, n in CASES if n
 @pytest.mark.parametrize("name,n,variant", KLEISLI_CASES,
                          ids=[f"{name}-{n}-{v.value}" for name, n, v in KLEISLI_CASES])
 def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
+    # The extension trusts t and h's values to lie in the variant, so t is
+    # drawn from it; the expected side still coreflects the raw sum over
+    # every level member, which the extension leaves out under PLAIN and
+    # FILTER.
     q, dom = CARRIERS[name], domain(n)
     rng = random.Random(n)
     for m in (1, 2):
@@ -222,8 +226,8 @@ def test_kleisli_extend_matches_the_raw_sum(name, n, variant):
             h = {x: random_variant_table(rng, target, q, variant) for x in dom}
             fam = SemifilterFamily(dom, tuple(h[x] for x in dom))
             extend = kleisli_extend(h, dom, variant)
-            for t in [random_variant_table(rng, dom, q, variant)] + \
-                    random_tables(q, dom, 2, seed=m):
+            for _ in range(3):
+                t = random_variant_table(rng, dom, q, variant)
                 raw = from_function(
                     target, q, lambda lam: t(hat(fam, lam)))
                 assert extend(t) == _coreflection_oracle(
@@ -243,9 +247,9 @@ def test_kleisli_extend_is_the_generator_product(name, variant):
     # the extension of t along h is the conical table sub(g, -) of the
     # quantale matrix product g(y) = join_x g_t(x) (x) g_h(x)(y) of the
     # generators, joined with the least positive element under BOUNDED.
-    # The extension itself is the table path, kowalsky_sum plus the
-    # variant coreflection; each generator is read off its table as the
-    # meet of the level set.
+    # The extension itself is the table path, kowalsky_sum coreflected
+    # under BOUNDED; each generator is read off its table as the meet of
+    # the level set.
     q = LEMMA_CARRIERS[name]
     k = q.kernel
     floor = (q.position[least_positive(q)] if variant is Variant.BOUNDED

@@ -24,7 +24,7 @@ from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
                                   is_bounded, kowalsky_sum, level_prefilter,
-                                  semifilter_of)
+                                  require_bounded_carrier, semifilter_of)
 from quantalab.scenario import semifilter_to_json
 
 from oracles import (from_function, from_mapping, image_outer, is_conical,
@@ -300,10 +300,13 @@ def test_a_kowalsky_sum_of_conical_tables_is_conical(name, q, count):
 
 
 def test_the_coreflection_changes_a_sum_of_a_non_conical_table():
-    """The control: the two godel3 semifilters on one point that are not
-    conical, each summed over the nine conical tables on two points, give
-    18 sums, and the coreflection changes 16 of them; so ``kleisli_extend``
-    keeps it for an outer table that is not conical."""
+    """Why the extension trusts its tables to lie in the variant: the two
+    godel3 semifilters on one point that are not conical, each summed over
+    the nine conical tables on two points, give 18 sums, and the
+    coreflection changes 16 of them.  ``kleisli_extend`` returns the sum
+    uncoreflected under PLAIN and FILTER, so applied to a table outside
+    the variant it would return a table outside it too; ``KleisliScenario``
+    refuses such map values, and the law suite draws t from the variant."""
     xs, ys = finite_set("x0"), finite_set("y0", "y1")
     outer = [t for t in enumerate_semifilters(xs, G3) if not is_conical(t)]
     inner = conical_semifilters(ys, G3)
@@ -314,6 +317,60 @@ def test_the_coreflection_changes_a_sum_of_a_non_conical_table():
 
 
 # -- the law suite -----------------------------------------------------------------
+
+def test_only_a_bounded_law_run_coreflects(monkeypatch):
+    # PLAIN and FILTER multiply by the Kowalsky sum alone; every BOUNDED
+    # sum passes through the bounded coreflection
+    import quantalab.monad as monad
+    calls = {"sum": 0, "conical": 0, "bounded": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(monad, "kowalsky_sum", counted("sum", monad.kowalsky_sum))
+    monkeypatch.setattr(monad, "conical_coreflection",
+                        counted("conical", monad.conical_coreflection))
+    monkeypatch.setattr(monad, "conical_bounded_coreflection",
+                        counted("bounded", monad.conical_bounded_coreflection))
+    for variant in (Variant.PLAIN, Variant.FILTER):
+        calls.update(sum=0, conical=0, bounded=0)
+        assert check_monad_laws(five_chain(), (2, 2, 2), 5, seed=1, variant=variant).passed
+        assert calls["sum"] > 0
+        assert calls["conical"] == calls["bounded"] == 0
+    calls.update(sum=0, conical=0, bounded=0)
+    assert check_monad_laws(mv3(), (2, 2, 2), 5, seed=1, variant=Variant.BOUNDED).passed
+    assert calls["bounded"] >= calls["sum"] > 0
+    assert calls["conical"] == 0
+
+
+def _carries_bounded(q):
+    try:
+        require_bounded_carrier(q)
+    except UsageError:
+        return False
+    return True
+
+
+SHIPPED = {"two_chain": two_chain(), "godel3": G3, "mv3": mv3(),
+           "five_chain": five_chain()}
+DRAW_CASES = [(name, variant) for name, q in SHIPPED.items() for variant in Variant
+              if variant is not Variant.BOUNDED or _carries_bounded(q)]
+
+
+@pytest.mark.parametrize("name,variant", DRAW_CASES,
+                         ids=[f"{name}-{v.value}" for name, v in DRAW_CASES])
+def test_every_variant_draw_lies_in_the_variant(name, variant):
+    # the law suite trusts its sampled maps and tables to lie in the variant
+    q = SHIPPED[name]
+    for n in (1, 2):
+        dom = finite_set(*(f"x{i}" for i in range(n)))
+        for seed in range(200):
+            t = random_variant_table(random.Random(seed), dom, q, variant)
+            assert table_satisfies(t, variant), (seed, t)
+
 
 @pytest.mark.parametrize("carrier", [godel3(), mv3()])
 @pytest.mark.parametrize("variant", list(Variant))
@@ -412,22 +469,30 @@ def test_scenario_refuses_an_empty_x_or_y_before_any_extension(sizes, empty):
         KleisliScenario(xs, ys, Y, {}, {}, G3)
 
 
-def test_check_scenario_reports_a_failing_law_with_num_den_values():
-    # t is not conical: on godel3 a conical table holds 0 or 1 at the
-    # constant bottom, and t holds 1/2 there, so the extension of the
-    # units, which is conical, cannot return it
+def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
+    # a deliberately broken extension reads h's family in reverse order:
+    # the units of X come out swapped, so the unit law fails at the
+    # evaluation unit at x0, while f and g, constant maps, hide the break
+    import quantalab.monad as monad
+    real = monad.kowalsky_sum
+
+    def reversed_sum(outer, family):
+        return real(outer, SemifilterFamily(family.labels, family.members[::-1]))
+
+    monkeypatch.setattr(monad, "kowalsky_sum", reversed_sum)
     Z = finite_set("z0")
     sc = KleisliScenario(X, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in X},
                          {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
-    t = SemifilterTable(X, G3, [1] * 8 + [2])
+    t = evaluation_unit(X, G3, "x0")
     assert check_scenario(sc, t, 7) == [LawFailure(
-        "unit-extension-identity", 7, "table (" + ", ".join(["1/2"] * 8 + ["1/1"]) + ")")]
+        "unit-extension-identity", 7,
+        "table (" + ", ".join(["0/1"] * 3 + ["1/2"] * 3 + ["1/1"] * 3) + ")")]
 
 
 # Every (f, g, t) of a size: f and g run over all maps into the variant's
 # conical tables, t over those tables on X.  Each comparison of
-# check_scenario has the table path, kowalsky_sum plus the coreflection, on
-# one side.  godel3 and mv3 at (2, 2, 2), 59049 plain scenarios each, are
+# check_scenario has the table path, kowalsky_sum (coreflected under
+# BOUNDED), on one side.  godel3 and mv3 at (2, 2, 2), 59049 plain scenarios each, are
 # left out for time.
 EXHAUSTIVE = [("two_chain", two_chain(), (2, 2, 2), (1024, 243, 1))] + [
     (name, q, sizes, counts) for name, q in (("godel3", G3), ("mv3", mv3()))

@@ -315,9 +315,9 @@ def test_qfunction_looks_each_value_up_once(fraction_hashes):
             QFunction(X3, bad, q)
 
 
-def test_min_and_max_values_fold_the_lattice():
+def test_boundedness_folds_the_meet_of_the_lattice():
+    # 1/4 and 1/2 are atoms of the diamond: each is positive, their meet is 0
     q = diamond()
-    lam = QFunction(X3, (F(1, 4), F(1, 2), F(1)), q)
-    assert lam.min_value() == 0 and lam.max_value() == 1
-    empty = QFunction(finite_set(), (), q)
-    assert empty.min_value() == 1 and empty.max_value() == 0
+    assert not is_bounded_function(QFunction(X3, (F(1, 4), F(1, 2), F(1)), q))
+    assert is_bounded_function(QFunction(X3, (F(1, 4), F(1, 4), F(1)), q))
+    assert is_bounded_function(QFunction(finite_set(), (), q))

@@ -258,6 +258,6 @@ def test_bounded_coreflection_is_largest_bounded_part(raw):
     oracle = {lam.values for lam in generated_set(pf) if is_bounded_function(lam)}
     got = {lam.values for lam in generated_set(out)}
     assert got == oracle
-    assert out.generator.min_value() > 0
+    assert min(out.generator.values) > 0
 
 

@@ -121,10 +121,9 @@ def test_image_and_precompose_are_monotone():
 def test_constants_and_indicator():
     k = unit_constant(X, G3)
     assert k.values == (F(1), F(1))
-    assert constant(X, G3, F(1, 2)).min_value() == F(1, 2)
+    assert constant(X, G3, F(1, 2)).values == (F(1, 2), F(1, 2))
     ind = indicator(X, G3, ["a"])
     assert ind.values == (F(1), F(0))
-    assert ind.max_value() == 1
 
 
 def test_canonical_enumeration_order():

@@ -512,8 +512,8 @@ def test_bounded_coreflection_is_largest(g3_pairs_all, g3_pairs_conical):
 def test_boundedness_transfer(g3_pairs_all):
     for t in g3_pairs_all:
         if is_bounded(t):
-            assert all(lam.min_value() > 0 for lam in level_prefilter(t))
-        if is_conical(t) and all(lam.min_value() > 0 for lam in level_prefilter(t)):
+            assert all(is_bounded_function(lam) for lam in level_prefilter(t))
+        if is_conical(t) and all(is_bounded_function(lam) for lam in level_prefilter(t)):
             assert is_bounded(t)
 
 
@@ -539,7 +539,7 @@ def test_bounded_image_agrees_on_bounded_arguments(g3_pairs_conical):
             plain = image_semifilter(f, t)
             bounded = image_semifilter(f, t, bounded=True)
             for mu in all_qfunctions(Y, G3):
-                if mu.min_value() > 0:
+                if is_bounded_function(mu):
                     assert bounded(mu) == plain(mu)
 
 
