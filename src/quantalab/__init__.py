@@ -8,21 +8,26 @@ the monad-law counterexamples.
 The modules follow the mathematics, and the paper's two carriers: the unit
 interval with a continuous t-norm, on which the monad question is decided,
 and the finite quantales on which the law suites run.  ``quantale`` holds
-the interval carrier (t-norms, residuation, condition (S)) and what both
-carriers share (``Record``, ``as_fraction`` and the monad ``Variant``);
-``finite`` holds the finite carrier and its shipped chains.  Over the
+the interval carrier (t-norms, residuation, condition (S)), ``finite`` the
+finite carrier and its shipped chains, and ``base`` what both carriers
+share (``Record``, ``ZERO``/``ONE`` and the monad ``Variant``).  Over the
 finite carrier: ``qfun`` (functions into a carrier and their enrichment),
 ``prefilter`` and ``semifilter`` (the two filter notions and the Galois
 connection between them), ``monad`` (units, multiplication, Kleisli
-extension, law suites) and ``classical`` (the set-filter oracle).  Over the
-interval: ``counterexample`` (exact symbolic replication).  Then
-``serialize`` (quantale and expression JSON, reports), ``scenario``
-(scenario files, and the function and table JSON they pin) and ``cli``.
+extension, law suites) and ``classical`` (the set-filter oracle).  The law
+verdict is computed on generator rows, where the Kleisli extension is a
+matrix product; its link to the paper's definition on tables is an
+identity the tests check.  Over the interval: ``counterexample`` (exact
+symbolic replication, and the JSON of its witness expressions).  Then
+``serialize`` (the rational coercion ``as_fraction``, quantale JSON and
+reports), ``scenario`` (scenario files, and the function and table JSON
+they pin) and ``cli``.
 
 Importing the package loads none of them.  Each public name below, and each
 module, is imported on first access (PEP 562), so ``from quantalab import
-TNorm`` loads only ``quantale``, and ``from quantalab import five_chain``
-loads ``finite`` and ``quantale``.
+TNorm`` loads ``quantale`` and what it imports, and ``from quantalab import
+five_chain`` loads ``finite`` but not ``quantale``, which only the call
+``five_chain()`` loads, to cut the chain from its t-norm.
 """
 
 import importlib
@@ -30,7 +35,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "quantale": ("TNorm", "Variant", "build_ordinal_sum", "check_condition_s",
+    "base": ("Variant",),
+    "quantale": ("TNorm", "build_ordinal_sum", "check_condition_s",
                  "godel_tnorm", "lukasiewicz_tnorm", "product_tnorm"),
     "finite": ("FiniteQuantale", "check_quantale_axioms", "five_chain", "godel3",
                "mv3", "two_chain"),

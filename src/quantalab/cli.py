@@ -9,12 +9,14 @@ are deterministic given inputs and seeds, and the structured output mirrors
 the text output exactly.
 
 Arguments are parsed with the standard library's ``argparse``, which exits
-2 on a usage error, as on an input error.  Each subcommand imports the
+2 on a usage error, as on an input error.  A report that cannot be
+written to ``--out`` is an input error too.  Each subcommand imports the
 layers it runs when it runs: ``counterexample`` never loads the finite
-carrier (``finite``) nor the finite function, filter and monad modules, and
-``quantale`` loads ``finite`` only for a finite definition.  Scenario files
-are read by ``scenario``, which ``laws`` and ``counterexample --scenario``
-load through ``serialize.load_scenario``.
+carrier (``finite``) nor the finite function, filter and monad modules,
+``laws`` never loads the interval carrier (``quantale``), and ``quantale``
+loads ``finite`` only for a finite definition.  Scenario files are read by
+``scenario``, which ``laws`` and ``counterexample --scenario`` load through
+``serialize.load_scenario``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from .errors import BudgetError, PreconditionError, QuantalabError
-from .quantale import (TNorm, Variant, check_condition_s, grid, pow2_step,
-                       residuum_continuity_probe)
+from .base import Variant
+from .errors import BudgetError, PreconditionError, QuantalabError, UsageError
 from .serialize import (format_fraction, load_quantale, load_scenario,
                         parse_fraction, render_text)
 
@@ -35,6 +37,10 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+# The most grid points ``quantale --grid-step`` scans.  The adjunction scan
+# is cubic in them: the default step 1/64 has 65 points, about 275 000
+# triples, and the cap admits 1/128, about 2.1 million.
+GRID_CAP = 129
 
 
 class Command:
@@ -111,7 +117,11 @@ _FORMAT = _option("--format", dest="fmt", default="text", choices=["text", "stru
 def _emit(report: dict, out: str | None, fmt: str):
     text = render_text(report) if fmt == "text" else json.dumps(report, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as e:
+            # an input error, not a verdict: nothing is printed
+            raise UsageError(f"cannot write {out}: {e.strerror or e}") from None
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -135,9 +145,15 @@ main = Group("Exact checks for quantale-valued filter structures and their monad
     _OUT, _FORMAT)
 def cmd_quantale(path, checks, grid_step, out, fmt):
     """Check a quantale definition file."""
+    from .quantale import (TNorm, check_condition_s, grid, pow2_step,
+                           residuum_continuity_probe)
     q = load_quantale(path)
     step = parse_fraction(grid_step)
-    pow2_step(step)           # refused whatever checks run
+    # refused whatever checks run
+    points = pow2_step(step) + 1
+    if points > GRID_CAP:
+        raise BudgetError(f"grid step {format_fraction(step)} would scan {points} "
+                          f"points (cap {GRID_CAP})", count=points)
     if not checks:
         checks = ("axioms", "adjunction", "s", "probe") if isinstance(q, TNorm) \
             else ("axioms", "adjunction")
@@ -160,14 +176,14 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
                                for v in violations]}
             failed = failed or bool(violations)
         else:
-            bad = _tnorm_axiom_probe(q, step)
+            bad = _tnorm_axiom_probe(q, grid(step), grid(max(step, Fraction(1, 16))))
             report["axioms"] = {"status": "ok" if bad is None else "violated",
                                 "probe": "grid"}
             if bad is not None:
                 report["axioms"]["witness"] = [format_fraction(v) for v in bad]
                 failed = True
     if "adjunction" in checks:
-        bad = _adjunction_witness(q, step)
+        bad = _adjunction_witness(q, grid(step) if isinstance(q, TNorm) else q.elements)
         report["adjunction"] = {"status": "ok" if bad is None else "violated"}
         if bad is not None:
             report["adjunction"]["witness"] = [format_fraction(v) for v in bad]
@@ -190,10 +206,10 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
     sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
 
 
-def _tnorm_axiom_probe(t, step):
-    """First grid witness against commutativity, the unit law or (on a
-    coarser grid) associativity; None when the probe is clean."""
-    points = grid(step)
+def _tnorm_axiom_probe(t, points, coarse):
+    """First witness on the grid ``points`` against commutativity or the
+    unit law, or on the ``coarse`` grid against associativity; None when
+    the probe is clean."""
     one = points[-1]
     for x in points:
         if t.tensor(x, one) != x:
@@ -201,7 +217,6 @@ def _tnorm_axiom_probe(t, step):
         for y in points:
             if t.tensor(x, y) != t.tensor(y, x):
                 return (x, y)
-    coarse = grid(max(step, parse_fraction("1/16")))
     for x in coarse:
         for y in coarse:
             xy = t.tensor(x, y)
@@ -211,9 +226,8 @@ def _tnorm_axiom_probe(t, step):
     return None
 
 
-def _adjunction_witness(q, step):
-    """First triple violating the residuation adjunction, or None."""
-    points = grid(step) if isinstance(q, TNorm) else list(q.elements)
+def _adjunction_witness(q, points):
+    """First triple of ``points`` violating the residuation adjunction, or None."""
     tensor, res, leq = q.tensor, q.residuum, q.leq
     for x in points:
         for y in points:
@@ -233,11 +247,11 @@ def _adjunction_witness(q, step):
     _OUT, _FORMAT)
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
-    from .finite import check_quantale_axioms, two_chain
+    from .finite import FiniteQuantale, check_quantale_axioms, two_chain
     from .monad import (KleisliScenario, check_monad_laws, check_naturality,
                         classical_correspondence_report)
     scenario = load_scenario(path)
-    if isinstance(scenario.carrier, TNorm):
+    if not isinstance(scenario.carrier, FiniteQuantale):
         raise PreconditionError("law suites need a finite carrier")
     violations = check_quantale_axioms(scenario.carrier)
     if violations:
@@ -303,6 +317,7 @@ def cmd_counterexample(path, scenario_path, t_par, s_par, truncation, variant,
     """Replay the associativity-failure script on a t-norm definition."""
     from .counterexample import (NO_VIOLATION_EXPECTED, VIOLATION,
                                  run_counterexample)
+    from .quantale import TNorm
     catalog = None
     if scenario_path is not None:
         scenario = load_scenario(scenario_path)

@@ -28,7 +28,8 @@ this module evaluates it through two finite, fully exact devices:
   discretization could reach neither side.
 
 Verdicts are three-valued; absence of a violation on a catalog is never
-reported as a proof that the laws hold.
+reported as a proof that the laws hold.  A scenario file's witness catalog
+is read with ``expr_from_json``, and ``expr_to_json`` writes one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .errors import PreconditionError, UsageError
-from .quantale import (Block, BlockKind, ONE, Record, TNorm, Variant, ZERO,
-                       as_fraction, check_condition_s, is_lukasiewicz_shape,
-                       positive_residuum_zero_sup)
+from .base import ONE, ZERO, Record, Variant
+from .errors import PreconditionError, StructuralError, UsageError
+from .quantale import (Block, BlockKind, TNorm, check_condition_s,
+                       is_lukasiewicz_shape, positive_residuum_zero_sup)
+from .serialize import (as_fraction, format_fraction, parse_fraction,
+                        parse_integer, refuse_unknown, required_field)
 
 CATALOG_CAP = 240
 
@@ -99,6 +102,64 @@ class Res(Record):
 
 
 FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
+
+
+def expr_to_json(e: FnExpr) -> dict:
+    if isinstance(e, Ramp):
+        return {"kind": "ramp", "scale": format_fraction(e.scale)}
+    if isinstance(e, TailIndicator):
+        return {"kind": "indicator", "start": e.start}
+    if isinstance(e, Const):
+        return {"kind": "const", "value": format_fraction(e.value)}
+    if isinstance(e, Join):
+        return {"kind": "join", "left": expr_to_json(e.left),
+                "right": expr_to_json(e.right)}
+    if isinstance(e, Meet):
+        return {"kind": "meet", "left": expr_to_json(e.left),
+                "right": expr_to_json(e.right)}
+    if isinstance(e, Res):
+        return {"kind": "res", "const": format_fraction(e.const),
+                "child": expr_to_json(e.child)}
+    raise StructuralError(f"not an expression: {e!r}")
+
+
+def _unit_fraction(obj: dict, owner: str, kind: str, name: str) -> Fraction:
+    """A rational field of an expression that must lie in [0,1]."""
+    v = parse_fraction(required_field(obj, owner, name))
+    if not 0 <= v <= 1:
+        raise StructuralError(
+            f"{kind}.{name} must lie in [0,1], got {format_fraction(v)}")
+    return v
+
+
+def expr_from_json(obj: dict) -> FnExpr:
+    """Parse one witness-catalog expression; see README for the format."""
+    if not isinstance(obj, dict):
+        raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
+    kind = obj.get("kind")
+    article = "an" if str(kind)[:1] in ("a", "e", "i", "o", "u") else "a"
+    owner = f"{article} {kind} expression"
+    if kind == "ramp":
+        e = Ramp(_unit_fraction(obj, owner, kind, "scale"))
+    elif kind == "indicator":
+        start = parse_integer(required_field(obj, owner, "start"), "indicator.start")
+        if start < 1:
+            raise StructuralError(f"indicator.start must be at least 1, got {start}")
+        e = TailIndicator(start)
+    elif kind == "const":
+        e = Const(_unit_fraction(obj, owner, kind, "value"))
+    elif kind in ("join", "meet"):
+        e = (Join if kind == "join" else Meet)(
+            expr_from_json(required_field(obj, owner, "left")),
+            expr_from_json(required_field(obj, owner, "right")))
+    elif kind == "res":
+        e = Res(_unit_fraction(obj, owner, kind, "const"),
+                expr_from_json(required_field(obj, owner, "child")))
+    else:
+        raise StructuralError(f"unknown expression kind {kind!r}")
+    # each field is named as the expression's own
+    refuse_unknown(obj, owner, ("kind", *e.__slots__))
+    return e
 
 
 def _greedy(runs, n: int | None) -> list[tuple[int, int, int]]:

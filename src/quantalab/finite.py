@@ -9,17 +9,22 @@ its ``Fraction`` surface is the one ``quantale.TNorm`` exposes.
 ``finite_restriction`` cuts a t-norm down to a finite subchain, which is how
 the shipped chains ``godel3``, ``mv3`` and ``five_chain`` are made.
 
-The interval counterexample never loads this module.
+The interval counterexample never loads this module, and this module loads
+the interval carrier, ``quantale``, only to cut one of those three chains
+from its t-norm: a carrier read from a file, or ``two_chain``, needs none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from .base import ONE, ZERO, Record
 from .errors import ConstructionError, StructuralError, UsageError
-from .quantale import (ONE, ZERO, BlockKind, Record, TNorm, as_fraction,
-                       build_ordinal_sum, godel_tnorm, lukasiewicz_tnorm)
+from .serialize import as_fraction
+
+if TYPE_CHECKING:
+    from .quantale import TNorm
 
 
 class Violation(Record):
@@ -297,15 +302,18 @@ def two_chain() -> FiniteQuantale:
 
 def godel3() -> FiniteQuantale:
     """Three-element chain with tensor = min."""
+    from .quantale import godel_tnorm
     return finite_restriction(godel_tnorm(), [0, Fraction(1, 2), 1])
 
 
 def mv3() -> FiniteQuantale:
     """Three-element Lukasiewicz chain: 1/2 (x) 1/2 = 0."""
+    from .quantale import lukasiewicz_tnorm
     return finite_restriction(lukasiewicz_tnorm(), [0, Fraction(1, 2), 1])
 
 
 def five_chain() -> FiniteQuantale:
     """{0, 1/4, 3/8, 1/2, 1}, closed under the (1/4,1/2) Lukasiewicz block sum."""
+    from .quantale import BlockKind, build_ordinal_sum
     t = build_ordinal_sum([(Fraction(1, 4), Fraction(1, 2), BlockKind.LUKASIEWICZ)])
     return finite_restriction(t, [0, Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), 1])

@@ -12,36 +12,52 @@ Under BOUNDED the sum can be unbounded, and it passes through the bounded
 coreflection.  The Kleisli extension of ``h`` is the multiplication over
 ``h``'s values as a family labelled by its domain, so it never materializes
 second-level tables: the sum at ``lam`` is just ``T`` applied to
-``x |-> h(x)(lam)``, and the law suite over a finite carrier is a finite
-exact computation.  Both trust their tables to lie in the variant.
+``x |-> h(x)(lam)``.  Both trust their tables to lie in the variant.  This
+table path is the paper's definition, and naturality runs on it.
+
+The law verdict is computed on generator rows.  Every table of the monad
+is conical, ``sub(g, -)`` for one generator ``g`` (``table_generator``),
+and the Kleisli extension of a map into such tables is then a ``(x)``-join
+matrix product of generator rows, joined with the least positive element
+under BOUNDED (``extend_rows``); the units are rows too (``unit_rows``).
+That this is the table path's extension is an identity the tests check
+against ``kleisli_extend`` on every scenario of small sizes, and on a
+carrier that passes ``check_quantale_axioms`` the laws on rows follow
+from the quantale axioms; so the suite checks this implementation, not
+the theorem.
 
 The monad laws are checked in one place, ``check_scenario``, on one
-``KleisliScenario`` and one table.  ``KleisliScenario`` is the one place a
-law map is refused, for the seeded maps of ``check_monad_laws`` and the
-maps pinned in a scenario file alike; pinned maps are not yet run.
+``KleisliScenario`` and the generator row of one table; only a failure
+fills that table, to show it.  ``KleisliScenario`` is the one place a law
+map is refused: the maps pinned in a scenario file are tables, checked
+there and kept as their generators, while the seeded maps of
+``check_monad_laws`` are drawn as rows of the variant; pinned maps are
+not yet run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from typing import Callable, Mapping, Sequence
 
+from .base import Record, Variant
 from .errors import UsageError
 from .finite import FiniteQuantale
 from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
-                        normalize_basis, saturation_member)
+                        least_positive_position, normalize_basis,
+                        saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, indicator,
                    sub, unit_constant)
-from .quantale import Record, Variant
 from .semifilter import (SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
                          evaluation_unit, image_semifilter,
                          is_bounded, is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
-                         semifilter_of)
+                         semifilter_of, table_generator)
 from .serialize import format_fraction
 
 
@@ -94,14 +110,22 @@ def monad_multiplication(outer: SemifilterTable | PrefilterBasis,
 
 
 class KleisliScenario:
-    """One instance of the associativity data: maps into table spaces.
+    """One instance of the associativity data: maps into table spaces,
+    carried by generator rows.
 
-    ``f`` maps each point of x_set to a table on y_set, ``g`` likewise from
-    y_set into tables on z_set.  This is the gate of the law maps, and
-    ``kleisli_extend`` trusts what it passes: x_set and y_set must not be
-    empty, and every value must be a table on its target over ``carrier``
-    that passes the variant test.  A value failing that test is shown as
-    its JSON table on the second line of the message.
+    ``f`` maps each point of x_set to the generator row of a table on y_set
+    (``table_generator``: the carrier positions of the table's generator,
+    in y_set's order), ``g`` likewise from y_set into rows on z_set.
+
+    Built from tables, this is the gate of the law maps, and the row
+    extension trusts what it passes: x_set and y_set must not be empty,
+    and every value must be a table on its target over ``carrier`` that
+    passes the variant test (``table_satisfies``).  A value failing that
+    test is shown as its JSON table on the second line of the message.
+    Each table is then kept as its generator.  ``of_rows`` builds a
+    scenario from rows that lie in the variant already, as the seeded
+    draws of ``random_variant_row`` do, and checks only that X and Y are
+    not empty.
     """
 
     __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant")
@@ -109,9 +133,7 @@ class KleisliScenario:
     def __init__(self, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
                  f: dict, g: dict, carrier: FiniteQuantale,
                  variant: Variant = Variant.PLAIN):
-        for name, src in (("X", x_set), ("Y", y_set)):
-            if not len(src):
-                raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
+        _require_points(x_set, y_set)
         for name, m, src, dst in (("f", f, x_set, y_set), ("g", g, y_set, z_set)):
             for x in src:
                 if x not in m:
@@ -126,7 +148,25 @@ class KleisliScenario:
                     raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter\n"
                                      f"{json.dumps(semifilter_to_json(v))}")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
-        self.f, self.g, self.carrier, self.variant = f, g, carrier, variant
+        self.f = {x: table_generator(f[x]) for x in x_set}
+        self.g = {y: table_generator(g[y]) for y in y_set}
+        self.carrier, self.variant = carrier, variant
+
+    @classmethod
+    def of_rows(cls, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
+                f: dict, g: dict, carrier: FiniteQuantale,
+                variant: Variant = Variant.PLAIN) -> "KleisliScenario":
+        _require_points(x_set, y_set)
+        sc = object.__new__(cls)
+        sc.x_set, sc.y_set, sc.z_set = x_set, y_set, z_set
+        sc.f, sc.g, sc.carrier, sc.variant = f, g, carrier, variant
+        return sc
+
+
+def _require_points(x_set: FiniteSet, y_set: FiniteSet):
+    for name, src in (("X", x_set), ("Y", y_set)):
+        if not len(src):
+            raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
 
 
 def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN
@@ -147,17 +187,70 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     return lambda table: monad_multiplication(table, family, variant)
 
 
+@functools.lru_cache(maxsize=64)
+def _floor(carrier: FiniteQuantale, variant: Variant) -> int:
+    """The position below every generator row of the variant: the least
+    positive element under BOUNDED (``require_bounded_carrier``), the
+    bottom otherwise.  Kept per carrier and variant, as ``_pool``."""
+    if variant is Variant.BOUNDED:
+        require_bounded_carrier(carrier)
+        return least_positive_position(carrier)
+    return carrier.kernel.bottom
+
+
+def unit_rows(domain: FiniteSet, carrier: FiniteQuantale,
+              variant: Variant = Variant.PLAIN) -> dict:
+    """The generator row of the unit at every point: the unit at the point
+    and the bottom elsewhere, joined with the least positive element under
+    BOUNDED.  ``semifilter_of`` fills each into its table of ``monad_units``."""
+    floor = _floor(carrier, variant)
+    at = carrier.kernel.join[carrier.kernel.unit][floor]
+    n = len(domain)
+    return {x: (floor,) * i + (at,) + (floor,) * (n - 1 - i)
+            for i, x in enumerate(domain)}
+
+
+def extend_rows(h: Mapping, domain: FiniteSet, carrier: FiniteQuantale,
+                variant: Variant = Variant.PLAIN) -> Callable[[tuple], tuple]:
+    """The Kleisli extension on generator rows: a quantale matrix product.
+
+    ``h`` maps each point x of the domain to the generator row ``g_x`` of a
+    table on a common target; the extension sends the generator ``G`` of a
+    table on the domain to ``\\/_x G(x) (x) g_x(y)`` at each target point
+    y, joined with the least positive element under BOUNDED.  For tables
+    in the variant this is the generator of ``kleisli_extend(h)`` applied
+    to the table of ``G``: under PLAIN and FILTER by the proof of
+    ``tests/test_monad.py::test_a_kowalsky_sum_of_conical_tables_is_conical``,
+    and under BOUNDED because the bounded coreflection joins a generator
+    with the least positive constant.  The tests check the identity against
+    the table path on every scenario of small sizes.
+    """
+    rows = [h[x] for x in domain]
+    if not rows:
+        raise UsageError("cannot extend over an empty domain")
+    k = carrier.kernel
+    tensor, join = k.tensor, k.join
+    start = [_floor(carrier, variant)] * len(rows[0])
+
+    def extend(row: tuple) -> tuple:
+        out = start
+        for a, g in zip(row, rows):
+            by_a = tensor[a]
+            out = [join[o][by_a[b]] for o, b in zip(out, g)]
+        return tuple(out)
+    return extend
+
+
 # -- sampling ----------------------------------------------------------------
 
 def _labels(prefix: str, n: int) -> FiniteSet:
     return FiniteSet(tuple(f"{prefix}{i}" for i in range(n)))
 
 def random_qfunction(rng: random.Random, domain: FiniteSet,
-                     carrier: FiniteQuantale, positive: bool = False) -> QFunction:
-    """Values drawn from the carrier, or from its positive part, as positions:
-    the pool has the elements' order, so a seed draws the same function."""
-    bottom = carrier.kernel.bottom
-    pool = [i for i in range(len(carrier.elements)) if not positive or i != bottom]
+                     carrier: FiniteQuantale) -> QFunction:
+    """Values drawn from the carrier as positions: the pool has the
+    elements' order, so a seed draws the same function."""
+    pool = range(len(carrier.elements))
     return QFunction.from_index(domain, carrier, tuple(rng.choice(pool) for _ in domain))
 
 
@@ -168,31 +261,51 @@ def _random_basis(rng: random.Random, domain: FiniteSet,
                             for _ in range(rng.choice((1, 2)))], domain, carrier)
 
 
-def random_variant_table(rng: random.Random, domain: FiniteSet,
-                         carrier: FiniteQuantale,
-                         variant: Variant = Variant.PLAIN) -> SemifilterTable:
-    """A seeded conical table of the requested kind, built from a random basis.
+@functools.lru_cache(maxsize=64)
+def _pool(carrier: FiniteQuantale, variant: Variant) -> tuple:
+    """The positions a draw picks from: the positive ones under BOUNDED,
+    whose carrier is refused here unless ``require_bounded_carrier``
+    passes it, and all of them otherwise.  Kept per carrier and variant,
+    so that a law run checks its carrier once."""
+    if variant is Variant.BOUNDED:
+        require_bounded_carrier(carrier)
+    bottom = carrier.kernel.bottom
+    return tuple(i for i in range(len(carrier.elements))
+                 if variant is not Variant.BOUNDED or i != bottom)
 
-    FILTER bases share a pivot point held at the top so meets stay at the
-    top there (a top-filter basis); BOUNDED bases avoid the bottom value so
-    every basis element stays positive; they need an integral carrier with
+
+def random_variant_row(rng: random.Random, domain: FiniteSet,
+                       carrier: FiniteQuantale,
+                       variant: Variant = Variant.PLAIN) -> tuple:
+    """A seeded generator row of the requested kind: the meet of the
+    constant unit and one or two seeded functions, as positions.
+
+    FILTER functions share a pivot point held at the top so meets stay at
+    the top there (a top-filter basis); BOUNDED functions avoid the bottom
+    value so the meet stays positive; they need an integral carrier with
     a least positive element (``require_bounded_carrier``), which is
     checked before any draw.
     """
-    if variant is Variant.BOUNDED:
-        require_bounded_carrier(carrier)
+    k = carrier.kernel
+    pool = _pool(carrier, variant)
+    n = len(domain)
     size = rng.choice((1, 2))
-    fns = []
-    pivot = rng.randrange(len(domain)) if len(domain) else 0
+    pivot = rng.randrange(n) if n else 0
+    row = (k.unit,) * n
     for _ in range(size):
-        fn = random_qfunction(rng, domain, carrier,
-                              positive=variant is Variant.BOUNDED)
-        if variant is Variant.FILTER and len(domain):
-            index = list(fn.index)
-            index[pivot] = carrier.kernel.top
-            fn = QFunction.from_index(domain, carrier, tuple(index))
-        fns.append(fn)
-    return semifilter_of(normalize_basis(fns, domain, carrier))
+        fn = [rng.choice(pool) for _ in range(n)]
+        if variant is Variant.FILTER and n:
+            fn[pivot] = k.top
+        row = tuple(k.meet[a][b] for a, b in zip(row, fn))
+    return row
+
+
+def random_variant_table(rng: random.Random, domain: FiniteSet,
+                         carrier: FiniteQuantale,
+                         variant: Variant = Variant.PLAIN) -> SemifilterTable:
+    """The conical table of ``random_variant_row``'s draw."""
+    row = random_variant_row(rng, domain, carrier, variant)
+    return semifilter_of([QFunction.from_index(domain, carrier, row)])
 
 
 def random_scenario(rng: random.Random, carrier: FiniteQuantale,
@@ -200,9 +313,9 @@ def random_scenario(rng: random.Random, carrier: FiniteQuantale,
                     variant: Variant = Variant.PLAIN) -> KleisliScenario:
     nx, ny, nz = sizes
     xs, ys, zs = _labels("x", nx), _labels("y", ny), _labels("z", nz)
-    f = {x: random_variant_table(rng, ys, carrier, variant) for x in xs}
-    g = {y: random_variant_table(rng, zs, carrier, variant) for y in ys}
-    return KleisliScenario(xs, ys, zs, f, g, carrier, variant)
+    f = {x: random_variant_row(rng, ys, carrier, variant) for x in xs}
+    g = {y: random_variant_row(rng, zs, carrier, variant) for y in ys}
+    return KleisliScenario.of_rows(xs, ys, zs, f, g, carrier, variant)
 
 
 # -- law suite ---------------------------------------------------------------
@@ -237,38 +350,39 @@ class SuiteReport:
             self.failures.append(label)
 
 
-def _shown(t: SemifilterTable) -> str:
-    return f"table ({', '.join(format_fraction(v) for v in t.canonical_values())})"
+def _shown(sc: KleisliScenario, t: tuple) -> str:
+    table = semifilter_of([QFunction.from_index(sc.x_set, sc.carrier, t)])
+    return f"table ({', '.join(format_fraction(v) for v in table.canonical_values())})"
 
 
-def check_scenario(sc: KleisliScenario, t: SemifilterTable,
-                   index: int = 0) -> list[LawFailure]:
-    """The failures of the monad laws on one scenario and one table t on
-    its x_set, each carrying ``index`` for replay.
+def check_scenario(sc: KleisliScenario, t: tuple, index: int = 0) -> list[LawFailure]:
+    """The failures of the monad laws on one scenario and the table on its
+    x_set with generator row t, each carrying ``index`` for replay.
 
-    Three laws, ``2 + |X|`` exact table comparisons: the extension of the
+    Three laws, ``2 + |X|`` comparisons of generator rows, which are
+    comparisons of tables (``table_generator``): the extension of the
     units is the identity at t, extending f then applying it to the unit
     at x returns f(x) at every x, and the two ways of composing the
-    extensions of f and g agree at t.  Every extension is the table path,
-    ``kleisli_extend``, which trusts the maps the scenario has checked and
-    t, which must lie in the scenario's variant (``table_satisfies``), as
-    every draw of ``random_variant_table`` does.
+    extensions of f and g agree at t.  Every extension is the row path,
+    ``extend_rows``, which trusts the maps the scenario holds and t, which
+    must lie in the scenario's variant, as every draw of
+    ``random_variant_row`` does.  Only a failure fills t's table, to show
+    it.
     """
-    variant = sc.variant
-    units_x = monad_units(sc.x_set, sc.carrier, variant)
+    variant, carrier = sc.variant, sc.carrier
+    units_x = unit_rows(sc.x_set, carrier, variant)
     failures = []
-    d_sharp = kleisli_extend(units_x, sc.x_set, variant)
-    if d_sharp(t) != t:
-        failures.append(LawFailure("unit-extension-identity", index, _shown(t)))
-    f_sharp = kleisli_extend(sc.f, sc.x_set, variant)
+    if extend_rows(units_x, sc.x_set, carrier, variant)(t) != t:
+        failures.append(LawFailure("unit-extension-identity", index, _shown(sc, t)))
+    f_sharp = extend_rows(sc.f, sc.x_set, carrier, variant)
     for x in sc.x_set:
         if f_sharp(units_x[x]) != sc.f[x]:
             failures.append(LawFailure("extension-after-unit", index, f"at point {x!r}"))
-    g_sharp = kleisli_extend(sc.g, sc.y_set, variant)
+    g_sharp = extend_rows(sc.g, sc.y_set, carrier, variant)
     gf = {x: g_sharp(sc.f[x]) for x in sc.x_set}
-    gf_sharp = kleisli_extend(gf, sc.x_set, variant)
+    gf_sharp = extend_rows(gf, sc.x_set, carrier, variant)
     if g_sharp(f_sharp(t)) != gf_sharp(t):
-        failures.append(LawFailure("associativity", index, _shown(t)))
+        failures.append(LawFailure("associativity", index, _shown(sc, t)))
     return failures
 
 
@@ -278,9 +392,9 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
                      budget: int | None = None) -> SuiteReport:
     """Seeded verification of the unit laws and Kleisli associativity.
 
-    Scenario i and its table are drawn from ``random.Random(seed *
-    1_000_003 + i)`` and checked by ``check_scenario``; failures carry i
-    for replay.
+    Scenario i and its table are drawn as generator rows from
+    ``random.Random(seed * 1_000_003 + i)`` and checked by
+    ``check_scenario``; failures carry i for replay.
     """
     to_run = scenarios
     report = SuiteReport()
@@ -290,7 +404,7 @@ def check_monad_laws(carrier: FiniteQuantale, sizes: tuple[int, int, int] = (2, 
     for i in range(to_run):
         rng = random.Random(seed * 1_000_003 + i)
         sc = random_scenario(rng, carrier, sizes, variant)
-        t = random_variant_table(rng, sc.x_set, carrier, variant)
+        t = random_variant_row(rng, sc.x_set, carrier, variant)
         report.failures += check_scenario(sc, t, i)
         report.checks += 2 + len(sc.x_set)
         report.scenarios_run += 1

@@ -25,10 +25,10 @@ import functools
 from fractions import Fraction
 from typing import Iterable
 
+from .base import Record
 from .errors import UsageError
 from .finite import FiniteQuantale
 from .qfun import FiniteSet, QFunction, SetMap, image, sub, unit_constant
-from .quantale import Record
 
 
 class PrefilterBasis(Record):
@@ -125,7 +125,7 @@ def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     The answer is again principal: join the generator with the constant at
     the least positive carrier element.
     """
-    eps0 = _least_positive_position(pf.carrier)
+    eps0 = least_positive_position(pf.carrier)
     eps_x = QFunction.from_index(pf.domain, pf.carrier, (eps0,) * len(pf.domain))
     return normalize_basis([pf.generator.join(eps_x)])
 
@@ -138,10 +138,11 @@ def least_positive(carrier: FiniteQuantale) -> Fraction:
     closed under meets and each bounded coreflection has a largest result.
     A carrier without one is refused with a ``UsageError`` naming it.
     """
-    return carrier.elements[_least_positive_position(carrier)]
+    return carrier.elements[least_positive_position(carrier)]
 
 
-def _least_positive_position(carrier: FiniteQuantale) -> int:
+def least_positive_position(carrier: FiniteQuantale) -> int:
+    """The kernel position of ``least_positive``, refused as it is."""
     k = carrier.kernel
     positive = [i for i in range(len(carrier.elements)) if i != k.bottom]
     if not positive:

@@ -17,9 +17,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
+from .base import Record
 from .errors import UsageError
 from .finite import FiniteQuantale
-from .quantale import Record, as_fraction
+from .serialize import as_fraction
 
 
 class FiniteSet(Record):

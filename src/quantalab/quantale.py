@@ -1,4 +1,4 @@
-"""Exact quantale arithmetic on the unit interval, and what both carriers share.
+"""Exact quantale arithmetic on the unit interval.
 
 ``TNorm`` is the unit interval with a continuous t-norm described as an
 ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
@@ -8,14 +8,17 @@ one integer form, ``residua``, at points of sample columns, for the
 interval counterexample.  Condition (S), which decides the monad question
 on an ordinal sum, and the grid probes of the residuum live here too.
 
-The finite carrier, ``FiniteQuantale``, lives in ``finite``; this module
-holds what both carriers and every layer share: ``Record``, the rational
-coercion ``as_fraction``, ``ZERO``/``ONE`` and the monad ``Variant``.  Both
-carriers expose the same surface: ``tensor``, ``residuum``, ``leq``,
-``join``, ``meet`` and ``is_idempotent``, plus ``unit``, ``bottom`` and
-``top``.  ``residuum(x, y)`` always returns the largest ``z`` with
-``x (x) z <= y``.  The way-below relation, decided from its definition, is
-a test oracle (``tests/oracles.py``): no computation here needs it.
+The finite carrier, ``FiniteQuantale``, lives in ``finite``, and what both
+carriers and every layer share (``Record``, ``ZERO``/``ONE`` and the monad
+``Variant``) in ``base``; the rational coercion ``as_fraction`` is
+``serialize``'s.  A ``laws`` run never loads this module: the other
+modules import it only where a t-norm is built or tested, as ``finite``
+does to cut its shipped chains from t-norms.  Both carriers expose the
+same surface: ``tensor``, ``residuum``, ``leq``, ``join``, ``meet`` and
+``is_idempotent``, plus ``unit``, ``bottom`` and ``top``.
+``residuum(x, y)`` always returns the largest ``z`` with ``x (x) z <= y``.
+The way-below relation, decided from its definition, is a test oracle
+(``tests/oracles.py``): no computation here needs it.
 """
 
 from __future__ import annotations
@@ -24,68 +27,16 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Iterable
 
+from .base import ONE, ZERO, Record
 from .errors import ConstructionError, UsageError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/8' and Fractions to a Fraction; anything
-    else, a bool (a JSON true or false) too, is a UsageError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise UsageError(f"not an exact rational: {value!r}")
-
-
-class Record:
-    """A value compared by content: equal to a record of its own class whose
-    fields are equal, and hashed and shown by those fields.  The fields are
-    the names in the subclass's own ``__slots__``; a subclass that names
-    none is refused when it is created."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        if not vars(cls).get("__slots__"):
-            raise TypeError(f"{cls.__name__} must name its fields in its own __slots__")
-        # a class attribute that is not a method: called as self._key(self)
-        cls._key = attrgetter(*cls.__slots__)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
+from .serialize import as_fraction
 
 
 class BlockKind(Enum):
     LUKASIEWICZ = "lukasiewicz"
     PRODUCT = "product"
-
-
-class Variant(Enum):
-    """Which of the three monads: on conical semifilters (PLAIN), on those
-    that are filters (FILTER), or on bounded ones (BOUNDED).  The finite law
-    suites and the interval counterexample both take one."""
-
-    PLAIN = "plain"
-    FILTER = "filter"
-    BOUNDED = "bounded"
 
 
 class Block(Record):

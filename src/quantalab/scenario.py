@@ -9,8 +9,10 @@ the canonical lexicographic order of the function space, and a table is
 read back into carrier positions at its functions' codes.
 
 The finite function, filter and monad layers are imported by the
-functions that build their objects, so a ``counterexample --scenario``
-run loads none of them.
+functions that build their objects, and the counterexample layer only to
+read a witness catalog: a ``counterexample --scenario`` run loads none of
+the finite layers, and a ``laws`` run without a catalog no interval
+layer.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .base import Variant
 from .errors import QuantalabError, StructuralError, UsageError
-from .quantale import TNorm, Variant
-from .serialize import (expect, expr_from_json, format_fraction, load_json,
-                        parse_fraction, parse_integer, quantale_from_json,
-                        quantale_to_json, refuse_unknown, required_field)
+from .serialize import (expect, format_fraction, load_json, parse_fraction,
+                        parse_integer, quantale_from_json, quantale_to_json,
+                        refuse_unknown, required_field)
 
 if TYPE_CHECKING:
     from .finite import FiniteQuantale
@@ -198,7 +200,7 @@ class ScenarioSpec:
             refuse_unknown(maps, "maps", ("f", "g"))
             for name in ("f", "g"):
                 expect(maps[name], dict, f"map {name}")
-            if isinstance(self.carrier, TNorm):
+            if quantale["type"] == "tnorm":
                 raise StructuralError("maps need a finite carrier, not a t-norm")
         self.maps = maps
         wc = obj.get("witness_catalog")
@@ -207,6 +209,7 @@ class ScenarioSpec:
             if not expect(wc, list, "witness_catalog"):
                 raise StructuralError("witness_catalog must not be empty; "
                                       "leave it out for the default catalog")
+            from .counterexample import expr_from_json
             self.witness_catalog = [expr_from_json(e) for e in wc]
         refuse_unknown(obj, "scenario", ("quantale", "variant", "sets", "seed", "budgets",
                                  "maps", "witness_catalog"))

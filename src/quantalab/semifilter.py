@@ -36,12 +36,12 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .base import Record
 from .errors import BudgetError, UsageError
 from .finite import FiniteQuantale
 from .prefilter import PrefilterBasis, least_positive
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
                    unit_constant)
-from .quantale import Record
 
 TABLE_CAP = 3 ** 9
 ENUM_BUDGET = 3 ** 9
@@ -338,7 +338,18 @@ def is_conical_semifilter(table: SemifilterTable) -> bool:
     k = q.kernel
     if not k.leq[k.unit][table.index[unit_constant(table.domain, q).code]]:
         return False
-    return tuple(_sub_fill(k, _row_meet(_level_rows(table), k))) == table.index
+    return tuple(_sub_fill(k, table_generator(table))) == table.index
+
+
+def table_generator(table: SemifilterTable) -> tuple:
+    """The meet of the table's level set, as a position row.
+
+    On a conical semifilter this is its generator: the table is
+    ``sub(g, -)`` for this row ``g``, and for no other below the constant
+    unit (see ``is_conical_semifilter``), so two such tables are equal
+    exactly when their generators are.
+    """
+    return _row_meet(_level_rows(table), table.carrier.kernel)
 
 
 def residuate(p: Fraction, table: SemifilterTable) -> SemifilterTable:

@@ -1,6 +1,7 @@
-"""Bit-exact JSON serialization for quantales and witness expressions.
+"""Bit-exact JSON serialization for quantales, and reports.
 
-Rationals travel as "num/den" strings so that files round-trip exactly.
+Rationals travel as "num/den" strings so that files round-trip exactly;
+``as_fraction`` is the one coercion of an input value to a rational.
 Parsers check the JSON shape and refuse unknown fields with
 StructuralError, through the shape helpers ``expect``, ``required_field``,
 ``refuse_unknown`` and ``parse_integer``; the library objects they build
@@ -8,10 +9,11 @@ coerce each value, so the CLI maps either refusal to the input-error exit
 code.  ``render_text`` writes a report as text.
 
 Scenario files, and the functions and tables they pin, are read by
-``scenario``, which ``load_scenario`` imports when it is called.  The
-finite carrier and the expression layer are likewise imported by the
-functions that build their objects, so reading a t-norm definition loads
-only ``quantale``.
+``scenario``, which ``load_scenario`` imports when it is called; the
+witness expressions of a counterexample catalog are read and written by
+``counterexample``.  Each carrier is likewise imported by the functions
+that build or write it, so reading a t-norm definition loads only
+``quantale``, and reading a finite one only ``finite``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,24 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import StructuralError, UsageError
-from .quantale import TNorm, as_fraction, build_ordinal_sum
 
 if TYPE_CHECKING:
-    from .counterexample import FnExpr
     from .scenario import ScenarioSpec
+
+
+def as_fraction(value) -> Fraction:
+    """Coerce ints, strings like '3/8' and Fractions to a Fraction; anything
+    else, a bool (a JSON true or false) too, is a UsageError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"not an exact rational: {value!r}")
 
 
 def format_fraction(v: Fraction) -> str:
@@ -42,11 +57,6 @@ def parse_fraction(s) -> Fraction:
 
 
 def quantale_to_json(q) -> dict:
-    if isinstance(q, TNorm):
-        return {"type": "tnorm",
-                "blocks": [{"lo": format_fraction(b.lo),
-                            "hi": format_fraction(b.hi),
-                            "kind": b.kind.value} for b in q.blocks]}
     from .finite import FiniteQuantale
     if isinstance(q, FiniteQuantale):
         names = [format_fraction(e) for e in q.elements]
@@ -61,6 +71,12 @@ def quantale_to_json(q) -> dict:
         if not chain_meet:
             out["meet"] = _format_rows(k.meet, names)
         return out
+    from .quantale import TNorm
+    if isinstance(q, TNorm):
+        return {"type": "tnorm",
+                "blocks": [{"lo": format_fraction(b.lo),
+                            "hi": format_fraction(b.hi),
+                            "kind": b.kind.value} for b in q.blocks]}
     raise StructuralError(f"not a quantale: {q!r}")
 
 
@@ -72,6 +88,7 @@ def quantale_from_json(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise StructuralError("quantale definition needs a 'type' field")
     if obj["type"] == "tnorm":
+        from .quantale import build_ordinal_sum
         blocks = expect(obj.get("blocks", []), list, "blocks")
         refuse_unknown(obj, "quantale definition", ("type", "blocks"))
         return build_ordinal_sum(_block_from_json(b, f"blocks[{i}]")
@@ -122,71 +139,11 @@ def _block_from_json(obj, where: str) -> tuple:
     return block
 
 
-def expr_to_json(e: FnExpr) -> dict:
-    from .counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
-    if isinstance(e, Ramp):
-        return {"kind": "ramp", "scale": format_fraction(e.scale)}
-    if isinstance(e, TailIndicator):
-        return {"kind": "indicator", "start": e.start}
-    if isinstance(e, Const):
-        return {"kind": "const", "value": format_fraction(e.value)}
-    if isinstance(e, Join):
-        return {"kind": "join", "left": expr_to_json(e.left),
-                "right": expr_to_json(e.right)}
-    if isinstance(e, Meet):
-        return {"kind": "meet", "left": expr_to_json(e.left),
-                "right": expr_to_json(e.right)}
-    if isinstance(e, Res):
-        return {"kind": "res", "const": format_fraction(e.const),
-                "child": expr_to_json(e.child)}
-    raise StructuralError(f"not an expression: {e!r}")
-
-
 def required_field(obj: dict, owner: str, name: str):
     """obj[name], refused when obj has no such field."""
     if name not in obj:
         raise StructuralError(f"{owner} needs a {name!r} field")
     return obj[name]
-
-
-def _unit_fraction(obj: dict, owner: str, kind: str, name: str) -> Fraction:
-    """A rational field of an expression that must lie in [0,1]."""
-    v = parse_fraction(required_field(obj, owner, name))
-    if not 0 <= v <= 1:
-        raise StructuralError(
-            f"{kind}.{name} must lie in [0,1], got {format_fraction(v)}")
-    return v
-
-
-def expr_from_json(obj: dict) -> FnExpr:
-    """Parse one witness-catalog expression; see README for the format."""
-    from .counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
-    if not isinstance(obj, dict):
-        raise StructuralError(f"an expression must be a JSON object, got {obj!r}")
-    kind = obj.get("kind")
-    article = "an" if str(kind)[:1] in ("a", "e", "i", "o", "u") else "a"
-    owner = f"{article} {kind} expression"
-    if kind == "ramp":
-        e = Ramp(_unit_fraction(obj, owner, kind, "scale"))
-    elif kind == "indicator":
-        start = parse_integer(required_field(obj, owner, "start"), "indicator.start")
-        if start < 1:
-            raise StructuralError(f"indicator.start must be at least 1, got {start}")
-        e = TailIndicator(start)
-    elif kind == "const":
-        e = Const(_unit_fraction(obj, owner, kind, "value"))
-    elif kind in ("join", "meet"):
-        e = (Join if kind == "join" else Meet)(
-            expr_from_json(required_field(obj, owner, "left")),
-            expr_from_json(required_field(obj, owner, "right")))
-    elif kind == "res":
-        e = Res(_unit_fraction(obj, owner, kind, "const"),
-                expr_from_json(required_field(obj, owner, "child")))
-    else:
-        raise StructuralError(f"unknown expression kind {kind!r}")
-    # each field is named as the expression's own
-    refuse_unknown(obj, owner, ("kind", *e.__slots__))
-    return e
 
 
 def parse_integer(value, name: str) -> int:

@@ -57,7 +57,8 @@ from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import (FiniteSet, QFunction, SetMap, all_qfunctions,
                             constant, sub, unit_constant)
 from quantalab.finite import FiniteQuantale, Violation
-from quantalab.quantale import ONE, ZERO, BlockKind, TNorm, Variant, grid
+from quantalab.base import ONE, ZERO, Variant
+from quantalab.quantale import BlockKind, TNorm, grid
 from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
                                   SemifilterTable, conical_coreflection, image_semifilter,
                                   require_bounded_carrier, semifilter_of)

@@ -138,6 +138,30 @@ def test_quantale_refuses_a_bad_grid_step_whatever_checks_run(
     assert r.stderr == "input error: grid step must be 1/2^n, got 1/3\n"
 
 
+@pytest.mark.parametrize("definition", ["finite", "godel"])
+@pytest.mark.parametrize("step,points", [("1/256", 257), ("1/1048576", 1048577)])
+def test_quantale_refuses_a_grid_step_above_the_cap(runner, tmp_path, godel_path,
+                                                    definition, step, points):
+    # the adjunction scan is cubic in the grid's points, so a fine step is
+    # refused by its count before any check runs
+    from quantalab.cli import GRID_CAP
+    paths = {"finite": write(tmp_path, "two.json", quantale_to_json(two_chain())),
+             "godel": godel_path}
+    r = runner.invoke(main, ["quantale", "--quantale", paths[definition],
+                             "--grid-step", step])
+    assert r.exit_code == 3, r.output
+    assert r.stdout == ""
+    assert r.stderr == (f"budget exhausted: grid step {step} would scan {points} "
+                        f"points (cap {GRID_CAP})\n")
+
+
+def test_quantale_grid_cap_admits_the_default_step(runner, godel_path):
+    from quantalab.cli import GRID_CAP
+    assert GRID_CAP >= 65
+    r = runner.invoke(main, ["quantale", "--quantale", godel_path, "--check", "probe"])
+    assert r.exit_code == 0, r.output
+
+
 def test_quantale_default_checks_on_a_finite_definition(runner, tmp_path):
     path = write(tmp_path, "two.json", quantale_to_json(two_chain()))
     r = runner.invoke(main, ["quantale", "--quantale", path, "--format", "structured"])
@@ -476,7 +500,7 @@ def test_counterexample_report_does_not_depend_on_the_truncation(runner, block_p
 
 def test_counterexample_from_scenario_with_witness_catalog(runner, tmp_path):
     from quantalab.counterexample import Ramp
-    from quantalab.serialize import expr_to_json
+    from quantalab.counterexample import expr_to_json
     from fractions import Fraction
     path = write(tmp_path, "cx.json", {
         "quantale": {"type": "tnorm",
@@ -784,6 +808,23 @@ def test_scenario_maps_are_read_on_load(runner, tmp_path, command, maps, message
     # counterexample --scenario used to skip maps: exit 0 with VIOLATION
     obj = _cx_scenario(maps=maps)
     assert _input_error(runner, tmp_path, command, obj) == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["quantale", "laws", "counterexample"])
+def test_an_unwritable_out_file_is_input_error(runner, tmp_path, block_path, command):
+    # exit 1 is a mathematical failure; a report that cannot be written is
+    # an input error, and nothing is printed
+    scenario = write(tmp_path, "sc.json", {"quantale": quantale_to_json(two_chain()),
+                                           "seed": 1, "budgets": {"scenarios": 2}})
+    out = str(tmp_path / "no-such-dir" / "report.json")
+    args = {"quantale": ["quantale", "--quantale", block_path, "--check", "s"],
+            "laws": ["laws", "--scenario", scenario],
+            "counterexample": ["counterexample", "--quantale", block_path,
+                               "--t", "3/8", "--s", "3/8", "--truncation", "20"]}[command]
+    r = runner.invoke(main, args + ["--out", out])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"input error: cannot write {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["quantale", "laws", "counterexample"])

@@ -15,10 +15,10 @@ from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
                                       _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
-from quantalab.quantale import (ONE, ZERO, TNorm, build_ordinal_sum,
-                                check_condition_s, godel_tnorm, grid,
-                                lukasiewicz_tnorm, positive_residuum_zero_sup,
-                                product_tnorm)
+from quantalab.base import ONE, ZERO
+from quantalab.quantale import (TNorm, build_ordinal_sum, check_condition_s,
+                                godel_tnorm, grid, lukasiewicz_tnorm,
+                                positive_residuum_zero_sup, product_tnorm)
 
 from oracles import (PointColumn, build_catalog_per_expr, eval_at, eval_leaves,
                      left_limit_residuum, node_per_expr, point_collapse_scan,

@@ -13,8 +13,9 @@ library module that imports one of them, or a test file, is named as well.
 The package resolves its public names on first access, and the layers
 import each other where they are used, so reading a t-norm or running a
 ``counterexample`` never loads the finite carrier, nor the finite function,
-filter and monad stack, and only a scenario file loads its reader.  The
-import graph is checked in a fresh interpreter.
+filter and monad stack, a ``laws`` run never loads the interval carrier,
+and only a scenario file loads its reader.  The import graph is checked in
+a fresh interpreter.
 """
 
 import ast
@@ -119,7 +120,7 @@ def test_an_import_of_test_code_is_named():
 def equality_faults(source: str) -> list[str]:
     """Classes that define ``__eq__`` without ``__hash__``, which leaves them
     unhashable, and classes other than ``Record`` that define ``_key``:
-    equality by fields is written once, in ``quantale.Record``."""
+    equality by fields is written once, in ``base.Record``."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -191,8 +192,9 @@ def loaded_modules(script: str, tmp_path, package_only: bool = True) -> set[str]
 
 FINITE_STACK = {"quantalab.finite", "quantalab.monad", "quantalab.semifilter",
                 "quantalab.prefilter", "quantalab.qfun", "quantalab.classical"}
-# what every subcommand loads: the interval carrier and the quantale reader
-FRONT = {"quantalab", "quantalab.cli", "quantalab.errors", "quantalab.quantale",
+# what every subcommand loads: the shared values and the quantale reader,
+# and neither carrier
+FRONT = {"quantalab", "quantalab.base", "quantalab.cli", "quantalab.errors",
          "quantalab.serialize"}
 
 
@@ -214,7 +216,7 @@ def test_checking_a_tnorm_loads_no_finite_carrier(tmp_path):
     loaded = loaded_modules("from quantalab.cli import main\n"
                             "main(['quantale', '--quantale', 'block.json', '--check', 'axioms',\n"
                             "      '--check', 'adjunction', '--grid-step', '1/4'])", tmp_path)
-    assert loaded == FRONT
+    assert loaded == FRONT | {"quantalab.quantale"}
 
 
 def test_reading_a_scenario_without_a_catalog_loads_no_counterexample(tmp_path):
@@ -230,8 +232,7 @@ def test_a_counterexample_command_loads_only_its_layers(tmp_path):
         "from quantalab.cli import main\n"
         "main(['counterexample', '--quantale', 'block.json', '--t', '3/8',\n"
         "      '--s', '3/8', '--truncation', '20'])", tmp_path)
-    assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
-                      "quantalab.errors", "quantalab.quantale", "quantalab.serialize"}
+    assert loaded == FRONT | {"quantalab.counterexample", "quantalab.quantale"}
 
 
 def test_a_counterexample_from_a_scenario_loads_no_finite_stack(tmp_path):
@@ -240,9 +241,8 @@ def test_a_counterexample_from_a_scenario_loads_no_finite_stack(tmp_path):
         "from quantalab.cli import main\n"
         "main(['counterexample', '--scenario', 'cx.json', '--t', '3/8',\n"
         "      '--s', '3/8', '--truncation', '20'])", tmp_path)
-    assert loaded == {"quantalab", "quantalab.cli", "quantalab.counterexample",
-                      "quantalab.errors", "quantalab.quantale", "quantalab.scenario",
-                      "quantalab.serialize"}
+    assert loaded == FRONT | {"quantalab.counterexample", "quantalab.quantale",
+                              "quantalab.scenario"}
 
 
 COMMANDS = {
@@ -268,6 +268,8 @@ def test_a_laws_command_loads_no_counterexample(tmp_path):
                             "main(['laws', '--scenario', 'laws.json'])", tmp_path)
     assert FINITE_STACK | {"quantalab.scenario"} <= loaded
     assert "quantalab.counterexample" not in loaded
+    # nor the interval carrier: the law run builds and tests no t-norm
+    assert "quantalab.quantale" not in loaded
 
 
 def test_every_public_name_resolves_to_its_module_object():
@@ -285,8 +287,10 @@ def test_an_unknown_package_name_is_an_attribute_error():
         from quantalab import no_such_name  # noqa: F401
 
 
-def test_variant_lives_in_quantale():
+def test_variant_lives_in_base():
+    import quantalab.base
+    import quantalab.counterexample
     import quantalab.monad
-    import quantalab.quantale
-    assert quantalab.monad.Variant is quantalab.quantale.Variant
-    assert quantalab.Variant is quantalab.quantale.Variant
+    assert quantalab.monad.Variant is quantalab.base.Variant
+    assert quantalab.counterexample.Variant is quantalab.base.Variant
+    assert quantalab.Variant is quantalab.base.Variant

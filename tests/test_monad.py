@@ -12,11 +12,12 @@ from quantalab.classical import (all_proper_filters, filter_image,
 from quantalab.errors import UsageError
 from quantalab.monad import (KleisliScenario, LawFailure, Variant,
                              check_monad_laws, check_naturality, check_scenario,
-                             classical_correspondence_report, kleisli_extend,
-                             monad_multiplication, monad_units,
-                             multiplication_prefilter_members,
-                             random_variant_table, table_satisfies)
-from quantalab.prefilter import member, normalize_basis
+                             classical_correspondence_report, extend_rows,
+                             kleisli_extend, monad_multiplication, monad_units,
+                             multiplication_prefilter_members, random_scenario,
+                             random_variant_row, random_variant_table,
+                             table_satisfies, unit_rows)
+from quantalab.prefilter import least_positive_position, member, normalize_basis
 from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set, unit_constant
 from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
@@ -24,7 +25,8 @@ from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
                                   is_bounded, kowalsky_sum, level_prefilter,
-                                  require_bounded_carrier, semifilter_of)
+                                  require_bounded_carrier, semifilter_of,
+                                  table_generator)
 from quantalab.scenario import semifilter_to_json
 
 from oracles import (from_function, from_mapping, image_outer, is_conical,
@@ -37,6 +39,12 @@ Y = finite_set("y0", "y1")
 
 def qf(values, domain=X, carrier=G3):
     return QFunction(domain, tuple(F(v) for v in values), carrier)
+
+
+def filled(domain, carrier, row):
+    """The conical table of a generator row: the dense side of every
+    comparison of the row path with the table path."""
+    return semifilter_of([QFunction.from_index(domain, carrier, row)])
 
 
 # -- units and multiplication ---------------------------------------------------
@@ -319,10 +327,13 @@ def test_the_coreflection_changes_a_sum_of_a_non_conical_table():
 # -- the law suite -----------------------------------------------------------------
 
 def test_only_a_bounded_law_run_coreflects(monkeypatch):
-    # PLAIN and FILTER multiply by the Kowalsky sum alone; every BOUNDED
-    # sum passes through the bounded coreflection
+    # the table path, kleisli_extend: PLAIN and FILTER multiply by the
+    # Kowalsky sum alone, and every BOUNDED sum passes through the bounded
+    # coreflection.  A law run takes the row path: it sums, coreflects and
+    # fills no table, and only its BOUNDED extension joins with the least
+    # positive element, which is the bounded coreflection of a generator
     import quantalab.monad as monad
-    calls = {"sum": 0, "conical": 0, "bounded": 0}
+    calls = {"sum": 0, "conical": 0, "bounded": 0, "fill": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -335,17 +346,39 @@ def test_only_a_bounded_law_run_coreflects(monkeypatch):
                         counted("conical", monad.conical_coreflection))
     monkeypatch.setattr(monad, "conical_bounded_coreflection",
                         counted("bounded", monad.conical_bounded_coreflection))
+    monkeypatch.setattr(monad, "semifilter_of", counted("fill", monad.semifilter_of))
 
-    def run(q, variant):
-        calls.update(sum=0, conical=0, bounded=0)
-        assert check_monad_laws(q, (2, 2, 2), 5, seed=1, variant=variant).passed
+    def extend(q, variant):
+        rng = random.Random(1)
+        h = {x: random_variant_table(rng, Y, q, variant) for x in X}
+        tables = [random_variant_table(rng, X, q, variant) for _ in range(5)]
+        calls.update(sum=0, conical=0, bounded=0, fill=0)
+        h_sharp = kleisli_extend(h, X, variant)
+        for t in tables:
+            h_sharp(t)
         return calls
 
     for variant in (Variant.PLAIN, Variant.FILTER):
-        c = run(five_chain(), variant)
-        assert c["sum"] > 0 and c["conical"] == c["bounded"] == 0
-    c = run(mv3(), Variant.BOUNDED)
-    assert c["bounded"] >= c["sum"] > 0 and c["conical"] == 0
+        c = extend(five_chain(), variant)
+        assert c["sum"] == 5 and c["conical"] == c["bounded"] == 0
+    c = extend(mv3(), Variant.BOUNDED)
+    assert c["bounded"] == c["sum"] == 5 and c["conical"] == 0
+
+    for q, variant in ((five_chain(), Variant.PLAIN), (five_chain(), Variant.FILTER),
+                       (mv3(), Variant.BOUNDED)):
+        calls.update(sum=0, conical=0, bounded=0, fill=0)
+        assert check_monad_laws(q, (2, 2, 2), 5, seed=1, variant=variant).passed
+        assert calls == {"sum": 0, "conical": 0, "bounded": 0, "fill": 0}
+
+    q = mv3()
+    join, eps = q.kernel.join, least_positive_position(q)
+    rng = random.Random(1)
+    h = {x: random_variant_row(rng, Y, q, Variant.BOUNDED) for x in X}
+    for _ in range(5):
+        t = random_variant_row(rng, X, q, Variant.BOUNDED)
+        plain = extend_rows(h, X, q, Variant.PLAIN)(t)
+        assert extend_rows(h, X, q, Variant.FILTER)(t) == plain
+        assert extend_rows(h, X, q, Variant.BOUNDED)(t) == tuple(join[v][eps] for v in plain)
 
 
 def _carries_bounded(q):
@@ -366,12 +399,16 @@ DRAW_CASES = [(name, variant) for name, q in SHIPPED.items() for variant in Vari
                          ids=[f"{name}-{v.value}" for name, v in DRAW_CASES])
 def test_every_variant_draw_lies_in_the_variant(name, variant):
     # the law suite trusts its sampled maps and tables to lie in the variant
+    # and each drawn row is the generator of its table
     q = SHIPPED[name]
     for n in (1, 2):
         dom = finite_set(*(f"x{i}" for i in range(n)))
         for seed in range(200):
-            t = random_variant_table(random.Random(seed), dom, q, variant)
-            assert table_satisfies(t, variant), (seed, t)
+            row = random_variant_row(random.Random(seed), dom, q, variant)
+            t = filled(dom, q, row)
+            assert table_satisfies(t, variant), (seed, row)
+            assert table_generator(t) == row
+            assert random_variant_table(random.Random(seed), dom, q, variant) == t
 
 
 @pytest.mark.parametrize("carrier", [godel3(), mv3()])
@@ -443,8 +480,9 @@ def test_scenario_refuses_a_map_value_on_the_wrong_space():
 
 
 def test_law_maps_are_checked_once_at_the_gate(monkeypatch):
-    # one conicality test per law-map value, in KleisliScenario; the
-    # extensions and the multiplications trust the tables they are given
+    # one conicality test per pinned law-map value, in KleisliScenario,
+    # which keeps each table as its generator; the seeded maps are drawn
+    # as rows of the variant, and the extensions trust what they are given
     import quantalab.monad as monad
     tested = []
     conical = monad.is_conical_semifilter
@@ -454,10 +492,19 @@ def test_law_maps_are_checked_once_at_the_gate(monkeypatch):
         return conical(table)
 
     monkeypatch.setattr(monad, "is_conical_semifilter", counting)
-    law = check_monad_laws(five_chain(), (2, 2, 2), 20, 1)
-    check_naturality(five_chain(), 8, 1)
+    q = five_chain()
+    law = check_monad_laws(q, (2, 2, 2), 20, 1)
+    check_naturality(q, 8, 1)
     assert law.scenarios_run == 20
-    assert len(tested) == 20 * (2 + 2)
+    assert tested == []
+
+    rng = random.Random(1)
+    f = {x: random_variant_table(rng, Y, q) for x in X}
+    g = {y: random_variant_table(rng, X, q) for y in Y}
+    sc = KleisliScenario(X, Y, X, f, g, q)
+    assert tested == [f["x0"], f["x1"], g["y0"], g["y1"]]
+    assert {x: filled(Y, q, sc.f[x]) for x in X} == f
+    assert {y: filled(X, q, sc.g[y]) for y in Y} == g
 
 
 @pytest.mark.parametrize("sizes,empty", [((0, 2, 2), "X"), ((2, 0, 2), "Y"),
@@ -472,30 +519,57 @@ def test_scenario_refuses_an_empty_x_or_y_before_any_extension(sizes, empty):
 
 
 def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
-    # a deliberately broken extension reads h's family in reverse order:
+    # a deliberately broken row extension reads h's rows in reverse order:
     # the units of X come out swapped, so the unit law fails at the
-    # evaluation unit at x0, while f and g, constant maps, hide the break
+    # evaluation unit at x0, while f and g, constant maps, hide the break;
+    # the failure shows the table that t generates
     import quantalab.monad as monad
-    real = monad.kowalsky_sum
+    real = monad.extend_rows
 
-    def reversed_sum(outer, family):
-        return real(outer, SemifilterFamily(family.labels, family.members[::-1]))
+    def reversed_rows(h, domain, carrier, variant):
+        rows = [h[x] for x in domain][::-1]
+        return real(dict(zip(domain, rows)), domain, carrier, variant)
 
-    monkeypatch.setattr(monad, "kowalsky_sum", reversed_sum)
+    monkeypatch.setattr(monad, "extend_rows", reversed_rows)
     Z = finite_set("z0")
     sc = KleisliScenario(X, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in X},
                          {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
-    t = evaluation_unit(X, G3, "x0")
+    t = table_generator(evaluation_unit(X, G3, "x0"))
     assert check_scenario(sc, t, 7) == [LawFailure(
         "unit-extension-identity", 7,
         "table (" + ", ".join(["0/1"] * 3 + ["1/2"] * 3 + ["1/1"] * 3) + ")")]
 
 
+def assert_rows_match_tables(sc, t):
+    """Every extension that ``check_scenario`` runs on the rows of ``sc``
+    and t, filled densely, is the table path's: ``kleisli_extend`` over
+    the tables of the scenario's maps, at the table of t and at the units
+    (``monad_units``), which are the tables of ``unit_rows``."""
+    q, v = sc.carrier, sc.variant
+    xs, ys, zs = sc.x_set, sc.y_set, sc.z_set
+    f = {x: filled(ys, q, sc.f[x]) for x in xs}
+    g = {y: filled(zs, q, sc.g[y]) for y in ys}
+    table = filled(xs, q, t)
+    units, unit_x = monad_units(xs, q, v), unit_rows(xs, q, v)
+    assert {x: filled(xs, q, unit_x[x]) for x in xs} == units
+    f_sharp, g_sharp = kleisli_extend(f, xs, v), kleisli_extend(g, ys, v)
+    gf_sharp = kleisli_extend({x: g_sharp(f[x]) for x in xs}, xs, v)
+    f_rows, g_rows = extend_rows(sc.f, xs, q, v), extend_rows(sc.g, ys, q, v)
+    gf_rows = extend_rows({x: g_rows(sc.f[x]) for x in xs}, xs, q, v)
+    assert filled(xs, q, extend_rows(unit_x, xs, q, v)(t)) \
+        == kleisli_extend(units, xs, v)(table)
+    for x in xs:
+        assert filled(ys, q, f_rows(unit_x[x])) == f_sharp(units[x])
+    assert filled(ys, q, f_rows(t)) == f_sharp(table)
+    assert filled(zs, q, g_rows(f_rows(t))) == g_sharp(f_sharp(table))
+    assert filled(zs, q, gf_rows(t)) == gf_sharp(table)
+
+
 # Every (f, g, t) of a size: f and g run over all maps into the variant's
-# conical tables, t over those tables on X.  Each comparison of
-# check_scenario has the table path, kowalsky_sum (coreflected under
-# BOUNDED), on one side.  godel3 and mv3 at (2, 2, 2), 59049 plain scenarios each, are
-# left out for time.
+# conical tables, t over those tables on X.  Each scenario is checked on
+# rows by check_scenario, and each of its extensions against the table
+# path, kowalsky_sum (coreflected under BOUNDED).  godel3 and mv3 at
+# (2, 2, 2), 59049 plain scenarios each, are left out for time.
 EXHAUSTIVE = [("two_chain", two_chain(), (2, 2, 2), (1024, 243, 1))] + [
     (name, q, sizes, counts) for name, q in (("godel3", G3), ("mv3", mv3()))
     for sizes, counts in (((1, 2, 2), (2187, 125, 128)), ((2, 1, 2), (729, 25, 64)))]
@@ -515,15 +589,32 @@ def test_the_monad_laws_hold_on_every_scenario(name, q, sizes, variant, count):
         return [t for t in conical_semifilters(dom, q) if table_satisfies(t, variant)]
 
     tables_x, tables_y, tables_z = listed(xs), listed(ys), listed(zs)
+    rows_x = [table_generator(t) for t in tables_x]
     checked = 0
     for f_values in itertools.product(tables_y, repeat=len(xs)):
         for g_values in itertools.product(tables_z, repeat=len(ys)):
             sc = KleisliScenario(xs, ys, zs, dict(zip(xs, f_values)),
                                  dict(zip(ys, g_values)), q, variant)
-            for t in tables_x:
+            for t in rows_x:
                 assert check_scenario(sc, t, checked) == []
+                assert_rows_match_tables(sc, t)
                 checked += 1
     assert checked == count
+
+
+@pytest.mark.parametrize("name,variant", DRAW_CASES,
+                         ids=[f"{name}-{v.value}" for name, v in DRAW_CASES])
+def test_the_seeded_law_scenarios_match_the_table_path(name, variant):
+    # the scenarios a law run draws at (2, 2, 2) under the law seeds 1-64,
+    # the pool the benchmark's small law runs draw from: 20 each, as
+    # check_monad_laws draws them, every one checked against the table path
+    q = SHIPPED[name]
+    for seed in range(1, 65):
+        assert check_monad_laws(q, (2, 2, 2), 20, seed, variant).passed
+        for i in range(20):
+            rng = random.Random(seed * 1_000_003 + i)
+            sc = random_scenario(rng, q, (2, 2, 2), variant)
+            assert_rows_match_tables(sc, random_variant_row(rng, sc.x_set, q, variant))
 
 
 # -- prefilter-side formulas ---------------------------------------------------------

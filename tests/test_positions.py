@@ -159,12 +159,11 @@ def test_axiom_scan_reports_what_the_element_scan_reports(name):
 @pytest.mark.parametrize("name", CHAINS)
 def test_draws_from_positions_match_draws_from_elements(name):
     q = CHAINS[name]()
+    # a positive draw is the BOUNDED variant's, below
     for seed in range(200):
-        for positive in (False, True):
-            mine, oracle = random.Random(seed), random.Random(seed)
-            assert (random_qfunction(mine, X3, q, positive)
-                    == random_qfunction_by_elements(oracle, X3, q, positive))
-            assert mine.getstate() == oracle.getstate()
+        mine, oracle = random.Random(seed), random.Random(seed)
+        assert random_qfunction(mine, X3, q) == random_qfunction_by_elements(oracle, X3, q)
+        assert mine.getstate() == oracle.getstate()
         for variant in Variant:
             mine, oracle = random.Random(seed), random.Random(seed)
             assert (random_variant_table(mine, X, q, variant)

@@ -10,7 +10,8 @@ from quantalab.counterexample import (Column, Const, Join, Ramp, Res, _node,
 from quantalab.errors import ConstructionError, StructuralError, UsageError
 from quantalab.finite import (FiniteQuantale, check_quantale_axioms, finite_restriction,
                               five_chain, godel3, mv3, two_chain, Violation)
-from quantalab.quantale import (Block, BlockKind, as_fraction, build_ordinal_sum,
+from quantalab.serialize import as_fraction
+from quantalab.quantale import (Block, BlockKind, build_ordinal_sum,
                                 check_condition_s, godel_tnorm, grid, is_lukasiewicz_shape,
                                 lukasiewicz_tnorm, positive_residuum_zero_sup,
                                 product_tnorm, residuum_continuity_probe)

@@ -14,7 +14,8 @@ from quantalab.monad import LawFailure
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction
 from quantalab.finite import FiniteKernel, Violation, two_chain
-from quantalab.quantale import Block, BlockKind, Record, build_ordinal_sum
+from quantalab.base import Record
+from quantalab.quantale import Block, BlockKind, build_ordinal_sum
 from quantalab.semifilter import AxiomViolation, SemifilterTable, evaluation_unit
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantalab.counterexample import Const, Join, Meet, Ramp, Res, TailIndicator
+from quantalab.counterexample import (Const, Join, Meet, Ramp, Res, TailIndicator,
+                                      expr_from_json, expr_to_json)
 from quantalab.errors import StructuralError
 from quantalab.monad import Variant
 from quantalab.prefilter import normalize_basis
@@ -13,9 +14,8 @@ from quantalab.quantale import build_ordinal_sum, godel_tnorm
 from quantalab.semifilter import semifilter_of
 from quantalab.scenario import (ScenarioSpec, qfunction_from_json, qfunction_to_json,
                                 semifilter_from_json, semifilter_to_json)
-from quantalab.serialize import (expr_from_json, expr_to_json, format_fraction,
-                                 parse_fraction, quantale_from_json, quantale_to_json,
-                                 render_text)
+from quantalab.serialize import (format_fraction, parse_fraction, quantale_from_json,
+                                 quantale_to_json, render_text)
 
 from test_quantale import square_lattice
 
