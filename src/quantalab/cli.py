@@ -8,20 +8,29 @@ a mathematical failure, 2 on input errors, 3 on budget exhaustion.  Reports
 are deterministic given inputs and seeds, and the structured output mirrors
 the text output exactly.
 
-Arguments are parsed with the standard library's ``argparse``, which exits
-2 on a usage error, as on an input error.  A report that cannot be
-written to ``--out`` is an input error too.  Each subcommand imports the
-layers it runs when it runs: ``counterexample`` never loads the finite
-carrier (``finite``) nor the finite function, filter and monad modules,
-``laws`` never loads the interval carrier (``quantale``), and ``quantale``
-loads ``finite`` only for a finite definition.  Scenario files are read by
-``scenario``, which ``laws`` and ``counterexample --scenario`` load through
-``serialize.load_scenario``.
+A plain command line, ``COMMAND (--option VALUE)*``, is read without
+``argparse`` (``Command.read``): every flag is spelled out in full as one
+of that command's option strings, no value starts with ``-``, every value
+passes its option's ``type`` and ``choices``, and every required option is
+given.  It yields the options ``argparse`` would, and the same callback
+runs.  Every other command line (help, an abbreviated flag, ``--opt=value``,
+a value starting with ``-``, a bad value, a missing option) goes to the
+``argparse`` parser, which prints the usage and help and exits 2 on a
+usage error, as on an input error; only that path imports ``argparse``.
+``bench/tracer.py`` wraps each ``main.commands[name].callback`` and runs
+``main.main(args=..., prog_name=...)``, so both stay as they are.
+
+A report that cannot be written to ``--out`` is an input error too.  Each
+subcommand imports the layers it runs when it runs: ``counterexample``
+never loads the finite carrier (``finite``) nor the finite function,
+filter and monad modules, ``laws`` never loads the interval carrier
+(``quantale``), and ``quantale`` loads ``finite`` only for a finite
+definition.  Scenario files are read by ``scenario``, which ``laws`` and
+``counterexample --scenario`` load through ``serialize.load_scenario``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -47,19 +56,58 @@ class Command:
     """One subcommand: its name, the function that runs it, and the
     ``add_argument`` calls of its options as (flags, keywords) pairs."""
 
-    __slots__ = ("name", "callback", "options")
+    __slots__ = ("name", "callback", "options", "_by_flag")
 
     def __init__(self, name: str, callback, options: tuple):
         self.name = name
         self.callback = callback
         self.options = options
+        # each flag's option: its dest, named as argparse names it from
+        # the first flag, and its keywords
+        self._by_flag = {flag: (kwargs.get("dest") or flags[0][2:].replace("-", "_"), kwargs)
+                         for flags, kwargs in options for flag in flags}
+
+    def read(self, pairs: list) -> dict | None:
+        """The options ``argparse`` would parse from ``--option VALUE``
+        pairs, with the ``command`` entry first, or None unless every
+        flag is an option string of this command, no value starts with
+        ``-``, every value passes its ``type`` and ``choices``, and every
+        required option is given.  A repeated option keeps its last
+        value, or collects them all under ``action="append"``."""
+        if len(pairs) % 2:
+            return None
+        by_flag, given = self._by_flag, {}
+        for flag, value in zip(pairs[::2], pairs[1::2]):
+            if flag not in by_flag or value.startswith("-"):
+                return None
+            dest, kwargs = by_flag[flag]
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except Exception:
+                    # argparse calls the type again and reports the error
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+            if kwargs.get("action") == "append":
+                given.setdefault(dest, []).append(value)
+            else:
+                given[dest] = value
+        options = {"command": self.name}
+        for dest, kwargs in by_flag.values():
+            if dest not in given and kwargs.get("required"):
+                return None
+            options[dest] = given.get(dest, kwargs.get("default"))
+        return options
 
 
 class Group:
-    """The ``quantalab`` command.  ``main`` parses the arguments and calls
-    the subcommand's ``callback`` with the parsed options as keywords.  A
-    library error that the callback raises ends the run: a ``BudgetError``
-    with exit 3, any other with exit 2, its message on stderr."""
+    """The ``quantalab`` command.  ``main`` reads the arguments and calls
+    the subcommand's ``callback`` with the parsed options as keywords: a
+    plain command line through ``Command.read``, any other through
+    ``argparse``.  A library error that the callback raises ends the run:
+    a ``BudgetError`` with exit 3, any other with exit 2, its message on
+    stderr."""
 
     def __init__(self, description: str):
         self.description = description
@@ -73,15 +121,11 @@ class Group:
         return register
 
     def main(self, args=None, prog_name: str = "quantalab"):
-        parser = argparse.ArgumentParser(prog=prog_name, description=self.description)
-        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                           required=True)
-        for cmd in self.commands.values():
-            doc = cmd.callback.__doc__
-            sub = subparsers.add_parser(cmd.name, help=doc, description=doc)
-            for flags, kwargs in cmd.options:
-                sub.add_argument(*flags, **kwargs)
-        options = vars(parser.parse_args(args))
+        argv = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(argv[0]) if argv else None
+        options = command.read(argv[1:]) if command is not None else None
+        if options is None:
+            options = self.parse(argv, prog_name)
         try:
             self.commands[options.pop("command")].callback(**options)
         except BudgetError as e:
@@ -90,6 +134,20 @@ class Group:
         except QuantalabError as e:
             print(f"input error: {e}", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)
+
+    def parse(self, argv: list, prog_name: str = "quantalab") -> dict:
+        """The options ``argparse`` parses from argv, with the ``command``
+        entry; on a usage error, or for help, it exits."""
+        import argparse
+        parser = argparse.ArgumentParser(prog=prog_name, description=self.description)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                           required=True)
+        for cmd in self.commands.values():
+            doc = cmd.callback.__doc__
+            sub = subparsers.add_parser(cmd.name, help=doc, description=doc)
+            for flags, kwargs in cmd.options:
+                sub.add_argument(*flags, **kwargs)
+        return vars(parser.parse_args(argv))
 
     def __call__(self, args=None):
         self.main(args)
@@ -100,13 +158,16 @@ def _option(*flags, **kwargs):
 
 
 def _count(value: str) -> int:
+    """A count of at least 0; ``argparse`` is imported only to refuse one."""
     try:
         n = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
-    return n
+        n = None
+    if n is not None and n >= 0:
+        return n
+    import argparse
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}" if n is None
+                                     else f"must not be negative, got {n}")
 
 
 _OUT = _option("--out", default=None, metavar="FILE", help="Also write the report to this file.")

@@ -296,8 +296,27 @@ def _pieces(a: Column, b: Column, levels=()):
 
 
 def _extremum(a: Column, b: Column, join: bool) -> Column:
-    """The pointwise max (join) or min of two columns, cut where they
-    cross; one of the two itself where it wins at every point."""
+    """The pointwise max (join) or min of two endless node columns: one
+    of the two itself where it wins at every point, ``a`` where they are
+    equal, else ``_cut_extremum``'s new column.
+
+    Every node column is nondecreasing in m (see ``describe``), so a
+    column whose value at m = 1 is at least the other's limit wins, or
+    ties, at every point: that is settled from those two numbers, with the
+    very object the cut would return.  When each column is, both are one
+    and the same constant."""
+    (_, a1, b1), (_, a_lim, _) = a.runs[0], a.runs[-1]
+    (_, a2, b2), (_, b_lim, _) = b.runs[0], b.runs[-1]
+    a_over = (a1 + b1) * b.den >= b_lim * a.den
+    b_over = (a2 + b2) * a.den >= a_lim * b.den
+    if a_over or b_over:
+        return a if a_over == b_over or a_over == join else b
+    return _cut_extremum(a, b, join)
+
+
+def _cut_extremum(a: Column, b: Column, join: bool) -> Column:
+    """``_extremum`` by cutting the two columns into pieces, for any two
+    columns of one length."""
     den, pieces = _pieces(a, b)
     runs, sides = [], set()
     for s, _, a1, b1, a2, b2 in pieces:

@@ -28,7 +28,8 @@ the theorem.
 
 The monad laws are checked in one place, ``check_scenario``, on one
 ``KleisliScenario`` and the generator row of one table; only a failure
-fills that table, to show it.  ``KleisliScenario`` is the one place a law
+fills that table, to show it, and a table beyond ``TABLE_CAP`` is shown
+as its generator row instead.  ``KleisliScenario`` is the one place a law
 map is refused: the maps pinned in a scenario file are tables, checked
 there and kept as their generators, while the seeded maps of
 ``check_monad_laws`` are drawn as rows of the variant; pinned maps are
@@ -51,7 +52,7 @@ from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
                         saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, indicator,
                    sub, unit_constant)
-from .semifilter import (SemifilterFamily, SemifilterTable,
+from .semifilter import (TABLE_CAP, SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
                          evaluation_unit, image_semifilter,
@@ -351,6 +352,11 @@ class SuiteReport:
 
 
 def _shown(sc: KleisliScenario, t: tuple) -> str:
+    """t as its table's values, or as the generator row itself where
+    ``table_size`` would refuse the table."""
+    elements = sc.carrier.elements
+    if len(elements) ** len(sc.x_set) > TABLE_CAP:
+        return f"generator ({', '.join(format_fraction(elements[i]) for i in t)})"
     table = semifilter_of([QFunction.from_index(sc.x_set, sc.carrier, t)])
     return f"table ({', '.join(format_fraction(v) for v in table.canonical_values())})"
 
@@ -367,7 +373,8 @@ def check_scenario(sc: KleisliScenario, t: tuple, index: int = 0) -> list[LawFai
     ``extend_rows``, which trusts the maps the scenario holds and t, which
     must lie in the scenario's variant, as every draw of
     ``random_variant_row`` does.  Only a failure fills t's table, to show
-    it.
+    it, and only where ``table_size`` admits it; a larger t is shown as
+    its generator row.
     """
     variant, carrier = sc.variant, sc.carrier
     units_x = unit_rows(sc.x_set, carrier, variant)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ import pytest
 import quantalab
 from quantalab.cli import main
 from quantalab.qfun import QFunction, finite_set
-from quantalab.finite import godel3, mv3, two_chain
+from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import SemifilterTable, evaluation_unit, semifilter_of
 from quantalab.scenario import semifilter_to_json
 from quantalab.serialize import quantale_to_json
@@ -201,6 +202,27 @@ def test_laws_budget_exhaustion_exit_code(runner, tmp_path):
     r = runner.invoke(main, ["laws", "--scenario", path, "--budget", "2"])
     assert r.exit_code == 3
     assert "incomplete: True" in r.output
+
+
+def test_laws_reports_a_failure_beyond_the_table_cap(runner, tmp_path, monkeypatch):
+    # a deliberately broken row extension reads h's rows in reverse order;
+    # t's table on 8 points would need 5^8 entries, so the failure shows t
+    # as its generator row, and the run exits 1, not 3
+    import quantalab.monad as monad
+    real = monad.extend_rows
+    monkeypatch.setattr(monad, "extend_rows", lambda h, domain, carrier, variant: real(
+        dict(zip(domain, [h[x] for x in domain][::-1])), domain, carrier, variant))
+    path = write(tmp_path, "five8.json", {
+        "quantale": quantale_to_json(five_chain()),
+        "sets": {"X": [f"x{i}" for i in range(8)], "Y": ["y0", "y1"], "Z": ["z0", "z1"]},
+        "seed": 1, "budgets": {"scenarios": 3}})
+    r = runner.invoke(main, ["laws", "--scenario", path, "--format", "structured"])
+    assert r.exit_code == 1, r.stderr
+    laws = json.loads(r.stdout)["laws"]
+    assert (laws["scenarios_run"], laws["incomplete"]) == (3, False)
+    assert laws["failures"][0] == {
+        "law": "unit-extension-identity", "scenario": 0,
+        "detail": "generator (1/4, 0/1, 1/1, 1/2, 1/4, 1/2, 0/1, 0/1)"}
 
 
 @pytest.mark.parametrize("variant", ["bounded", "plain", "filter"])
@@ -1014,3 +1036,143 @@ def test_a_closed_stdout_keeps_the_verdict_exit_code(tmp_path, block_path, comma
             os.close(write_end)
         err, code = p.stderr, p.returncode
     assert (code, err) == (0, "")
+
+
+# -- the plain command-line reader against argparse -----------------------------------
+
+def argparse_options(argv):
+    """What argparse makes of argv: its options dict, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main.parse(argv)
+        except SystemExit as e:
+            return e.code
+
+
+def good_values(kwargs):
+    if "choices" in kwargs:
+        return list(kwargs["choices"])
+    if "type" in kwargs:
+        return ["0", "7", "12", " 3"]
+    return ["f.json", "3/8", "1/64", "", "a b", "x=1"]
+
+
+BAD_VALUES = ["nope", "x", "1.5", "-1", "-3/8", "--out", "-h", "--", "-"]
+
+
+def flag_forms(flag, value):
+    """Spellings of ``flag value`` that argparse takes and the reader leaves
+    to it: an abbreviation, and the ``=`` form."""
+    return [[flag[:k], value] for k in range(3, len(flag))] + [[f"{flag}={value}"]]
+
+
+def generated_argv(command, rng):
+    """A well-formed command line of ``command``, with duplicates and
+    repeated ``--check``s, changed half the time in one to three places:
+    a pair respelled as an abbreviation or in the ``=`` form, or a pair
+    added or put in place of another, with a full, abbreviated, ``=`` or
+    unknown flag, a good or bad value, or a lone token or help flag."""
+    options = main.commands[command].options
+    pairs = []
+    for flags, kwargs in options:
+        if kwargs.get("required") or rng.random() < 0.5:
+            pairs += [[flags[0], rng.choice(good_values(kwargs))]
+                      for _ in range(rng.choice((1, 1, 2, 3)))]
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        if pairs and rng.random() < 0.4:
+            i = rng.randrange(len(pairs))
+            if len(pairs[i]) == 2 and pairs[i][0].startswith("--"):
+                pairs[i] = rng.choice(flag_forms(*pairs[i]))
+            continue
+        flags, kwargs = rng.choice(options)
+        value = rng.choice(good_values(kwargs) + BAD_VALUES)
+        pair = rng.choice([[flags[0], value], *flag_forms(flags[0], value),
+                           ["--nope", value], ["-h"], ["--help"], [value]])
+        if pairs and rng.random() < 0.3:
+            pairs[rng.randrange(len(pairs))] = pair
+        else:
+            pairs.append(pair)
+    rng.shuffle(pairs)
+    return [command] + [token for pair in pairs for token in pair]
+
+
+@pytest.mark.parametrize("command", ["quantale", "laws", "counterexample"])
+def test_the_plain_reader_agrees_with_argparse(command):
+    rng = random.Random(f"plain-reader:{command}")
+    read = accepted = refused = 0
+    for _ in range(300):
+        argv = generated_argv(command, rng)
+        plain = main.commands[command].read(argv[1:])
+        want = argparse_options(argv)
+        if plain is not None:
+            read += 1
+            assert plain == want, argv
+            assert list(plain) == list(want), argv
+        elif isinstance(want, dict):
+            accepted += 1
+        else:
+            refused += 1
+    # each side of the reader is reached: read, left to argparse and run,
+    # and left to argparse and refused
+    assert min(read, accepted, refused) >= 20, (read, accepted, refused)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["laws", "--scenario", "s.json", "--budget", "-1"], 2),
+    (["laws", "--scenario", "s.json", "--budget", "two"], 2),
+    (["laws", "--scenario", "s.json", "--seed", "1.5"], 2),
+    (["laws", "--scenario", "s.json", "--seed", "-1"], None),
+    (["laws", "--scen", "s.json"], None),
+    (["laws", "--scenario=s.json"], None),
+    (["laws", "--seed", "3"], 2),
+    (["laws", "--scenario", "s.json", "-h"], 0),
+    (["laws", "--scenario"], 2),
+    (["counterexample", "--t", "3/8", "--s", "3/8", "--variant", "nope"], 2),
+    (["counterexample", "--t", "-3/8", "--s", "3/8"], 2),
+    (["counterexample", "--t", "3/8", "--s", "3/8", "--truncation", "x"], 2),
+    (["quantale", "--quantale", "q.json", "--check", "t"], 2),
+    (["quantale", "--quantale", "q.json", "--grid-step", "--out"], 2),
+])
+def test_the_plain_reader_leaves_every_other_line_to_argparse(argv, code):
+    # code None: argparse reads the line, which the plain reader leaves to it
+    assert main.commands[argv[0]].read(argv[1:]) is None
+    want = argparse_options(argv)
+    assert want == code if code is not None else isinstance(want, dict)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["lawz", "--scenario", "s.json"],
+                                  ["--scenario", "s.json"]])
+def test_a_line_without_a_command_goes_to_argparse(runner, argv):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == (0 if argv == ["--help"] else 2)
+    assert r.output.startswith("usage: quantalab")
+
+
+def test_a_plain_line_runs_the_callback_without_argparse(runner, block_path, monkeypatch):
+    # as bench/tracer.py does: wrap the command's callback, then run main.main
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain command line reached argparse")
+    seen = []
+    command = main.commands["counterexample"]
+    callback = command.callback
+    monkeypatch.setattr(type(main), "parse", refuse)
+    monkeypatch.setattr(command, "callback",
+                        lambda **options: seen.append(options) or callback(**options))
+    args = ["counterexample", "--quantale", block_path, "--t", "3/8", "--s", "3/8",
+            "--truncation", "50", "--variant", "filter", "--truncation", "40"]
+    r = runner.invoke(lambda a: main.main(args=a, prog_name="quantalab"), args)
+    assert r.exit_code == 0
+    assert seen == [{"path": block_path, "scenario_path": None, "t_par": "3/8",
+                     "s_par": "3/8", "truncation": 40, "variant": "filter",
+                     "epsilon": "1/8", "out": None, "fmt": "text"}]
+
+
+def test_an_argparse_line_reports_as_the_plain_one(runner, block_path):
+    plain = ["counterexample", "--quantale", block_path, "--t", "3/8", "--s", "3/8",
+             "--truncation", "50"]
+    spelled = ["counterexample", f"--quantale={block_path}", "--t", "3/8", "--s=3/8",
+               "--trunc", "50"]
+    assert main.commands["counterexample"].read(spelled[1:]) is None
+    a, b = runner.invoke(main, plain), runner.invoke(main, spelled)
+    assert (a.exit_code, a.output) == (b.exit_code, b.output)
+    assert a.exit_code == 0

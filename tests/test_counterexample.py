@@ -11,8 +11,8 @@ from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
                                       build_catalog, close_catalog,
                                       default_catalog_exprs, describe,
                                       run_counterexample, sampled_sub_bound,
-                                      _node, Column, _collapse_scan, _levels,
-                                      _step1)
+                                      _node, Column, _collapse_scan, _cut_extremum,
+                                      _extremum, _levels, _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
 from quantalab.base import ONE, ZERO
@@ -868,3 +868,70 @@ def test_levels_are_read_from_the_tnorm_and_hash_nothing(monkeypatch):
     # an extra value already among the endpoints is not repeated
     assert _levels(BLOCK, P, F(3, 8)) == (0, F(1, 4), F(1, 2), 1, F(3, 8))
     assert hashed == []
+
+
+# -- joins and meets settled by dominance -----------------------------------------
+
+# blocks of the benchmark's shape, away from 0 on several denominators:
+# (t-norm, t, s, the block's right end or None), t (x) s the left end on a
+# Lukasiewicz block
+DOMINANCE_CASES = ALL_CLOSURE_CASES + [
+    (build_ordinal_sum([(F(3, 24), F(13, 24), "lukasiewicz")]), F(7, 24), F(9, 24),
+     F(13, 24)),
+    (build_ordinal_sum([(F(5, 48), F(17, 48), "lukasiewicz")]), F(6, 48), F(16, 48),
+     F(17, 48)),
+    (build_ordinal_sum([(F(2, 16), F(12, 16), "product")]), F(3, 16), F(11, 16), None),
+    (build_ordinal_sum([(F(9, 64), F(40, 64), "product")]), F(10, 64), F(39, 64), None),
+]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", DOMINANCE_CASES,
+                         ids=["luk", "product", "three", "luk24", "luk48", "prod16",
+                              "prod64"])
+def test_dominance_settles_a_join_as_the_cut_does(t, t_par, s_par, hi, variant,
+                                                   monkeypatch):
+    # every pair of node columns joined or met while a catalog is built:
+    # where the cut answers with one of the two, the join is that very
+    # object, so node records intern and the catalog keeps its order
+    calls, cuts = [], []
+    monkeypatch.setattr(counterexample, "_extremum",
+                        lambda a, b, join: calls.append((a, b, join)) or _extremum(a, b, join))
+    monkeypatch.setattr(counterexample, "_cut_extremum",
+                        lambda a, b, join: cuts.append(1) or _cut_extremum(a, b, join))
+    p = t.tensor(t_par, s_par)
+    exprs = close_catalog(default_catalog_exprs(p, t_par, s_par, hi, variant, p / 2),
+                          [p, t_par, s_par])
+    build_catalog(exprs, t, 1000, variant is Variant.FILTER)
+    settled, inputs = len(calls) - len(cuts), 0
+    for a, b, join in calls:
+        want, got = _cut_extremum(a, b, join), _extremum(a, b, join)
+        if want is a or want is b:
+            inputs += 1
+            assert got is want, (a, b, join)
+        else:
+            assert got == want and got is not a and got is not b, (a, b, join)
+    # the test at m = 1 settles most of the pairs the cut answers with an
+    # input, and leaves the crossings to the cut
+    assert len(calls) > inputs >= settled > inputs / 2 > 0
+
+
+def test_dominance_keeps_the_first_of_equal_constants_and_leaves_a_crossing(monkeypatch):
+    a = Column(8, ((1, 3, 0),))
+    b = Column(8, ((1, 3, 0),))
+    ramp = Column(4, ((1, 1, -1),))                     # (1 - 1/m)/4, up to 1/4
+    eighth = Column(8, ((1, 1, 0),))
+    cut = _cut_extremum
+    for join in (True, False):
+        assert cut(a, b, join) is a and cut(b, a, join) is b
+        # 3/8 lies above the ramp's limit: 3/8 wins a join, the ramp a meet
+        assert cut(a, ramp, join) is cut(ramp, a, join) is (a if join else ramp)
+    cuts = []
+    monkeypatch.setattr(counterexample, "_cut_extremum", lambda *args: cuts.append(args))
+    for join in (True, False):
+        assert _extremum(a, b, join) is a and _extremum(b, a, join) is b
+        assert _extremum(a, ramp, join) is _extremum(ramp, a, join) is (a if join else ramp)
+        assert cuts == []
+        # the ramp crosses 1/8 at m = 2: neither wins at m = 1 alone
+        _extremum(ramp, eighth, join)
+        assert cuts.pop() == (ramp, eighth, join)

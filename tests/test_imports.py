@@ -263,6 +263,23 @@ def test_a_command_loads_neither_click_nor_dataclasses(tmp_path, command):
     assert loaded & {"click", "dataclasses"} == set()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_plain_command_line_loads_no_argparse(tmp_path, command):
+    # a plain command line is read by Command.read; import argparse, with
+    # gettext and locale, and building its parsers cost about 6 ms per op
+    loaded = loaded_modules(f"from quantalab.cli import main\nmain({COMMANDS[command]})",
+                            tmp_path, package_only=False)
+    assert "quantalab.cli" in loaded
+    assert "argparse" not in loaded
+
+
+def test_an_abbreviated_flag_goes_to_argparse(tmp_path):
+    loaded = loaded_modules("from quantalab.cli import main\n"
+                            "main(['laws', '--scen', 'laws.json'])",
+                            tmp_path, package_only=False)
+    assert "argparse" in loaded
+
+
 def test_a_laws_command_loads_no_counterexample(tmp_path):
     loaded = loaded_modules("from quantalab.cli import main\n"
                             "main(['laws', '--scenario', 'laws.json'])", tmp_path)

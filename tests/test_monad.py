@@ -518,11 +518,9 @@ def test_scenario_refuses_an_empty_x_or_y_before_any_extension(sizes, empty):
         KleisliScenario(xs, ys, Y, {}, {}, G3)
 
 
-def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
-    # a deliberately broken row extension reads h's rows in reverse order:
-    # the units of X come out swapped, so the unit law fails at the
-    # evaluation unit at x0, while f and g, constant maps, hide the break;
-    # the failure shows the table that t generates
+def reverse_extension_rows(monkeypatch):
+    """Break ``monad.extend_rows`` on purpose: it reads h's rows in reverse
+    order, so the units of X come out permuted."""
     import quantalab.monad as monad
     real = monad.extend_rows
 
@@ -531,6 +529,13 @@ def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
         return real(dict(zip(domain, rows)), domain, carrier, variant)
 
     monkeypatch.setattr(monad, "extend_rows", reversed_rows)
+
+
+def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
+    # with the units of X swapped the unit law fails at the evaluation unit
+    # at x0, while f and g, constant maps, hide the break; the failure
+    # shows the table that t generates
+    reverse_extension_rows(monkeypatch)
     Z = finite_set("z0")
     sc = KleisliScenario(X, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in X},
                          {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
@@ -538,6 +543,44 @@ def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
     assert check_scenario(sc, t, 7) == [LawFailure(
         "unit-extension-identity", 7,
         "table (" + ", ".join(["0/1"] * 3 + ["1/2"] * 3 + ["1/1"] * 3) + ")")]
+
+
+def shown_row(q, t):
+    return "generator (" + ", ".join(f"{q.elements[i].numerator}/{q.elements[i].denominator}"
+                                     for i in t) + ")"
+
+
+def test_a_law_failure_beyond_the_table_cap_shows_the_generator_row(monkeypatch):
+    # a table on 8 points of the five-chain would need 5^8 = 390625 entries,
+    # beyond TABLE_CAP: the failure is reported with t as its generator row,
+    # where filling t's table used to end the run with a BudgetError
+    reverse_extension_rows(monkeypatch)
+    q = five_chain()
+    report = check_monad_laws(q, (8, 2, 2), 3, 1)
+    assert (report.scenarios_run, report.incomplete) == (3, False)
+    shown = [f for f in report.failures if f.law == "unit-extension-identity"]
+    assert [f.scenario for f in shown] == [0, 1, 2]
+    assert shown[0].detail == "generator (1/4, 0/1, 1/1, 1/2, 1/4, 1/2, 0/1, 0/1)"
+    for f in shown:
+        # the t that check_monad_laws draws for the scenario
+        rng = random.Random(1 * 1_000_003 + f.scenario)
+        sc = random_scenario(rng, q, (8, 2, 2))
+        assert f.detail == shown_row(q, random_variant_row(rng, sc.x_set, q))
+
+
+@pytest.mark.parametrize("points,shown", [(9, "table"), (10, "generator")])
+def test_a_failing_table_is_filled_up_to_the_cap(monkeypatch, points, shown):
+    # 3^9 entries is TABLE_CAP itself
+    reverse_extension_rows(monkeypatch)
+    xs = finite_set(*(f"x{i}" for i in range(points)))
+    Z = finite_set("z0")
+    sc = KleisliScenario(xs, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in xs},
+                         {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
+    t = unit_rows(xs, G3)["x0"]
+    (failure,) = [f for f in check_scenario(sc, t) if f.law == "unit-extension-identity"]
+    assert failure.detail.startswith(f"{shown} (")
+    if shown == "generator":
+        assert failure.detail == shown_row(G3, t)
 
 
 def assert_rows_match_tables(sc, t):
