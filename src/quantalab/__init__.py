@@ -43,14 +43,12 @@ _EXPORTS = {
     "qfun": ("FiniteSet", "QFunction", "SetMap", "finite_set", "image",
              "precompose", "sub"),
     "prefilter": ("PrefilterBasis", "bounded_coreflection", "image_prefilter",
-                  "is_top_filter", "member", "normalize_basis",
-                  "saturation_member"),
+                  "member", "normalize_basis", "saturation_member"),
     "semifilter": ("SemifilterFamily", "SemifilterTable", "check_axioms",
                    "conical_bounded_coreflection", "conical_coreflection",
                    "conical_semifilters", "enumerate_semifilters",
-                   "evaluation_unit", "image_semifilter", "is_bounded",
-                   "kowalsky_sum", "level_prefilter", "residuate",
-                   "semifilter_of"),
+                   "evaluation_unit", "image_semifilter", "kowalsky_sum",
+                   "level_prefilter", "residuate", "semifilter_of"),
     "monad": ("KleisliScenario", "check_monad_laws", "check_naturality",
               "classical_correspondence_report", "kleisli_extend",
               "monad_multiplication", "monad_units"),

@@ -325,7 +325,7 @@ def cmd_laws(path, seed, budget, out, fmt):
 
     maps = scenario.explicit_maps()
     if maps is not None:
-        # checked as the seeded maps are, not yet run
+        # read and gated by the reader, not yet run
         KleisliScenario(scenario.x_set, scenario.y_set, scenario.z_set,
                         maps["f"], maps["g"], scenario.carrier, scenario.variant)
 

@@ -29,18 +29,18 @@ the theorem.
 The monad laws are checked in one place, ``check_scenario``, on one
 ``KleisliScenario`` and the generator row of one table; only a failure
 fills that table, to show it, and a table beyond ``TABLE_CAP`` is shown
-as its generator row instead.  ``KleisliScenario`` is the one place a law
-map is refused: the maps pinned in a scenario file are tables, checked
-there and kept as their generators, while the seeded maps of
-``check_monad_laws`` are drawn as rows of the variant; pinned maps are
-not yet run.
+as its generator row instead.  Whether a conical semifilter lies in a
+variant is decided once, on its generator row (``row_satisfies``), and
+``KleisliScenario`` holds rows that lie in the variant already: the
+seeded maps of ``check_monad_laws`` are drawn so, and the maps pinned in
+a scenario file are gated by its reader (``ScenarioSpec.explicit_maps``).
+Pinned maps are not yet run.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
 from typing import Callable, Mapping, Sequence
 
@@ -56,25 +56,17 @@ from .semifilter import (TABLE_CAP, SemifilterFamily, SemifilterTable,
                          conical_bounded_coreflection, conical_coreflection,
                          conical_semifilters, enumerate_semifilters,
                          evaluation_unit, image_semifilter,
-                         is_bounded, is_conical_semifilter, kowalsky_sum,
+                         is_conical_semifilter, kowalsky_sum,
                          level_prefilter, require_bounded_carrier,
-                         semifilter_of, table_generator)
-from .serialize import format_fraction
+                         row_satisfies, semifilter_of, table_generator)
+from .serialize import format_fraction, format_generator
 
 
 def table_satisfies(table: SemifilterTable, variant: Variant) -> bool:
-    """Whether a table belongs to the variant's subcategory of semifilters.
-
-    Every variant needs a conical semifilter (F1-F3); FILTER adds the cap
-    on constants (F4) and BOUNDED boundedness.
-    """
-    if not is_conical_semifilter(table):
-        return False
-    if variant is Variant.FILTER:
-        return not table.f4_failures()
-    if variant is Variant.BOUNDED:
-        return is_bounded(table)
-    return True
+    """Whether a table is a conical semifilter (F1-F3) whose generator row
+    lies in the variant (``row_satisfies``)."""
+    return is_conical_semifilter(table) and row_satisfies(
+        table_generator(table), table.carrier, variant)
 
 
 def monad_units(domain: FiniteSet, carrier: FiniteQuantale,
@@ -116,17 +108,11 @@ class KleisliScenario:
 
     ``f`` maps each point of x_set to the generator row of a table on y_set
     (``table_generator``: the carrier positions of the table's generator,
-    in y_set's order), ``g`` likewise from y_set into rows on z_set.
-
-    Built from tables, this is the gate of the law maps, and the row
-    extension trusts what it passes: x_set and y_set must not be empty,
-    and every value must be a table on its target over ``carrier`` that
-    passes the variant test (``table_satisfies``).  A value failing that
-    test is shown as its JSON table on the second line of the message.
-    Each table is then kept as its generator.  ``of_rows`` builds a
-    scenario from rows that lie in the variant already, as the seeded
-    draws of ``random_variant_row`` do, and checks only that X and Y are
-    not empty.
+    in y_set's order), ``g`` likewise from y_set into rows on z_set.  The
+    rows must lie in the variant (``row_satisfies``), as the seeded draws
+    of ``random_variant_row`` and the maps that
+    ``scenario.ScenarioSpec.explicit_maps`` reads do; the row extension
+    trusts them.  x_set and y_set must not be empty.
     """
 
     __slots__ = ("x_set", "y_set", "z_set", "f", "g", "carrier", "variant")
@@ -134,40 +120,11 @@ class KleisliScenario:
     def __init__(self, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
                  f: dict, g: dict, carrier: FiniteQuantale,
                  variant: Variant = Variant.PLAIN):
-        _require_points(x_set, y_set)
-        for name, m, src, dst in (("f", f, x_set, y_set), ("g", g, y_set, z_set)):
-            for x in src:
-                if x not in m:
-                    raise UsageError(f"{name} is not total: missing {x!r}")
-                v = m[x]
-                if (not isinstance(v, SemifilterTable) or v.domain != dst
-                        or v.carrier != carrier):
-                    raise UsageError(f"{name}({x!r}) is not a table on {dst!r} "
-                                     f"over {carrier!r}")
-                if not table_satisfies(v, variant):
-                    from .scenario import semifilter_to_json
-                    raise UsageError(f"{name}({x!r}) is not a {variant.value} semifilter\n"
-                                     f"{json.dumps(semifilter_to_json(v))}")
+        for name, src in (("X", x_set), ("Y", y_set)):
+            if not len(src):
+                raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
         self.x_set, self.y_set, self.z_set = x_set, y_set, z_set
-        self.f = {x: table_generator(f[x]) for x in x_set}
-        self.g = {y: table_generator(g[y]) for y in y_set}
-        self.carrier, self.variant = carrier, variant
-
-    @classmethod
-    def of_rows(cls, x_set: FiniteSet, y_set: FiniteSet, z_set: FiniteSet,
-                f: dict, g: dict, carrier: FiniteQuantale,
-                variant: Variant = Variant.PLAIN) -> "KleisliScenario":
-        _require_points(x_set, y_set)
-        sc = object.__new__(cls)
-        sc.x_set, sc.y_set, sc.z_set = x_set, y_set, z_set
-        sc.f, sc.g, sc.carrier, sc.variant = f, g, carrier, variant
-        return sc
-
-
-def _require_points(x_set: FiniteSet, y_set: FiniteSet):
-    for name, src in (("X", x_set), ("Y", y_set)):
-        if not len(src):
-            raise UsageError(f"{name} is empty: the laws extend maps over X and Y")
+        self.f, self.g, self.carrier, self.variant = f, g, carrier, variant
 
 
 def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLAIN
@@ -179,7 +136,7 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     Equivalent to multiplying the pushed-forward outer table over any
     family containing h's values and the units (checked in the tests).
     h's values and the tables it is applied to are trusted to lie in the
-    variant, as ``KleisliScenario`` or ``table_satisfies`` checks them.
+    variant, as ``table_satisfies`` checks them.
     """
     values = tuple(h[x] for x in domain)
     if not values:
@@ -316,7 +273,7 @@ def random_scenario(rng: random.Random, carrier: FiniteQuantale,
     xs, ys, zs = _labels("x", nx), _labels("y", ny), _labels("z", nz)
     f = {x: random_variant_row(rng, ys, carrier, variant) for x in xs}
     g = {y: random_variant_row(rng, zs, carrier, variant) for y in ys}
-    return KleisliScenario.of_rows(xs, ys, zs, f, g, carrier, variant)
+    return KleisliScenario(xs, ys, zs, f, g, carrier, variant)
 
 
 # -- law suite ---------------------------------------------------------------
@@ -354,9 +311,8 @@ class SuiteReport:
 def _shown(sc: KleisliScenario, t: tuple) -> str:
     """t as its table's values, or as the generator row itself where
     ``table_size`` would refuse the table."""
-    elements = sc.carrier.elements
-    if len(elements) ** len(sc.x_set) > TABLE_CAP:
-        return f"generator ({', '.join(format_fraction(elements[i]) for i in t)})"
+    if len(sc.carrier.elements) ** len(sc.x_set) > TABLE_CAP:
+        return format_generator(sc.carrier.elements, t)
     table = semifilter_of([QFunction.from_index(sc.x_set, sc.carrier, t)])
     return f"table ({', '.join(format_fraction(v) for v in table.canonical_values())})"
 

@@ -82,21 +82,6 @@ def saturation_member(pf: PrefilterBasis, lam: QFunction) -> bool:
     return k.leq[k.unit][sub(pf.generator, lam, position=True)]
 
 
-def is_top_filter(pf: PrefilterBasis) -> bool:
-    """Every member has pointwise join above the unit.
-
-    It suffices to inspect the generator, since members dominate it: the
-    join of its positions is read on the kernel.  Only meaningful over
-    integral carriers (unit = top), ``FiniteQuantale.is_integral``.
-    """
-    c = pf.carrier
-    if not c.is_integral:
-        raise UsageError("the top-filter notion needs an integral carrier")
-    k = c.kernel
-    join = functools.reduce(lambda a, b: k.join[a][b], pf.generator.index, k.bottom)
-    return k.leq[k.unit][join]
-
-
 def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
     """The prefilter of functions whose pullback along f is in pf.
 
@@ -109,15 +94,6 @@ def image_prefilter(f: SetMap, pf: PrefilterBasis) -> PrefilterBasis:
 
 
 # -- boundedness -------------------------------------------------------------
-
-def is_bounded_function(lam: QFunction) -> bool:
-    """Bounded below by a positive constant: the meet of its positions is
-    not the kernel's bottom.  Vacuously true on an empty domain."""
-    if not lam.index:
-        return True
-    k = lam.carrier.kernel
-    return functools.reduce(lambda a, b: k.meet[a][b], lam.index) != k.bottom
-
 
 def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     """The largest prefilter inside pf all of whose members are bounded.

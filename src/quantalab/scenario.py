@@ -6,7 +6,9 @@ pinned maps and an optional witness catalog.  ``ScenarioSpec`` reads one;
 ``serialize.load_scenario`` is its entry from a file.  Q-valued functions
 and semifilter tables travel as JSON here: table entries are emitted in
 the canonical lexicographic order of the function space, and a table is
-read back into carrier positions at its functions' codes.
+read back into carrier positions at its functions' codes.  A pinned map
+value is read to its generator row and gated there: a ``basis`` becomes
+its generator without any table, and only an ``entries`` table is filled.
 
 The finite function, filter and monad layers are imported by the
 functions that build their objects, and the counterexample layer only to
@@ -17,14 +19,15 @@ layer.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .base import Variant
-from .errors import QuantalabError, StructuralError, UsageError
-from .serialize import (expect, format_fraction, load_json, parse_fraction,
-                        parse_integer, quantale_from_json, quantale_to_json,
-                        refuse_unknown, required_field)
+from .errors import BudgetError, QuantalabError, StructuralError, UsageError
+from .serialize import (expect, format_fraction, format_generator, load_json,
+                        parse_fraction, parse_integer, quantale_from_json,
+                        quantale_to_json, refuse_unknown, required_field)
 
 if TYPE_CHECKING:
     from .finite import FiniteQuantale
@@ -138,8 +141,8 @@ class ScenarioSpec:
     witness catalog for counterexample runs.  The label sets are checked on
     load and built as ``FiniteSet``s only when a law run reads them.  A
     ``maps`` object is checked on load too: it needs a finite carrier and
-    pins exactly ``f`` and ``g``, each an object; its tables are decoded
-    when a law run reads them (``explicit_maps``).
+    pins exactly ``f`` and ``g``, each an object; its values are read to
+    generator rows, and gated, when a law run reads them (``explicit_maps``).
     """
 
     def __init__(self, obj: dict, base_dir: Path | None = None):
@@ -228,26 +231,49 @@ class ScenarioSpec:
     z_set = property(lambda self: self._label_set("Z"))
 
     def explicit_maps(self):
-        """Decode the pinned f/g map values into tables, or None without maps."""
+        """The pinned f/g maps as generator rows, or None without maps.
+
+        Every value is decoded first, f's and then g's, each in point
+        order; only an ``entries`` table is filled, and capped.  Then each
+        is gated in the same order: a table must be a conical semifilter,
+        and its generator row, or a basis's, must lie in the variant
+        (``semifilter.row_satisfies``).  A refused value is an input error
+        whose second line is its table as JSON, or a basis's generator row
+        where ``table_size`` would refuse that table.
+        """
         if self.maps is None:
             return None
-        out = {}
+        from .prefilter import PrefilterBasis
+        from .semifilter import is_conical_semifilter, row_satisfies, table_generator
+        decoded = {}
         for name, (src, dst) in (("f", (self.x_set, self.y_set)),
                                  ("g", (self.y_set, self.z_set))):
             raw = self.maps[name]
-            decoded = {}
+            values = decoded[name] = {}
             for x in src:
                 key = str(x)
                 if key not in raw:
                     raise StructuralError(f"map {name} missing value at {key!r}")
-                decoded[x] = self._decode_table(raw[key], dst, f"map {name} at {key!r}")
+                values[x] = self._decode_value(raw[key], dst, f"map {name} at {key!r}")
             refuse_unknown(raw, f"map {name}", [str(x) for x in src])
-            out[name] = decoded
+        out = {}
+        for name, values in decoded.items():
+            rows = out[name] = {}
+            for x, value in values.items():
+                if isinstance(value, PrefilterBasis):
+                    row, conical = value.generator.index, True
+                else:
+                    row, conical = table_generator(value), is_conical_semifilter(value)
+                if not (conical and row_satisfies(row, self.carrier, self.variant)):
+                    raise UsageError(f"{name}({x!r}) is not a {self.variant.value} "
+                                     f"semifilter\n{_refused_text(value)}")
+                rows[x] = row
         return out
 
-    def _decode_table(self, obj, domain: FiniteSet, where: str) -> SemifilterTable:
+    def _decode_value(self, obj, domain: FiniteSet, where: str):
+        """A pinned value: a table read from ``entries``, or the
+        ``PrefilterBasis`` of a ``basis``."""
         from .prefilter import normalize_basis
-        from .semifilter import semifilter_of
         expect(obj, dict, where)
         try:
             if "entries" in obj:
@@ -256,7 +282,20 @@ class ScenarioSpec:
                 refuse_unknown(obj, "a table", ("basis",))
                 fns = [qfunction_from_json(b, domain, self.carrier)
                        for b in expect(obj["basis"], list, "basis")]
-                return semifilter_of(normalize_basis(fns, domain, self.carrier))
+                return normalize_basis(fns, domain, self.carrier)
         except StructuralError as e:
             raise StructuralError(f"{where}: {e}") from None
         raise StructuralError(f"{where} needs either 'entries' or 'basis'")
+
+
+def _refused_text(value) -> str:
+    """A refused map value as its table's JSON, or a basis as its generator
+    row where ``table_size`` would refuse its table."""
+    from .prefilter import PrefilterBasis
+    from .semifilter import semifilter_of
+    if isinstance(value, PrefilterBasis):
+        try:
+            value = semifilter_of(value)
+        except BudgetError:
+            return format_generator(value.carrier.elements, value.generator.index)
+    return json.dumps(semifilter_to_json(value))

@@ -24,9 +24,11 @@ None of them builds a ``QFunction`` or a ``Fraction``: values become
 enter only through ``scenario.semifilter_from_json``.  F1-F3 are decided
 by one lazy scan over pairs of functions, shared by ``check_axioms`` and
 ``enumerate_semifilters``, and "positive" means above the kernel's
-bottom.  The ``Fraction``-level table of a function, the ``Fraction``
-scan of F1-F4 and the characterizations of conicality by residuation and
-by the way-below relation are test oracles (``tests/oracles.py``).
+bottom.  Whether a conical semifilter lies in a variant is decided on its
+generator row alone (``row_satisfies``).  The ``Fraction``-level table of
+a function, the ``Fraction`` scan of F1-F4, the variant read from a filled
+table and the characterizations of conicality by residuation and by the
+way-below relation are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .base import Record
+from .base import Record, Variant
 from .errors import BudgetError, UsageError
 from .finite import FiniteQuantale
 from .prefilter import PrefilterBasis, least_positive
@@ -477,7 +479,7 @@ def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
     return out
 
 
-# -- boundedness -------------------------------------------------------------
+# -- boundedness and the variants --------------------------------------------
 
 def _require_integral(carrier: FiniteQuantale) -> None:
     if not carrier.is_integral:
@@ -495,22 +497,31 @@ def require_bounded_carrier(carrier: FiniteQuantale) -> None:
     least_positive(carrier)
 
 
-def is_bounded(table: SemifilterTable) -> bool:
-    """No function whose values meet at the kernel's bottom is held at full
-    degree.
+def row_satisfies(row: Sequence[int], carrier: FiniteQuantale,
+                  variant: Variant) -> bool:
+    """Whether the table ``sub(g, -)`` of the generator row g, one carrier
+    position per point, lies in the variant's subcategory of semifilters.
 
-    Needs an integral carrier; on an empty base set every function counts as
-    bounded and the test is vacuous.
+    Every variant needs g below the constant unit (F1); the table is then
+    a conical semifilter.  FILTER adds F4, read from the row: the table
+    holds the constant at each position c at ``meet_x residuum[g_x][c]``,
+    which must lie below c.  BOUNDED holds when the row is empty or its
+    meet is not the bottom: every function above g is then bounded, and g
+    itself is held at full degree.  It needs an integral carrier, and
+    refuses any other with a ``UsageError`` naming it.
     """
-    q = table.carrier
-    _require_integral(q)
-    if not len(table.domain):
-        return True
-    k = q.kernel
-    # the meet of each function's values, at every code
-    row_meets = _fold(k.meet, k.top, [range(len(q.elements))] * len(table.domain))
-    return not any(v == k.top and m == k.bottom
-                   for m, v in zip(row_meets, table.index))
+    k = carrier.kernel
+    if not all(k.leq[a][k.unit] for a in row):
+        return False
+    if variant is Variant.FILTER:
+        meet, leq = k.meet, k.leq
+        columns = [k.residuum[a] for a in row]
+        return all(leq[functools.reduce(lambda m, r: meet[m][r[c]], columns, k.top)][c]
+                   for c in range(len(carrier.elements)))
+    if variant is Variant.BOUNDED:
+        _require_integral(carrier)
+        return not row or functools.reduce(lambda a, b: k.meet[a][b], row) != k.bottom
+    return True
 
 
 def conical_bounded_coreflection(table: SemifilterTable) -> SemifilterTable:

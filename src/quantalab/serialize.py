@@ -48,6 +48,11 @@ def format_fraction(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def format_generator(elements, row) -> str:
+    """A generator row of carrier positions as the elements it holds."""
+    return f"generator ({', '.join(format_fraction(elements[i]) for i in row)})"
+
+
 def parse_fraction(s) -> Fraction:
     """``as_fraction`` raising StructuralError, which a pinned map's reader locates."""
     try:

@@ -38,11 +38,20 @@ positions and never builds a ``Fraction`` on the way:
   replaces;
 * ``random_qfunction_by_elements`` and ``random_variant_table_by_elements``
   -- the seeded draws from a pool of ``Fraction`` elements, which the
-  draws from a pool of positions replace.
+  draws from a pool of positions replace;
+* ``is_top_filter``, ``is_bounded_function``, ``is_bounded`` and
+  ``table_satisfies_by_table`` -- the variant of a semifilter decided on a
+  prefilter, a function or the filled table, which
+  ``semifilter.row_satisfies`` decides on the generator row alone;
+* ``small_quantales`` -- every commutative unital quantale on a lattice of
+  two to four elements, found by a scan of candidate tensor tables that
+  shares no code with ``finite``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,8 +69,10 @@ from quantalab.finite import FiniteQuantale, Violation
 from quantalab.base import ONE, ZERO, Variant
 from quantalab.quantale import BlockKind, TNorm, grid
 from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
-                                  SemifilterTable, conical_coreflection, image_semifilter,
-                                  require_bounded_carrier, semifilter_of)
+                                  SemifilterTable, _require_integral,
+                                  conical_coreflection, image_semifilter,
+                                  is_conical_semifilter, require_bounded_carrier,
+                                  semifilter_of)
 
 
 def residuum_grid_oracle(t, x: Fraction, y: Fraction, step: Fraction) -> Fraction:
@@ -580,3 +591,116 @@ def random_variant_table_by_elements(rng, domain: FiniteSet, carrier: FiniteQuan
             fn = QFunction(domain, tuple(values), carrier)
         fns.append(fn)
     return semifilter_of(normalize_basis(fns, domain, carrier))
+
+
+# -- finite carriers: the variants on prefilters, functions and tables ------------
+
+def is_top_filter(pf: PrefilterBasis) -> bool:
+    """The paper's top filter: every member has pointwise join above the unit.
+
+    It suffices to inspect the generator, since members dominate it: the
+    join of its positions is read on the kernel.  Only meaningful over
+    integral carriers (unit = top), ``FiniteQuantale.is_integral``.
+    """
+    c = pf.carrier
+    if not c.is_integral:
+        raise UsageError("the top-filter notion needs an integral carrier")
+    k = c.kernel
+    join = functools.reduce(lambda a, b: k.join[a][b], pf.generator.index, k.bottom)
+    return k.leq[k.unit][join]
+
+
+def is_bounded_function(lam: QFunction) -> bool:
+    """Bounded below by a positive constant: the meet of its positions is
+    not the kernel's bottom.  Vacuously true on an empty domain."""
+    if not lam.index:
+        return True
+    k = lam.carrier.kernel
+    return functools.reduce(lambda a, b: k.meet[a][b], lam.index) != k.bottom
+
+
+def is_bounded(table: SemifilterTable) -> bool:
+    """No function whose values meet at the kernel's bottom is held at full
+    degree, read at every code of the table.
+
+    Needs an integral carrier, refused as the library refuses it; on an
+    empty base set every function counts as bounded and the test is
+    vacuous.
+    """
+    q = table.carrier
+    _require_integral(q)
+    if not len(table.domain):
+        return True
+    k = q.kernel
+    rows = itertools.product(range(len(q.elements)), repeat=len(table.domain))
+    return not any(v == k.top and functools.reduce(lambda a, b: k.meet[a][b], row) == k.bottom
+                   for row, v in zip(rows, table.index))
+
+
+def table_satisfies_by_table(table: SemifilterTable, variant: Variant) -> bool:
+    """The variant test on the filled table: a conical semifilter, with F4
+    read at the constants' codes (``SemifilterTable.f4_failures``) for
+    FILTER and ``is_bounded`` for BOUNDED."""
+    if not is_conical_semifilter(table):
+        return False
+    if variant is Variant.FILTER:
+        return not table.f4_failures()
+    if variant is Variant.BOUNDED:
+        return is_bounded(table)
+    return True
+
+
+# -- finite carriers: every small quantale -----------------------------------------
+
+def _lattices():
+    """Every lattice of two to four elements up to isomorphism, as its name,
+    its elements from 0 to 1 and its order as a set of pairs: the chains of
+    two, three and four elements, and the diamond, whose middle elements
+    1/3 and 2/3 are incomparable."""
+    for n in (2, 3, 4):
+        es = tuple(Fraction(i, n - 1) for i in range(n))
+        yield f"C{n}", es, {(x, y) for x in es for y in es if x <= y}
+    es = (ZERO, Fraction(1, 3), Fraction(2, 3), ONE)
+    yield "M2", es, {(x, y) for x in es for y in es if x == y or x == ZERO or y == ONE}
+
+
+def small_quantales() -> list[tuple[str, FiniteQuantale]]:
+    """Every commutative unital quantale on a lattice of two to four
+    elements, up to equality of tables, each with a name.
+
+    For each lattice and unit the scan fills a commutative tensor table
+    with the unit and the bottom as the unit's and the annihilator's rows,
+    every other entry over the whole carrier, and keeps a table that is
+    associative and distributes over binary joins.  There are 1, 3 and 11
+    on the chains and 9 on the diamond, 24 in all.  A chain is built in
+    its default order, the diamond with its join and meet tables.
+    """
+    out = []
+    for name, es, order in _lattices():
+        # the order refines the numeric one, so a least upper bound is the
+        # numerically least upper bound
+        join = {(x, y): min(z for z in es if (x, z) in order and (y, z) in order)
+                for x in es for y in es}
+        meet = {(x, y): max(z for z in es if (z, x) in order and (z, y) in order)
+                for x in es for y in es}
+        bottom = es[0]
+        found = 0
+        for unit in es[1:]:
+            free = [x for x in es if x not in (bottom, unit)]
+            pairs = [(x, y) for i, x in enumerate(free) for y in free[i:]]
+            for values in itertools.product(es, repeat=len(pairs)):
+                t = {}
+                for x in es:
+                    t[(unit, x)] = t[(x, unit)] = x
+                    t[(bottom, x)] = t[(x, bottom)] = bottom
+                for (x, y), v in zip(pairs, values):
+                    t[(x, y)] = t[(y, x)] = v
+                if all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])]
+                       and t[(x, join[(y, z)])] == join[(t[(x, y)], t[(x, z)])]
+                       for x in es for y in es for z in es):
+                    found += 1
+                    lattice = {} if name.startswith("C") else {
+                        "join": rows_of(join, es), "meet": rows_of(meet, es)}
+                    out.append((f"{name}-{found}",
+                                FiniteQuantale(es, rows_of(t, es), unit, **lattice)))
+    return out

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -225,6 +226,45 @@ def test_laws_reports_a_failure_beyond_the_table_cap(runner, tmp_path, monkeypat
         "detail": "generator (1/4, 0/1, 1/1, 1/2, 1/4, 1/2, 0/1, 0/1)"}
 
 
+def _five_chain_pinned(tmp_path, variant, points, value):
+    """A five-chain scenario pinning f('a') to ``value`` on ``points``
+    points of Y, and g to the unit on Z = {w}."""
+    ys = [f"y{i}" for i in range(points)]
+    return write(tmp_path, "five-pinned.json", {
+        "quantale": quantale_to_json(five_chain()), "variant": variant,
+        "sets": {"X": ["a"], "Y": ys, "Z": ["w"]},
+        "maps": {"f": {"a": value}, "g": {y: {"basis": [["1/1"]]} for y in ys}},
+        "seed": 1, "budgets": {"scenarios": 4}})
+
+
+def _five_chain_basis_json(value):
+    return json.dumps(semifilter_to_json(semifilter_of(
+        [QFunction(finite_set("y0"), (F(value),), five_chain())])))
+
+
+@pytest.mark.parametrize("variant,points,value,code,stderr", [
+    # a table on 7 points would need 5^7 = 78125 entries: a basis is read
+    # to its generator row and gated there, where it used to exit 3
+    ("plain", 7, {"basis": [["1/1"] * 7]}, 0, ""),
+    ("filter", 7, {"basis": [["1/4"] * 7]}, 2,
+     "input error: f('a') is not a filter semifilter\n"
+     "generator (1/4, 1/4, 1/4, 1/4, 1/4, 1/4, 1/4)\n"),
+    # within the cap a refused basis is shown as its table
+    ("filter", 1, {"basis": [["1/4"]]}, 2,
+     f"input error: f('a') is not a filter semifilter\n{_five_chain_basis_json('1/4')}\n"),
+    # an entries table is still read whole, so the cap applies to it
+    ("plain", 7, {"entries": [[{"values": ["1/1"] * 7}, "1/1"]]}, 3,
+     "budget exhausted: table would need 78125 entries (cap 19683)\n"),
+], ids=["basis-runs", "basis-refused", "basis-refused-within-cap", "entries-capped"])
+def test_laws_reads_a_pinned_basis_as_its_generator_row(runner, tmp_path, variant, points,
+                                                         value, code, stderr):
+    path = _five_chain_pinned(tmp_path, variant, points, value)
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == code, r.output
+    assert r.stderr == stderr
+    assert (r.stdout == "") == (code != 0)
+
+
 @pytest.mark.parametrize("variant", ["bounded", "plain", "filter"])
 def test_laws_refuses_a_carrier_without_least_positive(runner, tmp_path, variant):
     # the square lattice's atoms 1/3 and 2/3 are incomparable: a bounded run
@@ -402,6 +442,44 @@ NON_IDEMPOTENT_JOIN = {"type": "finite", "carrier": ["0/1", "1/1"],
                        "join": [["1/1", "1/1"], ["1/1", "1/1"]],
                        "meet": [["0/1", "0/1"], ["0/1", "1/1"]],
                        "unit": "1/1"}
+
+
+def _tnorm(*blocks):
+    return {"type": "tnorm", "blocks": [{"lo": lo, "hi": hi, "kind": kind}
+                                        for lo, hi, kind in blocks]}
+
+
+# 1/4 (x) 1/4 = 1/2 but 1/4 (x) 1/2 = 0, so the tensor is not associative
+NON_ASSOCIATIVE = {"type": "finite", "carrier": ["0/1", "1/4", "1/2", "1/1"],
+                   "tensor": [["0/1", "0/1", "0/1", "0/1"], ["0/1", "1/2", "0/1", "1/4"],
+                              ["0/1", "0/1", "1/2", "1/2"], ["0/1", "1/4", "1/2", "1/1"]],
+                   "unit": "1/1"}
+QUANTALE_REPORTS = {
+    "lukasiewicz-block": (_tnorm(("1/4", "1/2", "lukasiewicz")), 1,
+                          "b8bb531cd72f0ba170b5bbaa38641b5e00e5d66835bb605c76bed2537fa74777"),
+    "product-block": (_tnorm(("1/4", "1/2", "product")), 0,
+                      "e9ef42848a64942eda390d6895b51cb6e227ca1a3d2a90b66fef7bbbc9d7ba2f"),
+    "minimum": (_tnorm(), 0,
+                "7ddef5c755b03e49634dc452512d073ed5f490271f1ab26297447cb84e24a4f7"),
+    "two-blocks": (_tnorm(("1/8", "1/4", "lukasiewicz"), ("1/2", "3/4", "product")), 1,
+                   "51e4edd9325ce0f20cb4a52ccf19d6ad53d55120815b766b375a24c54cac595e"),
+    "non-associative": (NON_ASSOCIATIVE, 1,
+                        "c4e1261881b74eec5309d52d46c0e82c0071ceb0cb4e0fea018a4634298f323e"),
+    "non-distributive": (BROKEN_TENSOR, 1,
+                         "624c31e077588c7cbe82c8170292d0c119fa2acd6d17c9a528e020e76657b8cd"),
+}
+
+
+@pytest.mark.parametrize("name", QUANTALE_REPORTS)
+def test_quantale_reports_are_pinned(runner, tmp_path, name):
+    # every check of ``quantale`` at the grid step 1/16: the sha256 of the
+    # text report, with the input path written as IN, and the exit code
+    definition, code, digest = QUANTALE_REPORTS[name]
+    path = write(tmp_path, "q.json", definition)
+    r = runner.invoke(main, ["quantale", "--quantale", path, "--grid-step", "1/16"])
+    assert r.exit_code == code, r.output
+    text = r.stdout.replace(path, "IN")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 @pytest.mark.parametrize("quantale,first", [

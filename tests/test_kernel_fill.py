@@ -20,8 +20,7 @@ from quantalab.monad import (Variant, check_naturality, kleisli_extend,
                              monad_units, random_variant_table,
                              table_satisfies)
 from quantalab.prefilter import (bounded_coreflection, image_prefilter,
-                                 is_bounded_function, least_positive,
-                                 normalize_basis)
+                                 least_positive, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
@@ -29,11 +28,11 @@ from quantalab.semifilter import (ENUM_BUDGET, SemifilterFamily,
                                   SemifilterTable, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
-                                  image_semifilter, is_bounded, kowalsky_sum,
+                                  image_semifilter, kowalsky_sum,
                                   level_prefilter, require_bounded_carrier,
                                   semifilter_of)
 
-from oracles import from_function, hat, image_outer
+from oracles import from_function, hat, image_outer, is_bounded, is_bounded_function
 from test_quantale import half_unit_chain, square_lattice
 from test_semifilter import _coreflection_oracle
 
@@ -316,6 +315,7 @@ def test_bounded_constructions_refuse_a_non_integral_carrier():
     for refused in (lambda: require_bounded_carrier(q),
                     lambda: conical_bounded_coreflection(top),
                     lambda: is_bounded(top),
+                    lambda: table_satisfies(top, Variant.BOUNDED),
                     lambda: monad_units(dom, q, Variant.BOUNDED),
                     lambda: monad_units(domain(0), q, Variant.BOUNDED),
                     lambda: random_variant_table(rng, dom, q, Variant.BOUNDED),

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -9,7 +10,7 @@ import pytest
 from quantalab.classical import (all_proper_filters, filter_image,
                                  filter_multiplication, filter_unit,
                                  principal)
-from quantalab.errors import UsageError
+from quantalab.errors import StructuralError, UsageError
 from quantalab.monad import (KleisliScenario, LawFailure, Variant,
                              check_monad_laws, check_naturality, check_scenario,
                              classical_correspondence_report, extend_rows,
@@ -19,18 +20,22 @@ from quantalab.monad import (KleisliScenario, LawFailure, Variant,
                              table_satisfies, unit_rows)
 from quantalab.prefilter import least_positive_position, member, normalize_basis
 from quantalab.qfun import QFunction, SetMap, all_qfunctions, finite_set, unit_constant
-from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.finite import check_quantale_axioms, five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (SemifilterFamily, SemifilterTable,
                                   check_axioms, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
-                                  is_bounded, kowalsky_sum, level_prefilter,
-                                  require_bounded_carrier, semifilter_of,
-                                  table_generator)
-from quantalab.scenario import semifilter_to_json
+                                  kowalsky_sum, level_prefilter,
+                                  require_bounded_carrier, row_satisfies,
+                                  semifilter_of, table_generator)
+from quantalab.scenario import ScenarioSpec, semifilter_to_json
+from quantalab.serialize import format_fraction, quantale_to_json
 
-from oracles import (from_function, from_mapping, image_outer, is_conical,
-                     unit_prefilter)
+from oracles import (from_function, from_mapping, image_outer, is_bounded,
+                     is_conical, is_top_filter, small_quantales,
+                     table_satisfies_by_table, unit_prefilter)
+from test_positions import no_zero
+from test_quantale import half_unit_chain, square_lattice
 
 G3 = godel3()
 X = finite_set("x0", "x1")
@@ -45,6 +50,15 @@ def filled(domain, carrier, row):
     """The conical table of a generator row: the dense side of every
     comparison of the row path with the table path."""
     return semifilter_of([QFunction.from_index(domain, carrier, row)])
+
+
+def pinned(xs, ys, zs, f, g, carrier, variant=Variant.PLAIN):
+    """The scenario that pins the tables of f and g, each as its JSON."""
+    return ScenarioSpec({
+        "quantale": quantale_to_json(carrier), "variant": variant.value,
+        "sets": {"X": list(xs.elements), "Y": list(ys.elements), "Z": list(zs.elements)},
+        "maps": {"f": {str(x): semifilter_to_json(t) for x, t in f.items()},
+                 "g": {str(y): semifilter_to_json(t) for y, t in g.items()}}})
 
 
 # -- units and multiplication ---------------------------------------------------
@@ -145,6 +159,52 @@ def test_variant_membership_matches_the_axioms(tables):
             assert table_satisfies(t, variant) == _variant_oracle(t, variant)
 
 
+def _verdict(test, *args):
+    """The test's answer, or the text of its refusal."""
+    try:
+        return test(*args)
+    except UsageError as refused:
+        return str(refused)
+
+
+def assert_row_test_is_the_table_test(q, most=3):
+    """``row_satisfies`` on the generator row of every conical table on at
+    most ``most`` points, in every variant, gives the answer, or the
+    refusal, of the test on the filled table; on an integral carrier
+    FILTER is also the paper's top-filter test of the row's prefilter.
+    Returns the verdicts compared with the table test."""
+    verdicts = []
+    for n in range(most + 1):
+        dom = finite_set(*(f"x{i}" for i in range(n)))
+        for t in conical_semifilters(dom, q):
+            row = table_generator(t)
+            for variant in Variant:
+                verdict = _verdict(row_satisfies, row, q, variant)
+                assert verdict == _verdict(table_satisfies_by_table, t, variant), (row, variant)
+                verdicts.append(verdict)
+            if q.is_integral:
+                assert row_satisfies(row, q, Variant.FILTER) == is_top_filter(
+                    normalize_basis([QFunction.from_index(dom, q, row)]))
+    return verdicts
+
+
+ROW_CARRIERS = {"two_chain": two_chain(), "godel3": G3, "mv3": mv3(),
+                "five_chain": five_chain(), "diamond": square_lattice(),
+                "quarter-one": no_zero(), "half-unit": half_unit_chain()}
+
+
+def test_the_row_test_is_the_table_test_on_every_conical_table():
+    # the diamond is integral with no least positive element, {1/4, 1} has
+    # no 0, and the chain with unit 1/2 is not integral, so BOUNDED is
+    # refused there while F4 is still read from the row
+    verdicts = {name: assert_row_test_is_the_table_test(q)
+                for name, q in ROW_CARRIERS.items()}
+    assert sum(len(v) for name, v in verdicts.items() if name != "half-unit") == 1053
+    assert all({True, False} <= set(v) for v in verdicts.values())
+    refusal = f"carrier {half_unit_chain()!r} is not integral, which boundedness needs"
+    assert refusal in verdicts["half-unit"]
+
+
 # -- outer prefilters read through their bases ---------------------------------------
 
 @pytest.mark.parametrize("carrier,n", [
@@ -234,11 +294,12 @@ def test_kleisli_of_lifted_plain_map_is_image():
 
 
 def test_kleisli_rejects_wrong_variant_values():
-    # the extension trusts its map: the scenario is the gate that refuses it
+    # the extension trusts its map: the scenario reader is the gate that
+    # refuses it
     h = {x: evaluation_unit(Y, G3, "y0") for x in X}
     g = monad_units(Y, G3, Variant.BOUNDED)
     with pytest.raises(UsageError, match=r"^f\('x0'\) is not a bounded semifilter\n"):
-        KleisliScenario(X, Y, Y, h, g, G3, Variant.BOUNDED)
+        pinned(X, Y, Y, h, g, G3, Variant.BOUNDED).explicit_maps()
 
 
 def test_kleisli_matches_materialized_outer_route():
@@ -442,14 +503,12 @@ def test_law_suite_deterministic():
 
 
 def test_scenario_validation():
-    with pytest.raises(UsageError):
-        KleisliScenario(X, Y, Y, {"x0": evaluation_unit(Y, G3, "y0")},
-                        {}, G3)   # f not total
+    with pytest.raises(StructuralError, match=r"^map f missing value at 'x1'$"):
+        pinned(X, Y, Y, {"x0": evaluation_unit(Y, G3, "y0")}, {}, G3).explicit_maps()
     bad = from_mapping(Y, G3, {k.values: F(1) for k in all_qfunctions(Y, G3)})
     with pytest.raises(UsageError):
-        KleisliScenario(X, Y, Y,
-                        {"x0": bad, "x1": bad},
-                        {"y0": bad, "y1": bad}, G3, Variant.FILTER)
+        pinned(X, Y, Y, {"x0": bad, "x1": bad}, {"y0": bad, "y1": bad}, G3,
+               Variant.FILTER).explicit_maps()
 
 
 def test_scenario_refuses_a_map_value_with_its_table():
@@ -458,40 +517,28 @@ def test_scenario_refuses_a_map_value_with_its_table():
     top = SemifilterTable(Z, G3, [G3.kernel.top] * 3)
     assert table_satisfies(top, Variant.PLAIN)
     with pytest.raises(UsageError) as refused:
-        KleisliScenario(finite_set("a"), U, Z, {"a": evaluation_unit(U, G3, "u")},
-                        {"u": top}, G3, Variant.BOUNDED)
+        pinned(finite_set("a"), U, Z, {"a": evaluation_unit(U, G3, "u")},
+               {"u": top}, G3, Variant.BOUNDED).explicit_maps()
     assert str(refused.value) == ("g('u') is not a bounded semifilter\n"
                                   f"{json.dumps(semifilter_to_json(top))}")
 
 
-def test_scenario_refuses_a_map_value_on_the_wrong_space():
-    A, U, W = finite_set("a"), finite_set("u", "v"), finite_set("w")
-    f = {"a": evaluation_unit(U, G3, "u")}
-    g = {y: evaluation_unit(W, G3, "w") for y in U}
-    for wrong in (evaluation_unit(W, G3, "w"), evaluation_unit(U, mv3(), "u")):
-        with pytest.raises(UsageError) as refused:
-            KleisliScenario(A, U, W, {"a": wrong}, g, G3)
-        assert str(refused.value) == f"f('a') is not a table on {{'u', 'v'}} over {G3!r}"
-    for wrong in (f["a"], evaluation_unit(W, mv3(), "w")):
-        with pytest.raises(UsageError) as refused:
-            KleisliScenario(A, U, W, f, {**g, "v": wrong}, G3)
-        assert str(refused.value) == f"g('v') is not a table on {{'w'}} over {G3!r}"
-    KleisliScenario(A, U, W, f, g, G3)
-
-
 def test_law_maps_are_checked_once_at_the_gate(monkeypatch):
-    # one conicality test per pinned law-map value, in KleisliScenario,
-    # which keeps each table as its generator; the seeded maps are drawn
-    # as rows of the variant, and the extensions trust what they are given
+    # one conicality test per pinned table, in the scenario reader, which
+    # keeps each value as its generator row; a pinned basis is read to its
+    # row with no table, the seeded maps are drawn as rows of the variant,
+    # and the extensions trust what they are given
     import quantalab.monad as monad
+    import quantalab.semifilter as semifilter
     tested = []
-    conical = monad.is_conical_semifilter
+    conical = semifilter.is_conical_semifilter
 
     def counting(table):
         tested.append(table)
         return conical(table)
 
-    monkeypatch.setattr(monad, "is_conical_semifilter", counting)
+    for module in (monad, semifilter):
+        monkeypatch.setattr(module, "is_conical_semifilter", counting)
     q = five_chain()
     law = check_monad_laws(q, (2, 2, 2), 20, 1)
     check_naturality(q, 8, 1)
@@ -501,8 +548,12 @@ def test_law_maps_are_checked_once_at_the_gate(monkeypatch):
     rng = random.Random(1)
     f = {x: random_variant_table(rng, Y, q) for x in X}
     g = {y: random_variant_table(rng, X, q) for y in Y}
-    sc = KleisliScenario(X, Y, X, f, g, q)
-    assert tested == [f["x0"], f["x1"], g["y0"], g["y1"]]
+    spec = pinned(X, Y, X, f, g, q)
+    spec.maps["g"]["y1"] = {"basis": [[format_fraction(q.elements[i])
+                                       for i in table_generator(g["y1"])]]}
+    maps = spec.explicit_maps()
+    assert tested == [f["x0"], f["x1"], g["y0"]]
+    sc = KleisliScenario(X, Y, X, maps["f"], maps["g"], q)
     assert {x: filled(Y, q, sc.f[x]) for x in X} == f
     assert {y: filled(X, q, sc.g[y]) for y in Y} == g
 
@@ -537,8 +588,8 @@ def test_check_scenario_reports_a_failing_law_with_num_den_values(monkeypatch):
     # shows the table that t generates
     reverse_extension_rows(monkeypatch)
     Z = finite_set("z0")
-    sc = KleisliScenario(X, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in X},
-                         {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
+    sc = KleisliScenario(X, Y, Z, {x: unit_rows(Y, G3)["y0"] for x in X},
+                         {y: unit_rows(Z, G3)["z0"] for y in Y}, G3)
     t = table_generator(evaluation_unit(X, G3, "x0"))
     assert check_scenario(sc, t, 7) == [LawFailure(
         "unit-extension-identity", 7,
@@ -574,8 +625,8 @@ def test_a_failing_table_is_filled_up_to_the_cap(monkeypatch, points, shown):
     reverse_extension_rows(monkeypatch)
     xs = finite_set(*(f"x{i}" for i in range(points)))
     Z = finite_set("z0")
-    sc = KleisliScenario(xs, Y, Z, {x: evaluation_unit(Y, G3, "y0") for x in xs},
-                         {y: evaluation_unit(Z, G3, "z0") for y in Y}, G3)
+    sc = KleisliScenario(xs, Y, Z, {x: unit_rows(Y, G3)["y0"] for x in xs},
+                         {y: unit_rows(Z, G3)["z0"] for y in Y}, G3)
     t = unit_rows(xs, G3)["x0"]
     (failure,) = [f for f in check_scenario(sc, t) if f.law == "unit-extension-identity"]
     assert failure.detail.startswith(f"{shown} (")
@@ -629,13 +680,13 @@ def test_the_monad_laws_hold_on_every_scenario(name, q, sizes, variant, count):
     xs, ys, zs = (finite_set(*(f"{p}{i}" for i in range(n))) for p, n in zip("xyz", sizes))
 
     def listed(dom):
-        return [t for t in conical_semifilters(dom, q) if table_satisfies(t, variant)]
+        return [table_generator(t) for t in conical_semifilters(dom, q)
+                if table_satisfies(t, variant)]
 
-    tables_x, tables_y, tables_z = listed(xs), listed(ys), listed(zs)
-    rows_x = [table_generator(t) for t in tables_x]
+    rows_x, rows_y, rows_z = listed(xs), listed(ys), listed(zs)
     checked = 0
-    for f_values in itertools.product(tables_y, repeat=len(xs)):
-        for g_values in itertools.product(tables_z, repeat=len(ys)):
+    for f_values in itertools.product(rows_y, repeat=len(xs)):
+        for g_values in itertools.product(rows_z, repeat=len(ys)):
             sc = KleisliScenario(xs, ys, zs, dict(zip(xs, f_values)),
                                  dict(zip(ys, g_values)), q, variant)
             for t in rows_x:
@@ -658,6 +709,43 @@ def test_the_seeded_law_scenarios_match_the_table_path(name, variant):
             rng = random.Random(seed * 1_000_003 + i)
             sc = random_scenario(rng, q, (2, 2, 2), variant)
             assert_rows_match_tables(sc, random_variant_row(rng, sc.x_set, q, variant))
+
+
+SMALL = small_quantales()
+
+
+def test_the_small_quantales_are_every_one_counted():
+    # the enumerator shares no code with the library's axiom checker
+    counts = collections.Counter(name.split("-")[0] for name, _ in SMALL)
+    assert counts == {"C2": 1, "C3": 3, "C4": 11, "M2": 9}
+    assert all(check_quantale_axioms(q) == [] for _, q in SMALL)
+
+
+@pytest.mark.parametrize("name,q", SMALL, ids=[name for name, _ in SMALL])
+def test_every_small_quantale_carries_the_monad(name, q):
+    # each of the 24 commutative unital quantales on at most four elements:
+    # the row test against the table test, the laws in each variant with
+    # every seeded scenario against the table path, and naturality; BOUNDED
+    # is refused on a carrier that is not integral or has no least positive
+    # element, and only there
+    assert_row_test_is_the_table_test(q)
+    positive = [i for i in range(len(q.elements)) if i != q.kernel.bottom]
+    least = [i for i in positive if all(q.kernel.leq[i][j] for j in positive)]
+    refusal = ("is not integral" if not q.is_integral
+               else None if least else "has no least positive element")
+    for variant in Variant:
+        if variant is Variant.BOUNDED and refusal:
+            with pytest.raises(UsageError, match=refusal):
+                check_monad_laws(q, (2, 2, 2), 20, 1, variant)
+            continue
+        assert check_monad_laws(q, (2, 2, 2), 20, 1, variant).passed
+        for i in range(20):
+            rng = random.Random(1 * 1_000_003 + i)
+            sc = random_scenario(rng, q, (2, 2, 2), variant)
+            assert_rows_match_tables(sc, random_variant_row(rng, sc.x_set, q, variant))
+    report = check_naturality(q, 8, 1)
+    assert report.failures == []
+    assert bool(report.not_applicable) == bool(refusal)
 
 
 # -- prefilter-side formulas ---------------------------------------------------------

@@ -18,19 +18,19 @@ import quantalab.finite as finite
 from quantalab.errors import UsageError
 from quantalab.monad import (Variant, check_monad_laws, check_naturality,
                              classical_correspondence_report, functional_of,
-                             random_qfunction, random_variant_table)
-from quantalab.prefilter import (bounded_coreflection, is_bounded_function,
-                                 normalize_basis)
+                             random_qfunction, random_variant_table, table_satisfies)
+from quantalab.prefilter import bounded_coreflection, normalize_basis
 from quantalab.qfun import (QFunction, all_qfunctions, constant, finite_set,
                             indicator, sub, unit_constant)
 from quantalab.semifilter import (SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,
-                                  evaluation_unit, is_bounded, semifilter_of)
+                                  evaluation_unit, row_satisfies, semifilter_of)
 from quantalab.finite import (FiniteQuantale, check_quantale_axioms, five_chain, godel3,
                               mv3, two_chain)
 
-from oracles import (quantale_axioms_by_elements, random_qfunction_by_elements,
-                     random_variant_table_by_elements, semifilter_axioms_by_elements)
+from oracles import (is_bounded, is_bounded_function, quantale_axioms_by_elements,
+                     random_qfunction_by_elements, random_variant_table_by_elements,
+                     semifilter_axioms_by_elements)
 
 CHAINS = {"five": five_chain, "godel3": godel3, "mv3": mv3, "two": two_chain}
 X = finite_set("x0", "x1")
@@ -293,8 +293,11 @@ def test_positive_means_above_the_bottom_on_a_carrier_without_zero():
     A = q.bottom
     assert not is_bounded_function(QFunction(X, (A, F(1)), q))
     assert is_bounded_function(QFunction(X, (F(1), F(1)), q))
-    assert not is_bounded(evaluation_unit(X, q, "x0"))
-    assert is_bounded(semifilter_of(normalize_basis([QFunction(X, (F(1), F(1)), q)])))
+    unit_at_x0 = evaluation_unit(X, q, "x0")
+    top = semifilter_of(normalize_basis([QFunction(X, (F(1), F(1)), q)]))
+    assert not is_bounded(unit_at_x0) and is_bounded(top)
+    assert not table_satisfies(unit_at_x0, Variant.BOUNDED)
+    assert table_satisfies(top, Variant.BOUNDED)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -317,6 +320,10 @@ def test_qfunction_looks_each_value_up_once(fraction_hashes):
 def test_boundedness_folds_the_meet_of_the_lattice():
     # 1/4 and 1/2 are atoms of the diamond: each is positive, their meet is 0
     q = diamond()
-    assert not is_bounded_function(QFunction(X3, (F(1, 4), F(1, 2), F(1)), q))
-    assert is_bounded_function(QFunction(X3, (F(1, 4), F(1, 4), F(1)), q))
+    for values, bounded in (((F(1, 4), F(1, 2), F(1)), False),
+                            ((F(1, 4), F(1, 4), F(1)), True)):
+        lam = QFunction(X3, values, q)
+        assert is_bounded_function(lam) == bounded
+        assert row_satisfies(lam.index, q, Variant.BOUNDED) == bounded
     assert is_bounded_function(QFunction(finite_set(), (), q))
+    assert row_satisfies((), q, Variant.BOUNDED)

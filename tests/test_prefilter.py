@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantalab.errors import UsageError
-from quantalab.prefilter import (bounded_coreflection, image_prefilter,
-                                 is_bounded_function, is_top_filter, member,
+from quantalab.prefilter import (bounded_coreflection, image_prefilter, member,
                                  normalize_basis, saturation_member)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
 
+from oracles import is_bounded_function, is_top_filter
 from test_quantale import square_lattice
 
 G3 = godel3()

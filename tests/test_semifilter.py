@@ -6,8 +6,7 @@ import pytest
 
 import quantalab.semifilter as semifilter
 from quantalab.errors import BudgetError, StructuralError, UsageError
-from quantalab.prefilter import (is_bounded_function, is_top_filter, member,
-                                 normalize_basis)
+from quantalab.prefilter import member, normalize_basis
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
@@ -18,11 +17,12 @@ from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
                                   conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
-                                  image_semifilter, is_bounded, kowalsky_sum,
+                                  image_semifilter, kowalsky_sum,
                                   level_prefilter, residuate, semifilter_of)
 
 from oracles import (ConicalTest, from_function, from_mapping, image_outer,
-                     is_conical, satisfies_way_below_criterion)
+                     is_bounded, is_bounded_function, is_conical, is_top_filter,
+                     satisfies_way_below_criterion)
 from test_prefilter import minimal_members
 from test_quantale import half_unit_chain, square_lattice
 

@@ -149,10 +149,9 @@ def test_scenario_explicit_maps_decode():
             "g": {"u": {"basis": [["1/1"]]}},
         },
     }
-    maps = ScenarioSpec(obj).explicit_maps()
-    assert maps is not None
-    table = maps["f"]["a"]
-    assert table(QFunction(finite_set("u"), (F(0),), g3)) == 0
+    # each basis is read to its generator row, the positions of its meet
+    # with the constant unit
+    assert ScenarioSpec(obj).explicit_maps() == {"f": {"a": (1,)}, "g": {"u": (2,)}}
 
 
 def test_render_text_mirrors_json():
