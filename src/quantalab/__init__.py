@@ -18,7 +18,8 @@ extension, law suites) and ``classical`` (the set-filter oracle).  The law
 verdict is computed on generator rows, where the Kleisli extension is a
 matrix product; its link to the paper's definition on tables is an
 identity the tests check.  Over the interval: ``counterexample`` (exact
-symbolic replication, and the JSON of its witness expressions).  Then
+symbolic replication, and the JSON of its witness expressions) and
+``grid`` (the grid scans of the ``quantale`` command).  Then
 ``serialize`` (the rational coercion ``as_fraction``, quantale JSON and
 reports), ``scenario`` (scenario files, and the function and table JSON
 they pin) and ``cli``.
@@ -55,8 +56,8 @@ _EXPORTS = {
     "counterexample": ("FunctionDescriptor", "run_counterexample"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"classical", "cli", "errors", "scenario",
-                                      "serialize"}
+_SUBMODULES = frozenset(_EXPORTS) | {"classical", "cli", "errors", "grid",
+                                      "scenario", "serialize"}
 
 __all__ = sorted(_MODULE_OF)
 

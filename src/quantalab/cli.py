@@ -25,8 +25,11 @@ subcommand imports the layers it runs when it runs: ``counterexample``
 never loads the finite carrier (``finite``) nor the finite function,
 filter and monad modules, ``laws`` never loads the interval carrier
 (``quantale``), and ``quantale`` loads ``finite`` only for a finite
-definition.  Scenario files are read by ``scenario``, which ``laws`` and
-``counterexample --scenario`` load through ``serialize.load_scenario``.
+definition.  The grid scans of ``quantale`` live in ``grid``, which no
+other subcommand loads.  Scenario files are read by ``scenario``, which
+``laws`` and ``counterexample --scenario`` load through
+``serialize.load_scenario``; the reader gates a scenario's pinned maps,
+which ``laws`` does not run yet.
 """
 
 from __future__ import annotations
@@ -206,8 +209,9 @@ main = Group("Exact checks for quantale-valued filter structures and their monad
     _OUT, _FORMAT)
 def cmd_quantale(path, checks, grid_step, out, fmt):
     """Check a quantale definition file."""
-    from .quantale import (TNorm, check_condition_s, grid, pow2_step,
-                           residuum_continuity_probe)
+    from .grid import (adjunction_witness, grid, pow2_step,
+                       residuum_continuity_probe, tnorm_axiom_probe)
+    from .quantale import TNorm, check_condition_s
     q = load_quantale(path)
     step = parse_fraction(grid_step)
     # refused whatever checks run
@@ -237,14 +241,14 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
                                for v in violations]}
             failed = failed or bool(violations)
         else:
-            bad = _tnorm_axiom_probe(q, grid(step), grid(max(step, Fraction(1, 16))))
+            bad = tnorm_axiom_probe(q, grid(step), grid(max(step, Fraction(1, 16))))
             report["axioms"] = {"status": "ok" if bad is None else "violated",
                                 "probe": "grid"}
             if bad is not None:
                 report["axioms"]["witness"] = [format_fraction(v) for v in bad]
                 failed = True
     if "adjunction" in checks:
-        bad = _adjunction_witness(q, grid(step) if isinstance(q, TNorm) else q.elements)
+        bad = adjunction_witness(q, grid(step) if isinstance(q, TNorm) else q.elements)
         report["adjunction"] = {"status": "ok" if bad is None else "violated"}
         if bad is not None:
             report["adjunction"]["witness"] = [format_fraction(v) for v in bad]
@@ -267,38 +271,6 @@ def cmd_quantale(path, checks, grid_step, out, fmt):
     sys.exit(EXIT_MATH_FAILURE if failed else EXIT_OK)
 
 
-def _tnorm_axiom_probe(t, points, coarse):
-    """First witness on the grid ``points`` against commutativity or the
-    unit law, or on the ``coarse`` grid against associativity; None when
-    the probe is clean."""
-    one = points[-1]
-    for x in points:
-        if t.tensor(x, one) != x:
-            return (x,)
-        for y in points:
-            if t.tensor(x, y) != t.tensor(y, x):
-                return (x, y)
-    for x in coarse:
-        for y in coarse:
-            xy = t.tensor(x, y)
-            for z in coarse:
-                if t.tensor(xy, z) != t.tensor(x, t.tensor(y, z)):
-                    return (x, y, z)
-    return None
-
-
-def _adjunction_witness(q, points):
-    """First triple of ``points`` violating the residuation adjunction, or None."""
-    tensor, res, leq = q.tensor, q.residuum, q.leq
-    for x in points:
-        for y in points:
-            r = res(x, y)
-            for z in points:
-                if leq(tensor(x, z), y) != leq(z, r):
-                    return (x, y, z)
-    return None
-
-
 @main.command(
     "laws",
     _option("--scenario", dest="path", required=True, metavar="FILE"),
@@ -309,8 +281,7 @@ def _adjunction_witness(q, points):
 def cmd_laws(path, seed, budget, out, fmt):
     """Run the monad-law and naturality suites from a scenario file."""
     from .finite import FiniteQuantale, check_quantale_axioms, two_chain
-    from .monad import (KleisliScenario, check_monad_laws, check_naturality,
-                        classical_correspondence_report)
+    from .monad import check_monad_laws, check_naturality, classical_correspondence_report
     scenario = load_scenario(path)
     if not isinstance(scenario.carrier, FiniteQuantale):
         raise PreconditionError("law suites need a finite carrier")
@@ -323,12 +294,8 @@ def cmd_laws(path, seed, budget, out, fmt):
     seed = scenario.seed if seed is None else seed
     budget = scenario.budget if budget is None else budget
 
-    maps = scenario.explicit_maps()
-    if maps is not None:
-        # read and gated by the reader, not yet run
-        KleisliScenario(scenario.x_set, scenario.y_set, scenario.z_set,
-                        maps["f"], maps["g"], scenario.carrier, scenario.variant)
-
+    # pinned maps are read and gated by the reader, not yet run
+    scenario.explicit_maps()
     sizes = (len(scenario.x_set), len(scenario.y_set), len(scenario.z_set))
     law = check_monad_laws(scenario.carrier, sizes, scenario.scenarios, seed,
                            scenario.variant, budget=budget)

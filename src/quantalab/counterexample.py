@@ -11,7 +11,10 @@ this module evaluates it through two finite, fully exact devices:
   (the decreasing ramp, tail indicators, constants, and joins/meets/
   residuations of those); each distinct operation on distinct child
   records is evaluated once, from those records, into its column of values
-  at all the points 1/m and its infimum off them.
+  at all the points 1/m and its infimum off them.  The default catalog is
+  closed on those node records directly (``_closed_records``): only its
+  base is spelled as expressions, and an explicit catalog goes through
+  ``_node`` expression by expression.
 * ``Column`` -- the samples on integers, in a few runs on which the value
   is affine in x = 1/m.  The last run goes on forever, so the tail is read
   off it exactly and nothing but ``describe`` depends on the truncation
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain, islice
+from math import gcd, inf, lcm
 from typing import Union
 
 from .base import ONE, ZERO, Record, Variant
@@ -233,8 +237,14 @@ class Column:
         return f"Column(den={self.den}, runs={self.runs!r}, n={self.n})"
 
     def head(self, n: int) -> "Column":
-        """The first n samples."""
-        return Column(self.den, self.runs, n)
+        """The first n samples.  An endless column whose runs all start
+        before n keeps its runs: each still holds two points or more."""
+        if self.n is not None or self.runs[-1][0] >= n:
+            return Column(self.den, self.runs, n)
+        out, (s, _, a, b) = Column.__new__(Column), self.spans[-1]
+        out.den, out.runs, out.n = self.den, self.runs, n
+        out.spans = self.spans[:-1] + [(s, n, a, b)]
+        return out
 
     def at(self, m: int) -> tuple[int, int]:
         """The value at 1/m as an exact pair ``(num, den)``."""
@@ -274,16 +284,24 @@ def _pieces(a: Column, b: Column, levels=()):
     out, s = [], 1
     while True:
         e = end_a if end_b is None or (end_a is not None and end_a < end_b) else end_b
-        lines = (a1 * ra, b1 * ra, a2 * rb, b2 * rb)
-        starts = set()
+        top = inf if e is None else e
+        lines = aa, ab, ba, bb = a1 * ra, b1 * ra, a2 * rb, b2 * rb
         # (A*m + B)/(den*m) - v has the sign of vd*(A*m + B) - vn*m, for the
-        # level v = vn/(vd*den); each sign changes past m = -beta/alpha
-        for alpha, beta in [(a1 * ra - a2 * rb, b1 * ra - b2 * rb)] + [
-                (vd * lines[k] - vn, vd * lines[k + 1]) for vd, vn in levels for k in (0, 2)]:
-            if alpha:
-                q, r = divmod(*((-beta, alpha) if alpha > 0 else (beta, -alpha)))
-                starts.update(m for m in ((q, q + 1) if r == 0 else (q + 1,))
-                              if s < m and (e is None or m <= e))
+        # level v = vn/(vd*den); each sign changes past m = -beta/alpha, and
+        # an exact zero there is a piece of its own.  Without a B, the sign
+        # of alpha*m + beta is fixed at every m >= 1
+        cuts = [(aa - ba, ab - bb)]
+        for A, B in (aa, ab), (ba, bb):
+            if B:
+                cuts += [(vd * A - vn, vd * B) for vd, vn in levels]
+        starts = set()
+        for alpha, beta in cuts:
+            if alpha and beta:
+                q, r = divmod(-beta, alpha) if alpha > 0 else divmod(beta, -alpha)
+                if s <= q < top:
+                    starts.add(q + 1)
+                if r == 0 and s < q <= top:
+                    starts.add(q)
         firsts = [s, *sorted(starts)]
         out += [(f, last, *lines) for f, last in zip(firsts, [m - 1 for m in firsts[1:]] + [e])]
         if e == a.n:
@@ -295,40 +313,37 @@ def _pieces(a: Column, b: Column, levels=()):
         s = e + 1
 
 
-def _extremum(a: Column, b: Column, join: bool) -> Column:
-    """The pointwise max (join) or min of two endless node columns: one
+def _extrema(a: Column, b: Column) -> tuple[Column, Column]:
+    """The pointwise max and min of two endless node columns: each is one
     of the two itself where it wins at every point, ``a`` where they are
-    equal, else ``_cut_extremum``'s new column.
+    equal, else ``_cut_extrema``'s new column.
 
-    Every node column is nondecreasing in m (see ``describe``), so a
+    Every node column is nondecreasing in m (see ``_describe``), so a
     column whose value at m = 1 is at least the other's limit wins, or
     ties, at every point: that is settled from those two numbers, with the
-    very object the cut would return.  When each column is, both are one
+    very objects the cut would return.  When each column is, both are one
     and the same constant."""
     (_, a1, b1), (_, a_lim, _) = a.runs[0], a.runs[-1]
     (_, a2, b2), (_, b_lim, _) = b.runs[0], b.runs[-1]
-    a_over = (a1 + b1) * b.den >= b_lim * a.den
-    b_over = (a2 + b2) * a.den >= a_lim * b.den
-    if a_over or b_over:
-        return a if a_over == b_over or a_over == join else b
-    return _cut_extremum(a, b, join)
+    if (a1 + b1) * b.den >= b_lim * a.den:
+        return a, a if (a2 + b2) * a.den >= a_lim * b.den else b
+    if (a2 + b2) * a.den >= a_lim * b.den:
+        return b, a
+    return _cut_extrema(a, b)
 
 
-def _cut_extremum(a: Column, b: Column, join: bool) -> Column:
-    """``_extremum`` by cutting the two columns into pieces, for any two
-    columns of one length."""
+def _cut_extrema(a: Column, b: Column) -> tuple[Column, Column]:
+    """``_extrema`` by cutting the two columns into pieces once, for any
+    two columns of one length."""
     den, pieces = _pieces(a, b)
-    runs, sides = [], set()
+    above, below, over, under = [], [], False, False
     for s, _, a1, b1, a2, b2 in pieces:
         d = (a1 - a2) * s + b1 - b2      # 0 on a whole piece or nowhere on it
-        side = (d > 0) == join if d else None
-        sides.add(side)
-        runs.append((s, a1, b1) if side is not False else (s, a2, b2))
-    if False not in sides:
-        return a
-    if True not in sides:
-        return b
-    return Column(den, runs, a.n)
+        over, under = over or d > 0, under or d < 0
+        above.append((s, a1, b1) if d >= 0 else (s, a2, b2))
+        below.append((s, a1, b1) if d <= 0 else (s, a2, b2))
+    return (a if not under else b if not over else Column(den, above, a.n),
+            a if not over else b if not under else Column(den, below, a.n))
 
 
 def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
@@ -340,15 +355,15 @@ def _residuate(c: Fraction, col: Column, t: TNorm) -> Column:
     den, pieces = _pieces(const, col, _levels(t))
     points = [(m, a1 * m + b1, a2 * m + b2) for s, e, a1, b1, a2, b2 in pieces
               for m in (s, s + 1)[:1 + (e != s)]]
-    values = iter(t.residua(den, points))
-    lines = []
+    residua = t.residua(den, points)
+    out_den = lcm(*(d for _, d in residua))
+    values = iter([num * (out_den // d) for num, d in residua])     # value * out_den
+    runs = []
     for s, e, *_ in pieces:
-        at_s = Fraction(*next(values)) * s               # value * m at m = s
-        slope = Fraction(*next(values)) * (s + 1) - at_s if e != s else ZERO
-        lines.append((s, slope, at_s - slope * s))
-    out_den = lcm(*(x.denominator for _, a, b in lines for x in (a, b)))
-    return Column(out_den, [(s, (a * out_den).numerator, (b * out_den).numerator)
-                            for s, a, b in lines], col.n)
+        at_s = next(values) * s                  # value * m * out_den at m = s
+        slope = next(values) * (s + 1) - at_s if e != s else 0
+        runs.append((s, slope, at_s - slope * s))
+    return Column(out_den, runs, col.n)
 
 
 class FunctionDescriptor(Record):
@@ -372,18 +387,24 @@ class FunctionDescriptor(Record):
 
 
 class _Node(Record):
-    """One expression node.  ``tail`` is the limit of m -> expr(1/m) and
-    whether the sequence reaches it rather than approaching from below.
-    ``co_countable`` is the infimum off the points 1/m: the value with every
-    leaf pinned to 0, as every node operation preserves meets in the
-    function argument; it is at most the value at x = 0, as every leaf is
-    there at least its pinned value and every node operation is monotone.
+    """One expression node: its endless ``column`` and ``co_countable``,
+    the infimum off the points 1/m.  That is the value with every leaf
+    pinned to 0, as every node operation preserves meets in the function
+    argument; it is at most the value at x = 0, as every leaf is there at
+    least its pinned value and every node operation is monotone.
     """
 
-    __slots__ = ("column", "tail", "co_countable")
+    __slots__ = ("column", "co_countable")
 
-    def __init__(self, column: Column, tail: tuple[Fraction, bool], co_countable: Fraction):
-        self.column, self.tail, self.co_countable = column, tail, co_countable
+    def __init__(self, column: Column, co_countable: Fraction):
+        self.column, self.co_countable = column, co_countable
+
+    @property
+    def tail(self) -> tuple[Fraction, bool]:
+        """The limit of m -> expr(1/m), A/den on the last run, and whether
+        the sequence reaches it (B = 0) rather than approaching from below."""
+        _, a, b = self.column.runs[-1]
+        return Fraction(a, self.column.den), b == 0
 
 
 def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
@@ -444,40 +465,44 @@ def _evaluate(expr: FnExpr, args: tuple, t: TNorm) -> _Node:
     else:
         a, b = args
         join = isinstance(expr, Join)
-        col = _extremum(a.column, b.column, join)
+        col = _extrema(a.column, b.column)[not join]
         co_countable = (max if join else min)(a.co_countable, b.co_countable)
-    _, a, b = col.runs[-1]                # the limit A/den, reached iff B = 0
-    return _Node(col, (Fraction(a, col.den), b == 0), co_countable)
+    return _Node(col, co_countable)
 
 
 def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
              label: str = "", columns: dict | None = None) -> FunctionDescriptor:
-    """Build the exact descriptor of an expression from the record
-    ``_node`` keeps for its root; no tree is walked here.  ``columns`` is
-    the memo of node records, which ``build_catalog`` shares across its
-    calls.  Only here is a column cut to the depth.
+    """The exact descriptor of an expression, from the record ``_node``
+    keeps for its root (see ``_describe``); ``columns`` is the memo of node
+    records."""
+    node = _node(expr, t, {} if columns is None else columns)
+    return _describe(node, depth, pin_one, label or repr(expr))
+
+
+def _describe(node: _Node, depth: int, pin_one: bool, label: str) -> FunctionDescriptor:
+    """The descriptor of a node record; no tree is walked here, and only
+    here is a column cut to the depth.
 
     The global infimum has two exact contributions: the co-countable part
     of the interval (it covers the endpoint x = 0, see ``_Node``), and the
-    samples at 1/m for m up to depth + 1.  That horizon suffices whatever
-    the indicator starts: every node is nondecreasing in m (the ramp
-    rises, an indicator steps up, and join, meet and residuation by a
-    constant are monotone), so the sample sequence is smallest at its
-    start, and the extra point m = depth + 1 keeps m = 2 in range when
-    ``pin_one`` overrides the value at x = 1 (m = 1) with the top, for the
-    filter variant.  The override applies to the top-level value only.
+    values at the points 1/m, at every m and not only up to the depth.
+    Every node is nondecreasing in m (the ramp rises, an indicator steps
+    up, and join, meet and residuation by a constant are monotone), so the
+    least of those is the first: at m = 1, or at m = 2 when ``pin_one``
+    overrides the value at x = 1 (m = 1) with the top, for the filter
+    variant, whatever the depth.  The override applies to the top-level
+    value only.
     """
-    node = _node(expr, t, {} if columns is None else columns)
     col = node.column
     if pin_one:
         first, *rest = col.runs
         samples = Column(col.den, [(1, 0, col.den), (2, *first[1:]), *rest], depth)
     else:
         samples = col.head(depth)
+    num, den = col.at(1 + pin_one)
     co = node.co_countable
-    ginf = Fraction(*_min_pair([samples.min(), col.at(depth + 1)],
-                               (co.numerator, co.denominator)))
-    return FunctionDescriptor(label or repr(expr), samples, node.tail[0], ginf)
+    ginf = co if co.numerator * den <= num * co.denominator else Fraction(num, den)
+    return FunctionDescriptor(label, samples, node.tail[0], ginf)
 
 
 def _min_pair(pairs, bound: tuple[int, int]) -> tuple[int, int]:
@@ -557,7 +582,7 @@ def _step1(gamma: FunctionDescriptor, catalog: Sequence[FunctionDescriptor],
         tail = d.tail_liminf
         if bounded and d.global_inf == ZERO:
             tail = min(tail, zero_sup)
-        return t.residuum(p, tail) == ONE
+        return p <= tail                 # p -> tail is 1 exactly then
 
     if in_level(gamma):
         return ONE, True, gamma.label
@@ -595,48 +620,89 @@ def default_catalog_exprs(p: Fraction, t_par: Fraction, s_par: Fraction,
     return out
 
 
-def close_catalog(base: Sequence[FnExpr],
-                  res_consts: Sequence[Fraction]) -> list[FnExpr]:
-    """Close under pairwise joins/meets and residuation by the given
-    constants, to depth two, keeping the ramp first and capping the size."""
-    def one_round(pool: list[FnExpr], pair_pool: list[FnExpr]) -> list[FnExpr]:
-        fresh = []
-        for a in pair_pool:
-            for b in pool:
-                if a is not b:
-                    fresh.append(Join(a, b))
-                    fresh.append(Meet(a, b))
-        for c in res_consts:
-            for b in pool:
-                fresh.append(Res(c, b))
-        return fresh
+def _closed_records(base: Sequence[FnExpr], consts: Sequence[Fraction], t: TNorm):
+    """The node records of the shipped closure, in its order: the base;
+    then the join and the meet of every two base expressions at distinct
+    places, and every base expression residuated by each constant; then
+    the same of the first (the ramp) against each of those, and of each of
+    those by each constant; ``CATALOG_CAP * 4`` of them at most.
+    ``close_catalog`` in ``tests/oracles.py`` spells each as an expression.
 
-    depth1 = one_round(list(base), list(base))
-    depth2 = one_round(depth1, [base[0]])
-    return (list(base) + depth1 + depth2)[: CATALOG_CAP * 4]
+    Only the base goes through ``_node``.  Each distinct operation on
+    distinct records is evaluated once, a join with its meet, and records
+    are interned as ``_node`` interns them.  A join or meet whose column
+    ``_extrema`` settles with an operand's column, at that operand's
+    co-countable infimum, is that operand's record: no new record is built
+    or hashed.  Depth two, which the cap cuts, is evaluated only as far as
+    it is read.
+    """
+    memo: dict = {}
+    pool = [_node(e, t, memo) for e in base]
+    interned, extremes, residua = {node: node for node in pool}, {}, {}
+    firsts = [consts.index(c) for c in consts]     # the first of equal constants
+
+    def record(col: Column, co: Fraction) -> _Node:
+        node = _Node(col, co)
+        return interned.setdefault(node, node)
+
+    def extrema(a: _Node, b: _Node) -> tuple[_Node, _Node]:
+        key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+        hit = extremes.get(key)
+        if hit is None:
+            ca, cb = a.co_countable, b.co_countable
+            cos = (ca, cb) if ca is cb or ca >= cb else (cb, ca)   # the join's, the meet's
+            hit = extremes[key] = tuple(
+                a if col is a.column and co is ca else
+                b if col is b.column and co is cb else record(col, co)
+                for col, co in zip(_extrema(a.column, b.column), cos))
+        return hit
+
+    def residuate(k: int, a: _Node) -> _Node:
+        key = (k, id(a))
+        node = residua.get(key)
+        if node is None:
+            c = consts[k]
+            node = residua[key] = record(_residuate(c, a.column, t), t.residuum(c, a.co_countable))
+        return node
+
+    def one_round(nodes: list, pairs):
+        for a, b in pairs:
+            yield from extrema(a, b)
+        for k in firsts:
+            for b in nodes:
+                yield residuate(k, b)
+
+    depth1 = list(one_round(pool, ((a, b) for i, a in enumerate(pool)
+                                   for j, b in enumerate(pool) if i != j)))
+    depth2 = one_round(depth1, ((pool[0], b) for b in depth1))
+    return islice(chain(pool, depth1, depth2), CATALOG_CAP * 4)
 
 
 def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
                   pin_one: bool) -> list[FunctionDescriptor]:
-    """Describe the expressions, deduplicating by descriptor content.
+    """The catalog of the expressions' records (see ``_catalog``), which
+    share one memo (see ``_node``): each distinct operation on distinct
+    child records is evaluated once, however many expressions spell it."""
+    memo: dict = {}
+    return _catalog((_node(e, t, memo) for e in exprs), depth, pin_one)
 
-    The key is exact at the full depth (see ``Column``).  The first
-    expression is the target function and always survives in first
-    position.  All calls share one memo of node records (see ``_node``), so
-    each distinct operation on distinct child records is evaluated once,
-    however many expressions spell it, and a root whose record repeats an
-    earlier root's is not described again: its descriptor would repeat that
-    one's too.  Equal records are one object, so they are told apart by id.
+
+def _catalog(nodes, depth: int, pin_one: bool) -> list[FunctionDescriptor]:
+    """Describe the node records, deduplicating by descriptor content.
+
+    The key is exact at the full depth (see ``Column``).  The first record
+    is the target function's and always survives in first position.  A
+    record that repeats an earlier one is not described again: its
+    descriptor would repeat that one's too.  Equal records are one object,
+    so they are told apart by id.
     """
-    columns: dict = {}
     seen_nodes, seen, catalog = set(), set(), []
-    for e in exprs:
-        node = _node(e, t, columns)
+    for node in nodes:
         if id(node) not in seen_nodes:
             seen_nodes.add(id(node))
-            d = describe(e, t, depth, pin_one, label=f"w{len(catalog)}", columns=columns)
-            if d.key() not in seen:
-                seen.add(d.key())
+            d = _describe(node, depth, pin_one, f"w{len(catalog)}")
+            seen.add(d.key())            # hashed once: a new key grows seen
+            if len(seen) > len(catalog):
                 catalog.append(d)
         if len(catalog) >= CATALOG_CAP:
             break
@@ -746,19 +812,22 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
     pin_one = variant is Variant.FILTER
     if catalog_exprs is None:
         base = default_catalog_exprs(p, t_par, s_par, q, variant, epsilon)
-        exprs = close_catalog(base, [p, t_par, s_par])
+        catalog = _catalog(_closed_records(base, [p, t_par, s_par], tnorm), depth, pin_one)
     else:
         exprs = list(catalog_exprs)
         if not exprs:
             raise PreconditionError("an explicit catalog must be nonempty")
-    catalog = build_catalog(exprs, tnorm, depth, pin_one)
+        catalog = build_catalog(exprs, tnorm, depth, pin_one)
     gamma = catalog[0]
 
     # the first extension collapses to the threshold at p: residuation by s
     # after residuation by t equals residuation by t (x) s, checked on every
-    # catalog member
-    first_ok = True
+    # catalog member, once for each distinct global infimum
+    first_ok, infs = True, set()
     for d in catalog:
+        if d.global_inf in infs:
+            continue
+        infs.add(d.global_inf)
         lhs = tnorm.residuum(s_par, tnorm.residuum(t_par, d.global_inf))
         rhs = tnorm.residuum(p, d.global_inf)
         if lhs != rhs:

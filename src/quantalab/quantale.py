@@ -6,7 +6,8 @@ every block the operation is minimum.  All arithmetic is exact on
 ``fractions.Fraction``; no floats appear anywhere.  The residuum also has
 one integer form, ``residua``, at points of sample columns, for the
 interval counterexample.  Condition (S), which decides the monad question
-on an ordinal sum, and the grid probes of the residuum live here too.
+on an ordinal sum, lives here too; the grid scans of the ``quantale``
+command live in ``grid``.
 
 The finite carrier, ``FiniteQuantale``, lives in ``finite``, and what both
 carriers and every layer share (``Record``, ``ZERO``/``ONE`` and the monad
@@ -57,7 +58,7 @@ class TNorm:
     lies in the interior of another block.
     """
 
-    __slots__ = ("blocks", "_his", "endpoints")
+    __slots__ = ("blocks", "_his", "endpoints", "_den", "_ends")
 
     def __init__(self, blocks: tuple[Block, ...] = ()):
         prev_hi = None
@@ -71,6 +72,10 @@ class TNorm:
         self.blocks = blocks
         self._his = tuple(b.hi for b in blocks)
         self.endpoints = tuple(sorted({ZERO, ONE, *(v for b in blocks for v in (b.lo, b.hi))}))
+        # each block's ends as integers on one denominator, for ``residua``
+        self._den = den = lcm(*(v.denominator for b in blocks for v in (b.lo, b.hi)))
+        self._ends = tuple(((b.lo * den).numerator, (b.hi * den).numerator,
+                            b.kind is BlockKind.LUKASIEWICZ) for b in blocks)
 
     def __eq__(self, other):
         return other.__class__ is TNorm and self.blocks == other.blocks
@@ -187,13 +192,11 @@ class TNorm:
         reaches ``x``, found by bisecting the upper ends rescaled to the
         point, as ``_common_block`` finds it.
         """
-        blocks = self.blocks
-        scale = lcm(den, *(b.lo.denominator for b in blocks),
-                    *(b.hi.denominator for b in blocks))
-        r = _exact_div(scale, den)
-        los = [_scaled(b.lo, scale) for b in blocks]
-        his = [_scaled(b.hi, scale) for b in blocks]
-        luk = [b.kind is BlockKind.LUKASIEWICZ for b in blocks]
+        scale = lcm(den, self._den)
+        r, k = scale // den, scale // self._den
+        los = [lo * k for lo, _, _ in self._ends]
+        his = [hi * k for _, hi, _ in self._ends]
+        luk = [is_luk for _, _, is_luk in self._ends]
         out = []
         for m, x, y in points:
             s, x, y = scale * m, x * r, y * r
@@ -203,7 +206,7 @@ class TNorm:
                 out.append((1, 1))
                 continue
             i = bisect_left(his, -(-x // m))         # hi * m >= x
-            if i == len(blocks) or los[i] * m > y:
+            if i == len(his) or los[i] * m > y:
                 out.append((y, s))
                 continue
             lo, hi = los[i] * m, his[i] * m
@@ -217,19 +220,6 @@ class TNorm:
         """x is idempotent iff it is not interior to any block."""
         self._check(x)
         return all(not (b.lo < x < b.hi) for b in self.blocks)
-
-
-def _exact_div(a: int, b: int) -> int:
-    """a / b for a multiple a of b; a remainder is a defect, never rounded."""
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError(f"{a} is not a multiple of {b}")
-    return q
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * scale, for a scale that x's denominator divides."""
-    return x.numerator * _exact_div(scale, x.denominator)
 
 
 def build_ordinal_sum(blocks: Iterable[tuple]) -> TNorm:
@@ -294,43 +284,3 @@ def positive_residuum_zero_sup(t: TNorm) -> Fraction:
     if t.blocks and t.blocks[0].lo == ZERO and t.blocks[0].kind is BlockKind.LUKASIEWICZ:
         return t.blocks[0].hi
     return ZERO
-
-
-def pow2_step(step: Fraction) -> int:
-    """The n of a grid step 1/n, refused unless n is a power of two."""
-    n = step.denominator
-    if step.numerator != 1 or n & (n - 1):
-        raise UsageError(f"grid step must be 1/2^n, got {step}")
-    return n
-
-
-def grid(step: Fraction) -> list[Fraction]:
-    """The rational grid {0, step, 2*step, ..., 1}."""
-    n = pow2_step(step)
-    return [Fraction(k, n) for k in range(n + 1)]
-
-
-def residuum_continuity_probe(t: TNorm, step: Fraction, min_gap: Fraction = Fraction(1, 8)):
-    """Largest residuum jump between grid neighbours away from the diagonal.
-
-    Only pairs whose both endpoints satisfy |x - y| >= min_gap participate;
-    steep-but-continuous regions near the diagonal (the product t-norm close
-    to the origin) are thereby excluded while a genuine interior jump stays
-    visible at any resolution.  The threshold separating the two is an
-    engineering choice, not a theorem; see the tests for the calibration.
-    """
-    points = grid(step)
-    off = [(x, y) for x in points for y in points if abs(x - y) >= min_gap]
-    offset = set(off)
-    best = ZERO
-    where = None
-    for x, y in off:
-        r = t.residuum(x, y)
-        for dx, dy in ((step, ZERO), (ZERO, step)):
-            x2, y2 = x + dx, y + dy
-            if x2 > ONE or y2 > ONE or (x2, y2) not in offset:
-                continue
-            jump = abs(t.residuum(x2, y2) - r)
-            if jump > best:
-                best, where = jump, ((x, y), (x2, y2))
-    return best, where

@@ -15,7 +15,9 @@ On the t-norm carriers and the interval counterexample:
   through ``point_collapse_scan``;
 * ``node_per_expr`` and ``build_catalog_per_expr`` -- the node records and
   the catalog with one evaluation per expression object, the records that
-  equal operations on equal child records share in the library.
+  equal operations on equal child records share in the library;
+* ``close_catalog`` -- the shipped witness closure as expression trees,
+  whose records the library builds directly (``_closed_records``).
 
 On the finite carriers, where the library stores a table as carrier
 positions and never builds a ``Fraction`` on the way:
@@ -67,7 +69,8 @@ from quantalab.qfun import (FiniteSet, QFunction, SetMap, all_qfunctions,
                             constant, sub, unit_constant)
 from quantalab.finite import FiniteQuantale, Violation
 from quantalab.base import ONE, ZERO, Variant
-from quantalab.quantale import BlockKind, TNorm, grid
+from quantalab.grid import grid
+from quantalab.quantale import BlockKind, TNorm
 from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
                                   SemifilterTable, _require_integral,
                                   conical_coreflection, image_semifilter,
@@ -325,6 +328,26 @@ def node_per_expr(expr, t, memo: dict):
         node = _evaluate(expr, tuple(node_per_expr(c, t, memo) for c in children), t)
         hit = memo[id(expr)] = (expr, node)
     return hit[1]
+
+
+def close_catalog(base, res_consts) -> list:
+    """Close under pairwise joins/meets and residuation by the given
+    constants, to depth two, keeping the ramp first and capping the size."""
+    def one_round(pool, pair_pool):
+        fresh = []
+        for a in pair_pool:
+            for b in pool:
+                if a is not b:
+                    fresh.append(Join(a, b))
+                    fresh.append(Meet(a, b))
+        for c in res_consts:
+            for b in pool:
+                fresh.append(Res(c, b))
+        return fresh
+
+    depth1 = one_round(list(base), list(base))
+    depth2 = one_round(depth1, [base[0]])
+    return (list(base) + depth1 + depth2)[: CATALOG_CAP * 4]
 
 
 def build_catalog_per_expr(exprs, t, depth: int, pin_one: bool):

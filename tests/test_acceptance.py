@@ -15,8 +15,9 @@ from quantalab.monad import (Variant, check_monad_laws, check_naturality,
 from quantalab.prefilter import normalize_basis
 from quantalab.qfun import QFunction, finite_set
 from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.grid import grid
 from quantalab.quantale import (Block, BlockKind, build_ordinal_sum, check_condition_s,
-                                godel_tnorm, grid, lukasiewicz_tnorm,
+                                godel_tnorm, lukasiewicz_tnorm,
                                 positive_residuum_zero_sup, product_tnorm)
 from quantalab.semifilter import (check_axioms, conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,

@@ -482,6 +482,27 @@ def test_quantale_reports_are_pinned(runner, tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
+# the same at the default grid step 1/64, on the Lukasiewicz block and the
+# two broken finite carriers; a finite carrier is scanned on its elements,
+# so its report does not depend on the step
+QUANTALE_REPORTS_AT_THE_DEFAULT_STEP = {
+    "lukasiewicz-block": "d7acda7632c197653682d7ca4419b546a96a9a7c4005c437d0e8ea9079c63761",
+    "non-associative": "c4e1261881b74eec5309d52d46c0e82c0071ceb0cb4e0fea018a4634298f323e",
+    "non-distributive": "624c31e077588c7cbe82c8170292d0c119fa2acd6d17c9a528e020e76657b8cd",
+}
+
+
+@pytest.mark.parametrize("name", QUANTALE_REPORTS_AT_THE_DEFAULT_STEP)
+def test_quantale_reports_are_pinned_at_the_default_step(runner, tmp_path, name):
+    definition, code, _ = QUANTALE_REPORTS[name]
+    path = write(tmp_path, "q.json", definition)
+    r = runner.invoke(main, ["quantale", "--quantale", path])
+    assert r.exit_code == code, r.output
+    text = r.stdout.replace(path, "IN")
+    digest = QUANTALE_REPORTS_AT_THE_DEFAULT_STEP[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
 @pytest.mark.parametrize("quantale,first", [
     (BROKEN_TENSOR, "join-distributivity fails at (1/2, 1/2, 1/1)"),
     (NON_IDEMPOTENT_JOIN, "join-idempotence fails at (0/1)"),

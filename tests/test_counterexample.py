@@ -8,21 +8,21 @@ from quantalab import counterexample
 from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet,
                                       NO_VIOLATION_EXPECTED, NO_VIOLATION_FOUND,
                                       Ramp, Res, TailIndicator, VIOLATION,
-                                      build_catalog, close_catalog,
-                                      default_catalog_exprs, describe,
+                                      build_catalog, default_catalog_exprs, describe,
                                       run_counterexample, sampled_sub_bound,
-                                      _node, Column, _collapse_scan, _cut_extremum,
-                                      _extremum, _levels, _step1)
+                                      _node, Column, _collapse_scan, _cut_extrema,
+                                      _extrema, _levels, _step1)
 from quantalab.errors import PreconditionError, UsageError
 from quantalab.monad import Variant
 from quantalab.base import ONE, ZERO
+from quantalab.grid import grid
 from quantalab.quantale import (TNorm, build_ordinal_sum, check_condition_s,
-                                godel_tnorm, grid, lukasiewicz_tnorm,
+                                godel_tnorm, lukasiewicz_tnorm,
                                 positive_residuum_zero_sup, product_tnorm)
 
-from oracles import (PointColumn, build_catalog_per_expr, eval_at, eval_leaves,
-                     left_limit_residuum, node_per_expr, point_collapse_scan,
-                     point_node, tail_limit)
+from oracles import (PointColumn, build_catalog_per_expr, close_catalog, eval_at,
+                     eval_leaves, left_limit_residuum, node_per_expr,
+                     point_collapse_scan, point_node, tail_limit)
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 P = F(1, 4)
@@ -709,16 +709,70 @@ def test_shared_records_match_the_per_expression_oracle(t, t_par, s_par, hi, var
     want = build_catalog_per_expr(exprs, t, 1000, pin_one)
     got = build_catalog(exprs, t, 1000, pin_one)
     assert [(d.label, d.key()) for d in got] == [(d.label, d.key()) for d in want]
+    # the default run, on the record closure, against the same closure
+    # spelled as expressions and described one evaluation per expression
     fast = run_counterexample(t, t_par, s_par, 1000, variant)
     monkeypatch.setattr(counterexample, "build_catalog", build_catalog_per_expr)
-    slow = run_counterexample(t, t_par, s_par, 1000, variant)
+    slow = run_counterexample(t, t_par, s_par, 1000, variant, catalog_exprs=exprs)
     assert report_fields(fast) == report_fields(slow)
+
+
+def record_catalog(t, t_par, s_par, hi, variant, depth):
+    """The default catalog, as ``run_counterexample`` builds it on records."""
+    p = t.tensor(t_par, s_par)
+    base = default_catalog_exprs(p, t_par, s_par, hi, variant, F(1, 8))
+    return counterexample._catalog(counterexample._closed_records(base, [p, t_par, s_par], t),
+                                   depth, variant is Variant.FILTER)
+
+
+@pytest.mark.parametrize("depth", [2, 10, 1000])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("t,t_par,s_par,hi", ALL_CLOSURE_CASES,
+                         ids=["luk", "product", "three"])
+def test_the_record_closure_is_the_expression_closure(t, t_par, s_par, hi, variant, depth):
+    # descriptors, labels and order, against the closure's expression trees
+    want = build_catalog(shipped_closure(t, t_par, s_par, hi, variant), t, depth,
+                         variant is Variant.FILTER)
+    got = record_catalog(t, t_par, s_par, hi, variant, depth)
+    assert [(d.label, d) for d in got] == [(d.label, d) for d in want]
+
+
+def subexpressions(e):
+    yield e
+    for child in ((e.left, e.right) if isinstance(e, (Join, Meet))
+                  else (e.child,) if isinstance(e, Res) else ()):
+        yield from subexpressions(child)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_default_catalog_builds_no_expression_past_its_base(variant, monkeypatch):
+    built, bases, evaluated, counting = [], [], [], [True]
+    for cls in (Join, Meet, Res):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__:
+                            (counting[0] and built.append(self)) or _init(self, *args))
+    real_base, real_node = default_catalog_exprs, counterexample._node
+
+    def base_exprs(*args):
+        counting[0] = False
+        bases.append(real_base(*args))
+        counting[0] = True
+        return bases[-1]
+
+    monkeypatch.setattr(counterexample, "default_catalog_exprs", base_exprs)
+    monkeypatch.setattr(counterexample, "_node",
+                        lambda e, t, memo: evaluated.append(e) or real_node(e, t, memo))
+    rep = run_counterexample(BLOCK, F(3, 8), F(3, 8), 1000, variant)
+    assert rep.verdict == VIOLATION and rep.catalog_size > 50
+    # no join, meet or residuation is built past the base, and only the
+    # base expressions and their parts go through ``_node``
+    assert built == [] and len(bases) == 1
+    assert {id(e) for e in evaluated} == {id(x) for e in bases[0] for x in subexpressions(e)}
 
 
 def counted_evaluations(monkeypatch) -> list:
     """Count the join/meet and residuation evaluations from here on."""
     calls = []
-    for name in ("_extremum", "_residuate"):
+    for name in ("_extrema", "_residuate"):
         f = getattr(counterexample, name)
         monkeypatch.setattr(counterexample, name,
                             lambda *args, _f=f: calls.append(args) or _f(*args))
@@ -757,6 +811,15 @@ def test_the_closure_costs_at_most_its_distinct_operations(t, t_par, s_par, hi, 
     calls = counted_evaluations(monkeypatch)
     build_catalog(exprs, t, 1000, variant is Variant.FILTER)
     assert len(calls) <= len(ops) < per_expr / 2
+    # on records, the join and the meet of two records are one evaluation;
+    # the base's own joins go through ``_node`` first
+    pairs = {args for cls, args in ops if cls in (Join, Meet)}
+    residuations = [op for op in ops if op[0] not in (Join, Meet)]
+    base = default_catalog_exprs(t.tensor(t_par, s_par), t_par, s_par, hi, variant, F(1, 8))
+    in_base = sum(isinstance(x, (Join, Meet, Res)) for e in base for x in subexpressions(e))
+    calls.clear()
+    record_catalog(t, t_par, s_par, hi, variant, 1000)
+    assert len(calls) <= len(pairs) + len(residuations) + in_base < len(ops)
 
 
 def test_join_and_meet_dedup_whatever_their_order_at_an_integer_crossing():
@@ -891,29 +954,29 @@ DOMINANCE_CASES = ALL_CLOSURE_CASES + [
                               "prod64"])
 def test_dominance_settles_a_join_as_the_cut_does(t, t_par, s_par, hi, variant,
                                                    monkeypatch):
-    # every pair of node columns joined or met while a catalog is built:
-    # where the cut answers with one of the two, the join is that very
-    # object, so node records intern and the catalog keeps its order
+    # every pair of node columns joined and met while a catalog is built:
+    # where the cut answers with one of the two, the join or meet is that
+    # very object, so node records intern and the catalog keeps its order
     calls, cuts = [], []
-    monkeypatch.setattr(counterexample, "_extremum",
-                        lambda a, b, join: calls.append((a, b, join)) or _extremum(a, b, join))
-    monkeypatch.setattr(counterexample, "_cut_extremum",
-                        lambda a, b, join: cuts.append(1) or _cut_extremum(a, b, join))
+    monkeypatch.setattr(counterexample, "_extrema",
+                        lambda a, b: calls.append((a, b)) or _extrema(a, b))
+    monkeypatch.setattr(counterexample, "_cut_extrema",
+                        lambda a, b: cuts.append(1) or _cut_extrema(a, b))
     p = t.tensor(t_par, s_par)
-    exprs = close_catalog(default_catalog_exprs(p, t_par, s_par, hi, variant, p / 2),
-                          [p, t_par, s_par])
-    build_catalog(exprs, t, 1000, variant is Variant.FILTER)
-    settled, inputs = len(calls) - len(cuts), 0
-    for a, b, join in calls:
-        want, got = _cut_extremum(a, b, join), _extremum(a, b, join)
-        if want is a or want is b:
-            inputs += 1
-            assert got is want, (a, b, join)
-        else:
-            assert got == want and got is not a and got is not b, (a, b, join)
-    # the test at m = 1 settles most of the pairs the cut answers with an
-    # input, and leaves the crossings to the cut
-    assert len(calls) > inputs >= settled > inputs / 2 > 0
+    base = default_catalog_exprs(p, t_par, s_par, hi, variant, p / 2)
+    counterexample._catalog(counterexample._closed_records(base, [p, t_par, s_par], t),
+                            1000, variant is Variant.FILTER)
+    settled, inputs = 2 * (len(calls) - len(cuts)), 0
+    for a, b in calls:
+        for want, got in zip(_cut_extrema(a, b), _extrema(a, b)):
+            if want is a or want is b:
+                inputs += 1
+                assert got is want, (a, b)
+            else:
+                assert got == want and got is not a and got is not b, (a, b)
+    # the test at m = 1 settles most of the extrema the cut answers with
+    # an input, and leaves the crossings to the cut
+    assert 2 * len(calls) > inputs >= settled > inputs / 2 > 0
 
 
 def test_dominance_keeps_the_first_of_equal_constants_and_leaves_a_crossing(monkeypatch):
@@ -921,17 +984,17 @@ def test_dominance_keeps_the_first_of_equal_constants_and_leaves_a_crossing(monk
     b = Column(8, ((1, 3, 0),))
     ramp = Column(4, ((1, 1, -1),))                     # (1 - 1/m)/4, up to 1/4
     eighth = Column(8, ((1, 1, 0),))
-    cut = _cut_extremum
-    for join in (True, False):
-        assert cut(a, b, join) is a and cut(b, a, join) is b
-        # 3/8 lies above the ramp's limit: 3/8 wins a join, the ramp a meet
-        assert cut(a, ramp, join) is cut(ramp, a, join) is (a if join else ramp)
+    def same(got, want):
+        return all(g is w for g, w in zip(got, want, strict=True))
+
+    assert same(_cut_extrema(a, b), (a, a)) and same(_cut_extrema(b, a), (b, b))
+    # 3/8 lies above the ramp's limit: 3/8 wins a join, the ramp a meet
+    assert same(_cut_extrema(a, ramp), (a, ramp)) and same(_cut_extrema(ramp, a), (a, ramp))
     cuts = []
-    monkeypatch.setattr(counterexample, "_cut_extremum", lambda *args: cuts.append(args))
-    for join in (True, False):
-        assert _extremum(a, b, join) is a and _extremum(b, a, join) is b
-        assert _extremum(a, ramp, join) is _extremum(ramp, a, join) is (a if join else ramp)
-        assert cuts == []
-        # the ramp crosses 1/8 at m = 2: neither wins at m = 1 alone
-        _extremum(ramp, eighth, join)
-        assert cuts.pop() == (ramp, eighth, join)
+    monkeypatch.setattr(counterexample, "_cut_extrema", lambda *args: cuts.append(args))
+    assert same(_extrema(a, b), (a, a)) and same(_extrema(b, a), (b, b))
+    assert same(_extrema(a, ramp), (a, ramp)) and same(_extrema(ramp, a), (a, ramp))
+    assert cuts == []
+    # the ramp crosses 1/8 at m = 2: neither wins at m = 1 alone
+    _extrema(ramp, eighth)
+    assert cuts.pop() == (ramp, eighth)

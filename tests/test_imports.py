@@ -216,7 +216,8 @@ def test_checking_a_tnorm_loads_no_finite_carrier(tmp_path):
     loaded = loaded_modules("from quantalab.cli import main\n"
                             "main(['quantale', '--quantale', 'block.json', '--check', 'axioms',\n"
                             "      '--check', 'adjunction', '--grid-step', '1/4'])", tmp_path)
-    assert loaded == FRONT | {"quantalab.quantale"}
+    # the grid scans live in a module of their own, which only quantale loads
+    assert loaded == FRONT | {"quantalab.quantale", "quantalab.grid"}
 
 
 def test_reading_a_scenario_without_a_catalog_loads_no_counterexample(tmp_path):
@@ -233,6 +234,7 @@ def test_a_counterexample_command_loads_only_its_layers(tmp_path):
         "main(['counterexample', '--quantale', 'block.json', '--t', '3/8',\n"
         "      '--s', '3/8', '--truncation', '20'])", tmp_path)
     assert loaded == FRONT | {"quantalab.counterexample", "quantalab.quantale"}
+    assert "quantalab.grid" not in loaded
 
 
 def test_a_counterexample_from_a_scenario_loads_no_finite_stack(tmp_path):
@@ -287,6 +289,7 @@ def test_a_laws_command_loads_no_counterexample(tmp_path):
     assert "quantalab.counterexample" not in loaded
     # nor the interval carrier: the law run builds and tests no t-norm
     assert "quantalab.quantale" not in loaded
+    assert "quantalab.grid" not in loaded
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -11,10 +11,11 @@ from quantalab.errors import ConstructionError, StructuralError, UsageError
 from quantalab.finite import (FiniteQuantale, check_quantale_axioms, finite_restriction,
                               five_chain, godel3, mv3, two_chain, Violation)
 from quantalab.serialize import as_fraction
+from quantalab.grid import grid, residuum_continuity_probe
 from quantalab.quantale import (Block, BlockKind, build_ordinal_sum,
-                                check_condition_s, godel_tnorm, grid, is_lukasiewicz_shape,
+                                check_condition_s, godel_tnorm, is_lukasiewicz_shape,
                                 lukasiewicz_tnorm, positive_residuum_zero_sup,
-                                product_tnorm, residuum_continuity_probe)
+                                product_tnorm)
 
 from oracles import (PointColumn, point_residuate, residuum_grid_oracle,
                      rows_of, way_below)
