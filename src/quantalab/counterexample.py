@@ -12,9 +12,10 @@ this module evaluates it through two finite, fully exact devices:
   residuations of those); each distinct operation on distinct child
   records is evaluated once, from those records, into its column of values
   at all the points 1/m and its infimum off them.  The default catalog is
-  closed on those node records directly (``_closed_records``): only its
+  closed on those node records directly (``close_catalog``): only its
   base is spelled as expressions, and an explicit catalog goes through
-  ``_node`` expression by expression.
+  ``_node`` expression by expression.  ``build_catalog`` describes the
+  records of either.
 * ``Column`` -- the samples on integers, in a few runs on which the value
   is affine in x = 1/m.  The last run goes on forever, so the tail is read
   off it exactly and nothing but ``describe`` depends on the truncation
@@ -237,14 +238,8 @@ class Column:
         return f"Column(den={self.den}, runs={self.runs!r}, n={self.n})"
 
     def head(self, n: int) -> "Column":
-        """The first n samples.  An endless column whose runs all start
-        before n keeps its runs: each still holds two points or more."""
-        if self.n is not None or self.runs[-1][0] >= n:
-            return Column(self.den, self.runs, n)
-        out, (s, _, a, b) = Column.__new__(Column), self.spans[-1]
-        out.den, out.runs, out.n = self.den, self.runs, n
-        out.spans = self.spans[:-1] + [(s, n, a, b)]
-        return out
+        """The first n samples."""
+        return Column(self.den, self.runs, n)
 
     def at(self, m: int) -> tuple[int, int]:
         """The value at 1/m as an exact pair ``(num, den)``."""
@@ -288,12 +283,10 @@ def _pieces(a: Column, b: Column, levels=()):
         lines = aa, ab, ba, bb = a1 * ra, b1 * ra, a2 * rb, b2 * rb
         # (A*m + B)/(den*m) - v has the sign of vd*(A*m + B) - vn*m, for the
         # level v = vn/(vd*den); each sign changes past m = -beta/alpha, and
-        # an exact zero there is a piece of its own.  Without a B, the sign
-        # of alpha*m + beta is fixed at every m >= 1
+        # an exact zero there is a piece of its own
         cuts = [(aa - ba, ab - bb)]
         for A, B in (aa, ab), (ba, bb):
-            if B:
-                cuts += [(vd * A - vn, vd * B) for vd, vn in levels]
+            cuts += [(vd * A - vn, vd * B) for vd, vn in levels]
         starts = set()
         for alpha, beta in cuts:
             if alpha and beta:
@@ -318,7 +311,7 @@ def _extrema(a: Column, b: Column) -> tuple[Column, Column]:
     of the two itself where it wins at every point, ``a`` where they are
     equal, else ``_cut_extrema``'s new column.
 
-    Every node column is nondecreasing in m (see ``_describe``), so a
+    Every node column is nondecreasing in m (see ``describe``), so a
     column whose value at m = 1 is at least the other's limit wins, or
     ties, at every point: that is settled from those two numbers, with the
     very objects the cut would return.  When each column is, both are one
@@ -409,77 +402,87 @@ class _Node(Record):
 
 def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
     """The node record of expr, computed from its children's records in
-    memo, a dict that the caller creates and ``_node`` owns.
+    memo, a dict that the caller creates and the record functions own.
 
-    Every entry of the memo is a pair (an expression, its record), under
-    one of three keys.  The id of each expression object met, so that an
-    object is looked up once; the entry holds the object, so its id stays
-    its own while the memo lives.  The record itself, so that equal records
-    are one object.  And the operation that yields the record: a leaf is
-    its own key, a join or meet is its class with the ids of its two
-    children's records in either order (both commute), and a residuation
-    is its constant with the id of its child's record.  So each distinct
-    operation on distinct records is evaluated once, however many
-    expressions spell it.
+    The memo has three kinds of key.  The id of each expression object met
+    holds the pair (the expression, its record), so that an object is
+    looked up once and its id stays its own while the memo lives.  Every
+    other key holds a record: the record itself, so that equal records are
+    one object; and the operation that yields it.  A leaf is its own key,
+    a join or meet is its class with the ids of its two operands' records
+    in increasing order (both commute), and a residuation is its constant
+    with the id of its operand's record.  So each distinct operation on
+    distinct records is evaluated once, however many expressions spell it,
+    and ``close_catalog`` goes on from the records of its base in the same
+    memo.
     """
     hit = memo.get(id(expr))
     if hit is None:
         if isinstance(expr, (Join, Meet)):
-            args = _node(expr.left, t, memo), _node(expr.right, t, memo)
-            op = (expr.__class__, *sorted(map(id, args)))
+            pair = _extrema_records(_node(expr.left, t, memo), _node(expr.right, t, memo), memo)
+            node = pair[isinstance(expr, Meet)]
         elif isinstance(expr, Res):
-            args = (_node(expr.child, t, memo),)
-            op = (expr.const, id(args[0]))
+            node = _residuum_record(expr.const, _node(expr.child, t, memo), t, memo)
         elif isinstance(expr, (Ramp, TailIndicator, Const)):
-            args, op = (), expr
+            node = memo.get(expr)
+            if node is None:
+                node = memo[expr] = _intern(_leaf(expr), memo)
         else:
             raise UsageError(f"unknown expression {expr!r}")
-        hit = memo.get(op)
-        if hit is None:
-            node = _evaluate(expr, args, t)
-            hit = memo[op] = memo.setdefault(node, (expr, node))
-        hit = memo[id(expr)] = (expr, hit[1])
+        hit = memo[id(expr)] = (expr, node)
     return hit[1]
 
 
-def _evaluate(expr: FnExpr, args: tuple, t: TNorm) -> _Node:
-    """The record of expr from the records ``args`` of its children.  A
-    ramp ``s*(1 - 1/m)`` is the run ``A = s, B = -s``, a constant c the
-    run ``A = c, B = 0``, and a tail indicator 0 up to its start and then
-    ``A = 1, B = 0``.  A residuation first refuses a bad constant through
-    ``t.residuum`` on ``co_countable``.
-    """
+def _intern(node: _Node, memo: dict) -> _Node:
+    return memo.setdefault(node, node)
+
+
+def _leaf(expr: FnExpr) -> _Node:
+    """The record of a leaf.  A ramp ``s*(1 - 1/m)`` is the run ``A = s,
+    B = -s``, a constant c the run ``A = c, B = 0``, and a tail indicator
+    0 up to its start and then ``A = 1, B = 0``."""
     if isinstance(expr, Ramp):
         s = expr.scale
-        col, co_countable = Column(s.denominator, ((1, s.numerator, -s.numerator),)), ZERO
-    elif isinstance(expr, TailIndicator):
+        return _Node(Column(s.denominator, ((1, s.numerator, -s.numerator),)), ZERO)
+    if isinstance(expr, TailIndicator):
         runs = ((1, 0, 0), (expr.start, 1, 0)) if expr.start > 1 else ((1, 1, 0),)
-        col, co_countable = Column(1, runs), ZERO
-    elif isinstance(expr, Const):
-        c = expr.value
-        col, co_countable = Column(c.denominator, ((1, c.numerator, 0),)), c
-    elif isinstance(expr, Res):
-        (child,) = args
-        co_countable = t.residuum(expr.const, child.co_countable)
-        col = _residuate(expr.const, child.column, t)
-    else:
-        a, b = args
-        join = isinstance(expr, Join)
-        col = _extrema(a.column, b.column)[not join]
-        co_countable = (max if join else min)(a.co_countable, b.co_countable)
-    return _Node(col, co_countable)
+        return _Node(Column(1, runs), ZERO)
+    c = expr.value
+    return _Node(Column(c.denominator, ((1, c.numerator, 0),)), c)
 
 
-def describe(expr: FnExpr, t: TNorm, depth: int, pin_one: bool = False,
-             label: str = "", columns: dict | None = None) -> FunctionDescriptor:
-    """The exact descriptor of an expression, from the record ``_node``
-    keeps for its root (see ``_describe``); ``columns`` is the memo of node
-    records."""
-    node = _node(expr, t, {} if columns is None else columns)
-    return _describe(node, depth, pin_one, label or repr(expr))
+def _extrema_records(a: _Node, b: _Node, memo: dict) -> tuple[_Node, _Node]:
+    """The join and the meet of two records, from one ``_extrema`` call
+    (see ``_node`` for the memo).  A result whose column is an operand's,
+    at that operand's co-countable infimum, is that operand's record: no
+    new record is built or hashed."""
+    ids = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+    join = memo.get((Join, *ids))
+    if join is not None:
+        return join, memo[(Meet, *ids)]
+    ca, cb = a.co_countable, b.co_countable
+    cos = (ca, cb) if ca >= cb else (cb, ca)        # the join's, the meet's
+    join, meet = (a if col is a.column and co is ca else
+                  b if col is b.column and co is cb else _intern(_Node(col, co), memo)
+                  for col, co in zip(_extrema(a.column, b.column), cos))
+    memo[(Join, *ids)], memo[(Meet, *ids)] = join, meet
+    return join, meet
 
 
-def _describe(node: _Node, depth: int, pin_one: bool, label: str) -> FunctionDescriptor:
+def _residuum_record(c: Fraction, a: _Node, t: TNorm, memo: dict) -> _Node:
+    """The record of a residuated by the constant c (see ``_node`` for the
+    memo); ``t.residuum`` on the co-countable infimum refuses a bad
+    constant first."""
+    node = memo.get((c, id(a)))
+    if node is None:
+        co_countable = t.residuum(c, a.co_countable)
+        node = _intern(_Node(_residuate(c, a.column, t), co_countable), memo)
+        memo[(c, id(a))] = node
+    return node
+
+
+def describe(node: _Node, depth: int, pin_one: bool = False,
+             label: str = "") -> FunctionDescriptor:
     """The descriptor of a node record; no tree is walked here, and only
     here is a column cut to the depth.
 
@@ -620,89 +623,53 @@ def default_catalog_exprs(p: Fraction, t_par: Fraction, s_par: Fraction,
     return out
 
 
-def _closed_records(base: Sequence[FnExpr], consts: Sequence[Fraction], t: TNorm):
+def close_catalog(base: Sequence[FnExpr], consts: Sequence[Fraction],
+                  t: TNorm) -> list[_Node]:
     """The node records of the shipped closure, in its order: the base;
     then the join and the meet of every two base expressions at distinct
     places, and every base expression residuated by each constant; then
     the same of the first (the ramp) against each of those, and of each of
     those by each constant; ``CATALOG_CAP * 4`` of them at most.
-    ``close_catalog`` in ``tests/oracles.py`` spells each as an expression.
+    ``close_catalog_exprs`` in ``tests/oracles.py`` spells each as an
+    expression.
 
-    Only the base goes through ``_node``.  Each distinct operation on
-    distinct records is evaluated once, a join with its meet, and records
-    are interned as ``_node`` interns them.  A join or meet whose column
-    ``_extrema`` settles with an operand's column, at that operand's
-    co-countable infimum, is that operand's record: no new record is built
-    or hashed.  Depth two, which the cap cuts, is evaluated only as far as
-    it is read.
+    Only the base goes through ``_node``; the rest is built on records in
+    the same memo, so each distinct operation on distinct records is
+    evaluated once, a join with its meet.
     """
     memo: dict = {}
     pool = [_node(e, t, memo) for e in base]
-    interned, extremes, residua = {node: node for node in pool}, {}, {}
-    firsts = [consts.index(c) for c in consts]     # the first of equal constants
-
-    def record(col: Column, co: Fraction) -> _Node:
-        node = _Node(col, co)
-        return interned.setdefault(node, node)
-
-    def extrema(a: _Node, b: _Node) -> tuple[_Node, _Node]:
-        key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
-        hit = extremes.get(key)
-        if hit is None:
-            ca, cb = a.co_countable, b.co_countable
-            cos = (ca, cb) if ca is cb or ca >= cb else (cb, ca)   # the join's, the meet's
-            hit = extremes[key] = tuple(
-                a if col is a.column and co is ca else
-                b if col is b.column and co is cb else record(col, co)
-                for col, co in zip(_extrema(a.column, b.column), cos))
-        return hit
-
-    def residuate(k: int, a: _Node) -> _Node:
-        key = (k, id(a))
-        node = residua.get(key)
-        if node is None:
-            c = consts[k]
-            node = residua[key] = record(_residuate(c, a.column, t), t.residuum(c, a.co_countable))
-        return node
 
     def one_round(nodes: list, pairs):
         for a, b in pairs:
-            yield from extrema(a, b)
-        for k in firsts:
+            yield from _extrema_records(a, b, memo)
+        for c in consts:
             for b in nodes:
-                yield residuate(k, b)
+                yield _residuum_record(c, b, t, memo)
 
     depth1 = list(one_round(pool, ((a, b) for i, a in enumerate(pool)
                                    for j, b in enumerate(pool) if i != j)))
     depth2 = one_round(depth1, ((pool[0], b) for b in depth1))
-    return islice(chain(pool, depth1, depth2), CATALOG_CAP * 4)
+    return list(islice(chain(pool, depth1, depth2), CATALOG_CAP * 4))
 
 
-def build_catalog(exprs: Sequence[FnExpr], t: TNorm, depth: int,
+def build_catalog(nodes: Sequence[_Node], depth: int,
                   pin_one: bool) -> list[FunctionDescriptor]:
-    """The catalog of the expressions' records (see ``_catalog``), which
-    share one memo (see ``_node``): each distinct operation on distinct
-    child records is evaluated once, however many expressions spell it."""
-    memo: dict = {}
-    return _catalog((_node(e, t, memo) for e in exprs), depth, pin_one)
-
-
-def _catalog(nodes, depth: int, pin_one: bool) -> list[FunctionDescriptor]:
     """Describe the node records, deduplicating by descriptor content.
 
     The key is exact at the full depth (see ``Column``).  The first record
     is the target function's and always survives in first position.  A
     record that repeats an earlier one is not described again: its
-    descriptor would repeat that one's too.  Equal records are one object,
-    so they are told apart by id.
+    descriptor would repeat that one's too.  Equal records are one object
+    (see ``_node``), so they are told apart by id.
     """
     seen_nodes, seen, catalog = set(), set(), []
     for node in nodes:
         if id(node) not in seen_nodes:
             seen_nodes.add(id(node))
-            d = _describe(node, depth, pin_one, f"w{len(catalog)}")
-            seen.add(d.key())            # hashed once: a new key grows seen
-            if len(seen) > len(catalog):
+            d = describe(node, depth, pin_one, f"w{len(catalog)}")
+            if d.key() not in seen:
+                seen.add(d.key())
                 catalog.append(d)
         if len(catalog) >= CATALOG_CAP:
             break
@@ -812,12 +779,14 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
     pin_one = variant is Variant.FILTER
     if catalog_exprs is None:
         base = default_catalog_exprs(p, t_par, s_par, q, variant, epsilon)
-        catalog = _catalog(_closed_records(base, [p, t_par, s_par], tnorm), depth, pin_one)
+        nodes = close_catalog(base, [p, t_par, s_par], tnorm)
     else:
         exprs = list(catalog_exprs)
         if not exprs:
             raise PreconditionError("an explicit catalog must be nonempty")
-        catalog = build_catalog(exprs, tnorm, depth, pin_one)
+        memo: dict = {}
+        nodes = [_node(e, tnorm, memo) for e in exprs]
+    catalog = build_catalog(nodes, depth, pin_one)
     gamma = catalog[0]
 
     # the first extension collapses to the threshold at p: residuation by s

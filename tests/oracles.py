@@ -16,8 +16,8 @@ On the t-norm carriers and the interval counterexample:
 * ``node_per_expr`` and ``build_catalog_per_expr`` -- the node records and
   the catalog with one evaluation per expression object, the records that
   equal operations on equal child records share in the library;
-* ``close_catalog`` -- the shipped witness closure as expression trees,
-  whose records the library builds directly (``_closed_records``).
+* ``close_catalog_exprs`` -- the shipped witness closure as expression
+  trees, whose records the library builds directly (``close_catalog``).
 
 On the finite carriers, where the library stores a table as carrier
 positions and never builds a ``Fraction`` on the way:
@@ -62,7 +62,8 @@ from math import gcd, lcm
 from operator import and_, floordiv, ge, lt, mul
 
 from quantalab.counterexample import (CATALOG_CAP, Const, Join, Meet, Ramp, Res,
-                                      TailIndicator, _evaluate, describe)
+                                      TailIndicator, _Node, _extrema, _leaf,
+                                      _residuate, describe)
 from quantalab.errors import BudgetError, UsageError
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import (FiniteSet, QFunction, SetMap, all_qfunctions,
@@ -323,14 +324,22 @@ def node_per_expr(expr, t, memo: dict):
     nothing is shared between distinct objects, equal or not."""
     hit = memo.get(id(expr))
     if hit is None:
-        children = ((expr.left, expr.right) if isinstance(expr, (Join, Meet))
-                    else (expr.child,) if isinstance(expr, Res) else ())
-        node = _evaluate(expr, tuple(node_per_expr(c, t, memo) for c in children), t)
+        if isinstance(expr, (Join, Meet)):
+            a, b = node_per_expr(expr.left, t, memo), node_per_expr(expr.right, t, memo)
+            join = isinstance(expr, Join)
+            node = _Node(_extrema(a.column, b.column)[not join],
+                         (max if join else min)(a.co_countable, b.co_countable))
+        elif isinstance(expr, Res):
+            child = node_per_expr(expr.child, t, memo)
+            co_countable = t.residuum(expr.const, child.co_countable)
+            node = _Node(_residuate(expr.const, child.column, t), co_countable)
+        else:
+            node = _leaf(expr)
         hit = memo[id(expr)] = (expr, node)
     return hit[1]
 
 
-def close_catalog(base, res_consts) -> list:
+def close_catalog_exprs(base, res_consts) -> list:
     """Close under pairwise joins/meets and residuation by the given
     constants, to depth two, keeping the ramp first and capping the size."""
     def one_round(pool, pair_pool):
@@ -351,14 +360,14 @@ def close_catalog(base, res_consts) -> list:
 
 
 def build_catalog_per_expr(exprs, t, depth: int, pin_one: bool):
-    """``build_catalog`` on the records of ``node_per_expr``: ``describe``
-    finds each root's record in the memo under its id."""
+    """``build_catalog`` on the records of ``node_per_expr``, equal records
+    told apart by value."""
     memo, seen_nodes, seen, catalog = {}, set(), set(), []
     for e in exprs:
         node = node_per_expr(e, t, memo)
         if node not in seen_nodes:
             seen_nodes.add(node)
-            d = describe(e, t, depth, pin_one, label=f"w{len(catalog)}", columns=memo)
+            d = describe(node, depth, pin_one, f"w{len(catalog)}")
             if d.key() not in seen:
                 seen.add(d.key())
                 catalog.append(d)
