@@ -481,8 +481,7 @@ def _residuum_record(c: Fraction, a: _Node, t: TNorm, memo: dict) -> _Node:
     return node
 
 
-def describe(node: _Node, depth: int, pin_one: bool = False,
-             label: str = "") -> FunctionDescriptor:
+def describe(node: _Node, depth: int, pin_one: bool, label: str) -> FunctionDescriptor:
     """The descriptor of a node record; no tree is walked here, and only
     here is a column cut to the depth.
 

@@ -39,7 +39,7 @@ EXAMPLES = {
     Meet: lambda: Meet(Ramp(F(1, 4)), Const(F(1, 8))),
     Res: lambda: Res(F(3, 8), Ramp(F(1, 4))),
     _Node: lambda: _node(Ramp(F(1, 4)), BLOCK, {}),
-    FunctionDescriptor: lambda: describe(_node(Ramp(F(1, 4)), BLOCK, {}), 8, label="w0"),
+    FunctionDescriptor: lambda: describe(_node(Ramp(F(1, 4)), BLOCK, {}), 8, False, "w0"),
 }
 
 
