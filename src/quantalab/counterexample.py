@@ -63,47 +63,29 @@ class Ramp(Record):
 
     __slots__ = ("scale",)
 
-    def __init__(self, scale: Fraction):
-        self.scale = scale
-
 
 class TailIndicator(Record):
     """1 on {1/m : m >= start}, 0 elsewhere."""
 
     __slots__ = ("start",)
 
-    def __init__(self, start: int):
-        self.start = start
-
 
 class Const(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.value = value
 
 
 class Join(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: "FnExpr", right: "FnExpr"):
-        self.left, self.right = left, right
-
 
 class Meet(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: "FnExpr", right: "FnExpr"):
-        self.left, self.right = left, right
 
 
 class Res(Record):
     """x maps to (constant -> child(x))."""
 
     __slots__ = ("const", "child")
-
-    def __init__(self, const: Fraction, child: "FnExpr"):
-        self.const, self.child = const, child
 
 
 FnExpr = Union[Ramp, TailIndicator, Const, Join, Meet, Res]
@@ -372,8 +354,7 @@ class FunctionDescriptor(Record):
             raise UsageError("global infimum exceeds a sample")
         if tail_liminf < global_inf:
             raise UsageError("tail liminf below the global infimum")
-        self.label, self.samples = label, samples
-        self.tail_liminf, self.global_inf = tail_liminf, global_inf
+        super().__init__(label, samples, tail_liminf, global_inf)
 
     def key(self):
         return (self.samples, self.tail_liminf, self.global_inf)
@@ -389,9 +370,6 @@ class _Node(Record):
 
     __slots__ = ("column", "co_countable")
 
-    def __init__(self, column: Column, co_countable: Fraction):
-        self.column, self.co_countable = column, co_countable
-
     @property
     def tail(self) -> tuple[Fraction, bool]:
         """The limit of m -> expr(1/m), A/den on the last run, and whether
@@ -404,33 +382,28 @@ def _node(expr: FnExpr, t: TNorm, memo: dict) -> _Node:
     """The node record of expr, computed from its children's records in
     memo, a dict that the caller creates and the record functions own.
 
-    The memo has three kinds of key.  The id of each expression object met
-    holds the pair (the expression, its record), so that an object is
-    looked up once and its id stays its own while the memo lives.  Every
-    other key holds a record: the record itself, so that equal records are
-    one object; and the operation that yields it.  A leaf is its own key,
-    a join or meet is its class with the ids of its two operands' records
-    in increasing order (both commute), and a residuation is its constant
-    with the id of its operand's record.  So each distinct operation on
+    The memo has two kinds of key, and each holds a record.  A record is
+    its own key, so that equal records are one object.  And the operation
+    that yields a record is its key: a leaf is itself, a join or meet is
+    its class with the ids of its two operands' records in increasing
+    order (both commute), and a residuation is its constant with the id of
+    its operand's record.  The memo holds every record it names by id, so
+    those ids stay their own while it lives.  So each distinct operation on
     distinct records is evaluated once, however many expressions spell it,
     and ``close_catalog`` goes on from the records of its base in the same
     memo.
     """
-    hit = memo.get(id(expr))
-    if hit is None:
-        if isinstance(expr, (Join, Meet)):
-            pair = _extrema_records(_node(expr.left, t, memo), _node(expr.right, t, memo), memo)
-            node = pair[isinstance(expr, Meet)]
-        elif isinstance(expr, Res):
-            node = _residuum_record(expr.const, _node(expr.child, t, memo), t, memo)
-        elif isinstance(expr, (Ramp, TailIndicator, Const)):
-            node = memo.get(expr)
-            if node is None:
-                node = memo[expr] = _intern(_leaf(expr), memo)
-        else:
-            raise UsageError(f"unknown expression {expr!r}")
-        hit = memo[id(expr)] = (expr, node)
-    return hit[1]
+    if isinstance(expr, (Join, Meet)):
+        pair = _extrema_records(_node(expr.left, t, memo), _node(expr.right, t, memo), memo)
+        return pair[isinstance(expr, Meet)]
+    if isinstance(expr, Res):
+        return _residuum_record(expr.const, _node(expr.child, t, memo), t, memo)
+    if not isinstance(expr, (Ramp, TailIndicator, Const)):
+        raise UsageError(f"unknown expression {expr!r}")
+    node = memo.get(expr)
+    if node is None:
+        node = memo[expr] = _intern(_leaf(expr), memo)
+    return node
 
 
 def _intern(node: _Node, memo: dict) -> _Node:
@@ -679,35 +652,15 @@ def build_catalog(nodes: Sequence[_Node], depth: int,
 # the proof script
 # ---------------------------------------------------------------------------
 
-class ClaimRecord:
+class ClaimRecord(Record):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name, self.ok, self.detail = name, ok, detail
 
-
-class CounterexampleReport:
+class CounterexampleReport(Record):
     __slots__ = ("variant", "condition_s", "certified", "routed_to_plain", "p", "q",
                  "t_par", "s_par", "depth", "catalog_size", "step1_value", "step1_exact",
                  "step1_witness", "step2_bound", "step2_details", "coincide_on_catalog",
                  "verdict", "claims")
-
-    def __init__(self, variant: Variant, condition_s: bool, certified: bool,
-                 routed_to_plain: bool, p: Fraction, q: Fraction | None,
-                 t_par: Fraction, s_par: Fraction, depth: int, catalog_size: int,
-                 step1_value: Fraction, step1_exact: bool, step1_witness: str,
-                 step2_bound: Fraction, step2_details: list,
-                 coincide_on_catalog: bool | None, verdict: str,
-                 claims: list[ClaimRecord] | None = None):
-        self.variant, self.condition_s = variant, condition_s
-        self.certified, self.routed_to_plain = certified, routed_to_plain
-        self.p, self.q, self.t_par, self.s_par = p, q, t_par, s_par
-        self.depth, self.catalog_size = depth, catalog_size
-        self.step1_value, self.step1_exact = step1_value, step1_exact
-        self.step1_witness = step1_witness
-        self.step2_bound, self.step2_details = step2_bound, step2_details
-        self.coincide_on_catalog, self.verdict = coincide_on_catalog, verdict
-        self.claims = [] if claims is None else claims
 
     @property
     def all_claims_ok(self) -> bool:
@@ -857,5 +810,5 @@ def run_counterexample(tnorm: TNorm, t_par, s_par, depth: int = 1000,
         routed_to_plain=routed, p=p, q=q, t_par=t_par, s_par=s_par,
         depth=depth, catalog_size=len(catalog),
         step1_value=step1_value, step1_exact=step1_exact, step1_witness=witness,
-        step2_bound=step2_bound, step2_details=details,
-        coincide_on_catalog=coincide, verdict=verdict, claims=claims)
+        step2_bound=step2_bound, step2_details=tuple(details),
+        coincide_on_catalog=coincide, verdict=verdict, claims=tuple(claims))

@@ -28,12 +28,11 @@ if TYPE_CHECKING:
 
 
 class Violation(Record):
-    """One failed law with a witness tuple of carrier elements."""
+    """One failed law with its witness tuple: carrier elements for a
+    quantale law (``check_quantale_axioms``), F1 and F4, and the values of
+    two functions for F2 and F3 (``semifilter.check_axioms``)."""
 
     __slots__ = ("law", "witness")
-
-    def __init__(self, law: str, witness: tuple):
-        self.law, self.witness = law, witness
 
 
 class FiniteKernel(Record):
@@ -48,11 +47,6 @@ class FiniteKernel(Record):
     """
 
     __slots__ = ("tensor", "residuum", "join", "meet", "leq", "bottom", "top", "unit")
-
-    def __init__(self, tensor: tuple, residuum: tuple, join: tuple, meet: tuple,
-                 leq: tuple, bottom: int, top: int, unit: int):
-        self.tensor, self.residuum, self.join, self.meet = tensor, residuum, join, meet
-        self.leq, self.bottom, self.top, self.unit = leq, bottom, top, unit
 
 
 class FiniteQuantale:

@@ -281,9 +281,6 @@ def random_scenario(rng: random.Random, carrier: FiniteQuantale,
 class LawFailure(Record):
     __slots__ = ("law", "scenario", "detail")
 
-    def __init__(self, law: str, scenario: int, detail: str):
-        self.law, self.scenario, self.detail = law, scenario, detail
-
 
 class SuiteReport:
     """What a suite ran: the law scenarios and the checks, the failures (a

@@ -22,7 +22,6 @@ degree, never as a basis.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Iterable
 
 from .base import Record
@@ -39,9 +38,6 @@ class PrefilterBasis(Record):
     """
 
     __slots__ = ("domain", "carrier", "generator")
-
-    def __init__(self, domain: FiniteSet, carrier: FiniteQuantale, generator: QFunction):
-        self.domain, self.carrier, self.generator = domain, carrier, generator
 
     def __len__(self):
         """The number of generators: always one."""
@@ -106,19 +102,15 @@ def bounded_coreflection(pf: PrefilterBasis) -> PrefilterBasis:
     return normalize_basis([pf.generator.join(eps_x)])
 
 
-def least_positive(carrier: FiniteQuantale) -> Fraction:
-    """The least element above bottom of a finite carrier.
+def least_positive_position(carrier: FiniteQuantale) -> int:
+    """The kernel position of the least element above bottom of a finite
+    carrier.
 
     Every bounded construction on a finite carrier needs it: positive
     values are then exactly those at least it, so bounded functions are
     closed under meets and each bounded coreflection has a largest result.
     A carrier without one is refused with a ``UsageError`` naming it.
     """
-    return carrier.elements[least_positive_position(carrier)]
-
-
-def least_positive_position(carrier: FiniteQuantale) -> int:
-    """The kernel position of ``least_positive``, refused as it is."""
     k = carrier.kernel
     positive = [i for i in range(len(carrier.elements)) if i != k.bottom]
     if not positive:

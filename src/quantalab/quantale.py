@@ -45,9 +45,6 @@ class Block(Record):
 
     __slots__ = ("lo", "hi", "kind")
 
-    def __init__(self, lo: Fraction, hi: Fraction, kind: BlockKind):
-        self.lo, self.hi, self.kind = lo, hi, kind
-
 
 class TNorm:
     """A continuous t-norm on [0, 1] as an ordinal sum of rational blocks.

@@ -40,8 +40,8 @@ from typing import Iterable, Sequence
 
 from .base import Record, Variant
 from .errors import BudgetError, UsageError
-from .finite import FiniteQuantale
-from .prefilter import PrefilterBasis, least_positive
+from .finite import FiniteQuantale, Violation
+from .prefilter import PrefilterBasis, least_positive_position
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
                    unit_constant)
 
@@ -123,13 +123,6 @@ def table_size(domain: FiniteSet, carrier) -> int:
     return size
 
 
-class AxiomViolation(Record):
-    __slots__ = ("axiom", "witness")
-
-    def __init__(self, axiom: str, witness: tuple):
-        self.axiom, self.witness = axiom, witness
-
-
 def _f1_f3_failures(kernel, unit_code: int, pairs: Sequence[tuple],
                     index: Sequence[int]):
     """The F1-F3 failures of the table with positions ``index``, lazily.
@@ -157,7 +150,7 @@ def _pairs(funcs: Sequence[QFunction]) -> list[tuple]:
             for f in funcs for g in funcs]
 
 
-def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[AxiomViolation]:
+def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[Violation]:
     """Report all violations of F1-F3 (and F4 on request) with witnesses.
 
     The scan runs on positions (``_f1_f3_failures``, as in
@@ -169,12 +162,12 @@ def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[A
     es = q.elements
     funcs = list(table.functions())
     unit_code = unit_constant(table.domain, q).code
-    out = [AxiomViolation(axiom, (es[w[0]],) if axiom == "F1"
-                          else (funcs[w[0]].values, funcs[w[1]].values))
+    out = [Violation(axiom, (es[w[0]],) if axiom == "F1"
+                     else (funcs[w[0]].values, funcs[w[1]].values))
            for axiom, w in _f1_f3_failures(q.kernel, unit_code, _pairs(funcs),
                                            table.index)]
     if require_filter:
-        out += [AxiomViolation("F4", (es[i],)) for i in table.f4_failures()]
+        out += [Violation("F4", (es[i],)) for i in table.f4_failures()]
     return out
 
 
@@ -491,10 +484,11 @@ def require_bounded_carrier(carrier: FiniteQuantale) -> None:
     """Refuse a carrier the bounded constructions cannot run on.
 
     It must be integral and have a least positive element
-    (``least_positive``); the refusal is a ``UsageError`` naming it.
+    (``least_positive_position``); the refusal is a ``UsageError`` naming
+    it.
     """
     _require_integral(carrier)
-    least_positive(carrier)
+    least_positive_position(carrier)
 
 
 def row_satisfies(row: Sequence[int], carrier: FiniteQuantale,

@@ -46,12 +46,13 @@ positions and never builds a ``Fraction`` on the way:
   prefilter, a function or the filled table, which
   ``semifilter.row_satisfies`` decides on the generator row alone;
 * ``small_quantales`` -- every commutative unital quantale on a lattice of
-  two to four elements, found by a scan of candidate tensor tables that
-  shares no code with ``finite``.
+  two to four elements, found by a scan of candidate tensor tables
+  (``small_quantale_candidates``) that shares no code with ``finite``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -72,8 +73,7 @@ from quantalab.finite import FiniteQuantale, Violation
 from quantalab.base import ONE, ZERO, Variant
 from quantalab.grid import grid
 from quantalab.quantale import BlockKind, TNorm
-from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
-                                  SemifilterTable, _require_integral,
+from quantalab.semifilter import (SemifilterFamily, SemifilterTable, _require_integral,
                                   conical_coreflection, image_semifilter,
                                   is_conical_semifilter, require_bounded_carrier,
                                   semifilter_of)
@@ -320,8 +320,8 @@ def point_node(expr, t, n: int, memo: dict) -> PointNode:
 
 def node_per_expr(expr, t, memo: dict):
     """The node record of expr, evaluated once per expression object: the
-    memo holds ``(expr, record)`` by id, as ``_node``'s memo does, but
-    nothing is shared between distinct objects, equal or not."""
+    memo holds ``(expr, record)`` by the id of each object met, and nothing
+    is shared between distinct objects, equal or not."""
     hit = memo.get(id(expr))
     if hit is None:
         if isinstance(expr, (Join, Meet)):
@@ -574,27 +574,27 @@ def quantale_axioms_by_elements(q: FiniteQuantale) -> list[Violation]:
 
 
 def semifilter_axioms_by_elements(table: SemifilterTable,
-                                  require_filter: bool = False) -> list[AxiomViolation]:
+                                  require_filter: bool = False) -> list[Violation]:
     """``check_axioms`` through the table's ``Fraction`` values and the
     carrier's ``Fraction`` operations, every failure in the same order with
     the same witnesses."""
     q = table.carrier
-    out: list[AxiomViolation] = []
+    out: list[Violation] = []
     k_x = unit_constant(table.domain, q)
     if not q.leq(q.unit, table(k_x)):
-        out.append(AxiomViolation("F1", (table(k_x),)))
+        out.append(Violation("F1", (table(k_x),)))
     funcs = list(table.functions())
     for lam in funcs:
         for mu in funcs:
             both = q.meet(table(lam), table(mu))
             if not q.leq(both, table(lam.meet(mu))):
-                out.append(AxiomViolation("F2", (lam.values, mu.values)))
+                out.append(Violation("F2", (lam.values, mu.values)))
             if not q.leq(sub(lam, mu), q.residuum(table(lam), table(mu))):
-                out.append(AxiomViolation("F3", (lam.values, mu.values)))
+                out.append(Violation("F3", (lam.values, mu.values)))
     if require_filter:
         for p in q.elements:
             if not q.leq(table(constant(table.domain, q, p)), p):
-                out.append(AxiomViolation("F4", (p,)))
+                out.append(Violation("F4", (p,)))
     return out
 
 
@@ -696,18 +696,18 @@ def _lattices():
     yield "M2", es, {(x, y) for x in es for y in es if x == y or x == ZERO or y == ONE}
 
 
-def small_quantales() -> list[tuple[str, FiniteQuantale]]:
-    """Every commutative unital quantale on a lattice of two to four
-    elements, up to equality of tables, each with a name.
+def small_quantale_candidates():
+    """Every candidate that ``small_quantales`` scans, as its lattice's
+    name, the carrier and whether the scan accepts it.
 
     For each lattice and unit the scan fills a commutative tensor table
     with the unit and the bottom as the unit's and the annihilator's rows,
-    every other entry over the whole carrier, and keeps a table that is
-    associative and distributes over binary joins.  There are 1, 3 and 11
-    on the chains and 9 on the diamond, 24 in all.  A chain is built in
-    its default order, the diamond with its join and meet tables.
+    every other entry over the whole carrier, and accepts a table that is
+    associative and distributes over binary joins.  That is 1, 6 and 192
+    candidates on the chains and 192 on the diamond, 391 in all.  A chain
+    is built in its default order, the diamond with its join and meet
+    tables.
     """
-    out = []
     for name, es, order in _lattices():
         # the order refines the numeric one, so a least upper bound is the
         # numerically least upper bound
@@ -715,8 +715,9 @@ def small_quantales() -> list[tuple[str, FiniteQuantale]]:
                 for x in es for y in es}
         meet = {(x, y): max(z for z in es if (z, x) in order and (z, y) in order)
                 for x in es for y in es}
+        lattice = {} if name.startswith("C") else {
+            "join": rows_of(join, es), "meet": rows_of(meet, es)}
         bottom = es[0]
-        found = 0
         for unit in es[1:]:
             free = [x for x in es if x not in (bottom, unit)]
             pairs = [(x, y) for i, x in enumerate(free) for y in free[i:]]
@@ -727,12 +728,20 @@ def small_quantales() -> list[tuple[str, FiniteQuantale]]:
                     t[(bottom, x)] = t[(x, bottom)] = bottom
                 for (x, y), v in zip(pairs, values):
                     t[(x, y)] = t[(y, x)] = v
-                if all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])]
-                       and t[(x, join[(y, z)])] == join[(t[(x, y)], t[(x, z)])]
-                       for x in es for y in es for z in es):
-                    found += 1
-                    lattice = {} if name.startswith("C") else {
-                        "join": rows_of(join, es), "meet": rows_of(meet, es)}
-                    out.append((f"{name}-{found}",
-                                FiniteQuantale(es, rows_of(t, es), unit, **lattice)))
+                accepted = all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])]
+                               and t[(x, join[(y, z)])] == join[(t[(x, y)], t[(x, z)])]
+                               for x in es for y in es for z in es)
+                yield name, FiniteQuantale(es, rows_of(t, es), unit, **lattice), accepted
+
+
+def small_quantales() -> list[tuple[str, FiniteQuantale]]:
+    """Every commutative unital quantale on a lattice of two to four
+    elements, up to equality of tables, each with a name: the candidates
+    that the scan of ``small_quantale_candidates`` accepts.  There are 1, 3
+    and 11 on the chains and 9 on the diamond, 24 in all."""
+    out, found = [], collections.Counter()
+    for name, q, accepted in small_quantale_candidates():
+        if accepted:
+            found[name] += 1
+            out.append((f"{name}-{found[name]}", q))
     return out

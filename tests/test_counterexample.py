@@ -678,14 +678,14 @@ def test_run_columns_match_their_oracles_on_every_shipped_node(t, t_par, s_par, 
                                                                variant):
     exprs = shipped_closure(t, t_par, s_par, hi, variant)
     memo, slow_memo, at_points = {}, {}, {}
-    for e in exprs:
-        _node(e, t, memo)
     by_column, by_values = {}, {}
-    for e, node in (v for k, v in memo.items() if isinstance(k, int)):
+    # every node of every tree, once each by value
+    for e in dict.fromkeys(x for root in exprs for x in subexpressions(root)):
+        node = _node(e, t, memo)
         slow = point_node(e, t, DEPTHS[-1], slow_memo)
         assert (node.tail, node.co_countable) == (slow.tail, slow.co_countable)
-        if isinstance(e, Res) and not memo[id(e.child)][1].tail[1]:
-            limit = memo[id(e.child)][1].tail[0]
+        if isinstance(e, Res) and not _node(e.child, t, memo).tail[1]:
+            limit = _node(e.child, t, memo).tail[0]
             assert node.tail == left_limit_residuum(t, e.const, limit)
         for n in DEPTHS:
             col, want = node.column.head(n), slow.column.head(n)

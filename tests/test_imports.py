@@ -1,6 +1,7 @@
 """Every library module uses each name it imports, no private one and
 nothing of the test suite; its classes write no equality by fields of their
-own; and each command loads only the modules it runs.
+own, and no record constructor that only stores its fields; and each
+command loads only the modules it runs.
 
 A representation that is deleted tends to leave its imports behind; this
 check reads the source of each module of the package and names every
@@ -151,6 +152,68 @@ def test_an_equality_fault_is_named():
               "    def __hash__(self): pass\n")
     assert equality_faults(source) == ["Point defines __eq__ without __hash__ (line 3)",
                                        "Pair defines _key (line 5)"]
+
+
+def _stored(target, value, params: set) -> bool:
+    """Whether an assignment stores parameters on ``self`` unchanged, as
+    ``self.a = a`` or ``self.a, self.b = a, b`` does."""
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        return len(target.elts) == len(value.elts) and all(
+            _stored(t, v, params) for t, v in zip(target.elts, value.elts))
+    return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+            and isinstance(value, ast.Name) and value.id in params)
+
+
+def storing_constructors(source: str) -> list[str]:
+    """``Record`` subclasses whose ``__init__`` does nothing but store its
+    parameters, which ``Record``'s own constructor does from ``__slots__``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
+                continue
+            params = {a.arg for a in item.args.args[1:] + item.args.kwonlyargs}
+            body = item.body[1:] if ast.get_docstring(item) is not None else item.body
+            if all(isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                   and _stored(stmt.targets[0], stmt.value, params) for stmt in body):
+                out.append(f"{node.name} only stores its fields (line {item.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_record_writes_a_constructor_that_only_stores(path):
+    assert storing_constructors(path.read_text()) == []
+
+
+def test_a_storing_constructor_is_named():
+    source = ("class Point(Record):\n"
+              "    __slots__ = ('x', 'y')\n"
+              "    def __init__(self, x, y):\n"
+              "        'A point.'\n"
+              "        self.x, self.y = x, y\n"
+              "class Tag(Record):\n"
+              "    __slots__ = ('name',)\n"
+              "    def __init__(self, name):\n"
+              "        self.name = name\n"
+              "class Row(Record):\n"
+              "    __slots__ = ('cells',)\n"
+              "    def __init__(self, cells):\n"
+              "        self.cells = tuple(cells)\n"
+              "class Checked(Record):\n"
+              "    __slots__ = ('n',)\n"
+              "    def __init__(self, n):\n"
+              "        if n < 0:\n"
+              "            raise ValueError(n)\n"
+              "        self.n = n\n"
+              "class Plain:\n"
+              "    def __init__(self, n):\n"
+              "        self.n = n\n")
+    assert storing_constructors(source) == ["Point only stores its fields (line 3)",
+                                            "Tag only stores its fields (line 8)"]
 
 
 # Runs the script in argv[1] with the CLI's output and exit swallowed, then

@@ -20,7 +20,7 @@ from quantalab.monad import (Variant, check_naturality, kleisli_extend,
                              monad_units, random_variant_table,
                              table_satisfies)
 from quantalab.prefilter import (bounded_coreflection, image_prefilter,
-                                 least_positive, normalize_basis)
+                                 least_positive_position, normalize_basis)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
                             precompose, sub)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
@@ -251,7 +251,7 @@ def test_kleisli_extend_is_the_generator_product(name, variant):
     # the level set.
     q = LEMMA_CARRIERS[name]
     k = q.kernel
-    floor = (q.position[least_positive(q)] if variant is Variant.BOUNDED
+    floor = (least_positive_position(q) if variant is Variant.BOUNDED
              else k.bottom)
 
     def listed(dom):

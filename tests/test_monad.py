@@ -32,8 +32,8 @@ from quantalab.scenario import ScenarioSpec, semifilter_to_json
 from quantalab.serialize import format_fraction, quantale_to_json
 
 from oracles import (from_function, from_mapping, image_outer, is_bounded,
-                     is_conical, is_top_filter, small_quantales,
-                     table_satisfies_by_table, unit_prefilter)
+                     is_conical, is_top_filter, small_quantale_candidates,
+                     small_quantales, table_satisfies_by_table, unit_prefilter)
 from test_positions import no_zero
 from test_quantale import half_unit_chain, square_lattice
 
@@ -721,6 +721,19 @@ def test_the_small_quantales_are_every_one_counted():
     assert all(check_quantale_axioms(q) == [] for _, q in SMALL)
 
 
+def test_the_axiom_checker_accepts_exactly_the_enumerated_quantales():
+    # both ways, on every candidate table of the enumerator: the library's
+    # checker reports nothing exactly where the enumerator's own scan of
+    # associativity and join-distributivity accepts
+    candidates = list(small_quantale_candidates())
+    counts = collections.Counter(name for name, _, _ in candidates)
+    assert counts == {"C2": 1, "C3": 6, "C4": 192, "M2": 192}
+    assert sum(accepted for _, _, accepted in candidates) == len(SMALL)
+    disagree = [(name, q.kernel.tensor) for name, q, accepted in candidates
+                if (check_quantale_axioms(q) == []) != accepted]
+    assert disagree == []
+
+
 @pytest.mark.parametrize("name,q", SMALL, ids=[name for name, _ in SMALL])
 def test_every_small_quantale_carries_the_monad(name, q):
     # each of the 24 commutative unital quantales on at most four elements:
@@ -781,6 +794,26 @@ def test_flattening_formula_agreement_exhaustive(carrier):
         via_formula = {lam.values for lam in multiplication_prefilter_members(
             universe, labels, outer_basis)}
         assert via_tables == via_formula
+
+
+@pytest.mark.parametrize("carrier", [two_chain(), godel3(), mv3(), five_chain()]
+                         + [q for _, q in SMALL],
+                         ids=["two_chain", "godel3", "mv3", "five_chain"]
+                         + [name for name, _ in SMALL])
+def test_flattening_formula_holds_at_every_outer_generator_on_a_singleton(carrier):
+    # on the shipped chains and every small quantale: outer prefilters on a
+    # finite set are principal, so every generator on the family's labels
+    # covers every outer basis; the table path (the Kowalsky sum's level
+    # prefilter) against the membership formula
+    from quantalab.monad import _saturated_prefilter_universe
+    universe, fam = _saturated_prefilter_universe(finite_set("s"), carrier)
+    labels = fam.labels
+    for g in all_qfunctions(labels, carrier):
+        outer_basis = normalize_basis([g])
+        via_tables = {lam.code for lam in level_prefilter(monad_multiplication(outer_basis, fam))}
+        via_formula = {lam.code for lam in multiplication_prefilter_members(
+            universe, labels, outer_basis)}
+        assert via_tables == via_formula, g
 
 
 @pytest.mark.parametrize("carrier", [mv3(), five_chain()])

@@ -214,7 +214,7 @@ def test_f4_failures_are_the_constants_held_above_their_value(name):
         by_elements = [i for i, p in enumerate(q.elements)
                        if not q.leq(table(constant(X, q, p)), p)]
         assert table.f4_failures() == by_elements
-        f4 = [v.witness for v in check_axioms(table, require_filter=True) if v.axiom == "F4"]
+        f4 = [v.witness for v in check_axioms(table, require_filter=True) if v.law == "F4"]
         assert f4 == [(q.elements[i],) for i in by_elements]
 
 

@@ -1,6 +1,7 @@
-"""Every value class of the library takes its equality, hash and repr from
-``quantale.Record``: equal to a record of its own class whose fields, the
-names in its own ``__slots__``, are equal."""
+"""Every value class of the library takes its constructor, equality, hash
+and repr from ``base.Record``: built from its fields, the names in its own
+``__slots__``, and equal to a record of its own class whose fields are
+equal."""
 
 import importlib
 from fractions import Fraction as F
@@ -8,15 +9,17 @@ from fractions import Fraction as F
 import pytest
 
 import quantalab
-from quantalab.counterexample import (Const, FunctionDescriptor, Join, Meet, Ramp, Res,
-                                      TailIndicator, _Node, _node, describe)
+from quantalab.counterexample import (ClaimRecord, Const, CounterexampleReport,
+                                      FunctionDescriptor, Join, Meet, Ramp, Res,
+                                      TailIndicator, _Node, _node, describe,
+                                      run_counterexample)
 from quantalab.monad import LawFailure
 from quantalab.prefilter import PrefilterBasis, normalize_basis
 from quantalab.qfun import FiniteSet, QFunction
 from quantalab.finite import FiniteKernel, Violation, two_chain
 from quantalab.base import Record
 from quantalab.quantale import Block, BlockKind, build_ordinal_sum
-from quantalab.semifilter import AxiomViolation, SemifilterTable, evaluation_unit
+from quantalab.semifilter import SemifilterTable, evaluation_unit
 
 BLOCK = build_ordinal_sum([(F(1, 4), F(1, 2), "lukasiewicz")])
 
@@ -29,7 +32,6 @@ EXAMPLES = {
     FiniteSet: lambda: FiniteSet(("a", 1)),
     PrefilterBasis: lambda: normalize_basis(
         [QFunction(FiniteSet(("a", "b")), (F(0), F(1)), two_chain())]),
-    AxiomViolation: lambda: AxiomViolation("F1", ("a",)),
     SemifilterTable: lambda: evaluation_unit(FiniteSet(("a", "b")), two_chain(), "b"),
     LawFailure: lambda: LawFailure("associativity", 3, "table (0, 1)"),
     Ramp: lambda: Ramp(F(1, 4)),
@@ -40,6 +42,8 @@ EXAMPLES = {
     Res: lambda: Res(F(3, 8), Ramp(F(1, 4))),
     _Node: lambda: _node(Ramp(F(1, 4)), BLOCK, {}),
     FunctionDescriptor: lambda: describe(_node(Ramp(F(1, 4)), BLOCK, {}), 8, False, "w0"),
+    ClaimRecord: lambda: ClaimRecord("step1-ramp-admissible", True, "tail liminf 1"),
+    CounterexampleReport: lambda: run_counterexample(BLOCK, F(3, 8), F(3, 8), depth=8),
 }
 
 
@@ -57,6 +61,13 @@ def record_classes() -> set:
 
 def test_every_record_class_has_an_example():
     assert record_classes() == set(EXAMPLES)
+
+
+def test_only_records_that_do_more_than_store_write_a_constructor():
+    # FiniteSet refuses repeated labels, SemifilterTable stores its index as
+    # a tuple, and FunctionDescriptor checks its infima
+    assert {cls for cls in record_classes() if "__init__" in vars(cls)} == {
+        FiniteSet, SemifilterTable, FunctionDescriptor}
 
 
 def twin(record):
@@ -97,7 +108,6 @@ def test_records_of_other_classes_with_the_same_fields_differ():
     assert Ramp(F(1, 4)) != Const(F(1, 4))
     assert TailIndicator(1) != Const(1)
     assert Join(a, b) != Meet(a, b)
-    assert Violation("unit", (F(1),)) != AxiomViolation("unit", (F(1),))
 
 
 def test_a_law_failure_hashes():
@@ -132,3 +142,33 @@ def test_a_record_class_names_its_fields():
     with pytest.raises(TypeError, match="Empty must name"):
         class Empty(Record):
             __slots__ = ()
+
+
+def test_a_record_is_built_from_its_fields_by_position_or_name():
+    lo, hi, kind = F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ
+    block = EXAMPLES[Block]()
+    assert Block(lo, hi, kind) == block
+    assert Block(kind=kind, hi=hi, lo=lo) == block
+    assert Block(lo, kind=kind, hi=hi) == block
+    assert (block.lo, block.hi, block.kind) == (lo, hi, kind)
+    report = EXAMPLES[CounterexampleReport]()
+    assert report.verdict == "VIOLATION" and report.all_claims_ok
+    assert isinstance(report.claims, tuple) and isinstance(report.step2_details, tuple)
+    assert {report: 1}[EXAMPLES[CounterexampleReport]()] == 1
+
+
+@pytest.mark.parametrize("call,given", [
+    (lambda: Block(F(1, 4), F(1, 2)), "2 by position and none by name"),
+    (lambda: Block(), "0 by position and none by name"),
+    (lambda: Block(F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ, 0), "4 by position"),
+    (lambda: Block(F(1, 4), F(1, 2), kind=BlockKind.LUKASIEWICZ, width=1),
+     "2 by position and kind, width by name"),
+    (lambda: Block(F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ, lo=F(0)),
+     "3 by position and lo by name"),
+    (lambda: Block(F(1, 4), hi=F(1, 2), lo=F(0)), "1 by position and hi, lo by name"),
+], ids=["missing", "all-missing", "extra", "unknown", "twice", "twice-and-missing"])
+def test_a_record_refuses_fields_that_do_not_fit(call, given):
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert str(caught.value).startswith("Block takes each of its fields (lo, hi, kind) once, got ")
+    assert given in str(caught.value)

@@ -9,11 +9,10 @@ from quantalab.errors import BudgetError, StructuralError, UsageError
 from quantalab.prefilter import member, normalize_basis
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, indicator, sub, unit_constant)
-from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.finite import Violation, five_chain, godel3, mv3, two_chain
 from quantalab.quantale import lukasiewicz_tnorm, product_tnorm
 from quantalab.scenario import semifilter_from_json
-from quantalab.semifilter import (AxiomViolation, SemifilterFamily,
-                                  SemifilterTable, check_axioms,
+from quantalab.semifilter import (SemifilterFamily, SemifilterTable, check_axioms,
                                   conical_bounded_coreflection,
                                   conical_coreflection, conical_semifilters,
                                   enumerate_semifilters, evaluation_unit,
@@ -67,14 +66,14 @@ def test_constant_one_fails_f4_only():
     t = from_function(S, G3, lambda lam: F(1))
     assert check_axioms(t) == []
     report = check_axioms(t, require_filter=True)
-    assert report and all(v.axiom == "F4" for v in report)
-    assert AxiomViolation("F4", (F(0),)) in report
+    assert report and all(v.law == "F4" for v in report)
+    assert Violation("F4", (F(0),)) in report
 
 
 def test_low_unit_value_fails_f1():
     t = from_function(
         S, G3, lambda lam: F(1, 2) if lam.values == (F(1),) else F(0))
-    assert any(v.axiom == "F1" for v in check_axioms(t))
+    assert any(v.law == "F1" for v in check_axioms(t))
 
 
 def test_evaluation_unit_is_evaluation():
