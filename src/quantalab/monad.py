@@ -146,14 +146,20 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
 
 
 @functools.lru_cache(maxsize=64)
-def _floor(carrier: FiniteQuantale, variant: Variant) -> int:
-    """The position below every generator row of the variant: the least
-    positive element under BOUNDED (``require_bounded_carrier``), the
-    bottom otherwise.  Kept per carrier and variant, as ``_pool``."""
-    if variant is Variant.BOUNDED:
-        require_bounded_carrier(carrier)
-        return least_positive_position(carrier)
-    return carrier.kernel.bottom
+def _floor_and_pool(carrier: FiniteQuantale, variant: Variant) -> tuple:
+    """The floor, the position below every generator row of the variant,
+    and the pool, the positions a draw picks from.  Under BOUNDED they are
+    the least positive element and the positive positions, on a carrier
+    refused here unless ``require_bounded_carrier`` passes it; otherwise
+    the bottom and every position.  Kept per carrier and variant, so that
+    a law run checks its carrier once."""
+    positions = range(len(carrier.elements))
+    if variant is not Variant.BOUNDED:
+        return carrier.kernel.bottom, tuple(positions)
+    require_bounded_carrier(carrier)
+    bottom = carrier.kernel.bottom
+    return (least_positive_position(carrier),
+            tuple(i for i in positions if i != bottom))
 
 
 def unit_rows(domain: FiniteSet, carrier: FiniteQuantale,
@@ -161,7 +167,7 @@ def unit_rows(domain: FiniteSet, carrier: FiniteQuantale,
     """The generator row of the unit at every point: the unit at the point
     and the bottom elsewhere, joined with the least positive element under
     BOUNDED.  ``semifilter_of`` fills each into its table of ``monad_units``."""
-    floor = _floor(carrier, variant)
+    floor, _ = _floor_and_pool(carrier, variant)
     at = carrier.kernel.join[carrier.kernel.unit][floor]
     n = len(domain)
     return {x: (floor,) * i + (at,) + (floor,) * (n - 1 - i)
@@ -188,7 +194,7 @@ def extend_rows(h: Mapping, domain: FiniteSet, carrier: FiniteQuantale,
         raise UsageError("cannot extend over an empty domain")
     k = carrier.kernel
     tensor, join = k.tensor, k.join
-    start = [_floor(carrier, variant)] * len(rows[0])
+    start = [_floor_and_pool(carrier, variant)[0]] * len(rows[0])
 
     def extend(row: tuple) -> tuple:
         out = start
@@ -219,19 +225,6 @@ def _random_basis(rng: random.Random, domain: FiniteSet,
                             for _ in range(rng.choice((1, 2)))], domain, carrier)
 
 
-@functools.lru_cache(maxsize=64)
-def _pool(carrier: FiniteQuantale, variant: Variant) -> tuple:
-    """The positions a draw picks from: the positive ones under BOUNDED,
-    whose carrier is refused here unless ``require_bounded_carrier``
-    passes it, and all of them otherwise.  Kept per carrier and variant,
-    so that a law run checks its carrier once."""
-    if variant is Variant.BOUNDED:
-        require_bounded_carrier(carrier)
-    bottom = carrier.kernel.bottom
-    return tuple(i for i in range(len(carrier.elements))
-                 if variant is not Variant.BOUNDED or i != bottom)
-
-
 def random_variant_row(rng: random.Random, domain: FiniteSet,
                        carrier: FiniteQuantale,
                        variant: Variant = Variant.PLAIN) -> tuple:
@@ -245,7 +238,7 @@ def random_variant_row(rng: random.Random, domain: FiniteSet,
     checked before any draw.
     """
     k = carrier.kernel
-    pool = _pool(carrier, variant)
+    _, pool = _floor_and_pool(carrier, variant)
     n = len(domain)
     size = rng.choice((1, 2))
     pivot = rng.randrange(n) if n else 0
@@ -569,7 +562,5 @@ def classical_correspondence_report(max_size: int = 3) -> SuiteReport:
 
 
 def _principal_base(sets: frozenset) -> frozenset:
-    out = None
-    for s in sets:
-        out = s if out is None else out & s
-    return out
+    # never empty: a filter table holds the whole set at full degree
+    return frozenset.intersection(*sets)

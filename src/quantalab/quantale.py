@@ -3,9 +3,10 @@
 ``TNorm`` is the unit interval with a continuous t-norm described as an
 ordinal sum of Lukasiewicz/product blocks over rational endpoints; outside
 every block the operation is minimum.  All arithmetic is exact on
-``fractions.Fraction``; no floats appear anywhere.  The residuum also has
-one integer form, ``residua``, at points of sample columns, for the
-interval counterexample.  Condition (S), which decides the monad question
+``fractions.Fraction``; no floats appear anywhere.  The residuum is
+written once, in integer form: ``residua`` takes points of sample columns
+on one denominator, for the interval counterexample, and ``residuum`` is
+``residua`` at one point.  Condition (S), which decides the monad question
 on an ordinal sum, lives here too; the grid scans of the ``quantale``
 command live in ``grid``.
 
@@ -158,7 +159,8 @@ class TNorm:
         return b.lo + (x - b.lo) * (y - b.lo) / (b.hi - b.lo)
 
     def residuum(self, x: Fraction, y: Fraction) -> Fraction:
-        """Closed form for the residuum of an ordinal sum.
+        """Closed form for the residuum of an ordinal sum: ``residua`` at
+        one point, with ``m = 1`` on the common denominator of x and y.
 
         Three cases: 1 when x <= y; the rescaled block residuum when x and y
         share a block [lo, hi], which is hi - x + y for Lukasiewicz and
@@ -169,14 +171,11 @@ class TNorm:
         brute-force grid oracle in the test suite.
         """
         x, y = self._check(x), self._check(y)
-        if x <= y:
-            return ONE
-        b = self._common_block(y, x)
-        if b is None:
-            return y
-        if b.kind is BlockKind.LUKASIEWICZ:
-            return b.hi - x + y          # x > y, so this is < hi
-        return b.lo + (b.hi - b.lo) * (y - b.lo) / (x - b.lo)   # x > y >= lo
+        den = lcm(x.denominator, y.denominator)
+        point = (1, x.numerator * (den // x.denominator),
+                 y.numerator * (den // y.denominator))
+        [(num, d)] = self.residua(den, [point])
+        return Fraction(num, d)
 
     def residua(self, den: int,
                 points: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
@@ -184,10 +183,10 @@ class TNorm:
 
         Each point is ``(m, x, y)`` for the values ``x/(den*m)`` and
         ``y/(den*m)``; each result is an exact pair ``(num, d)``, ``d > 0``,
-        whose quotient is the residuum there.  Both values are checked as
-        ``residuum`` checks them.  The block is the first whose upper end
-        reaches ``x``, found by bisecting the upper ends rescaled to the
-        point, as ``_common_block`` finds it.
+        whose quotient is the residuum there.  A value outside [0, 1] is
+        refused as ``_check`` refuses it.  The block is the first whose
+        upper end reaches ``x``, found by bisecting the upper ends rescaled
+        to the point, as ``_common_block`` finds it.
         """
         scale = lcm(den, self._den)
         r, k = scale // den, scale // self._den

@@ -15,13 +15,16 @@ declared finite family of inner semifilters, which is all the constructions
 evaluate anyway.
 
 The builders fill tables on the kernel: positions in, positions out.  The
-table induced by a set of generators is the pointwise join of their
-``sub(g, -)`` rows, each folded from the residuum rows of ``g``'s positions
-(``_sub_fill``); level sets are read from ``index`` as position rows, and
-units, images and Kowalsky sums read their source table at computed codes.
-None of them builds a ``QFunction`` or a ``Fraction``: values become
-``Fraction`` elements only at ``__call__`` and ``canonical_values``, and
-enter only through ``scenario.semifilter_from_json``.  F1-F3 are decided
+canonical order is written once, in ``_columns``: column x holds the
+position at x of every function, in that order.  The table induced by a
+set of generators is the pointwise join of their ``sub(g, -)`` rows, each
+filled by ``_sub_at`` from the residuum rows of ``g``'s positions along
+the columns; level sets are read from ``index`` as position rows, a unit
+is a column, and images, Kowalsky sums and the constants of F4 read their
+source table at the codes of a list of columns (``_read``).  None of them
+builds a ``QFunction`` or a ``Fraction``: values become ``Fraction``
+elements only at ``__call__`` and ``canonical_values``, and enter only
+through ``scenario.semifilter_from_json``.  F1-F3 are decided
 by one lazy scan over pairs of functions, shared by ``check_axioms`` and
 ``enumerate_semifilters``, and "positive" means above the kernel's
 bottom.  Whether a conical semifilter lies in a variant is decided on its
@@ -86,11 +89,11 @@ class SemifilterTable(Record):
     def f4_failures(self) -> list[int]:
         """The carrier positions ``i`` where F4 fails: the table holds the
         constant function at ``i`` above ``i``."""
-        q, d = self.carrier, len(self.domain)
-        leq = q.kernel.leq
-        codes = (QFunction.from_index(self.domain, q, (i,) * d).code
-                 for i in range(len(q.elements)))
-        return [i for i, c in enumerate(codes) if not leq[self.index[c]][i]]
+        n = len(self.carrier.elements)
+        leq = self.carrier.kernel.leq
+        # the i-th of these n functions is the constant at i
+        held = _read(self.index, n, [range(n)] * len(self.domain), n)
+        return [i for i, v in enumerate(held) if not leq[v][i]]
 
     def leq(self, other: "SemifilterTable") -> bool:
         self._same_space(other)
@@ -173,22 +176,28 @@ def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[V
 
 # -- the kernel fill -----------------------------------------------------------
 
-def _fold(op: tuple, start: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """``op`` folded over one row per domain point, at every code.
+@functools.lru_cache(maxsize=32)
+def _columns(points: int, n: int) -> tuple[int, tuple]:
+    """The function space of ``points`` points into ``n`` positions, point
+    by point: its size, and for each point x the column of the position at
+    x of every function, in canonical order (mixed radix in base ``n``,
+    the last point fastest).  Kept per pair of sizes, so that equal but
+    distinct carriers share it and no value is compared."""
+    size = n ** points
+    return size, tuple(tuple(i for _ in range(n ** x) for i in range(n)
+                             for _ in range(n ** (points - 1 - x)))
+                       for x in range(points))
 
-    Entry ``c`` is ``op(...op(start, rows[0][i0])..., rows[-1][ik])`` for
-    the function with positions ``(i0, ..., ik)`` and code ``c``; the last
-    point varies fastest, as in the canonical order.
-    """
-    out = [start]
-    for row in rows:
-        out = [op[a][r] for a in out for r in row]
-    return out
 
-
-def _sub_fill(kernel, g: Sequence[int]) -> list[int]:
-    """``sub(g, -)`` at every code, from the position row of ``g``."""
-    return _fold(kernel.meet, kernel.top, [kernel.residuum[i] for i in g])
+def _read(index: Sequence[int], n: int, columns: Sequence[Sequence[int]],
+          size: int) -> list[int]:
+    """``index``, a table in canonical order in base ``n``, read at ``size``
+    functions given point by point: entry ``c`` of ``columns[x]`` is the
+    position of the ``c``-th function at ``x``."""
+    codes = [0] * size
+    for column in columns:
+        codes = [c * n + v for c, v in zip(codes, column)]
+    return [index[c] for c in codes]
 
 
 def _sub_at(kernel, g: Sequence[int], columns: Sequence[Sequence[int]],
@@ -207,9 +216,10 @@ def _induced(domain: FiniteSet, carrier: FiniteQuantale,
              generators: Sequence[Sequence[int]]) -> SemifilterTable:
     """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``;
     bottom everywhere if there are none."""
-    size = table_size(domain, carrier)
+    table_size(domain, carrier)
+    size, columns = _columns(len(domain), len(carrier.elements))
     k = carrier.kernel
-    fills = [_sub_fill(k, g) for g in generators] or [[k.bottom] * size]
+    fills = [_sub_at(k, g, columns, size) for g in generators] or [[k.bottom] * size]
     return SemifilterTable(domain, carrier, functools.reduce(
         lambda out, fill: [k.join[a][b] for a, b in zip(out, fill)], fills))
 
@@ -245,21 +255,14 @@ def _level_rows(table: SemifilterTable) -> list[tuple]:
 
 
 def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
-    """The table ``mu |-> table(mu . f)`` on ``f``'s target.
-
-    The code of ``mu . f`` is linear in ``mu``'s positions: each target
-    point weighs the sum of the place values of its fiber.
-    """
+    """The table ``mu |-> table(mu . f)`` on ``f``'s target: the column of
+    ``mu . f`` at x is the column of ``mu`` at ``f(x)``."""
     q = table.carrier
     table_size(f.target, q)
-    n, m = len(q.elements), len(f.source)
-    weights = [0] * len(f.target)
-    for x, y in enumerate(f.mapping):
-        weights[f.target.index(y)] += n ** (m - 1 - x)
-    codes = [0]
-    for w in weights:
-        codes = [c + w * i for c in codes for i in range(n)]
-    return SemifilterTable(f.target, q, map(table.index.__getitem__, codes))
+    n = len(q.elements)
+    size, columns = _columns(len(f.target), n)
+    return SemifilterTable(f.target, q, _read(
+        table.index, n, [columns[f.target.index(y)] for y in f.mapping], size))
 
 
 def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> SemifilterTable:
@@ -268,10 +271,9 @@ def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> Semifilter
     Satisfies F1-F4 and is conical.
     """
     idx = domain.index(x)
-    size = table_size(domain, carrier)
-    n = len(carrier.elements)
-    stride = n ** (len(domain) - 1 - idx)
-    return SemifilterTable(domain, carrier, (c // stride % n for c in range(size)))
+    table_size(domain, carrier)
+    _, columns = _columns(len(domain), len(carrier.elements))
+    return SemifilterTable(domain, carrier, columns[idx])
 
 
 def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
@@ -333,7 +335,8 @@ def is_conical_semifilter(table: SemifilterTable) -> bool:
     k = q.kernel
     if not k.leq[k.unit][table.index[unit_constant(table.domain, q).code]]:
         return False
-    return tuple(_sub_fill(k, table_generator(table))) == table.index
+    size, columns = _columns(len(table.domain), len(q.elements))
+    return tuple(_sub_at(k, table_generator(table), columns, size)) == table.index
 
 
 def table_generator(table: SemifilterTable) -> tuple:
@@ -407,18 +410,13 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
     if outer.domain != family.labels or outer.carrier != family.carrier:
         raise UsageError("outer semifilter is not indexed by the family")
     q = family.carrier
-    k = q.kernel
     size = table_size(family.x_domain, q)
     columns = [m.index for m in family.members]
     if isinstance(outer, PrefilterBasis):
-        fill = _sub_at(k, outer.generator.index, columns, size)
-        return SemifilterTable(family.x_domain, q, fill)
-    # the code of each evaluation functional, one label at a time
-    n = len(q.elements)
-    codes = [0] * size
-    for column in columns:
-        codes = [c * n + v for c, v in zip(codes, column)]
-    return SemifilterTable(family.x_domain, q, map(outer.index.__getitem__, codes))
+        fill = _sub_at(q.kernel, outer.generator.index, columns, size)
+    else:
+        fill = _read(outer.index, len(q.elements), columns, size)
+    return SemifilterTable(family.x_domain, q, fill)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -434,9 +432,10 @@ def conical_semifilters(domain: FiniteSet,
     prefilter ``normalize_basis([g])``.
     """
     table_size(domain, carrier)
+    size, columns = _columns(len(domain), len(carrier.elements))
     k = carrier.kernel
     below_unit = [i for i in range(len(carrier.elements)) if k.leq[i][k.unit]]
-    return [SemifilterTable(domain, carrier, _sub_fill(k, g))
+    return [SemifilterTable(domain, carrier, _sub_at(k, g, columns, size))
             for g in itertools.product(below_unit, repeat=len(domain))]
 
 

@@ -21,8 +21,8 @@ from quantalab.monad import (Variant, check_naturality, kleisli_extend,
                              table_satisfies)
 from quantalab.prefilter import (bounded_coreflection, image_prefilter,
                                  least_positive_position, normalize_basis)
-from quantalab.qfun import (QFunction, SetMap, all_qfunctions, finite_set,
-                            precompose, sub)
+from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
+                            finite_set, precompose, sub, unit_constant)
 from quantalab.finite import five_chain, godel3, mv3, two_chain
 from quantalab.semifilter import (ENUM_BUDGET, SemifilterFamily,
                                   SemifilterTable, conical_bounded_coreflection,
@@ -119,6 +119,20 @@ def test_is_bounded_matches_the_function_scan(name, n):
         expected = not any(not is_bounded_function(lam) and t(lam) == q.top
                            for lam in t.functions())
         assert is_bounded(t) == expected
+
+
+@pytest.mark.parametrize("name,n", CASES, ids=IDS)
+def test_conical_semifilters_and_f4_match_their_formulas(name, n):
+    # at n = 0 the function space is one function, the empty one, and has
+    # no column
+    q, dom = CARRIERS[name], domain(n)
+    unit = unit_constant(dom, q)
+    assert conical_semifilters(dom, q) == [
+        from_function(dom, q, lambda lam: sub(g, lam))
+        for g in all_qfunctions(dom, q) if g.leq(unit)]
+    for t in list(semifilters(name, n)) + random_tables(q, dom, 20, seed=n):
+        assert t.f4_failures() == [i for i, p in enumerate(q.elements)
+                                   if not q.leq(t(constant(dom, q, p)), p)]
 
 
 def all_maps(source, target):

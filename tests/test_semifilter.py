@@ -233,13 +233,13 @@ def test_coreflection_fills_one_generator(monkeypatch):
     e = evaluation_unit(X, q, "a")
     assert len(minimal_members(level_prefilter(e))) == 1
     fills = []
-    fill = semifilter._sub_fill
+    fill = semifilter._sub_at
 
-    def counting_fill(kernel, g):
+    def counting_fill(kernel, g, columns, size):
         fills.append(g)
-        return fill(kernel, g)
+        return fill(kernel, g, columns, size)
 
-    monkeypatch.setattr(semifilter, "_sub_fill", counting_fill)
+    monkeypatch.setattr(semifilter, "_sub_at", counting_fill)
     assert conical_coreflection(e) == e
     assert fills == [(q.index_of(q.unit), q.kernel.bottom)]
 
