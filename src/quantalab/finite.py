@@ -43,10 +43,12 @@ class FiniteKernel(Record):
     ``n x n`` tuples of positions and ``leq`` is an ``n x n`` tuple of
     booleans, so ``tensor[i][j]`` is the position of the tensor of the
     elements at ``i`` and ``j``.  ``bottom``, ``top`` and ``unit`` are
-    positions too.
+    positions too, and so is ``least_positive``, the least element above
+    the bottom, which the bounded constructions read, or None.
     """
 
-    __slots__ = ("tensor", "residuum", "join", "meet", "leq", "bottom", "top", "unit")
+    __slots__ = ("tensor", "residuum", "join", "meet", "leq", "bottom", "top", "unit",
+                 "least_positive")
 
 
 class FiniteQuantale:
@@ -124,6 +126,8 @@ class FiniteQuantale:
                 bottom = i
             if leq[top][i]:
                 top = i
+        positive = [i for i in span if i != bottom]
+        least = next((i for i in positive if all(leq[i][j] for j in positive)), None)
         residuum = []
         for i in span:
             row = []
@@ -136,7 +140,7 @@ class FiniteQuantale:
                 row.append(r)
             residuum.append(tuple(row))
         return FiniteKernel(tensor, tuple(residuum), join, meet, leq,
-                            bottom, top, self.position[self.unit])
+                            bottom, top, self.position[self.unit], least)
 
     def index_of(self, x) -> int:
         """The position of a carrier element, given as ``TNorm`` takes one: a

@@ -39,7 +39,6 @@ Pinned maps are not yet run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from typing import Callable, Mapping, Sequence
@@ -48,8 +47,7 @@ from .base import Record, Variant
 from .errors import UsageError
 from .finite import FiniteQuantale
 from .prefilter import (PrefilterBasis, bounded_coreflection, image_prefilter,
-                        least_positive_position, normalize_basis,
-                        saturation_member)
+                        normalize_basis, saturation_member)
 from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, indicator,
                    sub, unit_constant)
 from .semifilter import (TABLE_CAP, SemifilterFamily, SemifilterTable,
@@ -145,21 +143,14 @@ def kleisli_extend(h: Mapping, domain: FiniteSet, variant: Variant = Variant.PLA
     return lambda table: monad_multiplication(table, family, variant)
 
 
-@functools.lru_cache(maxsize=64)
-def _floor_and_pool(carrier: FiniteQuantale, variant: Variant) -> tuple:
-    """The floor, the position below every generator row of the variant,
-    and the pool, the positions a draw picks from.  Under BOUNDED they are
-    the least positive element and the positive positions, on a carrier
-    refused here unless ``require_bounded_carrier`` passes it; otherwise
-    the bottom and every position.  Kept per carrier and variant, so that
-    a law run checks its carrier once."""
-    positions = range(len(carrier.elements))
+def _floor(carrier: FiniteQuantale, variant: Variant) -> int:
+    """The position below every generator row of the variant: the bottom,
+    or under BOUNDED the kernel's least positive element, on a carrier
+    ``require_bounded_carrier`` passes."""
     if variant is not Variant.BOUNDED:
-        return carrier.kernel.bottom, tuple(positions)
+        return carrier.kernel.bottom
     require_bounded_carrier(carrier)
-    bottom = carrier.kernel.bottom
-    return (least_positive_position(carrier),
-            tuple(i for i in positions if i != bottom))
+    return carrier.kernel.least_positive
 
 
 def unit_rows(domain: FiniteSet, carrier: FiniteQuantale,
@@ -167,7 +158,7 @@ def unit_rows(domain: FiniteSet, carrier: FiniteQuantale,
     """The generator row of the unit at every point: the unit at the point
     and the bottom elsewhere, joined with the least positive element under
     BOUNDED.  ``semifilter_of`` fills each into its table of ``monad_units``."""
-    floor, _ = _floor_and_pool(carrier, variant)
+    floor = _floor(carrier, variant)
     at = carrier.kernel.join[carrier.kernel.unit][floor]
     n = len(domain)
     return {x: (floor,) * i + (at,) + (floor,) * (n - 1 - i)
@@ -194,7 +185,7 @@ def extend_rows(h: Mapping, domain: FiniteSet, carrier: FiniteQuantale,
         raise UsageError("cannot extend over an empty domain")
     k = carrier.kernel
     tensor, join = k.tensor, k.join
-    start = [_floor_and_pool(carrier, variant)[0]] * len(rows[0])
+    start = [_floor(carrier, variant)] * len(rows[0])
 
     def extend(row: tuple) -> tuple:
         out = start
@@ -238,7 +229,9 @@ def random_variant_row(rng: random.Random, domain: FiniteSet,
     checked before any draw.
     """
     k = carrier.kernel
-    _, pool = _floor_and_pool(carrier, variant)
+    # under BOUNDED the positions at least the floor are the positive ones
+    floor = _floor(carrier, variant)
+    pool = [i for i in range(len(carrier.elements)) if k.leq[floor][i]]
     n = len(domain)
     size = rng.choice((1, 2))
     pivot = rng.randrange(n) if n else 0

@@ -11,8 +11,8 @@ degree of ``lam`` is one graded inclusion out of it, ``sub(generator, lam)``:
 graded inclusion is antitone in its first argument and every member
 dominates the generator, so the join over the prefilter is attained there.
 The bounded coreflection is principal too: the generator joined with the
-least positive constant.  A value is positive when it lies above the
-carrier's bottom, read as a position of its kernel.
+least positive constant, which the carrier's kernel holds; a value is
+positive when it lies above the kernel's bottom.
 
 Saturations of finitely generated prefilters need not be finitely generated,
 so saturation is exposed only as a membership predicate and an evaluation
@@ -31,13 +31,21 @@ from .qfun import FiniteSet, QFunction, SetMap, image, sub, unit_constant
 
 
 class PrefilterBasis(Record):
-    """The prefilter of everything above one generator.
+    """The prefilter of everything above one generator, on its space.
 
     Two bases are equal exactly when they generate the same prefilter.  Use
     ``normalize_basis`` to construct one.
     """
 
-    __slots__ = ("domain", "carrier", "generator")
+    __slots__ = ("generator",)
+
+    @property
+    def domain(self) -> FiniteSet:
+        return self.generator.domain
+
+    @property
+    def carrier(self) -> FiniteQuantale:
+        return self.generator.carrier
 
     def __len__(self):
         """The number of generators: always one."""
@@ -63,7 +71,7 @@ def normalize_basis(raw: Iterable[QFunction], domain: FiniteSet | None = None,
     elif domain is None or carrier is None:
         raise UsageError("an empty basis needs an explicit domain and carrier")
     generator = functools.reduce(QFunction.meet, fns, unit_constant(domain, carrier))
-    return PrefilterBasis(domain, carrier, generator)
+    return PrefilterBasis(generator)
 
 
 def member(pf: PrefilterBasis, lam: QFunction) -> bool:
@@ -111,14 +119,8 @@ def least_positive_position(carrier: FiniteQuantale) -> int:
     closed under meets and each bounded coreflection has a largest result.
     A carrier without one is refused with a ``UsageError`` naming it.
     """
-    k = carrier.kernel
-    positive = [i for i in range(len(carrier.elements)) if i != k.bottom]
-    if not positive:
-        raise UsageError(f"carrier {carrier!r} has no positive element")
-    eps0 = positive[0]
-    for i in positive:
-        if k.leq[i][eps0]:
-            eps0 = i
-    if not all(k.leq[eps0][i] for i in positive):
-        raise UsageError(f"carrier {carrier!r} has no least positive element")
+    eps0 = carrier.kernel.least_positive
+    if eps0 is None:
+        what = "positive" if len(carrier.elements) == 1 else "least positive"
+        raise UsageError(f"carrier {carrier!r} has no {what} element")
     return eps0

@@ -6,13 +6,16 @@ domain of ``lam(x) -> mu(x)``; it makes the function space a Q-category.
 ``precompose`` pulls one back; together they satisfy the adjunction
 ``sub(image(f, lam), mu) == sub(lam, precompose(f, mu))`` exhaustively.
 
-Functions take their values in a finite carrier and carry the carrier
-positions of those values, so every operation here reads the carrier's
-integer kernel; a carrier that is not a ``FiniteQuantale`` is refused.
+Functions are stored as the carrier positions of their values, so every
+operation here reads the carrier's integer kernel; a carrier that is not
+a ``FiniteQuantale`` is refused.  The canonical order of a function space
+is written here once: ``all_qfunctions`` walks it, ``columns`` reads it
+point by point, and ``_code`` is its inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator
@@ -59,18 +62,18 @@ def finite_set(*labels) -> FiniteSet:
 class QFunction:
     """A total map from a finite set into a finite carrier, stored densely.
 
-    Values are the carrier's own elements, aligned with the domain order:
-    each given value is looked up once with ``FiniteQuantale.index_of``, so
-    an ``int`` is taken as the element it equals and a float is refused.
-    Equality is pointwise exact equality over the same domain and carrier.
-
-    A function also carries ``index``, the carrier positions of its values,
-    and ``code``, that tuple read as a mixed-radix number in base ``|Q|``
-    with the last domain position least significant.  The code is the
-    function's place in the canonical order of ``all_qfunctions``.
+    A function is stored as ``index``, the carrier positions of its values
+    aligned with the domain order, and ``code``, that tuple read as a
+    mixed-radix number in base ``|Q|`` with the last domain position least
+    significant.  The code is the function's place in the canonical order
+    of ``all_qfunctions``.  ``values``, the carrier's own elements, is read
+    off ``index`` when asked for.  Each given value is looked up once with
+    ``FiniteQuantale.index_of``, so an ``int`` is taken as the element it
+    equals and a float is refused.  Equality is pointwise exact equality
+    over the same domain and carrier.
     """
 
-    __slots__ = ("domain", "values", "carrier", "index", "code")
+    __slots__ = ("domain", "carrier", "index", "code")
 
     def __init__(self, domain: FiniteSet, values: tuple[Fraction, ...],
                  carrier: FiniteQuantale):
@@ -87,7 +90,6 @@ class QFunction:
             bad = next(v for v in values if not carrier.contains(v))
             raise UsageError(f"value {bad} outside the carrier") from None
         self.domain, self.carrier, self.index = domain, carrier, index
-        self.values = tuple(map(carrier.elements.__getitem__, index))
         self.code = _code(index, len(carrier.elements))
 
     @classmethod
@@ -98,11 +100,13 @@ class QFunction:
         up or hashed.
         """
         f = object.__new__(cls)
-        elements = carrier.elements
         f.domain, f.carrier, f.index = domain, carrier, index
-        f.values = tuple(map(elements.__getitem__, index))
-        f.code = _code(index, len(elements))
+        f.code = _code(index, len(carrier.elements))
         return f
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(self.carrier.elements.__getitem__, self.index))
 
     def __eq__(self, other):
         # equal carriers hold the same elements, so equal positions are
@@ -114,7 +118,7 @@ class QFunction:
         return hash((self.domain, self.index))
 
     def __call__(self, x) -> Fraction:
-        return self.values[self.domain.index(x)]
+        return self.carrier.elements[self.index[self.domain.index(x)]]
 
     # pointwise order and lattice structure ------------------------------
 
@@ -145,6 +149,17 @@ def _code(index, n: int) -> int:
     for i in index:
         code = code * n + i
     return code
+
+
+@functools.lru_cache(maxsize=32)
+def columns(points: int, n: int) -> tuple[int, tuple]:
+    """The function space of ``points`` points into ``n`` positions, point
+    by point: its size, and for each point x the column of the position at
+    x of every function, in the canonical order of ``all_qfunctions``.
+    Kept per pair of sizes, so that equal but distinct carriers share it
+    and no value is compared."""
+    rows = list(itertools.product(range(n), repeat=points))
+    return len(rows), tuple(zip(*rows))
 
 
 def _same_space(a: QFunction, b: QFunction):

@@ -16,8 +16,8 @@ carriers and every layer share (``Record``, ``ZERO``/``ONE`` and the monad
 ``serialize``'s.  A ``laws`` run never loads this module: the other
 modules import it only where a t-norm is built or tested, as ``finite``
 does to cut its shipped chains from t-norms.  Both carriers expose the
-same surface: ``tensor``, ``residuum``, ``leq``, ``join``, ``meet`` and
-``is_idempotent``, plus ``unit``, ``bottom`` and ``top``.
+same surface: ``tensor``, ``residuum``, ``leq``, ``join``, ``meet``,
+``is_idempotent``, ``contains`` and ``unit``.
 ``residuum(x, y)`` always returns the largest ``z`` with ``x (x) z <= y``.
 The way-below relation, decided from its definition, is a test oracle
 (``tests/oracles.py``): no computation here needs it.
@@ -88,14 +88,6 @@ class TNorm:
 
     @property
     def unit(self) -> Fraction:
-        return ONE
-
-    @property
-    def bottom(self) -> Fraction:
-        return ZERO
-
-    @property
-    def top(self) -> Fraction:
         return ONE
 
     def contains(self, x: Fraction) -> bool:

@@ -15,23 +15,25 @@ declared finite family of inner semifilters, which is all the constructions
 evaluate anyway.
 
 The builders fill tables on the kernel: positions in, positions out.  The
-canonical order is written once, in ``_columns``: column x holds the
-position at x of every function, in that order.  The table induced by a
-set of generators is the pointwise join of their ``sub(g, -)`` rows, each
-filled by ``_sub_at`` from the residuum rows of ``g``'s positions along
-the columns; level sets are read from ``index`` as position rows, a unit
-is a column, and images, Kowalsky sums and the constants of F4 read their
-source table at the codes of a list of columns (``_read``).  None of them
-builds a ``QFunction`` or a ``Fraction``: values become ``Fraction``
-elements only at ``__call__`` and ``canonical_values``, and enter only
-through ``scenario.semifilter_from_json``.  F1-F3 are decided
-by one lazy scan over pairs of functions, shared by ``check_axioms`` and
-``enumerate_semifilters``, and "positive" means above the kernel's
-bottom.  Whether a conical semifilter lies in a variant is decided on its
-generator row alone (``row_satisfies``).  The ``Fraction``-level table of
-a function, the ``Fraction`` scan of F1-F4, the variant read from a filled
-table and the characterizations of conicality by residuation and by the
-way-below relation are test oracles (``tests/oracles.py``).
+canonical order is ``qfun``'s, read through ``qfun.columns``: column x
+holds the position at x of every function, in that order.  The table
+induced by a set of generators is the pointwise join of their
+``sub(g, -)`` rows, each filled by ``_sub_at`` from the residuum rows of
+``g``'s positions along the columns; level sets are read off the columns
+as position rows, a unit is a column, and images, Kowalsky sums and the
+constants of F4 read their source table at the codes of a list of
+columns (``_read``).  None of them builds a ``QFunction`` or a
+``Fraction``: values become ``Fraction`` elements only at ``__call__``,
+``canonical_values`` and ``entries``, and enter only through
+``scenario.semifilter_from_json``.  F1-F3 are decided by one lazy scan
+over pairs of functions, shared by ``check_axioms`` and
+``enumerate_semifilters``; "positive" means above the kernel's bottom,
+and the least positive element is the kernel's.  Whether a conical
+semifilter lies in a variant is decided on its generator row alone
+(``row_satisfies``).  The ``Fraction``-level table of a function, the
+``Fraction`` scan of F1-F4, the variant read from a filled table and the
+characterizations of conicality by residuation and by the way-below
+relation are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .base import Record, Variant
 from .errors import BudgetError, UsageError
 from .finite import FiniteQuantale, Violation
 from .prefilter import PrefilterBasis, least_positive_position
-from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, sub,
+from .qfun import (FiniteSet, QFunction, SetMap, all_qfunctions, columns, sub,
                    unit_constant)
 
 TABLE_CAP = 3 ** 9
@@ -72,8 +74,10 @@ class SemifilterTable(Record):
     def entries(self) -> dict:
         """Value tuples, in canonical order, to values: a new dict at each
         read, so bind it once."""
-        tuples = itertools.product(self.carrier.elements, repeat=len(self.domain))
-        return dict(zip(tuples, self.canonical_values()))
+        es = self.carrier.elements
+        _, cols = columns(len(self.domain), len(es))
+        return {tuple(es[col[c]] for col in cols): es[v]
+                for c, v in enumerate(self.index)}
 
     def __call__(self, lam: QFunction) -> Fraction:
         if lam.domain != self.domain or lam.carrier != self.carrier:
@@ -176,19 +180,6 @@ def check_axioms(table: SemifilterTable, require_filter: bool = False) -> list[V
 
 # -- the kernel fill -----------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _columns(points: int, n: int) -> tuple[int, tuple]:
-    """The function space of ``points`` points into ``n`` positions, point
-    by point: its size, and for each point x the column of the position at
-    x of every function, in canonical order (mixed radix in base ``n``,
-    the last point fastest).  Kept per pair of sizes, so that equal but
-    distinct carriers share it and no value is compared."""
-    size = n ** points
-    return size, tuple(tuple(i for _ in range(n ** x) for i in range(n)
-                             for _ in range(n ** (points - 1 - x)))
-                       for x in range(points))
-
-
 def _read(index: Sequence[int], n: int, columns: Sequence[Sequence[int]],
           size: int) -> list[int]:
     """``index``, a table in canonical order in base ``n``, read at ``size``
@@ -217,9 +208,9 @@ def _induced(domain: FiniteSet, carrier: FiniteQuantale,
     """The table ``lam |-> join_g sub(g, lam)`` over position rows ``g``;
     bottom everywhere if there are none."""
     table_size(domain, carrier)
-    size, columns = _columns(len(domain), len(carrier.elements))
+    size, cols = columns(len(domain), len(carrier.elements))
     k = carrier.kernel
-    fills = [_sub_at(k, g, columns, size) for g in generators] or [[k.bottom] * size]
+    fills = [_sub_at(k, g, cols, size) for g in generators] or [[k.bottom] * size]
     return SemifilterTable(domain, carrier, functools.reduce(
         lambda out, fill: [k.join[a][b] for a, b in zip(out, fill)], fills))
 
@@ -248,10 +239,9 @@ def _level_rows(table: SemifilterTable) -> list[tuple]:
     """The position rows of the functions held at degree >= unit."""
     k = table.carrier.kernel
     above_unit = k.leq[k.unit]
-    n = len(table.carrier.elements)
-    return [row for row, v in zip(itertools.product(range(n), repeat=len(table.domain)),
-                                  table.index)
-            if above_unit[v]]
+    _, cols = columns(len(table.domain), len(table.carrier.elements))
+    return [tuple(col[c] for col in cols)
+            for c, v in enumerate(table.index) if above_unit[v]]
 
 
 def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
@@ -260,9 +250,9 @@ def _pullback(table: SemifilterTable, f: SetMap) -> SemifilterTable:
     q = table.carrier
     table_size(f.target, q)
     n = len(q.elements)
-    size, columns = _columns(len(f.target), n)
+    size, cols = columns(len(f.target), n)
     return SemifilterTable(f.target, q, _read(
-        table.index, n, [columns[f.target.index(y)] for y in f.mapping], size))
+        table.index, n, [cols[f.target.index(y)] for y in f.mapping], size))
 
 
 def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> SemifilterTable:
@@ -272,8 +262,8 @@ def evaluation_unit(domain: FiniteSet, carrier: FiniteQuantale, x) -> Semifilter
     """
     idx = domain.index(x)
     table_size(domain, carrier)
-    _, columns = _columns(len(domain), len(carrier.elements))
-    return SemifilterTable(domain, carrier, columns[idx])
+    _, cols = columns(len(domain), len(carrier.elements))
+    return SemifilterTable(domain, carrier, cols[idx])
 
 
 def level_prefilter(table: SemifilterTable) -> tuple[QFunction, ...]:
@@ -335,8 +325,8 @@ def is_conical_semifilter(table: SemifilterTable) -> bool:
     k = q.kernel
     if not k.leq[k.unit][table.index[unit_constant(table.domain, q).code]]:
         return False
-    size, columns = _columns(len(table.domain), len(q.elements))
-    return tuple(_sub_at(k, table_generator(table), columns, size)) == table.index
+    size, cols = columns(len(table.domain), len(q.elements))
+    return tuple(_sub_at(k, table_generator(table), cols, size)) == table.index
 
 
 def table_generator(table: SemifilterTable) -> tuple:
@@ -411,11 +401,11 @@ def kowalsky_sum(outer: SemifilterTable | PrefilterBasis,
         raise UsageError("outer semifilter is not indexed by the family")
     q = family.carrier
     size = table_size(family.x_domain, q)
-    columns = [m.index for m in family.members]
+    cols = [m.index for m in family.members]
     if isinstance(outer, PrefilterBasis):
-        fill = _sub_at(q.kernel, outer.generator.index, columns, size)
+        fill = _sub_at(q.kernel, outer.generator.index, cols, size)
     else:
-        fill = _read(outer.index, len(q.elements), columns, size)
+        fill = _read(outer.index, len(q.elements), cols, size)
     return SemifilterTable(family.x_domain, q, fill)
 
 
@@ -432,11 +422,11 @@ def conical_semifilters(domain: FiniteSet,
     prefilter ``normalize_basis([g])``.
     """
     table_size(domain, carrier)
-    size, columns = _columns(len(domain), len(carrier.elements))
+    size, cols = columns(len(domain), len(carrier.elements))
     k = carrier.kernel
-    below_unit = [i for i in range(len(carrier.elements)) if k.leq[i][k.unit]]
-    return [SemifilterTable(domain, carrier, _sub_at(k, g, columns, size))
-            for g in itertools.product(below_unit, repeat=len(domain))]
+    rows = (tuple(col[c] for col in cols) for c in range(size))
+    return [SemifilterTable(domain, carrier, _sub_at(k, g, cols, size))
+            for g in rows if all(k.leq[i][k.unit] for i in g)]
 
 
 def enumerate_semifilters(domain: FiniteSet, carrier: FiniteQuantale,
@@ -508,8 +498,8 @@ def row_satisfies(row: Sequence[int], carrier: FiniteQuantale,
         return False
     if variant is Variant.FILTER:
         meet, leq = k.meet, k.leq
-        columns = [k.residuum[a] for a in row]
-        return all(leq[functools.reduce(lambda m, r: meet[m][r[c]], columns, k.top)][c]
+        residua = [k.residuum[a] for a in row]
+        return all(leq[functools.reduce(lambda m, r: meet[m][r[c]], residua, k.top)][c]
                    for c in range(len(carrier.elements)))
     if variant is Variant.BOUNDED:
         _require_integral(carrier)

@@ -226,6 +226,48 @@ def test_laws_reports_a_failure_beyond_the_table_cap(runner, tmp_path, monkeypat
         "detail": "generator (1/4, 0/1, 1/1, 1/2, 1/4, 1/2, 0/1, 0/1)"}
 
 
+@pytest.mark.parametrize("points", [2, 8], ids=["table", "generator"])
+def test_laws_reports_associativity_alone(runner, tmp_path, monkeypatch, points):
+    # a deliberately broken row extension shifts every position of the
+    # composite's extension (g#f)#, the only one over X into rows on Z's
+    # three points; the units and f# stay exact, so only associativity
+    # fails, at every scenario.  t's table on 2 points of the five-element
+    # chain has 25 entries and is shown; on 8 points it would need 5^8, so
+    # t is shown as its generator row
+    import quantalab.monad as monad
+    from quantalab.serialize import format_fraction, format_generator
+    q = five_chain()
+    real = monad.extend_rows
+
+    def extend_rows(h, domain, carrier, variant):
+        extend = real(h, domain, carrier, variant)
+        if domain.elements[0] != "x0" or len(h["x0"]) != 3:
+            return extend
+        return lambda row: tuple((p + 1) % len(carrier.elements) for p in extend(row))
+    monkeypatch.setattr(monad, "extend_rows", extend_rows)
+    path = write(tmp_path, "assoc.json", {
+        "quantale": quantale_to_json(q),
+        "sets": {"X": [f"a{i}" for i in range(points)], "Y": ["u", "v"],
+                 "Z": ["w0", "w1", "w2"]},
+        "seed": 1, "budgets": {"scenarios": 3}})
+    r = runner.invoke(main, ["laws", "--scenario", path, "--format", "structured"])
+    assert r.exit_code == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["naturality"]["failures"] == []
+    expected = []
+    for i in range(3):
+        rng = random.Random(1 * 1_000_003 + i)
+        sc = monad.random_scenario(rng, q, (points, 2, 3))
+        t = monad.random_variant_row(rng, sc.x_set, q)
+        if points == 2:
+            table = semifilter_of([QFunction.from_index(sc.x_set, q, t)])
+            detail = f"table ({', '.join(map(format_fraction, table.canonical_values()))})"
+        else:
+            detail = format_generator(q.elements, t)
+        expected.append({"law": "associativity", "scenario": i, "detail": detail})
+    assert report["laws"]["failures"] == expected
+
+
 def _five_chain_pinned(tmp_path, variant, points, value):
     """A five-chain scenario pinning f('a') to ``value`` on ``points``
     points of Y, and g to the unit on Z = {w}."""
@@ -692,6 +734,33 @@ def test_counterexample_indicator_start_reads_integer_strings(runner, tmp_path):
 def test_counterexample_needs_a_source(runner):
     r = runner.invoke(main, ["counterexample", "--t", "3/8", "--s", "3/8"])
     assert r.exit_code == 2
+    assert (r.stdout, r.stderr) == ("", "input error: need --quantale or --scenario\n")
+
+
+def test_counterexample_refuses_a_finite_carrier(runner, tmp_path):
+    path = write(tmp_path, "godel3.json", quantale_to_json(godel3()))
+    r = runner.invoke(main, ["counterexample", "--quantale", path, "--t", "1/2", "--s", "1/2"])
+    assert r.exit_code == 2, r.output
+    assert (r.stdout, r.stderr) == (
+        "", "input error: the counterexample runs on t-norm specs\n")
+
+
+@pytest.mark.parametrize("t_par,s_par", [("0", "3/8"), ("1", "3/8"),
+                                          ("3/8", "0/1"), ("3/8", "1/1")])
+def test_counterexample_refuses_parameters_at_0_or_1(runner, block_path, t_par, s_par):
+    r = runner.invoke(main, ["counterexample", "--quantale", block_path,
+                             "--t", t_par, "--s", s_par])
+    assert r.exit_code == 2, r.output
+    assert (r.stdout, r.stderr) == (
+        "", "input error: parameters must lie strictly inside (0, 1)\n")
+
+
+def test_laws_refuses_a_tnorm_scenario(runner, tmp_path):
+    path = write(tmp_path, "tnorm-laws.json", {
+        "quantale": {"type": "tnorm", "blocks": []}, "seed": 1})
+    r = runner.invoke(main, ["laws", "--scenario", path])
+    assert r.exit_code == 2, r.output
+    assert (r.stdout, r.stderr) == ("", "input error: law suites need a finite carrier\n")
 
 
 @pytest.mark.parametrize("blocks,message", [

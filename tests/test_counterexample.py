@@ -479,6 +479,22 @@ def test_preconditions():
         run_counterexample(prod_block, F(5, 16), F(5, 16))
 
 
+@pytest.mark.parametrize("t_par,s_par", [(0, F(3, 8)), (1, F(3, 8)),
+                                          (F(3, 8), 0), (F(3, 8), 1)])
+def test_parameters_outside_the_open_interval_are_refused(t_par, s_par):
+    with pytest.raises(PreconditionError) as err:
+        run_counterexample(BLOCK, t_par, s_par, depth=50)
+    assert str(err.value) == "parameters must lie strictly inside (0, 1)"
+
+
+def test_an_empty_explicit_catalog_is_refused():
+    # the scenario reader refuses an empty witness_catalog first, so only
+    # the library reaches this refusal
+    with pytest.raises(PreconditionError) as err:
+        run_counterexample(BLOCK, F(3, 8), F(3, 8), depth=50, catalog_exprs=[])
+    assert str(err.value) == "an explicit catalog must be nonempty"
+
+
 def test_mixed_spec_certifies_in_upper_block():
     mixed = build_ordinal_sum([(0, F(1, 2), "lukasiewicz"),
                                (F(1, 2), 1, "lukasiewicz")])

@@ -7,6 +7,7 @@ dict-keyed table kept here as the oracle.
 
 import itertools
 import re
+from math import lcm
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 import quantalab.qfun as qfun
 from quantalab.errors import StructuralError, UsageError
 from quantalab.qfun import QFunction, all_qfunctions, finite_set, sub
-from quantalab.finite import FiniteQuantale, five_chain, godel3, mv3, two_chain
+from quantalab.finite import (FiniteQuantale, check_quantale_axioms, finite_restriction,
+                              five_chain, godel3, mv3, two_chain)
 from quantalab.quantale import build_ordinal_sum, godel_tnorm, lukasiewicz_tnorm
 from quantalab.semifilter import (SemifilterTable, enumerate_semifilters,
                                   evaluation_unit, residuate)
@@ -79,6 +81,11 @@ def test_kernel_tables_match_the_fraction_fold(q, tensor, join, meet):
     assert es[k.bottom] == bottom == q.bottom
     assert es[k.top] == top == q.top
     assert es[k.unit] == q.unit
+    # the least positive element, scanned on Fractions: None on the diamond,
+    # whose two atoms are incomparable
+    positive = [x for x in es if x != bottom]
+    least = [e for e in positive if all(leq(e, x) for x in positive)]
+    assert k.least_positive == (pos[least[0]] if least else None)
     for x in es:
         for y in es:
             i, j = pos[x], pos[y]
@@ -159,6 +166,10 @@ def test_code_is_the_position_in_canonical_order(q, n):
         assert public == f and public.code == place and public.index == f.index
         assert QFunction.from_index(X, q, f.index) == f
     assert [f.values for f in fns] == list(itertools.product(q.elements, repeat=n))
+    # the columns read that order point by point
+    size, cols = qfun.columns(n, len(q.elements))
+    assert size == len(fns) and len(cols) == n
+    assert all(col[f.code] == f.index[x] for x, col in enumerate(cols) for f in fns)
 
 
 def test_qfunction_refuses_values_outside_the_carrier():
@@ -321,3 +332,48 @@ def test_repeated_table_entries_are_refused():
         semifilter_from_json(obj, S, q)
     del obj["entries"][3]
     assert semifilter_from_json(obj, S, q).canonical_values() == (F(0), F(1, 2), F(1))
+
+
+# -- grid restrictions of t-norms --------------------------------------------
+
+def lukasiewicz_sums_on_the_eighth_grid():
+    """Every ordinal sum of one or two Lukasiewicz blocks with endpoints on
+    the 1/8 grid: 36 single blocks and 210 pairs, a pair possibly sharing
+    an endpoint."""
+    ends = [F(i, 8) for i in range(9)]
+    singles = list(itertools.combinations(ends, 2))
+    pairs = [(a, b) for a in singles for b in singles if a[1] <= b[0]]
+    return [[(lo, hi, "lukasiewicz") for lo, hi in blocks]
+            for blocks in [[s] for s in singles] + pairs]
+
+
+# the four Lukasiewicz blocks of the counterexample benchmark, each cut to
+# the grid of its endpoints
+BENCH_BLOCKS = [(F(5, 16), F(1)), (F(9, 32), F(19, 32)), (F(1, 8), F(7, 16)),
+                (F(7, 16), F(21, 32))]
+
+
+def grid_restrictions():
+    for lo, hi in BENCH_BLOCKS:
+        yield [(lo, hi, "lukasiewicz")], lcm(lo.denominator, hi.denominator)
+    for blocks in lukasiewicz_sums_on_the_eighth_grid():
+        yield blocks, 8
+
+
+def test_grid_restrictions_of_lukasiewicz_sums_match_their_tnorm():
+    # a Lukasiewicz block with endpoints on a grid keeps the grid closed
+    # under the tensor and the residuum, so the finite kernel's residuum,
+    # folded from the restricted tensor, is the closed form of TNorm at
+    # every pair: the two carriers are written independently and check
+    # each other here
+    checked = 0
+    for blocks, den in grid_restrictions():
+        t = build_ordinal_sum(blocks)
+        q = finite_restriction(t, [F(i, den) for i in range(den + 1)])
+        assert check_quantale_axioms(q) == [], blocks
+        es, residuum = q.elements, q.kernel.residuum
+        mismatches = [(x, y) for i, x in enumerate(es) for j, y in enumerate(es)
+                      if es[residuum[i][j]] != t.residuum(x, y)]
+        assert mismatches == [], blocks
+        checked += 1
+    assert checked == 4 + 246

@@ -1,16 +1,20 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantalab.base import Variant
 from quantalab.errors import UsageError
-from quantalab.prefilter import (bounded_coreflection, image_prefilter, member,
+from quantalab.monad import extend_rows, random_variant_row, unit_rows
+from quantalab.prefilter import (bounded_coreflection, image_prefilter,
+                                 least_positive_position, member,
                                  normalize_basis, saturation_member)
 from quantalab.qfun import (QFunction, SetMap, all_qfunctions, constant,
                             finite_set, precompose, sub, unit_constant)
-from quantalab.finite import five_chain, godel3, mv3, two_chain
+from quantalab.finite import FiniteQuantale, five_chain, godel3, mv3, two_chain
 
 from oracles import is_bounded_function, is_top_filter
 from test_quantale import square_lattice
@@ -261,3 +265,23 @@ def test_bounded_coreflection_is_largest_bounded_part(raw):
     assert min(out.generator.values) > 0
 
 
+
+
+def test_a_one_element_carrier_has_no_positive_element():
+    # the carrier {1} is integral, and its kernel holds no least positive
+    # element; the refusal says there is no positive element at all, and
+    # every bounded reader of the kernel gives it before any draw
+    q = FiniteQuantale([1], [[1]], 1)
+    assert q.is_integral and q.kernel.least_positive is None
+    message = f"carrier {q!r} has no positive element"
+    rng = random.Random(0)
+    state = rng.getstate()
+    for refused in (lambda: least_positive_position(q),
+                    lambda: bounded_coreflection(normalize_basis([], S, q)),
+                    lambda: unit_rows(S, q, Variant.BOUNDED),
+                    lambda: extend_rows({"s": (0,)}, S, q, Variant.BOUNDED),
+                    lambda: random_variant_row(rng, S, q, Variant.BOUNDED)):
+        with pytest.raises(UsageError) as err:
+            refused()
+        assert str(err.value) == message
+    assert rng.getstate() == state
